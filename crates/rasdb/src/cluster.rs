@@ -180,7 +180,7 @@ pub struct Cluster {
     node_cfg: NodeConfig,
     schemas: RwLock<HashMap<String, TableSchema>>,
     clock: AtomicU64,
-    hints: Mutex<HashMap<NodeId, VecDeque<Mutation>>>,
+    hints: Mutex<HashMap<NodeId, VecDeque<Arc<Mutation>>>>,
     hint_cap: AtomicU64,
     /// Scatter-gather worker pool, spawned on first `read_multi`.
     coordinator: OnceLock<CoordinatorPool>,
@@ -258,11 +258,12 @@ impl Cluster {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    fn bump_version(&self, table: &str, partition: &Key) {
-        let v = self.version_counter.fetch_add(1, Ordering::SeqCst) + 1;
-        self.versions
-            .lock()
-            .insert(version_key(table, partition), v);
+    fn bump_versions<'a>(&self, table: &str, partitions: impl IntoIterator<Item = &'a Key>) {
+        let mut versions = self.versions.lock();
+        for partition in partitions {
+            let v = self.version_counter.fetch_add(1, Ordering::SeqCst) + 1;
+            versions.insert(version_key(table, partition), v);
+        }
     }
 
     /// Replaces the partition-block cache byte budget (default
@@ -400,11 +401,6 @@ impl Cluster {
         names
     }
 
-    /// Next logical write timestamp.
-    fn next_write_ts(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Inserts one row.
     pub fn insert(
         &self,
@@ -417,44 +413,53 @@ impl Cluster {
         self.insert_owned(table, owned, consistency)
     }
 
-    /// Inserts one row with owned column names.
+    /// Inserts one row with owned column names: a batch of one.
     pub fn insert_owned(
         &self,
         table: &str,
         values: Vec<(String, Value)>,
         consistency: Consistency,
     ) -> Result<(), DbError> {
-        let schema = self
-            .schema(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        schema.validate_insert(&values)?;
-        let (pk, ck, cells) = schema.split_insert(values);
-        let mutation = Mutation::upsert(table, Key(pk), Key(ck), cells, self.next_write_ts());
-        self.write_mutation(mutation, consistency)
+        self.insert_batch(table, vec![values], consistency)
+            .map(|_| ())
     }
 
-    /// Applies a batch of pre-validated inserts (ETL fast path). Each item
-    /// is `(column, value)` pairs; the whole batch shares one consistency
-    /// level. Returns the number applied.
+    /// Inserts a batch of rows, each a list of `(column, value)` pairs, at
+    /// one consistency level. Returns the number of rows written.
+    ///
+    /// The whole batch is validated before anything is written: a
+    /// [`DbError::SchemaViolation`] means no replica saw any of its rows.
+    /// After that every row is attempted; if some partition gathered fewer
+    /// acks than the consistency level requires, the first such
+    /// [`DbError::Unavailable`] is returned once the batch is through.
+    /// Replicas that missed rows are hinted, and re-sending the batch is
+    /// idempotent (last write wins per cell).
     pub fn insert_batch(
         &self,
         table: &str,
         batch: Vec<Vec<(String, Value)>>,
         consistency: Consistency,
     ) -> Result<usize, DbError> {
-        let _span = telemetry::span!("rasdb.coordinator.batch");
+        let span = telemetry::span!("rasdb.coordinator.write");
         let schema = self
             .schema(table)
             .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        let mut applied = 0;
-        for values in batch {
-            schema.validate_insert(&values)?;
-            let (pk, ck, cells) = schema.split_insert(values);
-            let m = Mutation::upsert(table, Key(pk), Key(ck), cells, self.next_write_ts());
-            self.write_mutation(m, consistency)?;
-            applied += 1;
+        for values in &batch {
+            schema.validate_insert(values)?;
         }
-        Ok(applied)
+        // Write timestamps follow arrival order.
+        let rows = batch.len();
+        let first_ts = self.clock.fetch_add(rows as u64, Ordering::Relaxed);
+        let mutations = batch
+            .into_iter()
+            .zip(first_ts..)
+            .map(|(values, ts)| {
+                let (pk, ck, cells) = schema.split_insert(values);
+                Mutation::upsert(table, Key(pk), Key(ck), cells, ts)
+            })
+            .collect();
+        self.write_batch(span, table, mutations, consistency)?;
+        Ok(rows)
     }
 
     /// Deletes one clustered row.
@@ -465,81 +470,127 @@ impl Cluster {
         clustering: Vec<Value>,
         consistency: Consistency,
     ) -> Result<(), DbError> {
+        let span = telemetry::span!("rasdb.coordinator.write");
         if self.schema(table).is_none() {
             return Err(DbError::NoSuchTable(table.to_owned()));
         }
-        let m = Mutation::delete(table, Key(partition), Key(clustering), self.next_write_ts());
-        self.write_mutation(m, consistency)
+        let ts = self.clock.fetch_add(1, Ordering::Relaxed);
+        let m = Mutation::delete(table, Key(partition), Key(clustering), ts);
+        self.write_batch(span, table, vec![m], consistency)
     }
 
-    /// Hinted handoff: remember the mutation for a node that missed it.
+    /// Hinted handoff: remember the mutations for a node that missed them.
     /// The queue is capped; at capacity the *oldest* hint is dropped (LWW
     /// means newer mutations supersede it anyway) and counted, so a long
     /// outage degrades to read repair instead of growing coordinator
     /// memory without bound.
-    fn queue_hint(&self, id: NodeId, m: &Mutation) {
+    fn queue_hints<'a>(&self, id: NodeId, missed: impl IntoIterator<Item = &'a Arc<Mutation>>) {
         let cap = self.hint_cap.load(Ordering::Relaxed) as usize;
         let mut hints = self.hints.lock();
         let queue = hints.entry(id).or_default();
-        while queue.len() >= cap.max(1) {
-            queue.pop_front();
-            self.coord_stats.record_hint_dropped();
+        for m in missed {
+            while queue.len() >= cap.max(1) {
+                queue.pop_front();
+                self.coord_stats.record_hint_dropped();
+            }
+            queue.push_back(Arc::clone(m));
         }
-        queue.push_back(m.clone());
     }
 
-    fn write_mutation(&self, m: Mutation, consistency: Consistency) -> Result<(), DbError> {
-        let _span = telemetry::span!("rasdb.coordinator.write");
-        let token = token_for(&m.partition);
-        // One topology snapshot yields both replica sets, so a transition
-        // committing mid-write can never make the coordinator miss both
-        // the old and the new owner of a range.
-        let (replicas, gainers) = {
+    /// The coordinator write path: every insert and delete, single or
+    /// batched, goes through here. `mutations` all target `table` and carry
+    /// their write timestamps; `span` is the caller's
+    /// `rasdb.coordinator.write` span, opened before validation.
+    ///
+    /// The batch is grouped by partition and each storage node receives
+    /// all of its groups in one [`StorageNode::apply_batch`], inline on the
+    /// calling thread. Every group is attempted before any error is
+    /// returned.
+    fn write_batch(
+        &self,
+        mut span: telemetry::SpanGuard,
+        table: &str,
+        mutations: Vec<Mutation>,
+        consistency: Consistency,
+    ) -> Result<(), DbError> {
+        // Groups in order of first arrival; rows keep arrival order inside
+        // their group.
+        let mut group_of: HashMap<&Key, usize> = HashMap::new();
+        let row_groups: Vec<usize> = mutations
+            .iter()
+            .map(|m| {
+                let next = group_of.len();
+                *group_of.entry(&m.partition).or_insert(next)
+            })
+            .collect();
+        let mut groups: Vec<Vec<Arc<Mutation>>> = vec![Vec::new(); group_of.len()];
+        drop(group_of);
+        for (m, g) in mutations.into_iter().zip(row_groups) {
+            groups[g].push(Arc::new(m));
+        }
+
+        // One topology snapshot yields every group's replicas and gainers,
+        // so a transition committing mid-write can never make the
+        // coordinator miss both the old and the new owner of a range.
+        // Per node: the groups it receives, and whether its ack counts.
+        let mut required = Vec::with_capacity(groups.len());
+        let mut per_node: BTreeMap<NodeId, Vec<(usize, bool)>> = BTreeMap::new();
+        {
             let topo = self.topology.read();
-            let replicas = topo.ring.replicas(token);
-            let gainers: Vec<NodeId> = match &topo.transition {
-                Some(t) => t
-                    .target_ring
-                    .replicas(token)
-                    .into_iter()
-                    .filter(|n| !replicas.contains(n))
-                    .collect(),
-                None => Vec::new(),
-            };
-            (replicas, gainers)
-        };
-        let required = consistency.required(replicas.len());
-        let mut acks = 0;
-        for id in &replicas {
-            if self.node_arc(*id).apply(&m) {
-                acks += 1;
+            for (g, group) in groups.iter().enumerate() {
+                let token = token_for(&group[0].partition);
+                let replicas = topo.ring.replicas(token);
+                required.push(consistency.required(replicas.len()));
+                // Double-write window: while a transition is in flight,
+                // every future owner of the range receives the mutations
+                // too, so commit finds nothing missing. These writes never
+                // count toward the client's consistency level — the old
+                // ring stays authoritative until commit — and a miss
+                // (gainer down) is hinted and drained synchronously at
+                // commit.
+                if let Some(t) = &topo.transition {
+                    for id in t.target_ring.replicas(token) {
+                        if !replicas.contains(&id) {
+                            per_node.entry(id).or_default().push((g, false));
+                        }
+                    }
+                }
+                for id in replicas {
+                    per_node.entry(id).or_default().push((g, true));
+                }
+            }
+        }
+
+        let mut acks = vec![0usize; groups.len()];
+        for (id, assigned) in &per_node {
+            let batch: Vec<&[Arc<Mutation>]> = assigned
+                .iter()
+                .map(|&(g, _)| groups[g].as_slice())
+                .collect();
+            if self.node_arc(*id).apply_batch(&batch) {
+                for &(g, counts) in assigned {
+                    acks[g] += usize::from(counts);
+                }
             } else {
-                self.queue_hint(*id, &m);
+                self.queue_hints(*id, batch.into_iter().flatten());
             }
         }
-        // Double-write window: while a transition is in flight, every
-        // future owner of the range receives the mutation too, so commit
-        // finds nothing missing. These writes never count toward the
-        // client's consistency level — the old ring stays authoritative
-        // until commit — and a miss (gainer down) is hinted and drained
-        // synchronously at commit.
-        for id in &gainers {
-            if !self.node_arc(*id).apply(&m) {
-                self.queue_hint(*id, &m);
-            }
-        }
+
         // Bump *after* the replica applies so a concurrent reader that
         // snapshotted the old version cannot cache post-write rows under a
         // still-current tag. Bumped even on the Unavailable path: some
-        // replicas may have applied the mutation.
-        self.bump_version(&m.table, &m.partition);
-        if acks >= required {
-            Ok(())
-        } else {
-            Err(DbError::Unavailable {
-                required,
-                received: acks,
-            })
+        // replicas may have applied the mutations.
+        self.bump_versions(table, groups.iter().map(|g| &g[0].partition));
+
+        let rows: usize = groups.iter().map(Vec::len).sum();
+        self.coord_stats.record_write_rows(rows as u64);
+        span.tag("rows", rows.to_string());
+        span.tag("partitions", groups.len().to_string());
+        span.tag("replica_batches", per_node.len().to_string());
+
+        match acks.iter().zip(&required).find(|(got, need)| got < need) {
+            None => Ok(()),
+            Some((&received, &required)) => Err(DbError::Unavailable { required, received }),
         }
     }
 
@@ -557,10 +608,8 @@ impl Cluster {
             return;
         }
         node.set_up(true);
-        let hints = self.hints.lock().remove(&id).unwrap_or_default();
-        for m in hints {
-            node.apply(&m);
-        }
+        let mut hints = self.hints.lock().remove(&id).unwrap_or_default();
+        node.apply_chunk(hints.make_contiguous());
         self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -704,7 +753,7 @@ impl Cluster {
         if responses.len() > 1
             && self.read_repair(&plan.table, &plan.partition, &merged, responses) > 0
         {
-            self.bump_version(&plan.table, &plan.partition);
+            self.bump_versions(&plan.table, [&plan.partition]);
         }
 
         let mut rows: Vec<Row> = merged
@@ -957,7 +1006,9 @@ impl Cluster {
             .collect())
     }
 
-    /// Returns the number of repair mutations applied.
+    /// Sends each replica that answered with stale or missing rows the
+    /// merged state of those rows, as one batch per replica. Returns the
+    /// number of repair mutations applied.
     fn read_repair(
         &self,
         table: &str,
@@ -968,25 +1019,13 @@ impl Cluster {
         let mut repaired = 0;
         for (id, raw) in responses {
             let theirs: HashMap<&Key, &RowEntry> = raw.iter().map(|(k, e)| (k, e)).collect();
-            for (ck, entry) in merged {
-                let stale = theirs.get(ck).is_none_or(|have| *have != entry);
-                if !stale {
-                    continue;
-                }
-                let m = Mutation {
-                    table: table.to_owned(),
-                    partition: partition.clone(),
-                    clustering: ck.clone(),
-                    cells: entry
-                        .cells
-                        .iter()
-                        .map(|(n, c)| (n.clone(), c.clone()))
-                        .collect(),
-                    row_delete: entry.deleted_at,
-                };
-                if self.node_arc(*id).apply(&m) {
-                    repaired += 1;
-                }
+            let repairs: Vec<Arc<Mutation>> = merged
+                .iter()
+                .filter(|(ck, entry)| theirs.get(ck).is_none_or(|have| have != entry))
+                .map(|(ck, entry)| Arc::new(Mutation::from_entry(table, partition, ck, entry)))
+                .collect();
+            if !repairs.is_empty() && self.node_arc(*id).apply_batch(&[&repairs]) {
+                repaired += repairs.len() as u64;
             }
         }
         repaired
@@ -1332,10 +1371,8 @@ impl Cluster {
         // Drain the joiner's hints (double-writes that missed it while it
         // streamed) under the topology lock so the swap is atomic: by the
         // time any coordinator sees the new ring, the new owner is whole.
-        let hints = self.hints.lock().remove(&joiner).unwrap_or_default();
-        for m in &hints {
-            node.apply(m);
-        }
+        let mut hints = self.hints.lock().remove(&joiner).unwrap_or_default();
+        node.apply_chunk(hints.make_contiguous());
         topo.ring = target_ring;
         topo.transition = None;
         self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -1458,12 +1495,12 @@ impl Cluster {
                     continue;
                 }
                 if !self.node_arc(g).apply(m) {
-                    self.queue_hint(g, m);
+                    self.queue_hints(g, [m]);
                 }
             }
             report.hints_rerouted += 1;
             self.coord_stats.record_hint_rerouted();
-            self.bump_version(&m.table, &m.partition);
+            self.bump_versions(&m.table, [&m.partition]);
         }
         let mut topo = self.topology.write();
         topo.ring = target_ring;
@@ -1670,21 +1707,11 @@ impl Cluster {
                 continue;
             }
             let gnode = self.node_arc(gainer);
-            let muts: Vec<Mutation> = rows
+            let muts: Vec<Arc<Mutation>> = rows
                 .iter()
-                .map(|(ck, entry)| Mutation {
-                    table: table.to_owned(),
-                    partition: pk.clone(),
-                    clustering: ck.clone(),
-                    cells: entry
-                        .cells
-                        .iter()
-                        .map(|(n, c)| (n.clone(), c.clone()))
-                        .collect(),
-                    row_delete: entry.deleted_at,
-                })
+                .map(|(ck, entry)| Arc::new(Mutation::from_entry(table, pk, ck, entry)))
                 .collect();
-            if !gnode.apply_chunk(&muts) {
+            if !gnode.apply_batch(&[&muts]) {
                 // The receiver is down mid-transfer: bounce it (commit-log
                 // recovery preserves every previously acked chunk) and
                 // retry this one.

@@ -1,8 +1,9 @@
 //! Append-only commit log: every mutation is recorded before it touches
 //! the memtable, so a node restart can replay its state.
 
+use crate::memtable::{RowChange, RowEntry};
 use crate::types::{Cell, Key, Value};
-use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// One durable mutation record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,26 +57,54 @@ impl Mutation {
         }
     }
 
+    /// Builds the mutation that carries a stored row's full state (cells and
+    /// tombstone) to another replica: read repair and range streaming.
+    pub fn from_entry(
+        table: &str,
+        partition: &Key,
+        clustering: &Key,
+        entry: &RowEntry,
+    ) -> Mutation {
+        Mutation {
+            table: table.to_owned(),
+            partition: partition.clone(),
+            clustering: clustering.clone(),
+            cells: entry
+                .cells
+                .iter()
+                .map(|(n, c)| (n.clone(), c.clone()))
+                .collect(),
+            row_delete: entry.deleted_at,
+        }
+    }
+
+    /// The row-level change this mutation makes inside its partition.
+    pub fn row_change(&self) -> RowChange<'_> {
+        (&self.clustering, &self.cells, self.row_delete)
+    }
+
     /// Approximate record weight in cells (log sizing).
     pub fn weight(&self) -> usize {
         self.cells.len().max(1)
     }
 }
 
-/// The per-node commit log.
+/// The per-table commit log of one node.
 ///
-/// Segments rotate at `segment_limit` records; segments older than the last
-/// flush point are discarded (`truncate`), mirroring how a real commit log
-/// reclaims space once the memtable is durable in SSTables.
+/// Records are shared (`Arc`) with the coordinator's other replicas and its
+/// hint queue: appending never deep-copies a mutation. Segments rotate at
+/// `segment_limit` records; closed segments that lie wholly at or below the
+/// last flush point are discarded (`truncate_flushed`), mirroring how a real
+/// commit log reclaims space once the memtable is durable in SSTables.
+///
+/// The log has no lock of its own: it lives inside a node's table store and
+/// is only ever touched under that store's lock.
 #[derive(Debug)]
 pub struct CommitLog {
-    inner: Mutex<LogInner>,
+    /// Retained segments, oldest first; the last one is open. Their records
+    /// are the newest `retained()` of the `appended` sequence numbers.
+    segments: Vec<Vec<Arc<Mutation>>>,
     segment_limit: usize,
-}
-
-#[derive(Debug, Default)]
-struct LogInner {
-    segments: Vec<Vec<Mutation>>,
     appended: u64,
 }
 
@@ -83,53 +112,62 @@ impl CommitLog {
     /// Creates a log with the given segment size.
     pub fn new(segment_limit: usize) -> CommitLog {
         CommitLog {
-            inner: Mutex::new(LogInner {
-                segments: vec![Vec::new()],
-                appended: 0,
-            }),
+            segments: vec![Vec::new()],
             segment_limit: segment_limit.max(1),
+            appended: 0,
         }
     }
 
-    /// Appends a mutation; returns its global sequence number.
-    pub fn append(&self, m: Mutation) -> u64 {
-        let mut inner = self.inner.lock();
-        if inner
-            .segments
-            .last()
-            .is_some_and(|s| s.len() >= self.segment_limit)
-        {
-            inner.segments.push(Vec::new());
+    /// Appends a batch of records in order. Record *i* of the batch
+    /// (1-based) gets sequence number `appended() + i`, counted from before
+    /// the call.
+    pub fn append(&mut self, records: impl IntoIterator<Item = Arc<Mutation>>) {
+        for m in records {
+            if self
+                .segments
+                .last()
+                .is_some_and(|open| open.len() >= self.segment_limit)
+            {
+                self.segments.push(Vec::new());
+            }
+            self.segments.last_mut().expect("open segment").push(m);
+            self.appended += 1;
         }
-        inner.segments.last_mut().expect("segment").push(m);
-        inner.appended += 1;
-        inner.appended
     }
 
-    /// Drops all closed segments (called after a successful flush). The
-    /// open segment is kept: records after the flush point are still only
-    /// in the memtable.
-    pub fn truncate_flushed(&self) {
-        let mut inner = self.inner.lock();
-        let open = inner.segments.pop().unwrap_or_default();
-        inner.segments.clear();
-        inner.segments.push(open);
+    /// Drops the closed segments whose records all have sequence numbers at
+    /// or below `flushed`, the newest record known to be in an SSTable. The
+    /// open segment is always kept, and so is any closed segment holding a
+    /// record above the flush point: a batch is appended whole before its
+    /// rows reach the memtable, so a flush in the middle of one leaves
+    /// appended records that are in no SSTable yet.
+    pub fn truncate_flushed(&mut self, flushed: u64) {
+        let closed = self.segments.len() - 1;
+        // Sequence number of the newest record of the segment in hand.
+        let mut last_seq = self.appended - self.retained() as u64;
+        let droppable = self.segments[..closed]
+            .iter()
+            .take_while(|s| {
+                last_seq += s.len() as u64;
+                last_seq <= flushed
+            })
+            .count();
+        self.segments.drain(..droppable);
     }
 
-    /// Replays every retained mutation in order (restart recovery).
-    pub fn replay(&self) -> Vec<Mutation> {
-        let inner = self.inner.lock();
-        inner.segments.iter().flatten().cloned().collect()
+    /// Every retained mutation in append order (restart recovery).
+    pub fn replay(&self) -> impl Iterator<Item = &Arc<Mutation>> {
+        self.segments.iter().flatten()
     }
 
     /// Total mutations ever appended.
     pub fn appended(&self) -> u64 {
-        self.inner.lock().appended
+        self.appended
     }
 
     /// Currently retained record count.
     pub fn retained(&self) -> usize {
-        self.inner.lock().segments.iter().map(Vec::len).sum()
+        self.segments.iter().map(Vec::len).sum()
     }
 }
 
@@ -137,47 +175,57 @@ impl CommitLog {
 mod tests {
     use super::*;
 
-    fn m(i: i64) -> Mutation {
-        Mutation::upsert(
+    fn m(i: i64) -> Arc<Mutation> {
+        Arc::new(Mutation::upsert(
             "t",
             Key(vec![Value::BigInt(i)]),
             Key(vec![Value::Timestamp(i)]),
             vec![("v".to_owned(), Value::Int(i as i32))],
             i as u64,
-        )
+        ))
     }
 
     #[test]
     fn append_and_replay_preserve_order() {
-        let log = CommitLog::new(10);
-        for i in 0..25 {
-            log.append(m(i));
-        }
-        let replayed = log.replay();
+        let mut log = CommitLog::new(10);
+        log.append((0..20).map(m));
+        log.append((20..25).map(m));
+        let replayed: Vec<_> = log.replay().collect();
         assert_eq!(replayed.len(), 25);
-        assert_eq!(replayed[7], m(7));
+        assert_eq!(*replayed[7], m(7));
         assert_eq!(log.appended(), 25);
     }
 
     #[test]
     fn segments_rotate() {
-        let log = CommitLog::new(4);
-        for i in 0..10 {
-            log.append(m(i));
-        }
+        let mut log = CommitLog::new(4);
+        log.append((0..10).map(m));
         assert_eq!(log.retained(), 10);
-        log.truncate_flushed();
+        log.truncate_flushed(10);
         // Two full segments dropped; the open one (2 records) remains.
         assert_eq!(log.retained(), 2);
         assert_eq!(log.appended(), 10);
     }
 
     #[test]
+    fn truncate_keeps_segments_above_the_flush_point() {
+        let mut log = CommitLog::new(4);
+        log.append((0..10).map(m));
+        // Records 1..=6 are flushed: the first segment (1..=4) goes, the
+        // second (5..=8) still holds unflushed records 7 and 8.
+        log.truncate_flushed(6);
+        assert_eq!(log.retained(), 6);
+        assert_eq!(*log.replay().next().unwrap(), m(4));
+        log.truncate_flushed(8);
+        assert_eq!(log.retained(), 2);
+    }
+
+    #[test]
     fn truncate_on_empty_log_is_safe() {
-        let log = CommitLog::new(4);
-        log.truncate_flushed();
+        let mut log = CommitLog::new(4);
+        log.truncate_flushed(0);
         assert_eq!(log.retained(), 0);
-        log.append(m(1));
+        log.append([m(1)]);
         assert_eq!(log.retained(), 1);
     }
 

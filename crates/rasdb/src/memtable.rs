@@ -68,6 +68,10 @@ impl RowEntry {
 /// "time series representation of events that is one hour long").
 pub type Partition = BTreeMap<Key, RowEntry>;
 
+/// One row change borrowed from a mutation: clustering key, cells to upsert
+/// (empty for a pure delete), and the row tombstone timestamp, if any.
+pub type RowChange<'a> = (&'a Key, &'a [(String, Cell)], Option<u64>);
+
 /// The memtable for a single table on a single node.
 #[derive(Debug, Default)]
 pub struct Memtable {
@@ -81,29 +85,46 @@ impl Memtable {
         Memtable::default()
     }
 
-    /// Upserts cells into a clustered row.
-    pub fn upsert(&mut self, partition: Key, clustering: Key, cells: Vec<(String, Cell)>) {
-        let row = self
-            .partitions
-            .entry(partition)
-            .or_default()
-            .entry(clustering)
-            .or_default();
-        self.weight -= row.weight().min(self.weight);
-        row.upsert(cells);
-        self.weight += row.weight();
-    }
-
-    /// Row-level delete.
-    pub fn delete_row(&mut self, partition: Key, clustering: Key, ts: u64) {
-        let row = self
-            .partitions
-            .entry(partition)
-            .or_default()
-            .entry(clustering)
-            .or_default();
-        row.delete(ts);
-        self.weight += 1;
+    /// Applies a run of row changes that all target `partition`, in order,
+    /// with one partition lookup for the whole run. Stops right after the
+    /// row that brings the memtable to `flush_at` cells or more, so the
+    /// caller can flush at the same point a row-at-a-time writer would;
+    /// returns the number of rows consumed.
+    pub fn upsert_rows<'a>(
+        &mut self,
+        partition: &Key,
+        rows: impl IntoIterator<Item = RowChange<'a>>,
+        flush_at: usize,
+    ) -> usize {
+        let rows_of = match self.partitions.get_mut(partition) {
+            Some(p) => p,
+            None => self.partitions.entry(partition.clone()).or_default(),
+        };
+        let mut applied = 0;
+        for (clustering, cells, row_delete) in rows {
+            applied += 1;
+            if row_delete.is_none() && cells.is_empty() {
+                // A key-only insert stores nothing.
+                continue;
+            }
+            let row = rows_of.entry(clustering.clone()).or_default();
+            if let Some(ts) = row_delete {
+                row.delete(ts);
+                self.weight += 1;
+            }
+            if !cells.is_empty() {
+                self.weight -= row.weight().min(self.weight);
+                row.upsert(cells.iter().cloned());
+                self.weight += row.weight();
+            }
+            if self.weight >= flush_at {
+                break;
+            }
+        }
+        if rows_of.is_empty() {
+            self.partitions.remove(partition);
+        }
+        applied
     }
 
     /// Reads raw row entries of one partition within a clustering range.
@@ -186,11 +207,28 @@ mod tests {
         Cell::live(Value::Int(v), ts)
     }
 
+    fn upsert(m: &mut Memtable, partition: Key, clustering: Key, cells: Vec<(String, Cell)>) {
+        m.upsert_rows(
+            &partition,
+            [(&clustering, cells.as_slice(), None)],
+            usize::MAX,
+        );
+    }
+
+    fn delete_row(m: &mut Memtable, partition: Key, clustering: Key, ts: u64) {
+        m.upsert_rows(&partition, [(&clustering, &[][..], Some(ts))], usize::MAX);
+    }
+
     #[test]
     fn rows_stay_sorted_by_clustering_key() {
         let mut m = Memtable::new();
         for ts in [5i64, 1, 3, 2, 4] {
-            m.upsert(pk(1), ck(ts), vec![("amount".into(), cellv(ts as i32, 1))]);
+            upsert(
+                &mut m,
+                pk(1),
+                ck(ts),
+                vec![("amount".into(), cellv(ts as i32, 1))],
+            );
         }
         let rows = m.read(&pk(1), full_range());
         let keys: Vec<i64> = rows
@@ -207,7 +245,7 @@ mod tests {
     fn range_reads_are_inclusive_exclusive_aware() {
         let mut m = Memtable::new();
         for ts in 0..10 {
-            m.upsert(pk(1), ck(ts), vec![("amount".into(), cellv(1, 1))]);
+            upsert(&mut m, pk(1), ck(ts), vec![("amount".into(), cellv(1, 1))]);
         }
         let rows = m.read(&pk(1), (Bound::Included(ck(3)), Bound::Excluded(ck(7))));
         assert_eq!(rows.len(), 4);
@@ -218,10 +256,10 @@ mod tests {
     #[test]
     fn lww_update_within_memtable() {
         let mut m = Memtable::new();
-        m.upsert(pk(1), ck(1), vec![("amount".into(), cellv(1, 10))]);
-        m.upsert(pk(1), ck(1), vec![("amount".into(), cellv(2, 20))]);
+        upsert(&mut m, pk(1), ck(1), vec![("amount".into(), cellv(1, 10))]);
+        upsert(&mut m, pk(1), ck(1), vec![("amount".into(), cellv(2, 20))]);
         // Stale write loses.
-        m.upsert(pk(1), ck(1), vec![("amount".into(), cellv(3, 15))]);
+        upsert(&mut m, pk(1), ck(1), vec![("amount".into(), cellv(3, 15))]);
         let rows = m.read(&pk(1), full_range());
         assert_eq!(rows[0].cell("amount"), Some(&Value::Int(2)));
     }
@@ -229,13 +267,37 @@ mod tests {
     #[test]
     fn row_tombstone_hides_older_cells_only() {
         let mut m = Memtable::new();
-        m.upsert(pk(1), ck(1), vec![("a".into(), cellv(1, 10))]);
-        m.delete_row(pk(1), ck(1), 15);
+        upsert(&mut m, pk(1), ck(1), vec![("a".into(), cellv(1, 10))]);
+        delete_row(&mut m, pk(1), ck(1), 15);
         assert!(m.read(&pk(1), full_range()).is_empty());
         // A newer write resurrects the row.
-        m.upsert(pk(1), ck(1), vec![("a".into(), cellv(2, 20))]);
+        upsert(&mut m, pk(1), ck(1), vec![("a".into(), cellv(2, 20))]);
         let rows = m.read(&pk(1), full_range());
         assert_eq!(rows[0].cell("a"), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn key_only_rows_store_nothing() {
+        let mut m = Memtable::new();
+        upsert(&mut m, pk(1), ck(1), vec![]);
+        assert!(m.is_empty(), "no empty partition, no empty row");
+        upsert(&mut m, pk(1), ck(2), vec![("a".into(), cellv(1, 1))]);
+        upsert(&mut m, pk(1), ck(3), vec![]);
+        assert_eq!(m.read_raw(&pk(1), full_range()).len(), 1);
+    }
+
+    #[test]
+    fn upsert_rows_stops_at_the_flush_mark() {
+        let mut m = Memtable::new();
+        let cells = vec![("a".to_owned(), cellv(1, 1))];
+        let keys: Vec<Key> = (0..10).map(ck).collect();
+        let rows = || keys.iter().map(|k| (k, cells.as_slice(), None));
+        // Two cells for the first row of an empty memtable, one more per
+        // further new row: the fifth row reaches six.
+        assert_eq!(m.upsert_rows(&pk(1), rows(), 6), 5);
+        assert_eq!(m.weight(), 6);
+        assert_eq!(m.upsert_rows(&pk(1), rows().skip(5), usize::MAX), 5);
+        assert_eq!(m.read(&pk(1), full_range()).len(), 10);
     }
 
     #[test]
@@ -247,9 +309,9 @@ mod tests {
     #[test]
     fn drain_empties_and_sorts() {
         let mut m = Memtable::new();
-        m.upsert(pk(2), ck(1), vec![("a".into(), cellv(1, 1))]);
-        m.upsert(pk(1), ck(2), vec![("a".into(), cellv(1, 1))]);
-        m.upsert(pk(1), ck(1), vec![("a".into(), cellv(1, 1))]);
+        upsert(&mut m, pk(2), ck(1), vec![("a".into(), cellv(1, 1))]);
+        upsert(&mut m, pk(1), ck(2), vec![("a".into(), cellv(1, 1))]);
+        upsert(&mut m, pk(1), ck(1), vec![("a".into(), cellv(1, 1))]);
         let drained = m.drain_sorted();
         assert!(m.is_empty());
         assert_eq!(m.weight(), 0);
@@ -263,9 +325,10 @@ mod tests {
     fn weight_grows_with_cells() {
         let mut m = Memtable::new();
         assert_eq!(m.weight(), 0);
-        m.upsert(pk(1), ck(1), vec![("a".into(), cellv(1, 1))]);
+        upsert(&mut m, pk(1), ck(1), vec![("a".into(), cellv(1, 1))]);
         let w1 = m.weight();
-        m.upsert(
+        upsert(
+            &mut m,
             pk(1),
             ck(2),
             vec![("a".into(), cellv(1, 1)), ("b".into(), cellv(2, 1))],

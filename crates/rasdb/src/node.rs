@@ -12,6 +12,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Node tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -132,47 +133,71 @@ impl StorageNode {
         self.retired.load(Ordering::SeqCst)
     }
 
-    /// Applies a full stream chunk of mutations atomically from the
-    /// receiver's point of view: either the node is up and every mutation
-    /// lands (commit log first, so acked chunks survive a crash/restart),
-    /// or the chunk is NAKed for the sender to retry.
-    pub fn apply_chunk(&self, mutations: &[Mutation]) -> bool {
-        if !self.is_up() {
-            return false;
-        }
-        mutations.iter().all(|m| self.apply(m))
+    /// Applies one mutation: a batch of one (see [`StorageNode::apply_batch`]).
+    pub fn apply(&self, mutation: &Arc<Mutation>) -> bool {
+        self.apply_batch(&[std::slice::from_ref(mutation)])
     }
 
-    /// Applies one mutation (commit log first, then memtable), flushing
-    /// and compacting if thresholds are crossed.
-    pub fn apply(&self, mutation: &Mutation) -> bool {
+    /// Applies mutations that may name any tables and partitions (a stream
+    /// chunk, a replayed hint queue) as one all-or-nothing batch.
+    pub fn apply_chunk(&self, mutations: &[Arc<Mutation>]) -> bool {
+        let groups: Vec<&[Arc<Mutation>]> = mutations.chunks(1).collect();
+        self.apply_batch(&groups)
+    }
+
+    /// The node's one write entry point. Each group is a non-empty run of
+    /// mutations that share one table and one partition. The batch is
+    /// all-or-nothing from the sender's point of view: liveness and every
+    /// table are checked once, before the first append, so a NAK (`false`)
+    /// means nothing reached the commit log or the memtable and the sender
+    /// may hint or retry the whole batch. Consecutive groups of one table
+    /// are applied under one table lock: one commit-log append for all their
+    /// records (log first, so an acked batch survives a crash/restart), then
+    /// one partition lookup per group, flushing and compacting wherever a
+    /// row crosses the threshold.
+    pub fn apply_batch(&self, groups: &[&[Arc<Mutation>]]) -> bool {
         if !self.is_up() {
             return false;
         }
         let tables = self.tables.read();
-        let Some(store) = tables.get(&mutation.table) else {
+        if !groups.iter().all(|g| tables.contains_key(&g[0].table)) {
             return false;
-        };
-        let mut store = store.lock();
-        store.commitlog.append(mutation.clone());
-        if let Some(ts) = mutation.row_delete {
-            store
-                .memtable
-                .delete_row(mutation.partition.clone(), mutation.clustering.clone(), ts);
         }
-        if !mutation.cells.is_empty() {
-            store.memtable.upsert(
-                mutation.partition.clone(),
-                mutation.clustering.clone(),
-                mutation.cells.clone(),
-            );
-        }
-        self.stats.record_write();
-        if store.memtable.weight() >= self.cfg.flush_threshold {
-            self.flush_locked(&mut store);
-            self.maybe_compact_locked(&mut store);
+        for run in groups.chunk_by(|a, b| a[0].table == b[0].table) {
+            self.apply_locked(&mut tables[&run[0][0].table].lock(), run);
         }
         true
+    }
+
+    fn apply_locked(&self, store: &mut TableStore, groups: &[&[Arc<Mutation>]]) {
+        // Sequence number of the newest record already in the memtable or
+        // an SSTable: a flush inside the batch may truncate the log only up
+        // to here, not up to the end of the batch appended below.
+        let mut applied = store.commitlog.appended();
+        store
+            .commitlog
+            .append(groups.iter().flat_map(|g| g.iter().cloned()));
+        for group in groups {
+            debug_assert!(group
+                .iter()
+                .all(|m| m.table == group[0].table && m.partition == group[0].partition));
+            let mut rows = *group;
+            while !rows.is_empty() {
+                let n = store.memtable.upsert_rows(
+                    &group[0].partition,
+                    rows.iter().map(|m| m.row_change()),
+                    self.cfg.flush_threshold,
+                );
+                applied += n as u64;
+                rows = &rows[n..];
+                if store.memtable.weight() >= self.cfg.flush_threshold {
+                    self.flush_locked(store, applied);
+                    self.maybe_compact_locked(store);
+                }
+            }
+        }
+        self.stats
+            .record_writes(groups.iter().map(|g| g.len() as u64).sum());
     }
 
     /// Reads merged raw row entries for a partition range.
@@ -253,11 +278,14 @@ impl StorageNode {
         let tables = self.tables.read();
         if let Some(store) = tables.get(table) {
             let mut store = store.lock();
-            self.flush_locked(&mut store);
+            let appended = store.commitlog.appended();
+            self.flush_locked(&mut store, appended);
         }
     }
 
-    fn flush_locked(&self, store: &mut TableStore) {
+    /// Flushes the memtable into a new SSTable. `applied` is the commit-log
+    /// sequence number of the newest record the memtable holds.
+    fn flush_locked(&self, store: &mut TableStore, applied: u64) {
         if store.memtable.is_empty() {
             return;
         }
@@ -265,7 +293,7 @@ impl StorageNode {
         let seq = store.next_sequence;
         store.next_sequence += 1;
         store.sstables.push(SsTable::build(seq, data));
-        store.commitlog.truncate_flushed();
+        store.commitlog.truncate_flushed(applied);
         self.stats.record_flush();
     }
 
@@ -302,23 +330,14 @@ impl StorageNode {
         }
         let tables = self.tables.read();
         for store in tables.values() {
-            let mut store = store.lock();
+            let store = &mut *store.lock();
             // Crash: memtable lost.
             store.memtable = Memtable::new();
             // Recovery: replay retained commit-log records.
             for m in store.commitlog.replay() {
-                if let Some(ts) = m.row_delete {
-                    store
-                        .memtable
-                        .delete_row(m.partition.clone(), m.clustering.clone(), ts);
-                }
-                if !m.cells.is_empty() {
-                    store.memtable.upsert(
-                        m.partition.clone(),
-                        m.clustering.clone(),
-                        m.cells.clone(),
-                    );
-                }
+                store
+                    .memtable
+                    .upsert_rows(&m.partition, [m.row_change()], usize::MAX);
             }
         }
         self.set_up(true);
@@ -368,15 +387,18 @@ mod tests {
         n
     }
 
-    fn upsert(n: &StorageNode, h: i64, ts: i64, v: i32, wts: u64) {
-        let m = Mutation::upsert(
-            "t",
+    fn mutation(table: &str, h: i64, ts: i64, v: i32, wts: u64) -> Arc<Mutation> {
+        Arc::new(Mutation::upsert(
+            table,
             Key(vec![Value::BigInt(h)]),
             Key(vec![Value::Timestamp(ts)]),
             vec![("v".to_owned(), Value::Int(v))],
             wts,
-        );
-        assert!(n.apply(&m));
+        ))
+    }
+
+    fn upsert(n: &StorageNode, h: i64, ts: i64, v: i32, wts: u64) {
+        assert!(n.apply(&mutation("t", h, ts, v, wts)));
     }
 
     #[test]
@@ -429,14 +451,7 @@ mod tests {
         let n = node(1000);
         upsert(&n, 1, 1, 1, 1);
         n.set_up(false);
-        let m = Mutation::upsert(
-            "t",
-            Key(vec![Value::BigInt(1)]),
-            Key(vec![Value::Timestamp(2)]),
-            vec![("v".to_owned(), Value::Int(1))],
-            2,
-        );
-        assert!(!n.apply(&m));
+        assert!(!n.apply(&mutation("t", 1, 2, 1, 2)));
         assert!(n
             .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
             .is_none());
@@ -486,7 +501,7 @@ mod tests {
             Key(vec![Value::Timestamp(1)]),
             5,
         );
-        n.apply(&d);
+        n.apply(&Arc::new(d));
         assert!(n
             .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
             .unwrap()
@@ -519,16 +534,8 @@ mod tests {
     #[test]
     fn apply_chunk_lands_all_or_naks() {
         let n = node(1000);
-        let muts: Vec<Mutation> = (0..5)
-            .map(|i| {
-                Mutation::upsert(
-                    "t",
-                    Key(vec![Value::BigInt(1)]),
-                    Key(vec![Value::Timestamp(i)]),
-                    vec![("v".to_owned(), Value::Int(i as i32))],
-                    i as u64 + 1,
-                )
-            })
+        let muts: Vec<Arc<Mutation>> = (0..5)
+            .map(|i| mutation("t", 1, i, i as i32, i as u64 + 1))
             .collect();
         assert!(n.apply_chunk(&muts));
         assert_eq!(
@@ -545,6 +552,56 @@ mod tests {
     fn unknown_table_apply_fails() {
         let n = node(1000);
         let m = Mutation::upsert("nope", Key(vec![]), Key(vec![]), vec![], 1);
-        assert!(!n.apply(&m));
+        assert!(!n.apply(&Arc::new(m)));
+    }
+
+    #[test]
+    fn chunk_naming_an_unknown_table_lands_nothing() {
+        let n = node(1000);
+        let chunk = [
+            mutation("t", 1, 1, 1, 1),
+            mutation("nope", 1, 2, 2, 2),
+            mutation("t", 1, 3, 3, 3),
+        ];
+        assert!(!n.apply_chunk(&chunk), "unknown table must NAK the chunk");
+        let stored = |n: &StorageNode| {
+            n.read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+                .unwrap()
+        };
+        assert!(stored(&n).is_empty(), "a NAKed chunk left a prefix behind");
+        n.restart();
+        assert!(
+            stored(&n).is_empty(),
+            "a NAKed chunk reached the commit log"
+        );
+        assert_eq!(n.stats().writes, 0);
+    }
+
+    #[test]
+    fn flush_inside_a_batch_keeps_the_unflushed_tail_replayable() {
+        // The whole batch is in the log (segments 1-4, 5-8, 9-10) before its
+        // first row is in the memtable. The flush threshold is crossed at
+        // row 7: only the first segment may go, or row 8 is in no SSTable,
+        // no memtable after a crash, and no log.
+        let n = StorageNode::new(
+            NodeId(0),
+            NodeConfig {
+                flush_threshold: 8,
+                commitlog_segment: 4,
+                ..Default::default()
+            },
+        );
+        n.create_table("t");
+        let batch: Vec<Arc<Mutation>> = (0..10)
+            .map(|i| mutation("t", 1, i, i as i32, i as u64 + 1))
+            .collect();
+        assert!(n.apply_batch(&[&batch]));
+        assert_eq!(n.stats().flushes, 1);
+        assert_eq!(n.stats().writes, 10);
+        n.restart();
+        let rows = n
+            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .unwrap();
+        assert_eq!(rows.len(), 10, "flushed + replayed rows");
     }
 }

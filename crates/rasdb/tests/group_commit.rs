@@ -1,0 +1,422 @@
+//! Group commit: `insert_batch` groups a batch by partition and hands each
+//! replica one batch. Whatever it is given, it must leave the cluster in the
+//! state that the same rows written one at a time leave a twin cluster in —
+//! on every replica, in every hint queue and in every counter — and every
+//! acked row must survive a crash of every replica.
+
+use proptest::prelude::*;
+use rasdb::cluster::{full_range, Cluster, ClusterConfig};
+use rasdb::error::DbError;
+use rasdb::node::NodeConfig;
+use rasdb::query::Consistency;
+use rasdb::ring::NodeId;
+use rasdb::schema::{ColumnType, TableSchema};
+use rasdb::topology::TopologyFaultPlan;
+use rasdb::types::{Key, Row, Value};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use std::time::Duration;
+
+const TABLES: [&str; 2] = ["a", "b"];
+const NODES: usize = 4;
+const HOURS: i64 = 5;
+
+/// Four nodes, RF 3, and a storage engine small enough that flushes,
+/// compactions and commit-log segment rotations land inside a batch. The
+/// block cache is off so that every read goes to the replicas.
+fn cluster() -> Cluster {
+    let c = Cluster::with_node_config(
+        ClusterConfig {
+            nodes: NODES,
+            replication_factor: 3,
+            vnodes: 8,
+        },
+        NodeConfig {
+            flush_threshold: 6,
+            commitlog_segment: 3,
+            ..Default::default()
+        },
+    );
+    for t in TABLES {
+        let schema = TableSchema::builder(t)
+            .partition_key("hour", ColumnType::BigInt)
+            .clustering_key("ts", ColumnType::Timestamp)
+            .column("v", ColumnType::Int)
+            .build()
+            .unwrap();
+        c.create_table(schema).unwrap();
+    }
+    c.set_block_cache_budget(0);
+    c
+}
+
+fn row(hour: i64, ts: i64, v: i32) -> Vec<(String, Value)> {
+    vec![
+        ("hour".to_owned(), Value::BigInt(hour)),
+        ("ts".to_owned(), Value::Timestamp(ts)),
+        ("v".to_owned(), Value::Int(v)),
+    ]
+}
+
+fn pk(hour: i64) -> Key {
+    Key(vec![Value::BigInt(hour)])
+}
+
+/// One coordinator call on the batched cluster.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `insert_batch` of `(hour, ts, v)` rows; row at a time on the twin.
+    Batch {
+        table: usize,
+        rows: Vec<(i64, i64, i32)>,
+    },
+    /// A single `delete` between batches, on both clusters.
+    Delete { table: usize, hour: i64, ts: i64 },
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    // Eight timestamps for up to 24 rows: duplicate clustering keys inside
+    // one batch are the rule, not the exception.
+    prop_oneof![
+        4 => (0..2usize, prop::collection::vec((0..HOURS, 0..8i64, any::<i32>()), 1..24))
+            .prop_map(|(table, rows)| Step::Batch { table, rows }),
+        1 => (0..2usize, 0..HOURS, 0..8i64)
+            .prop_map(|(table, hour, ts)| Step::Delete { table, hour, ts }),
+    ]
+}
+
+/// Applies the steps: batched on `batched`, one row per call on `twin`.
+/// Both clusters draw the same write timestamp for the same row, because
+/// each draws them in arrival order. Returns the partitions touched and
+/// the first error of each cluster's calls.
+fn apply(
+    steps: &[Step],
+    batched: &Cluster,
+    twin: &Cluster,
+    cl: Consistency,
+) -> (BTreeSet<(usize, i64)>, Option<DbError>, Option<DbError>) {
+    let mut touched = BTreeSet::new();
+    let (mut batched_err, mut twin_err) = (None, None);
+    for step in steps {
+        match step {
+            Step::Batch { table, rows } => {
+                let batch = rows.iter().map(|&(h, ts, v)| row(h, ts, v)).collect();
+                if let Err(e) = batched.insert_batch(TABLES[*table], batch, cl) {
+                    batched_err.get_or_insert(e);
+                }
+                for &(h, ts, v) in rows {
+                    touched.insert((*table, h));
+                    if let Err(e) = twin.insert_owned(TABLES[*table], row(h, ts, v), cl) {
+                        twin_err.get_or_insert(e);
+                    }
+                }
+            }
+            Step::Delete { table, hour, ts } => {
+                touched.insert((*table, *hour));
+                let (p, c) = (vec![Value::BigInt(*hour)], vec![Value::Timestamp(*ts)]);
+                if let Err(e) = batched.delete(TABLES[*table], p.clone(), c.clone(), cl) {
+                    batched_err.get_or_insert(e);
+                }
+                if let Err(e) = twin.delete(TABLES[*table], p, c, cl) {
+                    twin_err.get_or_insert(e);
+                }
+            }
+        }
+    }
+    (touched, batched_err, twin_err)
+}
+
+/// What every node answers, on its own, for every partition of every table
+/// (`None` while it is down). Reading the nodes directly repairs nothing.
+type ReplicaViews = BTreeMap<(usize, &'static str, i64), Option<Vec<Row>>>;
+
+fn replica_views(c: &Cluster) -> ReplicaViews {
+    let mut views = BTreeMap::new();
+    for n in 0..c.node_count() {
+        for t in TABLES {
+            for h in 0..HOURS {
+                let rows = c.node(NodeId(n)).read(t, &pk(h), &full_range());
+                views.insert((n, t, h), rows);
+            }
+        }
+    }
+    views
+}
+
+/// Fails on the first `(node, table, hour)` whose rows differ, printing
+/// only that partition.
+fn assert_same_views(left: &ReplicaViews, right: &ReplicaViews, what: &str) {
+    for (at, rows) in left {
+        assert_eq!(
+            Some(rows),
+            right.get(at),
+            "{what}: (node, table, hour) = {at:?}"
+        );
+    }
+    assert_eq!(left.len(), right.len(), "{what}: node counts differ");
+}
+
+/// Full scan of every table through the coordinator.
+fn scan(c: &Cluster, cl: Consistency) -> Vec<Vec<Row>> {
+    let mut out = Vec::new();
+    for t in TABLES {
+        for h in 0..HOURS {
+            let rows = c.select(t).partition(vec![Value::BigInt(h)]).run(cl);
+            out.push(rows.unwrap_or_else(|e| panic!("scan {t}/{h} at {cl:?}: {e}")));
+        }
+    }
+    out
+}
+
+fn pending_hints(c: &Cluster) -> Vec<usize> {
+    (0..c.node_count())
+        .map(|n| c.pending_hints(NodeId(n)))
+        .collect()
+}
+
+/// The comparisons every scenario ends with, once all nodes are up: the
+/// replicas agree one by one, every replica answers after a crash what it
+/// answered before it, and the coordinator scans agree at every level.
+fn assert_same_state_and_durable(batched: &Cluster, twin: &Cluster) {
+    let before = replica_views(batched);
+    assert_same_views(&before, &replica_views(twin), "batched vs twin");
+    for c in [batched, twin] {
+        for n in 0..c.node_count() {
+            c.node(NodeId(n)).restart();
+        }
+    }
+    // Every acked row is in the commit log or in an SSTable.
+    assert_same_views(
+        &before,
+        &replica_views(batched),
+        "batched, before vs after restart",
+    );
+    assert_same_views(
+        &before,
+        &replica_views(twin),
+        "twin, before vs after restart",
+    );
+    for cl in [Consistency::One, Consistency::Quorum, Consistency::All] {
+        assert_eq!(scan(batched, cl), scan(twin, cl), "scan at {cl:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Batches over several partitions with duplicate clustering keys,
+    /// deletes between them, flushes landing inside them and (most of the
+    /// time) one replica down and collecting hints.
+    #[test]
+    fn batched_writes_equal_row_at_a_time_writes(
+        steps in prop::collection::vec(arb_step(), 1..10),
+        down in 0..NODES + 1,
+    ) {
+        let (batched, twin) = (cluster(), cluster());
+        let down = (down < NODES).then_some(NodeId(down));
+        for c in [&batched, &twin] {
+            if let Some(id) = down {
+                c.take_node_down(id);
+            }
+        }
+
+        let (touched, batched_err, twin_err) =
+            apply(&steps, &batched, &twin, Consistency::Quorum);
+        prop_assert_eq!(batched_err, None);
+        prop_assert_eq!(twin_err, None);
+
+        // Before any read (a read may repair, and a repair is a write).
+        prop_assert_eq!(batched.stats().writes, twin.stats().writes);
+        prop_assert_eq!(pending_hints(&batched), pending_hints(&twin));
+        assert_same_views(&replica_views(&batched), &replica_views(&twin), "batched vs twin");
+        for c in [&batched, &twin] {
+            for &(t, h) in &touched {
+                prop_assert!(c.data_version(TABLES[t], &pk(h)) > 0, "{}/{h} not bumped", TABLES[t]);
+            }
+        }
+
+        if let Some(id) = down {
+            for cl in [Consistency::One, Consistency::Quorum] {
+                prop_assert_eq!(scan(&batched, cl), scan(&twin, cl));
+            }
+            batched.bring_node_up(id);
+            twin.bring_node_up(id);
+        }
+        prop_assert_eq!(pending_hints(&batched), vec![0; NODES]);
+        assert_same_state_and_durable(&batched, &twin);
+
+        // And both are right: the scan is what a plain map holds.
+        let mut model: BTreeMap<(usize, i64, i64), i32> = BTreeMap::new();
+        for step in &steps {
+            match step {
+                Step::Batch { table, rows } => {
+                    for &(h, ts, v) in rows {
+                        model.insert((*table, h, ts), v);
+                    }
+                }
+                Step::Delete { table, hour, ts } => {
+                    model.remove(&(*table, *hour, *ts));
+                }
+            }
+        }
+        let stored: Vec<(usize, i64, i64, i32)> = scan(&batched, Consistency::All)
+            .iter()
+            .enumerate()
+            .flat_map(|(i, rows)| {
+                rows.iter().map(move |r| {
+                    let ts = r.clustering.0[0].as_i64().unwrap();
+                    let v = r.cell("v").and_then(Value::as_i64).unwrap() as i32;
+                    (i / HOURS as usize, i as i64 % HOURS, ts, v)
+                })
+            })
+            .collect();
+        let expected: Vec<_> = model.into_iter().map(|((t, h, ts), v)| (t, h, ts, v)).collect();
+        prop_assert_eq!(stored, expected);
+    }
+}
+
+/// With two of four nodes down some partitions cannot reach QUORUM. The
+/// batch reports that — after it has attempted every partition, so the
+/// rows of the partitions that could be written, and the hints for the
+/// rest, are where row-at-a-time writes would have put them.
+#[test]
+fn every_group_is_attempted_before_unavailable_is_returned() {
+    let (batched, twin) = (cluster(), cluster());
+    for c in [&batched, &twin] {
+        c.take_node_down(NodeId(1));
+        c.take_node_down(NodeId(2));
+    }
+    let rows = (0..40).map(|i| (i % HOURS, i / HOURS, i as i32)).collect();
+    let steps = [Step::Batch { table: 0, rows }];
+    let (touched, batched_err, twin_err) = apply(&steps, &batched, &twin, Consistency::Quorum);
+    assert_eq!(touched.len(), HOURS as usize);
+
+    // Which partitions fail depends on the ring; that some do, and some do
+    // not, is what makes this a test.
+    let starved: Vec<i64> = (0..HOURS)
+        .filter(|h| {
+            let owners = batched.owners(&pk(*h));
+            owners.contains(&NodeId(1)) && owners.contains(&NodeId(2))
+        })
+        .collect();
+    assert!(!starved.is_empty() && starved.len() < HOURS as usize);
+    let unavailable = Some(DbError::Unavailable {
+        required: 2,
+        received: 1,
+    });
+    assert_eq!(batched_err, unavailable);
+    assert_eq!(twin_err, unavailable);
+
+    assert_eq!(batched.stats().writes, twin.stats().writes);
+    assert_eq!(pending_hints(&batched), pending_hints(&twin));
+    assert_same_views(
+        &replica_views(&batched),
+        &replica_views(&twin),
+        "batched vs twin",
+    );
+    for c in [&batched, &twin] {
+        for id in [NodeId(1), NodeId(2)] {
+            c.bring_node_up(id);
+        }
+    }
+    assert_same_state_and_durable(&batched, &twin);
+    let stored: usize = scan(&batched, Consistency::All).iter().map(Vec::len).sum();
+    assert_eq!(stored, 40, "rows after the first starved partition");
+}
+
+/// A schema violation anywhere in a batch rejects the whole batch before
+/// the first row is written.
+#[test]
+fn a_bad_row_rejects_the_batch_before_anything_is_written() {
+    let c = cluster();
+    let writes = c.stats().writes;
+    let mut batch: Vec<_> = (0..12).map(|i| row(i % HOURS, i, i as i32)).collect();
+    batch[7][2].1 = Value::text("not an int");
+    let err = c.insert_batch("a", batch, Consistency::Quorum).unwrap_err();
+    assert!(matches!(err, DbError::SchemaViolation(_)), "{err}");
+
+    assert_eq!(c.stats().writes, writes);
+    for h in 0..HOURS {
+        assert_eq!(c.data_version("a", &pk(h)), 0, "partition {h} was bumped");
+    }
+    assert!(replica_views(&c).values().flatten().all(Vec::is_empty));
+    assert!(scan(&c, Consistency::All).iter().all(Vec::is_empty));
+}
+
+/// A batch written while a join is streaming reaches the old owners and
+/// the joiner (the double-write window) exactly as single writes do.
+#[test]
+fn batch_inside_a_join_window_is_double_written_like_single_writes() {
+    let (batched, twin) = (Arc::new(cluster()), Arc::new(cluster()));
+    let preload = [Step::Batch {
+        table: 1,
+        rows: (0..60).map(|i| (i % HOURS, i / HOURS, 0)).collect(),
+    }];
+    apply(&preload, &batched, &twin, Consistency::Quorum);
+
+    // Two-row chunks of 60 preloaded rows, 25 ms each: the window stays
+    // open for most of a second, a thousand times what the writes need.
+    let joins: Vec<_> = [&batched, &twin]
+        .into_iter()
+        .map(|c| {
+            c.set_stream_chunk_rows(2);
+            let plan = TopologyFaultPlan::none().slow_chunk_every(1, Duration::from_millis(25));
+            let c = Arc::clone(c);
+            std::thread::spawn(move || c.join_node_with(plan).unwrap())
+        })
+        .collect();
+    for c in [&batched, &twin] {
+        while c.topology_status().state == "stable" {
+            std::thread::yield_now();
+        }
+    }
+
+    let steps = [
+        Step::Batch {
+            table: 0,
+            rows: (0..50).map(|i| (i % HOURS, i % 7, i as i32)).collect(),
+        },
+        Step::Delete {
+            table: 0,
+            hour: 2,
+            ts: 2,
+        },
+    ];
+    let (touched, batched_err, twin_err) = apply(&steps, &batched, &twin, Consistency::Quorum);
+    assert_eq!((batched_err, twin_err), (None, None));
+    for c in [&batched, &twin] {
+        assert_eq!(
+            c.topology_status().state,
+            format!("joining({NODES})"),
+            "the writes missed the window"
+        );
+        for &(t, h) in &touched {
+            assert!(c.data_version(TABLES[t], &pk(h)) > 0);
+        }
+    }
+    for join in joins {
+        assert!(join.join().unwrap().chunks_streamed > 0);
+    }
+
+    // `stats().writes` is left out here: the stream's own applies, which
+    // race the writes above, are counted in it. The joiner's rows are not:
+    // it holds every partition it now owns, whole, from double-writes alone
+    // (table `a` was empty when the stream listed its partitions) or from
+    // both.
+    let joiner = NodeId(NODES);
+    let gained: Vec<i64> = (0..HOURS)
+        .filter(|h| batched.owners(&pk(*h)).contains(&joiner))
+        .collect();
+    assert!(!gained.is_empty(), "the joiner gained no partition");
+    for h in gained {
+        let on_joiner = batched.node(joiner).read("a", &pk(h), &full_range());
+        let merged = batched
+            .select("a")
+            .partition(vec![Value::BigInt(h)])
+            .run(Consistency::All)
+            .unwrap();
+        assert_eq!(on_joiner, Some(merged), "partition {h} on the joiner");
+    }
+    assert_eq!(pending_hints(&batched), pending_hints(&twin));
+    assert_same_state_and_durable(&batched, &twin);
+}

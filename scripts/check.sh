@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints (warnings are errors), and the
-# tier-1 test suite. Run from anywhere; it cds to the workspace root.
+# Repo-wide hygiene gate: formatting, lints (warnings are errors), the
+# tier-1 test suite (the root package and every crate's suites, through the
+# workspace's `default-members`), and smoke runs of the benches. Run from
+# anywhere; it cds to the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,12 +17,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> golden envelope suite"
-cargo test -q -p hpclog-core --test golden_envelope
-
-echo "==> ETL fast-path equivalence suite"
-cargo test -q -p hpclog-core --test etl_equivalence
 
 echo "==> doc-link check (README/DESIGN/EXPERIMENTS intra-repo links)"
 scripts/check_doc_links.sh
@@ -42,5 +38,12 @@ ETL_FASTPATH_SMOKE=1 cargo bench -q -p hpclog-bench --bench etl_fastpath
 
 echo "==> columnar analytics bench (smoke mode, speedup gate relaxed to >=2x)"
 ANALYTICS_COLUMNAR_SMOKE=1 cargo bench -q -p hpclog-bench --bench analytics_columnar
+
+# The exit code is the check: what the generator wrote vs what was stored.
+for workload in import_day stream_storm; do
+  echo "==> write-path smoke: perfbench $workload"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin pipeline -- \
+    --workload "$workload" --smoke
+done
 
 echo "All checks passed."
