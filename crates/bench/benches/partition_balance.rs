@@ -12,7 +12,10 @@ fn week_of_partition_keys() -> Vec<Key> {
     let mut keys = Vec::new();
     for hour in 0..(7 * 24) {
         for etype in EVENT_CATALOG {
-            keys.push(Key(vec![Value::BigInt(hour), Value::text(etype.name)]));
+            keys.push(Key::from(vec![
+                Value::BigInt(hour),
+                Value::text(etype.name),
+            ]));
         }
     }
     keys

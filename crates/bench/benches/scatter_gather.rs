@@ -75,7 +75,7 @@ fn window_plans() -> Vec<ReadPlan> {
     (0..HOURS)
         .map(|hour| ReadPlan {
             table: "event_by_time".into(),
-            partition: Key(vec![Value::BigInt(hour), Value::text("LUSTRE_ERR")]),
+            partition: Key::from(vec![Value::BigInt(hour), Value::text("LUSTRE_ERR")]),
             range: full_range(),
             limit: None,
             descending: false,

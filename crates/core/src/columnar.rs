@@ -458,7 +458,7 @@ mod tests {
 
     fn row(ts: i64, source: &str, amount: i64, raw: &str) -> Row {
         Row {
-            clustering: Key(vec![Value::Timestamp(ts), Value::text(source)]),
+            clustering: Key::from(vec![Value::Timestamp(ts), Value::text(source)]),
             cells: [
                 ("amount".to_owned(), Value::BigInt(amount)),
                 ("raw".to_owned(), Value::text(raw)),
@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn malformed_rows_are_skipped_like_the_row_path() {
         let bad = Row {
-            clustering: Key(vec![Value::text("not a ts")]),
+            clustering: Key::from(vec![Value::text("not a ts")]),
             cells: Default::default(),
         };
         let b = ColumnBlock::build(0, "MCE", &[bad, row(5, "n0", 1, "x")]);

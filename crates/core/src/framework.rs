@@ -257,7 +257,7 @@ impl Framework {
                 }
                 ReadPlan {
                     table: table.to_owned(),
-                    partition: Key(pk),
+                    partition: pk.into(),
                     range: full_range(),
                     limit: None,
                     descending: false,
@@ -329,7 +329,7 @@ impl Framework {
             }
             let slot = slots.len();
             slots.push(None);
-            let partition = Key(vec![Value::BigInt(hour), Value::text(event_type)]);
+            let partition = Key::from(vec![Value::BigInt(hour), Value::text(event_type)]);
             let version = self.cluster.data_version("event_by_time", &partition);
             if let Some(block) = self.columnar.get(hour, event_type, version, epoch) {
                 if block.overlaps(from_ms, to_ms) {

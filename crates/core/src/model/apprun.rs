@@ -45,49 +45,49 @@ impl AppRun {
         self.node_last - self.node_first + 1
     }
 
-    fn shared_cells(&self) -> Vec<(String, Value)> {
+    fn shared_cells(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("start_ts".to_owned(), Value::Timestamp(self.start_ms)),
-            ("apid".to_owned(), Value::BigInt(self.apid)),
-            ("end_ts".to_owned(), Value::Timestamp(self.end_ms)),
-            ("node_first".to_owned(), Value::BigInt(self.node_first)),
-            ("node_last".to_owned(), Value::BigInt(self.node_last)),
-            ("exit_code".to_owned(), Value::Int(self.exit_code)),
-            ("other_info".to_owned(), Value::Map(self.other_info.clone())),
+            ("start_ts", Value::Timestamp(self.start_ms)),
+            ("apid", Value::BigInt(self.apid)),
+            ("end_ts", Value::Timestamp(self.end_ms)),
+            ("node_first", Value::BigInt(self.node_first)),
+            ("node_last", Value::BigInt(self.node_last)),
+            ("exit_code", Value::Int(self.exit_code)),
+            ("other_info", Value::Map(self.other_info.clone())),
         ]
     }
 
     /// Row for `application_by_time`.
-    pub fn to_time_row(&self) -> Vec<(String, Value)> {
+    pub fn to_time_row(&self) -> Vec<(&'static str, Value)> {
         let mut row = self.shared_cells();
-        row.push(("hour".to_owned(), Value::BigInt(hour_of(self.start_ms))));
-        row.push(("userid".to_owned(), Value::text(&self.user)));
-        row.push(("appname".to_owned(), Value::text(&self.app)));
+        row.push(("hour", Value::BigInt(hour_of(self.start_ms))));
+        row.push(("userid", Value::text(&self.user)));
+        row.push(("appname", Value::text(&self.app)));
         row
     }
 
     /// Row for `application_by_name`.
-    pub fn to_name_row(&self) -> Vec<(String, Value)> {
+    pub fn to_name_row(&self) -> Vec<(&'static str, Value)> {
         let mut row = self.shared_cells();
-        row.push(("appname".to_owned(), Value::text(&self.app)));
-        row.push(("userid".to_owned(), Value::text(&self.user)));
+        row.push(("appname", Value::text(&self.app)));
+        row.push(("userid", Value::text(&self.user)));
         row
     }
 
     /// Row for `application_by_user`.
-    pub fn to_user_row(&self) -> Vec<(String, Value)> {
+    pub fn to_user_row(&self) -> Vec<(&'static str, Value)> {
         let mut row = self.shared_cells();
-        row.push(("userid".to_owned(), Value::text(&self.user)));
-        row.push(("appname".to_owned(), Value::text(&self.app)));
+        row.push(("userid", Value::text(&self.user)));
+        row.push(("appname", Value::text(&self.app)));
         row
     }
 
     /// Row for `application_by_location`.
-    pub fn to_location_row(&self) -> Vec<(String, Value)> {
+    pub fn to_location_row(&self) -> Vec<(&'static str, Value)> {
         let mut row = self.shared_cells();
-        row.push(("cabinet".to_owned(), Value::BigInt(self.head_cabinet())));
-        row.push(("userid".to_owned(), Value::text(&self.user)));
-        row.push(("appname".to_owned(), Value::text(&self.app)));
+        row.push(("cabinet", Value::BigInt(self.head_cabinet())));
+        row.push(("userid", Value::text(&self.user)));
+        row.push(("appname", Value::text(&self.app)));
         row
     }
 
@@ -172,29 +172,30 @@ mod tests {
         let time_row = run.to_time_row();
         assert!(time_row
             .iter()
-            .any(|(n, v)| n == "hour" && *v == Value::BigInt(2)));
+            .any(|(n, v)| *n == "hour" && *v == Value::BigInt(2)));
         let loc_row = run.to_location_row();
         assert!(loc_row
             .iter()
-            .any(|(n, v)| n == "cabinet" && *v == Value::BigInt(2)));
+            .any(|(n, v)| *n == "cabinet" && *v == Value::BigInt(2)));
         let name_row = run.to_name_row();
         assert!(name_row
             .iter()
-            .any(|(n, v)| n == "appname" && *v == Value::text("VASP")));
+            .any(|(n, v)| *n == "appname" && *v == Value::text("VASP")));
     }
 
     #[test]
     fn roundtrip_from_row() {
         let run = sample();
         let row = Row {
-            clustering: Key(vec![
+            clustering: Key::from(vec![
                 Value::Timestamp(run.start_ms),
                 Value::BigInt(run.apid),
             ]),
             cells: run
                 .to_time_row()
                 .into_iter()
-                .filter(|(n, _)| !matches!(n.as_str(), "hour" | "start_ts" | "apid"))
+                .filter(|(n, _)| !matches!(*n, "hour" | "start_ts" | "apid"))
+                .map(|(n, v)| (n.to_owned(), v))
                 .collect(),
         };
         assert_eq!(AppRun::from_row(&row, None, None).unwrap(), run);
@@ -203,7 +204,7 @@ mod tests {
     #[test]
     fn from_row_uses_fallbacks_when_cells_missing() {
         let row = Row {
-            clustering: Key(vec![Value::Timestamp(5), Value::BigInt(1)]),
+            clustering: Key::from(vec![Value::Timestamp(5), Value::BigInt(1)]),
             cells: Default::default(),
         };
         let run = AppRun::from_row(&row, Some("u"), Some("a")).unwrap();

@@ -20,27 +20,28 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Column values for `event_by_time`.
-    pub fn to_time_row(&self) -> Vec<(String, Value)> {
+    /// Column values for `event_by_time`. The names are literals: the
+    /// database resolves them against its schema and stores none of them.
+    pub fn to_time_row(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("hour".to_owned(), Value::BigInt(hour_of(self.ts_ms))),
-            ("type".to_owned(), Value::text(&self.event_type)),
-            ("ts".to_owned(), Value::Timestamp(self.ts_ms)),
-            ("source".to_owned(), Value::text(&self.source)),
-            ("amount".to_owned(), Value::Int(self.amount)),
-            ("raw".to_owned(), Value::text(&self.raw)),
+            ("hour", Value::BigInt(hour_of(self.ts_ms))),
+            ("type", Value::text(&self.event_type)),
+            ("ts", Value::Timestamp(self.ts_ms)),
+            ("source", Value::text(&self.source)),
+            ("amount", Value::Int(self.amount)),
+            ("raw", Value::text(&self.raw)),
         ]
     }
 
     /// Column values for `event_by_location`.
-    pub fn to_location_row(&self) -> Vec<(String, Value)> {
+    pub fn to_location_row(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("hour".to_owned(), Value::BigInt(hour_of(self.ts_ms))),
-            ("source".to_owned(), Value::text(&self.source)),
-            ("ts".to_owned(), Value::Timestamp(self.ts_ms)),
-            ("type".to_owned(), Value::text(&self.event_type)),
-            ("amount".to_owned(), Value::Int(self.amount)),
-            ("raw".to_owned(), Value::text(&self.raw)),
+            ("hour", Value::BigInt(hour_of(self.ts_ms))),
+            ("source", Value::text(&self.source)),
+            ("ts", Value::Timestamp(self.ts_ms)),
+            ("type", Value::text(&self.event_type)),
+            ("amount", Value::Int(self.amount)),
+            ("raw", Value::text(&self.raw)),
         ]
     }
 
@@ -108,19 +109,16 @@ mod tests {
     #[test]
     fn time_row_keys_by_hour_and_type() {
         let row = sample().to_time_row();
-        assert_eq!(row[0], ("hour".to_owned(), Value::BigInt(3)));
-        assert_eq!(row[1], ("type".to_owned(), Value::text("MCE")));
-        assert_eq!(
-            row[2],
-            ("ts".to_owned(), Value::Timestamp(3 * HOUR_MS + 1234))
-        );
+        assert_eq!(row[0], ("hour", Value::BigInt(3)));
+        assert_eq!(row[1], ("type", Value::text("MCE")));
+        assert_eq!(row[2], ("ts", Value::Timestamp(3 * HOUR_MS + 1234)));
     }
 
     #[test]
     fn location_row_keys_by_hour_and_source() {
         let row = sample().to_location_row();
-        assert_eq!(row[1], ("source".to_owned(), Value::text("c0-0c0s0n0")));
-        assert_eq!(row[3], ("type".to_owned(), Value::text("MCE")));
+        assert_eq!(row[1], ("source", Value::text("c0-0c0s0n0")));
+        assert_eq!(row[3], ("type", Value::text("MCE")));
     }
 
     #[test]
@@ -128,7 +126,7 @@ mod tests {
         use rasdb::types::Key;
         let ev = sample();
         let row = Row {
-            clustering: Key(vec![Value::Timestamp(ev.ts_ms), Value::text(&ev.source)]),
+            clustering: Key::from(vec![Value::Timestamp(ev.ts_ms), Value::text(&ev.source)]),
             cells: [
                 ("amount".to_owned(), Value::Int(ev.amount)),
                 ("raw".to_owned(), Value::text(&ev.raw)),
@@ -139,7 +137,7 @@ mod tests {
         assert_eq!(EventRecord::from_time_row("MCE", &row).unwrap(), ev);
 
         let loc_row = Row {
-            clustering: Key(vec![
+            clustering: Key::from(vec![
                 Value::Timestamp(ev.ts_ms),
                 Value::text(&ev.event_type),
             ]),
@@ -155,7 +153,7 @@ mod tests {
     fn missing_cells_default() {
         use rasdb::types::Key;
         let row = Row {
-            clustering: Key(vec![Value::Timestamp(5), Value::text("n")]),
+            clustering: Key::from(vec![Value::Timestamp(5), Value::text("n")]),
             cells: Default::default(),
         };
         let ev = EventRecord::from_time_row("MCE", &row).unwrap();
@@ -167,7 +165,7 @@ mod tests {
     fn malformed_rows_return_none() {
         use rasdb::types::Key;
         let row = Row {
-            clustering: Key(vec![]),
+            clustering: Key::default(),
             cells: Default::default(),
         };
         assert!(EventRecord::from_time_row("MCE", &row).is_none());

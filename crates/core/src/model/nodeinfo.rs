@@ -9,18 +9,18 @@ use rasdb::types::Value;
 /// Writes one row per node into `nodeinfos`. "The nodeinfo enables spatial
 /// correlation and analysis of events in the system."
 pub fn populate(cluster: &Cluster, topo: &Topology) -> Result<usize, DbError> {
-    let batch: Vec<Vec<(String, Value)>> = topo
+    let batch: Vec<Vec<(&str, Value)>> = topo
         .nodes()
         .map(|info| {
             vec![
-                ("cname".to_owned(), Value::text(&info.cname)),
-                ("idx".to_owned(), Value::BigInt(info.index as i64)),
-                ("row".to_owned(), Value::Int(info.row as i32)),
-                ("col".to_owned(), Value::Int(info.col as i32)),
-                ("cage".to_owned(), Value::Int(info.cage as i32)),
-                ("slot".to_owned(), Value::Int(info.slot as i32)),
-                ("node".to_owned(), Value::Int(info.node as i32)),
-                ("gemini".to_owned(), Value::BigInt(info.gemini as i64)),
+                ("cname", Value::text(&info.cname)),
+                ("idx", Value::BigInt(info.index as i64)),
+                ("row", Value::Int(info.row as i32)),
+                ("col", Value::Int(info.col as i32)),
+                ("cage", Value::Int(info.cage as i32)),
+                ("slot", Value::Int(info.slot as i32)),
+                ("node", Value::Int(info.node as i32)),
+                ("gemini", Value::BigInt(info.gemini as i64)),
             ]
         })
         .collect();

@@ -170,8 +170,7 @@ mod tests {
     fn nine_tables_with_unique_names() {
         let schemas = all_schemas();
         assert_eq!(schemas.len(), 9);
-        let names: std::collections::HashSet<&str> =
-            schemas.iter().map(|s| s.name.as_str()).collect();
+        let names: std::collections::HashSet<&str> = schemas.iter().map(|s| &*s.name).collect();
         assert_eq!(names.len(), 9);
     }
 
@@ -179,12 +178,12 @@ mod tests {
     fn event_tables_are_dual_views() {
         let by_time = event_by_time();
         let by_loc = event_by_location();
-        assert_eq!(by_time.partition_key[0].name, "hour");
-        assert_eq!(by_time.partition_key[1].name, "type");
-        assert_eq!(by_loc.partition_key[1].name, "source");
+        assert_eq!(&*by_time.partition_key[0].name, "hour");
+        assert_eq!(&*by_time.partition_key[1].name, "type");
+        assert_eq!(&*by_loc.partition_key[1].name, "source");
         // Both cluster on timestamp first: one-hour time series per row.
-        assert_eq!(by_time.clustering_key[0].name, "ts");
-        assert_eq!(by_loc.clustering_key[0].name, "ts");
+        assert_eq!(&*by_time.clustering_key[0].name, "ts");
+        assert_eq!(&*by_loc.clustering_key[0].name, "ts");
     }
 
     #[test]

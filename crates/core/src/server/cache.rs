@@ -236,7 +236,7 @@ mod tests {
     }
 
     fn entry(cluster: &Cluster, open: bool) -> ResultEntry {
-        let dep = ("t".to_owned(), Key(vec![Value::BigInt(1)]));
+        let dep = ("t".to_owned(), Key::from(vec![Value::BigInt(1)]));
         ResultEntry {
             data: Arc::new(vec![("total".to_owned(), Json::from(42i64))]),
             versions: vec![cluster.data_version(&dep.0, &dep.1)],

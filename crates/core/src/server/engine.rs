@@ -677,7 +677,7 @@ impl QueryEngine {
         let key = cache_key(&["synopsis", &day.to_string()]);
         let deps = vec![(
             "eventsynopsis".to_owned(),
-            Key(vec![rasdb::types::Value::BigInt(day)]),
+            Key::from(vec![rasdb::types::Value::BigInt(day)]),
         )];
         let day_end = day.saturating_add(1).saturating_mul(DAY_MS);
         self.cached(key, deps, self.window_open(day_end), || {
@@ -1185,7 +1185,7 @@ fn bus_err(e: logbus::BusError) -> ApiError {
 fn db_value_to_json(v: &rasdb::types::Value) -> Json {
     use rasdb::types::Value as V;
     match v {
-        V::Text(s) => Json::from(s.as_str()),
+        V::Text(s) => Json::from(&**s),
         V::Int(n) => Json::from(*n),
         V::BigInt(n) | V::Timestamp(n) => Json::from(*n),
         V::Double(f) => Json::from(*f),

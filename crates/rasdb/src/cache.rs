@@ -237,7 +237,7 @@ pub fn rows_footprint(rows: &[Row]) -> usize {
     let mut n = 64;
     for row in rows {
         n += 48;
-        for v in &row.clustering.0 {
+        for v in row.clustering.0.iter() {
             v.encode_into(&mut scratch);
         }
         for (name, v) in &row.cells {
@@ -314,14 +314,14 @@ mod tests {
     fn block_keys_distinguish_every_plan_field() {
         let base = ReadPlan {
             table: "event_by_time".into(),
-            partition: Key(vec![Value::BigInt(1), Value::text("MCE")]),
+            partition: Key::from(vec![Value::BigInt(1), Value::text("MCE")]),
             range: full_range(),
             limit: None,
             descending: false,
         };
         let k0 = block_key(&base, Consistency::Quorum);
         let mut other = base.clone();
-        other.partition = Key(vec![Value::BigInt(2), Value::text("MCE")]);
+        other.partition = Key::from(vec![Value::BigInt(2), Value::text("MCE")]);
         assert_ne!(k0, block_key(&other, Consistency::Quorum));
         let mut other = base.clone();
         other.limit = Some(5);
@@ -330,7 +330,7 @@ mod tests {
         other.descending = true;
         assert_ne!(k0, block_key(&other, Consistency::Quorum));
         let mut other = base.clone();
-        other.range.0 = Bound::Included(Key(vec![Value::Timestamp(7)]));
+        other.range.0 = Bound::Included(Key::from(vec![Value::Timestamp(7)]));
         assert_ne!(k0, block_key(&other, Consistency::Quorum));
         assert_ne!(k0, block_key(&base, Consistency::One));
         assert_eq!(k0, block_key(&base.clone(), Consistency::Quorum));

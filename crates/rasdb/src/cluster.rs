@@ -77,15 +77,6 @@ pub const TOPOLOGY_RETRY_AFTER_MS: u64 = 100;
 /// [`Cluster::set_stream_chunk_rows`]).
 pub const DEFAULT_STREAM_CHUNK_ROWS: u64 = 128;
 
-/// Combined `(table, partition)` key for the data-version map.
-fn version_key(table: &str, partition: &Key) -> Vec<u8> {
-    let mut out = Vec::with_capacity(table.len() + 20);
-    out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-    out.extend_from_slice(table.as_bytes());
-    out.extend_from_slice(&partition.encode());
-    out
-}
-
 /// A unit of coordinator work bound for one storage node's queue.
 type CoordJob = Box<dyn FnOnce() + Send + 'static>;
 
@@ -178,7 +169,7 @@ pub struct Cluster {
     /// decommissioned nodes are retired in place so ids stay stable.
     nodes: RwLock<Vec<Arc<StorageNode>>>,
     node_cfg: NodeConfig,
-    schemas: RwLock<HashMap<String, TableSchema>>,
+    schemas: RwLock<HashMap<Arc<str>, Arc<TableSchema>>>,
     clock: AtomicU64,
     hints: Mutex<HashMap<NodeId, VecDeque<Arc<Mutation>>>>,
     hint_cap: AtomicU64,
@@ -187,8 +178,9 @@ pub struct Cluster {
     coord_stats: CoordinatorStats,
     speculative_timeout_us: AtomicU64,
     /// Monotonic per-partition data versions: bumped after every mutation
-    /// (including repairs), so cached reads can be validated exactly.
-    versions: Mutex<HashMap<Vec<u8>, u64>>,
+    /// (including repairs), so cached reads can be validated exactly. Keyed
+    /// by table, then by the partition key itself: a bump clones a pointer.
+    versions: Mutex<HashMap<Arc<str>, HashMap<Key, u64>>>,
     version_counter: AtomicU64,
     /// Bumped whenever replica visibility changes (node down/up), which can
     /// change what a read at a given consistency level observes.
@@ -243,7 +235,8 @@ impl Cluster {
     pub fn data_version(&self, table: &str, partition: &Key) -> u64 {
         self.versions
             .lock()
-            .get(&version_key(table, partition))
+            .get(table)
+            .and_then(|of_table| of_table.get(partition))
             .copied()
             .unwrap_or(0)
     }
@@ -258,11 +251,12 @@ impl Cluster {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    fn bump_versions<'a>(&self, table: &str, partitions: impl IntoIterator<Item = &'a Key>) {
+    fn bump_versions<'a>(&self, table: &Arc<str>, partitions: impl IntoIterator<Item = &'a Key>) {
         let mut versions = self.versions.lock();
+        let of_table = versions.entry(Arc::clone(table)).or_default();
         for partition in partitions {
             let v = self.version_counter.fetch_add(1, Ordering::SeqCst) + 1;
-            versions.insert(version_key(table, partition), v);
+            of_table.insert(partition.clone(), v);
         }
     }
 
@@ -379,26 +373,32 @@ impl Cluster {
     /// Registers a table on every node.
     pub fn create_table(&self, schema: TableSchema) -> Result<(), DbError> {
         let mut schemas = self.schemas.write();
-        if schemas.contains_key(&schema.name) {
-            return Err(DbError::TableExists(schema.name));
+        if schemas.contains_key(&*schema.name) {
+            return Err(DbError::TableExists(schema.name.to_string()));
         }
         for node in self.nodes.read().iter() {
             node.create_table(&schema.name);
         }
-        schemas.insert(schema.name.clone(), schema);
+        schemas.insert(Arc::clone(&schema.name), Arc::new(schema));
         Ok(())
     }
 
-    /// Looks up a table schema.
-    pub fn schema(&self, table: &str) -> Option<TableSchema> {
+    /// Looks up a table schema. The catalog's own copy is handed out: a
+    /// lookup clones a pointer, not the column list.
+    pub fn schema(&self, table: &str) -> Option<Arc<TableSchema>> {
         self.schemas.read().get(table).cloned()
+    }
+
+    /// The interned table names, sorted.
+    fn tables(&self) -> Vec<Arc<str>> {
+        let mut names: Vec<Arc<str>> = self.schemas.read().keys().cloned().collect();
+        names.sort();
+        names
     }
 
     /// All table names.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.schemas.read().keys().cloned().collect();
-        names.sort();
-        names
+        self.tables().iter().map(|t| t.to_string()).collect()
     }
 
     /// Inserts one row.
@@ -408,16 +408,15 @@ impl Cluster {
         values: Vec<(&str, Value)>,
         consistency: Consistency,
     ) -> Result<(), DbError> {
-        let owned: Vec<(String, Value)> =
-            values.into_iter().map(|(n, v)| (n.to_owned(), v)).collect();
-        self.insert_owned(table, owned, consistency)
+        self.insert_owned(table, values, consistency)
     }
 
-    /// Inserts one row with owned column names: a batch of one.
-    pub fn insert_owned(
+    /// Inserts one row whose column names are any string type: a batch of
+    /// one.
+    pub fn insert_owned<N: AsRef<str>>(
         &self,
         table: &str,
-        values: Vec<(String, Value)>,
+        values: Vec<(N, Value)>,
         consistency: Consistency,
     ) -> Result<(), DbError> {
         self.insert_batch(table, vec![values], consistency)
@@ -434,31 +433,44 @@ impl Cluster {
     /// [`DbError::Unavailable`] is returned once the batch is through.
     /// Replicas that missed rows are hinted, and re-sending the batch is
     /// idempotent (last write wins per cell).
-    pub fn insert_batch(
+    ///
+    /// Column names may be any string type; none is stored. Each is resolved
+    /// against the schema (once per batch while the rows keep one shape) and
+    /// the stored cell points at the schema's interned name.
+    pub fn insert_batch<N: AsRef<str>>(
         &self,
         table: &str,
-        batch: Vec<Vec<(String, Value)>>,
+        batch: Vec<Vec<(N, Value)>>,
         consistency: Consistency,
     ) -> Result<usize, DbError> {
         let span = telemetry::span!("rasdb.coordinator.write");
         let schema = self
             .schema(table)
             .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        for values in &batch {
-            schema.validate_insert(values)?;
-        }
-        // Write timestamps follow arrival order.
-        let rows = batch.len();
-        let first_ts = self.clock.fetch_add(rows as u64, Ordering::Relaxed);
-        let mutations = batch
+        let mut binder = schema.binder();
+        let mut mutations = batch
             .into_iter()
-            .zip(first_ts..)
-            .map(|(values, ts)| {
-                let (pk, ck, cells) = schema.split_insert(values);
-                Mutation::upsert(table, Key(pk), Key(ck), cells, ts)
+            .map(|values| {
+                let (partition, clustering, cells) = binder.bind(values)?;
+                Ok(Mutation {
+                    table: Arc::clone(&schema.name),
+                    partition,
+                    clustering,
+                    cells,
+                    row_delete: None,
+                })
             })
-            .collect();
-        self.write_batch(span, table, mutations, consistency)?;
+            .collect::<Result<Vec<Mutation>, DbError>>()?;
+        // Write timestamps follow arrival order, and are drawn only once
+        // the whole batch is known to be valid.
+        let rows = mutations.len();
+        let first_ts = self.clock.fetch_add(rows as u64, Ordering::Relaxed);
+        for (m, ts) in mutations.iter_mut().zip(first_ts..) {
+            for (_, cell) in &mut m.cells {
+                cell.write_ts = ts;
+            }
+        }
+        self.write_batch(span, &schema.name, mutations, consistency)?;
         Ok(rows)
     }
 
@@ -471,12 +483,17 @@ impl Cluster {
         consistency: Consistency,
     ) -> Result<(), DbError> {
         let span = telemetry::span!("rasdb.coordinator.write");
-        if self.schema(table).is_none() {
-            return Err(DbError::NoSuchTable(table.to_owned()));
-        }
+        let schema = self
+            .schema(table)
+            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
-        let m = Mutation::delete(table, Key(partition), Key(clustering), ts);
-        self.write_batch(span, table, vec![m], consistency)
+        let m = Mutation::delete(
+            Arc::clone(&schema.name),
+            partition.into(),
+            clustering.into(),
+            ts,
+        );
+        self.write_batch(span, &schema.name, vec![m], consistency)
     }
 
     /// Hinted handoff: remember the mutations for a node that missed them.
@@ -509,7 +526,7 @@ impl Cluster {
     fn write_batch(
         &self,
         mut span: telemetry::SpanGuard,
-        table: &str,
+        table: &Arc<str>,
         mutations: Vec<Mutation>,
         consistency: Consistency,
     ) -> Result<(), DbError> {
@@ -639,13 +656,13 @@ impl Cluster {
         }
     }
 
-    /// Validates a plan against the schema and resolves its replica set
-    /// and quorum size.
+    /// Validates a plan against the schema and resolves its table's
+    /// interned name, its replica set and its quorum size.
     fn plan_replicas(
         &self,
         plan: &ReadPlan,
         consistency: Consistency,
-    ) -> Result<(Vec<NodeId>, usize), DbError> {
+    ) -> Result<(Arc<str>, Vec<NodeId>, usize), DbError> {
         let schema = self
             .schema(&plan.table)
             .ok_or_else(|| DbError::NoSuchTable(plan.table.clone()))?;
@@ -666,7 +683,7 @@ impl Cluster {
             .ring
             .replicas(token_for(&plan.partition));
         let required = consistency.required(replicas.len());
-        Ok((replicas, required))
+        Ok((Arc::clone(&schema.name), replicas, required))
     }
 
     /// Advances `cursor` past known-down replicas (counting each skip) and
@@ -688,7 +705,7 @@ impl Cluster {
     /// Executes a resolved read plan.
     pub fn read(&self, plan: &ReadPlan, consistency: Consistency) -> Result<Vec<Row>, DbError> {
         let _span = telemetry::span!("rasdb.coordinator.read");
-        let (replicas, required) = self.plan_replicas(plan, consistency)?;
+        let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
 
         // Version and epoch are snapshotted *before* any replica read: a
         // write landing mid-read bumps past the snapshot, so the entry we
@@ -719,7 +736,7 @@ impl Cluster {
                 received: responses.len(),
             });
         }
-        let rows = self.finish_read(plan, &responses);
+        let rows = self.finish_read(&table, plan, &responses);
         self.block_cache_insert(cache_key, &rows, version, epoch);
         Ok(rows)
     }
@@ -728,6 +745,7 @@ impl Cluster {
     /// responses, read repair, tombstone filtering, order and limit.
     fn finish_read(
         &self,
+        table: &Arc<str>,
         plan: &ReadPlan,
         responses: &[(NodeId, Vec<(Key, RowEntry)>)],
     ) -> Vec<Row> {
@@ -750,10 +768,8 @@ impl Cluster {
         // with stale or missing rows. A repair changes what lower
         // consistency levels may observe on the repaired replica, so it
         // bumps the partition version like any other mutation.
-        if responses.len() > 1
-            && self.read_repair(&plan.table, &plan.partition, &merged, responses) > 0
-        {
-            self.bump_versions(&plan.table, [&plan.partition]);
+        if responses.len() > 1 && self.read_repair(table, &plan.partition, &merged, responses) > 0 {
+            self.bump_versions(table, [&plan.partition]);
         }
 
         let mut rows: Vec<Row> = merged
@@ -804,6 +820,7 @@ impl Cluster {
         // Per-plan gather state. Validation happens up front so a bad plan
         // fails before any work is queued.
         struct Gather {
+            table: Arc<str>,
             replicas: Vec<NodeId>,
             required: usize,
             /// Next replica index to try when a dispatched read fails or
@@ -835,7 +852,7 @@ impl Cluster {
         {
             let _plan_span = detail.then(|| telemetry::span!("rasdb.coordinator.plan"));
             for (idx, plan) in plans.iter().enumerate() {
-                let (replicas, required) = self.plan_replicas(plan, consistency)?;
+                let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
                 let key = block_key(plan, consistency);
                 let version = self.data_version(&plan.table, &plan.partition);
                 if let Some(rows) = self.block_cache_get(&key, version, epoch) {
@@ -845,6 +862,7 @@ impl Cluster {
                 miss.push(idx);
                 miss_keys.push((key, version));
                 gathers.push(Gather {
+                    table,
                     replicas,
                     required,
                     next_replica: 0,
@@ -994,7 +1012,7 @@ impl Cluster {
             let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
             for ((gi, g), (key, version)) in gathers.iter().enumerate().zip(miss_keys) {
                 let idx = miss[gi];
-                let rows = self.finish_read(&plans[idx], &g.responses);
+                let rows = self.finish_read(&g.table, &plans[idx], &g.responses);
                 self.block_cache_insert(key, &rows, version, epoch);
                 results[idx] = Some(rows);
             }
@@ -1011,7 +1029,7 @@ impl Cluster {
     /// number of repair mutations applied.
     fn read_repair(
         &self,
-        table: &str,
+        table: &Arc<str>,
         partition: &Key,
         merged: &BTreeMap<Key, RowEntry>,
         responses: &[(NodeId, Vec<(Key, RowEntry)>)],
@@ -1097,7 +1115,7 @@ impl Cluster {
                 for col in schema.partition_key.iter().chain(&schema.clustering_key) {
                     let p = predicates
                         .iter()
-                        .find(|p| p.column == col.name && p.op == CmpOp::Eq)
+                        .find(|p| *p.column == *col.name && p.op == CmpOp::Eq)
                         .ok_or_else(|| {
                             DbError::BadQuery(format!(
                                 "DELETE requires '{}' pinned by equality",
@@ -1131,7 +1149,7 @@ impl Cluster {
             let p = sel
                 .predicates
                 .iter()
-                .find(|p| p.column == col.name)
+                .find(|p| *p.column == *col.name)
                 .ok_or_else(|| {
                     DbError::BadQuery(format!("partition key '{}' must be constrained", col.name))
                 })?;
@@ -1155,7 +1173,7 @@ impl Cluster {
             let preds: Vec<&Predicate> = sel
                 .predicates
                 .iter()
-                .filter(|p| p.column == col.name)
+                .filter(|p| *p.column == *col.name)
                 .collect();
             if preds.is_empty() {
                 break;
@@ -1209,7 +1227,7 @@ impl Cluster {
         let range = clustering_bounds(prefix, lower, upper, schema.clustering_key.len());
         Ok(ReadPlan {
             table: sel.table.clone(),
-            partition: Key(partition),
+            partition: partition.into(),
             range,
             limit: sel.limit,
             descending: sel.descending,
@@ -1526,7 +1544,7 @@ impl Cluster {
         report: &mut TransitionReport,
     ) -> Result<(), DbError> {
         let _span = telemetry::span!("rasdb.topology.stream");
-        for table in self.table_names() {
+        for table in self.tables() {
             // Candidate partitions: the union of what every current member
             // stores. (For a join the transitioning node holds nothing
             // yet; for a decommission it may be down — the union over all
@@ -1610,7 +1628,7 @@ impl Cluster {
     #[allow(clippy::too_many_arguments)]
     fn stream_partition(
         &self,
-        table: &str,
+        table: &Arc<str>,
         pk: &Key,
         donors: &[NodeId],
         gainer: NodeId,
@@ -1659,7 +1677,7 @@ impl Cluster {
     #[allow(clippy::too_many_arguments)]
     fn send_chunk(
         &self,
-        table: &str,
+        table: &Arc<str>,
         pk: &Key,
         rows: &[(Key, RowEntry)],
         donors: &[NodeId],
@@ -1814,7 +1832,7 @@ impl<'c> SelectBuilder<'c> {
         );
         let plan = ReadPlan {
             table: self.table,
-            partition: Key(self.partition),
+            partition: self.partition.into(),
             range,
             limit: self.limit,
             descending: self.descending,
@@ -1907,14 +1925,14 @@ mod tests {
             .run(Consistency::One)
             .unwrap();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].clustering, Key(vec![Value::Timestamp(99)]));
+        assert_eq!(rows[0].clustering, Key::from(vec![Value::Timestamp(99)]));
     }
 
     #[test]
     fn quorum_survives_one_node_down_with_rf3() {
         let c = events_cluster(5, 3);
         put(&c, 7, "MCE", 1, "n", Consistency::All);
-        let owners = c.owners(&Key(vec![Value::BigInt(7), Value::text("MCE")]));
+        let owners = c.owners(&Key::from(vec![Value::BigInt(7), Value::text("MCE")]));
         c.take_node_down(owners[0]);
         // Quorum still works…
         put(&c, 7, "MCE", 2, "n", Consistency::Quorum);
@@ -1936,7 +1954,7 @@ mod tests {
     #[test]
     fn write_fails_when_too_many_replicas_down() {
         let c = events_cluster(3, 3);
-        let owners = c.owners(&Key(vec![Value::BigInt(7), Value::text("MCE")]));
+        let owners = c.owners(&Key::from(vec![Value::BigInt(7), Value::text("MCE")]));
         c.take_node_down(owners[0]);
         c.take_node_down(owners[1]);
         let err = c
@@ -1962,7 +1980,7 @@ mod tests {
     #[test]
     fn hinted_handoff_catches_up_recovered_node() {
         let c = events_cluster(3, 3);
-        let pkey = Key(vec![Value::BigInt(7), Value::text("MCE")]);
+        let pkey = Key::from(vec![Value::BigInt(7), Value::text("MCE")]);
         let owners = c.owners(&pkey);
         c.take_node_down(owners[2]);
         put(&c, 7, "MCE", 1, "n", Consistency::Quorum);
@@ -1986,7 +2004,7 @@ mod tests {
     fn hint_queue_cap_drops_oldest_and_counts() {
         let c = events_cluster(3, 3);
         c.set_hint_cap(3);
-        let pkey = Key(vec![Value::BigInt(7), Value::text("MCE")]);
+        let pkey = Key::from(vec![Value::BigInt(7), Value::text("MCE")]);
         let owners = c.owners(&pkey);
         c.take_node_down(owners[2]);
         for ts in 1..=5 {
@@ -2011,7 +2029,7 @@ mod tests {
     #[test]
     fn read_repair_heals_stale_replica() {
         let c = events_cluster(3, 3);
-        let pkey = Key(vec![Value::BigInt(7), Value::text("MCE")]);
+        let pkey = Key::from(vec![Value::BigInt(7), Value::text("MCE")]);
         let owners = c.owners(&pkey);
         // Write while one replica is down (hint stored but not delivered).
         c.take_node_down(owners[2]);
@@ -2134,7 +2152,7 @@ mod tests {
         let plans: Vec<ReadPlan> = (0..24)
             .map(|hour| ReadPlan {
                 table: "event_by_time".into(),
-                partition: Key(vec![Value::BigInt(hour), Value::text("MCE")]),
+                partition: Key::from(vec![Value::BigInt(hour), Value::text("MCE")]),
                 range: full_range(),
                 limit: None,
                 descending: false,
@@ -2161,7 +2179,7 @@ mod tests {
         let c = events_cluster(2, 1);
         let plan = ReadPlan {
             table: "nope".into(),
-            partition: Key(vec![Value::BigInt(1)]),
+            partition: Key::from(vec![Value::BigInt(1)]),
             range: full_range(),
             limit: None,
             descending: false,
@@ -2186,7 +2204,7 @@ mod tests {
         let plans: Vec<ReadPlan> = (0..12)
             .map(|hour| ReadPlan {
                 table: "event_by_time".into(),
-                partition: Key(vec![Value::BigInt(hour), Value::text("MCE")]),
+                partition: Key::from(vec![Value::BigInt(hour), Value::text("MCE")]),
                 range: full_range(),
                 limit: None,
                 descending: false,
@@ -2202,7 +2220,7 @@ mod tests {
     #[test]
     fn read_skips_down_replicas_and_counts_them() {
         let c = events_cluster(5, 3);
-        let pkey = Key(vec![Value::BigInt(7), Value::text("MCE")]);
+        let pkey = Key::from(vec![Value::BigInt(7), Value::text("MCE")]);
         put(&c, 7, "MCE", 1, "n", Consistency::All);
         let owners = c.owners(&pkey);
         c.take_node_down(owners[0]);
@@ -2220,7 +2238,7 @@ mod tests {
     fn read_multi_hedges_a_slow_replica() {
         let c = events_cluster(4, 3);
         put(&c, 3, "MCE", 1, "n", Consistency::All);
-        let pkey = Key(vec![Value::BigInt(3), Value::text("MCE")]);
+        let pkey = Key::from(vec![Value::BigInt(3), Value::text("MCE")]);
         let owners = c.owners(&pkey);
         // First replica answers slower than the speculative deadline; at
         // Consistency::One the hedge to the next replica wins the race.
@@ -2246,7 +2264,7 @@ mod tests {
         }
         let plan = ReadPlan {
             table: "event_by_time".into(),
-            partition: Key(vec![Value::BigInt(1), Value::text("MCE")]),
+            partition: Key::from(vec![Value::BigInt(1), Value::text("MCE")]),
             range: full_range(),
             limit: None,
             descending: false,

@@ -6,16 +6,20 @@ use crate::types::{Cell, Key, Value};
 use std::sync::Arc;
 
 /// One durable mutation record.
+///
+/// Table name, keys, cell names and text values are shared pointers, and
+/// the record itself travels as `Arc<Mutation>`: what reaches three replicas
+/// is one set of bytes, as it would be on a wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mutation {
-    /// Target table.
-    pub table: String,
+    /// Target table (the schema's interned name).
+    pub table: Arc<str>,
     /// Partition key.
     pub partition: Key,
     /// Clustering key.
     pub clustering: Key,
     /// Cells to upsert (empty for pure row deletes).
-    pub cells: Vec<(String, Cell)>,
+    pub cells: Vec<(Arc<str>, Cell)>,
     /// Row tombstone timestamp, if this mutation deletes the row.
     pub row_delete: Option<u64>,
 }
@@ -23,10 +27,10 @@ pub struct Mutation {
 impl Mutation {
     /// Builds an upsert mutation with a single write timestamp.
     pub fn upsert(
-        table: impl Into<String>,
+        table: impl Into<Arc<str>>,
         partition: Key,
         clustering: Key,
-        values: Vec<(String, Value)>,
+        values: Vec<(Arc<str>, Value)>,
         write_ts: u64,
     ) -> Mutation {
         Mutation {
@@ -43,7 +47,7 @@ impl Mutation {
 
     /// Builds a row-delete mutation.
     pub fn delete(
-        table: impl Into<String>,
+        table: impl Into<Arc<str>>,
         partition: Key,
         clustering: Key,
         write_ts: u64,
@@ -60,20 +64,16 @@ impl Mutation {
     /// Builds the mutation that carries a stored row's full state (cells and
     /// tombstone) to another replica: read repair and range streaming.
     pub fn from_entry(
-        table: &str,
+        table: &Arc<str>,
         partition: &Key,
         clustering: &Key,
         entry: &RowEntry,
     ) -> Mutation {
         Mutation {
-            table: table.to_owned(),
+            table: Arc::clone(table),
             partition: partition.clone(),
             clustering: clustering.clone(),
-            cells: entry
-                .cells
-                .iter()
-                .map(|(n, c)| (n.clone(), c.clone()))
-                .collect(),
+            cells: entry.cells().to_vec(),
             row_delete: entry.deleted_at,
         }
     }
@@ -178,9 +178,9 @@ mod tests {
     fn m(i: i64) -> Arc<Mutation> {
         Arc::new(Mutation::upsert(
             "t",
-            Key(vec![Value::BigInt(i)]),
-            Key(vec![Value::Timestamp(i)]),
-            vec![("v".to_owned(), Value::Int(i as i32))],
+            Key::from(vec![Value::BigInt(i)]),
+            Key::from(vec![Value::Timestamp(i)]),
+            vec![("v".into(), Value::Int(i as i32))],
             i as u64,
         ))
     }
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn delete_mutation_shape() {
-        let d = Mutation::delete("t", Key(vec![]), Key(vec![]), 9);
+        let d = Mutation::delete("t", Key::default(), Key::default(), 9);
         assert!(d.cells.is_empty());
         assert_eq!(d.row_delete, Some(9));
         assert_eq!(d.weight(), 1);

@@ -82,9 +82,7 @@ pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
             let rows = rows
                 .into_iter()
                 .map(|(ck, mut e)| {
-                    if let Some(ts) = e.deleted_at {
-                        e.cells.retain(|_, c| c.write_ts > ts);
-                    }
+                    e.purge_shadowed();
                     (ck, e)
                 })
                 .collect();
@@ -101,16 +99,16 @@ mod tests {
     use crate::types::{Cell, Value};
 
     fn pk(h: i64) -> Key {
-        Key(vec![Value::BigInt(h)])
+        Key::from(vec![Value::BigInt(h)])
     }
 
     fn ck(ts: i64) -> Key {
-        Key(vec![Value::Timestamp(ts)])
+        Key::from(vec![Value::Timestamp(ts)])
     }
 
     fn table_with(seq: u64, h: i64, ts: i64, v: i32, write_ts: u64) -> SsTable {
         let mut e = RowEntry::default();
-        e.upsert([("v".to_owned(), Cell::live(Value::Int(v), write_ts))]);
+        e.upsert([("v".into(), Cell::live(Value::Int(v), write_ts))]);
         SsTable::build(seq, vec![(pk(h), vec![(ck(ts), e)])])
     }
 
@@ -122,10 +120,7 @@ mod tests {
         assert_eq!(merged.partition_count(), 1);
         let rows = merged.read_raw(&pk(1), &full_range(), true);
         assert_eq!(rows.len(), 1);
-        assert_eq!(
-            rows[0].1.cells.get("v").unwrap().value,
-            Some(Value::Int(20))
-        );
+        assert_eq!(rows[0].1.cells()[0].1.value, Some(Value::Int(20)));
         // Merge order must not matter.
         let old = table_with(1, 1, 5, 10, 100);
         let new = table_with(2, 1, 5, 20, 200);
@@ -153,7 +148,7 @@ mod tests {
         let merged = merge(vec![live, dead], 3);
         let rows = merged.read_raw(&pk(1), &full_range(), true);
         assert_eq!(rows.len(), 1);
-        assert!(rows[0].1.cells.is_empty(), "shadowed cell reclaimed");
+        assert!(rows[0].1.cells().is_empty(), "shadowed cell reclaimed");
         assert_eq!(rows[0].1.deleted_at, Some(20));
         assert!(rows[0].1.visible().is_none());
     }
@@ -171,7 +166,7 @@ mod tests {
         let big_rows: Vec<(Key, RowEntry)> = (0..1000)
             .map(|t| {
                 let mut e = RowEntry::default();
-                e.upsert([("v".to_owned(), Cell::live(Value::Int(1), 1))]);
+                e.upsert([("v".into(), Cell::live(Value::Int(1), 1))]);
                 (ck(t), e)
             })
             .collect();

@@ -427,7 +427,7 @@ mod tests {
         let Statement::CreateTable(schema) = stmt else {
             panic!("not a create");
         };
-        assert_eq!(schema.name, "event_by_time");
+        assert_eq!(&*schema.name, "event_by_time");
         assert_eq!(schema.partition_key.len(), 2);
         assert_eq!(schema.clustering_key.len(), 1);
         assert_eq!(schema.columns.len(), 2);

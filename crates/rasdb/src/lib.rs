@@ -8,7 +8,9 @@
 //!
 //! * **Data model** — tables with composite partition keys and clustering
 //!   keys; a partition is a wide row whose entries stay sorted by the
-//!   clustering key ([`schema`], [`types`]).
+//!   clustering key ([`schema`], [`types`]). Keys, text values and column
+//!   names are immutable and reference-counted: the replicas of a row,
+//!   their commit logs and every read of it share one copy.
 //! * **Placement** — a murmur3 token ring with virtual nodes and
 //!   replication ([`partitioner`], [`ring`]).
 //! * **Storage engine** — commit log → memtable → immutable SSTables with
@@ -34,7 +36,7 @@
 //! use rasdb::cluster::{Cluster, ClusterConfig};
 //! use rasdb::query::Consistency;
 //! use rasdb::schema::{ColumnType, TableSchema};
-//! use rasdb::types::Value;
+//! use rasdb::types::{Key, Value};
 //!
 //! let cluster = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
 //! cluster
@@ -71,6 +73,12 @@
 //!     .unwrap();
 //! assert_eq!(rows.len(), 1);
 //! assert_eq!(rows[0].cell("source"), Some(&Value::text("c3-2c1s4n2")));
+//!
+//! // A key is built once and cloned by reference count from then on.
+//! let partition = Key::from(vec![Value::BigInt(417_000), Value::text("MCE")]);
+//! assert_eq!(cluster.owners(&partition).len(), 3);
+//! assert!(cluster.data_version("event_by_time", &partition) > 0);
+//! assert_eq!(rows[0].clustering.0[0], Value::Timestamp(1_501_200_000_123));
 //! ```
 
 pub mod bloom;

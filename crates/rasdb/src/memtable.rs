@@ -3,27 +3,51 @@
 use crate::types::{Cell, Key, Row, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Stored form of one clustered row: named cells plus an optional row
 /// tombstone. A cell is visible only if it is newer than the tombstone.
+///
+/// The cells are a small vector kept sorted by column name, so iteration
+/// order (stream encoding, [`RowEntry::visible`]) is name order. Names and
+/// text values are shared pointers; the vector itself belongs to one
+/// replica.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowEntry {
-    /// Cells by column name.
-    pub cells: BTreeMap<String, Cell>,
+    cells: Vec<(Arc<str>, Cell)>,
     /// Row-level delete timestamp, if any.
     pub deleted_at: Option<u64>,
 }
 
 impl RowEntry {
     /// Applies new cells (last-write-wins per cell).
-    pub fn upsert(&mut self, cells: impl IntoIterator<Item = (String, Cell)>) {
+    pub fn upsert(&mut self, cells: impl IntoIterator<Item = (Arc<str>, Cell)>) {
+        let cells = cells.into_iter();
+        if self.cells.is_empty() {
+            self.cells.reserve_exact(cells.size_hint().0);
+        }
         for (name, cell) in cells {
-            match self.cells.get_mut(&name) {
-                Some(existing) => *existing = Cell::merge(existing, &cell),
-                None => {
-                    self.cells.insert(name, cell);
+            match self.cells.binary_search_by(|(n, _)| n.cmp(&name)) {
+                Ok(i) => {
+                    let existing = &mut self.cells[i].1;
+                    if cell.supersedes(existing) {
+                        *existing = cell;
+                    }
                 }
+                Err(i) => self.cells.insert(i, (name, cell)),
             }
+        }
+    }
+
+    /// The stored cells in column-name order.
+    pub fn cells(&self) -> &[(Arc<str>, Cell)] {
+        &self.cells
+    }
+
+    /// Drops the cells a row tombstone shadows (compaction).
+    pub(crate) fn purge_shadowed(&mut self) {
+        if let Some(ts) = self.deleted_at {
+            self.cells.retain(|(_, c)| c.write_ts > ts);
         }
     }
 
@@ -49,7 +73,7 @@ impl RowEntry {
             .cells
             .iter()
             .filter(|(_, c)| floor.is_none_or(|ts| c.write_ts > ts))
-            .filter_map(|(n, c)| c.value.clone().map(|v| (n.clone(), v)))
+            .filter_map(|(n, c)| c.value.clone().map(|v| (String::from(&**n), v)))
             .collect();
         if cells.is_empty() {
             None
@@ -70,7 +94,7 @@ pub type Partition = BTreeMap<Key, RowEntry>;
 
 /// One row change borrowed from a mutation: clustering key, cells to upsert
 /// (empty for a pure delete), and the row tombstone timestamp, if any.
-pub type RowChange<'a> = (&'a Key, &'a [(String, Cell)], Option<u64>);
+pub type RowChange<'a> = (&'a Key, &'a [(Arc<str>, Cell)], Option<u64>);
 
 /// The memtable for a single table on a single node.
 #[derive(Debug, Default)]
@@ -196,18 +220,18 @@ mod tests {
     use super::*;
 
     fn pk(h: i64) -> Key {
-        Key(vec![Value::BigInt(h)])
+        Key::from(vec![Value::BigInt(h)])
     }
 
     fn ck(ts: i64) -> Key {
-        Key(vec![Value::Timestamp(ts)])
+        Key::from(vec![Value::Timestamp(ts)])
     }
 
     fn cellv(v: i32, ts: u64) -> Cell {
         Cell::live(Value::Int(v), ts)
     }
 
-    fn upsert(m: &mut Memtable, partition: Key, clustering: Key, cells: Vec<(String, Cell)>) {
+    fn upsert(m: &mut Memtable, partition: Key, clustering: Key, cells: Vec<(Arc<str>, Cell)>) {
         m.upsert_rows(
             &partition,
             [(&clustering, cells.as_slice(), None)],
@@ -277,6 +301,20 @@ mod tests {
     }
 
     #[test]
+    fn double_clustering_keys_follow_the_total_order() {
+        let mut m = Memtable::new();
+        let ck = |d: f64| Key::from(vec![Value::Double(d)]);
+        for (d, v) in [(f64::NAN, 1), (f64::NAN, 2), (0.0, 3), (-0.0, 4)] {
+            upsert(&mut m, pk(1), ck(d), vec![("a".into(), cellv(v, v as u64))]);
+        }
+        let rows = m.read(&pk(1), full_range());
+        let stored: Vec<_> = rows.iter().map(|r| r.cell("a").cloned()).collect();
+        // -0.0 < 0.0 < NaN, and the second NaN overwrote the first.
+        assert_eq!(stored, [4, 3, 2].map(|v| Some(Value::Int(v))));
+        assert_eq!(rows[2].clustering, ck(f64::NAN));
+    }
+
+    #[test]
     fn key_only_rows_store_nothing() {
         let mut m = Memtable::new();
         upsert(&mut m, pk(1), ck(1), vec![]);
@@ -289,7 +327,7 @@ mod tests {
     #[test]
     fn upsert_rows_stops_at_the_flush_mark() {
         let mut m = Memtable::new();
-        let cells = vec![("a".to_owned(), cellv(1, 1))];
+        let cells = vec![("a".into(), cellv(1, 1))];
         let keys: Vec<Key> = (0..10).map(ck).collect();
         let rows = || keys.iter().map(|k| (k, cells.as_slice(), None));
         // Two cells for the first row of an empty memtable, one more per
@@ -339,10 +377,10 @@ mod tests {
     #[test]
     fn merge_row_entries_combines_tombstones_and_cells() {
         let mut a = RowEntry::default();
-        a.upsert([("x".to_owned(), cellv(1, 5))]);
+        a.upsert([("x".into(), cellv(1, 5))]);
         let mut b = RowEntry::default();
         b.delete(3);
-        b.upsert([("y".to_owned(), cellv(2, 4))]);
+        b.upsert([("y".into(), cellv(2, 4))]);
         let m = RowEntry::merge(a, b);
         assert_eq!(m.deleted_at, Some(3));
         let vis = m.visible().unwrap();

@@ -160,11 +160,11 @@ impl StorageNode {
             return false;
         }
         let tables = self.tables.read();
-        if !groups.iter().all(|g| tables.contains_key(&g[0].table)) {
+        if !groups.iter().all(|g| tables.contains_key(&*g[0].table)) {
             return false;
         }
         for run in groups.chunk_by(|a, b| a[0].table == b[0].table) {
-            self.apply_locked(&mut tables[&run[0][0].table].lock(), run);
+            self.apply_locked(&mut tables[&*run[0][0].table].lock(), run);
         }
         true
     }
@@ -390,9 +390,9 @@ mod tests {
     fn mutation(table: &str, h: i64, ts: i64, v: i32, wts: u64) -> Arc<Mutation> {
         Arc::new(Mutation::upsert(
             table,
-            Key(vec![Value::BigInt(h)]),
-            Key(vec![Value::Timestamp(ts)]),
-            vec![("v".to_owned(), Value::Int(v))],
+            Key::from(vec![Value::BigInt(h)]),
+            Key::from(vec![Value::Timestamp(ts)]),
+            vec![("v".into(), Value::Int(v))],
             wts,
         ))
     }
@@ -406,7 +406,7 @@ mod tests {
         let n = node(1000);
         upsert(&n, 1, 10, 7, 1);
         let rows = n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cell("v"), Some(&Value::Int(7)));
@@ -420,7 +420,7 @@ mod tests {
         assert_eq!(n.sstable_count("t"), 1);
         upsert(&n, 1, 10, 2, 2); // newer write in memtable
         let rows = n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .unwrap();
         assert_eq!(rows[0].cell("v"), Some(&Value::Int(2)));
     }
@@ -438,7 +438,7 @@ mod tests {
         // All data still readable.
         let total: usize = (0..5)
             .map(|h| {
-                n.read("t", &Key(vec![Value::BigInt(h)]), &full_range())
+                n.read("t", &Key::from(vec![Value::BigInt(h)]), &full_range())
                     .unwrap()
                     .len()
             })
@@ -453,11 +453,11 @@ mod tests {
         n.set_up(false);
         assert!(!n.apply(&mutation("t", 1, 2, 1, 2)));
         assert!(n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .is_none());
         n.set_up(true);
         assert!(n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .is_some());
     }
 
@@ -469,7 +469,7 @@ mod tests {
         }
         n.restart();
         let rows = n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .unwrap();
         assert_eq!(rows.len(), 20);
     }
@@ -486,7 +486,7 @@ mod tests {
         }
         n.restart();
         let rows = n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .unwrap();
         assert_eq!(rows.len(), 15, "flushed + replayed rows");
     }
@@ -497,13 +497,13 @@ mod tests {
         upsert(&n, 1, 1, 1, 1);
         let d = Mutation::delete(
             "t",
-            Key(vec![Value::BigInt(1)]),
-            Key(vec![Value::Timestamp(1)]),
+            Key::from(vec![Value::BigInt(1)]),
+            Key::from(vec![Value::Timestamp(1)]),
             5,
         );
         n.apply(&Arc::new(d));
         assert!(n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .unwrap()
             .is_empty());
     }
@@ -539,7 +539,7 @@ mod tests {
             .collect();
         assert!(n.apply_chunk(&muts));
         assert_eq!(
-            n.read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            n.read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
                 .unwrap()
                 .len(),
             5
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn unknown_table_apply_fails() {
         let n = node(1000);
-        let m = Mutation::upsert("nope", Key(vec![]), Key(vec![]), vec![], 1);
+        let m = Mutation::upsert("nope", Key::default(), Key::default(), vec![], 1);
         assert!(!n.apply(&Arc::new(m)));
     }
 
@@ -565,7 +565,7 @@ mod tests {
         ];
         assert!(!n.apply_chunk(&chunk), "unknown table must NAK the chunk");
         let stored = |n: &StorageNode| {
-            n.read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            n.read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
                 .unwrap()
         };
         assert!(stored(&n).is_empty(), "a NAKed chunk left a prefix behind");
@@ -600,7 +600,7 @@ mod tests {
         assert_eq!(n.stats().writes, 10);
         n.restart();
         let rows = n
-            .read("t", &Key(vec![Value::BigInt(1)]), &full_range())
+            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
             .unwrap();
         assert_eq!(rows.len(), 10, "flushed + replayed rows");
     }

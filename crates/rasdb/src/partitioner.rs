@@ -109,8 +109,8 @@ mod tests {
 
     #[test]
     fn token_is_deterministic_and_key_sensitive() {
-        let k1 = Key(vec![Value::BigInt(417_000), Value::text("MCE")]);
-        let k2 = Key(vec![Value::BigInt(417_000), Value::text("GPU_DBE")]);
+        let k1 = Key::from(vec![Value::BigInt(417_000), Value::text("MCE")]);
+        let k2 = Key::from(vec![Value::BigInt(417_000), Value::text("GPU_DBE")]);
         assert_eq!(token_for(&k1), token_for(&k1));
         assert_ne!(token_for(&k1), token_for(&k2));
     }
@@ -121,7 +121,7 @@ mod tests {
         // dispersion by counting distinct leading bytes.
         let mut leading = std::collections::HashSet::new();
         for hour in 0..256i64 {
-            let t = token_for(&Key(vec![Value::BigInt(hour), Value::text("MCE")]));
+            let t = token_for(&Key::from(vec![Value::BigInt(hour), Value::text("MCE")]));
             leading.insert((t.0 as u64 >> 56) as u8);
         }
         assert!(leading.len() > 100, "got {}", leading.len());

@@ -49,7 +49,7 @@ impl Lit {
             (Lit::Num(n), T::Timestamp) => Value::Timestamp(*n),
             (Lit::Num(n), T::Double) => Value::Double(*n as f64),
             (Lit::Float(f), T::Double) => Value::Double(*f),
-            (Lit::Str(s), T::Text) => Value::Text(s.clone()),
+            (Lit::Str(s), T::Text) => Value::text(s),
             (Lit::Bool(b), T::Bool) => Value::Bool(*b),
             _ => return None,
         })
@@ -153,30 +153,30 @@ pub fn clustering_bounds(
             let mut k = prefix.clone();
             k.push(v);
             if inclusive {
-                Bound::Included(Key(k))
+                Bound::Included(k.into())
             } else {
                 // Exclusive lower bound on a prefix must skip every key that
                 // extends the excluded value, so bound at its successor via
                 // the remaining components' minimum: exclusive on the full
                 // prefix key works because longer keys compare greater.
-                exclusive_prefix_lower(Key(k), total_components)
+                exclusive_prefix_lower(k, total_components)
             }
         }
         None if prefix.is_empty() => Bound::Unbounded,
-        None => Bound::Included(Key(prefix.clone())),
+        None => Bound::Included(prefix.clone().into()),
     };
     let hi = match upper {
         Some((v, inclusive)) => {
             let mut k = prefix;
             k.push(v);
             if inclusive {
-                inclusive_prefix_upper(Key(k), total_components)
+                inclusive_prefix_upper(k, total_components)
             } else {
-                Bound::Excluded(Key(k))
+                Bound::Excluded(k.into())
             }
         }
         None if prefix.is_empty() => Bound::Unbounded,
-        None => inclusive_prefix_upper(Key(prefix), total_components),
+        None => inclusive_prefix_upper(prefix, total_components),
     };
     (lo, hi)
 }
@@ -187,24 +187,24 @@ pub fn clustering_bounds(
 /// admit them; pad with `Value::Map(max)`? Instead we exploit that rows
 /// always carry exactly `total_components` components: pad the prefix with
 /// maximal values so everything extending it is still ≤ the padded key.
-fn exclusive_prefix_lower(prefix: Key, total_components: usize) -> Bound<Key> {
+fn exclusive_prefix_lower(prefix: Vec<Value>, total_components: usize) -> Bound<Key> {
     Bound::Excluded(pad_max(prefix, total_components))
 }
 
 /// Inclusive upper bound on a key prefix: pad with maximal components so
 /// all extensions are included.
-fn inclusive_prefix_upper(prefix: Key, total_components: usize) -> Bound<Key> {
+fn inclusive_prefix_upper(prefix: Vec<Value>, total_components: usize) -> Bound<Key> {
     Bound::Included(pad_max(prefix, total_components))
 }
 
-fn pad_max(mut key: Key, total_components: usize) -> Key {
-    while key.0.len() < total_components {
+fn pad_max(mut key: Vec<Value>, total_components: usize) -> Key {
+    while key.len() < total_components {
         // Map is the greatest tag; an empty map with the max tag outranks
         // every concrete value of lower tags in the cross-type order, and
         // a map value itself never appears inside clustering keys.
-        key.0.push(Value::Map(std::collections::BTreeMap::new()));
+        key.push(Value::Map(std::collections::BTreeMap::new()));
     }
-    key
+    key.into()
 }
 
 #[cfg(test)]
@@ -248,15 +248,15 @@ mod tests {
             Some((Value::Timestamp(9), false)),
             1,
         );
-        assert_eq!(lo, Bound::Included(Key(vec![Value::Timestamp(5)])));
-        assert_eq!(hi, Bound::Excluded(Key(vec![Value::Timestamp(9)])));
+        assert_eq!(lo, Bound::Included(Key::from(vec![Value::Timestamp(5)])));
+        assert_eq!(hi, Bound::Excluded(Key::from(vec![Value::Timestamp(9)])));
     }
 
     #[test]
     fn bounds_prefix_only_covers_extensions() {
         // Clustering key = (day, seq); pin day = 3.
         let (lo, hi) = clustering_bounds(vec![Value::BigInt(3)], None, None, 2);
-        let probe = |seq: i64| Key(vec![Value::BigInt(3), Value::BigInt(seq)]);
+        let probe = |seq: i64| Key::from(vec![Value::BigInt(3), Value::BigInt(seq)]);
         let contains = |k: &Key| -> bool {
             (match &lo {
                 Bound::Included(b) => k >= b,
@@ -271,8 +271,11 @@ mod tests {
         assert!(contains(&probe(i64::MIN)));
         assert!(contains(&probe(0)));
         assert!(contains(&probe(i64::MAX)));
-        assert!(!contains(&Key(vec![Value::BigInt(2), Value::BigInt(5)])));
-        assert!(!contains(&Key(vec![
+        assert!(!contains(&Key::from(vec![
+            Value::BigInt(2),
+            Value::BigInt(5)
+        ])));
+        assert!(!contains(&Key::from(vec![
             Value::BigInt(4),
             Value::BigInt(i64::MIN)
         ])));

@@ -166,7 +166,7 @@ mod tests {
     fn replicas_are_distinct_and_sized_rf() {
         let ring = Ring::new(8, 16, 3);
         for h in 0..200i64 {
-            let t = token_for(&Key(vec![Value::BigInt(h)]));
+            let t = token_for(&Key::from(vec![Value::BigInt(h)]));
             let reps = ring.replicas(t);
             assert_eq!(reps.len(), 3);
             let set: std::collections::HashSet<_> = reps.iter().collect();
@@ -205,7 +205,7 @@ mod tests {
         let ring = Ring::new(8, 64, 1);
         let mut counts = vec![0usize; 8];
         for i in 0..20_000i64 {
-            let t = token_for(&Key(vec![Value::BigInt(i)]));
+            let t = token_for(&Key::from(vec![Value::BigInt(i)]));
             counts[ring.primary(t).0] += 1;
         }
         let mean = 20_000.0 / 8.0;
@@ -245,7 +245,7 @@ mod tests {
         assert_eq!(shrunk.members(), ring.members());
         // Identical membership ⇒ identical placement.
         for h in 0..50i64 {
-            let t = token_for(&Key(vec![Value::BigInt(h)]));
+            let t = token_for(&Key::from(vec![Value::BigInt(h)]));
             assert_eq!(shrunk.replicas(t), ring.replicas(t));
         }
     }
@@ -258,7 +258,7 @@ mod tests {
         let direct = Ring::from_members(survivors, 8, 2);
         let derived = Ring::new(4, 8, 2).without_member(NodeId(1));
         for h in 0..100i64 {
-            let t = token_for(&Key(vec![Value::BigInt(h)]));
+            let t = token_for(&Key::from(vec![Value::BigInt(h)]));
             assert_eq!(direct.replicas(t), derived.replicas(t));
         }
     }
@@ -272,7 +272,7 @@ mod tests {
         let new = old.with_member(NodeId(6));
         let mut moved = 0;
         for h in 0..2_000i64 {
-            let t = token_for(&Key(vec![Value::BigInt(h)]));
+            let t = token_for(&Key::from(vec![Value::BigInt(h)]));
             let before = old.replicas(t);
             let after = new.replicas(t);
             if before != after {

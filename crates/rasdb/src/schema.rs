@@ -1,7 +1,8 @@
 //! Table schemas: partition keys, clustering keys, and typed columns.
 
 use crate::error::DbError;
-use crate::types::Value;
+use crate::types::{Cell, Key, Value};
+use std::sync::Arc;
 
 /// Column data types (the CQL subset the framework needs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +80,9 @@ impl ColumnType {
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
-    /// Column name.
-    pub name: String,
+    /// Column name. Interned: every stored cell of the column points at
+    /// this one allocation.
+    pub name: Arc<str>,
     /// Column type.
     pub ctype: ColumnType,
 }
@@ -99,8 +101,8 @@ pub enum KeyRole {
 /// A table schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
-    /// Table name.
-    pub name: String,
+    /// Table name, shared with every mutation that targets the table.
+    pub name: Arc<str>,
     /// Partition-key columns, in key order.
     pub partition_key: Vec<ColumnDef>,
     /// Clustering-key columns, in sort order.
@@ -111,9 +113,9 @@ pub struct TableSchema {
 
 impl TableSchema {
     /// Starts a schema builder.
-    pub fn builder(name: impl Into<String>) -> TableSchemaBuilder {
+    pub fn builder(name: impl AsRef<str>) -> TableSchemaBuilder {
         TableSchemaBuilder {
-            name: name.into(),
+            name: name.as_ref().into(),
             partition_key: Vec::new(),
             clustering_key: Vec::new(),
             columns: Vec::new(),
@@ -122,104 +124,159 @@ impl TableSchema {
 
     /// The role of `column` in this table, or `None` if unknown.
     pub fn role_of(&self, column: &str) -> Option<KeyRole> {
-        if self.partition_key.iter().any(|c| c.name == column) {
+        if self.partition_key.iter().any(|c| &*c.name == column) {
             Some(KeyRole::Partition)
-        } else if self.clustering_key.iter().any(|c| c.name == column) {
+        } else if self.clustering_key.iter().any(|c| &*c.name == column) {
             Some(KeyRole::Clustering)
-        } else if self.columns.iter().any(|c| c.name == column) {
+        } else if self.columns.iter().any(|c| &*c.name == column) {
             Some(KeyRole::Regular)
         } else {
             None
         }
     }
 
-    /// Looks up any column definition by name.
-    pub fn column(&self, name: &str) -> Option<&ColumnDef> {
+    /// Every column in slot order: partition key, clustering key, regular.
+    fn defs(&self) -> impl Iterator<Item = &ColumnDef> {
         self.partition_key
             .iter()
             .chain(&self.clustering_key)
             .chain(&self.columns)
-            .find(|c| c.name == name)
     }
 
-    /// Validates an insert's `(column, value)` list: every partition and
-    /// clustering key present and typed; regular columns known and typed.
-    pub fn validate_insert(&self, values: &[(String, Value)]) -> Result<(), DbError> {
-        for key in self.partition_key.iter().chain(&self.clustering_key) {
-            let found = values.iter().find(|(n, _)| *n == key.name).ok_or_else(|| {
+    /// The column at `slot` of [`Self::defs`].
+    fn def(&self, slot: usize) -> &ColumnDef {
+        let (pk, ck) = (self.partition_key.len(), self.clustering_key.len());
+        if slot < pk {
+            &self.partition_key[slot]
+        } else if slot < pk + ck {
+            &self.clustering_key[slot - pk]
+        } else {
+            &self.columns[slot - pk - ck]
+        }
+    }
+
+    fn key_len(&self) -> usize {
+        self.partition_key.len() + self.clustering_key.len()
+    }
+
+    /// Looks up any column definition by name.
+    pub fn column(&self, name: &str) -> Option<&ColumnDef> {
+        self.defs().find(|c| &*c.name == name)
+    }
+
+    /// Starts binding inserts to this table (one binder per batch).
+    pub(crate) fn binder(&self) -> InsertBinder<'_> {
+        InsertBinder {
+            schema: self,
+            slots: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Maps each supplied column name to its slot: every name known and
+    /// given once, every key column present.
+    fn resolve<N: AsRef<str>>(&self, values: &[(N, Value)]) -> Result<Vec<usize>, DbError> {
+        let mut slots = Vec::with_capacity(values.len());
+        for (name, _) in values {
+            let name = name.as_ref();
+            let slot = self.defs().position(|c| &*c.name == name).ok_or_else(|| {
                 DbError::SchemaViolation(format!(
-                    "missing key column '{}' in insert into '{}'",
-                    key.name, self.name
+                    "unknown column '{}' in table '{}'",
+                    name, self.name
                 ))
             })?;
-            if !key.ctype.accepts(&found.1) {
+            if slots.contains(&slot) {
                 return Err(DbError::SchemaViolation(format!(
-                    "key column '{}' expects {}, got {}",
-                    key.name,
-                    key.ctype.cql_name(),
-                    found.1
+                    "column '{}' named twice in insert into '{}'",
+                    name, self.name
                 )));
             }
+            slots.push(slot);
         }
-        for (name, value) in values {
-            match self.role_of(name) {
-                None => {
-                    return Err(DbError::SchemaViolation(format!(
-                        "unknown column '{}' in table '{}'",
-                        name, self.name
-                    )))
-                }
-                Some(KeyRole::Regular) => {
-                    let def = self.column(name).expect("role implies presence");
-                    if !def.ctype.accepts(value) {
-                        return Err(DbError::SchemaViolation(format!(
-                            "column '{}' expects {}, got {}",
-                            name,
-                            def.ctype.cql_name(),
-                            value
-                        )));
-                    }
-                }
-                Some(_) => {} // keys already checked
+        if let Some(missing) = (0..self.key_len()).find(|slot| !slots.contains(slot)) {
+            return Err(DbError::SchemaViolation(format!(
+                "missing key column '{}' in insert into '{}'",
+                self.def(missing).name,
+                self.name
+            )));
+        }
+        Ok(slots)
+    }
+}
+
+/// One insert bound to its table: partition key and clustering key in schema
+/// order, then the regular cells under their interned column names, live at
+/// write timestamp 0 until the coordinator stamps them.
+pub(crate) type BoundInsert = (Key, Key, Vec<(Arc<str>, Cell)>);
+
+/// Validates and splits the rows of one batch in a single pass per row.
+///
+/// Column names are resolved to schema slots once and the resolution is
+/// reused for every following row that names the same columns in the same
+/// order, so a batch pays for name lookups once and never allocates a name:
+/// stored cells carry the schema's interned one.
+pub(crate) struct InsertBinder<'s> {
+    schema: &'s TableSchema,
+    /// Slot of each supplied column of the row shape resolved last.
+    slots: Vec<usize>,
+    /// Scratch for key components on their way into schema order.
+    keys: Vec<Option<Value>>,
+}
+
+impl InsertBinder<'_> {
+    /// Binds one row's `(column, value)` list: every partition and
+    /// clustering key present, no column named twice, every value of its
+    /// column's type.
+    pub(crate) fn bind<N: AsRef<str>>(
+        &mut self,
+        values: Vec<(N, Value)>,
+    ) -> Result<BoundInsert, DbError> {
+        let schema = self.schema;
+        // No resolved shape is empty: a table has a partition key.
+        let same_shape = !self.slots.is_empty()
+            && values.len() == self.slots.len()
+            && values
+                .iter()
+                .zip(&self.slots)
+                .all(|((name, _), &slot)| &*schema.def(slot).name == name.as_ref());
+        if !same_shape {
+            self.slots = schema.resolve(&values)?;
+        }
+        let key_len = schema.key_len();
+        self.keys.clear();
+        self.keys.resize(key_len, None);
+        let mut cells = Vec::with_capacity(values.len() - key_len);
+        for ((_, value), &slot) in values.into_iter().zip(&self.slots) {
+            let def = schema.def(slot);
+            if !def.ctype.accepts(&value) {
+                return Err(DbError::SchemaViolation(format!(
+                    "column '{}' expects {}, got {}",
+                    def.name,
+                    def.ctype.cql_name(),
+                    value
+                )));
+            }
+            if slot < key_len {
+                self.keys[slot] = Some(value);
+            } else {
+                cells.push((Arc::clone(&def.name), Cell::live(value, 0)));
             }
         }
-        Ok(())
-    }
-
-    /// Splits insert values into (partition key, clustering key, regular
-    /// cells) in schema order. Call after [`Self::validate_insert`].
-    pub fn split_insert(
-        &self,
-        values: Vec<(String, Value)>,
-    ) -> (Vec<Value>, Vec<Value>, Vec<(String, Value)>) {
-        let mut pk = Vec::with_capacity(self.partition_key.len());
-        let mut ck = Vec::with_capacity(self.clustering_key.len());
-        let mut rest = Vec::new();
-        let mut pool: Vec<Option<(String, Value)>> = values.into_iter().map(Some).collect();
-        for key in &self.partition_key {
-            let slot = pool
-                .iter_mut()
-                .find(|s| s.as_ref().is_some_and(|(n, _)| *n == key.name))
-                .expect("validated insert");
-            pk.push(slot.take().expect("present").1);
-        }
-        for key in &self.clustering_key {
-            let slot = pool
-                .iter_mut()
-                .find(|s| s.as_ref().is_some_and(|(n, _)| *n == key.name))
-                .expect("validated insert");
-            ck.push(slot.take().expect("present").1);
-        }
-        for slot in pool.into_iter().flatten() {
-            rest.push(slot);
-        }
-        (pk, ck, rest)
+        let mut key = |len| -> Key {
+            self.keys
+                .drain(..len)
+                .map(|v| v.expect("resolve saw every key column"))
+                .collect()
+        };
+        let partition = key(schema.partition_key.len());
+        let clustering = key(schema.clustering_key.len());
+        Ok((partition, clustering, cells))
     }
 }
 
 /// Fluent builder for [`TableSchema`].
 pub struct TableSchemaBuilder {
-    name: String,
+    name: Arc<str>,
     partition_key: Vec<ColumnDef>,
     clustering_key: Vec<ColumnDef>,
     columns: Vec<ColumnDef>,
@@ -227,27 +284,27 @@ pub struct TableSchemaBuilder {
 
 impl TableSchemaBuilder {
     /// Adds a partition-key column.
-    pub fn partition_key(mut self, name: impl Into<String>, ctype: ColumnType) -> Self {
+    pub fn partition_key(mut self, name: impl AsRef<str>, ctype: ColumnType) -> Self {
         self.partition_key.push(ColumnDef {
-            name: name.into(),
+            name: name.as_ref().into(),
             ctype,
         });
         self
     }
 
     /// Adds a clustering-key column.
-    pub fn clustering_key(mut self, name: impl Into<String>, ctype: ColumnType) -> Self {
+    pub fn clustering_key(mut self, name: impl AsRef<str>, ctype: ColumnType) -> Self {
         self.clustering_key.push(ColumnDef {
-            name: name.into(),
+            name: name.as_ref().into(),
             ctype,
         });
         self
     }
 
     /// Adds a regular column.
-    pub fn column(mut self, name: impl Into<String>, ctype: ColumnType) -> Self {
+    pub fn column(mut self, name: impl AsRef<str>, ctype: ColumnType) -> Self {
         self.columns.push(ColumnDef {
-            name: name.into(),
+            name: name.as_ref().into(),
             ctype,
         });
         self
@@ -271,7 +328,7 @@ impl TableSchemaBuilder {
             .chain(&self.clustering_key)
             .chain(&self.columns)
         {
-            if !seen.insert(c.name.as_str()) {
+            if !seen.insert(&*c.name) {
                 return Err(DbError::SchemaViolation(format!(
                     "duplicate column '{}' in table '{}'",
                     c.name, self.name
@@ -332,36 +389,58 @@ mod tests {
     fn validate_insert_checks_presence_and_types() {
         let s = sample();
         let ok = vec![
-            ("hour".to_owned(), Value::BigInt(1)),
-            ("type".to_owned(), Value::text("MCE")),
-            ("ts".to_owned(), Value::Timestamp(5)),
-            ("amount".to_owned(), Value::Int(2)),
+            ("hour", Value::BigInt(1)),
+            ("type", Value::text("MCE")),
+            ("ts", Value::Timestamp(5)),
+            ("amount", Value::Int(2)),
         ];
-        assert!(s.validate_insert(&ok).is_ok());
+        assert!(s.binder().bind(ok).is_ok());
 
-        let missing_key = vec![
-            ("hour".to_owned(), Value::BigInt(1)),
-            ("ts".to_owned(), Value::Timestamp(5)),
-        ];
+        let missing_key = vec![("hour", Value::BigInt(1)), ("ts", Value::Timestamp(5))];
         assert!(matches!(
-            s.validate_insert(&missing_key),
+            s.binder().bind(missing_key),
             Err(DbError::SchemaViolation(_))
         ));
+        let nothing: Vec<(&str, Value)> = Vec::new();
+        assert!(s.binder().bind(nothing).is_err());
 
         let wrong_type = vec![
-            ("hour".to_owned(), Value::text("not a number")),
-            ("type".to_owned(), Value::text("MCE")),
-            ("ts".to_owned(), Value::Timestamp(5)),
+            ("hour", Value::text("not a number")),
+            ("type", Value::text("MCE")),
+            ("ts", Value::Timestamp(5)),
         ];
-        assert!(s.validate_insert(&wrong_type).is_err());
+        assert!(s.binder().bind(wrong_type).is_err());
 
         let unknown = vec![
-            ("hour".to_owned(), Value::BigInt(1)),
-            ("type".to_owned(), Value::text("MCE")),
-            ("ts".to_owned(), Value::Timestamp(5)),
-            ("bogus".to_owned(), Value::Int(1)),
+            ("hour", Value::BigInt(1)),
+            ("type", Value::text("MCE")),
+            ("ts", Value::Timestamp(5)),
+            ("bogus", Value::Int(1)),
         ];
-        assert!(s.validate_insert(&unknown).is_err());
+        assert!(s.binder().bind(unknown).is_err());
+    }
+
+    #[test]
+    fn a_column_named_twice_is_rejected_whatever_its_role() {
+        let s = sample();
+        let row = |extra: (&'static str, Value)| {
+            vec![
+                ("hour", Value::BigInt(1)),
+                ("type", Value::text("MCE")),
+                ("ts", Value::Timestamp(5)),
+                ("amount", Value::Int(2)),
+                extra,
+            ]
+        };
+        for extra in [
+            ("hour", Value::BigInt(1)),
+            ("hour", Value::text("a second, mistyped hour")),
+            ("ts", Value::Timestamp(6)),
+            ("amount", Value::Int(3)),
+        ] {
+            let err = s.binder().bind(row(extra)).unwrap_err();
+            assert!(matches!(err, DbError::SchemaViolation(_)), "{err}");
+        }
     }
 
     #[test]
@@ -373,11 +452,40 @@ mod tests {
             ("type".to_owned(), Value::text("MCE")),
             ("hour".to_owned(), Value::BigInt(1)),
         ];
-        s.validate_insert(&values).unwrap();
-        let (pk, ck, rest) = s.split_insert(values);
-        assert_eq!(pk, vec![Value::BigInt(1), Value::text("MCE")]);
-        assert_eq!(ck, vec![Value::Timestamp(5)]);
-        assert_eq!(rest, vec![("amount".to_owned(), Value::Int(2))]);
+        let (pk, ck, rest) = s.binder().bind(values).unwrap();
+        assert_eq!(pk, Key::from(vec![Value::BigInt(1), Value::text("MCE")]));
+        assert_eq!(ck, Key::from(vec![Value::Timestamp(5)]));
+        assert_eq!(rest, vec![("amount".into(), Cell::live(Value::Int(2), 0))]);
+        assert!(
+            Arc::ptr_eq(&rest[0].0, &s.columns[1].name),
+            "a stored cell carries the schema's own name"
+        );
+    }
+
+    #[test]
+    fn a_binder_follows_rows_that_change_shape() {
+        let s = sample();
+        let mut binder = s.binder();
+        let full = || {
+            vec![
+                ("hour", Value::BigInt(1)),
+                ("type", Value::text("MCE")),
+                ("ts", Value::Timestamp(5)),
+                ("amount", Value::Int(2)),
+            ]
+        };
+        let mut reordered = full();
+        reordered.swap(0, 3);
+        let mut renamed = full();
+        renamed[3] = ("source", Value::text("c0-0c0s0n0"));
+        let first = binder.bind(full()).unwrap();
+        assert_eq!(binder.bind(full()).unwrap(), first);
+        assert_eq!(binder.bind(reordered).unwrap(), first);
+        let (.., cells) = binder.bind(renamed).unwrap();
+        assert_eq!(&*cells[0].0, "source");
+        // A rejected row leaves the binder usable.
+        assert!(binder.bind(vec![("hour", Value::BigInt(1))]).is_err());
+        assert_eq!(binder.bind(full()).unwrap(), first);
     }
 
     #[test]

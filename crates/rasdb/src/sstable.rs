@@ -32,8 +32,8 @@ pub fn encode_stream_row(out: &mut Vec<u8>, clustering: &Key, entry: &RowEntry) 
             out.extend_from_slice(&ts.to_le_bytes());
         }
     }
-    out.extend_from_slice(&(entry.cells.len() as u32).to_le_bytes());
-    for (name, cell) in &entry.cells {
+    out.extend_from_slice(&(entry.cells().len() as u32).to_le_bytes());
+    for (name, cell) in entry.cells() {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(&cell.write_ts.to_le_bytes());
@@ -165,16 +165,16 @@ mod tests {
     use crate::types::{Cell, Value};
 
     fn pk(h: i64) -> Key {
-        Key(vec![Value::BigInt(h)])
+        Key::from(vec![Value::BigInt(h)])
     }
 
     fn ck(ts: i64) -> Key {
-        Key(vec![Value::Timestamp(ts)])
+        Key::from(vec![Value::Timestamp(ts)])
     }
 
     fn entry(v: i32, ts: u64) -> RowEntry {
         let mut e = RowEntry::default();
-        e.upsert([("v".to_owned(), Cell::live(Value::Int(v), ts))]);
+        e.upsert([("v".into(), Cell::live(Value::Int(v), ts))]);
         e
     }
 

@@ -4,16 +4,21 @@ use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A typed cell value.
 ///
 /// `Value` has a *total* order (doubles compare with `total_cmp`) so that it
-/// can serve directly as a clustering-key component inside sorted
-/// structures.
-#[derive(Debug, Clone, PartialEq)]
+/// can serve directly as a clustering-key component inside sorted and hashed
+/// structures: equality is `cmp == Equal` and the hash agrees with it, so
+/// `NaN` equals itself and `0.0` differs from `-0.0` everywhere.
+#[derive(Debug, Clone)]
 pub enum Value {
-    /// UTF-8 text.
-    Text(String),
+    /// UTF-8 text. Immutable and shared: a clone bumps a reference count,
+    /// so the replicas of a row, their commit-log records and every read of
+    /// it hold the one copy the writer made.
+    Text(Arc<str>),
     /// 32-bit integer.
     Int(i32),
     /// 64-bit integer.
@@ -33,9 +38,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// Convenience constructor for text values.
-    pub fn text(s: impl Into<String>) -> Value {
-        Value::Text(s.into())
+    /// Convenience constructor for text values: copies `s` once into the
+    /// shared allocation every later clone points at.
+    pub fn text(s: impl AsRef<str>) -> Value {
+        Value::Text(Arc::from(s.as_ref()))
     }
 
     /// Returns the text if this is a `Text` value.
@@ -136,7 +142,7 @@ impl Value {
                     return None;
                 }
                 let s = std::str::from_utf8(&rest[..len]).ok()?;
-                (Value::Text(s.to_owned()), &rest[len..])
+                (Value::text(s), &rest[len..])
             }
             1 => {
                 let (raw, rest) = take::<4>(rest)?;
@@ -198,6 +204,12 @@ impl Value {
     }
 }
 
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
 impl Eq for Value {}
 
 impl Ord for Value {
@@ -224,11 +236,21 @@ impl PartialOrd for Value {
     }
 }
 
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let mut buf = Vec::with_capacity(16);
-        self.encode_into(&mut buf);
-        buf.hash(state);
+/// Hashes in place what `cmp` compares: the variant, then the payload
+/// (doubles by bit pattern, which is what `total_cmp` tells apart).
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.tag());
+        match self {
+            Value::Text(s) => s.hash(state),
+            Value::Int(v) => v.hash(state),
+            Value::BigInt(v) | Value::Timestamp(v) => v.hash(state),
+            Value::Double(v) => v.to_bits().hash(state),
+            Value::Bool(v) => v.hash(state),
+            Value::Blob(b) => b.hash(state),
+            Value::List(items) => items.hash(state),
+            Value::Map(map) => map.hash(state),
+        }
     }
 }
 
@@ -271,14 +293,19 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 /// A composite key: the ordered components of a partition or clustering key.
+///
+/// Immutable and shared, like [`Value::Text`]: the memtables of every
+/// replica, their commit logs, hint queues, SSTables and read results all
+/// point at the components the coordinator built once. Build one with
+/// `Key::from(vec![..])`; read the components through `key.0`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Key(pub Vec<Value>);
+pub struct Key(pub Arc<[Value]>);
 
 impl Key {
     /// Binary encoding used for token hashing.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.0.len() * 12);
-        for v in &self.0 {
+        for v in self.0.iter() {
             v.encode_into(&mut out);
         }
         out
@@ -300,7 +327,13 @@ impl fmt::Display for Key {
 
 impl From<Vec<Value>> for Key {
     fn from(v: Vec<Value>) -> Key {
-        Key(v)
+        Key(v.into())
+    }
+}
+
+impl FromIterator<Value> for Key {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Key {
+        Key(iter.into_iter().collect())
     }
 }
 
@@ -333,19 +366,22 @@ impl Cell {
     /// Last-write-wins merge; ties resolve toward the tombstone, then the
     /// larger value, so merging is commutative.
     pub fn merge(a: &Cell, b: &Cell) -> Cell {
-        match a.write_ts.cmp(&b.write_ts) {
-            Ordering::Greater => a.clone(),
-            Ordering::Less => b.clone(),
-            Ordering::Equal => match (&a.value, &b.value) {
-                (None, _) => a.clone(),
-                (_, None) => b.clone(),
-                (Some(x), Some(y)) => {
-                    if x >= y {
-                        a.clone()
-                    } else {
-                        b.clone()
-                    }
-                }
+        if b.supersedes(a) {
+            b.clone()
+        } else {
+            a.clone()
+        }
+    }
+
+    /// Whether merging `self` into a row that holds `old` replaces `old`.
+    pub(crate) fn supersedes(&self, old: &Cell) -> bool {
+        match self.write_ts.cmp(&old.write_ts) {
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => match (&old.value, &self.value) {
+                (None, _) => false,
+                (_, None) => true,
+                (Some(x), Some(y)) => y > x,
             },
         }
     }
@@ -394,6 +430,34 @@ mod tests {
     }
 
     #[test]
+    fn equality_and_hash_follow_the_total_order() {
+        use std::collections::{BTreeSet, HashSet};
+        let (nan, zero, minus_zero) = (
+            Value::Double(f64::NAN),
+            Value::Double(0.0),
+            Value::Double(-0.0),
+        );
+        assert_eq!(nan, nan.clone(), "cmp says Equal, so must eq");
+        assert_ne!(zero, minus_zero, "cmp says Less, so eq must not hold");
+        // A hashed and a sorted collection fed the same keys agree on which
+        // of them are the same key.
+        let keys = [
+            Key::from(vec![nan.clone()]),
+            Key::from(vec![Value::Double(f64::NAN)]),
+            Key::from(vec![zero]),
+            Key::from(vec![minus_zero]),
+            Key::from(vec![Value::BigInt(7), Value::text("MCE")]),
+            Key::from(vec![Value::BigInt(7), Value::text("MCE")]),
+            Key::from(vec![Value::Timestamp(7), Value::text("MCE")]),
+            Key::from(vec![Value::List(vec![nan])]),
+        ];
+        let hashed: HashSet<Key> = keys.iter().cloned().collect();
+        let sorted: BTreeSet<Key> = keys.iter().cloned().collect();
+        assert_eq!(sorted.len(), 6);
+        assert_eq!(hashed.into_iter().collect::<BTreeSet<Key>>(), sorted);
+    }
+
+    #[test]
     fn cross_type_ordering_by_tag() {
         assert!(Value::text("z") < Value::Int(0));
         assert!(Value::Int(0) < Value::BigInt(0));
@@ -402,8 +466,8 @@ mod tests {
     #[test]
     fn encoding_is_injective_for_adjacent_strings() {
         // ("ab","c") must not collide with ("a","bc").
-        let k1 = Key(vec![Value::text("ab"), Value::text("c")]);
-        let k2 = Key(vec![Value::text("a"), Value::text("bc")]);
+        let k1 = Key::from(vec![Value::text("ab"), Value::text("c")]);
+        let k2 = Key::from(vec![Value::text("a"), Value::text("bc")]);
         assert_ne!(k1.encode(), k2.encode());
     }
 
@@ -433,7 +497,7 @@ mod tests {
             Value::List(vec![Value::Int(1), Value::Int(2)]).to_string(),
             "[1, 2]"
         );
-        let k = Key(vec![Value::BigInt(7), Value::text("MCE")]);
+        let k = Key::from(vec![Value::BigInt(7), Value::text("MCE")]);
         assert_eq!(k.to_string(), "(7, 'MCE')");
     }
 

@@ -1,0 +1,162 @@
+//! Allocation budget of the write path, counted, not timed.
+//!
+//! A stored row is shared pointers plus one small vector per replica, so an
+//! insert at RF 3 may allocate only a handful of times per row and leave
+//! about a kilobyte behind. This binary has its own counting allocator and
+//! one test (the counters are process-wide), so the numbers are exact and
+//! repeat on any machine.
+
+use rasdb::cluster::{Cluster, ClusterConfig};
+use rasdb::query::Consistency;
+use rasdb::schema::{ColumnType, TableSchema};
+use rasdb::types::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+/// The system allocator with two counters in front of it.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const ROWS: usize = 1_000;
+/// Allocations one inserted row may cost, all three replicas included.
+const MAX_ALLOCATIONS_PER_ROW: f64 = 15.0;
+/// Bytes one inserted row may leave live, all three replicas included.
+const MAX_LIVE_BYTES_PER_ROW: f64 = 1.6 * 1024.0;
+/// What one round may leave behind outside the cluster: the spans of its two
+/// `insert_batch` calls in the process-wide trace ring.
+const ROUND_RESIDUE_BYTES: isize = 8 * 1024;
+
+/// Four nodes, RF 3, the two event tables of the framework.
+fn cluster() -> Cluster {
+    let c = Cluster::new(ClusterConfig {
+        nodes: 4,
+        replication_factor: 3,
+        vnodes: 8,
+    });
+    for (table, partition_col, clustering_col) in [
+        ("event_by_time", "type", "source"),
+        ("event_by_location", "source", "type"),
+    ] {
+        let schema = TableSchema::builder(table)
+            .partition_key("hour", ColumnType::BigInt)
+            .partition_key(partition_col, ColumnType::Text)
+            .clustering_key("ts", ColumnType::Timestamp)
+            .clustering_key(clustering_col, ColumnType::Text)
+            .column("amount", ColumnType::Int)
+            .column("raw", ColumnType::Text)
+            .build()
+            .unwrap();
+        c.create_table(schema).unwrap();
+    }
+    c
+}
+
+/// A thousand events over four hours, five types and fifty sources: twenty
+/// `event_by_time` partitions of fifty rows, two hundred `event_by_location`
+/// partitions of five. (A partition of one row costs a B-tree leaf of some
+/// 600 bytes per replica whatever the row holds; that is not what this
+/// budget is about.)
+fn events() -> Vec<Vec<(&'static str, Value)>> {
+    const TYPES: [&str; 5] = ["MCE", "LUSTRE_ERR", "MEM_ECC", "GPU_XID", "KERNEL_PANIC"];
+    (0..ROWS as i64)
+        .map(|i| {
+            vec![
+                ("hour", Value::BigInt(417_000 + i / 250)),
+                ("type", Value::text(TYPES[(i % 5) as usize])),
+                ("ts", Value::Timestamp(1_501_200_000_000 + i * 14_400)),
+                (
+                    "source",
+                    Value::text(format!("c{}-{}c0s{}n1", i % 2, i % 5, i % 50 / 10)),
+                ),
+                ("amount", Value::Int(1)),
+                (
+                    "raw",
+                    Value::text(format!(
+                        "event {i}: a log line of the usual seventy bytes or so"
+                    )),
+                ),
+            ]
+        })
+        .collect()
+}
+
+/// One round: a fresh cluster, one batch into each table. Returns, per
+/// table, the allocations `insert_batch` made and the bytes it left live
+/// (the batch it was handed included), both per row.
+fn round() -> [(f64, f64); 2] {
+    let c = cluster();
+    let measured = ["event_by_time", "event_by_location"].map(|table| {
+        let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+        let batch = events();
+        let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let written = c.insert_batch(table, batch, Consistency::Quorum).unwrap();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
+        let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+        assert_eq!(written, ROWS);
+        (allocations as f64 / ROWS as f64, live as f64 / ROWS as f64)
+    });
+    assert_eq!(c.stats().writes, 2 * 3 * ROWS as u64, "three replicas each");
+    measured
+}
+
+#[test]
+fn an_inserted_row_costs_a_few_allocations_and_a_kilobyte_and_leaks_nothing() {
+    // Once for whatever the process sets up on first use (telemetry's
+    // registry and ring, the test harness's own buffers).
+    round();
+
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+    let measured = round();
+    let residue = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+
+    for (table, (allocations, live)) in ["event_by_time", "event_by_location"].iter().zip(measured)
+    {
+        println!("{table}: {allocations:.1} allocations, {live:.0} live bytes per row");
+        assert!(
+            allocations <= MAX_ALLOCATIONS_PER_ROW,
+            "{table}: {allocations:.1} allocations per inserted row"
+        );
+        assert!(
+            live <= MAX_LIVE_BYTES_PER_ROW,
+            "{table}: {live:.0} bytes live per inserted row"
+        );
+    }
+    // Every shared pointer went with the cluster.
+    assert!(
+        residue <= ROUND_RESIDUE_BYTES,
+        "{residue} bytes outlived a dropped cluster"
+    );
+}

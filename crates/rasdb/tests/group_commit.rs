@@ -7,12 +7,14 @@
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
+use rasdb::memtable::RowEntry;
 use rasdb::node::NodeConfig;
 use rasdb::query::Consistency;
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
+use rasdb::sstable::{encode_stream_chunk, stream_chunk_checksum};
 use rasdb::topology::TopologyFaultPlan;
-use rasdb::types::{Key, Row, Value};
+use rasdb::types::{Cell, Key, Row, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,7 +61,7 @@ fn row(hour: i64, ts: i64, v: i32) -> Vec<(String, Value)> {
 }
 
 fn pk(hour: i64) -> Key {
-    Key(vec![Value::BigInt(hour)])
+    Key::from(vec![Value::BigInt(hour)])
 }
 
 /// One coordinator call on the batched cluster.
@@ -341,6 +343,277 @@ fn a_bad_row_rejects_the_batch_before_anything_is_written() {
     }
     assert!(replica_views(&c).values().flatten().all(Vec::is_empty));
     assert!(scan(&c, Consistency::All).iter().all(Vec::is_empty));
+}
+
+/// A column named twice used to pass: only the first `hour` was type-checked
+/// and the second was stored as a regular cell called `hour`.
+#[test]
+fn a_column_named_twice_rejects_the_batch_before_anything_is_written() {
+    for (name, value) in [
+        ("hour", Value::BigInt(1)),
+        ("hour", Value::text("stored as a cell, once")),
+        ("ts", Value::Timestamp(1)),
+        ("v", Value::Int(7)),
+    ] {
+        let c = cluster();
+        let mut batch: Vec<_> = (0..4).map(|i| row(1, i, i as i32)).collect();
+        batch[2].push((name.to_owned(), value));
+        let err = c.insert_batch("a", batch, Consistency::Quorum).unwrap_err();
+        assert!(matches!(err, DbError::SchemaViolation(_)), "{name}: {err}");
+
+        assert_eq!(c.stats().writes, 0, "second `{name}`");
+        assert_eq!(c.data_version("a", &pk(1)), 0, "second `{name}`");
+        assert!(scan(&c, Consistency::All).iter().all(Vec::is_empty));
+        // No timestamp was drawn for the rejected batch: the next write is
+        // stamped as a twin's first write is.
+        let twin = cluster();
+        for c in [&c, &twin] {
+            c.insert_owned("a", row(1, 0, 0), Consistency::All).unwrap();
+        }
+        assert_eq!(raw_views(&c, "a", 1), raw_views(&twin, "a", 1));
+    }
+}
+
+/// What each of the four nodes holds of one partition, write timestamps and
+/// tombstones included (`None` while a node is down).
+fn raw_views(c: &Cluster, table: &str, hour: i64) -> Vec<Option<Vec<(Key, RowEntry)>>> {
+    (0..c.node_count())
+        .map(|n| c.node(NodeId(n)).read_raw(table, &pk(hour), &full_range()))
+        .collect()
+}
+
+/// The replicas of a row hold the same `Arc`'d keys, names and values, and
+/// must still be three rows: an overwrite and a delete that one replica
+/// misses (it is down, and a hint queue of one keeps only the last hint)
+/// change the other two and not the one that missed them, exactly as on a
+/// twin written row by row; a read at ALL then repairs it.
+#[test]
+fn a_replica_that_misses_an_overwrite_keeps_its_own_row() {
+    let (batched, twin) = (cluster(), cluster());
+    let write = |rows: Vec<(i64, i64, i32)>| [Step::Batch { table: 0, rows }];
+    let first = write((0..5).map(|ts| (0, ts, 1)).collect());
+    assert_eq!(
+        apply(&first, &batched, &twin, Consistency::All),
+        ([(0, 0)].into(), None, None)
+    );
+    let owners = batched.owners(&pk(0));
+    let stale = owners[2];
+    let before = raw_views(&batched, "a", 0);
+
+    for c in [&batched, &twin] {
+        c.set_hint_cap(1);
+        c.take_node_down(stale);
+    }
+    let missed = [
+        Step::Batch {
+            table: 0,
+            rows: vec![(0, 1, 2), (0, 3, 2)],
+        },
+        Step::Delete {
+            table: 0,
+            hour: 0,
+            ts: 2,
+        },
+    ];
+    let (_, batched_err, twin_err) = apply(&missed, &batched, &twin, Consistency::Quorum);
+    assert_eq!((batched_err, twin_err), (None, None));
+    for c in [&batched, &twin] {
+        assert_eq!(c.pending_hints(stale), 1);
+        // Revive the replica without its last hint either.
+        c.node(stale).set_up(true);
+    }
+
+    let views = raw_views(&batched, "a", 0);
+    assert_eq!(views, raw_views(&twin, "a", 0), "batched vs twin");
+    assert_eq!(views[stale.0], before[stale.0], "the stale replica changed");
+    assert_ne!(views[owners[0].0], views[stale.0]);
+    assert_eq!(views[owners[0].0], views[owners[1].0]);
+
+    for c in [&batched, &twin] {
+        let rows = c.select("a").partition(vec![Value::BigInt(0)]);
+        let rows = rows.run(Consistency::All).unwrap();
+        let stored: Vec<_> = rows.iter().map(|r| r.cell("v").cloned()).collect();
+        assert_eq!(stored, [1, 2, 2, 1].map(|v| Some(Value::Int(v))));
+    }
+    let repaired = raw_views(&batched, "a", 0);
+    assert_eq!(repaired, raw_views(&twin, "a", 0), "batched vs twin");
+    for id in &owners {
+        assert_eq!(repaired[id.0], repaired[owners[0].0], "replica {id:?}");
+    }
+}
+
+/// The stream encoding of a fixed partition, checksummed on the commit
+/// before rows became sorted vectors of shared names: the bytes on the wire
+/// did not change.
+#[test]
+fn stream_chunk_bytes_are_what_they_were() {
+    let partition = Key::from(vec![Value::BigInt(417_000), Value::text("MCE")]);
+    let ck = |ts: i64, source: &str| Key::from(vec![Value::Timestamp(ts), Value::text(source)]);
+    let mut live = RowEntry::default();
+    live.upsert([
+        (
+            "raw".into(),
+            Cell::live(Value::text("Machine Check Exception: bank 1"), 5),
+        ),
+        ("amount".into(), Cell::live(Value::Int(2), 5)),
+    ]);
+    let mut dead_cell = RowEntry::default();
+    dead_cell.upsert([
+        ("amount".into(), Cell::live(Value::Int(1), 6)),
+        ("raw".into(), Cell::tombstone(7)),
+    ]);
+    let mut dead_row = RowEntry::default();
+    dead_row.upsert([("amount".into(), Cell::live(Value::Int(4), 8))]);
+    dead_row.delete(9);
+    let rows = [
+        (ck(1_501_200_000_123, "c0-0c0s0n0"), live),
+        (ck(1_501_200_000_456, "c0-0c0s0n1"), dead_cell),
+        (ck(1_501_200_000_789, "c0-0c0s0n2"), dead_row),
+    ];
+    let encoded = encode_stream_chunk(&partition, &rows);
+    assert_eq!(encoded.len(), 272);
+    assert_eq!(stream_chunk_checksum(&encoded), 0x6ead_47dd_abfe_4db5);
+}
+
+/// A stored row as it was before it became a sorted vector: a `BTreeMap` of
+/// owned names, merged cell by cell.
+#[derive(Debug, Clone, Default)]
+struct ModelRow {
+    cells: BTreeMap<String, Cell>,
+    deleted_at: Option<u64>,
+}
+
+impl ModelRow {
+    fn upsert(&mut self, cells: &[(String, Cell)]) {
+        for (name, new) in cells {
+            let newer = match self.cells.get(name) {
+                None => true,
+                Some(old) if new.write_ts != old.write_ts => new.write_ts > old.write_ts,
+                // A tie goes to the tombstone, then to the larger value.
+                Some(old) => match (&old.value, &new.value) {
+                    (None, _) => false,
+                    (_, None) => true,
+                    (Some(x), Some(y)) => y > x,
+                },
+            };
+            if newer {
+                self.cells.insert(name.clone(), new.clone());
+            }
+        }
+    }
+
+    fn delete(&mut self, ts: u64) {
+        self.deleted_at = self.deleted_at.max(Some(ts));
+    }
+
+    fn visible(&self) -> Option<BTreeMap<String, Value>> {
+        let cells: BTreeMap<String, Value> = self
+            .cells
+            .iter()
+            .filter(|(_, c)| self.deleted_at.is_none_or(|ts| c.write_ts > ts))
+            .filter_map(|(n, c)| Some((n.clone(), c.value.clone()?)))
+            .collect();
+        (!cells.is_empty()).then_some(cells)
+    }
+
+    /// The stream encoding of a one-row chunk, written out from the format.
+    fn encoded(&self, partition: &Key, clustering: &Key) -> Vec<u8> {
+        let mut out = Vec::new();
+        let sized = |out: &mut Vec<u8>, bytes: &[u8]| {
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
+        };
+        sized(&mut out, &partition.encode());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        sized(&mut out, &clustering.encode());
+        match self.deleted_at {
+            None => out.push(0),
+            Some(ts) => {
+                out.push(1);
+                out.extend_from_slice(&ts.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(self.cells.len() as u32).to_le_bytes());
+        for (name, cell) in &self.cells {
+            sized(&mut out, name.as_bytes());
+            out.extend_from_slice(&cell.write_ts.to_le_bytes());
+            match &cell.value {
+                None => out.push(0),
+                Some(v) => {
+                    out.push(1);
+                    v.encode_into(&mut out);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// One change to a stored row.
+#[derive(Debug, Clone)]
+enum RowOp {
+    Upsert(Vec<(String, Cell)>),
+    Delete(u64),
+}
+
+fn arb_row_ops() -> impl Strategy<Value = Vec<RowOp>> {
+    // Five names and six timestamps: collisions and ties are the rule.
+    const NAMES: [&str; 5] = ["amount", "raw", "a", "zeta", "m"];
+    let name = (0..NAMES.len()).prop_map(|i| NAMES[i]);
+    let value = prop_oneof![
+        Just(None),
+        (0..4i32).prop_map(|v| Some(Value::Int(v))),
+        "[a-c]{0,2}".prop_map(|s| Some(Value::text(s))),
+    ];
+    let cell = (name, value, 0..6u64)
+        .prop_map(|(name, value, write_ts)| (name.to_owned(), Cell { value, write_ts }));
+    let op = prop_oneof![
+        3 => prop::collection::vec(cell, 0..4).prop_map(RowOp::Upsert),
+        1 => (0..6u64).prop_map(RowOp::Delete),
+    ];
+    prop::collection::vec(op, 0..8)
+}
+
+fn build(ops: &[RowOp]) -> (RowEntry, ModelRow) {
+    let (mut row, mut model) = (RowEntry::default(), ModelRow::default());
+    for op in ops {
+        match op {
+            RowOp::Upsert(cells) => {
+                row.upsert(cells.iter().map(|(n, c)| (n.as_str().into(), c.clone())));
+                model.upsert(cells);
+            }
+            RowOp::Delete(ts) => {
+                row.delete(*ts);
+                model.delete(*ts);
+            }
+        }
+    }
+    (row, model)
+}
+
+proptest! {
+    /// Upserts, deletes and merges leave the vector-backed row showing and
+    /// encoding what the map-backed row it replaced shows and encodes.
+    #[test]
+    fn a_vec_backed_row_is_the_map_backed_row(left in arb_row_ops(), right in arb_row_ops()) {
+        let (row, mut model) = build(&left);
+        let (other, other_model) = build(&right);
+        let merged = RowEntry::merge(row, other);
+        if let Some(ts) = other_model.deleted_at {
+            model.delete(ts);
+        }
+        let theirs: Vec<_> = other_model.cells.into_iter().collect();
+        model.upsert(&theirs);
+
+        prop_assert!(merged.cells().windows(2).all(|w| w[0].0 < w[1].0), "sorted, no duplicates");
+        prop_assert_eq!(merged.weight(), model.cells.len() + 1);
+        prop_assert_eq!(merged.visible(), model.visible());
+        let (partition, clustering) = (pk(3), Key::from(vec![Value::Timestamp(9)]));
+        prop_assert_eq!(
+            encode_stream_chunk(&partition, &[(clustering.clone(), merged)]),
+            model.encoded(&partition, &clustering)
+        );
+    }
 }
 
 /// A batch written while a join is streaming reaches the old owners and

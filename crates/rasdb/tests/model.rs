@@ -215,7 +215,7 @@ proptest! {
     fn replica_sets_are_stable_and_distinct(keys in prop::collection::vec(any::<i64>(), 1..50)) {
         let cluster = Cluster::new(ClusterConfig { nodes: 8, replication_factor: 3, vnodes: 16 });
         for k in keys {
-            let key = Key(vec![Value::BigInt(k)]);
+            let key = Key::from(vec![Value::BigInt(k)]);
             let a = cluster.owners(&key);
             let b = cluster.owners(&key);
             prop_assert_eq!(&a, &b);

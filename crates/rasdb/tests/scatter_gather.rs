@@ -72,13 +72,13 @@ fn to_plan(spec: &PlanSpec) -> ReadPlan {
     let range = match spec.range {
         None => full_range(),
         Some((from, to)) => (
-            Bound::Included(Key(vec![Value::Timestamp(from)])),
-            Bound::Excluded(Key(vec![Value::Timestamp(to)])),
+            Bound::Included(Key::from(vec![Value::Timestamp(from)])),
+            Bound::Excluded(Key::from(vec![Value::Timestamp(to)])),
         ),
     };
     ReadPlan {
         table: "t".into(),
-        partition: Key(vec![Value::BigInt(spec.hour)]),
+        partition: Key::from(vec![Value::BigInt(spec.hour)]),
         range,
         limit: spec.limit,
         descending: spec.descending,

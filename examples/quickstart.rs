@@ -60,7 +60,7 @@ fn main() {
     // Fig 4: where do (hour, type) partitions live on the ring?
     println!("\npartition placement by (hour, type) hash (paper Fig 4):");
     for hour in 0..4i64 {
-        let key = Key(vec![
+        let key = Key::from(vec![
             Value::BigInt(cfg.start_ms / HOUR_MS + hour),
             Value::text("MCE"),
         ]);

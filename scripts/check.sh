@@ -39,9 +39,11 @@ ETL_FASTPATH_SMOKE=1 cargo bench -q -p hpclog-bench --bench etl_fastpath
 echo "==> columnar analytics bench (smoke mode, speedup gate relaxed to >=2x)"
 ANALYTICS_COLUMNAR_SMOKE=1 cargo bench -q -p hpclog-bench --bench analytics_columnar
 
-# The exit code is the check: what the generator wrote vs what was stored.
-for workload in import_day stream_storm; do
-  echo "==> write-path smoke: perfbench $workload"
+# The exit code is the check: what the generator wrote vs what was stored,
+# and (dash_cold) the stored rows read back through read_multi and the column
+# blocks against generator truth, responses byte-identical across rounds.
+for workload in import_day stream_storm dash_cold; do
+  echo "==> pipeline smoke: perfbench $workload"
   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin pipeline -- \
     --workload "$workload" --smoke
 done

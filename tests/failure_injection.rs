@@ -49,11 +49,11 @@ fn ingest_continues_with_one_node_down_and_recovers_it() {
 
     // Bring the node back: hints replay, then reads at ALL succeed too.
     fw.cluster().bring_node_up(NodeId(2));
-    let key = Key(vec![Value::BigInt(0), Value::text("MCE")]);
+    let key = Key::from(vec![Value::BigInt(0), Value::text("MCE")]);
     let rows = fw
         .cluster()
         .select("event_by_time")
-        .partition(key.0.clone())
+        .partition(key.0.to_vec())
         .run(Consistency::All)
         .expect("read at ALL after recovery");
     assert_eq!(rows.len(), 50);
@@ -63,7 +63,7 @@ fn ingest_continues_with_one_node_down_and_recovers_it() {
 fn reads_fail_cleanly_beyond_the_consistency_budget() {
     let fw = boot(3, 3);
     fw.insert_event(&ev(0, "c0-0c0s0n0")).expect("write");
-    let key = Key(vec![Value::BigInt(0), Value::text("MCE")]);
+    let key = Key::from(vec![Value::BigInt(0), Value::text("MCE")]);
     let owners = fw.cluster().owners(&key);
     fw.cluster().take_node_down(owners[0]);
     fw.cluster().take_node_down(owners[1]);
@@ -71,13 +71,13 @@ fn reads_fail_cleanly_beyond_the_consistency_budget() {
     let one = fw
         .cluster()
         .select("event_by_time")
-        .partition(key.0.clone())
+        .partition(key.0.to_vec())
         .run(Consistency::One);
     assert!(one.is_ok());
     let quorum = fw
         .cluster()
         .select("event_by_time")
-        .partition(key.0.clone())
+        .partition(key.0.to_vec())
         .run(Consistency::Quorum);
     assert!(matches!(
         quorum,
