@@ -95,7 +95,7 @@ fn scatter(cluster: &Cluster, plans: &[ReadPlan]) -> usize {
         .read_multi(plans, Consistency::Quorum)
         .unwrap()
         .iter()
-        .map(Vec::len)
+        .map(|rows| rows.len())
         .sum()
 }
 

@@ -31,17 +31,21 @@ const STOPWORDS: &[&str] = &[
     "its",
 ];
 
-/// Splits a message into analyzable tokens: alphanumeric runs, length ≥ 3,
-/// not purely numeric (hex object ids like `OST0041` survive; raw numbers
-/// and addresses don't), stopwords removed, case preserved.
-pub fn tokenize(message: &str) -> Vec<String> {
+/// Splits a message into analyzable tokens, borrowed from it: alphanumeric
+/// runs, length ≥ 3, not purely numeric (hex object ids like `OST0041`
+/// survive; raw numbers and addresses don't), stopwords removed, case
+/// preserved.
+pub fn tokens(message: &str) -> impl Iterator<Item = &str> {
     message
         .split(|c: char| !c.is_ascii_alphanumeric())
         .filter(|tok| tok.len() >= 3)
         .filter(|tok| !tok.bytes().all(|b| b.is_ascii_hexdigit()))
-        .filter(|tok| !STOPWORDS.contains(&tok.to_ascii_lowercase().as_str()))
-        .map(str::to_owned)
-        .collect()
+        .filter(|tok| !STOPWORDS.iter().any(|w| w.eq_ignore_ascii_case(tok)))
+}
+
+/// [`tokens`], each copied into a `String` of its own.
+pub fn tokenize(message: &str) -> Vec<String> {
+    tokens(message).map(str::to_owned).collect()
 }
 
 /// Sequential word count (the baseline the parallel path is compared to).
@@ -113,10 +117,11 @@ pub fn tf_idf(messages: &[String]) -> HashMap<String, f64> {
 /// Word count over the raw messages of one event type in a window — the
 /// paper's Fig 7 workflow (raw Lustre lines → word bubbles → dead OST).
 ///
-/// Closed hours tokenize straight off the columnar raw-message buffer
-/// (zero-copy slices, no per-row `String` materialization); open hours
-/// collect their messages from the row path and count on the engine.
-/// Both merge by summing, so totals are independent of the split.
+/// Closed hours count borrowed tokens straight off the columnar
+/// raw-message buffer, a block at a time, and copy a term only when the
+/// result first meets it; open hours collect their messages from the row
+/// path and count on the engine. Both merge by summing, so totals are
+/// independent of the split.
 pub fn word_count_events(
     fw: &Framework,
     event_type: &str,
@@ -129,9 +134,18 @@ pub fn word_count_events(
     for part in &scan.parts {
         match part {
             crate::columnar::HourScan::Columnar(b) => {
+                let mut of_block: HashMap<&str, u64> = HashMap::new();
                 for i in b.range(from_ms, to_ms) {
-                    for tok in tokenize(b.raw(i)) {
-                        *counts.entry(tok).or_insert(0) += 1;
+                    for tok in tokens(b.raw(i)) {
+                        *of_block.entry(tok).or_insert(0) += 1;
+                    }
+                }
+                for (tok, n) in of_block {
+                    match counts.get_mut(tok) {
+                        Some(total) => *total += n,
+                        None => {
+                            counts.insert(tok.to_owned(), n);
+                        }
                     }
                 }
             }
@@ -172,6 +186,81 @@ mod tests {
     fn short_tokens_dropped() {
         assert!(tokenize("an ab xyz").contains(&"xyz".to_owned()));
         assert_eq!(tokenize("a bb cc").len(), 0);
+    }
+
+    /// `tokenize` as it was before `tokens`: an owned token per candidate
+    /// and a lower-cased copy per stop-word test.
+    fn tokenize_owned(message: &str) -> Vec<String> {
+        message
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|tok| tok.len() >= 3)
+            .filter(|tok| !tok.bytes().all(|b| b.is_ascii_hexdigit()))
+            .filter(|tok| !STOPWORDS.contains(&tok.to_ascii_lowercase().as_str()))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// Messages of hex runs, words, stop words in any case and non-ASCII
+    /// text, glued by separators and by nothing.
+    fn arb_message() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let stopword = prop_oneof![Just("THE"), Just("With"), Just("nOt"), Just("all")];
+        let piece = prop_oneof![
+            3 => "[a-fA-F0-9]{1,5}",
+            3 => "[A-Za-z]{1,6}",
+            1 => stopword.prop_map(str::to_owned),
+            2 => "\\PC{1,3}",
+            3 => "[ :_.-]{0,2}",
+        ];
+        prop::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn borrowed_tokens_are_the_owned_tokens(message in arb_message()) {
+            let borrowed: Vec<&str> = tokens(&message).collect();
+            proptest::prop_assert_eq!(&borrowed, &tokenize_owned(&message));
+            proptest::prop_assert_eq!(tokenize(&message), borrowed);
+        }
+    }
+
+    /// Across the watermark — blocks for the closed hours, rows for the
+    /// open one — the count is the serial count of the same messages.
+    #[test]
+    fn word_count_events_is_the_serial_count_of_the_scanned_messages() {
+        use crate::model::event::EventRecord;
+        use crate::model::keys::HOUR_MS;
+        let fw = Framework::new(FrameworkConfig {
+            db_nodes: 2,
+            replication_factor: 1,
+            vnodes: 4,
+            topology: Topology::scaled(1, 1),
+            ..Default::default()
+        })
+        .unwrap();
+        for i in 0..90i64 {
+            fw.insert_event(&EventRecord {
+                ts_ms: i * 2 * 60_000,
+                event_type: "LUSTRE_ERR".into(),
+                source: format!("c0-0c0s{}n0", i % 8),
+                amount: 1,
+                raw: format!(
+                    "LustreError: OST{:04x} with timeout THE ost_write retry{} ffff{i:04x}",
+                    i % 5,
+                    i % 3
+                ),
+            })
+            .unwrap();
+        }
+        fw.note_ingest_commit(2 * HOUR_MS);
+        let (from, to) = (10 * 60_000, 3 * HOUR_MS);
+        let scan = fw.scan_window("LUSTRE_ERR", from, to).unwrap();
+        let messages: Vec<String> = scan.records().into_iter().map(|e| e.raw).collect();
+        assert_eq!(messages.len(), 85);
+        let counts = word_count_events(&fw, "LUSTRE_ERR", from, to).unwrap();
+        assert_eq!(counts, word_count_serial(&messages));
+        assert_eq!(counts["LustreError"], 85);
+        assert!(!counts.contains_key("THE") && !counts.contains_key("with"));
     }
 
     #[test]

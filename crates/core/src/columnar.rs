@@ -71,7 +71,7 @@ impl ColumnBlock {
         let mut raw_offsets = Vec::with_capacity(rows.len() + 1);
         let mut raw_bytes = Vec::new();
         let mut dict: Vec<String> = Vec::new();
-        let mut seen: HashMap<String, u32> = HashMap::new();
+        let mut seen: HashMap<&str, u32> = HashMap::new();
         raw_offsets.push(0);
         for row in rows {
             let (Some(t), Some(source)) = (
@@ -80,7 +80,7 @@ impl ColumnBlock {
             ) else {
                 continue;
             };
-            let id = *seen.entry(source.to_owned()).or_insert_with(|| {
+            let id = *seen.entry(source).or_insert_with(|| {
                 dict.push(source.to_owned());
                 (dict.len() - 1) as u32
             });
@@ -457,15 +457,13 @@ mod tests {
     use rasdb::types::{Key, Value};
 
     fn row(ts: i64, source: &str, amount: i64, raw: &str) -> Row {
-        Row {
-            clustering: Key::from(vec![Value::Timestamp(ts), Value::text(source)]),
-            cells: [
-                ("amount".to_owned(), Value::BigInt(amount)),
-                ("raw".to_owned(), Value::text(raw)),
-            ]
-            .into_iter()
-            .collect(),
-        }
+        Row::new(
+            Key::from(vec![Value::Timestamp(ts), Value::text(source)]),
+            [
+                ("amount".into(), Value::BigInt(amount)),
+                ("raw".into(), Value::text(raw)),
+            ],
+        )
     }
 
     fn block() -> ColumnBlock {
@@ -510,10 +508,7 @@ mod tests {
 
     #[test]
     fn malformed_rows_are_skipped_like_the_row_path() {
-        let bad = Row {
-            clustering: Key::from(vec![Value::text("not a ts")]),
-            cells: Default::default(),
-        };
+        let bad = Row::new(Key::from(vec![Value::text("not a ts")]), []);
         let b = ColumnBlock::build(0, "MCE", &[bad, row(5, "n0", 1, "x")]);
         assert_eq!(b.len(), 1);
         assert_eq!(b.ts, vec![5]);

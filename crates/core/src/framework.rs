@@ -278,7 +278,7 @@ impl Framework {
         let batches = self.cluster.read_multi(&plans, self.consistency)?;
         Ok(batches
             .iter()
-            .flatten()
+            .flat_map(|rows| rows.iter())
             .filter_map(|r| EventRecord::from_time_row(event_type, r))
             .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
             .collect())
@@ -399,7 +399,7 @@ impl Framework {
         let batches = self.cluster.read_multi(&plans, self.consistency)?;
         Ok(batches
             .iter()
-            .flatten()
+            .flat_map(|rows| rows.iter())
             .filter_map(|r| EventRecord::from_location_row(source, r))
             .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
             .collect())
@@ -475,7 +475,7 @@ impl Framework {
         let batches = self.cluster.read_multi(&plans, self.consistency)?;
         Ok(batches
             .iter()
-            .flatten()
+            .flat_map(|rows| rows.iter())
             .filter_map(|r| AppRun::from_row(r, None, None))
             .filter(|a| a.start_ms >= from_ms && a.start_ms < to_ms)
             .collect())

@@ -186,27 +186,22 @@ mod tests {
     #[test]
     fn roundtrip_from_row() {
         let run = sample();
-        let row = Row {
-            clustering: Key::from(vec![
+        let row = Row::new(
+            Key::from(vec![
                 Value::Timestamp(run.start_ms),
                 Value::BigInt(run.apid),
             ]),
-            cells: run
-                .to_time_row()
+            run.to_time_row()
                 .into_iter()
                 .filter(|(n, _)| !matches!(*n, "hour" | "start_ts" | "apid"))
-                .map(|(n, v)| (n.to_owned(), v))
-                .collect(),
-        };
+                .map(|(n, v)| (n.into(), v)),
+        );
         assert_eq!(AppRun::from_row(&row, None, None).unwrap(), run);
     }
 
     #[test]
     fn from_row_uses_fallbacks_when_cells_missing() {
-        let row = Row {
-            clustering: Key::from(vec![Value::Timestamp(5), Value::BigInt(1)]),
-            cells: Default::default(),
-        };
+        let row = Row::new(Key::from(vec![Value::Timestamp(5), Value::BigInt(1)]), []);
         let run = AppRun::from_row(&row, Some("u"), Some("a")).unwrap();
         assert_eq!(run.user, "u");
         assert_eq!(run.app, "a");

@@ -125,24 +125,22 @@ mod tests {
     fn roundtrip_through_db_rows() {
         use rasdb::types::Key;
         let ev = sample();
-        let row = Row {
-            clustering: Key::from(vec![Value::Timestamp(ev.ts_ms), Value::text(&ev.source)]),
-            cells: [
-                ("amount".to_owned(), Value::Int(ev.amount)),
-                ("raw".to_owned(), Value::text(&ev.raw)),
-            ]
-            .into_iter()
-            .collect(),
-        };
+        let row = Row::new(
+            Key::from(vec![Value::Timestamp(ev.ts_ms), Value::text(&ev.source)]),
+            [
+                ("amount".into(), Value::Int(ev.amount)),
+                ("raw".into(), Value::text(&ev.raw)),
+            ],
+        );
         assert_eq!(EventRecord::from_time_row("MCE", &row).unwrap(), ev);
 
-        let loc_row = Row {
-            clustering: Key::from(vec![
+        let loc_row = Row::new(
+            Key::from(vec![
                 Value::Timestamp(ev.ts_ms),
                 Value::text(&ev.event_type),
             ]),
-            cells: row.cells.clone(),
-        };
+            row.cells().iter().cloned(),
+        );
         assert_eq!(
             EventRecord::from_location_row("c0-0c0s0n0", &loc_row).unwrap(),
             ev
@@ -152,10 +150,7 @@ mod tests {
     #[test]
     fn missing_cells_default() {
         use rasdb::types::Key;
-        let row = Row {
-            clustering: Key::from(vec![Value::Timestamp(5), Value::text("n")]),
-            cells: Default::default(),
-        };
+        let row = Row::new(Key::from(vec![Value::Timestamp(5), Value::text("n")]), []);
         let ev = EventRecord::from_time_row("MCE", &row).unwrap();
         assert_eq!(ev.amount, 1);
         assert_eq!(ev.raw, "");
@@ -164,10 +159,7 @@ mod tests {
     #[test]
     fn malformed_rows_return_none() {
         use rasdb::types::Key;
-        let row = Row {
-            clustering: Key::default(),
-            cells: Default::default(),
-        };
+        let row = Row::new(Key::default(), []);
         assert!(EventRecord::from_time_row("MCE", &row).is_none());
     }
 

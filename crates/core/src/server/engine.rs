@@ -10,7 +10,7 @@
 //! for the wire format. `events` and `apps` paginate with opaque cursors
 //! backed by the coordinator's scatter-gather `read_multi`.
 
-use crate::analytics::distribution::{distribution_of, GroupBy};
+use crate::analytics::distribution::{distribution, distribution_of, Distribution, GroupBy};
 use crate::analytics::{correlation, heatmap, histogram, synopsis, text, transfer_entropy};
 use crate::framework::Framework;
 use crate::model::keys::{DAY_MS, HOUR_MS};
@@ -383,10 +383,8 @@ impl QueryEngine {
             "application" | "app" => GroupBy::Application,
             other => return Err(ApiError::bad_request(format!("unknown grouping '{other}'"))),
         };
-        let compute = || {
-            let events = ctx.fetch_events(&self.fw)?;
-            let d = distribution_of(&self.fw, &events, by)?;
-            Ok(OpOutput::data([
+        let output = |d: Distribution| {
+            OpOutput::data([
                 (
                     "entries",
                     json_array(
@@ -396,18 +394,20 @@ impl QueryEngine {
                     ),
                 ),
                 ("unattributed", Json::from(d.unattributed)),
-            ]))
+            ])
         };
-        // Only the pure (type, window) selection is memoized; source,
-        // cabinet, user, and app filters join per-request state whose
-        // dependencies are not expressible as hour partitions.
-        let Some(t) = ctx.event_type.clone() else {
-            return compute();
+        // Only the pure (type, window) selection runs on column blocks and
+        // is memoized; source, cabinet, user, and app filters join
+        // per-request state whose dependencies are not expressible as hour
+        // partitions, and take the row path.
+        let pure = ctx.source.is_none()
+            && ctx.cabinet.is_none()
+            && ctx.user.is_none()
+            && ctx.app.is_none();
+        let Some(t) = ctx.event_type.clone().filter(|_| pure) else {
+            let events = ctx.fetch_events(&self.fw)?;
+            return Ok(output(distribution_of(&self.fw, &events, by)?));
         };
-        if ctx.source.is_some() || ctx.cabinet.is_some() || ctx.user.is_some() || ctx.app.is_some()
-        {
-            return compute();
-        }
         let (from, to) = (ctx.from_ms, ctx.to_ms);
         let key = cache_key(&[
             "distribution",
@@ -427,7 +427,9 @@ impl QueryEngine {
                 to,
             ));
         }
-        self.cached(key, deps, self.window_open(to), compute)
+        self.cached(key, deps, self.window_open(to), || {
+            Ok(output(distribution(&self.fw, &t, from, to, by)?))
+        })
     }
 
     fn op_histogram(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
@@ -987,9 +989,9 @@ impl QueryEngine {
                 "rows",
                 json_array(rows.iter().map(|r| {
                     let mut obj = json_object(
-                        r.cells
+                        r.cells()
                             .iter()
-                            .map(|(k, v)| (k.clone(), db_value_to_json(v))),
+                            .map(|(k, v)| (k.to_string(), db_value_to_json(v))),
                     );
                     obj.insert(
                         "_key",
@@ -1202,6 +1204,7 @@ fn db_value_to_json(v: &rasdb::types::Value) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::Context;
     use crate::framework::FrameworkConfig;
     use crate::model::apprun::AppRun;
     use crate::model::event::EventRecord;
@@ -1369,6 +1372,129 @@ mod tests {
         );
         assert_eq!(resp["status"].as_str(), Some("ok"));
         assert_eq!(resp["data"]["entries"].as_array().unwrap().len(), 4);
+    }
+
+    /// `distribution` answers from column blocks what the row path answers,
+    /// across the watermark, and only the unfiltered request does so.
+    #[test]
+    fn distribution_on_column_blocks_is_the_row_path_byte_for_byte() {
+        let fw = Framework::new(FrameworkConfig {
+            db_nodes: 3,
+            replication_factor: 2,
+            vnodes: 8,
+            topology: Topology::scaled(2, 2),
+            ..Default::default()
+        })
+        .unwrap();
+        let event = |ts_ms: i64, source: String, amount: i32| EventRecord {
+            ts_ms,
+            event_type: "LUSTRE_ERR".into(),
+            source,
+            amount,
+            raw: "LustreError: 11-0: an error".into(),
+        };
+        // Three hours of events over both cabinets, and in each hour one
+        // from a source that is no compute node.
+        for h in 0..3i64 {
+            for i in 0..12i64 {
+                let node = fw.topology().node((i * 17 % 192) as usize).cname;
+                fw.insert_event(&event(
+                    h * HOUR_MS + i * 4 * 60_000,
+                    node,
+                    1 + (i % 3) as i32,
+                ))
+                .unwrap();
+            }
+            fw.insert_event(&event(h * HOUR_MS + 7, "mds01".into(), 5))
+                .unwrap();
+        }
+        fw.insert_app_run(&AppRun {
+            apid: 1,
+            user: "usr1".into(),
+            app: "VASP".into(),
+            start_ms: 0,
+            end_ms: 2 * HOUR_MS + 30 * 60_000,
+            node_first: 0,
+            node_last: 95,
+            exit_code: 0,
+            other_info: Default::default(),
+        })
+        .unwrap();
+        // Hours 0 and 1 are closed, hour 2 is open.
+        fw.note_ingest_commit(2 * HOUR_MS);
+        let e = QueryEngine::new(Arc::new(fw));
+        let fw = &e.fw;
+        let (from, to) = (30 * 60_000, 3 * HOUR_MS);
+
+        let data = |resp: String| {
+            let resp = jsonlite::parse(&resp).expect("valid response JSON");
+            assert_eq!(resp["status"].as_str(), Some("ok"), "{resp}");
+            resp["data"].to_string()
+        };
+        let row_path = |ctx: Context, by: GroupBy| {
+            let d = distribution_of(fw, &ctx.fetch_events(fw).unwrap(), by).unwrap();
+            let entries = d
+                .entries
+                .iter()
+                .map(|(l, c)| json_array([Json::from(l.as_str()), Json::from(*c)]));
+            json_object([
+                ("entries".to_owned(), json_array(entries)),
+                ("unattributed".to_owned(), Json::from(d.unattributed)),
+            ])
+            .to_string()
+        };
+        let window = || Context::window(from, to).with_type("LUSTRE_ERR");
+
+        for (name, by) in [
+            ("cabinet", GroupBy::Cabinet),
+            ("blade", GroupBy::Blade),
+            ("node", GroupBy::Node),
+            ("application", GroupBy::Application),
+        ] {
+            let req = format!(
+                r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"{name}"}}"#
+            );
+            let (entries, hits) = (fw.result_cache().len(), fw.result_cache().stats().hits());
+            let uncached = data(e.handle(&req));
+            assert_eq!(uncached, row_path(window(), by), "by {name}");
+            assert!(!uncached.contains(r#""unattributed":0"#), "{uncached}");
+            assert_eq!(fw.result_cache().len(), entries + 1, "by {name}: memoised");
+            assert_eq!(data(e.handle(&req)), uncached, "by {name}: cached");
+            assert_eq!(fw.result_cache().stats().hits(), hits + 1);
+        }
+        let blocks = fw.columnar().stats();
+        assert_eq!(blocks.blocks_built, 2, "the two closed hours");
+
+        // A commit into the open hour drops the memoised answer.
+        let req = format!(
+            r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"cabinet"}}"#
+        );
+        let before = data(e.handle(&req));
+        fw.insert_event(&event(2 * HOUR_MS + 50 * 60_000, "c1-0c0s0n0".into(), 9))
+            .unwrap();
+        fw.note_ingest_commit(2 * HOUR_MS + 50 * 60_000);
+        let after = data(e.handle(&req));
+        assert_ne!(after, before);
+        assert_eq!(after, row_path(window(), GroupBy::Cabinet));
+
+        // A filtered context takes rows, touches no block, and is not
+        // memoised.
+        let (blocks, entries) = (fw.columnar().stats(), fw.result_cache().len());
+        for (filter, ctx) in [
+            (r#""cabinet":1"#, window().with_cabinet(1)),
+            (r#""user":"usr1""#, window().with_user("usr1")),
+        ] {
+            let req = format!(
+                r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"node",{filter}}}"#
+            );
+            assert_eq!(
+                data(e.handle(&req)),
+                row_path(ctx, GroupBy::Node),
+                "{filter}"
+            );
+        }
+        assert_eq!(fw.columnar().stats(), blocks);
+        assert_eq!(fw.result_cache().len(), entries);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! stale entry is indistinguishable from a miss.
 
 use crate::query::{Consistency, ReadPlan};
-use crate::types::{Key, Row};
+use crate::types::{Key, Row, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A byte-budgeted LRU map from opaque byte keys to values.
 ///
@@ -173,8 +174,9 @@ impl<V> std::fmt::Debug for LruCache<V> {
 /// the replica reads were issued.
 #[derive(Debug, Clone)]
 pub struct BlockEntry {
-    /// Final rows exactly as the uncached read returned them.
-    pub rows: Vec<Row>,
+    /// Final rows exactly as the uncached read returned them: the very
+    /// allocation that read handed its caller and every hit hands out again.
+    pub rows: Arc<[Row]>,
     /// [`Cluster::data_version`](crate::Cluster::data_version) at fill time.
     pub version: u64,
     /// [`Cluster::topology_epoch`](crate::Cluster::topology_epoch) at fill
@@ -229,30 +231,30 @@ pub fn block_key(plan: &ReadPlan, consistency: Consistency) -> Vec<u8> {
 }
 
 /// Approximate heap footprint of a result block, used for byte budgeting.
-/// Values are costed at their binary encoding plus fixed per-row and
-/// per-cell overheads; exactness does not matter, monotonicity in data
-/// size does.
+/// Values are costed at the length of their binary encoding (computed, not
+/// encoded) plus fixed per-row and per-cell overheads; exactness does not
+/// matter, monotonicity in data size does.
 pub fn rows_footprint(rows: &[Row]) -> usize {
-    let mut scratch = Vec::new();
     let mut n = 64;
     for row in rows {
         n += 48;
-        for v in row.clustering.0.iter() {
-            v.encode_into(&mut scratch);
-        }
-        for (name, v) in &row.cells {
-            n += name.len() + 32;
-            v.encode_into(&mut scratch);
+        n += row
+            .clustering
+            .0
+            .iter()
+            .map(Value::encoded_len)
+            .sum::<usize>();
+        for (name, v) in row.cells() {
+            n += name.len() + 32 + v.encoded_len();
         }
     }
-    n + scratch.len()
+    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::full_range;
-    use crate::types::Value;
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
@@ -308,6 +310,30 @@ mod tests {
         assert_eq!(c.get(b"keep"), Some(&1));
         assert!(c.get(b"drop").is_none());
         assert_eq!(c.used_bytes(), 10);
+    }
+
+    #[test]
+    fn footprint_costs_values_at_their_encoded_length() {
+        let row = Row::new(
+            Key::from(vec![Value::Timestamp(7), Value::text("c0-0c0s0n0")]),
+            [
+                ("amount".into(), Value::Int(1)),
+                ("raw".into(), Value::text("twelve bytes")),
+            ],
+        );
+        let mut encoded = Vec::new();
+        for v in row
+            .clustering
+            .0
+            .iter()
+            .chain(row.cells().iter().map(|c| &c.1))
+        {
+            v.encode_into(&mut encoded);
+        }
+        let one = 48 + ("amount".len() + 32) + ("raw".len() + 32) + encoded.len();
+        assert_eq!(rows_footprint(&[]), 64);
+        assert_eq!(rows_footprint(std::slice::from_ref(&row)), 64 + one);
+        assert_eq!(rows_footprint(&[row.clone(), row]), 64 + 2 * one);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::cache::{block_key, rows_footprint, BlockEntry, LruCache};
 use crate::commitlog::Mutation;
 use crate::cql;
 use crate::error::DbError;
-use crate::memtable::RowEntry;
+use crate::memtable::{merge_all, merge_runs, RowEntry, Run};
 use crate::node::{NodeConfig, StorageNode};
 use crate::partitioner::{token_for, Token};
 use crate::query::{
@@ -82,7 +82,7 @@ type CoordJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// One replica's answer to a scatter read: `(plan index, replica, raw rows
 /// or None when the node was down)`.
-type ReplicaResponse = (usize, NodeId, Option<Vec<(Key, RowEntry)>>);
+type ReplicaResponse = (usize, NodeId, Option<Run>);
 
 /// Persistent coordinator worker pool: one thread + queue per storage
 /// node, so a slow or down node backs up only its own queue and can never
@@ -274,14 +274,15 @@ impl Cluster {
     }
 
     /// Looks up a block, validating its version and epoch tags; stale
-    /// entries are dropped and count as both an invalidation and a miss.
-    fn block_cache_get(&self, key: &[u8], version: u64, epoch: u64) -> Option<Vec<Row>> {
+    /// entries are dropped and count as both an invalidation and a miss. A
+    /// hit clones a pointer to the cached rows.
+    fn block_cache_get(&self, key: &[u8], version: u64, epoch: u64) -> Option<Arc<[Row]>> {
         let mut cache = self.block_cache.lock();
         if cache.budget() == 0 {
             return None;
         }
         let hit = match cache.get(key) {
-            Some(e) if e.version == version && e.epoch == epoch => Some(e.rows.clone()),
+            Some(e) if e.version == version && e.epoch == epoch => Some(Arc::clone(&e.rows)),
             Some(_) => {
                 cache.remove(key);
                 self.block_cache_stats.record_invalidations(1);
@@ -302,19 +303,21 @@ impl Cluster {
         }
     }
 
-    fn block_cache_insert(&self, key: Vec<u8>, rows: &[Row], version: u64, epoch: u64) {
-        let mut cache = self.block_cache.lock();
-        if cache.budget() == 0 {
+    /// Caches the rows a read is about to return: the entry shares the
+    /// caller's allocation, and the block is weighed outside the cache lock
+    /// without encoding anything. A block heavier than the whole budget is
+    /// not stored and displaces nothing.
+    fn block_cache_insert(&self, key: Vec<u8>, rows: &Arc<[Row]>, version: u64, epoch: u64) {
+        if self.block_cache.lock().budget() == 0 {
             return;
         }
         let bytes = rows_footprint(rows) + key.len();
         let entry = BlockEntry {
-            rows: rows.to_vec(),
+            rows: Arc::clone(rows),
             version,
             epoch,
         };
-        let evicted = cache.insert(key, entry, bytes);
-        drop(cache);
+        let evicted = self.block_cache.lock().insert(key, entry, bytes);
         self.block_cache_stats.record_evictions(evicted);
     }
 
@@ -702,8 +705,9 @@ impl Cluster {
         None
     }
 
-    /// Executes a resolved read plan.
-    pub fn read(&self, plan: &ReadPlan, consistency: Consistency) -> Result<Vec<Row>, DbError> {
+    /// Executes a resolved read plan. The rows are shared with the block
+    /// cache: a repeat of the read returns the same allocation.
+    pub fn read(&self, plan: &ReadPlan, consistency: Consistency) -> Result<Arc<[Row]>, DbError> {
         let _span = telemetry::span!("rasdb.coordinator.read");
         let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
 
@@ -714,10 +718,11 @@ impl Cluster {
         let version = self.data_version(&plan.table, &plan.partition);
         let epoch = self.topology_epoch();
         if let Some(rows) = self.block_cache_get(&cache_key, version, epoch) {
+            self.coord_stats.record_read_rows(rows.len() as u64);
             return Ok(rows);
         }
 
-        let mut responses: Vec<(NodeId, Vec<(Key, RowEntry)>)> = Vec::new();
+        let mut responses: Vec<(NodeId, Run)> = Vec::new();
         let mut cursor = 0;
         while let Some(id) = self.next_up_replica(&replicas, &mut cursor) {
             if let Some(raw) = self
@@ -736,58 +741,72 @@ impl Cluster {
                 received: responses.len(),
             });
         }
-        let rows = self.finish_read(&table, plan, &responses);
+        let rows = self.finish_read(&table, plan, responses);
         self.block_cache_insert(cache_key, &rows, version, epoch);
+        self.coord_stats.record_read_rows(rows.len() as u64);
         Ok(rows)
     }
 
-    /// Shared tail of every coordinator read: LWW merge across replica
-    /// responses, read repair, tombstone filtering, order and limit.
+    /// Shared tail of every coordinator read: one walk over the replicas'
+    /// responses — each a sorted run — that merges them (LWW per cell),
+    /// decides read repair, filters tombstones and applies order and limit.
+    ///
+    /// A row on which every replica agrees is moved into the result. A row
+    /// that differs is merged in response order, and the merged state is
+    /// queued for exactly the replicas that were missing it or held
+    /// something else; each replica then receives its repairs as one batch.
+    /// A repair changes what lower consistency levels may observe on the
+    /// repaired replica, so it bumps the partition version like any other
+    /// mutation.
     fn finish_read(
         &self,
         table: &Arc<str>,
         plan: &ReadPlan,
-        responses: &[(NodeId, Vec<(Key, RowEntry)>)],
-    ) -> Vec<Row> {
-        // Merge replica responses (LWW per cell).
-        let mut merged: BTreeMap<Key, RowEntry> = BTreeMap::new();
-        for (_, raw) in responses {
-            for (ck, entry) in raw {
-                match merged.remove(ck) {
-                    None => {
-                        merged.insert(ck.clone(), entry.clone());
-                    }
-                    Some(existing) => {
-                        merged.insert(ck.clone(), RowEntry::merge(existing, entry.clone()));
+        responses: Vec<(NodeId, Run)>,
+    ) -> Arc<[Row]> {
+        let (replicas, runs): (Vec<NodeId>, Vec<Run>) = responses.into_iter().unzip();
+        let mut repairs: Vec<Vec<Arc<Mutation>>> = vec![Vec::new(); replicas.len()];
+        let mut rows = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
+        merge_runs(runs, |ck, copies| {
+            let agreed = copies.len() == replicas.len()
+                && copies[1..].iter().all(|(_, e)| *e == copies[0].1);
+            let entry = if agreed {
+                copies.swap_remove(0).1
+            } else {
+                let merged = copies
+                    .iter()
+                    .map(|(_, e)| e.clone())
+                    .reduce(RowEntry::merge)
+                    .expect("merge_runs hands out one copy or more");
+                let repair = Arc::new(Mutation::from_entry(table, &plan.partition, &ck, &merged));
+                for (replica, queue) in repairs.iter_mut().enumerate() {
+                    let have = copies.iter().find(|(from, _)| *from == replica);
+                    if have.is_none_or(|(_, e)| *e != merged) {
+                        queue.push(Arc::clone(&repair));
                     }
                 }
+                merged
+            };
+            rows.extend(entry.visible(ck));
+        });
+
+        let mut repaired = 0;
+        for (id, batch) in replicas.iter().zip(&repairs) {
+            if !batch.is_empty() && self.node_arc(*id).apply_batch(&[batch]) {
+                repaired += batch.len();
             }
         }
-
-        // Read repair: push the merged state back to replicas that answered
-        // with stale or missing rows. A repair changes what lower
-        // consistency levels may observe on the repaired replica, so it
-        // bumps the partition version like any other mutation.
-        if responses.len() > 1 && self.read_repair(table, &plan.partition, &merged, responses) > 0 {
+        if repaired > 0 {
             self.bump_versions(table, [&plan.partition]);
         }
 
-        let mut rows: Vec<Row> = merged
-            .into_iter()
-            .filter_map(|(ck, e)| {
-                e.visible().map(|cells| Row {
-                    clustering: ck,
-                    cells,
-                })
-            })
-            .collect();
         if plan.descending {
             rows.reverse();
         }
         if let Some(limit) = plan.limit {
             rows.truncate(limit);
         }
-        rows
+        rows.into()
     }
 
     /// Scatter-gather read: executes every plan concurrently across the
@@ -807,7 +826,7 @@ impl Cluster {
         &self,
         plans: &[ReadPlan],
         consistency: Consistency,
-    ) -> Result<Vec<Vec<Row>>, DbError> {
+    ) -> Result<Vec<Arc<[Row]>>, DbError> {
         let mut span = telemetry::span!("rasdb.coordinator.read_multi");
         // Trace context for worker-pool closures: replica reads on pool
         // threads parent under this span and carry the request's trace id.
@@ -826,7 +845,7 @@ impl Cluster {
             /// Next replica index to try when a dispatched read fails or
             /// times out.
             next_replica: usize,
-            responses: Vec<(NodeId, Vec<(Key, RowEntry)>)>,
+            responses: Vec<(NodeId, Run)>,
             inflight: usize,
             deadline: Instant,
             done: bool,
@@ -840,7 +859,7 @@ impl Cluster {
         // the topology epoch are snapshotted before any replica read, for
         // the same reason as in [`Cluster::read`].
         let epoch = self.topology_epoch();
-        let mut results: Vec<Option<Vec<Row>>> = (0..plans.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Arc<[Row]>>> = vec![None; plans.len()];
         let mut miss: Vec<usize> = Vec::new();
         let mut miss_keys: Vec<(Vec<u8>, u64)> = Vec::new();
         // Plan/merge sub-spans (like the per-replica spans below) are
@@ -1010,43 +1029,21 @@ impl Cluster {
             }
 
             let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
-            for ((gi, g), (key, version)) in gathers.iter().enumerate().zip(miss_keys) {
+            for ((gi, g), (key, version)) in gathers.into_iter().enumerate().zip(miss_keys) {
                 let idx = miss[gi];
-                let rows = self.finish_read(&g.table, &plans[idx], &g.responses);
+                let rows = self.finish_read(&g.table, &plans[idx], g.responses);
                 self.block_cache_insert(key, &rows, version, epoch);
                 results[idx] = Some(rows);
             }
         }
 
-        Ok(results
+        let results: Vec<Arc<[Row]>> = results
             .into_iter()
             .map(|rows| rows.expect("every plan served from cache or scatter"))
-            .collect())
-    }
-
-    /// Sends each replica that answered with stale or missing rows the
-    /// merged state of those rows, as one batch per replica. Returns the
-    /// number of repair mutations applied.
-    fn read_repair(
-        &self,
-        table: &Arc<str>,
-        partition: &Key,
-        merged: &BTreeMap<Key, RowEntry>,
-        responses: &[(NodeId, Vec<(Key, RowEntry)>)],
-    ) -> u64 {
-        let mut repaired = 0;
-        for (id, raw) in responses {
-            let theirs: HashMap<&Key, &RowEntry> = raw.iter().map(|(k, e)| (k, e)).collect();
-            let repairs: Vec<Arc<Mutation>> = merged
-                .iter()
-                .filter(|(ck, entry)| theirs.get(ck).is_none_or(|have| have != entry))
-                .map(|(ck, entry)| Arc::new(Mutation::from_entry(table, partition, ck, entry)))
-                .collect();
-            if !repairs.is_empty() && self.node_arc(*id).apply_batch(&[&repairs]) {
-                repaired += repairs.len() as u64;
-            }
-        }
-        repaired
+            .collect();
+        self.coord_stats
+            .record_read_rows(results.iter().map(|rows| rows.len() as u64).sum());
+        Ok(results)
     }
 
     /// Executes a CQL statement.
@@ -1088,7 +1085,7 @@ impl Cluster {
             }
             Statement::Select(sel) => {
                 let plan = self.plan_select(&sel)?;
-                let mut rows = self.read(&plan, consistency)?;
+                let mut rows = self.read(&plan, consistency)?.to_vec();
                 if let Some(cols) = &sel.columns {
                     let schema = self
                         .schema(&sel.table)
@@ -1101,7 +1098,8 @@ impl Cluster {
                         }
                     }
                     for row in &mut rows {
-                        row.cells.retain(|name, _| cols.iter().any(|c| c == name));
+                        row.cells
+                            .retain(|(name, _)| cols.iter().any(|c| **c == **name));
                     }
                 }
                 Ok(ExecResult::Rows(rows))
@@ -1588,38 +1586,19 @@ impl Cluster {
     /// QUORUM lives on at least a quorum of them, and any two quorums
     /// intersect, so the merge can never miss an acked row. A single-donor
     /// stream would NOT have this property.
-    fn stream_source_rows(
-        &self,
-        table: &str,
-        pk: &Key,
-        donors: &[NodeId],
-    ) -> Result<Vec<(Key, RowEntry)>, DbError> {
+    fn stream_source_rows(&self, table: &str, pk: &Key, donors: &[NodeId]) -> Result<Run, DbError> {
         let required = Consistency::Quorum.required(donors.len());
-        let mut merged: BTreeMap<Key, RowEntry> = BTreeMap::new();
-        let mut responses = 0;
-        for id in donors {
-            let Some(raw) = self.node_arc(*id).read_raw(table, pk, &full_range()) else {
-                continue;
-            };
-            responses += 1;
-            for (ck, entry) in raw {
-                match merged.remove(&ck) {
-                    None => {
-                        merged.insert(ck, entry);
-                    }
-                    Some(existing) => {
-                        merged.insert(ck, RowEntry::merge(existing, entry));
-                    }
-                }
-            }
-        }
-        if responses < required {
+        let runs: Vec<Run> = donors
+            .iter()
+            .filter_map(|id| self.node_arc(*id).read_raw(table, pk, &full_range()))
+            .collect();
+        if runs.len() < required {
             return Err(DbError::Unavailable {
                 required,
-                received: responses,
+                received: runs.len(),
             });
         }
-        Ok(merged.into_iter().collect())
+        Ok(merge_all(runs))
     }
 
     /// Streams one partition to one gainer in checksummed chunks, resuming
@@ -1819,7 +1798,7 @@ impl<'c> SelectBuilder<'c> {
     }
 
     /// Runs the read.
-    pub fn run(self, consistency: Consistency) -> Result<Vec<Row>, DbError> {
+    pub fn run(self, consistency: Consistency) -> Result<Arc<[Row]>, DbError> {
         let schema = self
             .cluster
             .schema(&self.table)
@@ -2128,7 +2107,7 @@ mod tests {
             panic!()
         };
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].cells.len(), 1);
+        assert_eq!(rows[0].cells().len(), 1);
         assert_eq!(rows[0].cell("source"), Some(&Value::text("nodeA")));
         assert_eq!(rows[0].cell("amount"), None);
         // Unknown projected column is a clean error.
@@ -2297,6 +2276,44 @@ mod tests {
         let _ = c.read(&plan, Consistency::Quorum).unwrap();
         let _ = c.read(&plan, Consistency::Quorum).unwrap();
         assert_eq!(c.block_cache_stats().hits(), hits);
+    }
+
+    #[test]
+    fn block_cache_shares_rows_and_skips_blocks_over_budget() {
+        let c = events_cluster(4, 3);
+        for ts in 0..500 {
+            put(&c, 1, "MCE", ts, "c0-0c0s0n0", Consistency::Quorum);
+        }
+        let plan = ReadPlan {
+            table: "event_by_time".into(),
+            partition: Key::from(vec![Value::BigInt(1), Value::text("MCE")]),
+            range: full_range(),
+            limit: None,
+            descending: false,
+        };
+
+        // A block that fits is one allocation, whoever reads it.
+        let first = c.read(&plan, Consistency::Quorum).unwrap();
+        let second = c.read(&plan, Consistency::Quorum).unwrap();
+        let batched = c
+            .read_multi(std::slice::from_ref(&plan), Consistency::Quorum)
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first, &batched[0]));
+        assert_eq!(c.block_cache_stats().hits(), 2);
+
+        // A partition larger than the whole budget is returned and nothing
+        // else: not stored, and nothing evicted to make room for it.
+        let c = events_cluster(4, 3);
+        for ts in 0..500 {
+            put(&c, 1, "MCE", ts, "c0-0c0s0n0", Consistency::Quorum);
+        }
+        c.set_block_cache_budget(1024);
+        assert_eq!(c.read(&plan, Consistency::Quorum).unwrap().len(), 500);
+        let stats = c.block_cache_stats();
+        assert_eq!((stats.hits(), stats.misses()), (0, 1));
+        assert_eq!(stats.evictions(), 0);
+        assert!(c.block_cache.lock().is_empty());
     }
 
     #[test]

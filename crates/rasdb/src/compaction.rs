@@ -150,7 +150,7 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert!(rows[0].1.cells().is_empty(), "shadowed cell reclaimed");
         assert_eq!(rows[0].1.deleted_at, Some(20));
-        assert!(rows[0].1.visible().is_none());
+        assert!(rows[0].1.clone().visible(ck(1)).is_none());
     }
 
     #[test]

@@ -65,27 +65,95 @@ impl RowEntry {
         a
     }
 
-    /// Materializes the visible cells, honoring tombstones. Returns `None`
-    /// when nothing is visible (fully deleted row).
-    pub fn visible(&self) -> Option<BTreeMap<String, Value>> {
+    /// Materializes the row a read returns, honoring tombstones: the live
+    /// cells move out in column-name order under the names they were stored
+    /// with. Returns `None` when nothing is visible (fully deleted row).
+    pub fn visible(self, clustering: Key) -> Option<Row> {
         let floor = self.deleted_at;
-        let cells: BTreeMap<String, Value> = self
+        let cells: Vec<(Arc<str>, Value)> = self
             .cells
-            .iter()
+            .into_iter()
             .filter(|(_, c)| floor.is_none_or(|ts| c.write_ts > ts))
-            .filter_map(|(n, c)| c.value.clone().map(|v| (String::from(&**n), v)))
+            .filter_map(|(n, c)| c.value.map(|v| (n, v)))
             .collect();
-        if cells.is_empty() {
-            None
-        } else {
-            Some(cells)
-        }
+        (!cells.is_empty()).then_some(Row { clustering, cells })
     }
 
     /// Number of stored cells (size accounting).
     pub fn weight(&self) -> usize {
         self.cells.len() + 1
     }
+}
+
+/// One source of a partition read — an SSTable's slice, a memtable's range,
+/// a replica's response: rows in ascending clustering order, each key once.
+pub type Run = Vec<(Key, RowEntry)>;
+
+/// Merges sorted runs in one pass. For every clustering key, in ascending
+/// order, `on_row` receives the key and the copies of that row as
+/// `(index of the run, entry)` in run order, which is the order
+/// [`RowEntry::merge`] folds them in (older sources first). The copies
+/// buffer is reused from row to row; `on_row` may drain it.
+pub(crate) fn merge_runs(runs: Vec<Run>, mut on_row: impl FnMut(Key, &mut Vec<(usize, RowEntry)>)) {
+    /// Takes the head of run `i` and advances the run.
+    fn pop(
+        heads: &mut [Option<(Key, RowEntry)>],
+        rest: &mut [std::vec::IntoIter<(Key, RowEntry)>],
+        i: usize,
+    ) -> (Key, RowEntry) {
+        let head = heads[i].take().expect("head checked by the caller");
+        heads[i] = rest[i].next();
+        head
+    }
+
+    debug_assert!(
+        runs.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)),
+        "a run is sorted by clustering key and holds each key once"
+    );
+    let mut rest: Vec<std::vec::IntoIter<(Key, RowEntry)>> =
+        runs.into_iter().map(Vec::into_iter).collect();
+    let mut heads: Vec<Option<(Key, RowEntry)>> = rest.iter_mut().map(Iterator::next).collect();
+    let mut copies = Vec::with_capacity(heads.len());
+    loop {
+        // The first run holding the smallest key leads: every other copy of
+        // that row sits at the head of a later run.
+        let mut lead: Option<(usize, &Key)> = None;
+        for (i, head) in heads.iter().enumerate() {
+            if let Some((key, _)) = head {
+                if lead.is_none_or(|(_, least)| key < least) {
+                    lead = Some((i, key));
+                }
+            }
+        }
+        let Some((lead, _)) = lead else {
+            return;
+        };
+        let (key, entry) = pop(&mut heads, &mut rest, lead);
+        copies.clear();
+        copies.push((lead, entry));
+        for i in lead + 1..rest.len() {
+            if heads[i].as_ref().is_some_and(|(k, _)| *k == key) {
+                copies.push((i, pop(&mut heads, &mut rest, i).1));
+            }
+        }
+        on_row(key, &mut copies);
+    }
+}
+
+/// Merges sorted runs, oldest first, into the one run they describe; a
+/// single non-empty run is returned as it is.
+pub(crate) fn merge_all(mut runs: Vec<Run>) -> Run {
+    runs.retain(|run| !run.is_empty());
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
+    merge_runs(runs, |key, copies| {
+        let copies = copies.drain(..).map(|(_, entry)| entry);
+        let entry = copies.reduce(RowEntry::merge);
+        merged.push((key, entry.expect("merge_runs hands out one copy or more")));
+    });
+    merged
 }
 
 /// One partition: clustering key → row, kept sorted (the paper's
@@ -170,12 +238,7 @@ impl Memtable {
     pub fn read(&self, partition: &Key, range: (Bound<Key>, Bound<Key>)) -> Vec<Row> {
         self.read_raw(partition, range)
             .into_iter()
-            .filter_map(|(k, e)| {
-                e.visible().map(|cells| Row {
-                    clustering: k,
-                    cells,
-                })
-            })
+            .filter_map(|(k, e)| e.visible(k))
             .collect()
     }
 
@@ -375,6 +438,37 @@ mod tests {
     }
 
     #[test]
+    fn merge_runs_walks_keys_in_order_and_copies_in_run_order() {
+        let entry = |v: i32, ts: u64| {
+            let mut e = RowEntry::default();
+            e.upsert([("a".into(), cellv(v, ts))]);
+            e
+        };
+        let runs = vec![
+            vec![(ck(1), entry(10, 1)), (ck(3), entry(30, 1))],
+            vec![],
+            vec![(ck(2), entry(21, 2)), (ck(3), entry(31, 2))],
+            vec![(ck(3), entry(32, 3)), (ck(4), entry(42, 3))],
+        ];
+        let mut seen = Vec::new();
+        let mut merged = Vec::new();
+        merge_runs(runs, |key, copies| {
+            seen.push((key.clone(), copies.iter().map(|c| c.0).collect::<Vec<_>>()));
+            merged.push(copies.drain(..).map(|c| c.1).reduce(RowEntry::merge));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (ck(1), vec![0]),
+                (ck(2), vec![2]),
+                (ck(3), vec![0, 2, 3]),
+                (ck(4), vec![3]),
+            ]
+        );
+        assert_eq!(merged[2], Some(entry(32, 3)), "the newest write wins");
+    }
+
+    #[test]
     fn merge_row_entries_combines_tombstones_and_cells() {
         let mut a = RowEntry::default();
         a.upsert([("x".into(), cellv(1, 5))]);
@@ -383,8 +477,8 @@ mod tests {
         b.upsert([("y".into(), cellv(2, 4))]);
         let m = RowEntry::merge(a, b);
         assert_eq!(m.deleted_at, Some(3));
-        let vis = m.visible().unwrap();
-        assert_eq!(vis.get("x"), Some(&Value::Int(1)));
-        assert_eq!(vis.get("y"), Some(&Value::Int(2)));
+        let vis = m.visible(ck(1)).unwrap();
+        assert_eq!(vis.cell("x"), Some(&Value::Int(1)));
+        assert_eq!(vis.cell("y"), Some(&Value::Int(2)));
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::commitlog::{CommitLog, Mutation};
 use crate::compaction::{self, CompactionConfig};
-use crate::memtable::{Memtable, RowEntry};
+use crate::memtable::{merge_all, Memtable, Run};
 use crate::ring::NodeId;
 use crate::sstable::SsTable;
 use crate::stats::{NodeStats, StatsSnapshot};
@@ -201,12 +201,18 @@ impl StorageNode {
     }
 
     /// Reads merged raw row entries for a partition range.
+    ///
+    /// Every source is already a sorted run with each clustering key once:
+    /// an SSTable's slice of the partition, the memtable's range of it. The
+    /// runs are copied out under the table lock, oldest first (SSTables in
+    /// list order, then the memtable); the merge runs after the lock is
+    /// released, and a partition found in a single source is that run.
     pub fn read_raw(
         &self,
         table: &str,
         partition: &Key,
         range: &(Bound<Key>, Bound<Key>),
-    ) -> Option<Vec<(Key, RowEntry)>> {
+    ) -> Option<Run> {
         if !self.is_up() {
             return None;
         }
@@ -214,25 +220,22 @@ impl StorageNode {
         if latency > 0 {
             std::thread::sleep(std::time::Duration::from_micros(latency));
         }
-        let tables = self.tables.read();
-        let store = tables.get(table)?.lock();
-        self.stats.record_read();
-        let mut merged: std::collections::BTreeMap<Key, RowEntry> =
-            std::collections::BTreeMap::new();
-        for sst in &store.sstables {
-            if self.cfg.use_bloom && !sst.may_contain(partition) {
-                self.stats.record_bloom_skip();
-                continue;
+        let mut runs: Vec<Run> = Vec::new();
+        {
+            let tables = self.tables.read();
+            let store = tables.get(table)?.lock();
+            self.stats.record_read();
+            for sst in &store.sstables {
+                if self.cfg.use_bloom && !sst.may_contain(partition) {
+                    self.stats.record_bloom_skip();
+                    continue;
+                }
+                self.stats.record_sstable_probe();
+                runs.push(sst.read_raw(partition, range, self.cfg.use_bloom));
             }
-            self.stats.record_sstable_probe();
-            for (ck, entry) in sst.read_raw(partition, range, self.cfg.use_bloom) {
-                merge_into(&mut merged, ck, entry);
-            }
+            runs.push(store.memtable.read_raw(partition, range.clone()));
         }
-        for (ck, entry) in store.memtable.read_raw(partition, range.clone()) {
-            merge_into(&mut merged, ck, entry);
-        }
-        Some(merged.into_iter().collect())
+        Some(merge_all(runs))
     }
 
     /// Materialized read (visible rows only).
@@ -245,12 +248,7 @@ impl StorageNode {
         let raw = self.read_raw(table, partition, range)?;
         Some(
             raw.into_iter()
-                .filter_map(|(ck, e)| {
-                    e.visible().map(|cells| Row {
-                        clustering: ck,
-                        cells,
-                    })
-                })
+                .filter_map(|(ck, e)| e.visible(ck))
                 .collect(),
         )
     }
@@ -355,17 +353,6 @@ impl StorageNode {
     /// Counter snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-}
-
-fn merge_into(merged: &mut std::collections::BTreeMap<Key, RowEntry>, ck: Key, entry: RowEntry) {
-    match merged.remove(&ck) {
-        None => {
-            merged.insert(ck, entry);
-        }
-        Some(existing) => {
-            merged.insert(ck, RowEntry::merge(existing, entry));
-        }
     }
 }
 

@@ -14,6 +14,7 @@ use telemetry::{Counter, Gauge};
 /// every node and cluster in the process and resolved once.
 struct GlobalCounters {
     coordinator_write_rows: Arc<Counter>,
+    coordinator_read_rows: Arc<Counter>,
     writes: Arc<Counter>,
     reads: Arc<Counter>,
     flushes: Arc<Counter>,
@@ -28,6 +29,7 @@ fn globals() -> &'static GlobalCounters {
         let r = telemetry::global();
         GlobalCounters {
             coordinator_write_rows: r.counter("rasdb.coordinator.write.rows"),
+            coordinator_read_rows: r.counter("rasdb.coordinator.read.rows"),
             writes: r.counter("rasdb.storage.writes"),
             reads: r.counter("rasdb.storage.reads"),
             flushes: r.counter("rasdb.storage.flushes"),
@@ -147,6 +149,12 @@ impl CoordinatorStats {
     /// size; with this counter beside it the row rate stays derivable.
     pub fn record_write_rows(&self, rows: u64) {
         globals().coordinator_write_rows.incr(rows);
+    }
+
+    /// Records the rows one `read` or `read_multi` call returned, block-cache
+    /// hits included: the read-side twin of [`Self::record_write_rows`].
+    pub fn record_read_rows(&self, rows: u64) {
+        globals().coordinator_read_rows.incr(rows);
     }
 
     /// Records a hinted-handoff mutation evicted because the target node's

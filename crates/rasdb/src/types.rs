@@ -85,6 +85,25 @@ impl Value {
         }
     }
 
+    /// The number of bytes [`Value::encode_into`] appends, without encoding:
+    /// what the block cache weighs a row by.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Text(s) => 4 + s.len(),
+            Value::Int(_) => 4,
+            Value::BigInt(_) | Value::Timestamp(_) | Value::Double(_) => 8,
+            Value::Bool(_) => 1,
+            Value::Blob(b) => 4 + b.len(),
+            Value::List(items) => 4 + items.iter().map(Value::encoded_len).sum::<usize>(),
+            Value::Map(map) => {
+                4 + map
+                    .iter()
+                    .map(|(k, v)| 4 + k.len() + v.encoded_len())
+                    .sum::<usize>()
+            }
+        }
+    }
+
     /// Appends a self-delimiting binary encoding of this value; used for
     /// partition-key hashing and commit-log serialization.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -388,18 +407,41 @@ impl Cell {
 }
 
 /// A materialized row returned by reads: clustering key plus named cells.
+///
+/// The read-side twin of a stored row: the live cells are a small vector
+/// sorted by column name, and a row that came out of a read carries the
+/// schema's interned names, so materializing it allocates no name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     /// Clustering-key components.
     pub clustering: Key,
-    /// Live cells by column name.
-    pub cells: BTreeMap<String, Value>,
+    /// Live cells, sorted by column name, one per name.
+    pub(crate) cells: Vec<(Arc<str>, Value)>,
 }
 
 impl Row {
+    /// Builds a row from cells in any order; the names must be distinct.
+    pub fn new(clustering: Key, cells: impl IntoIterator<Item = (Arc<str>, Value)>) -> Row {
+        let mut cells: Vec<(Arc<str>, Value)> = cells.into_iter().collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        debug_assert!(
+            cells.windows(2).all(|w| w[0].0 < w[1].0),
+            "a row holds one cell per column name"
+        );
+        Row { clustering, cells }
+    }
+
+    /// The live cells in column-name order.
+    pub fn cells(&self) -> &[(Arc<str>, Value)] {
+        &self.cells
+    }
+
     /// Looks up a cell by column name.
     pub fn cell(&self, column: &str) -> Option<&Value> {
-        self.cells.get(column)
+        self.cells
+            .binary_search_by(|(n, _)| (**n).cmp(column))
+            .ok()
+            .map(|i| &self.cells[i].1)
     }
 }
 
@@ -519,11 +561,28 @@ mod tests {
         for v in values {
             let mut buf = Vec::new();
             v.encode_into(&mut buf);
+            assert_eq!(v.encoded_len(), buf.len(), "{v}");
             buf.extend_from_slice(b"trailer");
             let (back, rest) = Value::decode(&buf).unwrap();
             assert_eq!(back, v);
             assert_eq!(rest, b"trailer");
         }
+    }
+
+    #[test]
+    fn row_cells_are_name_sorted_whatever_order_they_came_in() {
+        let row = Row::new(
+            Key::from(vec![Value::Timestamp(1)]),
+            [
+                ("raw".into(), Value::text("x")),
+                ("amount".into(), Value::Int(2)),
+            ],
+        );
+        let names: Vec<&str> = row.cells().iter().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["amount", "raw"]);
+        assert_eq!(row.cell("amount"), Some(&Value::Int(2)));
+        assert_eq!(row.cell("raw"), Some(&Value::text("x")));
+        assert_eq!(row.cell("nope"), None);
     }
 
     #[test]

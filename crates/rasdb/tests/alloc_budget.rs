@@ -1,17 +1,21 @@
-//! Allocation budget of the write path, counted, not timed.
+//! Allocation budget of the write path and of the read path, counted, not
+//! timed.
 //!
 //! A stored row is shared pointers plus one small vector per replica, so an
 //! insert at RF 3 may allocate only a handful of times per row and leave
-//! about a kilobyte behind. This binary has its own counting allocator and
-//! one test (the counters are process-wide), so the numbers are exact and
-//! repeat on any machine.
+//! about a kilobyte behind; a cold read copies that vector once per replica
+//! it consults and builds one more for the row it returns, and a block-cache
+//! hit copies nothing. This binary has its own counting allocator; the
+//! counters are process-wide, so its tests take [`SERIAL`] and run one at a
+//! time, and the numbers repeat on any machine.
 
-use rasdb::cluster::{Cluster, ClusterConfig};
-use rasdb::query::Consistency;
+use rasdb::cluster::{full_range, Cluster, ClusterConfig};
+use rasdb::query::{Consistency, ReadPlan};
 use rasdb::schema::{ColumnType, TableSchema};
-use rasdb::types::Value;
+use rasdb::types::{Key, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
@@ -49,6 +53,17 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Held by each test while it runs: the counters see every thread.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn allocations() -> usize {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> isize {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
 
 const ROWS: usize = 1_000;
 /// Allocations one inserted row may cost, all three replicas included.
@@ -134,6 +149,7 @@ fn round() -> [(f64, f64); 2] {
 
 #[test]
 fn an_inserted_row_costs_a_few_allocations_and_a_kilobyte_and_leaks_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Once for whatever the process sets up on first use (telemetry's
     // registry and ring, the test harness's own buffers).
     round();
@@ -158,5 +174,110 @@ fn an_inserted_row_costs_a_few_allocations_and_a_kilobyte_and_leaks_nothing() {
     assert!(
         residue <= ROUND_RESIDUE_BYTES,
         "{residue} bytes outlived a dropped cluster"
+    );
+}
+
+/// Allocations a cold quorum read may cost per row it returns: one copy of
+/// the stored row's vector on each of the two replicas consulted, the cells
+/// of the returned row, and a little per partition — 3.0 as measured. (The
+/// parent of the one-pass read path measured 11.6 here, 8.5 of them with the
+/// block cache off; a hit on these thousand rows cost it 3,007 allocations
+/// and a block over the cache's budget as many on top of the read.)
+const MAX_READ_ALLOCATIONS_PER_ROW: f64 = 6.0;
+/// Allocations a read may cost that do not grow with the partition: the
+/// plan, the cache key, the gather's channel and jobs, the span.
+const MAX_READ_ALLOCATIONS_PER_PLAN: usize = 64;
+/// What a read may leave behind once its rows are dropped: its span.
+const READ_RESIDUE_BYTES: isize = 4 * 1024;
+
+/// `events()` as one `event_by_time` partition of `rows` rows.
+fn one_partition(c: &Cluster, hour: i64, rows: usize) -> ReadPlan {
+    let batch: Vec<_> = events()
+        .into_iter()
+        .take(rows)
+        .map(|mut row| {
+            row[0].1 = Value::BigInt(hour);
+            row[1].1 = Value::text("MCE");
+            row
+        })
+        .collect();
+    c.insert_batch("event_by_time", batch, Consistency::Quorum)
+        .unwrap();
+    ReadPlan {
+        table: "event_by_time".into(),
+        partition: Key::from(vec![Value::BigInt(hour), Value::text("MCE")]),
+        range: full_range(),
+        limit: None,
+        descending: false,
+    }
+}
+
+/// Allocations and live-byte growth of one `read_multi` of `plan`, the
+/// result dropped before the bytes are read.
+fn read(c: &Cluster, plan: &ReadPlan, rows: usize) -> (usize, isize) {
+    let (allocations_before, live_before) = (allocations(), live_bytes());
+    let batches = c
+        .read_multi(std::slice::from_ref(plan), Consistency::Quorum)
+        .unwrap();
+    let allocated = allocations() - allocations_before;
+    assert_eq!(batches[0].len(), rows);
+    drop(batches);
+    (allocated, live_bytes() - live_before)
+}
+
+#[test]
+fn a_cold_read_costs_a_few_allocations_per_row_and_a_cache_hit_a_few_in_all() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let c = cluster();
+    let (big, small) = (one_partition(&c, 1, ROWS), one_partition(&c, 2, 50));
+    c.flush_all();
+    // Once for the coordinator's worker pool and the process's first span.
+    read(&c, &one_partition(&c, 3, 1), 1);
+
+    let (cold, _) = read(&c, &big, ROWS);
+    println!(
+        "cold read: {:.1} allocations per row",
+        cold as f64 / ROWS as f64
+    );
+    assert!(
+        cold as f64 <= MAX_READ_ALLOCATIONS_PER_ROW * ROWS as f64,
+        "{cold} allocations for a cold read of {ROWS} rows"
+    );
+    read(&c, &small, 50);
+
+    // A hit hands out the cached rows: the cost is per plan, whatever the
+    // partition's size, and the rows are not held twice.
+    for (plan, rows) in [(&big, ROWS), (&small, 50)] {
+        let (hit, live) = read(&c, plan, rows);
+        println!("cache hit on {rows} rows: {hit} allocations");
+        assert!(
+            hit <= MAX_READ_ALLOCATIONS_PER_PLAN,
+            "{hit} allocations for a block-cache hit on {rows} rows"
+        );
+        assert!(live <= READ_RESIDUE_BYTES, "a hit left {live} bytes live");
+    }
+    assert_eq!(c.block_cache_stats().hits(), 2);
+
+    // A partition over the whole budget costs what it costs with the cache
+    // off: it is not weighed by encoding it, copied and then dropped.
+    c.set_block_cache_budget(0);
+    let live_before = live_bytes();
+    let (uncached, _) = read(&c, &big, ROWS);
+    c.set_block_cache_budget(1024);
+    let (over_budget, live) = read(&c, &big, ROWS);
+    println!("cache off: {uncached} allocations, block over budget: {over_budget}");
+    assert!(
+        over_budget <= uncached + MAX_READ_ALLOCATIONS_PER_PLAN,
+        "{over_budget} allocations with the block over budget, {uncached} with the cache off"
+    );
+    assert!(
+        live <= READ_RESIDUE_BYTES,
+        "a cold read left {live} bytes live"
+    );
+    // Dropping the results and the cache entries returned every byte.
+    let residue = live_bytes() - live_before;
+    assert!(
+        residue <= 2 * READ_RESIDUE_BYTES,
+        "{residue} bytes outlived the rows and the cache entries"
     );
 }

@@ -49,7 +49,7 @@ fn put(c: &Cluster, hour: i64, ts: i64, v: i32) {
 
 /// Full-table scan at ALL: every partition's rows, strongest read the
 /// cluster offers. Used to compare churned clusters against controls.
-fn scan(c: &Cluster, hours: i64) -> Vec<Vec<Row>> {
+fn scan(c: &Cluster, hours: i64) -> Vec<Arc<[Row]>> {
     (0..hours)
         .map(|h| {
             c.select("t")

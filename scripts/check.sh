@@ -40,9 +40,11 @@ echo "==> columnar analytics bench (smoke mode, speedup gate relaxed to >=2x)"
 ANALYTICS_COLUMNAR_SMOKE=1 cargo bench -q -p hpclog-bench --bench analytics_columnar
 
 # The exit code is the check: what the generator wrote vs what was stored,
-# and (dash_cold) the stored rows read back through read_multi and the column
-# blocks against generator truth, responses byte-identical across rounds.
-for workload in import_day stream_storm dash_cold; do
+# (dash_cold) the stored rows read back through read_multi and the column
+# blocks against generator truth, responses byte-identical across rounds, and
+# (dash_live) the same panels over HTTP beside a live stream, `distribution`
+# over an open hour included.
+for workload in import_day stream_storm dash_cold dash_live; do
   echo "==> pipeline smoke: perfbench $workload"
   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin pipeline -- \
     --workload "$workload" --smoke
