@@ -1,7 +1,6 @@
 //! Distributions of event occurrences "over cabinets, blades, nodes, and
 //! applications" (paper §III-B) — the complementary view to the heat map.
 
-use crate::columnar::HourScan;
 use crate::framework::Framework;
 use crate::model::apprun::AppRun;
 use crate::model::event::EventRecord;
@@ -39,11 +38,10 @@ impl Distribution {
 }
 
 /// Computes the distribution of one event type over `[from, to)` by a
-/// columnar window scan: closed hours parse each *distinct* source once
-/// per block dictionary and pre-render its group label, so rows reduce
-/// to a table lookup; open hours take the same per-event path as
-/// [`distribution_of`]. Both accumulate identical integer sums, so the
-/// result is byte-identical to the row path.
+/// columnar window scan: each hour's block parses each *distinct* source
+/// once per dictionary entry and pre-renders its group label, so rows
+/// reduce to a table lookup. It accumulates the same integer sums as
+/// [`distribution_of`], so the result is byte-identical to the row path.
 pub fn distribution(
     fw: &Framework,
     event_type: &str,
@@ -59,21 +57,11 @@ pub fn distribution(
     // `distribution_of` derives them from its materialized slice.
     let runs = if group_by == GroupBy::Application {
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for part in &scan.parts {
-            match part {
-                HourScan::Columnar(b) => {
-                    let r = b.range(from_ms, to_ms);
-                    if !r.is_empty() {
-                        lo = lo.min(b.ts[r.start]);
-                        hi = hi.max(b.ts[r.end - 1]);
-                    }
-                }
-                HourScan::Rows(events) => {
-                    for e in events {
-                        lo = lo.min(e.ts_ms);
-                        hi = hi.max(e.ts_ms);
-                    }
-                }
+        for b in &scan.parts {
+            let r = b.range(from_ms, to_ms);
+            if !r.is_empty() {
+                lo = lo.min(b.ts[r.start]);
+                hi = hi.max(b.ts[r.end - 1]);
             }
         }
         if lo <= hi {
@@ -88,73 +76,43 @@ pub fn distribution(
 
     let mut counts: HashMap<String, f64> = HashMap::new();
     let mut unattributed = 0.0;
-    for part in &scan.parts {
-        match part {
-            HourScan::Columnar(b) => {
-                let idxs: Vec<Option<usize>> = b.dict.iter().map(|s| topo.parse_cname(s)).collect();
-                // One pre-rendered label per distinct source for the
-                // static groupings (None = unattributed).
-                let labels: Vec<Option<String>> = match group_by {
-                    GroupBy::Cabinet => idxs
-                        .iter()
-                        .map(|i| i.map(|i| format!("cab{}", i / NODES_PER_CABINET)))
-                        .collect(),
-                    GroupBy::Blade => idxs
-                        .iter()
-                        .map(|i| i.map(|i| format!("blade{}", i / NODES_PER_BLADE)))
-                        .collect(),
-                    GroupBy::Node => idxs
-                        .iter()
-                        .zip(&b.dict)
-                        .map(|(i, s)| i.map(|_| s.clone()))
-                        .collect(),
-                    GroupBy::Application => Vec::new(),
-                };
-                for i in b.range(from_ms, to_ms) {
-                    let sid = b.source_ids[i] as usize;
-                    let amount = b.amounts[i] as f64;
-                    let Some(idx) = idxs[sid] else {
-                        unattributed += amount;
-                        continue;
-                    };
-                    if group_by == GroupBy::Application {
-                        match find_run(&runs, b.ts[i], idx) {
-                            Some(r) => *counts.entry(r.app.clone()).or_default() += amount,
-                            None => unattributed += amount,
-                        }
-                    } else if let Some(label) = &labels[sid] {
-                        match counts.get_mut(label) {
-                            Some(c) => *c += amount,
-                            None => {
-                                counts.insert(label.clone(), amount);
-                            }
-                        }
-                    }
+    for b in &scan.parts {
+        let idxs: Vec<Option<usize>> = b.dict.iter().map(|s| topo.parse_cname(s)).collect();
+        // One pre-rendered label per distinct source for the static
+        // groupings (None = unattributed).
+        let labels: Vec<Option<String>> = match group_by {
+            GroupBy::Cabinet => idxs
+                .iter()
+                .map(|i| i.map(|i| format!("cab{}", i / NODES_PER_CABINET)))
+                .collect(),
+            GroupBy::Blade => idxs
+                .iter()
+                .map(|i| i.map(|i| format!("blade{}", i / NODES_PER_BLADE)))
+                .collect(),
+            GroupBy::Node => idxs
+                .iter()
+                .zip(&b.dict)
+                .map(|(i, s)| i.map(|_| s.clone()))
+                .collect(),
+            GroupBy::Application => Vec::new(),
+        };
+        for i in b.range(from_ms, to_ms) {
+            let sid = b.source_ids[i] as usize;
+            let amount = b.amounts[i] as f64;
+            let Some(idx) = idxs[sid] else {
+                unattributed += amount;
+                continue;
+            };
+            if group_by == GroupBy::Application {
+                match find_run(&runs, b.ts[i], idx) {
+                    Some(r) => *counts.entry(r.app.clone()).or_default() += amount,
+                    None => unattributed += amount,
                 }
-            }
-            HourScan::Rows(events) => {
-                for e in events {
-                    let amount = e.amount as f64;
-                    let Some(idx) = topo.parse_cname(&e.source) else {
-                        unattributed += amount;
-                        continue;
-                    };
-                    match group_by {
-                        GroupBy::Cabinet => {
-                            *counts
-                                .entry(format!("cab{}", idx / NODES_PER_CABINET))
-                                .or_default() += amount;
-                        }
-                        GroupBy::Blade => {
-                            *counts
-                                .entry(format!("blade{}", idx / NODES_PER_BLADE))
-                                .or_default() += amount;
-                        }
-                        GroupBy::Node => *counts.entry(e.source.clone()).or_default() += amount,
-                        GroupBy::Application => match find_run(&runs, e.ts_ms, idx) {
-                            Some(r) => *counts.entry(r.app.clone()).or_default() += amount,
-                            None => unattributed += amount,
-                        },
+            } else if let Some(label) = &labels[sid] {
+                match counts.get_mut(label) {
+                    Some(c) => *c += amount,
+                    None => {
+                        counts.insert(label.clone(), amount);
                     }
                 }
             }
@@ -163,7 +121,7 @@ pub fn distribution(
     Ok(finish(counts, unattributed))
 }
 
-/// The first run covering `(ts, node idx)` — shared by both scan paths
+/// The first run covering `(ts, node idx)` — shared by the block scan
 /// and [`distribution_of`], so attribution order is identical everywhere.
 fn find_run(runs: &[AppRun], ts_ms: i64, idx: usize) -> Option<&AppRun> {
     runs.iter().find(|r| {

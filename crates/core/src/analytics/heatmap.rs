@@ -1,14 +1,10 @@
 //! Heat maps over the physical system map (paper Fig 5): per-cabinet and
 //! per-node event counts for a type over a selected interval, computed by
-//! a columnar window scan with dictionary-id pushdown: closed hours
-//! resolve each *distinct* source cname to a node index once per block
+//! a columnar window scan with dictionary-id pushdown: each hour's block
+//! resolves each *distinct* source cname to a node index once per
 //! dictionary entry instead of once per row, and blocks outside the
-//! window are zone-map-skipped. Open hours fall back to the row path —
-//! the locality-aware MapReduce scan of
-//! [`crate::framework::Framework::scan_events_rdd`] — so counts are
-//! byte-identical either way.
+//! window are zone-map-skipped.
 
-use crate::columnar::HourScan;
 use crate::framework::Framework;
 use loggen::topology::NODES_PER_CABINET;
 use rasdb::error::DbError;
@@ -56,30 +52,17 @@ fn grouped_counts(
     let topo = fw.topology();
     let mut slots = vec![0.0f64; size];
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-    for part in &scan.parts {
-        match part {
-            HourScan::Columnar(b) => {
-                // Dictionary-id pushdown: each distinct source parses
-                // once per block, rows then group by a table lookup.
-                let groups: Vec<Option<usize>> = b
-                    .dict
-                    .iter()
-                    .map(|s| topo.parse_cname(s).map(&group).filter(|&g| g < size))
-                    .collect();
-                for i in b.range(from_ms, to_ms) {
-                    if let Some(g) = groups[b.source_ids[i] as usize] {
-                        slots[g] += b.amounts[i] as f64;
-                    }
-                }
-            }
-            HourScan::Rows(events) => {
-                for e in events {
-                    if let Some(g) = topo.parse_cname(&e.source).map(&group) {
-                        if g < size {
-                            slots[g] += e.amount as f64;
-                        }
-                    }
-                }
+    for b in &scan.parts {
+        // Dictionary-id pushdown: each distinct source parses once per
+        // block, rows then group by a table lookup.
+        let groups: Vec<Option<usize>> = b
+            .dict
+            .iter()
+            .map(|s| topo.parse_cname(s).map(&group).filter(|&g| g < size))
+            .collect();
+        for i in b.range(from_ms, to_ms) {
+            if let Some(g) = groups[b.source_ids[i] as usize] {
+                slots[g] += b.amounts[i] as f64;
             }
         }
     }

@@ -37,8 +37,8 @@ impl Histogram {
 }
 
 /// Histogram of one event type over `[from, to)` with `bin_ms` bins,
-/// computed by a columnar window scan (closed hours bin straight off the
-/// timestamp/amount columns; open hours fall back to the row path).
+/// computed by a columnar window scan (each hour bins straight off its
+/// block's timestamp/amount columns).
 pub fn event_histogram(
     fw: &Framework,
     event_type: &str,

@@ -13,7 +13,7 @@ pub mod synopsis;
 pub mod text;
 pub mod transfer_entropy;
 
-use crate::columnar::{HourScan, WindowScan};
+use crate::columnar::WindowScan;
 use crate::model::event::EventRecord;
 
 /// Bins a columnar window scan into fixed windows, summing amounts — the
@@ -21,26 +21,16 @@ use crate::model::event::EventRecord;
 /// the same integer amounts into `f64` bins (exact below 2^53), so cold,
 /// cached, and row-path series analytics agree byte-for-byte.
 ///
-/// Closed hours narrow to the in-window row range by binary search on
-/// the sorted timestamp column; open hours arrive pre-filtered from the
-/// row path.
+/// Each hour's block narrows to the in-window row range by binary search
+/// on its sorted timestamp column.
 pub fn bin_scan(scan: &WindowScan, bin_ms: i64) -> Vec<f64> {
     assert!(bin_ms > 0, "bin width must be positive");
     let (from_ms, to_ms) = (scan.from_ms, scan.to_ms);
     let nbins = ((to_ms - from_ms).max(0) as usize).div_ceil(bin_ms as usize);
     let mut bins = vec![0.0f64; nbins];
-    for part in &scan.parts {
-        match part {
-            HourScan::Columnar(b) => {
-                for i in b.range(from_ms, to_ms) {
-                    bins[((b.ts[i] - from_ms) / bin_ms) as usize] += b.amounts[i] as f64;
-                }
-            }
-            HourScan::Rows(events) => {
-                for e in events {
-                    bins[((e.ts_ms - from_ms) / bin_ms) as usize] += e.amount as f64;
-                }
-            }
+    for b in &scan.parts {
+        for i in b.range(from_ms, to_ms) {
+            bins[((b.ts[i] - from_ms) / bin_ms) as usize] += b.amounts[i] as f64;
         }
     }
     bins

@@ -1,12 +1,10 @@
 //! Event synopses: per-day, per-type, per-hour summary rows that power the
 //! temporal map without re-scanning full event partitions.
 
-use crate::columnar::HourScan;
 use crate::framework::Framework;
-use crate::model::keys::{self, DAY_MS, HOUR_MS};
+use crate::model::keys::{DAY_MS, HOUR_MS};
 use rasdb::error::DbError;
 use rasdb::types::Value;
-use std::collections::HashSet;
 
 /// One synopsis row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,49 +23,31 @@ pub struct SynopsisRow {
 /// covering `[from_ms, to_ms)`. Returns rows written.
 ///
 /// Each scan part covers exactly one hour partition, so the per-hour
-/// aggregate falls out of the part itself: closed hours sum the amount
-/// column and count distinct dictionary ids (set-bitmap over the block
-/// dictionary, no string hashing); open hours fall back to per-event
-/// accumulation. Both produce the same integer cells.
+/// aggregate falls out of the block itself: sum the amount column and
+/// count distinct dictionary ids (set-bitmap over the block dictionary,
+/// no string hashing).
 pub fn build_synopsis(fw: &Framework, from_ms: i64, to_ms: i64) -> Result<usize, DbError> {
     let mut written = 0;
     for etype in loggen::events::EVENT_CATALOG {
         let scan = fw.scan_window(etype.name, from_ms, to_ms)?;
-        for part in &scan.parts {
-            let (hour, count, nodes) = match part {
-                HourScan::Columnar(b) => {
-                    let r = b.range(from_ms, to_ms);
-                    if r.is_empty() {
-                        continue;
-                    }
-                    let mut seen = vec![false; b.dict.len()];
-                    let mut count = 0i64;
-                    for i in r {
-                        count += b.amounts[i] as i64;
-                        seen[b.source_ids[i] as usize] = true;
-                    }
-                    let nodes = seen.iter().filter(|s| **s).count() as i64;
-                    (b.hour, count, nodes)
-                }
-                HourScan::Rows(events) => {
-                    if events.is_empty() {
-                        continue;
-                    }
-                    let mut sources: HashSet<&str> = HashSet::new();
-                    let mut count = 0i64;
-                    for e in events {
-                        count += e.amount as i64;
-                        sources.insert(e.source.as_str());
-                    }
-                    (keys::hour_of(events[0].ts_ms), count, sources.len() as i64)
-                }
-            };
+        for b in &scan.parts {
+            let r = b.range(from_ms, to_ms);
+            if r.is_empty() {
+                continue;
+            }
+            let mut seen = vec![false; b.dict.len()];
+            let mut count = 0i64;
+            for i in r {
+                count += b.amounts[i] as i64;
+                seen[b.source_ids[i] as usize] = true;
+            }
+            let nodes = seen.iter().filter(|s| **s).count() as i64;
             fw.cluster().insert(
                 "eventsynopsis",
                 vec![
-                    ("day", Value::BigInt(hour * HOUR_MS / DAY_MS)),
+                    ("day", Value::BigInt(b.hour * HOUR_MS / DAY_MS)),
                     ("type", Value::text(etype.name)),
-                    ("hour", Value::BigInt(hour)),
+                    ("hour", Value::BigInt(b.hour)),
                     ("events", Value::BigInt(count)),
                     ("nodes", Value::BigInt(nodes)),
                 ],

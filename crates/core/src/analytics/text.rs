@@ -117,11 +117,9 @@ pub fn tf_idf(messages: &[String]) -> HashMap<String, f64> {
 /// Word count over the raw messages of one event type in a window — the
 /// paper's Fig 7 workflow (raw Lustre lines → word bubbles → dead OST).
 ///
-/// Closed hours count borrowed tokens straight off the columnar
-/// raw-message buffer, a block at a time, and copy a term only when the
-/// result first meets it; open hours collect their messages from the row
-/// path and count on the engine. Both merge by summing, so totals are
-/// independent of the split.
+/// Counts borrowed tokens straight off each block's raw-message column,
+/// a block at a time, and copies a term only when the result first meets
+/// it.
 pub fn word_count_events(
     fw: &Framework,
     event_type: &str,
@@ -130,33 +128,20 @@ pub fn word_count_events(
 ) -> Result<HashMap<String, u64>, DbError> {
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
     let mut counts: HashMap<String, u64> = HashMap::new();
-    let mut open_messages: Vec<String> = Vec::new();
-    for part in &scan.parts {
-        match part {
-            crate::columnar::HourScan::Columnar(b) => {
-                let mut of_block: HashMap<&str, u64> = HashMap::new();
-                for i in b.range(from_ms, to_ms) {
-                    for tok in tokens(b.raw(i)) {
-                        *of_block.entry(tok).or_insert(0) += 1;
-                    }
-                }
-                for (tok, n) in of_block {
-                    match counts.get_mut(tok) {
-                        Some(total) => *total += n,
-                        None => {
-                            counts.insert(tok.to_owned(), n);
-                        }
-                    }
-                }
-            }
-            crate::columnar::HourScan::Rows(events) => {
-                open_messages.extend(events.iter().map(|e| e.raw.clone()));
+    for b in &scan.parts {
+        let mut of_block: HashMap<&str, u64> = HashMap::new();
+        for i in b.range(from_ms, to_ms) {
+            for tok in tokens(b.raw(i)) {
+                *of_block.entry(tok).or_insert(0) += 1;
             }
         }
-    }
-    if !open_messages.is_empty() {
-        for (tok, n) in word_count_parallel(fw, open_messages) {
-            *counts.entry(tok).or_insert(0) += n;
+        for (tok, n) in of_block {
+            match counts.get_mut(tok) {
+                Some(total) => *total += n,
+                None => {
+                    counts.insert(tok.to_owned(), n);
+                }
+            }
         }
     }
     Ok(counts)
@@ -222,45 +207,6 @@ mod tests {
             proptest::prop_assert_eq!(&borrowed, &tokenize_owned(&message));
             proptest::prop_assert_eq!(tokenize(&message), borrowed);
         }
-    }
-
-    /// Across the watermark — blocks for the closed hours, rows for the
-    /// open one — the count is the serial count of the same messages.
-    #[test]
-    fn word_count_events_is_the_serial_count_of_the_scanned_messages() {
-        use crate::model::event::EventRecord;
-        use crate::model::keys::HOUR_MS;
-        let fw = Framework::new(FrameworkConfig {
-            db_nodes: 2,
-            replication_factor: 1,
-            vnodes: 4,
-            topology: Topology::scaled(1, 1),
-            ..Default::default()
-        })
-        .unwrap();
-        for i in 0..90i64 {
-            fw.insert_event(&EventRecord {
-                ts_ms: i * 2 * 60_000,
-                event_type: "LUSTRE_ERR".into(),
-                source: format!("c0-0c0s{}n0", i % 8),
-                amount: 1,
-                raw: format!(
-                    "LustreError: OST{:04x} with timeout THE ost_write retry{} ffff{i:04x}",
-                    i % 5,
-                    i % 3
-                ),
-            })
-            .unwrap();
-        }
-        fw.note_ingest_commit(2 * HOUR_MS);
-        let (from, to) = (10 * 60_000, 3 * HOUR_MS);
-        let scan = fw.scan_window("LUSTRE_ERR", from, to).unwrap();
-        let messages: Vec<String> = scan.records().into_iter().map(|e| e.raw).collect();
-        assert_eq!(messages.len(), 85);
-        let counts = word_count_events(&fw, "LUSTRE_ERR", from, to).unwrap();
-        assert_eq!(counts, word_count_serial(&messages));
-        assert_eq!(counts["LustreError"], 85);
-        assert!(!counts.contains_key("THE") && !counts.contains_key("with"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Columnar analytics blocks for closed hour partitions.
+//! Columnar analytics blocks: the one scan shape of every hour partition.
 //!
-//! Analytics kernels historically re-merged row-oriented partitions and
-//! iterated typed cells on every cold scan. This module gives each
-//! **closed** `(hour, event_type)` partition of `event_by_time` — one
-//! whose hour lies entirely at or below the streaming ingest watermark —
-//! a column-oriented layout instead:
+//! The paper stores "a time series representation of events that is one
+//! hour long" per partition; analytics kernels read each
+//! `(hour, event_type)` partition of `event_by_time` in a column-oriented
+//! layout, whether the hour was batch-imported long ago or is still being
+//! filled by the live stream:
 //!
 //! - `ts`: the timestamp column, contiguous and sorted (rows arrive in
 //!   clustering order `(ts, source)`), carrying a min/max **zone map**
@@ -14,7 +14,7 @@
 //!   one `u32` per row into a per-block string dictionary, so kernels
 //!   resolve each distinct cname once per block instead of once per row;
 //! - `amounts`: the `i32` amount column;
-//! - `raw`: every raw message concatenated into one byte buffer with an
+//! - `raw`: every raw message concatenated into one string with an
 //!   offset column, for zero-copy text analytics.
 //!
 //! Blocks are built **lazily** on the first analytics scan from the same
@@ -22,13 +22,18 @@
 //! [`ColumnarStore`] under the block-cache byte budget with exactly the
 //! block cache's invalidation rules (`rasdb/src/cache.rs`): each entry
 //! snapshots the partition's data version and the cluster topology epoch
-//! at read time, and a later lookup whose snapshot disagrees drops the
-//! entry and rebuilds. Open-hour partitions always fall back to the row
-//! path, so cached and uncached responses stay byte-identical (enforced
-//! by the `cache_equivalence` proptest).
+//! *before* its rows are read, and a later lookup whose snapshot
+//! disagrees drops the entry and rebuilds. A write bumps the version
+//! only after it is applied, so a write racing a build can make the
+//! stored block stale but never wrongly current — which is all a
+//! still-filling hour needs: it is a block whose version moves often.
+//! With a zero budget nothing is retained and every scan builds
+//! transient blocks; the kernels and their answers are the same
+//! (enforced by the `cache_equivalence` proptest).
 
 use crate::model::event::EventRecord;
 use rasdb::cache::LruCache;
+use rasdb::stats::CacheStats;
 use rasdb::types::Row;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -36,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use telemetry::{Counter, Gauge};
 
-/// One closed `(hour, event_type)` partition in columnar form.
+/// One `(hour, event_type)` partition in columnar form.
 ///
 /// Built by [`ColumnBlock::build`] from the partition's merged rows in
 /// clustering order, so `ts` is sorted ascending and row `i` of every
@@ -56,7 +61,7 @@ pub struct ColumnBlock {
     /// Amount column.
     pub amounts: Vec<i32>,
     raw_offsets: Vec<u32>,
-    raw_bytes: Vec<u8>,
+    raw_text: String,
 }
 
 impl ColumnBlock {
@@ -69,7 +74,7 @@ impl ColumnBlock {
         let mut source_ids = Vec::with_capacity(rows.len());
         let mut amounts = Vec::with_capacity(rows.len());
         let mut raw_offsets = Vec::with_capacity(rows.len() + 1);
-        let mut raw_bytes = Vec::new();
+        let mut raw_text = String::new();
         let mut dict: Vec<String> = Vec::new();
         let mut seen: HashMap<&str, u32> = HashMap::new();
         raw_offsets.push(0);
@@ -91,8 +96,8 @@ impl ColumnBlock {
                 .cell("raw")
                 .and_then(|v| v.as_text())
                 .unwrap_or_default();
-            raw_bytes.extend_from_slice(raw.as_bytes());
-            raw_offsets.push(raw_bytes.len() as u32);
+            raw_text.push_str(raw);
+            raw_offsets.push(raw_text.len() as u32);
         }
         debug_assert!(ts.is_sorted(), "clustering order must be ascending");
         ColumnBlock {
@@ -103,7 +108,7 @@ impl ColumnBlock {
             dict,
             amounts,
             raw_offsets,
-            raw_bytes,
+            raw_text,
         }
     }
 
@@ -145,13 +150,9 @@ impl ColumnBlock {
     }
 
     /// The raw message of row `i`, as a zero-copy slice of the
-    /// concatenated message buffer.
+    /// concatenated message text.
     pub fn raw(&self, i: usize) -> &str {
-        let (a, b) = (
-            self.raw_offsets[i] as usize,
-            self.raw_offsets[i + 1] as usize,
-        );
-        std::str::from_utf8(&self.raw_bytes[a..b]).expect("raw column holds UTF-8 strings")
+        &self.raw_text[self.raw_offsets[i] as usize..self.raw_offsets[i + 1] as usize]
     }
 
     /// Materializes row `i` back into an [`EventRecord`] (allocates; used
@@ -187,36 +188,24 @@ impl ColumnBlock {
             + self.source_ids.len() * 4
             + self.amounts.len() * 4
             + self.raw_offsets.len() * 4
-            + self.raw_bytes.len()
+            + self.raw_text.len()
             + self.dict.iter().map(|s| s.len() + 24).sum::<usize>()
             + self.event_type.len()
             + 64
     }
 }
 
-/// One hour of a window scan: either a cached columnar block (closed
-/// hour) or the materialized, window-filtered row path (open hour, or
-/// columnar disabled).
-pub enum HourScan {
-    /// A closed hour served from a columnar block. The block covers the
-    /// *whole* hour; kernels narrow to the query window with
-    /// [`ColumnBlock::range`].
-    Columnar(Arc<ColumnBlock>),
-    /// An open hour served by the row path, already filtered to the
-    /// query window.
-    Rows(Vec<EventRecord>),
-}
-
-/// The result of [`crate::framework::Framework::scan_window`]: per-hour
-/// scan parts in hour order, with zone-map-skipped blocks already
-/// removed.
+/// The result of [`crate::framework::Framework::scan_window`]: one
+/// block per hour partition in hour order, with zone-map-skipped blocks
+/// already removed. Each block covers its *whole* hour; kernels narrow to
+/// the query window with [`ColumnBlock::range`].
 pub struct WindowScan {
     /// Window start (inclusive).
     pub from_ms: i64,
     /// Window end (exclusive).
     pub to_ms: i64,
-    /// Surviving per-hour parts, ascending by hour.
-    pub parts: Vec<HourScan>,
+    /// Surviving per-hour blocks, ascending by hour.
+    pub parts: Vec<Arc<ColumnBlock>>,
 }
 
 impl WindowScan {
@@ -225,16 +214,10 @@ impl WindowScan {
     /// [`crate::framework::Framework::events_by_type`]. Allocates one
     /// record per row; used by equivalence tests, not by the kernels.
     pub fn records(&self) -> Vec<EventRecord> {
-        let mut out = Vec::new();
-        for part in &self.parts {
-            match part {
-                HourScan::Columnar(b) => {
-                    out.extend(b.range(self.from_ms, self.to_ms).map(|i| b.record(i)));
-                }
-                HourScan::Rows(events) => out.extend(events.iter().cloned()),
-            }
-        }
-        out
+        self.parts
+            .iter()
+            .flat_map(|b| b.range(self.from_ms, self.to_ms).map(|i| b.record(i)))
+            .collect()
     }
 }
 
@@ -274,7 +257,7 @@ pub struct ColumnarStats {
     pub zone_skips: u64,
     /// Bytes currently resident.
     pub bytes_resident: u64,
-    /// The configured byte budget (0 = columnar disabled).
+    /// The configured byte budget (0 = no block is retained).
     pub bytes_budget: u64,
     /// Bytes the source columns of every built block would occupy
     /// un-encoded.
@@ -301,51 +284,33 @@ impl ColumnarStats {
 /// partition-block cache applies.
 pub struct ColumnarStore {
     cache: Mutex<LruCache<StoreEntry>>,
+    stats: CacheStats,
     built: AtomicU64,
-    evicted: AtomicU64,
-    invalidated: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     zone_skips: AtomicU64,
     dict_raw: AtomicU64,
     dict_encoded: AtomicU64,
     t_built: Arc<Counter>,
-    t_evictions: Arc<Counter>,
-    t_invalidations: Arc<Counter>,
-    t_hits: Arc<Counter>,
-    t_misses: Arc<Counter>,
     t_zone_skips: Arc<Counter>,
     t_bytes: Arc<Gauge>,
 }
 
 impl ColumnarStore {
-    /// Creates a store with the given byte budget (0 disables columnar
-    /// blocks entirely: every scan falls back to the row path).
+    /// Creates a store with the given byte budget. With a budget of 0
+    /// nothing is retained: every lookup misses and every scan builds
+    /// transient blocks.
     pub fn new(budget: usize) -> ColumnarStore {
         let t = telemetry::global();
         ColumnarStore {
             cache: Mutex::new(LruCache::new(budget)),
+            stats: CacheStats::new("columnar"),
             built: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             zone_skips: AtomicU64::new(0),
             dict_raw: AtomicU64::new(0),
             dict_encoded: AtomicU64::new(0),
-            t_built: t.counter("rasdb.columnar.blocks_built"),
-            t_evictions: t.counter("rasdb.columnar.evictions"),
-            t_invalidations: t.counter("rasdb.columnar.invalidations"),
-            t_hits: t.counter("rasdb.columnar.hits"),
-            t_misses: t.counter("rasdb.columnar.misses"),
-            t_zone_skips: t.counter("rasdb.columnar.zone_skips"),
-            t_bytes: t.gauge("rasdb.columnar.bytes_resident"),
+            t_built: t.counter("cache.columnar.blocks_built"),
+            t_zone_skips: t.counter("cache.columnar.zone_skips"),
+            t_bytes: t.gauge("cache.columnar.bytes_resident"),
         }
-    }
-
-    /// True when a non-zero budget is configured.
-    pub fn enabled(&self) -> bool {
-        self.cache.lock().unwrap().budget() > 0
     }
 
     /// Looks up the block for `(hour, event_type)`, validating the cached
@@ -361,31 +326,17 @@ impl ColumnarStore {
     ) -> Option<Arc<ColumnBlock>> {
         let key = block_key(hour, event_type);
         let mut cache = self.cache.lock().unwrap();
-        let probe = match cache.get(&key) {
-            Some(e) if e.version == version && e.epoch == epoch => Some(Arc::clone(&e.block)),
-            Some(_) => None,
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.t_misses.incr(1);
-                return None;
+        if let Some(e) = cache.get(&key) {
+            if e.version == version && e.epoch == epoch {
+                self.stats.record_hit();
+                return Some(Arc::clone(&e.block));
             }
-        };
-        match probe {
-            Some(block) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.t_hits.incr(1);
-                Some(block)
-            }
-            None => {
-                cache.remove(&key);
-                self.t_bytes.set(cache.used_bytes() as i64);
-                self.invalidated.fetch_add(1, Ordering::Relaxed);
-                self.t_invalidations.incr(1);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.t_misses.incr(1);
-                None
-            }
+            cache.remove(&key);
+            self.t_bytes.set(cache.used_bytes() as i64);
+            self.stats.record_invalidations(1);
         }
+        self.stats.record_miss();
+        None
     }
 
     /// Caches a freshly built block under the version/epoch snapshot
@@ -410,8 +361,7 @@ impl ColumnarStore {
             },
             bytes,
         );
-        self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        self.t_evictions.incr(evicted);
+        self.stats.record_evictions(evicted);
         self.t_bytes.set(cache.used_bytes() as i64);
     }
 
@@ -420,8 +370,7 @@ impl ColumnarStore {
     pub fn set_budget(&self, budget: usize) -> u64 {
         let mut cache = self.cache.lock().unwrap();
         let evicted = cache.set_budget(budget);
-        self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        self.t_evictions.incr(evicted);
+        self.stats.record_evictions(evicted);
         self.t_bytes.set(cache.used_bytes() as i64);
         evicted
     }
@@ -438,10 +387,10 @@ impl ColumnarStore {
         ColumnarStats {
             blocks_built: self.built.load(Ordering::Relaxed),
             blocks_resident: cache.len() as u64,
-            blocks_evicted: self.evicted.load(Ordering::Relaxed),
-            invalidations: self.invalidated.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            blocks_evicted: self.stats.evictions(),
+            invalidations: self.stats.invalidations(),
+            hits: self.stats.hits(),
+            misses: self.stats.misses(),
             zone_skips: self.zone_skips.load(Ordering::Relaxed),
             bytes_resident: cache.used_bytes() as u64,
             bytes_budget: cache.budget() as u64,
@@ -489,6 +438,17 @@ mod tests {
         assert_eq!(b.raw(1), "mce bank 2");
         assert_eq!(b.record(2).source, "c0-0c0s0n0");
         assert!(b.source_raw_bytes() >= b.dict.iter().map(String::len).sum());
+        // Multi-byte messages side by side: an offset off by one byte
+        // would split a code point and panic the slice.
+        let texts = ["ошибка OST0041", "🔥", "", "日本語 mce", "ascii"];
+        let rows: Vec<Row> = (0i64..)
+            .zip(texts)
+            .map(|(i, t)| row(i, "n0", 1, t))
+            .collect();
+        let b = ColumnBlock::build(0, "MCE", &rows);
+        for (i, t) in texts.iter().enumerate() {
+            assert_eq!(b.raw(i), *t);
+        }
     }
 
     #[test]
@@ -545,6 +505,5 @@ mod tests {
         assert_eq!(evicted, 8, "shrinking the budget evicts LRU-first");
         assert_eq!(store.stats().blocks_resident, 0);
         assert_eq!(store.stats().bytes_resident, 0);
-        assert!(!ColumnarStore::new(0).enabled());
     }
 }

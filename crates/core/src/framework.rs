@@ -1,9 +1,8 @@
 //! The framework facade: a co-located storage + compute cluster plus the
 //! message bus, schema, and machine description.
 
-use crate::columnar::{ColumnBlock, ColumnarStore, HourScan, WindowScan};
+use crate::columnar::{ColumnBlock, ColumnarStore, WindowScan};
 use crate::model::event::EventRecord;
-use crate::model::keys::HOUR_MS;
 use crate::model::{apprun::AppRun, keys, nodeinfo, tables};
 use crate::server::cache::ResultCache;
 use logbus::Broker;
@@ -161,7 +160,8 @@ impl Framework {
     }
 
     /// The columnar block store (see [`crate::columnar`]). Shares the
-    /// block-cache byte budget; a zero budget disables columnar scans.
+    /// block-cache byte budget; with a zero budget no block is retained
+    /// and every scan builds transient ones.
     pub fn columnar(&self) -> &ColumnarStore {
         &self.columnar
     }
@@ -169,7 +169,8 @@ impl Framework {
     /// The streaming ingest watermark: every event at or below this
     /// timestamp has been committed by streaming ingestion. `i64::MIN`
     /// until the first commit, so every window counts as open before
-    /// streaming starts.
+    /// streaming starts. It governs the result cache's eager drop only;
+    /// scans never consult it.
     pub fn ingest_watermark(&self) -> i64 {
         self.ingest_watermark.load(Ordering::SeqCst)
     }
@@ -286,97 +287,52 @@ impl Framework {
 
     /// Columnar analytics scan of one event type over `[from_ms, to_ms)`.
     ///
-    /// Every **closed** hour — one whose end sits at or below the ingest
-    /// watermark — is served from a cached [`ColumnBlock`], lazily built
-    /// from the merged read-repaired row path on first touch and
-    /// validated against the partition's data version and the topology
-    /// epoch (both snapshotted *before* the rows are read, exactly like
-    /// the rasdb block cache). Blocks whose timestamp zone map cannot
-    /// overlap the window are skipped without touching a row. All
-    /// uncached closed hours are fetched in one [`Cluster::read_multi`]
-    /// scatter. Open hours — and every hour when the columnar budget is
-    /// zero — fall back to [`Framework::scan_events_rdd`], the
-    /// locality-pinned MapReduce path, so live data keeps the paper's
-    /// co-location behavior; the watermark is a single cut, so open
-    /// hours are always a contiguous tail of the window and one RDD scan
-    /// covers them. Results are byte-identical to
-    /// [`Framework::events_by_type`] in all cases.
+    /// Every hour of the window is served the same way, from a
+    /// [`ColumnBlock`]: the store is probed under the partition's data
+    /// version and the topology epoch (both snapshotted *before* any row
+    /// is read, exactly like the rasdb block cache), every hour that
+    /// misses is fetched in one [`Cluster::read_multi`] scatter, built and
+    /// stored. A still-filling hour is simply a block whose version moves
+    /// often — the next scan after a write drops and rebuilds it. Blocks
+    /// whose timestamp zone map cannot overlap the window are skipped
+    /// without touching a row. Results are byte-identical to
+    /// [`Framework::events_by_type`], and a read error fails the scan.
     pub fn scan_window(
         &self,
         event_type: &str,
         from_ms: i64,
         to_ms: i64,
     ) -> Result<WindowScan, DbError> {
-        let watermark = self.ingest_watermark();
         let epoch = self.cluster.topology_epoch();
-        let columnar_on = self.columnar.enabled();
-        struct Pending {
-            slot: usize,
-            hour: i64,
-            version: u64,
-        }
-        let mut slots: Vec<Option<HourScan>> = Vec::new();
-        let mut pending: Vec<Pending> = Vec::new();
+        // One slot per hour of the window; an hour the store cannot serve
+        // stays `None` until the batched read below fills it.
+        let mut blocks: Vec<Option<Arc<ColumnBlock>>> = Vec::new();
+        let mut missing: Vec<(usize, i64, u64)> = Vec::new();
         let mut plans: Vec<ReadPlan> = Vec::new();
-        let mut open_from: Option<i64> = None;
-        for hour in keys::hours_in(from_ms, to_ms) {
-            let hour_end = hour.saturating_add(1).saturating_mul(HOUR_MS);
-            if !(columnar_on && hour_end <= watermark) {
-                // First open hour: every later hour is open too, so the
-                // rest of the window goes to the RDD scan in one piece.
-                open_from = Some(from_ms.max(hour.saturating_mul(HOUR_MS)));
-                break;
+        let hourly = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
+        for (hour, plan) in keys::hours_in(from_ms, to_ms).zip(hourly) {
+            let version = self.cluster.data_version("event_by_time", &plan.partition);
+            let cached = self.columnar.get(hour, event_type, version, epoch);
+            if cached.is_none() {
+                missing.push((blocks.len(), hour, version));
+                plans.push(plan);
             }
-            let slot = slots.len();
-            slots.push(None);
-            let partition = Key::from(vec![Value::BigInt(hour), Value::text(event_type)]);
-            let version = self.cluster.data_version("event_by_time", &partition);
-            if let Some(block) = self.columnar.get(hour, event_type, version, epoch) {
-                if block.overlaps(from_ms, to_ms) {
-                    slots[slot] = Some(HourScan::Columnar(block));
-                } else {
-                    self.columnar.note_zone_skip();
-                }
-                continue;
-            }
-            pending.push(Pending {
-                slot,
-                hour,
-                version,
-            });
-            plans.push(ReadPlan {
-                table: "event_by_time".to_owned(),
-                partition,
-                range: full_range(),
-                limit: None,
-                descending: false,
-            });
+            blocks.push(cached);
         }
         if !plans.is_empty() {
             let batches = self.cluster.read_multi(&plans, self.consistency)?;
-            for (p, rows) in pending.iter().zip(batches) {
-                let block = Arc::new(ColumnBlock::build(p.hour, event_type, &rows));
-                self.columnar.insert(Arc::clone(&block), p.version, epoch);
-                if block.overlaps(from_ms, to_ms) {
-                    slots[p.slot] = Some(HourScan::Columnar(block));
-                } else {
-                    self.columnar.note_zone_skip();
-                }
+            for ((slot, hour, version), rows) in missing.into_iter().zip(batches) {
+                let block = Arc::new(ColumnBlock::build(hour, event_type, &rows));
+                self.columnar.insert(Arc::clone(&block), version, epoch);
+                blocks[slot] = Some(block);
             }
         }
-        let mut parts: Vec<HourScan> = slots.into_iter().flatten().collect();
-        if let Some(lo) = open_from {
-            // One RDD scan covers the whole open tail; split the collected
-            // events (hour-ordered by partition order) back into per-hour
-            // parts to keep the one-part-per-hour contract.
-            let events = self.scan_events_rdd(event_type, lo, to_ms).collect();
-            let mut rest = events.into_iter().peekable();
-            for hour in keys::hours_in(lo, to_ms) {
-                let mut run = Vec::new();
-                while rest.peek().is_some_and(|e| keys::hour_of(e.ts_ms) == hour) {
-                    run.push(rest.next().expect("peeked"));
-                }
-                parts.push(HourScan::Rows(run));
+        let mut parts = Vec::with_capacity(blocks.len());
+        for block in blocks.into_iter().flatten() {
+            if block.overlaps(from_ms, to_ms) {
+                parts.push(block);
+            } else {
+                self.columnar.note_zone_skip();
             }
         }
         Ok(WindowScan {
@@ -411,6 +367,11 @@ impl Framework {
     /// replica. When a partition is computed on a *different* executor,
     /// the loader pays a marshalling round trip (encode + decode of every
     /// cell) — the cost a co-located deployment avoids.
+    ///
+    /// This is the co-location experiment's scan (EXPERIMENTS C3,
+    /// `benches/locality.rs`); no dashboard op reaches it — analytics read
+    /// through [`Framework::scan_window`]. A partition whose read fails
+    /// yields no records here.
     pub fn scan_events_rdd(&self, event_type: &str, from_ms: i64, to_ms: i64) -> Rdd<EventRecord> {
         let workers = self.engine.workers();
         let plans = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
@@ -686,10 +647,12 @@ mod tests {
         assert!(fw.apps_by_user("nobody").unwrap().is_empty());
     }
 
-    /// The whole-window scan must materialize byte-identically to the
-    /// row path across the closed/open split.
+    /// The scan contract on a framework that never streamed: identical to
+    /// the row path, warm rescans come from the store, a write rebuilds
+    /// exactly the hour it touched, and the ingest watermark is not an
+    /// input.
     #[test]
-    fn scan_window_matches_row_path_across_the_watermark() {
+    fn scan_window_serves_every_hour_from_blocks() {
         let fw = small();
         for h in 0..3i64 {
             for i in 0..12 {
@@ -701,37 +664,42 @@ mod tests {
                 .unwrap();
             }
         }
-        // Hours 0 and 1 closed, hour 2 open.
-        fw.note_ingest_commit(2 * HOUR_MS);
-        let scan = fw.scan_window("MCE", 30 * 60_000, 3 * HOUR_MS).unwrap();
+        assert_eq!(fw.ingest_watermark(), i64::MIN, "never streamed");
+        let (from, to) = (30 * 60_000, 3 * HOUR_MS);
+        let scan = fw.scan_window("MCE", from, to).unwrap();
         assert_eq!(scan.parts.len(), 3);
-        assert!(matches!(scan.parts[0], HourScan::Columnar(_)));
-        assert!(matches!(scan.parts[1], HourScan::Columnar(_)));
-        assert!(
-            matches!(scan.parts[2], HourScan::Rows(_)),
-            "the open hour stays on the row path"
-        );
-        let rows = fw.events_by_type("MCE", 30 * 60_000, 3 * HOUR_MS).unwrap();
+        let rows = fw.events_by_type("MCE", from, to).unwrap();
         assert_eq!(scan.records(), rows);
-        // A warm rescan answers from the cache, still identically.
-        assert!(fw.columnar().stats().hits == 0);
-        let warm = fw.scan_window("MCE", 30 * 60_000, 3 * HOUR_MS).unwrap();
-        assert_eq!(warm.records(), rows);
-        assert_eq!(fw.columnar().stats().hits, 2);
-        // A write into a closed hour bumps its data version: the stale
-        // block is dropped and rebuilt lazily.
-        fw.insert_event(&ev(500, "MCE", "c0-0c0s0n0")).unwrap();
-        let repaired = fw.scan_window("MCE", 0, 3 * HOUR_MS).unwrap();
-        assert_eq!(
-            repaired.records(),
-            fw.events_by_type("MCE", 0, 3 * HOUR_MS).unwrap()
-        );
-        assert!(fw.columnar().stats().invalidations >= 1);
+        let cold = fw.columnar().stats();
+        assert_eq!((cold.blocks_built, cold.hits, cold.misses), (3, 0, 3));
+        // Identical rescans are served from the store wherever the ingest
+        // watermark sits: never moved, below, inside or above the window.
+        for (n, watermark) in [(1, i64::MIN), (2, 0), (3, HOUR_MS + 7), (4, 10 * HOUR_MS)] {
+            fw.note_ingest_commit(watermark);
+            assert_eq!(fw.scan_window("MCE", from, to).unwrap().records(), rows);
+            let s = fw.columnar().stats();
+            assert_eq!((s.blocks_built, s.hits, s.misses), (3, 3 * n, 3));
+        }
+        // A write into hour 1 bumps that partition's data version: its
+        // block is dropped and rebuilt once, the other two still hit.
+        fw.insert_event(&ev(HOUR_MS + 500, "MCE", "c0-0c0s0n0"))
+            .unwrap();
+        let before = fw.columnar().stats();
+        for rescans in 1..=2 {
+            let repaired = fw.scan_window("MCE", 0, 3 * HOUR_MS).unwrap();
+            assert_eq!(
+                repaired.records(),
+                fw.events_by_type("MCE", 0, 3 * HOUR_MS).unwrap()
+            );
+            let s = fw.columnar().stats();
+            assert_eq!(s.blocks_built, before.blocks_built + 1);
+            assert_eq!(s.invalidations, before.invalidations + 1);
+            assert_eq!(s.hits, before.hits + 3 * rescans - 1);
+        }
     }
 
-    /// Zone-map edge cases: empty windows produce no parts, blocks that
-    /// cannot overlap the window are skipped without a scan, and the hour
-    /// containing the watermark itself is still open.
+    /// Zone-map edge cases: empty windows produce no parts, and blocks
+    /// that cannot overlap the window are skipped without a scan.
     #[test]
     fn scan_window_zone_map_edges() {
         let fw = small();
@@ -740,7 +708,6 @@ mod tests {
             fw.insert_event(&ev(i * 60_000, "GPU_DBE", "c0-0c0s0n0"))
                 .unwrap();
         }
-        fw.note_ingest_commit(2 * HOUR_MS);
         // Empty window (from == to): no hours, no parts.
         assert!(fw
             .scan_window("GPU_DBE", HOUR_MS, HOUR_MS)
@@ -763,17 +730,22 @@ mod tests {
             edge.records(),
             fw.events_by_type("GPU_DBE", 60_000, 4 * 60_000).unwrap()
         );
-        // The watermark sits exactly on the hour-2 boundary: hour 2 ends
-        // past it, so it is open and served by rows even when empty.
-        let boundary = fw.scan_window("GPU_DBE", 2 * HOUR_MS, 3 * HOUR_MS).unwrap();
-        assert_eq!(boundary.parts.len(), 1);
-        assert!(matches!(boundary.parts[0], HourScan::Rows(_)));
+        // An hour nothing was written to is an empty block like any
+        // other: built, stored, and skipped by its (empty) zone map.
+        let built = fw.columnar().stats().blocks_built;
+        for _ in 0..2 {
+            let empty = fw.scan_window("GPU_DBE", 2 * HOUR_MS, 3 * HOUR_MS).unwrap();
+            assert!(empty.parts.is_empty());
+        }
+        let s = fw.columnar().stats();
+        assert_eq!(s.blocks_built, built + 1);
+        assert_eq!(s.zone_skips, skips + 3);
     }
 
-    /// With a zero budget the store is disabled and every hour — closed
-    /// or not — stays on the row path.
+    /// A zero budget means "blocks are transient", not a different scan:
+    /// the same records come back and nothing is ever resident.
     #[test]
-    fn zero_budget_disables_columnar_scans() {
+    fn zero_budget_keeps_blocks_transient() {
         let fw = Framework::new(FrameworkConfig {
             db_nodes: 2,
             replication_factor: 1,
@@ -784,10 +756,16 @@ mod tests {
         })
         .unwrap();
         fw.insert_event(&ev(5, "MCE", "c0-0c0s0n0")).unwrap();
-        fw.note_ingest_commit(HOUR_MS);
-        let scan = fw.scan_window("MCE", 0, HOUR_MS).unwrap();
-        assert!(matches!(scan.parts[0], HourScan::Rows(_)));
-        assert_eq!(fw.columnar().stats().blocks_built, 0);
+        fw.insert_event(&ev(HOUR_MS + 5, "MCE", "c0-0c0s1n0"))
+            .unwrap();
+        let rows = fw.events_by_type("MCE", 0, 2 * HOUR_MS).unwrap();
+        for scans in 1..=2 {
+            let scan = fw.scan_window("MCE", 0, 2 * HOUR_MS).unwrap();
+            assert_eq!(scan.records(), rows);
+            let s = fw.columnar().stats();
+            assert_eq!((s.blocks_built, s.hits), (2 * scans, 0));
+            assert_eq!((s.blocks_resident, s.bytes_resident), (0, 0));
+        }
     }
 
     #[test]

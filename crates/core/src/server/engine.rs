@@ -1375,7 +1375,8 @@ mod tests {
     }
 
     /// `distribution` answers from column blocks what the row path answers,
-    /// across the watermark, and only the unfiltered request does so.
+    /// the still-filling hour included, and only the unfiltered request
+    /// does so.
     #[test]
     fn distribution_on_column_blocks_is_the_row_path_byte_for_byte() {
         let fw = Framework::new(FrameworkConfig {
@@ -1420,7 +1421,7 @@ mod tests {
             other_info: Default::default(),
         })
         .unwrap();
-        // Hours 0 and 1 are closed, hour 2 is open.
+        // The stream has committed through hour 1; hour 2 is still open.
         fw.note_ingest_commit(2 * HOUR_MS);
         let e = QueryEngine::new(Arc::new(fw));
         let fw = &e.fw;
@@ -1463,7 +1464,7 @@ mod tests {
             assert_eq!(fw.result_cache().stats().hits(), hits + 1);
         }
         let blocks = fw.columnar().stats();
-        assert_eq!(blocks.blocks_built, 2, "the two closed hours");
+        assert_eq!(blocks.blocks_built, 3, "one per hour, the open one too");
 
         // A commit into the open hour drops the memoised answer.
         let req = format!(

@@ -4,7 +4,9 @@ use hpclog_core::analytics::bin_counts;
 use hpclog_core::analytics::composite::{mine_rules, Scope};
 use hpclog_core::analytics::transfer_entropy::transfer_entropy_binary;
 use hpclog_core::etl::parsers::{EventParser, ParsedLine};
+use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::model::event::EventRecord;
+use hpclog_core::model::keys::HOUR_MS;
 use loggen::topology::Topology;
 use loggen::trace::{Facility, RawLine};
 use proptest::prelude::*;
@@ -21,6 +23,18 @@ fn arb_event_type() -> impl Strategy<Value = &'static str> {
         Just("NET_THROTTLE"),
         Just("KERNEL_PANIC"),
     ]
+}
+
+/// A two-node, unreplicated framework monitoring `topology`.
+fn boot(topology: Topology) -> Framework {
+    Framework::new(FrameworkConfig {
+        db_nodes: 2,
+        replication_factor: 1,
+        vnodes: 4,
+        topology,
+        ..Default::default()
+    })
+    .unwrap()
 }
 
 /// A raw line whose text matches the given type's ETL pattern.
@@ -142,15 +156,7 @@ proptest! {
         bursts in prop::collection::vec((0i64..5_000, 0usize..8), 1..60),
     ) {
         use hpclog_core::etl::stream::{publish_lines, StreamIngester};
-        use hpclog_core::framework::{Framework, FrameworkConfig};
-        let fw = Framework::new(FrameworkConfig {
-            db_nodes: 2,
-            replication_factor: 1,
-            vnodes: 4,
-            topology: Topology::scaled(1, 1),
-            ..Default::default()
-        })
-        .unwrap();
+        let fw = boot(Topology::scaled(1, 1));
         let t0 = 1_500_000_000_000i64;
         let lines: Vec<RawLine> = bursts
             .iter()
@@ -186,16 +192,6 @@ proptest! {
         chunk in 1usize..24,
     ) {
         use hpclog_core::etl::stream::{publish_lines, StreamIngester};
-        use hpclog_core::framework::{Framework, FrameworkConfig};
-        use hpclog_core::model::event::EventRecord;
-        let boot = || Framework::new(FrameworkConfig {
-            db_nodes: 2,
-            replication_factor: 1,
-            vnodes: 4,
-            topology: Topology::scaled(1, 1),
-            ..Default::default()
-        })
-        .unwrap();
         let t0 = 1_500_000_000_000i64;
         let lines: Vec<RawLine> = bursts
             .iter()
@@ -212,7 +208,7 @@ proptest! {
         };
 
         // Reference: no crash.
-        let clean = boot();
+        let clean = boot(Topology::scaled(1, 1));
         publish_lines(&clean, &lines).unwrap();
         StreamIngester::new(&clean, "p", 120_000)
             .unwrap()
@@ -220,7 +216,7 @@ proptest! {
             .unwrap();
 
         // Crashing run: ingest some steps, drop the ingester cold, resume.
-        let fw = boot();
+        let fw = boot(Topology::scaled(1, 1));
         publish_lines(&fw, &lines).unwrap();
         {
             let mut first = StreamIngester::new(&fw, "p", 120_000).unwrap();
@@ -236,5 +232,126 @@ proptest! {
         let mass: i32 = rows_of(&fw).iter().map(|e| e.amount).sum();
         prop_assert_eq!(mass as usize, lines.len(), "no loss, no double count");
         prop_assert_eq!(rows_of(&fw), rows_of(&clean), "tables identical to crash-free run");
+    }
+
+    /// The block kernels against their row-side references. Every hour of
+    /// a scan is a column block, so this is the only place the two sides
+    /// meet: for any events over three hours and any window — one aligned
+    /// to ten minutes, one to nothing — what the kernels read off the
+    /// blocks is what the reference functions compute from the rows, and
+    /// what a fold over the events written here says it should be.
+    #[test]
+    fn block_kernels_agree_with_the_row_side_reference(
+        raw in prop::collection::vec((0..3 * HOUR_MS, 0usize..5, 1i32..4, any::<bool>()), 0..60),
+        aligned in (0i64..18, 1i64..18),
+        unaligned in (0..3 * HOUR_MS, 0..3 * HOUR_MS),
+        bin_ms in 60_000..HOUR_MS,
+    ) {
+        use hpclog_core::analytics::distribution::{distribution, distribution_of, GroupBy};
+        use hpclog_core::analytics::heatmap::node_heatmap;
+        use hpclog_core::analytics::synopsis::{build_synopsis, read_synopsis};
+        use hpclog_core::analytics::bin_scan;
+        use hpclog_core::analytics::text::{word_count_events, word_count_serial};
+        use hpclog_core::model::apprun::AppRun;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        let fw = boot(Topology::scaled(1, 2));
+        let topo = fw.topology();
+        // Two blades of cabinet 0, one node of cabinet 1, and a source
+        // that is no compute node at all.
+        let sources = [
+            topo.node(0).cname,
+            topo.node(1).cname,
+            topo.node(5).cname,
+            topo.node(100).cname,
+            "mds01".to_owned(),
+        ];
+        // Rows are keyed (type, ts, source): keep the last of each key so
+        // what is written is exactly what must be read back.
+        let mut written: BTreeMap<(&str, i64, &str), EventRecord> = BTreeMap::new();
+        for (ts, src, amount, lustre) in &raw {
+            let etype = if *lustre { "LUSTRE_ERR" } else { "MCE" };
+            let source = sources[*src].as_str();
+            let raw = format!(
+                "LustreError: OST{:04x} THE timeout retry{} on {source}",
+                ts % 5,
+                ts % 3
+            );
+            written.insert((etype, *ts, source), EventRecord {
+                ts_ms: *ts,
+                event_type: etype.to_owned(),
+                source: source.to_owned(),
+                amount: *amount,
+                raw,
+            });
+        }
+        let written: Vec<EventRecord> = written.into_values().collect();
+        fw.insert_events(&written).unwrap();
+        fw.insert_app_run(&AppRun {
+            apid: 1,
+            user: "usr1".into(),
+            app: "VASP".into(),
+            start_ms: 20 * 60_000,
+            end_ms: 2 * HOUR_MS + 30 * 60_000,
+            node_first: 0,
+            node_last: 3,
+            exit_code: 0,
+            other_info: Default::default(),
+        })
+        .unwrap();
+
+        let windows = [
+            (aligned.0 * 600_000, (aligned.0 + aligned.1) * 600_000),
+            (unaligned.0.min(unaligned.1), unaligned.0.max(unaligned.1) + 1),
+        ];
+        for (from, to) in windows {
+            for etype in ["MCE", "LUSTRE_ERR"] {
+                let truth: Vec<&EventRecord> = written
+                    .iter()
+                    .filter(|e| e.event_type == etype && (from..to).contains(&e.ts_ms))
+                    .collect();
+                let scan = fw.scan_window(etype, from, to).unwrap();
+                let rows = fw.events_by_type(etype, from, to).unwrap();
+                prop_assert_eq!(rows.iter().collect::<Vec<_>>(), truth);
+                prop_assert_eq!(scan.records(), rows);
+                prop_assert_eq!(bin_scan(&scan, bin_ms), bin_counts(&rows, from, to, bin_ms));
+                for by in [GroupBy::Cabinet, GroupBy::Blade, GroupBy::Node, GroupBy::Application] {
+                    prop_assert_eq!(
+                        distribution(&fw, etype, from, to, by).unwrap(),
+                        distribution_of(&fw, &rows, by).unwrap(),
+                        "{:?}", by
+                    );
+                }
+                let messages: Vec<String> = rows.iter().map(|e| e.raw.clone()).collect();
+                prop_assert_eq!(
+                    word_count_events(&fw, etype, from, to).unwrap(),
+                    word_count_serial(&messages)
+                );
+                let mut slots = vec![0.0; topo.node_count()];
+                for e in &truth {
+                    if let Some(idx) = topo.parse_cname(&e.source) {
+                        slots[idx] += e.amount as f64;
+                    }
+                }
+                prop_assert_eq!(node_heatmap(&fw, etype, from, to).unwrap(), slots);
+            }
+            // Synopsis cells: per (type, hour) with in-window events, the
+            // amount sum and the distinct sources.
+            let mut cells: BTreeMap<(&str, i64), (i64, BTreeSet<&str>)> = BTreeMap::new();
+            for e in written.iter().filter(|e| (from..to).contains(&e.ts_ms)) {
+                let cell = cells.entry((&e.event_type, e.ts_ms / HOUR_MS)).or_default();
+                cell.0 += e.amount as i64;
+                cell.1.insert(&e.source);
+            }
+            prop_assert_eq!(build_synopsis(&fw, from, to).unwrap(), cells.len());
+            let stored = read_synopsis(&fw, 0).unwrap();
+            for ((etype, hour), (events, nodes)) in cells {
+                let row = stored
+                    .iter()
+                    .find(|r| r.event_type == etype && r.hour == hour)
+                    .expect("synopsis row written");
+                prop_assert_eq!((row.events, row.nodes), (events, nodes.len() as i64));
+            }
+        }
     }
 }

@@ -36,9 +36,6 @@ LOADGEN_SMOKE=1 cargo bench -q -p hpclog-bench --bench loadgen
 echo "==> ETL fast-path bench (smoke mode, speedup gate relaxed to >=3x)"
 ETL_FASTPATH_SMOKE=1 cargo bench -q -p hpclog-bench --bench etl_fastpath
 
-echo "==> columnar analytics bench (smoke mode, speedup gate relaxed to >=2x)"
-ANALYTICS_COLUMNAR_SMOKE=1 cargo bench -q -p hpclog-bench --bench analytics_columnar
-
 # The exit code is the check: what the generator wrote vs what was stored,
 # (dash_cold) the stored rows read back through read_multi and the column
 # blocks against generator truth, responses byte-identical across rounds, and

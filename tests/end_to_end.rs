@@ -130,12 +130,13 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
     fw.batch_import(&scenario.lines).expect("import");
     let t0 = cfg.start_ms;
     let t1 = t0 + cfg.duration_ms;
+    // One owner-pinned RDD scan — the co-location experiment's path, which
+    // no dashboard op takes — so the scheduler records locality hits.
+    assert!(fw.scan_events_rdd("LUSTRE_ERR", t0, t1).count() > 0);
     let engine = QueryEngine::new(Arc::new(fw));
 
-    // Drive a read and two RDD analytics jobs through the server surface so
-    // coordinator, scheduler, and request spans all fire. The heatmap op
-    // reaches scan_events_rdd, whose partitions are pinned to data owners
-    // (locality hits); wordcount parallelizes with no preference (misses).
+    // Drive a read and two analytics ops through the server surface so
+    // coordinator and request spans fire.
     let events_op = format!(r#"{{"op":"events","type":"MCE","from":{t0},"to":{t1}}}"#);
     for op in [
         events_op.clone(),

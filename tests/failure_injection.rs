@@ -145,3 +145,32 @@ fn streaming_ingest_tolerates_a_node_outage() {
         .sum();
     assert_eq!(mass, 100);
 }
+
+/// A dashboard read over a partition nobody can serve must fail with the
+/// typed error — not answer zeros and memoise them.
+#[test]
+fn analytics_over_an_unreachable_partition_fail_instead_of_answering_zero() {
+    use hpc_log_analytics::core::server::QueryEngine;
+    let fw = std::sync::Arc::new(boot(2, 1));
+    for i in 0..20 {
+        fw.insert_event(&ev(i * 1000, "c0-0c0s0n0")).expect("write");
+    }
+    let engine = QueryEngine::new(std::sync::Arc::clone(&fw));
+    let key = Key::from(vec![Value::BigInt(0), Value::text("MCE")]);
+    let owner = fw.cluster().owners(&key)[0];
+    let req = format!(r#"{{"op":"heatmap","type":"MCE","from":0,"to":{HOUR_MS}}}"#);
+
+    fw.cluster().take_node_down(owner);
+    let memoised = fw.result_cache().len();
+    let resp = engine.handle_http(&req, None);
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    let body = jsonlite::parse(&resp.body).expect("valid JSON");
+    assert_eq!(body["status"].as_str(), Some("error"), "{body}");
+    assert_eq!(body["error"]["code"].as_str(), Some("UNAVAILABLE"));
+    assert_eq!(fw.result_cache().len(), memoised, "errors are not cached");
+
+    fw.cluster().bring_node_up(owner);
+    let body = jsonlite::parse(&engine.handle(&req)).expect("valid JSON");
+    assert_eq!(body["status"].as_str(), Some("ok"), "{body}");
+    assert_eq!(body["data"]["total"].as_f64(), Some(20.0));
+}
