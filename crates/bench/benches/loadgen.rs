@@ -276,7 +276,6 @@ fn main() {
         0,
         HttpConfig {
             workers: 8,
-            queue_depth: 1024,
             max_inflight: 64,
             header_read_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),

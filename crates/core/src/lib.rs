@@ -43,6 +43,11 @@
 //! assert_eq!(hist.bins.len(), 2);
 //! ```
 
+// `unsafe` lives in one module, `server::epoll` (the readiness-set FFI),
+// which carries the only `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod analytics;
 pub mod columnar;
 pub mod context;

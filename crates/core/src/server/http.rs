@@ -4,25 +4,47 @@
 //!
 //! # Architecture
 //!
-//! Three fixed thread roles replace the old unbounded
-//! `thread::spawn`-per-connection model:
+//! ```text
+//! clients ──► kernel readiness set (epoll: listener + every parked socket, one-shot)
+//!                     │ one event wakes one worker
+//!                     ▼
+//!              workers × N ── serve every buffered request ──► re-arm, park
+//! ```
 //!
-//! * **acceptor** — accepts sockets and parks them (nonblocking) in the
-//!   poller's list with a header-read deadline;
-//! * **poller** — scans parked connections with a nonblocking
-//!   [`TcpStream::peek`] (a std-only stand-in for epoll), promoting
-//!   readable ones onto the bounded ready queue and dropping the ones
-//!   whose deadline (header-read or keep-alive idle) expired — the
-//!   slowloris defense;
-//! * **workers** — `HttpConfig::workers` threads pull connections off the
-//!   ready queue, serve every request already buffered (HTTP/1.1
-//!   keep-alive with pipelining), and park the connection again when its
-//!   buffer drains.
+//! `HttpConfig::workers` threads are the whole frontend. Each loops
+//! `wait → take the connection → serve → re-arm`: it blocks in the
+//! readiness set (the private `epoll` module beside this one), and an
+//! event is either the listener (accept until the backlog is empty, park
+//! each new socket with a header-read deadline, re-arm the listener) or a
+//! parked connection with bytes to read (take it out of the parked map,
+//! serve every request already buffered — HTTP/1.1 keep-alive with
+//! pipelining — and park it again with the idle deadline when its buffer
+//! drains). There is no acceptor thread, no poller thread and no queue
+//! between the socket and the worker: a request that no worker is free
+//! for waits in the kernel's socket buffer, its event pending in the set.
 //!
-//! A connection therefore cycles `accept → park → ready queue → worker →
-//! park → …` until the client closes, asks for `Connection: close`, or a
-//! deadline fires. Thread count is fixed at `2 + workers` no matter how
-//! many clients connect.
+//! * **One-shot registrations** mean an event wakes exactly one worker
+//!   and the registration stays disabled until that worker re-arms it, so
+//!   a connection is owned by one thread at a time. Re-arming re-checks
+//!   readiness: bytes that arrived while the worker was writing the
+//!   response raise a fresh event.
+//! * **Tokens come from a counter, never from the fd number.** A worker
+//!   can harvest an event for a connection the reaper dropped a
+//!   microsecond earlier; its token then misses the map instead of
+//!   hitting a freshly accepted connection that reuses the descriptor.
+//! * **Deadlines** (header-read for fresh connections, keep-alive idle
+//!   for parked ones — the slowloris defense) are enforced by a reap that
+//!   runs only when the earliest parked deadline is due: workers bound
+//!   their wait by it (and by 50 ms, to see the stop flag), and whichever
+//!   comes out of the wait at or after it sweeps the map once. When every
+//!   worker is busy the reap, like accepts, waits for one to finish.
+//! * **Sockets stay blocking**, with `TCP_NODELAY` and the read/write
+//!   timeouts set once at accept; the read timeout is the slowloris bound
+//!   for a connection a worker is reading from.
+//!
+//! Thread count is `workers` no matter how many clients connect, and an
+//! idle server makes one blocking wait per worker per 50 ms. The frontend
+//! is Linux-only (`epoll`), with no portable fallback: DESIGN.md §12.
 //!
 //! # Admission control
 //!
@@ -53,13 +75,15 @@
 //! the HTTP status from [`ErrorCode::http_status`].
 
 use crate::server::engine::QueryEngine;
+use crate::server::epoll::Poller;
 use crate::server::request::{envelope_err, ApiError, ErrorCode};
 use jsonlite::Value as Json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::TraceContext;
@@ -74,31 +98,35 @@ const OVERLOAD_RETRY_MS: u64 = 100;
 const LIMITER_SHARDS: usize = 8;
 /// Buckets per limiter shard before stale entries are swept.
 const LIMITER_SWEEP_LEN: usize = 8 * 1024;
+/// The listener's token in the readiness set; connections count up from 1.
+const LISTENER_TOKEN: u64 = 0;
+/// Longest a worker blocks in the readiness set before it looks at the
+/// stop flag again.
+const STOP_POLL: Duration = Duration::from_millis(50);
 
 /// Tunables of the frontend. Worker-pool size and the in-flight cap are
 /// also surfaced as `server.http.*` gauges so a running server's shape is
 /// visible in `/v1/metrics`.
 #[derive(Clone, Debug)]
 pub struct HttpConfig {
-    /// Worker threads serving requests (the only threads that touch the
-    /// engine).
+    /// Worker threads: the only threads the frontend has, and the only
+    /// ones that touch the engine.
     pub workers: usize,
-    /// Bounded ready-queue depth; readable connections beyond it stay
-    /// parked until workers catch up.
-    pub queue_depth: usize,
     /// Global cap on requests inside the engine at once; excess sheds
     /// with `503` / `OVERLOADED`.
     pub max_inflight: usize,
     /// Byte cap on request bodies; larger bodies get `413` /
     /// `PAYLOAD_TOO_LARGE`.
     pub max_body_bytes: usize,
-    /// How long a promoted connection may take to deliver a full request
-    /// (headers + body) before the worker answers `400` and closes.
+    /// How long a fresh connection may stay silent before it is dropped,
+    /// and how long a connection a worker is reading from may take to
+    /// deliver a full request (headers + body) before the worker answers
+    /// `400` and closes.
     pub header_read_timeout: Duration,
     /// Socket write timeout for responses.
     pub write_timeout: Duration,
-    /// How long a parked keep-alive connection may stay idle before the
-    /// poller drops it.
+    /// How long a parked keep-alive connection may stay idle before it is
+    /// dropped.
     pub idle_timeout: Duration,
     /// Token-bucket refill rate per client, in requests/second; `<= 0`
     /// disables per-client rate limiting.
@@ -111,7 +139,6 @@ impl Default for HttpConfig {
     fn default() -> HttpConfig {
         HttpConfig {
             workers: 8,
-            queue_depth: 256,
             max_inflight: 64,
             max_body_bytes: 1 << 20,
             header_read_timeout: Duration::from_secs(2),
@@ -146,19 +173,21 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
+        // Nonblocking so the accept drain ends in `WouldBlock`.
         listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.arm(listener.as_raw_fd(), LISTENER_TOKEN, true)?;
 
         let reg = telemetry::global();
         reg.gauge("server.http.workers").set(cfg.workers as i64);
         reg.gauge("server.http.max_inflight")
             .set(cfg.max_inflight as i64);
-        reg.gauge("server.http.queue_depth")
-            .set(cfg.queue_depth as i64);
         let stats = FrontendStats {
             requests: reg.counter("server.http.requests"),
             shed_rate_limited: reg.counter("server.http.shed.rate_limited"),
             shed_overloaded: reg.counter("server.http.shed.overloaded"),
             timeouts: reg.counter("server.http.timeouts"),
+            accept_errors: reg.counter("server.http.accept_errors"),
             connections: reg.gauge("server.http.connections"),
             inflight: reg.gauge("server.http.inflight"),
         };
@@ -166,8 +195,10 @@ impl HttpServer {
         let shared = Arc::new(Shared {
             engine,
             limiter: Limiter::new(cfg.rate_per_sec, cfg.rate_burst),
-            ready: ReadyQueue::new(cfg.queue_depth),
-            parked: Mutex::new(Vec::new()),
+            poller,
+            listener,
+            parked: Mutex::new(Parked::default()),
+            next_token: AtomicU64::new(LISTENER_TOKEN + 1),
             inflight: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             stats,
@@ -175,18 +206,6 @@ impl HttpServer {
         });
 
         let mut handles = Vec::new();
-        let s = Arc::clone(&shared);
-        handles.push(
-            std::thread::Builder::new()
-                .name("http-accept".to_owned())
-                .spawn(move || accept_loop(&listener, &s))?,
-        );
-        let s = Arc::clone(&shared);
-        handles.push(
-            std::thread::Builder::new()
-                .name("http-poll".to_owned())
-                .spawn(move || poll_loop(&s))?,
-        );
         for i in 0..shared.cfg.workers.max(1) {
             let s = Arc::clone(&shared);
             handles.push(
@@ -214,18 +233,22 @@ impl Drop for HttpServer {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // Parked connections close here; gauges settle via Conn::drop.
-        lock(&self.shared.parked).clear();
+        // The last reference to `shared` goes with `self`: parked
+        // connections close (gauges settle via `Conn::drop`), then the
+        // listener and the readiness set.
     }
 }
 
-/// State every frontend thread shares.
+/// State every worker shares.
 struct Shared {
     engine: Arc<QueryEngine>,
     cfg: HttpConfig,
     limiter: Limiter,
-    ready: ReadyQueue,
-    parked: Mutex<Vec<Conn>>,
+    /// The readiness set: the listener and every parked connection.
+    poller: Poller,
+    listener: TcpListener,
+    parked: Mutex<Parked>,
+    next_token: AtomicU64,
     inflight: AtomicUsize,
     stop: AtomicBool,
     stats: FrontendStats,
@@ -238,45 +261,56 @@ struct FrontendStats {
     shed_rate_limited: Arc<telemetry::Counter>,
     shed_overloaded: Arc<telemetry::Counter>,
     timeouts: Arc<telemetry::Counter>,
+    accept_errors: Arc<telemetry::Counter>,
     connections: Arc<telemetry::Gauge>,
     inflight: Arc<telemetry::Gauge>,
 }
 
-/// One client connection moving between the poller and the workers.
+/// The connections no worker holds: each is armed in the readiness set
+/// and waits here, by token, for its event or its deadline.
+#[derive(Default)]
+struct Parked {
+    /// Token → the connection and when the reap gives up on it: the
+    /// header-read deadline for a fresh connection, the idle deadline for
+    /// a keep-alive one.
+    conns: HashMap<u64, (Instant, Conn)>,
+    /// When the next reap is due: never later than the earliest deadline
+    /// in `conns` (it may be earlier — a connection that was served and
+    /// parked again leaves its old deadline here until the reap that
+    /// finds nothing to drop recomputes it). `None` when nothing is
+    /// parked.
+    earliest: Option<Instant>,
+}
+
+/// One client connection, owned by the parked map or by the one worker
+/// serving it.
 struct Conn {
-    /// The raw socket: `peek` while parked, writes from workers. Mode
-    /// (nonblocking vs. blocking + timeouts) is flipped at each handoff.
-    stream: TcpStream,
-    /// Buffered reader over a dup of the socket; kept across parks so
-    /// pipelined bytes already buffered are never lost (the poller's
-    /// `peek` cannot see them, so a connection only parks when this
-    /// buffer is empty).
+    /// The socket — blocking, `TCP_NODELAY` and its timeouts set once at
+    /// accept — behind the read buffer that is kept across parks so
+    /// pipelined bytes already buffered are never lost. It is the
+    /// connection's only descriptor (responses go out through
+    /// `reader.get_ref()`): a dup would keep the readiness-set
+    /// registration alive after this one closed.
     reader: BufReader<TcpStream>,
     /// Peer address, the default rate-limit key.
     peer: String,
-    /// When the poller gives up on this connection: header-read deadline
-    /// for fresh connections, idle deadline for parked keep-alive ones.
-    deadline: Instant,
+    /// Key in the parked map and in the readiness set. From a counter,
+    /// never the fd number, so a stale event cannot name a newer
+    /// connection that reuses the descriptor.
+    token: u64,
     /// Open-connection gauge, decremented on drop.
     gauge: Arc<telemetry::Gauge>,
 }
 
 impl Conn {
-    fn new(
-        stream: TcpStream,
-        peer: String,
-        deadline: Instant,
-        gauge: Arc<telemetry::Gauge>,
-    ) -> std::io::Result<Conn> {
-        let reader = BufReader::new(stream.try_clone()?);
+    fn new(stream: TcpStream, peer: String, token: u64, gauge: Arc<telemetry::Gauge>) -> Conn {
         gauge.add(1);
-        Ok(Conn {
-            stream,
-            reader,
+        Conn {
+            reader: BufReader::new(stream),
             peer,
-            deadline,
+            token,
             gauge,
-        })
+        }
     }
 }
 
@@ -286,152 +320,119 @@ impl Drop for Conn {
     }
 }
 
-/// The bounded connection queue between the poller and the workers.
-struct ReadyQueue {
-    inner: Mutex<VecDeque<Conn>>,
-    cv: Condvar,
-    cap: usize,
-}
-
-impl ReadyQueue {
-    fn new(cap: usize) -> ReadyQueue {
-        ReadyQueue {
-            inner: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Enqueues unless full; a full queue hands the connection back so
-    /// the poller keeps it parked (backpressure instead of an unbounded
-    /// buffer).
-    fn try_push(&self, conn: Conn) -> Result<(), Conn> {
-        let mut q = lock(&self.inner);
-        if q.len() >= self.cap {
-            return Err(conn);
-        }
-        q.push_back(conn);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocks up to `timeout` for a connection (workers re-check the stop
-    /// flag between waits).
-    fn pop(&self, timeout: Duration) -> Option<Conn> {
-        let mut q = lock(&self.inner);
-        if let Some(c) = q.pop_front() {
-            return Some(c);
-        }
-        let (mut q, _) = self
-            .cv
-            .wait_timeout(q, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        q.pop_front()
-    }
-}
-
-// --- acceptor / poller / workers -------------------------------------------
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let deadline = Instant::now() + shared.cfg.header_read_timeout;
-                if let Ok(conn) = Conn::new(
-                    stream,
-                    peer.ip().to_string(),
-                    deadline,
-                    Arc::clone(&shared.stats.connections),
-                ) {
-                    lock(&shared.parked).push(conn);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Scans parked connections: EOF and expired ones drop, readable ones are
-/// promoted to the ready queue (unless it is full, which keeps them
-/// parked — that is the backpressure path). The list is taken out of the
-/// mutex for the scan so the acceptor never waits on a long sweep.
-fn poll_loop(shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        let mut list = std::mem::take(&mut *lock(&shared.parked));
-        let mut keep = Vec::with_capacity(list.len());
-        let now = Instant::now();
-        let mut queue_full = false;
-        for conn in list.drain(..) {
-            if queue_full {
-                keep.push(conn);
-                continue;
-            }
-            let mut probe = [0u8; 1];
-            match conn.stream.peek(&mut probe) {
-                Ok(0) => {} // client closed; drop
-                Ok(_) => match shared.ready.try_push(conn) {
-                    Ok(()) => {}
-                    Err(conn) => {
-                        queue_full = true;
-                        keep.push(conn);
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if now >= conn.deadline {
-                        shared.stats.timeouts.incr(1); // drop: slowloris or idle
-                    } else {
-                        keep.push(conn);
-                    }
-                }
-                Err(_) => {} // socket error; drop
-            }
-        }
-        lock(&shared.parked).append(&mut keep);
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
+// --- workers -----------------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
-        let Some(mut conn) = shared.ready.pop(Duration::from_millis(50)) else {
+        let Some(token) = shared.poller.wait(shared.reap()) else {
             continue;
         };
-        if conn.stream.set_nonblocking(false).is_err() {
-            continue; // drops the connection
+        if token == LISTENER_TOKEN {
+            shared.accept_ready();
+            continue;
         }
-        let _ = conn
-            .stream
-            .set_read_timeout(Some(shared.cfg.header_read_timeout));
-        let _ = conn
-            .stream
-            .set_write_timeout(Some(shared.cfg.write_timeout));
+        // An event harvested for a connection the reap dropped a moment
+        // ago misses the map.
+        let Some((_, mut conn)) = lock(&shared.parked).conns.remove(&token) else {
+            continue;
+        };
         if let Disposition::Park = serve_ready(shared, &mut conn) {
-            conn.deadline = Instant::now() + shared.cfg.idle_timeout;
-            if conn.stream.set_nonblocking(true).is_ok() {
-                lock(&shared.parked).push(conn);
+            shared.park(conn, shared.cfg.idle_timeout, false);
+        }
+    }
+}
+
+/// Whether a failed `accept` is a fault worth counting. `WouldBlock` is
+/// the drained backlog, the normal end of a pass; anything else — a
+/// client that reset while queued (`ECONNABORTED`), the process out of
+/// descriptors (`EMFILE`) — is transient and must never stop the server
+/// accepting.
+fn is_accept_fault(e: &std::io::Error) -> bool {
+    e.kind() != std::io::ErrorKind::WouldBlock
+}
+
+impl Shared {
+    /// Drops the parked connections whose deadline has passed (slowloris
+    /// or idle) and returns how long a worker may now block: until the
+    /// next deadline, capped at [`STOP_POLL`]. The O(parked) sweep runs
+    /// only when the earliest deadline is due, so the request path pays a
+    /// lock and a comparison.
+    fn reap(&self) -> Duration {
+        let now = Instant::now();
+        let mut parked = lock(&self.parked);
+        if parked.earliest.is_some_and(|due| now >= due) {
+            let before = parked.conns.len();
+            parked.conns.retain(|_, (deadline, _)| now < *deadline);
+            self.stats
+                .timeouts
+                .incr((before - parked.conns.len()) as u64);
+            parked.earliest = parked.conns.values().map(|(deadline, _)| *deadline).min();
+        }
+        parked.earliest.map_or(STOP_POLL, |due| {
+            due.saturating_duration_since(now).min(STOP_POLL)
+        })
+    }
+
+    /// Accepts until the backlog is empty, parking each new connection
+    /// with the header-read deadline, then re-arms the listener. Any
+    /// `accept` error ends the pass, and every pass re-arms: a connection
+    /// still queued behind a fault raises the listener's event again at
+    /// once, and in between the worker is back in the set, where it can
+    /// serve and close connections — the only cure for `EMFILE`.
+    fn accept_ready(&self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_read_timeout(Some(self.cfg.header_read_timeout));
+                    let _ = stream.set_write_timeout(Some(self.cfg.write_timeout));
+                    let conn = Conn::new(
+                        stream,
+                        peer.ip().to_string(),
+                        self.next_token.fetch_add(1, Ordering::Relaxed),
+                        Arc::clone(&self.stats.connections),
+                    );
+                    self.park(conn, self.cfg.header_read_timeout, true);
+                }
+                Err(e) => {
+                    if is_accept_fault(&e) {
+                        self.stats.accept_errors.incr(1);
+                    }
+                    break;
+                }
             }
+        }
+        let _ = self
+            .poller
+            .arm(self.listener.as_raw_fd(), LISTENER_TOKEN, false);
+    }
+
+    /// Parks `conn` until its next event or until `ttl` passes. It is
+    /// armed under the map's lock: the reap cannot close the descriptor
+    /// (and an accept reuse its number) between the insert and the arm,
+    /// and the worker its event wakes finds it in the map.
+    fn park(&self, conn: Conn, ttl: Duration, first: bool) {
+        let deadline = Instant::now() + ttl;
+        let fd = conn.reader.get_ref().as_raw_fd();
+        let mut parked = lock(&self.parked);
+        if self.poller.arm(fd, conn.token, first).is_ok() {
+            parked.earliest = Some(parked.earliest.map_or(deadline, |e| e.min(deadline)));
+            parked.conns.insert(conn.token, (deadline, conn));
         }
     }
 }
 
 enum Disposition {
-    /// Keep-alive: back to the poller until more bytes arrive.
+    /// Keep-alive: back to the readiness set until more bytes arrive.
     Park,
     /// Drop the connection.
     Close,
 }
 
-/// Serves every request available on a promoted connection: at least one
-/// (the poller saw bytes), then any pipelined requests already sitting in
-/// the read buffer. Parks only when the buffer is empty — bytes in the
-/// buffer are invisible to the poller's `peek`.
+/// Serves every request available on a readable connection: at least one
+/// (its event fired), then any pipelined requests already sitting in the
+/// read buffer. Parks only when the buffer is empty — bytes in the buffer
+/// are invisible to the readiness set.
 fn serve_ready(shared: &Shared, conn: &mut Conn) -> Disposition {
     loop {
         let req = match read_request(&mut conn.reader, shared.cfg.max_body_bytes) {
@@ -455,14 +456,14 @@ fn serve_ready(shared: &Shared, conn: &mut Conn) -> Disposition {
                 };
                 let trace = TraceContext::root();
                 let reply = Reply::error(&ApiError::new(code, message), &trace);
-                let _ = write_reply(&mut conn.stream, &reply, false);
+                let _ = write_reply(conn.reader.get_ref(), &reply, false);
                 return Disposition::Close;
             }
         };
         shared.stats.requests.incr(1);
         let keep_alive = !req.close;
         let reply = route(shared, &req, &conn.peer);
-        if write_reply(&mut conn.stream, &reply, keep_alive && !reply.close).is_err() {
+        if write_reply(conn.reader.get_ref(), &reply, keep_alive && !reply.close).is_err() {
             return Disposition::Close;
         }
         if !keep_alive || reply.close {
@@ -834,8 +835,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-fn write_reply(stream: &mut TcpStream, reply: &Reply, keep_alive: bool) -> std::io::Result<()> {
-    let mut head = format!(
+/// Writes head and body with one `write`: `TCP_NODELAY` is set, so two
+/// writes would be two segments and two client wake-ups.
+fn write_reply(mut stream: &TcpStream, reply: &Reply, keep_alive: bool) -> std::io::Result<()> {
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
         reply.status,
         reason(reply.status),
@@ -845,15 +848,14 @@ fn write_reply(stream: &mut TcpStream, reply: &Reply, keep_alive: bool) -> std::
     if let Some(ms) = reply.retry_after_ms {
         // HTTP Retry-After is whole seconds; round up so clients never
         // retry before the hint.
-        head.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)));
+        out.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)));
     }
     if let Some(allow) = reply.allow {
-        head.push_str(&format!("Allow: {allow}\r\n"));
+        out.push_str(&format!("Allow: {allow}\r\n"));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(reply.body.as_bytes())?;
-    stream.flush()
+    out.push_str("\r\n");
+    out.push_str(&reply.body);
+    stream.write_all(out.as_bytes())
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -971,6 +973,16 @@ mod tests {
 
     fn request(addr: std::net::SocketAddr, raw: &str) -> TestResponse {
         TestClient::connect(addr).request(raw)
+    }
+
+    #[test]
+    fn only_would_block_is_not_an_accept_fault() {
+        use std::io::{Error, ErrorKind};
+        // A client reset in the backlog, and EMFILE: counted, and the
+        // listener is re-armed either way.
+        assert!(is_accept_fault(&Error::from(ErrorKind::ConnectionAborted)));
+        assert!(is_accept_fault(&Error::from_raw_os_error(24)));
+        assert!(!is_accept_fault(&Error::from(ErrorKind::WouldBlock)));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 
 pub mod cache;
 pub mod engine;
+// The hand-declared `epoll` FFI: the one module allowed `unsafe`.
+#[allow(unsafe_code)]
+mod epoll;
 pub mod http;
 pub mod recorder;
 pub mod request;

@@ -13,12 +13,33 @@
 use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::server::{HttpConfig, HttpServer, QueryEngine};
 use loggen::topology::Topology;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use proptest::prelude::*;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
-fn server_with(cfg: HttpConfig) -> HttpServer {
+/// `/proc/self/task` and the telemetry registry are process-wide and every
+/// test here starts a server. The hostile-bytes property asserts on both, so
+/// it holds this lock exclusively while every other test's server holds it
+/// shared.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+/// A server plus its shared hold on [`PROCESS`], released after the server
+/// has stopped.
+struct TestServer {
+    server: HttpServer,
+    _shared: RwLockReadGuard<'static, ()>,
+}
+
+impl std::ops::Deref for TestServer {
+    type Target = HttpServer;
+    fn deref(&self) -> &HttpServer {
+        &self.server
+    }
+}
+
+fn start(cfg: HttpConfig) -> HttpServer {
     let fw = Framework::new(FrameworkConfig {
         db_nodes: 2,
         replication_factor: 1,
@@ -30,7 +51,15 @@ fn server_with(cfg: HttpConfig) -> HttpServer {
     HttpServer::start_with(Arc::new(QueryEngine::new(Arc::new(fw))), 0, cfg).unwrap()
 }
 
-fn server() -> HttpServer {
+fn server_with(cfg: HttpConfig) -> TestServer {
+    let shared = PROCESS.read().unwrap_or_else(PoisonError::into_inner);
+    TestServer {
+        server: start(cfg),
+        _shared: shared,
+    }
+}
+
+fn server() -> TestServer {
     server_with(HttpConfig::default())
 }
 
@@ -117,6 +146,28 @@ impl Client {
     fn at_eof(&mut self) -> bool {
         let mut probe = [0u8; 1];
         matches!(self.reader.read(&mut probe), Ok(0))
+    }
+
+    /// What the server did with a hostile connection: `Some` typed reply
+    /// followed by a close, or `None` for a silent close. A close that
+    /// leaves unread bytes behind is a reset rather than an EOF; both count.
+    /// Panics if the server does neither before the read timeout.
+    fn reply_then_close(&mut self) -> Option<Response> {
+        let closed = |r: std::io::Result<usize>| match r {
+            Ok(n) => n == 0,
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => true,
+            Err(e) => panic!("the server neither answered nor closed: {e}"),
+        };
+        if closed(self.reader.fill_buf().map(<[u8]>::len)) {
+            return None;
+        }
+        let resp = self.read_response();
+        assert!(
+            closed(self.reader.read(&mut [0u8; 1])),
+            "the connection must close after {}",
+            resp.body
+        );
+        Some(resp)
     }
 }
 
@@ -405,15 +456,140 @@ fn frontend_shape_is_surfaced_in_metrics() {
     // The telemetry registry is process-global and other tests start their
     // own servers concurrently, so assert presence and sanity rather than
     // exact values.
-    for g in [
-        "server.http.workers",
-        "server.http.max_inflight",
-        "server.http.queue_depth",
-    ] {
+    for g in ["server.http.workers", "server.http.max_inflight"] {
         assert!(
             gauges[g].as_i64().is_some_and(|v| v >= 1),
             "gauge {g} must surface the frontend shape: {}",
             resp.body
         );
+    }
+}
+
+// --- hostile bytes ------------------------------------------------------------
+
+/// A well-formed request; every mutation below starts from it.
+fn valid_request() -> Vec<u8> {
+    post_query(EVENTS).into_bytes()
+}
+
+/// `POST /v1/query` with the given raw header lines and the `EVENTS` body.
+fn with_headers(headers: &str) -> Vec<u8> {
+    format!("POST /v1/query HTTP/1.1\r\nHost: x\r\n{headers}\r\n{EVENTS}").into_bytes()
+}
+
+/// Byte strings no well-behaved client sends, each broken at the HTTP layer
+/// (a mutation that left the request valid would rightly be answered `200`).
+fn hostile_bytes() -> BoxedStrategy<Vec<u8>> {
+    let n = EVENTS.len();
+    let head_len = valid_request().len() - n;
+    prop_oneof![
+        // Random bytes, and a line of printable garbage.
+        prop::collection::vec(any::<u8>(), 1..400),
+        "[ -~]{1,200}".prop_map(String::into_bytes),
+        // A valid request cut short at any offset, 0 (silence) included.
+        (0..valid_request().len()).prop_map(|k| valid_request()[..k].to_vec()),
+        // A byte that cannot occur in UTF-8 text anywhere in the head.
+        (0..head_len, 0x80u8..=0xff).prop_map(|(at, byte)| {
+            let mut raw = valid_request();
+            raw.insert(at, byte);
+            raw
+        }),
+        // A NUL among the Content-Length digits.
+        (0..=n.to_string().len()).prop_map(move |at| {
+            let digits = n.to_string();
+            with_headers(&format!(
+                "Content-Length: {}\0{}\r\n",
+                &digits[..at],
+                &digits[at..]
+            ))
+        }),
+        // One header line over the 16 KiB cap; more than 64 headers.
+        (0usize..4096).prop_map(|extra| with_headers(&format!(
+            "X-Long: {}\r\n",
+            "a".repeat(16 * 1024 + 1 + extra)
+        ))),
+        (65usize..100).prop_map(|count| with_headers(&"X-Filler: 1\r\n".repeat(count))),
+        // Content-Length out of range, negative, far over the body cap,
+        // given twice with different values, or longer than the body.
+        prop_oneof![
+            Just("Content-Length: 18446744073709551616\r\n".to_owned()),
+            Just("Content-Length: -1\r\n".to_owned()),
+            Just(format!("Content-Length: {}\r\n", u64::MAX)),
+            Just(format!(
+                "Content-Length: {n}\r\nContent-Length: {}\r\n",
+                n + 400
+            )),
+            (1usize..400).prop_map(move |more| format!("Content-Length: {}\r\n", n + more)),
+        ]
+        .prop_map(|headers| with_headers(&headers)),
+    ]
+}
+
+fn worker_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter(|task| {
+            let comm = task.as_ref().unwrap().path().join("comm");
+            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with("http-worker-"))
+        })
+        .count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// ROADMAP 3(d), the HTTP quarter: no byte sequence from a socket kills a
+    /// worker, leaks a connection or goes unanswered past the header-read
+    /// deadline. Each case either half-closes after writing (the server sees
+    /// EOF where it expected more) or keeps the socket open (the server's
+    /// deadline has to end it).
+    #[test]
+    fn hostile_bytes_get_a_typed_4xx_or_a_close_and_the_server_survives(
+        batch in prop::collection::vec(
+            (hostile_bytes(), prop_oneof![5 => Just(true), 1 => Just(false)]),
+            40,
+        ),
+    ) {
+        let header_read_timeout = Duration::from_millis(150);
+        let _alone = PROCESS.write().unwrap_or_else(PoisonError::into_inner);
+        let server = start(HttpConfig {
+            workers: 4,
+            header_read_timeout,
+            ..HttpConfig::default()
+        });
+        let connections = telemetry::global().gauge("server.http.connections");
+        let open = connections.get();
+
+        // Every truncation of a valid request, then the sampled cases.
+        let valid = valid_request();
+        let truncated = (0..valid.len()).map(|k| (valid[..k].to_vec(), true));
+        for (raw, half_close) in truncated.chain(batch) {
+            let mut c = Client::connect(server.addr());
+            // "Within the header timeout", with slack for a loaded machine.
+            c.stream
+                .set_read_timeout(Some(header_read_timeout + Duration::from_secs(5)))
+                .unwrap();
+            // The server may answer and close before a long payload is out.
+            let _ = c.stream.write_all(&raw);
+            if half_close {
+                let _ = c.stream.shutdown(Shutdown::Write);
+            }
+            if let Some(resp) = c.reply_then_close() {
+                let (status, code) = match resp.status {
+                    413 => (413, "PAYLOAD_TOO_LARGE"),
+                    _ => (400, "BAD_REQUEST"),
+                };
+                assert_error_envelope(&resp, status, code);
+            }
+        }
+
+        let mut c = Client::connect(server.addr());
+        let resp = c.request("GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        prop_assert_eq!(resp.status, 200, "{}", resp.body);
+        prop_assert!(c.at_eof());
+        // Alone in the process, so every `http-worker-*` thread is this
+        // server's.
+        prop_assert_eq!(worker_threads(), 4, "a worker died");
+        prop_assert_eq!(connections.get(), open, "a connection leaked");
     }
 }

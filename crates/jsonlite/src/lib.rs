@@ -24,6 +24,8 @@
 //! assert_eq!(built.to_string(), r#"{"count":3,"status":"ok"}"#);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod parse;
 pub mod value;
 pub mod write;

@@ -37,6 +37,7 @@
 //! consumer.commit().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod broker;

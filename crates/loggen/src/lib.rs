@@ -34,6 +34,8 @@
 //! // Every raw line is attributable to a ground-truth event or job.
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod console;
 pub mod events;
 pub mod failure;

@@ -81,6 +81,8 @@
 //! assert_eq!(rows[0].clustering.0[0], Value::Timestamp(1_501_200_000_123));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bloom;
 pub mod cache;
 pub mod cluster;

@@ -24,6 +24,8 @@
 //! assert_eq!(caps.get(3), Some("dead00beef"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod compiler;
 pub mod parser;

@@ -33,6 +33,8 @@
 //! assert!(counts.iter().all(|(_, c)| *c == 100));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod context;
 pub mod pool;

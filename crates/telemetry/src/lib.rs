@@ -39,6 +39,7 @@
 //! Everything is cheap when disabled: each record is a single relaxed
 //! atomic load and branch after [`set_enabled`]`(false)`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod histogram;

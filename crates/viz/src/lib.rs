@@ -6,6 +6,8 @@
 //! function from data to an SVG document (plus ASCII variants for
 //! terminals), so every figure becomes a reproducible artifact.
 
+#![forbid(unsafe_code)]
+
 pub mod bubbles;
 pub mod color;
 pub mod histogram;

@@ -17,6 +17,8 @@
 //! See `examples/quickstart.rs` for an end-to-end tour, and DESIGN.md /
 //! EXPERIMENTS.md for the reproduction index.
 
+#![forbid(unsafe_code)]
+
 pub use hpclog_core as core;
 pub use jsonlite;
 pub use logbus;
