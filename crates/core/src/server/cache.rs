@@ -1,10 +1,10 @@
 //! The analytics result cache: complete engine responses memoized behind
 //! the typed query layer.
 //!
-//! Entries store an op's canonical `data` fields — never the envelope —
-//! which is re-assembled per response, so any request producing the same
-//! canonical form shares one entry. Each
-//! entry carries the `(table, partition)` pairs the answer was computed
+//! Entries store an op's encoded `data` object — the bytes the response
+//! that computed it sent, never the envelope — and a hit's envelope
+//! splices them in as they are. Any request producing the same canonical
+//! form shares one entry. Each entry carries the `(table, partition)` pairs the answer was computed
 //! from, the cluster data version of each at snapshot time, and the
 //! topology epoch. Validation is lazy: every hit re-checks those tags, so
 //! any write path — batch ETL, direct inserts, streaming, CQL — drops
@@ -28,14 +28,12 @@
 //!   (shard chosen by a hash of the canonical key), so concurrent probes
 //!   for different panels don't serialize, and
 //! * entry data is stored behind an [`Arc`], so a hit clones a pointer
-//!   inside the lock and the deep copy the envelope assembly needs happens
-//!   outside it.
+//!   inside the lock and copies the bytes into its response outside it.
 //!
 //! Eviction is LRU *per shard* under a per-shard slice of the byte
 //! budget; with a canonical-key hash the shards stay balanced and the
 //! aggregate behavior matches a global LRU closely enough for budgeting.
 
-use jsonlite::Value as Json;
 use rasdb::cache::LruCache;
 use rasdb::cluster::Cluster;
 use rasdb::stats::CacheStats;
@@ -51,9 +49,9 @@ pub const SHARDS: usize = 16;
 /// One memoized engine response with its validity tags.
 #[derive(Debug, Clone)]
 pub struct ResultEntry {
-    /// The op's `data` fields, exactly as the uncached op returned them.
+    /// The op's encoded `data` object, exactly as the uncached op sent it.
     /// Shared so hits clone a pointer, not the payload.
-    pub data: Arc<Vec<(String, Json)>>,
+    pub data: Arc<str>,
     /// `(table, partition)` pairs the answer was computed from.
     pub deps: Vec<(String, Key)>,
     /// [`Cluster::data_version`] of each dep, snapshotted *before* the
@@ -66,21 +64,16 @@ pub struct ResultEntry {
     pub open: bool,
 }
 
-/// Approximate footprint of an entry, for byte budgeting: serialized JSON
-/// length plus dep tags and a fixed overhead. Exactness does not matter,
-/// monotonicity in data size does.
+/// Approximate footprint of an entry, for byte budgeting: the encoded
+/// data's length plus dep tags and a fixed overhead. Exactness does not
+/// matter, monotonicity in data size does.
 fn footprint(key_len: usize, e: &ResultEntry) -> usize {
-    let data: usize = e
-        .data
-        .iter()
-        .map(|(k, v)| k.len() + v.to_string().len())
-        .sum();
     let deps: usize = e
         .deps
         .iter()
         .map(|(t, p)| t.len() + p.encode().len() + 8)
         .sum();
-    key_len + data + deps + 64
+    key_len + e.data.len() + deps + 64
 }
 
 /// FNV-1a over the canonical key; cheap, stable, and well-spread for the
@@ -154,9 +147,8 @@ impl ResultCache {
     /// Looks up a canonical key, lazily validating the entry against the
     /// cluster's current data versions and topology epoch. A stale entry
     /// is removed and reported as an invalidation + miss. A hit returns a
-    /// shared handle to the data — cloning the payload (if the caller
-    /// needs to) happens outside the shard lock.
-    pub fn lookup(&self, cluster: &Cluster, key: &[u8]) -> Option<Arc<Vec<(String, Json)>>> {
+    /// shared handle to the encoded data.
+    pub fn lookup(&self, cluster: &Cluster, key: &[u8]) -> Option<Arc<str>> {
         let mut inner = lock(&self.shards[shard_of(key)]);
         if inner.budget() == 0 {
             return None;
@@ -238,7 +230,7 @@ mod tests {
     fn entry(cluster: &Cluster, open: bool) -> ResultEntry {
         let dep = ("t".to_owned(), Key::from(vec![Value::BigInt(1)]));
         ResultEntry {
-            data: Arc::new(vec![("total".to_owned(), Json::from(42i64))]),
+            data: Arc::from(r#"{"total":42}"#),
             versions: vec![cluster.data_version(&dep.0, &dep.1)],
             deps: vec![dep],
             epoch: cluster.topology_epoch(),
@@ -266,8 +258,8 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         cache.store(b"k".to_vec(), entry(&c, false));
         assert_eq!(
-            cache.lookup(&c, b"k").unwrap()[0].1.as_i64(),
-            Some(42),
+            cache.lookup(&c, b"k").as_deref(),
+            Some(r#"{"total":42}"#),
             "valid entry hits"
         );
         assert_eq!(cache.stats().hits(), 1);
@@ -330,7 +322,7 @@ mod tests {
                     for i in 0..64 {
                         let key = format!("heatmap\x1fMCE\x1f{}", (i + t * 7) % 64).into_bytes();
                         let data = cache.lookup(&c, &key).expect("entry present");
-                        assert_eq!(data[0].1.as_i64(), Some(42));
+                        assert_eq!(&*data, r#"{"total":42}"#);
                     }
                 })
             })

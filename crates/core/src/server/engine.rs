@@ -5,9 +5,9 @@
 //! data processing unit depending on the type of a user query."
 //!
 //! Every op goes through one [`QueryRequest`] parse step (window, context
-//! filters, `limit`, `cursor`) and answers in the uniform envelope built
-//! by [`envelope_ok`] / [`envelope_err`] — see [`crate::server::request`]
-//! for the wire format. `events` and `apps` paginate with opaque cursors
+//! filters, `limit`, `cursor`) and answers in the uniform envelope written
+//! by [`write_envelope`] — see [`crate::server::request`] for the wire
+//! format. `events` and `apps` paginate with opaque cursors
 //! backed by the coordinator's scatter-gather `read_multi`.
 
 use crate::analytics::distribution::{distribution, distribution_of, Distribution, GroupBy};
@@ -18,7 +18,7 @@ use crate::model::nodeinfo;
 use crate::server::cache::ResultEntry;
 use crate::server::recorder::{FlightRecorder, RecordedQuery};
 use crate::server::request::{
-    envelope_err, envelope_ok, ApiError, Cursor, ErrorCode, OpOutput, Page, QueryRequest,
+    write_envelope, ApiError, Cursor, ErrorCode, OpOutput, Page, QueryRequest,
 };
 use crate::server::slo::SloRegistry;
 use jsonlite::{json_array, json_object, Value as Json};
@@ -134,45 +134,27 @@ impl QueryEngine {
 
         let t_exec = Instant::now();
         let mut op = String::new();
-        let mut error: Option<ApiError> = None;
-        let mut response = {
+        let answer = {
             let mut span = telemetry::SpanGuard::enter_in("server.engine.request", &ctx);
             match &parsed {
-                Err(e) => {
-                    let api = ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}"));
-                    let env = envelope_err(&api);
-                    error = Some(api);
-                    env
-                }
-                Ok(body) => match QueryRequest::parse(body) {
-                    Err(e) => {
-                        let env = envelope_err(&e);
-                        error = Some(e);
-                        env
-                    }
-                    Ok(req) => {
-                        op = req.op.clone();
-                        span.tag("op", &req.op);
-                        match self.dispatch(&req) {
-                            Ok(out) => envelope_ok(out),
-                            Err(e) => {
-                                let env = envelope_err(&e);
-                                error = Some(e);
-                                env
-                            }
-                        }
-                    }
-                },
+                Err(e) => Err(ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}"))),
+                Ok(body) => QueryRequest::parse(body).and_then(|req| {
+                    op = req.op.clone();
+                    span.tag("op", &req.op);
+                    self.dispatch(&req)
+                }),
             }
             // Request span closes here so its duration (and its trace's
             // profile) covers exactly the execute interval.
         };
         let exec_ns = elapsed_ns(t_exec);
-        let ok = error.is_none();
+        let ok = answer.is_ok();
 
-        response.insert("trace_id", Json::from(ctx.hex()));
+        let trace_id = ctx.hex();
         let t_ser = Instant::now();
-        let mut text = response.to_string();
+        let data_len = answer.as_ref().map_or(0, |out| out.data.len());
+        let mut text = String::with_capacity(data_len + 256);
+        write_envelope(&mut text, answer.as_ref(), None, &trace_id);
         let serialize_ns = elapsed_ns(t_ser);
         let total_us = (parse_ns + exec_ns + serialize_ns) as f64 / 1_000.0;
 
@@ -183,8 +165,11 @@ impl QueryEngine {
         };
         let phases = phase_breakdown(parse_ns, exec_ns, serialize_ns, &spans, engine_thread);
         if profiled {
-            response.insert("profile", profile_json(&ctx, total_us, &phases, &spans));
-            text = response.to_string();
+            // Written again with the profile in place: `data` is copied,
+            // not re-encoded.
+            let profile = profile_json(&ctx, total_us, &phases, &spans);
+            text.clear();
+            write_envelope(&mut text, answer.as_ref(), Some(&profile), &trace_id);
         }
 
         self.recorder.observe(RecordedQuery {
@@ -198,9 +183,10 @@ impl QueryEngine {
         if known_op(&op) {
             self.slo.record(&op, ok, total_us as u64);
         }
+        let error = answer.err();
         EngineResponse {
             body: text,
-            status: error.as_ref().map(|e| e.code.http_status()).unwrap_or(200),
+            status: error.as_ref().map_or(200, |e| e.code.http_status()),
             retry_after_ms: error.and_then(|e| e.retry_after_ms),
         }
     }
@@ -212,15 +198,16 @@ impl QueryEngine {
     }
 
     /// Runs `compute` through the result cache. A validated hit returns
-    /// the memoized `data` fields verbatim; a miss snapshots the topology
-    /// epoch and every dependency's data version *before* computing (so a
-    /// write racing the compute can only make the stored entry stale,
-    /// never silently current), then stores the result. Errors are never
-    /// cached.
+    /// the memoized `data` bytes as they are — the entry's own deps are
+    /// what validates it, so `deps` runs only on a miss. A miss snapshots
+    /// the topology epoch and every dependency's data version *before*
+    /// computing (so a write racing the compute can only make the stored
+    /// entry stale, never silently current), then stores the result.
+    /// Errors are never cached.
     fn cached(
         &self,
         key: Vec<u8>,
-        deps: Vec<(String, Key)>,
+        deps: impl FnOnce() -> Vec<(String, Key)>,
         open: bool,
         compute: impl FnOnce() -> Result<OpOutput, ApiError>,
     ) -> Result<OpOutput, ApiError> {
@@ -230,14 +217,11 @@ impl QueryEngine {
             let mut probe = telemetry::span!("cache.result.probe");
             if let Some(data) = cache.lookup(cluster, &key) {
                 probe.tag("outcome", "hit");
-                // The deep clone happens here, outside the shard lock.
-                return Ok(OpOutput {
-                    data: (*data).clone(),
-                    page: None,
-                });
+                return Ok(OpOutput { data, page: None });
             }
             probe.tag("outcome", "miss");
         }
+        let deps = deps();
         let epoch = cluster.topology_epoch();
         let versions = deps
             .iter()
@@ -247,7 +231,7 @@ impl QueryEngine {
         cache.store(
             key,
             ResultEntry {
-                data: Arc::new(out.data.clone()),
+                data: Arc::clone(&out.data),
                 deps,
                 versions,
                 epoch,
@@ -356,7 +340,7 @@ impl QueryEngine {
         let (from, to) = req.window()?;
         let t = req.str_field("type")?.to_owned();
         let key = cache_key(&["heatmap", &t, &from.to_string(), &to.to_string()]);
-        let deps = Framework::window_deps("event_by_time", Some(&t), from, to);
+        let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
         self.cached(key, deps, self.window_open(to), || {
             let hm = heatmap::cabinet_heatmap(&self.fw, &t, from, to)?;
             Ok(OpOutput::data([
@@ -416,17 +400,20 @@ impl QueryEngine {
             &from.to_string(),
             &to.to_string(),
         ]);
-        let mut deps = Framework::window_deps("event_by_time", Some(&t), from, to);
-        if by == GroupBy::Application {
-            // Attribution joins runs that may have started up to a day
-            // earlier (see `distribution_of`): depend on that superset.
-            deps.extend(Framework::window_deps(
-                "application_by_time",
-                None,
-                from.saturating_sub(24 * HOUR_MS),
-                to,
-            ));
-        }
+        let deps = || {
+            let mut deps = Framework::window_deps("event_by_time", Some(&t), from, to);
+            if by == GroupBy::Application {
+                // Attribution joins runs that may have started up to a day
+                // earlier (see `distribution_of`): depend on that superset.
+                deps.extend(Framework::window_deps(
+                    "application_by_time",
+                    None,
+                    from.saturating_sub(24 * HOUR_MS),
+                    to,
+                ));
+            }
+            deps
+        };
         self.cached(key, deps, self.window_open(to), || {
             Ok(output(distribution(&self.fw, &t, from, to, by)?))
         })
@@ -435,7 +422,7 @@ impl QueryEngine {
     fn op_histogram(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let (from, to) = req.window()?;
         let t = req.str_field("type")?.to_owned();
-        let bin = req.pos_i64_or("bin_ms", 3_600_000)?;
+        let bin = req.bin_ms_or(3_600_000)?;
         let key = cache_key(&[
             "histogram",
             &t,
@@ -443,7 +430,7 @@ impl QueryEngine {
             &to.to_string(),
             &bin.to_string(),
         ]);
-        let deps = Framework::window_deps("event_by_time", Some(&t), from, to);
+        let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
         self.cached(key, deps, self.window_open(to), || {
             let h = histogram::event_histogram(&self.fw, &t, from, to, bin)?;
             Ok(OpOutput::data([
@@ -458,7 +445,7 @@ impl QueryEngine {
         let (from, to) = req.window()?;
         let x = req.str_field("x")?.to_owned();
         let y = req.str_field("y")?.to_owned();
-        let bin = req.pos_i64_or("bin_ms", 60_000)?;
+        let bin = req.bin_ms_or(60_000)?;
         let max_lag = req.pos_i64_or("max_lag", 10)? as usize;
         let key = cache_key(&[
             "transfer_entropy",
@@ -469,8 +456,11 @@ impl QueryEngine {
             &bin.to_string(),
             &max_lag.to_string(),
         ]);
-        let mut deps = Framework::window_deps("event_by_time", Some(&x), from, to);
-        deps.extend(Framework::window_deps("event_by_time", Some(&y), from, to));
+        let deps = || {
+            let mut deps = Framework::window_deps("event_by_time", Some(&x), from, to);
+            deps.extend(Framework::window_deps("event_by_time", Some(&y), from, to));
+            deps
+        };
         self.cached(key, deps, self.window_open(to), || {
             let sweep = transfer_entropy::te_lag_sweep(&self.fw, &x, &y, from, to, bin, max_lag)?;
             Ok(OpOutput::data([(
@@ -490,7 +480,7 @@ impl QueryEngine {
         let (from, to) = req.window()?;
         let a = req.str_field("x")?.to_owned();
         let b = req.str_field("y")?.to_owned();
-        let bin = req.pos_i64_or("bin_ms", 60_000)?;
+        let bin = req.bin_ms_or(60_000)?;
         let max_lag = req.i64_or("max_lag", 10)?;
         if max_lag < 0 {
             return Err(ApiError::bad_request("'max_lag' must be non-negative"));
@@ -505,8 +495,11 @@ impl QueryEngine {
             &bin.to_string(),
             &max_lag.to_string(),
         ]);
-        let mut deps = Framework::window_deps("event_by_time", Some(&a), from, to);
-        deps.extend(Framework::window_deps("event_by_time", Some(&b), from, to));
+        let deps = || {
+            let mut deps = Framework::window_deps("event_by_time", Some(&a), from, to);
+            deps.extend(Framework::window_deps("event_by_time", Some(&b), from, to));
+            deps
+        };
         self.cached(key, deps, self.window_open(to), || {
             let xc =
                 correlation::event_cross_correlation(&self.fw, &a, &b, from, to, bin, max_lag)?;
@@ -531,7 +524,7 @@ impl QueryEngine {
             &to.to_string(),
             &k.to_string(),
         ]);
-        let deps = Framework::window_deps("event_by_time", Some(&t), from, to);
+        let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
         self.cached(key, deps, self.window_open(to), || {
             let counts = text::word_count_events(&self.fw, &t, from, to)?;
             let top = text::top_k(&counts, k);
@@ -677,10 +670,12 @@ impl QueryEngine {
     fn op_synopsis(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let day = req.i64_field("day")?;
         let key = cache_key(&["synopsis", &day.to_string()]);
-        let deps = vec![(
-            "eventsynopsis".to_owned(),
-            Key::from(vec![rasdb::types::Value::BigInt(day)]),
-        )];
+        let deps = || {
+            vec![(
+                "eventsynopsis".to_owned(),
+                Key::from(vec![rasdb::types::Value::BigInt(day)]),
+            )]
+        };
         let day_end = day.saturating_add(1).saturating_mul(DAY_MS);
         self.cached(key, deps, self.window_open(day_end), || {
             let rows = synopsis::read_synopsis(&self.fw, day)?;
@@ -747,7 +742,7 @@ impl QueryEngine {
         let (from, to) = req.window()?;
         let target = req.str_field("target")?;
         let cfg = PredictorConfig {
-            bin_ms: req.pos_i64_or("bin_ms", 60_000)?,
+            bin_ms: req.bin_ms_or(60_000)?,
             lead_bins: req.pos_i64_or("lead_bins", 5)? as usize,
             horizon_bins: req.pos_i64_or("horizon_bins", 5)? as usize,
         };
@@ -779,20 +774,16 @@ impl QueryEngine {
         let svg = match view {
             "heatmap" => views::heatmap_svg(&self.fw, etype, from, to),
             "node_heatmap" => views::node_heatmap_svg(&self.fw, etype, from, to),
-            "histogram" => views::histogram_svg(
-                &self.fw,
-                etype,
-                from,
-                to,
-                req.pos_i64_or("bin_ms", 3_600_000)?,
-            ),
+            "histogram" => {
+                views::histogram_svg(&self.fw, etype, from, to, req.bin_ms_or(3_600_000)?)
+            }
             "te" => views::te_plot_svg(
                 &self.fw,
                 req.str_field("x")?,
                 req.str_field("y")?,
                 from,
                 to,
-                req.pos_i64_or("bin_ms", 60_000)?,
+                req.bin_ms_or(60_000)?,
                 req.pos_i64_or("max_lag", 10)? as usize,
             ),
             "bubbles" => views::word_bubbles_svg(

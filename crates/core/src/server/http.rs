@@ -74,11 +74,11 @@
 //! load — is a v2 envelope with a typed `error.code`, a `trace_id`, and
 //! the HTTP status from [`ErrorCode::http_status`].
 
-use crate::server::engine::QueryEngine;
+use crate::server::engine::{EngineResponse, QueryEngine};
 use crate::server::epoll::Poller;
-use crate::server::request::{envelope_err, ApiError, ErrorCode};
-use jsonlite::Value as Json;
+use crate::server::request::{write_envelope, ApiError, ErrorCode};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -361,11 +361,13 @@ impl Shared {
         let now = Instant::now();
         let mut parked = lock(&self.parked);
         if parked.earliest.is_some_and(|due| now >= due) {
-            let before = parked.conns.len();
-            parked.conns.retain(|_, (deadline, _)| now < *deadline);
-            self.stats
-                .timeouts
-                .incr((before - parked.conns.len()) as u64);
+            // Counted before the drop closes the socket, so a client that
+            // sees the close also sees the count.
+            parked.conns.retain(|_, (deadline, _)| {
+                let expired = now >= *deadline;
+                self.stats.timeouts.incr(u64::from(expired));
+                !expired
+            });
             parked.earliest = parked.conns.values().map(|(deadline, _)| *deadline).min();
         }
         parked.earliest.map_or(STOP_POLL, |due| {
@@ -601,11 +603,12 @@ struct Reply {
 }
 
 impl Reply {
-    fn ok(status: u16, body: String) -> Reply {
+    /// The engine's envelope and status, its retry hint mirrored.
+    fn engine(resp: EngineResponse) -> Reply {
         Reply {
-            status,
-            body,
-            retry_after_ms: None,
+            status: resp.status,
+            body: resp.body,
+            retry_after_ms: resp.retry_after_ms,
             allow: None,
             close: false,
         }
@@ -614,11 +617,11 @@ impl Reply {
     /// A typed v2 error envelope with a `trace_id`, status from
     /// [`ErrorCode::http_status`], and the retry hint mirrored.
     fn error(err: &ApiError, trace: &TraceContext) -> Reply {
-        let mut env = envelope_err(err);
-        env.insert("trace_id", Json::from(trace.hex()));
+        let mut body = String::new();
+        write_envelope(&mut body, Err(err), None, &trace.hex());
         Reply {
             status: err.code.http_status(),
-            body: env.to_string(),
+            body,
             retry_after_ms: err.retry_after_ms,
             allow: None,
             close: false,
@@ -681,42 +684,21 @@ fn route(shared: &Shared, req: &HttpRequest, peer: &str) -> Reply {
 
     let engine = &shared.engine;
     match (req.method.as_str(), path) {
-        ("POST", "/v1/query") => {
-            let resp = engine.handle_http(&req.body, req.trace);
-            let mut reply = Reply::ok(resp.status, resp.body);
-            reply.retry_after_ms = resp.retry_after_ms;
-            reply
-        }
-        ("GET", "/v1/metrics") => {
-            let resp = engine.handle_http(r#"{"op":"metrics"}"#, req.trace);
-            Reply::ok(resp.status, resp.body)
-        }
-        ("GET", "/v1/trace") => {
-            let resp = engine.handle_http(r#"{"op":"trace"}"#, req.trace);
-            Reply::ok(resp.status, resp.body)
-        }
-        ("GET", "/v1/slow_queries") => {
-            let resp = engine.handle_http(r#"{"op":"slow_queries"}"#, req.trace);
-            Reply::ok(resp.status, resp.body)
-        }
-        ("GET", "/v1/storage") => {
-            let resp = engine.handle_http(r#"{"op":"storage"}"#, req.trace);
-            Reply::ok(resp.status, resp.body)
-        }
-        ("GET", "/v1/topology") => {
-            let resp = engine.handle_http(r#"{"op":"topology"}"#, req.trace);
-            let mut reply = Reply::ok(resp.status, resp.body);
-            reply.retry_after_ms = resp.retry_after_ms;
-            reply
+        ("POST", "/v1/query") => Reply::engine(engine.handle_http(&req.body, req.trace)),
+        (
+            "GET",
+            "/v1/metrics" | "/v1/trace" | "/v1/slow_queries" | "/v1/storage" | "/v1/topology",
+        ) => {
+            // Each path aliases the op it names.
+            let op = format!(r#"{{"op":"{}"}}"#, &path["/v1/".len()..]);
+            Reply::engine(engine.handle_http(&op, req.trace))
         }
         ("GET", "/v1/healthz") => {
-            let resp = engine.handle_http(r#"{"op":"health"}"#, req.trace);
-            let status = if engine.slo().overall() == "failing" {
-                503
-            } else {
-                resp.status
-            };
-            Reply::ok(status, resp.body)
+            let mut reply = Reply::engine(engine.handle_http(r#"{"op":"health"}"#, req.trace));
+            if engine.slo().overall() == "failing" {
+                reply.status = 503;
+            }
+            reply
         }
         // The pre-v1 paths were removed in the v2 cut: answer 404 with a
         // typed pointer at the replacement so stale clients self-diagnose.
@@ -836,9 +818,12 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Writes head and body with one `write`: `TCP_NODELAY` is set, so two
-/// writes would be two segments and two client wake-ups.
+/// writes would be two segments and two client wake-ups. The buffer is
+/// sized for head and body once.
 fn write_reply(mut stream: &TcpStream, reply: &Reply, keep_alive: bool) -> std::io::Result<()> {
-    let mut out = format!(
+    let mut out = String::with_capacity(256 + reply.body.len());
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
         reply.status,
         reason(reply.status),
@@ -848,10 +833,10 @@ fn write_reply(mut stream: &TcpStream, reply: &Reply, keep_alive: bool) -> std::
     if let Some(ms) = reply.retry_after_ms {
         // HTTP Retry-After is whole seconds; round up so clients never
         // retry before the hint.
-        out.push_str(&format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)));
+        let _ = write!(out, "Retry-After: {}\r\n", ms.div_ceil(1000).max(1));
     }
     if let Some(allow) = reply.allow {
-        out.push_str(&format!("Allow: {allow}\r\n"));
+        let _ = write!(out, "Allow: {allow}\r\n");
     }
     out.push_str("\r\n");
     out.push_str(&reply.body);

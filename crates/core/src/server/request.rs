@@ -26,12 +26,25 @@
 //!
 //! The envelope is also the cache boundary: analytics result-cache keys
 //! derive from the parsed [`QueryRequest`] (the canonical form of a
-//! request), and cached entries store the `data` fields — the envelope
-//! is re-assembled per response.
+//! request). An op's `data` object is encoded once, where
+//! [`OpOutput::data`] builds it; the result cache keeps those bytes and
+//! [`write_envelope`] splices them, cached or fresh, between the keys it
+//! encodes around them.
 
 use crate::context::Context;
+use crate::model::keys::DAY_MS;
 use jsonlite::{json_object, Value as Json};
 use rasdb::error::DbError;
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// Widest accepted window: 366 days, 8,784 hour partitions. Wider is
+/// `BAD_WINDOW`, before any op plans a partition for it.
+pub const MAX_WINDOW_MS: i64 = 366 * DAY_MS;
+
+/// Most bins a binned op may split its window into (more is
+/// `BAD_REQUEST`); a day at one-second bins fits.
+pub const MAX_BINS: i64 = 100_000;
 
 /// Machine-readable error classification carried in `error.code`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +55,8 @@ pub enum ErrorCode {
     BadRequest,
     /// Unknown `op`.
     UnknownOp,
-    /// `to` precedes `from`.
+    /// `to` precedes `from`, or the window is wider than
+    /// [`MAX_WINDOW_MS`].
     BadWindow,
     /// `to == from`: a half-open window `[from, from)` selects nothing.
     EmptyWindow,
@@ -309,6 +323,12 @@ impl QueryRequest {
                         "'to' equals 'from': the half-open window [from, to) is empty",
                     ));
                 }
+                if to.saturating_sub(from) > MAX_WINDOW_MS {
+                    return Err(ApiError::new(
+                        ErrorCode::BadWindow,
+                        format!("the window spans more than {} days", MAX_WINDOW_MS / DAY_MS),
+                    ));
+                }
                 Some((from, to))
             }
             _ => None,
@@ -419,26 +439,40 @@ impl QueryRequest {
         }
         Ok(v)
     }
+
+    /// `bin_ms` (default `default`) of an op that bins its window:
+    /// positive, and at most [`MAX_BINS`] bins over the window.
+    pub fn bin_ms_or(&self, default: i64) -> Result<i64, ApiError> {
+        let bin = self.pos_i64_or("bin_ms", default)?;
+        let (from, to) = self.window()?;
+        if (to - from) / bin > MAX_BINS {
+            return Err(ApiError::bad_request(format!(
+                "'bin_ms' {bin} splits the window into more than {MAX_BINS} bins"
+            )));
+        }
+        Ok(bin)
+    }
 }
 
 /// Envelope protocol version carried as `"v"` in every response.
 pub const ENVELOPE_VERSION: i64 = 2;
 
-/// The result an op hands back to the dispatcher: named data fields plus
-/// optional pagination, assembled into the envelope in one place.
+/// The result an op hands back to the dispatcher: its encoded `data`
+/// object plus optional pagination, assembled into the envelope in one
+/// place.
 pub struct OpOutput {
-    /// Named data fields, nested under `data` (the canonical and only
-    /// form since the envelope-v2 cut).
-    pub data: Vec<(String, Json)>,
+    /// The `data` object, encoded: the bytes every response carrying this
+    /// answer splices in, and the bytes the result cache keeps.
+    pub data: Arc<str>,
     /// Pagination, for cursor-driven ops.
     pub page: Option<Page>,
 }
 
 impl OpOutput {
-    /// Output with data fields only.
+    /// Output with data fields only, encoded here as one object.
     pub fn data<const N: usize>(fields: [(&str, Json); N]) -> OpOutput {
         OpOutput {
-            data: fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+            data: json_object(fields).to_string().into(),
             page: None,
         }
     }
@@ -450,35 +484,46 @@ impl OpOutput {
     }
 }
 
-/// Assembles the v2 `ok` envelope: `v`, `status`, the canonical `data`
-/// object, and `page` when the op paginates.
-pub fn envelope_ok(out: OpOutput) -> Json {
-    let mut resp = json_object([
-        ("v", Json::from(ENVELOPE_VERSION)),
-        ("status", Json::from("ok")),
-    ]);
-    resp.insert("data", json_object(out.data));
-    if let Some(page) = &out.page {
-        resp.insert("page", page.to_json());
+/// Writes the v2 envelope of `answer` into `out`, the encoded `data` spliced
+/// in as is. Keys go in the order the object encoder sorts them — `data` |
+/// `error`, `page`, `profile`, `status`, `trace_id`, `v` — so the bytes are
+/// those of the envelope encoded as one object.
+pub fn write_envelope(
+    out: &mut String,
+    answer: Result<&OpOutput, &ApiError>,
+    profile: Option<&Json>,
+    trace_id: &str,
+) {
+    let status = match answer {
+        Ok(ok) => {
+            out.push_str(r#"{"data":"#);
+            out.push_str(&ok.data);
+            if let Some(page) = &ok.page {
+                out.push_str(r#","page":"#);
+                jsonlite::write_into(out, &page.to_json());
+            }
+            "ok"
+        }
+        Err(e) => {
+            let mut error = json_object([
+                ("code", Json::from(e.code.as_str())),
+                ("message", Json::from(e.message.as_str())),
+            ]);
+            if let Some(ms) = e.retry_after_ms {
+                error.insert("retry_after_ms", Json::from(ms as i64));
+            }
+            out.push_str(r#"{"error":"#);
+            jsonlite::write_into(out, &error);
+            "error"
+        }
+    };
+    if let Some(profile) = profile {
+        out.push_str(r#","profile":"#);
+        jsonlite::write_into(out, profile);
     }
-    resp
-}
-
-/// Assembles the v2 `error` envelope: typed `error.code`/`error.message`,
-/// plus `error.retry_after_ms` for retryable conditions.
-pub fn envelope_err(e: &ApiError) -> Json {
-    let mut error = json_object([
-        ("code", Json::from(e.code.as_str())),
-        ("message", Json::from(e.message.as_str())),
-    ]);
-    if let Some(ms) = e.retry_after_ms {
-        error.insert("retry_after_ms", Json::from(ms as i64));
-    }
-    json_object([
-        ("v", Json::from(ENVELOPE_VERSION)),
-        ("status", Json::from("error")),
-        ("error", error),
-    ])
+    let _ = write!(out, r#","status":"{status}","trace_id":"#);
+    jsonlite::write_into(out, &Json::from(trace_id));
+    let _ = write!(out, r#","v":{ENVELOPE_VERSION}}}"#);
 }
 
 #[cfg(test)]
@@ -529,25 +574,85 @@ mod tests {
     }
 
     #[test]
+    fn windows_and_bins_are_bounded() {
+        let widest = MAX_WINDOW_MS;
+        assert!(parse(&format!(r#"{{"op":"events","from":0,"to":{widest}}}"#)).is_ok());
+        for to in [widest + 1, 1 << 53] {
+            let e = parse(&format!(r#"{{"op":"events","from":0,"to":{to}}}"#)).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadWindow, "to {to}");
+        }
+        let binned = |bin: i64| {
+            parse(&format!(
+                r#"{{"op":"histogram","from":0,"to":{DAY_MS},"bin_ms":{bin}}}"#
+            ))
+            .unwrap()
+            .bin_ms_or(60_000)
+        };
+        assert_eq!(binned(1_000).unwrap(), 1_000, "a day at one-second bins");
+        let e = binned(1).unwrap_err();
+        assert_eq!(e.code, ErrorCode::BadRequest);
+        assert!(e.message.contains("bin_ms"), "{}", e.message);
+    }
+
+    /// The envelope's bytes, parsed back.
+    fn envelope(answer: Result<&OpOutput, &ApiError>) -> Json {
+        let mut out = String::new();
+        write_envelope(&mut out, answer, None, "00000000deadbeef");
+        jsonlite::parse(&out).unwrap()
+    }
+
+    #[test]
     fn envelope_is_versioned_and_flat_free() {
         let out = OpOutput::data([("rows", Json::from(3i64))]).with_page(Page {
             cursor: Some("ev:1:a:b".into()),
             has_more: true,
         });
-        let env = envelope_ok(out);
+        let env = envelope(Ok(&out));
         assert_eq!(env["v"].as_i64(), Some(2), "the envelope-v2 cut");
         assert_eq!(env["status"].as_str(), Some("ok"));
         assert_eq!(env["data"]["rows"].as_i64(), Some(3));
         assert_eq!(env["page"]["has_more"].as_bool(), Some(true));
+        assert_eq!(env["trace_id"].as_str(), Some("00000000deadbeef"));
         assert!(env["rows"].is_null(), "flat mirrors are gone since v2");
         assert!(env["deprecated"].is_null(), "so is the deprecated list");
 
-        let err = envelope_err(&ApiError::new(ErrorCode::EmptyWindow, "nothing to see"));
+        let err = envelope(Err(&ApiError::new(
+            ErrorCode::EmptyWindow,
+            "nothing to see",
+        )));
         assert_eq!(err["v"].as_i64(), Some(ENVELOPE_VERSION));
         assert_eq!(err["status"].as_str(), Some("error"));
         assert_eq!(err["error"]["code"].as_str(), Some("EMPTY_WINDOW"));
         assert_eq!(err["error"]["message"].as_str(), Some("nothing to see"));
         assert!(err["message"].is_null(), "flat error mirror is gone too");
+    }
+
+    /// With every optional key present, the written envelope is byte for
+    /// byte the one object the encoder would write: keys sorted, `profile`
+    /// between `page` and `status`, `data` spliced in unchanged.
+    #[test]
+    fn envelope_keys_come_in_encoder_order() {
+        let out =
+            OpOutput::data([("b", Json::from("x\"y")), ("a", Json::from(1.5))]).with_page(Page {
+                cursor: None,
+                has_more: false,
+            });
+        let profile = json_object([("total_us", Json::from(2.0))]);
+        let mut body = String::new();
+        write_envelope(&mut body, Ok(&out), Some(&profile), "00000000deadbeef");
+        assert_eq!(
+            body,
+            concat!(
+                r#"{"data":{"a":1.5,"b":"x\"y"},"page":{"cursor":null,"has_more":false},"#,
+                r#""profile":{"total_us":2},"status":"ok","trace_id":"00000000deadbeef","v":2}"#
+            )
+        );
+        assert_eq!(jsonlite::parse(&body).unwrap().to_string(), body);
+
+        let err = ApiError::new(ErrorCode::Overloaded, "busy").with_retry_after(100);
+        body.clear();
+        write_envelope(&mut body, Err(&err), Some(&profile), "00000000deadbeef");
+        assert_eq!(jsonlite::parse(&body).unwrap().to_string(), body);
     }
 
     #[test]
@@ -558,11 +663,11 @@ mod tests {
         .into();
         assert_eq!(api.code, ErrorCode::TopologyChanging);
         assert_eq!(api.retry_after_ms, Some(250));
-        let env = envelope_err(&api);
+        let env = envelope(Err(&api));
         assert_eq!(env["error"]["code"].as_str(), Some("TOPOLOGY_CHANGING"));
         assert_eq!(env["error"]["retry_after_ms"].as_i64(), Some(250));
         // Non-retryable errors never carry the hint.
-        let env = envelope_err(&ApiError::bad_request("nope"));
+        let env = envelope(Err(&ApiError::bad_request("nope")));
         assert!(env["error"]["retry_after_ms"].is_null());
         // Stream aborts surface as UNAVAILABLE (the transition rolled
         // back; the client may retry the whole admin op).

@@ -8,7 +8,10 @@
 //!   `deprecated` list (the v1-era mirror flag was removed in the v2
 //!   cut);
 //! - error responses carry `error.code` / `error.message` and nothing
-//!   flat.
+//!   flat;
+//! - the envelope is written around the stored bytes of `data`, and those
+//!   bytes are exactly what encoding the whole envelope as one object
+//!   would produce.
 
 use hpclog_core::analytics::synopsis;
 use hpclog_core::framework::{Framework, FrameworkConfig};
@@ -270,16 +273,25 @@ fn concurrent_admin_op_gets_topology_changing_with_retry_hint() {
     assert_eq!(resp["status"].as_str(), Some("ok"), "{resp}");
 }
 
-#[test]
-fn each_op_reports_its_characteristic_typed_error_code() {
-    let e = engine();
-    for (req, code) in [
+/// Each op's characteristic bad input and the typed code it must produce.
+fn error_rows() -> Vec<(&'static str, &'static str)> {
+    vec![
         ("not json at all", "BAD_JSON"),
         (r#"{"no_op":1}"#, "BAD_REQUEST"),
         (r#"{"op":"zap"}"#, "UNKNOWN_OP"),
         (r#"{"op":"events","from":100,"to":0}"#, "BAD_WINDOW"),
         (r#"{"op":"events","from":100,"to":100}"#, "EMPTY_WINDOW"),
         (r#"{"op":"events","from":0,"to":1,"limit":0}"#, "BAD_LIMIT"),
+        // Wider than 366 days: the hour plans alone would stall the server.
+        (
+            r#"{"op":"heatmap","type":"MCE","from":0,"to":9007199254740992}"#,
+            "BAD_WINDOW",
+        ),
+        // A day in 1-ms bins is 86.4 million bins.
+        (
+            r#"{"op":"histogram","type":"MCE","from":0,"to":86400000,"bin_ms":1}"#,
+            "BAD_REQUEST",
+        ),
         (
             r#"{"op":"events","from":0,"to":1,"cursor":"junk"}"#,
             "BAD_CURSOR",
@@ -335,7 +347,13 @@ fn each_op_reports_its_characteristic_typed_error_code() {
         ),
         (r#"{"op":"dlq","max":0}"#, "BAD_REQUEST"),
         (r#"{"op":"dlq_requeue","max":-3}"#, "BAD_REQUEST"),
-    ] {
+    ]
+}
+
+#[test]
+fn each_op_reports_its_characteristic_typed_error_code() {
+    let e = engine();
+    for (req, code) in error_rows() {
         let resp = call(&e, req);
         assert_eq!(resp["v"].as_i64(), Some(2), "{req}");
         assert_eq!(resp["status"].as_str(), Some("error"), "{req}: {resp}");
@@ -349,6 +367,60 @@ fn each_op_reports_its_characteristic_typed_error_code() {
             "{req}: errors carry a trace_id too"
         );
     }
+}
+
+/// The envelope is written key by key around the stored `data` bytes; the
+/// bytes must be exactly those of the envelope encoded as one object — the
+/// tree the writer replaced. Cached ops answer twice, so the second answer
+/// splices the result cache's bytes.
+#[test]
+fn spliced_envelopes_are_the_bytes_of_the_encoded_tree() {
+    let e = engine();
+    let same_bytes = |body: String| {
+        let tree = jsonlite::parse(&body).unwrap_or_else(|err| panic!("{err:?}: {body}"));
+        assert_eq!(tree.to_string(), body, "re-encoding changed the bytes");
+        tree
+    };
+    let hits = e.framework().result_cache().stats().hits();
+    for (_, req, _) in golden_ops() {
+        same_bytes(e.handle(&req));
+        same_bytes(e.handle(&req));
+    }
+    assert!(e.framework().result_cache().stats().hits() > hits);
+    for (req, _) in error_rows() {
+        same_bytes(e.handle(req));
+    }
+
+    // A paged `events`: `page` between `data` and `status`.
+    let paged = r#"{"op":"events","type":"MCE","from":0,"to":3600000,"limit":3}"#;
+    let env = same_bytes(e.handle(paged));
+    assert_eq!(env["page"]["has_more"].as_bool(), Some(true), "{env}");
+    let cursor = env["page"]["cursor"].as_str().unwrap();
+    let last = format!(
+        r#"{{"op":"events","type":"MCE","from":0,"to":3600000,"limit":30,"cursor":"{cursor}"}}"#
+    );
+    let env = same_bytes(e.handle(&last));
+    assert!(env["page"]["cursor"].is_null(), "{env}");
+
+    // A profiled request, on a miss and on a hit, paged and not: `profile`
+    // sorts between `page` and `status`.
+    for req in [
+        r#"{"op":"heatmap","type":"MCE","from":0,"to":1800000,"profile":true}"#,
+        r#"{"op":"heatmap","type":"MCE","from":0,"to":1800000,"profile":true}"#,
+        r#"{"op":"events","type":"MCE","from":0,"to":3600000,"limit":3,"profile":true}"#,
+        r#"{"op":"zap","profile":true}"#,
+    ] {
+        let env = same_bytes(e.handle(req));
+        assert!(env["profile"]["phases"].as_object().is_some(), "{env}");
+    }
+
+    // An adopted trace id, from the request field and from the transport.
+    let env = same_bytes(e.handle(
+        r#"{"op":"heatmap","type":"MCE","from":0,"to":3600000,"trace_id":"00000000deadbeef"}"#,
+    ));
+    assert_eq!(env["trace_id"].as_str(), Some("00000000deadbeef"));
+    let env = same_bytes(e.handle_traced(r#"{"op":"zap"}"#, Some(0xfeed)));
+    assert_eq!(env["trace_id"].as_str(), Some("000000000000feed"));
 }
 
 /// The flight recorder links slow queries back to the trace ids the

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `/proc/self/task` and the telemetry registry are process-wide and every
 /// test here starts a server. The hostile-bytes property asserts on both, so
@@ -324,6 +324,44 @@ fn overload_sheds_503_but_health_stays_reachable() {
     // Liveness and health bypass admission so probes keep working while
     // the server sheds.
     let resp = c.request(&get("/v1/healthz"));
+    assert_eq!(resp.status, 200, "{}", resp.body);
+}
+
+/// A window out to 2^53 once made the engine plan ~2.5e9 hour partitions,
+/// and a 1-ms bin over it asked for a 9e15-slot vector, which aborts the
+/// process. Both are typed 400s before any plan is built, and the server
+/// keeps serving.
+#[test]
+fn unbounded_windows_and_bins_are_prompt_400s_and_the_server_survives() {
+    let server = server();
+    let mut c = Client::connect(server.addr());
+    for (body, code) in [
+        (
+            r#"{"op":"histogram","type":"MCE","from":0,"to":9007199254740992,"bin_ms":1}"#,
+            "BAD_WINDOW",
+        ),
+        (
+            r#"{"op":"heatmap","type":"MCE","from":0,"to":9007199254740992}"#,
+            "BAD_WINDOW",
+        ),
+        (
+            r#"{"op":"histogram","type":"MCE","from":0,"to":86400000,"bin_ms":1}"#,
+            "BAD_REQUEST",
+        ),
+    ] {
+        let sent = Instant::now();
+        let resp = c.request(&post_query(body));
+        let took = sent.elapsed();
+        assert_error_envelope(&resp, 400, code);
+        assert!(took < Duration::from_millis(100), "{body} took {took:?}");
+    }
+    // Health answers (its HTTP status is the SLO's verdict, which three
+    // failed histograms just spent), and a day at one-second bins runs.
+    let resp = c.request(&get("/v1/healthz"));
+    assert_eq!(resp.json()["status"].as_str(), Some("ok"), "{}", resp.body);
+    let resp = c.request(&post_query(
+        r#"{"op":"histogram","type":"MCE","from":0,"to":86400000,"bin_ms":1000}"#,
+    ));
     assert_eq!(resp.status, 200, "{}", resp.body);
 }
 

@@ -32,7 +32,7 @@ pub mod write;
 
 pub use parse::{parse, ParseError};
 pub use value::Value;
-pub use write::{to_string, to_string_pretty};
+pub use write::{to_string, to_string_pretty, write_into};
 
 /// Builds a JSON object `Value` from an iterator of `(key, value)` pairs.
 pub fn json_object<K, I>(pairs: I) -> Value

@@ -6,8 +6,14 @@ use std::fmt::Write as _;
 /// Serializes a value in compact form (no extra whitespace).
 pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, value, None, 0);
+    write_into(&mut out, value);
     out
+}
+
+/// Appends the compact form of `value` to `out`: the seam for callers that
+/// splice already-encoded bytes between encoded values.
+pub fn write_into(out: &mut String, value: &Value) {
+    write_value(out, value, None, 0);
 }
 
 /// Serializes a value with 2-space indentation.
