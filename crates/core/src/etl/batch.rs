@@ -102,6 +102,11 @@ pub fn import_rendered(fw: &Framework, rendered: Vec<String>) -> Result<ImportRe
 /// disposition contract ([`reference_scan_line`]), so reports and tables
 /// are identical between them — the differential equivalence suite
 /// asserts exactly that.
+///
+/// A failed upload (e.g. [`DbError::Unavailable`] during an outage) does
+/// not stop the import: every task writes both table views, the driver
+/// pairs and stores the jobs, and then the first error is returned.
+/// Re-importing the same bytes is idempotent.
 pub fn import_bytes(
     fw: &Framework,
     corpus: Vec<u8>,
@@ -120,8 +125,8 @@ pub fn import_bytes(
     let backend = opts.backend;
     let pred = opts.predicate.clone();
 
-    // Map stage: scan + upload events in place; ship job fragments and
-    // counters back to the driver.
+    // Map stage: scan + upload events in place; ship job fragments,
+    // counters and the first failed upload back to the driver.
     #[derive(Clone, Default)]
     struct PartResult {
         parsed: usize,
@@ -130,6 +135,7 @@ pub fn import_bytes(
         fallbacks: usize,
         event_rows: usize,
         job_lines: Vec<ParsedLine>,
+        error: Option<DbError>,
     }
     let results: Vec<PartResult> =
         fw.engine()
@@ -161,14 +167,21 @@ pub fn import_bytes(
                     out.fallbacks = stats.fallbacks as usize;
                 }
                 out.parsed = events.len() + out.job_lines.len();
+                // Both views are attempted, as `insert_batch` attempts every
+                // partition, before the first shortfall is reported.
                 let time_rows = events.iter().map(|e| e.to_time_row()).collect();
                 let loc_rows = events.iter().map(|e| e.to_location_row()).collect();
-                out.event_rows += cluster
-                    .insert_batch("event_by_time", time_rows, consistency)
-                    .expect("event upload");
-                out.event_rows += cluster
-                    .insert_batch("event_by_location", loc_rows, consistency)
-                    .expect("event upload");
+                for (table, rows) in [
+                    ("event_by_time", time_rows),
+                    ("event_by_location", loc_rows),
+                ] {
+                    match cluster.insert_batch(table, rows, consistency) {
+                        Ok(written) => out.event_rows += written,
+                        Err(e) => {
+                            out.error.get_or_insert(e);
+                        }
+                    }
+                }
                 out
             });
 
@@ -176,7 +189,11 @@ pub fn import_bytes(
     let mut report = ImportReport::default();
     let mut starts: HashMap<i64, (i64, String, String, i64, i64)> = HashMap::new();
     let mut ends: HashMap<i64, (i64, i32)> = HashMap::new();
+    let mut upload_error = None;
     for part in results {
+        if let Some(e) = part.error {
+            upload_error.get_or_insert(e);
+        }
         report.parsed += part.parsed;
         report.skipped += part.skipped;
         report.filtered += part.filtered;
@@ -224,6 +241,9 @@ pub fn import_bytes(
         report.jobs += 1;
     }
     report.unmatched_jobs += ends.len();
+    if let Some(e) = upload_error {
+        return Err(e);
+    }
     let g = telemetry::global();
     g.counter("etl.batch.lines_parsed")
         .incr(report.parsed as u64);

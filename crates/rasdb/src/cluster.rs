@@ -464,12 +464,12 @@ impl Cluster {
                 })
             })
             .collect::<Result<Vec<Mutation>, DbError>>()?;
-        // Write timestamps follow arrival order, and are drawn only once
-        // the whole batch is known to be valid.
+        // Write timestamps follow arrival order, drawn once the whole batch
+        // is known to be valid; only an empty cells slice can be shared yet.
         let rows = mutations.len();
         let first_ts = self.clock.fetch_add(rows as u64, Ordering::Relaxed);
         for (m, ts) in mutations.iter_mut().zip(first_ts..) {
-            for (_, cell) in &mut m.cells {
+            for (_, cell) in Arc::get_mut(&mut m.cells).into_iter().flatten() {
                 cell.write_ts = ts;
             }
         }

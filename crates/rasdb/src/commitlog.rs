@@ -1,15 +1,15 @@
 //! Append-only commit log: every mutation is recorded before it touches
 //! the memtable, so a node restart can replay its state.
 
-use crate::memtable::{RowChange, RowEntry};
+use crate::memtable::{sorted_cells, Cells, RowChange, RowEntry};
 use crate::types::{Cell, Key, Value};
 use std::sync::Arc;
 
 /// One durable mutation record.
 ///
-/// Table name, keys, cell names and text values are shared pointers, and
-/// the record itself travels as `Arc<Mutation>`: what reaches three replicas
-/// is one set of bytes, as it would be on a wire.
+/// Table name, keys and cells are shared pointers, and the record itself
+/// travels as `Arc<Mutation>`: what reaches three replicas is one set of
+/// bytes, as it would be on a wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mutation {
     /// Target table (the schema's interned name).
@@ -19,7 +19,7 @@ pub struct Mutation {
     /// Clustering key.
     pub clustering: Key,
     /// Cells to upsert (empty for pure row deletes).
-    pub cells: Vec<(Arc<str>, Cell)>,
+    pub cells: Cells,
     /// Row tombstone timestamp, if this mutation deletes the row.
     pub row_delete: Option<u64>,
 }
@@ -33,14 +33,14 @@ impl Mutation {
         values: Vec<(Arc<str>, Value)>,
         write_ts: u64,
     ) -> Mutation {
+        let cells = values
+            .into_iter()
+            .map(|(n, v)| (n, Cell::live(v, write_ts)));
         Mutation {
             table: table.into(),
             partition,
             clustering,
-            cells: values
-                .into_iter()
-                .map(|(n, v)| (n, Cell::live(v, write_ts)))
-                .collect(),
+            cells: sorted_cells(cells),
             row_delete: None,
         }
     }
@@ -56,7 +56,7 @@ impl Mutation {
             table: table.into(),
             partition,
             clustering,
-            cells: Vec::new(),
+            cells: Cells::default(),
             row_delete: Some(write_ts),
         }
     }
@@ -73,7 +73,7 @@ impl Mutation {
             table: Arc::clone(table),
             partition: partition.clone(),
             clustering: clustering.clone(),
-            cells: entry.cells().to_vec(),
+            cells: Arc::clone(entry.cells()),
             row_delete: entry.deleted_at,
         }
     }

@@ -1,6 +1,6 @@
 //! Size-tiered compaction: merge similar-sized SSTables into one run.
 
-use crate::memtable::RowEntry;
+use crate::memtable::{merge_all, Run};
 use crate::sstable::SsTable;
 use crate::types::Key;
 use std::collections::BTreeMap;
@@ -55,38 +55,26 @@ pub fn pick_bucket(tables: &[SsTable], cfg: &CompactionConfig) -> Option<Vec<usi
     }
 }
 
-/// Merges tables into a single run with last-write-wins semantics.
+/// Merges tables into a single run with last-write-wins semantics: each
+/// partition's runs, in table order, go through one sorted-run merge.
 /// Tombstoned cells older than their row tombstone are dropped; the
 /// tombstones themselves are retained (no GC grace modelled).
 pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
-    let mut merged: BTreeMap<Key, BTreeMap<Key, RowEntry>> = BTreeMap::new();
+    let mut partitions: BTreeMap<Key, Vec<Run>> = BTreeMap::new();
     for table in tables {
-        for (pk, rows) in table.into_partitions() {
-            let part = merged.entry(pk).or_default();
-            for (ck, entry) in rows {
-                match part.remove(&ck) {
-                    None => {
-                        part.insert(ck, entry);
-                    }
-                    Some(existing) => {
-                        part.insert(ck, RowEntry::merge(existing, entry));
-                    }
-                }
-            }
+        for (pk, run) in table.into_partitions() {
+            partitions.entry(pk).or_default().push(run);
         }
     }
-    // Drop cells shadowed by their row tombstone to reclaim space.
-    let data: Vec<(Key, Vec<(Key, RowEntry)>)> = merged
+    let data = partitions
         .into_iter()
-        .map(|(pk, rows)| {
-            let rows = rows
-                .into_iter()
-                .map(|(ck, mut e)| {
-                    e.purge_shadowed();
-                    (ck, e)
-                })
-                .collect();
-            (pk, rows)
+        .map(|(pk, runs)| {
+            let mut run = merge_all(runs);
+            // Drop cells shadowed by their row tombstone to reclaim space.
+            for (_, entry) in &mut run {
+                entry.purge_shadowed();
+            }
+            (pk, run)
         })
         .collect();
     SsTable::build(sequence, data)
@@ -95,7 +83,7 @@ pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::full_range;
+    use crate::memtable::{full_range, sorted_cells, RowEntry};
     use crate::types::{Cell, Value};
 
     fn pk(h: i64) -> Key {
@@ -108,7 +96,10 @@ mod tests {
 
     fn table_with(seq: u64, h: i64, ts: i64, v: i32, write_ts: u64) -> SsTable {
         let mut e = RowEntry::default();
-        e.upsert([("v".into(), Cell::live(Value::Int(v), write_ts))]);
+        e.upsert(&sorted_cells([(
+            "v".into(),
+            Cell::live(Value::Int(v), write_ts),
+        )]));
         SsTable::build(seq, vec![(pk(h), vec![(ck(ts), e)])])
     }
 
@@ -166,7 +157,7 @@ mod tests {
         let big_rows: Vec<(Key, RowEntry)> = (0..1000)
             .map(|t| {
                 let mut e = RowEntry::default();
-                e.upsert([("v".into(), Cell::live(Value::Int(1), 1))]);
+                e.upsert(&sorted_cells([("v".into(), Cell::live(Value::Int(1), 1))]));
                 (ck(t), e)
             })
             .collect();

@@ -1,53 +1,73 @@
-//! In-memory write buffer: partitions → clustering-sorted rows.
+//! In-memory write buffer: partitions → clustering-sorted runs of rows.
 
 use crate::types::{Cell, Key, Row, Value};
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
+
+/// A row's cells: sorted by column name, each name once. Immutable and
+/// shared: the coordinator builds them once per mutation, and the mutation,
+/// its commit-log records and the row of every replica that applied it
+/// point at that one allocation.
+pub type Cells = Arc<[(Arc<str>, Cell)]>;
+
+/// Builds [`Cells`] from cells in any order, as if each were upserted in
+/// turn.
+pub fn sorted_cells(cells: impl IntoIterator<Item = (Arc<str>, Cell)>) -> Cells {
+    let mut row = RowEntry::default();
+    for cell in cells {
+        row.upsert(&Arc::from([cell]));
+    }
+    row.cells
+}
 
 /// Stored form of one clustered row: named cells plus an optional row
 /// tombstone. A cell is visible only if it is newer than the tombstone.
 ///
-/// The cells are a small vector kept sorted by column name, so iteration
-/// order (stream encoding, [`RowEntry::visible`]) is name order. Names and
-/// text values are shared pointers; the vector itself belongs to one
-/// replica.
+/// Iteration order (stream encoding, [`RowEntry::visible`]) is column-name
+/// order. Nothing shared is ever changed: a merge builds a new slice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowEntry {
-    cells: Vec<(Arc<str>, Cell)>,
+    cells: Cells,
     /// Row-level delete timestamp, if any.
     pub deleted_at: Option<u64>,
 }
 
 impl RowEntry {
-    /// Applies new cells (last-write-wins per cell).
-    pub fn upsert(&mut self, cells: impl IntoIterator<Item = (Arc<str>, Cell)>) {
-        let cells = cells.into_iter();
+    /// Applies new cells (last-write-wins per cell). The row points at
+    /// `cells` when they are all it holds afterwards, and keeps its own
+    /// pointer when nothing changed.
+    pub fn upsert(&mut self, cells: &Cells) {
         if self.cells.is_empty() {
-            self.cells.reserve_exact(cells.size_hint().0);
-        }
-        for (name, cell) in cells {
-            match self.cells.binary_search_by(|(n, _)| n.cmp(&name)) {
-                Ok(i) => {
-                    let existing = &mut self.cells[i].1;
-                    if cell.supersedes(existing) {
-                        *existing = cell;
-                    }
+            self.cells = Arc::clone(cells);
+        } else if !cells.is_empty() && !Arc::ptr_eq(&self.cells, cells) {
+            let mut merged = self.cells.to_vec();
+            for (name, cell) in cells.iter() {
+                match merged.binary_search_by(|(n, _)| n.cmp(name)) {
+                    Ok(i) if cell.supersedes(&merged[i].1) => merged[i].1 = cell.clone(),
+                    Ok(_) => {}
+                    Err(i) => merged.insert(i, (Arc::clone(name), cell.clone())),
                 }
-                Err(i) => self.cells.insert(i, (name, cell)),
+            }
+            if merged[..] == cells[..] {
+                self.cells = Arc::clone(cells);
+            } else if merged[..] != self.cells[..] {
+                self.cells = merged.into();
             }
         }
     }
 
     /// The stored cells in column-name order.
-    pub fn cells(&self) -> &[(Arc<str>, Cell)] {
+    pub fn cells(&self) -> &Cells {
         &self.cells
     }
 
     /// Drops the cells a row tombstone shadows (compaction).
     pub(crate) fn purge_shadowed(&mut self) {
-        if let Some(ts) = self.deleted_at {
-            self.cells.retain(|(_, c)| c.write_ts > ts);
+        let shadowed = |ts: &u64| self.cells.iter().any(|(_, c)| c.write_ts <= *ts);
+        if let Some(ts) = self.deleted_at.filter(shadowed) {
+            let live = self.cells.iter().filter(|(_, c)| c.write_ts > ts);
+            self.cells = live.cloned().collect();
         }
     }
 
@@ -61,20 +81,20 @@ impl RowEntry {
         if let Some(ts) = b.deleted_at {
             a.delete(ts);
         }
-        a.upsert(b.cells);
+        a.upsert(&b.cells);
         a
     }
 
     /// Materializes the row a read returns, honoring tombstones: the live
-    /// cells move out in column-name order under the names they were stored
-    /// with. Returns `None` when nothing is visible (fully deleted row).
+    /// cells are cloned out in column-name order under the names they were
+    /// stored with. Returns `None` when nothing is visible (fully deleted row).
     pub fn visible(self, clustering: Key) -> Option<Row> {
         let floor = self.deleted_at;
         let cells: Vec<(Arc<str>, Value)> = self
             .cells
-            .into_iter()
+            .iter()
             .filter(|(_, c)| floor.is_none_or(|ts| c.write_ts > ts))
-            .filter_map(|(n, c)| c.value.map(|v| (n, v)))
+            .filter_map(|(n, c)| Some((Arc::clone(n), c.value.clone()?)))
             .collect();
         (!cells.is_empty()).then_some(Row { clustering, cells })
     }
@@ -85,9 +105,18 @@ impl RowEntry {
     }
 }
 
-/// One source of a partition read — an SSTable's slice, a memtable's range,
-/// a replica's response: rows in ascending clustering order, each key once.
+/// One source of a partition read — a memtable or SSTable partition, a
+/// range of one, a replica's response: rows in ascending clustering order,
+/// each key once.
 pub type Run = Vec<(Key, RowEntry)>;
+
+/// The rows of a run that fall inside a clustering range: keys and cells
+/// are pointer copies.
+pub(crate) fn range_of(run: &Run, range: &(Bound<Key>, Bound<Key>)) -> Run {
+    let start = run.partition_point(|(k, _)| !(range.0.as_ref(), Bound::Unbounded).contains(k));
+    let end = run.partition_point(|(k, _)| (Bound::Unbounded, range.1.as_ref()).contains(k));
+    run[start..end.max(start)].to_vec()
+}
 
 /// Merges sorted runs in one pass. For every clustering key, in ascending
 /// order, `on_row` receives the key and the copies of that row as
@@ -156,18 +185,15 @@ pub(crate) fn merge_all(mut runs: Vec<Run>) -> Run {
     merged
 }
 
-/// One partition: clustering key → row, kept sorted (the paper's
-/// "time series representation of events that is one hour long").
-pub type Partition = BTreeMap<Key, RowEntry>;
-
 /// One row change borrowed from a mutation: clustering key, cells to upsert
 /// (empty for a pure delete), and the row tombstone timestamp, if any.
-pub type RowChange<'a> = (&'a Key, &'a [(Arc<str>, Cell)], Option<u64>);
+pub type RowChange<'a> = (&'a Key, &'a Cells, Option<u64>);
 
-/// The memtable for a single table on a single node.
+/// The memtable for a single table on a single node: each partition is the
+/// sorted run a flush hands to its SSTable as it is.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    partitions: BTreeMap<Key, Partition>,
+    partitions: BTreeMap<Key, Run>,
     weight: usize,
 }
 
@@ -182,16 +208,18 @@ impl Memtable {
     /// row that brings the memtable to `flush_at` cells or more, so the
     /// caller can flush at the same point a row-at-a-time writer would;
     /// returns the number of rows consumed.
+    ///
+    /// A new row that sorts after the run's last key is pushed; new rows
+    /// that sort inside the run are put in together at the end.
     pub fn upsert_rows<'a>(
         &mut self,
         partition: &Key,
         rows: impl IntoIterator<Item = RowChange<'a>>,
         flush_at: usize,
     ) -> usize {
-        let rows_of = match self.partitions.get_mut(partition) {
-            Some(p) => p,
-            None => self.partitions.entry(partition.clone()).or_default(),
-        };
+        let run = self.partitions.entry(partition.clone()).or_default();
+        // New rows that sort inside the run, kept sorted.
+        let mut inside: Run = Vec::new();
         let mut applied = 0;
         for (clustering, cells, row_delete) in rows {
             applied += 1;
@@ -199,47 +227,52 @@ impl Memtable {
                 // A key-only insert stores nothing.
                 continue;
             }
-            let row = rows_of.entry(clustering.clone()).or_default();
-            if let Some(ts) = row_delete {
-                row.delete(ts);
-                self.weight += 1;
-            }
+            let find = |rows: &Run| rows.binary_search_by(|(k, _)| k.cmp(clustering));
+            let (at, rows) = match run.last() {
+                Some((last, _)) if last >= clustering => match find(run) {
+                    Ok(i) => (Ok(i), &mut *run),
+                    Err(_) => (find(&inside), &mut inside),
+                },
+                _ => (Err(run.len()), &mut *run),
+            };
+            // The row's weight before and after; a new row was an empty one.
+            let (before, after) = match at {
+                Ok(i) => {
+                    let row = &mut rows[i].1;
+                    let before = row.weight();
+                    if let Some(ts) = row_delete {
+                        row.delete(ts);
+                    }
+                    row.upsert(cells);
+                    (before, row.weight())
+                }
+                Err(i) => {
+                    let (cells, deleted_at) = (Arc::clone(cells), row_delete);
+                    rows.insert(i, (clustering.clone(), RowEntry { cells, deleted_at }));
+                    (1, rows[i].1.weight())
+                }
+            };
+            self.weight += usize::from(row_delete.is_some());
             if !cells.is_empty() {
-                self.weight -= row.weight().min(self.weight);
-                row.upsert(cells.iter().cloned());
-                self.weight += row.weight();
+                self.weight = self.weight - before.min(self.weight) + after;
             }
             if self.weight >= flush_at {
                 break;
             }
         }
-        if rows_of.is_empty() {
+        if !inside.is_empty() {
+            merge_into(run, inside);
+        }
+        if run.is_empty() {
             self.partitions.remove(partition);
         }
         applied
     }
 
     /// Reads raw row entries of one partition within a clustering range.
-    pub fn read_raw(
-        &self,
-        partition: &Key,
-        range: (Bound<Key>, Bound<Key>),
-    ) -> Vec<(Key, RowEntry)> {
-        match self.partitions.get(partition) {
-            None => Vec::new(),
-            Some(p) => p
-                .range(range)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
-
-    /// Materialized read of one partition (visible rows only).
-    pub fn read(&self, partition: &Key, range: (Bound<Key>, Bound<Key>)) -> Vec<Row> {
-        self.read_raw(partition, range)
-            .into_iter()
-            .filter_map(|(k, e)| e.visible(k))
-            .collect()
+    pub fn read_raw(&self, partition: &Key, range: (Bound<Key>, Bound<Key>)) -> Run {
+        let run = self.partitions.get(partition);
+        run.map_or_else(Vec::new, |run| range_of(run, &range))
     }
 
     /// Approximate size in cells; drives flush decisions.
@@ -247,29 +280,47 @@ impl Memtable {
         self.weight
     }
 
-    /// Number of partitions currently buffered.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.partitions.is_empty()
     }
 
-    /// Drains the memtable into sorted `(partition, rows)` pairs for an
-    /// SSTable flush.
-    pub fn drain_sorted(&mut self) -> Vec<(Key, Vec<(Key, RowEntry)>)> {
+    /// Drains the memtable into sorted `(partition, run)` pairs for an
+    /// SSTable flush; the runs move out as they are.
+    pub fn drain_sorted(&mut self) -> Vec<(Key, Run)> {
         self.weight = 0;
-        std::mem::take(&mut self.partitions)
-            .into_iter()
-            .map(|(pk, p)| (pk, p.into_iter().collect()))
-            .collect()
+        std::mem::take(&mut self.partitions).into_iter().collect()
     }
 
     /// Iterates all partition keys (for token-range scans).
     pub fn partition_keys(&self) -> impl Iterator<Item = &Key> {
         self.partitions.keys()
+    }
+}
+
+/// Puts `rows` — sorted, keys not in `run`, the first below its last key —
+/// into `run` without sorting it: one splice when they all fall into one
+/// gap (a batch that precedes what is stored), else a back-to-front merge
+/// that moves each stored row at most once.
+fn merge_into(run: &mut Run, mut rows: Run) {
+    let gap = |key: &Key| run.partition_point(|(k, _)| k < key);
+    let first = gap(&rows[0].0);
+    if first == gap(&rows[rows.len() - 1].0) {
+        run.splice(first..first, rows);
+        return;
+    }
+    // Rows below `read` are unmoved; `read..write` are empty slots.
+    let mut read = run.len();
+    run.resize_with(read + rows.len(), Default::default);
+    let mut write = run.len();
+    while let Some(row) = rows.pop() {
+        while read > 0 && run[read - 1].0 > row.0 {
+            read -= 1;
+            write -= 1;
+            run.swap(read, write);
+        }
+        write -= 1;
+        run[write] = row;
     }
 }
 
@@ -295,15 +346,18 @@ mod tests {
     }
 
     fn upsert(m: &mut Memtable, partition: Key, clustering: Key, cells: Vec<(Arc<str>, Cell)>) {
-        m.upsert_rows(
-            &partition,
-            [(&clustering, cells.as_slice(), None)],
-            usize::MAX,
-        );
+        let cells = sorted_cells(cells);
+        m.upsert_rows(&partition, [(&clustering, &cells, None)], usize::MAX);
+    }
+
+    fn read(m: &Memtable, partition: &Key, range: (Bound<Key>, Bound<Key>)) -> Vec<Row> {
+        let raw = m.read_raw(partition, range).into_iter();
+        raw.filter_map(|(k, e)| e.visible(k)).collect()
     }
 
     fn delete_row(m: &mut Memtable, partition: Key, clustering: Key, ts: u64) {
-        m.upsert_rows(&partition, [(&clustering, &[][..], Some(ts))], usize::MAX);
+        let none = Cells::default();
+        m.upsert_rows(&partition, [(&clustering, &none, Some(ts))], usize::MAX);
     }
 
     #[test]
@@ -317,7 +371,7 @@ mod tests {
                 vec![("amount".into(), cellv(ts as i32, 1))],
             );
         }
-        let rows = m.read(&pk(1), full_range());
+        let rows = read(&m, &pk(1), full_range());
         let keys: Vec<i64> = rows
             .iter()
             .map(|r| match r.clustering.0[0] {
@@ -334,7 +388,7 @@ mod tests {
         for ts in 0..10 {
             upsert(&mut m, pk(1), ck(ts), vec![("amount".into(), cellv(1, 1))]);
         }
-        let rows = m.read(&pk(1), (Bound::Included(ck(3)), Bound::Excluded(ck(7))));
+        let rows = read(&m, &pk(1), (Bound::Included(ck(3)), Bound::Excluded(ck(7))));
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].clustering, ck(3));
         assert_eq!(rows[3].clustering, ck(6));
@@ -347,7 +401,7 @@ mod tests {
         upsert(&mut m, pk(1), ck(1), vec![("amount".into(), cellv(2, 20))]);
         // Stale write loses.
         upsert(&mut m, pk(1), ck(1), vec![("amount".into(), cellv(3, 15))]);
-        let rows = m.read(&pk(1), full_range());
+        let rows = read(&m, &pk(1), full_range());
         assert_eq!(rows[0].cell("amount"), Some(&Value::Int(2)));
     }
 
@@ -356,10 +410,10 @@ mod tests {
         let mut m = Memtable::new();
         upsert(&mut m, pk(1), ck(1), vec![("a".into(), cellv(1, 10))]);
         delete_row(&mut m, pk(1), ck(1), 15);
-        assert!(m.read(&pk(1), full_range()).is_empty());
+        assert!(read(&m, &pk(1), full_range()).is_empty());
         // A newer write resurrects the row.
         upsert(&mut m, pk(1), ck(1), vec![("a".into(), cellv(2, 20))]);
-        let rows = m.read(&pk(1), full_range());
+        let rows = read(&m, &pk(1), full_range());
         assert_eq!(rows[0].cell("a"), Some(&Value::Int(2)));
     }
 
@@ -370,7 +424,7 @@ mod tests {
         for (d, v) in [(f64::NAN, 1), (f64::NAN, 2), (0.0, 3), (-0.0, 4)] {
             upsert(&mut m, pk(1), ck(d), vec![("a".into(), cellv(v, v as u64))]);
         }
-        let rows = m.read(&pk(1), full_range());
+        let rows = read(&m, &pk(1), full_range());
         let stored: Vec<_> = rows.iter().map(|r| r.cell("a").cloned()).collect();
         // -0.0 < 0.0 < NaN, and the second NaN overwrote the first.
         assert_eq!(stored, [4, 3, 2].map(|v| Some(Value::Int(v))));
@@ -390,21 +444,21 @@ mod tests {
     #[test]
     fn upsert_rows_stops_at_the_flush_mark() {
         let mut m = Memtable::new();
-        let cells = vec![("a".into(), cellv(1, 1))];
+        let cells = sorted_cells([("a".into(), cellv(1, 1))]);
         let keys: Vec<Key> = (0..10).map(ck).collect();
-        let rows = || keys.iter().map(|k| (k, cells.as_slice(), None));
+        let rows = || keys.iter().map(|k| (k, &cells, None));
         // Two cells for the first row of an empty memtable, one more per
         // further new row: the fifth row reaches six.
         assert_eq!(m.upsert_rows(&pk(1), rows(), 6), 5);
         assert_eq!(m.weight(), 6);
         assert_eq!(m.upsert_rows(&pk(1), rows().skip(5), usize::MAX), 5);
-        assert_eq!(m.read(&pk(1), full_range()).len(), 10);
+        assert_eq!(read(&m, &pk(1), full_range()).len(), 10);
     }
 
     #[test]
     fn missing_partition_reads_empty() {
         let m = Memtable::new();
-        assert!(m.read(&pk(42), full_range()).is_empty());
+        assert!(read(&m, &pk(42), full_range()).is_empty());
     }
 
     #[test]
@@ -441,7 +495,7 @@ mod tests {
     fn merge_runs_walks_keys_in_order_and_copies_in_run_order() {
         let entry = |v: i32, ts: u64| {
             let mut e = RowEntry::default();
-            e.upsert([("a".into(), cellv(v, ts))]);
+            e.upsert(&sorted_cells([("a".into(), cellv(v, ts))]));
             e
         };
         let runs = vec![
@@ -469,12 +523,31 @@ mod tests {
     }
 
     #[test]
+    fn a_row_points_at_the_cells_it_was_given_until_a_merge_copies_them() {
+        let first = sorted_cells([("a".into(), cellv(1, 1)), ("b".into(), cellv(1, 1))]);
+        let mut row = RowEntry::default();
+        row.upsert(&first);
+        assert!(Arc::ptr_eq(row.cells(), &first), "stored, not copied");
+        // Half the row overwritten: a merged copy; what was shared is intact.
+        row.upsert(&sorted_cells([("a".into(), cellv(2, 2))]));
+        assert!(!Arc::ptr_eq(row.cells(), &first));
+        assert_eq!(first[0].1, cellv(1, 1));
+        // Stale cells change nothing; newer cells for every name replace all.
+        let kept = Arc::clone(row.cells());
+        row.upsert(&first);
+        assert!(Arc::ptr_eq(row.cells(), &kept));
+        let last = sorted_cells([("a".into(), cellv(3, 3)), ("b".into(), cellv(3, 3))]);
+        row.upsert(&last);
+        assert!(Arc::ptr_eq(row.cells(), &last));
+    }
+
+    #[test]
     fn merge_row_entries_combines_tombstones_and_cells() {
         let mut a = RowEntry::default();
-        a.upsert([("x".into(), cellv(1, 5))]);
+        a.upsert(&sorted_cells([("x".into(), cellv(1, 5))]));
         let mut b = RowEntry::default();
         b.delete(3);
-        b.upsert([("y".into(), cellv(2, 4))]);
+        b.upsert(&sorted_cells([("y".into(), cellv(2, 4))]));
         let m = RowEntry::merge(a, b);
         assert_eq!(m.deleted_at, Some(3));
         let vis = m.visible(ck(1)).unwrap();

@@ -203,7 +203,7 @@ impl StorageNode {
     /// Reads merged raw row entries for a partition range.
     ///
     /// Every source is already a sorted run with each clustering key once:
-    /// an SSTable's slice of the partition, the memtable's range of it. The
+    /// an SSTable's slice of the partition, the memtable's slice of it. The
     /// runs are copied out under the table lock, oldest first (SSTables in
     /// list order, then the memtable); the merge runs after the lock is
     /// released, and a partition found in a single source is that run.

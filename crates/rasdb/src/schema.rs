@@ -1,6 +1,7 @@
 //! Table schemas: partition keys, clustering keys, and typed columns.
 
 use crate::error::DbError;
+use crate::memtable::Cells;
 use crate::types::{Cell, Key, Value};
 use std::sync::Arc;
 
@@ -169,6 +170,7 @@ impl TableSchema {
         InsertBinder {
             schema: self,
             slots: Vec::new(),
+            by_name: Vec::new(),
             keys: Vec::new(),
         }
     }
@@ -205,9 +207,9 @@ impl TableSchema {
 }
 
 /// One insert bound to its table: partition key and clustering key in schema
-/// order, then the regular cells under their interned column names, live at
-/// write timestamp 0 until the coordinator stamps them.
-pub(crate) type BoundInsert = (Key, Key, Vec<(Arc<str>, Cell)>);
+/// order, then the regular cells under their interned column names in name
+/// order, live at write timestamp 0 until the coordinator stamps them.
+pub(crate) type BoundInsert = (Key, Key, Cells);
 
 /// Validates and splits the rows of one batch in a single pass per row.
 ///
@@ -219,6 +221,8 @@ pub(crate) struct InsertBinder<'s> {
     schema: &'s TableSchema,
     /// Slot of each supplied column of the row shape resolved last.
     slots: Vec<usize>,
+    /// Positions of that shape's regular columns, in column-name order.
+    by_name: Vec<usize>,
     /// Scratch for key components on their way into schema order.
     keys: Vec<Option<Value>>,
 }
@@ -229,7 +233,7 @@ impl InsertBinder<'_> {
     /// column's type.
     pub(crate) fn bind<N: AsRef<str>>(
         &mut self,
-        values: Vec<(N, Value)>,
+        mut values: Vec<(N, Value)>,
     ) -> Result<BoundInsert, DbError> {
         let schema = self.schema;
         // No resolved shape is empty: a table has a partition key.
@@ -239,16 +243,19 @@ impl InsertBinder<'_> {
                 .iter()
                 .zip(&self.slots)
                 .all(|((name, _), &slot)| &*schema.def(slot).name == name.as_ref());
+        let key_len = schema.key_len();
         if !same_shape {
             self.slots = schema.resolve(&values)?;
+            let regular = (0..values.len()).filter(|&i| self.slots[i] >= key_len);
+            self.by_name = regular.collect();
+            self.by_name
+                .sort_by_key(|&i| &schema.def(self.slots[i]).name);
         }
-        let key_len = schema.key_len();
         self.keys.clear();
         self.keys.resize(key_len, None);
-        let mut cells = Vec::with_capacity(values.len() - key_len);
-        for ((_, value), &slot) in values.into_iter().zip(&self.slots) {
+        for ((_, value), &slot) in values.iter_mut().zip(&self.slots) {
             let def = schema.def(slot);
-            if !def.ctype.accepts(&value) {
+            if !def.ctype.accepts(value) {
                 return Err(DbError::SchemaViolation(format!(
                     "column '{}' expects {}, got {}",
                     def.name,
@@ -257,11 +264,19 @@ impl InsertBinder<'_> {
                 )));
             }
             if slot < key_len {
-                self.keys[slot] = Some(value);
-            } else {
-                cells.push((Arc::clone(&def.name), Cell::live(value, 0)));
+                self.keys[slot] = Some(std::mem::replace(value, Value::Bool(false)));
             }
         }
+        // Straight into the shared slice: one allocation, no sort per row.
+        let cells: Cells = self
+            .by_name
+            .iter()
+            .map(|&i| {
+                let value = std::mem::replace(&mut values[i].1, Value::Bool(false));
+                let name = &schema.def(self.slots[i]).name;
+                (Arc::clone(name), Cell::live(value, 0))
+            })
+            .collect();
         let mut key = |len| -> Key {
             self.keys
                 .drain(..len)
@@ -455,7 +470,10 @@ mod tests {
         let (pk, ck, rest) = s.binder().bind(values).unwrap();
         assert_eq!(pk, Key::from(vec![Value::BigInt(1), Value::text("MCE")]));
         assert_eq!(ck, Key::from(vec![Value::Timestamp(5)]));
-        assert_eq!(rest, vec![("amount".into(), Cell::live(Value::Int(2), 0))]);
+        assert_eq!(
+            rest.to_vec(),
+            vec![("amount".into(), Cell::live(Value::Int(2), 0))]
+        );
         assert!(
             Arc::ptr_eq(&rest[0].0, &s.columns[1].name),
             "a stored cell carries the schema's own name"
@@ -486,6 +504,27 @@ mod tests {
         // A rejected row leaves the binder usable.
         assert!(binder.bind(vec![("hour", Value::BigInt(1))]).is_err());
         assert_eq!(binder.bind(full()).unwrap(), first);
+    }
+
+    #[test]
+    fn cells_come_out_in_name_order_whatever_the_row_order() {
+        let s = sample();
+        let mut binder = s.binder();
+        let row = |first: (&'static str, Value), second: (&'static str, Value)| {
+            vec![
+                first,
+                ("hour", Value::BigInt(1)),
+                ("type", Value::text("MCE")),
+                second,
+                ("ts", Value::Timestamp(5)),
+            ]
+        };
+        let (source, amount) = (("source", Value::text("c0")), ("amount", Value::Int(2)));
+        let (.., cells) = binder.bind(row(source.clone(), amount.clone())).unwrap();
+        let names: Vec<&str> = cells.iter().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["amount", "source"]);
+        let (.., again) = binder.bind(row(amount, source)).unwrap();
+        assert_eq!(again, cells);
     }
 
     #[test]

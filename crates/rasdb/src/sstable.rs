@@ -7,7 +7,7 @@
 //! structural property reads rely on is preserved.)
 
 use crate::bloom::BloomFilter;
-use crate::memtable::RowEntry;
+use crate::memtable::{range_of, RowEntry, Run};
 use crate::partitioner::murmur3_x64_128;
 use crate::types::Key;
 use std::ops::Bound;
@@ -33,7 +33,7 @@ pub fn encode_stream_row(out: &mut Vec<u8>, clustering: &Key, entry: &RowEntry) 
         }
     }
     out.extend_from_slice(&(entry.cells().len() as u32).to_le_bytes());
-    for (name, cell) in entry.cells() {
+    for (name, cell) in entry.cells().iter() {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(&cell.write_ts.to_le_bytes());
@@ -75,14 +75,14 @@ pub struct SsTable {
     /// Monotonic flush sequence number (newer tables have larger values).
     pub sequence: u64,
     /// Partitions sorted by partition key.
-    data: Vec<(Key, Vec<(Key, RowEntry)>)>,
+    data: Vec<(Key, Run)>,
     bloom: BloomFilter,
     cells: usize,
 }
 
 impl SsTable {
     /// Builds a table from sorted flush output.
-    pub fn build(sequence: u64, data: Vec<(Key, Vec<(Key, RowEntry)>)>) -> SsTable {
+    pub fn build(sequence: u64, data: Vec<(Key, Run)>) -> SsTable {
         debug_assert!(
             data.windows(2).all(|w| w[0].0 < w[1].0),
             "flush output must be sorted by partition key"
@@ -123,38 +123,21 @@ impl SsTable {
         partition: &Key,
         range: &(Bound<Key>, Bound<Key>),
         use_bloom: bool,
-    ) -> Vec<(Key, RowEntry)> {
+    ) -> Run {
         if use_bloom && !self.may_contain(partition) {
             return Vec::new();
         }
-        let idx = match self.data.binary_search_by(|(pk, _)| pk.cmp(partition)) {
-            Ok(i) => i,
-            Err(_) => return Vec::new(),
-        };
-        let rows = &self.data[idx].1;
-        let start = match &range.0 {
-            Bound::Unbounded => 0,
-            Bound::Included(k) => rows.partition_point(|(ck, _)| ck < k),
-            Bound::Excluded(k) => rows.partition_point(|(ck, _)| ck <= k),
-        };
-        let end = match &range.1 {
-            Bound::Unbounded => rows.len(),
-            Bound::Included(k) => rows.partition_point(|(ck, _)| ck <= k),
-            Bound::Excluded(k) => rows.partition_point(|(ck, _)| ck < k),
-        };
-        if start >= end {
-            return Vec::new();
-        }
-        rows[start..end].to_vec()
+        let found = self.data.binary_search_by(|(pk, _)| pk.cmp(partition));
+        found.map_or_else(|_| Vec::new(), |i| range_of(&self.data[i].1, range))
     }
 
     /// Iterates all partitions (compaction and token-range scans).
-    pub fn partitions(&self) -> impl Iterator<Item = &(Key, Vec<(Key, RowEntry)>)> {
+    pub fn partitions(&self) -> impl Iterator<Item = &(Key, Run)> {
         self.data.iter()
     }
 
     /// Consumes the table into its partitions.
-    pub fn into_partitions(self) -> Vec<(Key, Vec<(Key, RowEntry)>)> {
+    pub fn into_partitions(self) -> Vec<(Key, Run)> {
         self.data
     }
 }
@@ -162,6 +145,7 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::sorted_cells;
     use crate::types::{Cell, Value};
 
     fn pk(h: i64) -> Key {
@@ -174,7 +158,7 @@ mod tests {
 
     fn entry(v: i32, ts: u64) -> RowEntry {
         let mut e = RowEntry::default();
-        e.upsert([("v".into(), Cell::live(Value::Int(v), ts))]);
+        e.upsert(&sorted_cells([("v".into(), Cell::live(Value::Int(v), ts))]));
         e
     }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
-use rasdb::memtable::RowEntry;
+use rasdb::memtable::{sorted_cells, RowEntry};
 use rasdb::node::NodeConfig;
 use rasdb::query::Consistency;
 use rasdb::ring::NodeId;
@@ -400,6 +400,17 @@ fn a_replica_that_misses_an_overwrite_keeps_its_own_row() {
     let owners = batched.owners(&pk(0));
     let stale = owners[2];
     let before = raw_views(&batched, "a", 0);
+    // The cells pointer a replica holds for the row at `at` of the
+    // partition: after one RF 3 write, all three hold the same one.
+    let cells = |views: &[Option<Vec<(Key, RowEntry)>>], id: NodeId, at: usize| {
+        Arc::clone(views[id.0].as_ref().expect("replica up")[at].1.cells())
+    };
+    for at in 0..5 {
+        for id in &owners[1..] {
+            let shared = Arc::ptr_eq(&cells(&before, owners[0], at), &cells(&before, *id, at));
+            assert!(shared, "row {at}: replica {id:?} holds its own copy");
+        }
+    }
 
     for c in [&batched, &twin] {
         c.set_hint_cap(1);
@@ -429,6 +440,14 @@ fn a_replica_that_misses_an_overwrite_keeps_its_own_row() {
     assert_eq!(views[stale.0], before[stale.0], "the stale replica changed");
     assert_ne!(views[owners[0].0], views[stale.0]);
     assert_eq!(views[owners[0].0], views[owners[1].0]);
+    // Rows 1 and 3 were overwritten: the replicas that saw it share the new
+    // cells, and the one that missed it still points at the old ones.
+    for at in [1, 3] {
+        let (new, old) = (cells(&views, owners[0], at), cells(&views, stale, at));
+        assert!(Arc::ptr_eq(&new, &cells(&views, owners[1], at)), "row {at}");
+        assert!(Arc::ptr_eq(&old, &cells(&before, stale, at)), "row {at}");
+        assert!(!Arc::ptr_eq(&new, &old), "row {at}");
+    }
 
     for c in [&batched, &twin] {
         let rows = c.select("a").partition(vec![Value::BigInt(0)]);
@@ -451,20 +470,23 @@ fn stream_chunk_bytes_are_what_they_were() {
     let partition = Key::from(vec![Value::BigInt(417_000), Value::text("MCE")]);
     let ck = |ts: i64, source: &str| Key::from(vec![Value::Timestamp(ts), Value::text(source)]);
     let mut live = RowEntry::default();
-    live.upsert([
+    live.upsert(&sorted_cells([
         (
             "raw".into(),
             Cell::live(Value::text("Machine Check Exception: bank 1"), 5),
         ),
         ("amount".into(), Cell::live(Value::Int(2), 5)),
-    ]);
+    ]));
     let mut dead_cell = RowEntry::default();
-    dead_cell.upsert([
+    dead_cell.upsert(&sorted_cells([
         ("amount".into(), Cell::live(Value::Int(1), 6)),
         ("raw".into(), Cell::tombstone(7)),
-    ]);
+    ]));
     let mut dead_row = RowEntry::default();
-    dead_row.upsert([("amount".into(), Cell::live(Value::Int(4), 8))]);
+    dead_row.upsert(&sorted_cells([(
+        "amount".into(),
+        Cell::live(Value::Int(4), 8),
+    )]));
     dead_row.delete(9);
     let rows = [
         (ck(1_501_200_000_123, "c0-0c0s0n0"), live),
@@ -580,7 +602,9 @@ fn build(ops: &[RowOp]) -> (RowEntry, ModelRow) {
     for op in ops {
         match op {
             RowOp::Upsert(cells) => {
-                row.upsert(cells.iter().map(|(n, c)| (n.as_str().into(), c.clone())));
+                row.upsert(&sorted_cells(
+                    cells.iter().map(|(n, c)| (n.as_str().into(), c.clone())),
+                ));
                 model.upsert(cells);
             }
             RowOp::Delete(ts) => {

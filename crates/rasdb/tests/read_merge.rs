@@ -164,7 +164,7 @@ fn apply(c: &Cluster, ops: &[Op], flush: bool) {
                     table: "t".into(),
                     partition: pk(*hour),
                     clustering: ck(*ts),
-                    cells: vec![(name, Cell::tombstone(clock))],
+                    cells: vec![(name, Cell::tombstone(clock))].into(),
                     row_delete: None,
                 });
                 for n in 0..NODES {

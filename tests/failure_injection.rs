@@ -146,6 +146,74 @@ fn streaming_ingest_tolerates_a_node_outage() {
     assert_eq!(mass, 100);
 }
 
+/// A batch import that cannot reach QUORUM for some partitions returns the
+/// typed error to its caller instead of panicking an executor task and then
+/// the driver; once the nodes are back, importing the same bytes again
+/// leaves the tables as an import that never failed.
+#[test]
+fn batch_import_during_an_outage_returns_unavailable_and_a_retry_completes_it() {
+    use hpc_log_analytics::core::etl::batch::ImportOptions;
+    let t0 = 1_500_000_000_000i64;
+    let step = 8 * HOUR_MS / 200;
+    let source = |i: i64| format!("c0-0c0s{}n{}", i % 8, i % 4);
+    let mut corpus = String::new();
+    for i in 0..200 {
+        corpus += &format!(
+            "{} console {} Machine Check Exception: bank {}: b2 addr 3f cpu 0\n",
+            t0 + i * step,
+            source(i),
+            i % 3
+        );
+    }
+    let opts = ImportOptions::default();
+    let (fw, control) = (boot(4, 3), boot(4, 3));
+    control
+        .batch_import_bytes(corpus.clone().into_bytes(), &opts)
+        .expect("import with every node up");
+
+    for id in [NodeId(1), NodeId(2)] {
+        fw.cluster().take_node_down(id);
+    }
+    let err = fw
+        .batch_import_bytes(corpus.clone().into_bytes(), &opts)
+        .expect_err("partitions held by nodes 1 and 2 cannot reach QUORUM");
+    assert_eq!(
+        err,
+        rasdb::error::DbError::Unavailable {
+            required: 2,
+            received: 1
+        }
+    );
+    for id in [NodeId(1), NodeId(2)] {
+        fw.cluster().bring_node_up(id);
+    }
+    fw.batch_import_bytes(corpus.into_bytes(), &opts)
+        .expect("retry with every node up");
+
+    let window = (t0, t0 + 8 * HOUR_MS);
+    assert_eq!(
+        fw.events_by_type("MCE", window.0, window.1).unwrap(),
+        control.events_by_type("MCE", window.0, window.1).unwrap()
+    );
+    assert_eq!(
+        control
+            .events_by_type("MCE", window.0, window.1)
+            .unwrap()
+            .len(),
+        200
+    );
+    for i in 0..8 {
+        assert_eq!(
+            fw.events_by_source(&source(i), window.0, window.1).unwrap(),
+            control
+                .events_by_source(&source(i), window.0, window.1)
+                .unwrap(),
+            "source {}",
+            source(i)
+        );
+    }
+}
+
 /// A dashboard read over a partition nobody can serve must fail with the
 /// typed error — not answer zeros and memoise them.
 #[test]
