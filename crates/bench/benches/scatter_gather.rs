@@ -14,6 +14,7 @@ use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Key, Value};
+use rasdb::DecoratedKey;
 use std::time::Instant;
 
 const HOURS: i64 = 24;
@@ -75,7 +76,10 @@ fn window_plans() -> Vec<ReadPlan> {
     (0..HOURS)
         .map(|hour| ReadPlan {
             table: "event_by_time".into(),
-            partition: Key::from(vec![Value::BigInt(hour), Value::text("LUSTRE_ERR")]),
+            partition: DecoratedKey::new(Key::from(vec![
+                Value::BigInt(hour),
+                Value::text("LUSTRE_ERR"),
+            ])),
             range: full_range(),
             limit: None,
             descending: false,

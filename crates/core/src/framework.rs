@@ -11,7 +11,8 @@ use loggen::topology::Topology;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
-use rasdb::types::{Key, Value};
+use rasdb::types::Value;
+use rasdb::DecoratedKey;
 use sparklet::pool::current_worker;
 use sparklet::{Rdd, SparkletContext};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -187,15 +188,16 @@ impl Framework {
     }
 
     /// The `(table, partition)` pairs a window read touches — one per
-    /// hour bucket, mirroring [`Framework::window_plans`]. Result-cache
-    /// entries list these as their dependencies so a write to any of them
-    /// invalidates the memoized answer.
+    /// hour bucket, taken from [`Framework::window_plans`] with their
+    /// decorated keys. Result-cache entries list these as their
+    /// dependencies so a write to any of them invalidates the memoized
+    /// answer, and a hit validates them without hashing a key.
     pub fn window_deps(
         table: &str,
         fixed: Option<&str>,
         from_ms: i64,
         to_ms: i64,
-    ) -> Vec<(String, Key)> {
+    ) -> Vec<(String, DecoratedKey)> {
         Self::window_plans(table, fixed, from_ms, to_ms)
             .into_iter()
             .map(|p| (p.table, p.partition))
@@ -239,8 +241,9 @@ impl Framework {
     }
 
     /// Builds one [`ReadPlan`] per hour bucket of `[from_ms, to_ms)` —
-    /// partition key `(hour)` or `(hour, fixed)` — for a single
-    /// [`Cluster::read_multi`] scatter instead of an hour-by-hour loop.
+    /// partition key `(hour)` or `(hour, fixed)`, decorated once here —
+    /// for a single [`Cluster::read_multi`] scatter instead of an
+    /// hour-by-hour loop.
     /// Sparklet scans consume the same batches (see
     /// [`Framework::scan_events_rdd`]), so driver-side reads and
     /// owner-pinned tasks share one planning path.
@@ -258,7 +261,7 @@ impl Framework {
                 }
                 ReadPlan {
                     table: table.to_owned(),
-                    partition: pk.into(),
+                    partition: DecoratedKey::new(pk.into()),
                     range: full_range(),
                     limit: None,
                     descending: false,
@@ -381,7 +384,7 @@ impl Framework {
         let link = self.remote_link_bytes_per_sec;
         let owner_of = {
             let cluster = Arc::clone(&cluster);
-            move |plan: &ReadPlan| Some(cluster.owners(&plan.partition)[0].0 % workers)
+            move |plan: &ReadPlan| Some(cluster.owners(plan.partition.key())[0].0 % workers)
         };
         self.engine
             .from_planned(plans, owner_of.clone(), move |plan| {

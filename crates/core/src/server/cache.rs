@@ -37,7 +37,7 @@
 use rasdb::cache::LruCache;
 use rasdb::cluster::Cluster;
 use rasdb::stats::CacheStats;
-use rasdb::types::Key;
+use rasdb::DecoratedKey;
 use std::sync::{Arc, Mutex};
 
 /// Default byte budget for the analytics result cache.
@@ -52,8 +52,9 @@ pub struct ResultEntry {
     /// The op's encoded `data` object, exactly as the uncached op sent it.
     /// Shared so hits clone a pointer, not the payload.
     pub data: Arc<str>,
-    /// `(table, partition)` pairs the answer was computed from.
-    pub deps: Vec<(String, Key)>,
+    /// `(table, partition)` pairs the answer was computed from, decorated:
+    /// a hit checks each version without hashing its key.
+    pub deps: Vec<(String, DecoratedKey)>,
     /// [`Cluster::data_version`] of each dep, snapshotted *before* the
     /// compute read any replica.
     pub versions: Vec<u64>,
@@ -65,13 +66,14 @@ pub struct ResultEntry {
 }
 
 /// Approximate footprint of an entry, for byte budgeting: the encoded
-/// data's length plus dep tags and a fixed overhead. Exactness does not
-/// matter, monotonicity in data size does.
+/// data's length plus dep tags (each key weighed at its encoded length,
+/// computed, not encoded) and a fixed overhead. Exactness does not matter,
+/// monotonicity in data size does.
 fn footprint(key_len: usize, e: &ResultEntry) -> usize {
     let deps: usize = e
         .deps
         .iter()
-        .map(|(t, p)| t.len() + p.encode().len() + 8)
+        .map(|(t, p)| t.len() + p.key().encoded_len() + 8)
         .sum();
     key_len + e.data.len() + deps + 64
 }
@@ -207,7 +209,7 @@ mod tests {
     use rasdb::cluster::ClusterConfig;
     use rasdb::query::Consistency;
     use rasdb::schema::{ColumnType, TableSchema};
-    use rasdb::types::Value;
+    use rasdb::types::{Key, Value};
 
     fn cluster() -> Cluster {
         let c = Cluster::new(ClusterConfig {
@@ -228,7 +230,10 @@ mod tests {
     }
 
     fn entry(cluster: &Cluster, open: bool) -> ResultEntry {
-        let dep = ("t".to_owned(), Key::from(vec![Value::BigInt(1)]));
+        let dep = (
+            "t".to_owned(),
+            DecoratedKey::new(Key::from(vec![Value::BigInt(1)])),
+        );
         ResultEntry {
             data: Arc::from(r#"{"total":42}"#),
             versions: vec![cluster.data_version(&dep.0, &dep.1)],

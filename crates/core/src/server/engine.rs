@@ -24,6 +24,7 @@ use crate::server::slo::SloRegistry;
 use jsonlite::{json_array, json_object, Value as Json};
 use rasdb::cluster::ExecResult;
 use rasdb::types::Key;
+use rasdb::DecoratedKey;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{SpanRecord, TraceContext};
@@ -207,7 +208,7 @@ impl QueryEngine {
     fn cached(
         &self,
         key: Vec<u8>,
-        deps: impl FnOnce() -> Vec<(String, Key)>,
+        deps: impl FnOnce() -> Vec<(String, DecoratedKey)>,
         open: bool,
         compute: impl FnOnce() -> Result<OpOutput, ApiError>,
     ) -> Result<OpOutput, ApiError> {
@@ -671,10 +672,8 @@ impl QueryEngine {
         let day = req.i64_field("day")?;
         let key = cache_key(&["synopsis", &day.to_string()]);
         let deps = || {
-            vec![(
-                "eventsynopsis".to_owned(),
-                Key::from(vec![rasdb::types::Value::BigInt(day)]),
-            )]
+            let day = Key::from(vec![rasdb::types::Value::BigInt(day)]);
+            vec![("eventsynopsis".to_owned(), DecoratedKey::new(day))]
         };
         let day_end = day.saturating_add(1).saturating_mul(DAY_MS);
         self.cached(key, deps, self.window_open(day_end), || {

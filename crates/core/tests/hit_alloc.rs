@@ -5,6 +5,10 @@
 //! none of that grows with the answer. (The tree it replaced cost a deep
 //! clone and a re-encode per hit — 65 allocations for one node's
 //! distribution, 581 for 256; this change's hit makes 40 for either.)
+//! Nor does it grow with the entry's dependencies: a whole day's heatmap
+//! validates 24 hour partitions by their decorated keys, hashing none, and
+//! costs no more than a one-hour panel (34 allocations; a version lookup
+//! that decorated its key again made it 106).
 //!
 //! The allocator's counter is process-wide, so this binary has exactly
 //! **one** test function: nothing else runs in the process while it counts.
@@ -108,6 +112,24 @@ fn a_cached_panel_costs_the_same_few_allocations_whatever_its_size() {
     assert!(
         most - least <= SPREAD,
         "a hit's allocations grow with its answer: {counts:?}"
+    );
+
+    // A whole day: one dependency per hour.
+    let day = format!(
+        r#"{{"op":"heatmap","type":"MCE","from":0,"to":{}}}"#,
+        24 * HOUR_MS
+    );
+    engine.handle(&day);
+    engine.handle(&day);
+    let hits = fw.result_cache().stats().hits();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    engine.handle(&day);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(fw.result_cache().stats().hits(), hits + 1, "a hit");
+    println!("heatmap over a day (24 dependencies): a hit makes {allocations} allocations");
+    assert!(
+        allocations <= most + SPREAD,
+        "{allocations} allocations for a day's hit, {counts:?} for one hour's"
     );
     assert!(
         most <= MAX_HIT_ALLOCATIONS,

@@ -1,12 +1,12 @@
 //! Bloom filter guarding SSTable partition lookups.
 
-use crate::partitioner::murmur3_x64_128;
-
-/// A standard k-hash bloom filter over byte keys.
+/// A standard k-hash bloom filter over 128-bit key hashes.
 ///
 /// Double hashing (`h1 + i·h2`) derives the k probe positions from one
-/// murmur3 128-bit hash, the same trick Cassandra uses.
-#[derive(Debug, Clone)]
+/// murmur3 128-bit hash, the same trick Cassandra uses. The filter takes the
+/// hash, not the key: an SSTable feeds it the hash its decorated partition
+/// keys already carry.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     nbits: usize,
@@ -32,18 +32,17 @@ impl BloomFilter {
         }
     }
 
-    /// Inserts a key.
-    pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = murmur3_x64_128(key, 0);
+    /// Inserts a key by its hash.
+    pub fn insert(&mut self, (h1, h2): (u64, u64)) {
         for i in 0..self.k {
             let bit = self.probe(h1, h2, i);
             self.bits[bit / 64] |= 1 << (bit % 64);
         }
     }
 
-    /// True if the key *may* be present; false means definitely absent.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = murmur3_x64_128(key, 0);
+    /// True if the key with this hash *may* be present; false means
+    /// definitely absent.
+    pub fn may_contain(&self, (h1, h2): (u64, u64)) -> bool {
         (0..self.k).all(|i| {
             let bit = self.probe(h1, h2, i);
             self.bits[bit / 64] & (1 << (bit % 64)) != 0
@@ -64,15 +63,20 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partitioner::murmur3_x64_128;
+
+    fn hash(bytes: &[u8]) -> (u64, u64) {
+        murmur3_x64_128(bytes, 0)
+    }
 
     #[test]
     fn no_false_negatives() {
         let mut f = BloomFilter::new(1000, 0.01);
         for i in 0u32..1000 {
-            f.insert(&i.to_le_bytes());
+            f.insert(hash(&i.to_le_bytes()));
         }
         for i in 0u32..1000 {
-            assert!(f.may_contain(&i.to_le_bytes()));
+            assert!(f.may_contain(hash(&i.to_le_bytes())));
         }
     }
 
@@ -80,10 +84,10 @@ mod tests {
     fn false_positive_rate_is_roughly_bounded() {
         let mut f = BloomFilter::new(1000, 0.01);
         for i in 0u32..1000 {
-            f.insert(&i.to_le_bytes());
+            f.insert(hash(&i.to_le_bytes()));
         }
         let fps = (10_000u32..20_000)
-            .filter(|i| f.may_contain(&i.to_le_bytes()))
+            .filter(|i| f.may_contain(hash(&i.to_le_bytes())))
             .count();
         // 1% nominal; allow generous slack for variance.
         assert!(fps < 500, "false positives: {fps}/10000");
@@ -92,14 +96,14 @@ mod tests {
     #[test]
     fn empty_filter_rejects_everything() {
         let f = BloomFilter::new(10, 0.01);
-        assert!(!f.may_contain(b"anything"));
+        assert!(!f.may_contain(hash(b"anything")));
     }
 
     #[test]
     fn degenerate_params_are_clamped() {
         let mut f = BloomFilter::new(0, -3.0);
-        f.insert(b"x");
-        assert!(f.may_contain(b"x"));
+        f.insert(hash(b"x"));
+        assert!(f.may_contain(hash(b"x")));
         assert!(f.nbits() >= 64);
     }
 }

@@ -211,7 +211,7 @@ pub fn block_key(plan: &ReadPlan, consistency: Consistency) -> Vec<u8> {
     let mut out = Vec::with_capacity(plan.table.len() + 64);
     out.extend_from_slice(&(plan.table.len() as u32).to_le_bytes());
     out.extend_from_slice(plan.table.as_bytes());
-    encode_key(&mut out, &plan.partition);
+    encode_key(&mut out, plan.partition.key());
     encode_bound(&mut out, &plan.range.0);
     encode_bound(&mut out, &plan.range.1);
     match plan.limit {
@@ -255,6 +255,7 @@ pub fn rows_footprint(rows: &[Row]) -> usize {
 mod tests {
     use super::*;
     use crate::cluster::full_range;
+    use crate::partitioner::DecoratedKey;
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
@@ -340,14 +341,14 @@ mod tests {
     fn block_keys_distinguish_every_plan_field() {
         let base = ReadPlan {
             table: "event_by_time".into(),
-            partition: Key::from(vec![Value::BigInt(1), Value::text("MCE")]),
+            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1), Value::text("MCE")])),
             range: full_range(),
             limit: None,
             descending: false,
         };
         let k0 = block_key(&base, Consistency::Quorum);
         let mut other = base.clone();
-        other.partition = Key::from(vec![Value::BigInt(2), Value::text("MCE")]);
+        other.partition = DecoratedKey::new(Key::from(vec![Value::BigInt(2), Value::text("MCE")]));
         assert_ne!(k0, block_key(&other, Consistency::Quorum));
         let mut other = base.clone();
         other.limit = Some(5);

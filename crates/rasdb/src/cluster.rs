@@ -8,7 +8,7 @@ use crate::cql;
 use crate::error::DbError;
 use crate::memtable::{merge_all, merge_runs, RowEntry, Run};
 use crate::node::{NodeConfig, StorageNode};
-use crate::partitioner::{token_for, Token};
+use crate::partitioner::{token_for, DecoratedKey, Token};
 use crate::query::{
     clustering_bounds, CmpOp, Consistency, Predicate, ReadPlan, SelectStatement, Statement,
 };
@@ -179,8 +179,9 @@ pub struct Cluster {
     speculative_timeout_us: AtomicU64,
     /// Monotonic per-partition data versions: bumped after every mutation
     /// (including repairs), so cached reads can be validated exactly. Keyed
-    /// by table, then by the partition key itself: a bump clones a pointer.
-    versions: Mutex<HashMap<Arc<str>, HashMap<Key, u64>>>,
+    /// by table, then by the decorated partition key, which hashes as its
+    /// token: a bump clones a pointer and a lookup hashes one word.
+    versions: Mutex<HashMap<Arc<str>, HashMap<DecoratedKey, u64>>>,
     version_counter: AtomicU64,
     /// Bumped whenever replica visibility changes (node down/up), which can
     /// change what a read at a given consistency level observes.
@@ -232,7 +233,7 @@ impl Cluster {
     /// `0` means never written. Cache layers snapshot this *before* reading
     /// and re-validate on every lookup, so a matching version proves the
     /// cached rows are still current.
-    pub fn data_version(&self, table: &str, partition: &Key) -> u64 {
+    pub fn data_version(&self, table: &str, partition: &DecoratedKey) -> u64 {
         self.versions
             .lock()
             .get(table)
@@ -251,7 +252,11 @@ impl Cluster {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    fn bump_versions<'a>(&self, table: &Arc<str>, partitions: impl IntoIterator<Item = &'a Key>) {
+    fn bump_versions<'a>(
+        &self,
+        table: &Arc<str>,
+        partitions: impl IntoIterator<Item = &'a DecoratedKey>,
+    ) {
         let mut versions = self.versions.lock();
         let of_table = versions.entry(Arc::clone(table)).or_default();
         for partition in partitions {
@@ -492,7 +497,7 @@ impl Cluster {
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
         let m = Mutation::delete(
             Arc::clone(&schema.name),
-            partition.into(),
+            DecoratedKey::new(partition.into()),
             clustering.into(),
             ts,
         );
@@ -534,8 +539,8 @@ impl Cluster {
         consistency: Consistency,
     ) -> Result<(), DbError> {
         // Groups in order of first arrival; rows keep arrival order inside
-        // their group.
-        let mut group_of: HashMap<&Key, usize> = HashMap::new();
+        // their group. The map hashes each decorated key's token.
+        let mut group_of: HashMap<&DecoratedKey, usize> = HashMap::new();
         let row_groups: Vec<usize> = mutations
             .iter()
             .map(|m| {
@@ -558,7 +563,7 @@ impl Cluster {
         {
             let topo = self.topology.read();
             for (g, group) in groups.iter().enumerate() {
-                let token = token_for(&group[0].partition);
+                let token = group[0].partition.token();
                 let replicas = topo.ring.replicas(token);
                 required.push(consistency.required(replicas.len()));
                 // Double-write window: while a transition is in flight,
@@ -669,22 +674,18 @@ impl Cluster {
         let schema = self
             .schema(&plan.table)
             .ok_or_else(|| DbError::NoSuchTable(plan.table.clone()))?;
-        if plan.partition.0.len() != schema.partition_key.len() {
+        let components = plan.partition.key().0.len();
+        if components != schema.partition_key.len() {
             return Err(DbError::BadQuery(format!(
-                "partition key for '{}' needs {} components, got {}",
+                "partition key for '{}' needs {} components, got {components}",
                 plan.table,
                 schema.partition_key.len(),
-                plan.partition.0.len()
             )));
         }
         // Reads route via the *old* ring for the whole transition window:
         // gainers may still be mid-stream, so only the pre-change replica
         // set is guaranteed complete until commit swaps the ring.
-        let replicas = self
-            .topology
-            .read()
-            .ring
-            .replicas(token_for(&plan.partition));
+        let replicas = self.topology.read().ring.replicas(plan.partition.token());
         let required = consistency.required(replicas.len());
         Ok((Arc::clone(&schema.name), replicas, required))
     }
@@ -1225,7 +1226,7 @@ impl Cluster {
         let range = clustering_bounds(prefix, lower, upper, schema.clustering_key.len());
         Ok(ReadPlan {
             table: sel.table.clone(),
-            partition: partition.into(),
+            partition: DecoratedKey::new(partition.into()),
             range,
             limit: sel.limit,
             descending: sel.descending,
@@ -1242,13 +1243,15 @@ impl Cluster {
         token_for(partition)
     }
 
-    /// Partition keys whose *primary* replica is `node` (locality scans).
+    /// Partition keys whose *primary* replica is `node` (locality scans),
+    /// in ring order.
     pub fn local_partition_keys(&self, table: &str, node: NodeId) -> Vec<Key> {
         let ring = self.ring();
         self.node_arc(node)
             .local_partition_keys(table)
             .into_iter()
-            .filter(|k| ring.primary(token_for(k)) == node)
+            .filter(|k| ring.primary(k.token()) == node)
+            .map(|k| k.key().clone())
             .collect()
     }
 
@@ -1504,7 +1507,7 @@ impl Cluster {
         // without waiting for read repair.
         let leaver_hints = self.hints.lock().remove(&leaver).unwrap_or_default();
         for m in &leaver_hints {
-            let token = token_for(&m.partition);
+            let token = m.partition.token();
             let old_reps = old_ring.replicas(token);
             for g in target_ring.replicas(token) {
                 if old_reps.contains(&g) {
@@ -1547,14 +1550,12 @@ impl Cluster {
             // stores. (For a join the transitioning node holds nothing
             // yet; for a decommission it may be down — the union over all
             // members covers every partition either way.)
-            let mut candidates: BTreeSet<Key> = BTreeSet::new();
+            let mut candidates: BTreeSet<DecoratedKey> = BTreeSet::new();
             for id in old_ring.members() {
-                for pk in self.node_arc(*id).local_partition_keys(&table) {
-                    candidates.insert(pk);
-                }
+                candidates.extend(self.node_arc(*id).local_partition_keys(&table));
             }
             for pk in candidates {
-                let token = token_for(&pk);
+                let token = pk.token();
                 let donors = old_ring.replicas(token);
                 let gainers: Vec<NodeId> = target_ring
                     .replicas(token)
@@ -1586,7 +1587,12 @@ impl Cluster {
     /// QUORUM lives on at least a quorum of them, and any two quorums
     /// intersect, so the merge can never miss an acked row. A single-donor
     /// stream would NOT have this property.
-    fn stream_source_rows(&self, table: &str, pk: &Key, donors: &[NodeId]) -> Result<Run, DbError> {
+    fn stream_source_rows(
+        &self,
+        table: &str,
+        pk: &DecoratedKey,
+        donors: &[NodeId],
+    ) -> Result<Run, DbError> {
         let required = Consistency::Quorum.required(donors.len());
         let runs: Vec<Run> = donors
             .iter()
@@ -1608,7 +1614,7 @@ impl Cluster {
     fn stream_partition(
         &self,
         table: &Arc<str>,
-        pk: &Key,
+        pk: &DecoratedKey,
         donors: &[NodeId],
         gainer: NodeId,
         tnode: NodeId,
@@ -1657,7 +1663,7 @@ impl Cluster {
     fn send_chunk(
         &self,
         table: &Arc<str>,
-        pk: &Key,
+        pk: &DecoratedKey,
         rows: &[(Key, RowEntry)],
         donors: &[NodeId],
         gainer: NodeId,
@@ -1693,7 +1699,7 @@ impl Cluster {
             // The chunk travels as canonical bytes with a checksum computed
             // before transmission; the receiver recomputes it over what
             // arrived and NAKs on mismatch.
-            let mut encoded = encode_stream_chunk(pk, rows);
+            let mut encoded = encode_stream_chunk(pk.key(), rows);
             let sent_checksum = stream_chunk_checksum(&encoded);
             if faults.should_corrupt(attempt) {
                 let i = encoded.len() / 2;
@@ -1811,7 +1817,7 @@ impl<'c> SelectBuilder<'c> {
         );
         let plan = ReadPlan {
             table: self.table,
-            partition: self.partition.into(),
+            partition: DecoratedKey::new(self.partition.into()),
             range,
             limit: self.limit,
             descending: self.descending,
@@ -2131,7 +2137,10 @@ mod tests {
         let plans: Vec<ReadPlan> = (0..24)
             .map(|hour| ReadPlan {
                 table: "event_by_time".into(),
-                partition: Key::from(vec![Value::BigInt(hour), Value::text("MCE")]),
+                partition: DecoratedKey::new(Key::from(vec![
+                    Value::BigInt(hour),
+                    Value::text("MCE"),
+                ])),
                 range: full_range(),
                 limit: None,
                 descending: false,
@@ -2158,7 +2167,7 @@ mod tests {
         let c = events_cluster(2, 1);
         let plan = ReadPlan {
             table: "nope".into(),
-            partition: Key::from(vec![Value::BigInt(1)]),
+            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1)])),
             range: full_range(),
             limit: None,
             descending: false,
@@ -2183,7 +2192,10 @@ mod tests {
         let plans: Vec<ReadPlan> = (0..12)
             .map(|hour| ReadPlan {
                 table: "event_by_time".into(),
-                partition: Key::from(vec![Value::BigInt(hour), Value::text("MCE")]),
+                partition: DecoratedKey::new(Key::from(vec![
+                    Value::BigInt(hour),
+                    Value::text("MCE"),
+                ])),
                 range: full_range(),
                 limit: None,
                 descending: false,
@@ -2225,7 +2237,7 @@ mod tests {
         c.set_speculative_timeout(Duration::from_millis(2));
         let plan = ReadPlan {
             table: "event_by_time".into(),
-            partition: pkey,
+            partition: DecoratedKey::new(pkey),
             range: full_range(),
             limit: None,
             descending: false,
@@ -2243,7 +2255,7 @@ mod tests {
         }
         let plan = ReadPlan {
             table: "event_by_time".into(),
-            partition: Key::from(vec![Value::BigInt(1), Value::text("MCE")]),
+            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1), Value::text("MCE")])),
             range: full_range(),
             limit: None,
             descending: false,
@@ -2286,7 +2298,7 @@ mod tests {
         }
         let plan = ReadPlan {
             table: "event_by_time".into(),
-            partition: Key::from(vec![Value::BigInt(1), Value::text("MCE")]),
+            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1), Value::text("MCE")])),
             range: full_range(),
             limit: None,
             descending: false,

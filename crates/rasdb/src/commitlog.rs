@@ -2,6 +2,7 @@
 //! the memtable, so a node restart can replay its state.
 
 use crate::memtable::{sorted_cells, Cells, RowChange, RowEntry};
+use crate::partitioner::DecoratedKey;
 use crate::types::{Cell, Key, Value};
 use std::sync::Arc;
 
@@ -14,8 +15,9 @@ use std::sync::Arc;
 pub struct Mutation {
     /// Target table (the schema's interned name).
     pub table: Arc<str>,
-    /// Partition key.
-    pub partition: Key,
+    /// Partition key, decorated once by the coordinator: every replica
+    /// places, orders and filters by the hash it carries.
+    pub partition: DecoratedKey,
     /// Clustering key.
     pub clustering: Key,
     /// Cells to upsert (empty for pure row deletes).
@@ -28,7 +30,7 @@ impl Mutation {
     /// Builds an upsert mutation with a single write timestamp.
     pub fn upsert(
         table: impl Into<Arc<str>>,
-        partition: Key,
+        partition: DecoratedKey,
         clustering: Key,
         values: Vec<(Arc<str>, Value)>,
         write_ts: u64,
@@ -48,7 +50,7 @@ impl Mutation {
     /// Builds a row-delete mutation.
     pub fn delete(
         table: impl Into<Arc<str>>,
-        partition: Key,
+        partition: DecoratedKey,
         clustering: Key,
         write_ts: u64,
     ) -> Mutation {
@@ -65,7 +67,7 @@ impl Mutation {
     /// tombstone) to another replica: read repair and range streaming.
     pub fn from_entry(
         table: &Arc<str>,
-        partition: &Key,
+        partition: &DecoratedKey,
         clustering: &Key,
         entry: &RowEntry,
     ) -> Mutation {
@@ -178,7 +180,7 @@ mod tests {
     fn m(i: i64) -> Arc<Mutation> {
         Arc::new(Mutation::upsert(
             "t",
-            Key::from(vec![Value::BigInt(i)]),
+            DecoratedKey::new(Key::from(vec![Value::BigInt(i)])),
             Key::from(vec![Value::Timestamp(i)]),
             vec![("v".into(), Value::Int(i as i32))],
             i as u64,
@@ -231,7 +233,7 @@ mod tests {
 
     #[test]
     fn delete_mutation_shape() {
-        let d = Mutation::delete("t", Key::default(), Key::default(), 9);
+        let d = Mutation::delete("t", DecoratedKey::new(Key::default()), Key::default(), 9);
         assert!(d.cells.is_empty());
         assert_eq!(d.row_delete, Some(9));
         assert_eq!(d.weight(), 1);

@@ -1,8 +1,8 @@
 //! Size-tiered compaction: merge similar-sized SSTables into one run.
 
 use crate::memtable::{merge_all, Run};
+use crate::partitioner::DecoratedKey;
 use crate::sstable::SsTable;
-use crate::types::Key;
 use std::collections::BTreeMap;
 
 /// Size-tiered strategy parameters (Cassandra defaults scaled down).
@@ -60,7 +60,7 @@ pub fn pick_bucket(tables: &[SsTable], cfg: &CompactionConfig) -> Option<Vec<usi
 /// Tombstoned cells older than their row tombstone are dropped; the
 /// tombstones themselves are retained (no GC grace modelled).
 pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
-    let mut partitions: BTreeMap<Key, Vec<Run>> = BTreeMap::new();
+    let mut partitions: BTreeMap<DecoratedKey, Vec<Run>> = BTreeMap::new();
     for table in tables {
         for (pk, run) in table.into_partitions() {
             partitions.entry(pk).or_default().push(run);
@@ -84,10 +84,10 @@ pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
 mod tests {
     use super::*;
     use crate::memtable::{full_range, sorted_cells, RowEntry};
-    use crate::types::{Cell, Value};
+    use crate::types::{Cell, Key, Value};
 
-    fn pk(h: i64) -> Key {
-        Key::from(vec![Value::BigInt(h)])
+    fn pk(h: i64) -> DecoratedKey {
+        DecoratedKey::new(Key::from(vec![Value::BigInt(h)]))
     }
 
     fn ck(ts: i64) -> Key {

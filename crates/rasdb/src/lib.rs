@@ -12,7 +12,9 @@
 //!   names are immutable and reference-counted: the replicas of a row,
 //!   their commit logs and every read of it share one copy.
 //! * **Placement** — a murmur3 token ring with virtual nodes and
-//!   replication ([`partitioner`], [`ring`]).
+//!   replication ([`partitioner`], [`ring`]). A partition key is hashed
+//!   once, at the coordinator, into a [`DecoratedKey`] that every replica
+//!   orders, filters and versions by.
 //! * **Storage engine** — commit log → memtable → immutable SSTables with
 //!   bloom filters, merged by size-tiered compaction ([`memtable`],
 //!   [`sstable`], [`compaction`], [`node`]).
@@ -37,6 +39,7 @@
 //! use rasdb::query::Consistency;
 //! use rasdb::schema::{ColumnType, TableSchema};
 //! use rasdb::types::{Key, Value};
+//! use rasdb::DecoratedKey;
 //!
 //! let cluster = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
 //! cluster
@@ -74,10 +77,13 @@
 //! assert_eq!(rows.len(), 1);
 //! assert_eq!(rows[0].cell("source"), Some(&Value::text("c3-2c1s4n2")));
 //!
-//! // A key is built once and cloned by reference count from then on.
+//! // A key is built once and cloned by reference count from then on; it is
+//! // decorated with its murmur3 hash once, and versions are kept by that.
 //! let partition = Key::from(vec![Value::BigInt(417_000), Value::text("MCE")]);
 //! assert_eq!(cluster.owners(&partition).len(), 3);
-//! assert!(cluster.data_version("event_by_time", &partition) > 0);
+//! let decorated = DecoratedKey::new(partition);
+//! assert_eq!(decorated.token(), cluster.token_of(decorated.key()));
+//! assert!(cluster.data_version("event_by_time", &decorated) > 0);
 //! assert_eq!(rows[0].clustering.0[0], Value::Timestamp(1_501_200_000_123));
 //! ```
 
@@ -103,6 +109,7 @@ pub mod types;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::DbError;
+pub use partitioner::DecoratedKey;
 pub use query::Consistency;
 pub use schema::{ColumnType, TableSchema};
 pub use topology::{TopologyFaultPlan, TransitionReport};

@@ -1,5 +1,7 @@
-//! In-memory write buffer: partitions → clustering-sorted runs of rows.
+//! In-memory write buffer: partitions, in decorated-key (ring) order →
+//! clustering-sorted runs of rows.
 
+use crate::partitioner::DecoratedKey;
 use crate::types::{Cell, Key, Row, Value};
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
@@ -189,11 +191,12 @@ pub(crate) fn merge_all(mut runs: Vec<Run>) -> Run {
 /// (empty for a pure delete), and the row tombstone timestamp, if any.
 pub type RowChange<'a> = (&'a Key, &'a Cells, Option<u64>);
 
-/// The memtable for a single table on a single node: each partition is the
-/// sorted run a flush hands to its SSTable as it is.
+/// The memtable for a single table on a single node: partitions in
+/// decorated-key order, each the sorted run a flush hands to its SSTable as
+/// it is. A lookup compares tokens; keys only on a token tie.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    partitions: BTreeMap<Key, Run>,
+    partitions: BTreeMap<DecoratedKey, Run>,
     weight: usize,
 }
 
@@ -213,7 +216,7 @@ impl Memtable {
     /// that sort inside the run are put in together at the end.
     pub fn upsert_rows<'a>(
         &mut self,
-        partition: &Key,
+        partition: &DecoratedKey,
         rows: impl IntoIterator<Item = RowChange<'a>>,
         flush_at: usize,
     ) -> usize {
@@ -270,7 +273,7 @@ impl Memtable {
     }
 
     /// Reads raw row entries of one partition within a clustering range.
-    pub fn read_raw(&self, partition: &Key, range: (Bound<Key>, Bound<Key>)) -> Run {
+    pub fn read_raw(&self, partition: &DecoratedKey, range: (Bound<Key>, Bound<Key>)) -> Run {
         let run = self.partitions.get(partition);
         run.map_or_else(Vec::new, |run| range_of(run, &range))
     }
@@ -285,15 +288,15 @@ impl Memtable {
         self.partitions.is_empty()
     }
 
-    /// Drains the memtable into sorted `(partition, run)` pairs for an
-    /// SSTable flush; the runs move out as they are.
-    pub fn drain_sorted(&mut self) -> Vec<(Key, Run)> {
+    /// Drains the memtable into `(partition, run)` pairs in decorated order
+    /// for an SSTable flush; the runs move out as they are.
+    pub fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Run)> {
         self.weight = 0;
         std::mem::take(&mut self.partitions).into_iter().collect()
     }
 
     /// Iterates all partition keys (for token-range scans).
-    pub fn partition_keys(&self) -> impl Iterator<Item = &Key> {
+    pub fn partition_keys(&self) -> impl Iterator<Item = &DecoratedKey> {
         self.partitions.keys()
     }
 }
@@ -333,8 +336,8 @@ pub fn full_range() -> (Bound<Key>, Bound<Key>) {
 mod tests {
     use super::*;
 
-    fn pk(h: i64) -> Key {
-        Key::from(vec![Value::BigInt(h)])
+    fn pk(h: i64) -> DecoratedKey {
+        DecoratedKey::new(Key::from(vec![Value::BigInt(h)]))
     }
 
     fn ck(ts: i64) -> Key {
@@ -345,17 +348,22 @@ mod tests {
         Cell::live(Value::Int(v), ts)
     }
 
-    fn upsert(m: &mut Memtable, partition: Key, clustering: Key, cells: Vec<(Arc<str>, Cell)>) {
+    fn upsert(
+        m: &mut Memtable,
+        partition: DecoratedKey,
+        clustering: Key,
+        cells: Vec<(Arc<str>, Cell)>,
+    ) {
         let cells = sorted_cells(cells);
         m.upsert_rows(&partition, [(&clustering, &cells, None)], usize::MAX);
     }
 
-    fn read(m: &Memtable, partition: &Key, range: (Bound<Key>, Bound<Key>)) -> Vec<Row> {
+    fn read(m: &Memtable, partition: &DecoratedKey, range: (Bound<Key>, Bound<Key>)) -> Vec<Row> {
         let raw = m.read_raw(partition, range).into_iter();
         raw.filter_map(|(k, e)| e.visible(k)).collect()
     }
 
-    fn delete_row(m: &mut Memtable, partition: Key, clustering: Key, ts: u64) {
+    fn delete_row(m: &mut Memtable, partition: DecoratedKey, clustering: Key, ts: u64) {
         let none = Cells::default();
         m.upsert_rows(&partition, [(&clustering, &none, Some(ts))], usize::MAX);
     }
@@ -472,8 +480,10 @@ mod tests {
         assert_eq!(m.weight(), 0);
         assert_eq!(drained.len(), 2);
         assert!(drained[0].0 < drained[1].0);
-        assert_eq!(drained[0].1.len(), 2);
-        assert!(drained[0].1[0].0 < drained[0].1[1].0);
+        assert!(drained[0].0.token() < drained[1].0.token(), "ring order");
+        let (_, one) = drained.iter().find(|(p, _)| *p == pk(1)).unwrap();
+        assert_eq!(one.len(), 2);
+        assert!(one[0].0 < one[1].0);
     }
 
     #[test]

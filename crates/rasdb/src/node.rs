@@ -4,6 +4,7 @@
 use crate::commitlog::{CommitLog, Mutation};
 use crate::compaction::{self, CompactionConfig};
 use crate::memtable::{merge_all, Memtable, Run};
+use crate::partitioner::DecoratedKey;
 use crate::ring::NodeId;
 use crate::sstable::SsTable;
 use crate::stats::{NodeStats, StatsSnapshot};
@@ -210,7 +211,7 @@ impl StorageNode {
     pub fn read_raw(
         &self,
         table: &str,
-        partition: &Key,
+        partition: &DecoratedKey,
         range: &(Bound<Key>, Bound<Key>),
     ) -> Option<Run> {
         if !self.is_up() {
@@ -242,7 +243,7 @@ impl StorageNode {
     pub fn read(
         &self,
         table: &str,
-        partition: &Key,
+        partition: &DecoratedKey,
         range: &(Bound<Key>, Bound<Key>),
     ) -> Option<Vec<Row>> {
         let raw = self.read_raw(table, partition, range)?;
@@ -253,15 +254,16 @@ impl StorageNode {
         )
     }
 
-    /// All partition keys stored locally for `table` (memtable + SSTables).
-    /// Drives token-range scans by the processing engine.
-    pub fn local_partition_keys(&self, table: &str) -> Vec<Key> {
+    /// All partition keys stored locally for `table` (memtable + SSTables),
+    /// each once, in decorated (ring) order. Drives token-range scans and
+    /// range streaming.
+    pub fn local_partition_keys(&self, table: &str) -> Vec<DecoratedKey> {
         let tables = self.tables.read();
         let Some(store) = tables.get(table) else {
             return Vec::new();
         };
         let store = store.lock();
-        let mut keys: std::collections::BTreeSet<Key> =
+        let mut keys: std::collections::BTreeSet<DecoratedKey> =
             store.memtable.partition_keys().cloned().collect();
         for sst in &store.sstables {
             for (pk, _) in sst.partitions() {
@@ -374,10 +376,14 @@ mod tests {
         n
     }
 
+    fn pk(h: i64) -> DecoratedKey {
+        DecoratedKey::new(Key::from(vec![Value::BigInt(h)]))
+    }
+
     fn mutation(table: &str, h: i64, ts: i64, v: i32, wts: u64) -> Arc<Mutation> {
         Arc::new(Mutation::upsert(
             table,
-            Key::from(vec![Value::BigInt(h)]),
+            pk(h),
             Key::from(vec![Value::Timestamp(ts)]),
             vec![("v".into(), Value::Int(v))],
             wts,
@@ -392,9 +398,7 @@ mod tests {
     fn write_then_read_roundtrip() {
         let n = node(1000);
         upsert(&n, 1, 10, 7, 1);
-        let rows = n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .unwrap();
+        let rows = n.read("t", &pk(1), &full_range()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cell("v"), Some(&Value::Int(7)));
     }
@@ -406,9 +410,7 @@ mod tests {
         n.flush("t");
         assert_eq!(n.sstable_count("t"), 1);
         upsert(&n, 1, 10, 2, 2); // newer write in memtable
-        let rows = n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .unwrap();
+        let rows = n.read("t", &pk(1), &full_range()).unwrap();
         assert_eq!(rows[0].cell("v"), Some(&Value::Int(2)));
     }
 
@@ -424,11 +426,7 @@ mod tests {
         assert!(n.sstable_count("t") < 10, "{}", n.sstable_count("t"));
         // All data still readable.
         let total: usize = (0..5)
-            .map(|h| {
-                n.read("t", &Key::from(vec![Value::BigInt(h)]), &full_range())
-                    .unwrap()
-                    .len()
-            })
+            .map(|h| n.read("t", &pk(h), &full_range()).unwrap().len())
             .sum();
         assert_eq!(total, 100);
     }
@@ -439,13 +437,9 @@ mod tests {
         upsert(&n, 1, 1, 1, 1);
         n.set_up(false);
         assert!(!n.apply(&mutation("t", 1, 2, 1, 2)));
-        assert!(n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .is_none());
+        assert!(n.read("t", &pk(1), &full_range()).is_none());
         n.set_up(true);
-        assert!(n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .is_some());
+        assert!(n.read("t", &pk(1), &full_range()).is_some());
     }
 
     #[test]
@@ -455,9 +449,7 @@ mod tests {
             upsert(&n, 1, i, i as i32, i as u64);
         }
         n.restart();
-        let rows = n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .unwrap();
+        let rows = n.read("t", &pk(1), &full_range()).unwrap();
         assert_eq!(rows.len(), 20);
     }
 
@@ -472,9 +464,7 @@ mod tests {
             upsert(&n, 1, i, i as i32, i as u64);
         }
         n.restart();
-        let rows = n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .unwrap();
+        let rows = n.read("t", &pk(1), &full_range()).unwrap();
         assert_eq!(rows.len(), 15, "flushed + replayed rows");
     }
 
@@ -482,17 +472,9 @@ mod tests {
     fn delete_row_via_mutation() {
         let n = node(1000);
         upsert(&n, 1, 1, 1, 1);
-        let d = Mutation::delete(
-            "t",
-            Key::from(vec![Value::BigInt(1)]),
-            Key::from(vec![Value::Timestamp(1)]),
-            5,
-        );
+        let d = Mutation::delete("t", pk(1), Key::from(vec![Value::Timestamp(1)]), 5);
         n.apply(&Arc::new(d));
-        assert!(n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .unwrap()
-            .is_empty());
+        assert!(n.read("t", &pk(1), &full_range()).unwrap().is_empty());
     }
 
     #[test]
@@ -525,12 +507,7 @@ mod tests {
             .map(|i| mutation("t", 1, i, i as i32, i as u64 + 1))
             .collect();
         assert!(n.apply_chunk(&muts));
-        assert_eq!(
-            n.read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-                .unwrap()
-                .len(),
-            5
-        );
+        assert_eq!(n.read("t", &pk(1), &full_range()).unwrap().len(), 5);
         n.set_up(false);
         assert!(!n.apply_chunk(&muts), "down receiver must NAK the chunk");
     }
@@ -538,7 +515,7 @@ mod tests {
     #[test]
     fn unknown_table_apply_fails() {
         let n = node(1000);
-        let m = Mutation::upsert("nope", Key::default(), Key::default(), vec![], 1);
+        let m = Mutation::upsert("nope", pk(0), Key::default(), vec![], 1);
         assert!(!n.apply(&Arc::new(m)));
     }
 
@@ -551,10 +528,7 @@ mod tests {
             mutation("t", 1, 3, 3, 3),
         ];
         assert!(!n.apply_chunk(&chunk), "unknown table must NAK the chunk");
-        let stored = |n: &StorageNode| {
-            n.read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-                .unwrap()
-        };
+        let stored = |n: &StorageNode| n.read("t", &pk(1), &full_range()).unwrap();
         assert!(stored(&n).is_empty(), "a NAKed chunk left a prefix behind");
         n.restart();
         assert!(
@@ -586,9 +560,7 @@ mod tests {
         assert_eq!(n.stats().flushes, 1);
         assert_eq!(n.stats().writes, 10);
         n.restart();
-        let rows = n
-            .read("t", &Key::from(vec![Value::BigInt(1)]), &full_range())
-            .unwrap();
+        let rows = n.read("t", &pk(1), &full_range()).unwrap();
         assert_eq!(rows.len(), 10, "flushed + replayed rows");
     }
 }

@@ -1,9 +1,12 @@
 //! Murmur3-based partitioner: partition key bytes → 64-bit ring token.
 //!
 //! Matches Cassandra's `Murmur3Partitioner` approach: the token is the
-//! first 64 bits of MurmurHash3 x64/128 over the encoded partition key.
+//! first 64 bits of MurmurHash3 x64/128 over the encoded partition key, and
+//! a partition key travels with its hash as a [`DecoratedKey`].
 
 use crate::types::Key;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 /// A position on the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -11,8 +14,86 @@ pub struct Token(pub i64);
 
 /// Hashes a partition key to its ring token.
 pub fn token_for(key: &Key) -> Token {
-    let bytes = key.encode();
-    Token(murmur3_x64_128(&bytes, 0).0 as i64)
+    DecoratedKey::new(key.clone()).token()
+}
+
+/// A partition key and its murmur3 hash, Cassandra's decorated key.
+///
+/// A key is hashed once, where the coordinator first sees it; everything
+/// below — ring placement, memtable and SSTable order, bloom filters, batch
+/// grouping, data versions — uses the stored hash and never encodes the key
+/// again. Both 64-bit halves are kept: the first is the ring token, and the
+/// pair is what a bloom filter probes with.
+///
+/// Ordered by `(token, key)`: ring order, the key breaking token ties. Two
+/// decorated keys are equal when their keys are (equal keys have equal
+/// hashes), and `Hash` writes the token alone.
+#[derive(Debug, Clone)]
+pub struct DecoratedKey {
+    hash: (u64, u64),
+    key: Key,
+}
+
+impl DecoratedKey {
+    /// Decorates `key`: murmur3 x64/128, seed 0, over its encoding.
+    pub fn new(key: Key) -> DecoratedKey {
+        DecoratedKey::with_buffer(key, &mut Vec::new())
+    }
+
+    /// [`DecoratedKey::new`] encoding into `buf` (cleared first), so a
+    /// caller decorating many keys allocates nothing per key.
+    pub fn with_buffer(key: Key, buf: &mut Vec<u8>) -> DecoratedKey {
+        buf.clear();
+        for v in key.0.iter() {
+            v.encode_into(buf);
+        }
+        DecoratedKey {
+            hash: murmur3_x64_128(buf, 0),
+            key,
+        }
+    }
+
+    /// The ring token: the first half of the hash.
+    pub fn token(&self) -> Token {
+        Token(self.hash.0 as i64)
+    }
+
+    /// Both halves of the hash, as a bloom filter takes them.
+    pub fn hash128(&self) -> (u64, u64) {
+        self.hash
+    }
+
+    /// The partition key.
+    pub fn key(&self) -> &Key {
+        &self.key
+    }
+}
+
+impl PartialEq for DecoratedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl Eq for DecoratedKey {}
+
+impl Ord for DecoratedKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let by_token = self.token().cmp(&other.token());
+        by_token.then_with(|| self.key.cmp(&other.key))
+    }
+}
+
+impl PartialOrd for DecoratedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for DecoratedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash.0);
+    }
 }
 
 /// MurmurHash3 x64/128 (public-domain algorithm by Austin Appleby).

@@ -1,5 +1,6 @@
 //! Typed query AST executed by the coordinator, plus consistency levels.
 
+use crate::partitioner::DecoratedKey;
 use crate::schema::TableSchema;
 use crate::types::{Key, Value};
 use std::ops::Bound;
@@ -125,8 +126,8 @@ pub struct SelectStatement {
 pub struct ReadPlan {
     /// Target table.
     pub table: String,
-    /// Complete partition key.
-    pub partition: Key,
+    /// Complete partition key, decorated once when the plan is built.
+    pub partition: DecoratedKey,
     /// Clustering-range bounds.
     pub range: (Bound<Key>, Bound<Key>),
     /// Max rows to return.

@@ -2,6 +2,7 @@
 
 use crate::error::DbError;
 use crate::memtable::Cells;
+use crate::partitioner::DecoratedKey;
 use crate::types::{Cell, Key, Value};
 use std::sync::Arc;
 
@@ -172,6 +173,8 @@ impl TableSchema {
             slots: Vec::new(),
             by_name: Vec::new(),
             keys: Vec::new(),
+            encoded: Vec::new(),
+            last: None,
         }
     }
 
@@ -206,17 +209,21 @@ impl TableSchema {
     }
 }
 
-/// One insert bound to its table: partition key and clustering key in schema
-/// order, then the regular cells under their interned column names in name
-/// order, live at write timestamp 0 until the coordinator stamps them.
-pub(crate) type BoundInsert = (Key, Key, Cells);
+/// One insert bound to its table: the decorated partition key and the
+/// clustering key in schema order, then the regular cells under their
+/// interned column names in name order, live at write timestamp 0 until the
+/// coordinator stamps them.
+pub(crate) type BoundInsert = (DecoratedKey, Key, Cells);
 
 /// Validates and splits the rows of one batch in a single pass per row.
 ///
 /// Column names are resolved to schema slots once and the resolution is
 /// reused for every following row that names the same columns in the same
 /// order, so a batch pays for name lookups once and never allocates a name:
-/// stored cells carry the schema's interned one.
+/// stored cells carry the schema's interned one. Partition keys are
+/// decorated here, through one reused encoding buffer, and a row whose
+/// partition key equals the previous row's shares its decorated key: one
+/// reference count, no allocation, no hash.
 pub(crate) struct InsertBinder<'s> {
     schema: &'s TableSchema,
     /// Slot of each supplied column of the row shape resolved last.
@@ -225,6 +232,10 @@ pub(crate) struct InsertBinder<'s> {
     by_name: Vec<usize>,
     /// Scratch for key components on their way into schema order.
     keys: Vec<Option<Value>>,
+    /// Scratch for the partition key's encoding, hashed to decorate it.
+    encoded: Vec<u8>,
+    /// The partition key of the row bound last.
+    last: Option<DecoratedKey>,
 }
 
 impl InsertBinder<'_> {
@@ -277,15 +288,27 @@ impl InsertBinder<'_> {
                 (Arc::clone(name), Cell::live(value, 0))
             })
             .collect();
-        let mut key = |len| -> Key {
-            self.keys
-                .drain(..len)
+        let (partition_parts, clustering_parts) =
+            self.keys.split_at_mut(schema.partition_key.len());
+        let take = |parts: &mut [Option<Value>]| -> Key {
+            let parts = parts.iter_mut().map(Option::take);
+            parts
                 .map(|v| v.expect("resolve saw every key column"))
                 .collect()
         };
-        let partition = key(schema.partition_key.len());
-        let clustering = key(schema.clustering_key.len());
-        Ok((partition, clustering, cells))
+        let repeated = self.last.as_ref().filter(|last| {
+            let parts = partition_parts.iter().map(Option::as_ref);
+            last.key().0.iter().map(Some).eq(parts)
+        });
+        let partition = match repeated.cloned() {
+            Some(partition) => partition,
+            None => {
+                let partition = DecoratedKey::with_buffer(take(partition_parts), &mut self.encoded);
+                self.last = Some(partition.clone());
+                partition
+            }
+        };
+        Ok((partition, take(clustering_parts), cells))
     }
 }
 
@@ -468,7 +491,8 @@ mod tests {
             ("hour".to_owned(), Value::BigInt(1)),
         ];
         let (pk, ck, rest) = s.binder().bind(values).unwrap();
-        assert_eq!(pk, Key::from(vec![Value::BigInt(1), Value::text("MCE")]));
+        let key = Key::from(vec![Value::BigInt(1), Value::text("MCE")]);
+        assert_eq!(pk, DecoratedKey::new(key));
         assert_eq!(ck, Key::from(vec![Value::Timestamp(5)]));
         assert_eq!(
             rest.to_vec(),
@@ -504,6 +528,27 @@ mod tests {
         // A rejected row leaves the binder usable.
         assert!(binder.bind(vec![("hour", Value::BigInt(1))]).is_err());
         assert_eq!(binder.bind(full()).unwrap(), first);
+    }
+
+    #[test]
+    fn consecutive_rows_of_one_partition_share_its_decorated_key() {
+        let s = sample();
+        let mut binder = s.binder();
+        let row = |hour: i64, ts: i64| {
+            vec![
+                ("hour", Value::BigInt(hour)),
+                ("type", Value::text("MCE")),
+                ("ts", Value::Timestamp(ts)),
+            ]
+        };
+        let (first, ..) = binder.bind(row(1, 1)).unwrap();
+        let (second, ..) = binder.bind(row(1, 2)).unwrap();
+        let (other, ..) = binder.bind(row(2, 3)).unwrap();
+        let (back, ..) = binder.bind(row(1, 4)).unwrap();
+        assert!(Arc::ptr_eq(&first.key().0, &second.key().0), "shared");
+        assert_ne!(first, other);
+        assert_eq!(back, first, "the same key, decorated again");
+        assert!(!Arc::ptr_eq(&first.key().0, &back.key().0));
     }
 
     #[test]

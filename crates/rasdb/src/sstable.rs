@@ -1,14 +1,15 @@
 //! Immutable sorted runs flushed from the memtable.
 //!
 //! An `SsTable` mirrors the on-disk artifact of an LSM engine: partition
-//! data sorted by key, an index for binary search, and a bloom filter that
-//! lets reads skip tables that cannot contain the partition. (Data lives in
+//! data in decorated-key (token) order, an index for binary search, and a
+//! bloom filter that lets reads skip tables that cannot contain the
+//! partition. (Data lives in
 //! memory here — the cluster is an in-process simulation — but every
 //! structural property reads rely on is preserved.)
 
 use crate::bloom::BloomFilter;
 use crate::memtable::{range_of, RowEntry, Run};
-use crate::partitioner::murmur3_x64_128;
+use crate::partitioner::{murmur3_x64_128, DecoratedKey};
 use crate::types::Key;
 use std::ops::Bound;
 
@@ -74,23 +75,24 @@ pub fn stream_chunk_checksum(encoded: &[u8]) -> u64 {
 pub struct SsTable {
     /// Monotonic flush sequence number (newer tables have larger values).
     pub sequence: u64,
-    /// Partitions sorted by partition key.
-    data: Vec<(Key, Run)>,
+    /// Partitions in decorated-key (ring) order.
+    data: Vec<(DecoratedKey, Run)>,
     bloom: BloomFilter,
     cells: usize,
 }
 
 impl SsTable {
-    /// Builds a table from sorted flush output.
-    pub fn build(sequence: u64, data: Vec<(Key, Run)>) -> SsTable {
+    /// Builds a table from flush output in decorated order. The bloom filter
+    /// is fed the hash each partition key already carries.
+    pub fn build(sequence: u64, data: Vec<(DecoratedKey, Run)>) -> SsTable {
         debug_assert!(
             data.windows(2).all(|w| w[0].0 < w[1].0),
-            "flush output must be sorted by partition key"
+            "flush output must be in decorated-key order"
         );
         let mut bloom = BloomFilter::new(data.len().max(8), 0.01);
         let mut cells = 0;
         for (pk, rows) in &data {
-            bloom.insert(&pk.encode());
+            bloom.insert(pk.hash128());
             cells += rows.iter().map(|(_, e)| e.weight()).sum::<usize>();
         }
         SsTable {
@@ -111,16 +113,17 @@ impl SsTable {
         self.cells
     }
 
-    /// Bloom-filter check; false means the partition is definitely absent.
-    pub fn may_contain(&self, partition: &Key) -> bool {
-        self.bloom.may_contain(&partition.encode())
+    /// Bloom-filter check by the partition's stored hash; false means the
+    /// partition is definitely absent.
+    pub fn may_contain(&self, partition: &DecoratedKey) -> bool {
+        self.bloom.may_contain(partition.hash128())
     }
 
     /// Reads row entries of one partition within a clustering range.
     /// `use_bloom` enables the filter short-circuit (ablation hook).
     pub fn read_raw(
         &self,
-        partition: &Key,
+        partition: &DecoratedKey,
         range: &(Bound<Key>, Bound<Key>),
         use_bloom: bool,
     ) -> Run {
@@ -132,12 +135,12 @@ impl SsTable {
     }
 
     /// Iterates all partitions (compaction and token-range scans).
-    pub fn partitions(&self) -> impl Iterator<Item = &(Key, Run)> {
+    pub fn partitions(&self) -> impl Iterator<Item = &(DecoratedKey, Run)> {
         self.data.iter()
     }
 
     /// Consumes the table into its partitions.
-    pub fn into_partitions(self) -> Vec<(Key, Run)> {
+    pub fn into_partitions(self) -> Vec<(DecoratedKey, Run)> {
         self.data
     }
 }
@@ -148,8 +151,8 @@ mod tests {
     use crate::memtable::sorted_cells;
     use crate::types::{Cell, Value};
 
-    fn pk(h: i64) -> Key {
-        Key::from(vec![Value::BigInt(h)])
+    fn pk(h: i64) -> DecoratedKey {
+        DecoratedKey::new(Key::from(vec![Value::BigInt(h)]))
     }
 
     fn ck(ts: i64) -> Key {
@@ -163,17 +166,16 @@ mod tests {
     }
 
     fn sample() -> SsTable {
-        SsTable::build(
-            1,
-            vec![
-                (pk(1), vec![(ck(1), entry(1, 1)), (ck(3), entry(3, 1))]),
-                (pk(2), vec![(ck(2), entry(2, 1))]),
-                (
-                    pk(5),
-                    (0..100).map(|t| (ck(t), entry(t as i32, 1))).collect(),
-                ),
-            ],
-        )
+        let mut data = vec![
+            (pk(1), vec![(ck(1), entry(1, 1)), (ck(3), entry(3, 1))]),
+            (pk(2), vec![(ck(2), entry(2, 1))]),
+            (
+                pk(5),
+                (0..100).map(|t| (ck(t), entry(t as i32, 1))).collect(),
+            ),
+        ];
+        data.sort_by(|a, b| a.0.cmp(&b.0));
+        SsTable::build(1, data)
     }
 
     #[test]
@@ -244,18 +246,18 @@ mod tests {
     #[test]
     fn stream_checksum_is_stable_and_order_sensitive() {
         let rows = vec![(ck(1), entry(1, 1)), (ck(2), entry(2, 1))];
-        let a = stream_chunk_checksum(&encode_stream_chunk(&pk(1), &rows));
-        let b = stream_chunk_checksum(&encode_stream_chunk(&pk(1), &rows));
+        let a = stream_chunk_checksum(&encode_stream_chunk(pk(1).key(), &rows));
+        let b = stream_chunk_checksum(&encode_stream_chunk(pk(1).key(), &rows));
         assert_eq!(a, b, "identical chunks must checksum identically");
         let swapped = vec![rows[1].clone(), rows[0].clone()];
         assert_ne!(
             a,
-            stream_chunk_checksum(&encode_stream_chunk(&pk(1), &swapped)),
+            stream_chunk_checksum(&encode_stream_chunk(pk(1).key(), &swapped)),
             "row order is part of the chunk identity"
         );
         assert_ne!(
             a,
-            stream_chunk_checksum(&encode_stream_chunk(&pk(2), &rows)),
+            stream_chunk_checksum(&encode_stream_chunk(pk(2).key(), &rows)),
             "the partition key is part of the chunk identity"
         );
     }
@@ -263,7 +265,7 @@ mod tests {
     #[test]
     fn stream_checksum_detects_any_flipped_byte() {
         let rows = vec![(ck(1), entry(7, 3)), (ck(2), entry(9, 4))];
-        let encoded = encode_stream_chunk(&pk(5), &rows);
+        let encoded = encode_stream_chunk(pk(5).key(), &rows);
         let sum = stream_chunk_checksum(&encoded);
         for i in 0..encoded.len() {
             let mut corrupted = encoded.clone();
@@ -281,8 +283,8 @@ mod tests {
         let live = entry(1, 5);
         let mut dead = RowEntry::default();
         dead.delete(5);
-        let a = encode_stream_chunk(&pk(1), &[(ck(1), live)]);
-        let b = encode_stream_chunk(&pk(1), &[(ck(1), dead)]);
+        let a = encode_stream_chunk(pk(1).key(), &[(ck(1), live)]);
+        let b = encode_stream_chunk(pk(1).key(), &[(ck(1), dead)]);
         assert_ne!(a, b, "a tombstone must encode differently from a live row");
     }
 }

@@ -321,13 +321,19 @@ fn hex(bytes: &[u8]) -> String {
 pub struct Key(pub Arc<[Value]>);
 
 impl Key {
-    /// Binary encoding used for token hashing.
+    /// Binary encoding: what a partition key's token hashes, and what
+    /// stream chunks and cache keys carry.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.0.len() * 12);
         for v in self.0.iter() {
             v.encode_into(&mut out);
         }
         out
+    }
+
+    /// The length of [`Key::encode`], without encoding.
+    pub fn encoded_len(&self) -> usize {
+        self.0.iter().map(Value::encoded_len).sum()
     }
 }
 
@@ -511,6 +517,7 @@ mod tests {
         let k1 = Key::from(vec![Value::text("ab"), Value::text("c")]);
         let k2 = Key::from(vec![Value::text("a"), Value::text("bc")]);
         assert_ne!(k1.encode(), k2.encode());
+        assert_eq!(k1.encoded_len(), k1.encode().len());
     }
 
     #[test]

@@ -15,6 +15,7 @@ use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::sstable::{encode_stream_chunk, stream_chunk_checksum};
 use rasdb::topology::TopologyFaultPlan;
 use rasdb::types::{Cell, Key, Row, Value};
+use rasdb::DecoratedKey;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,8 +61,8 @@ fn row(hour: i64, ts: i64, v: i32) -> Vec<(String, Value)> {
     ]
 }
 
-fn pk(hour: i64) -> Key {
-    Key::from(vec![Value::BigInt(hour)])
+fn pk(hour: i64) -> DecoratedKey {
+    DecoratedKey::new(Key::from(vec![Value::BigInt(hour)]))
 }
 
 /// One coordinator call on the batched cluster.
@@ -298,7 +299,7 @@ fn every_group_is_attempted_before_unavailable_is_returned() {
     // not, is what makes this a test.
     let starved: Vec<i64> = (0..HOURS)
         .filter(|h| {
-            let owners = batched.owners(&pk(*h));
+            let owners = batched.owners(pk(*h).key());
             owners.contains(&NodeId(1)) && owners.contains(&NodeId(2))
         })
         .collect();
@@ -397,7 +398,7 @@ fn a_replica_that_misses_an_overwrite_keeps_its_own_row() {
         apply(&first, &batched, &twin, Consistency::All),
         ([(0, 0)].into(), None, None)
     );
-    let owners = batched.owners(&pk(0));
+    let owners = batched.owners(pk(0).key());
     let stale = owners[2];
     let before = raw_views(&batched, "a", 0);
     // The cells pointer a replica holds for the row at `at` of the
@@ -637,7 +638,8 @@ proptest! {
             cells.collect::<BTreeMap<String, Value>>()
         });
         prop_assert_eq!(visible, model.visible());
-        let (partition, clustering) = (pk(3), Key::from(vec![Value::Timestamp(9)]));
+        let partition = pk(3).key().clone();
+        let clustering = Key::from(vec![Value::Timestamp(9)]);
         prop_assert_eq!(
             encode_stream_chunk(&partition, &[(clustering.clone(), merged)]),
             model.encoded(&partition, &clustering)
@@ -707,7 +709,7 @@ fn batch_inside_a_join_window_is_double_written_like_single_writes() {
     // both.
     let joiner = NodeId(NODES);
     let gained: Vec<i64> = (0..HOURS)
-        .filter(|h| batched.owners(&pk(*h)).contains(&joiner))
+        .filter(|h| batched.owners(pk(*h).key()).contains(&joiner))
         .collect();
     assert!(!gained.is_empty(), "the joiner gained no partition");
     for h in gained {

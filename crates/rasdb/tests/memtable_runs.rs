@@ -1,20 +1,22 @@
-//! The memtable keeps each partition as a sorted run. Whatever order rows
-//! arrive in, it must hold, weigh, stop at and flush exactly what the
+//! The memtable keeps each partition as a sorted run, partitions in
+//! decorated-key (ring) order. Whatever order rows arrive in, it must hold,
+//! weigh, stop at and flush — partitions in token order — exactly what the
 //! per-partition `BTreeMap` it replaced held, weighed, stopped at and
-//! flushed — and rows that arrive in front of what is stored must not cost
-//! a `Vec::insert` each.
+//! flushed, and rows that arrive in front of what is stored must not cost a
+//! `Vec::insert` each.
 
 use proptest::prelude::*;
 use rasdb::memtable::{full_range, sorted_cells, Cells, Memtable, RowEntry, Run};
 use rasdb::types::{Cell, Key, Value};
+use rasdb::DecoratedKey;
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 use std::time::{Duration, Instant};
 
 type Range = (Bound<Key>, Bound<Key>);
 
-fn pk(p: i64) -> Key {
-    Key::from(vec![Value::BigInt(p)])
+fn pk(p: i64) -> DecoratedKey {
+    DecoratedKey::new(Key::from(vec![Value::BigInt(p)]))
 }
 
 fn ck(ts: i64) -> Key {
@@ -25,15 +27,15 @@ fn ck(ts: i64) -> Key {
 type Change = (Key, Cells, Option<u64>);
 
 /// The memtable as it was: a `BTreeMap` of rows per partition, filled with
-/// the same weight accounting, row by row.
+/// the same weight accounting, row by row; partitions in decorated order.
 #[derive(Default)]
 struct Model {
-    partitions: BTreeMap<Key, BTreeMap<Key, RowEntry>>,
+    partitions: BTreeMap<DecoratedKey, BTreeMap<Key, RowEntry>>,
     weight: usize,
 }
 
 impl Model {
-    fn upsert_rows(&mut self, partition: &Key, rows: &[Change], flush_at: usize) -> usize {
+    fn upsert_rows(&mut self, partition: &DecoratedKey, rows: &[Change], flush_at: usize) -> usize {
         let rows_of = self.partitions.entry(partition.clone()).or_default();
         let mut applied = 0;
         for (clustering, cells, row_delete) in rows {
@@ -61,7 +63,7 @@ impl Model {
         applied
     }
 
-    fn read_raw(&self, partition: &Key, range: &Range) -> Run {
+    fn read_raw(&self, partition: &DecoratedKey, range: &Range) -> Run {
         let Some(rows) = self.partitions.get(partition) else {
             return Vec::new();
         };
@@ -71,7 +73,7 @@ impl Model {
             .collect()
     }
 
-    fn drain_sorted(&mut self) -> Vec<(Key, Run)> {
+    fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Run)> {
         self.weight = 0;
         std::mem::take(&mut self.partitions)
             .into_iter()

@@ -21,6 +21,7 @@ use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Cell, Key, Row, Value};
+use rasdb::DecoratedKey;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -100,8 +101,8 @@ fn arb_read() -> impl Strategy<Value = ReadSpec> {
         })
 }
 
-fn pk(hour: i64) -> Key {
-    Key::from(vec![Value::BigInt(hour)])
+fn pk(hour: i64) -> DecoratedKey {
+    DecoratedKey::new(Key::from(vec![Value::BigInt(hour)]))
 }
 
 fn ck(ts: i64) -> Key {
@@ -215,7 +216,7 @@ fn replica_states(c: &Cluster, hour: i64, range: &Range) -> Vec<Option<Raw>> {
 /// The replicas a read consults: the first `required` that are up, in ring
 /// order; `Err` is the `Unavailable` the read returns instead.
 fn consulted(c: &Cluster, hour: i64, consistency: Consistency) -> Result<Vec<NodeId>, DbError> {
-    let owners = c.owners(&pk(hour));
+    let owners = c.owners(pk(hour).key());
     let required = consistency.required(owners.len());
     let up: Vec<NodeId> = owners
         .into_iter()

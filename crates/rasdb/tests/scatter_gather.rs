@@ -14,6 +14,7 @@ use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Key, Value};
+use rasdb::DecoratedKey;
 use std::ops::Bound;
 
 const HOURS: i64 = 6;
@@ -78,7 +79,7 @@ fn to_plan(spec: &PlanSpec) -> ReadPlan {
     };
     ReadPlan {
         table: "t".into(),
-        partition: Key::from(vec![Value::BigInt(spec.hour)]),
+        partition: DecoratedKey::new(Key::from(vec![Value::BigInt(spec.hour)])),
         range,
         limit: spec.limit,
         descending: spec.descending,
