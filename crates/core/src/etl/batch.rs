@@ -4,17 +4,14 @@
 //! The corpus is split into byte chunks on newline boundaries
 //! ([`fastpath::split_chunks`]), the chunk ranges are partitioned over
 //! the executor pool, and each task scans its chunks zero-copy with the
-//! byte-slice fast path ([`fastpath::FastParser`]) — or, when
-//! [`ParserBackend::Regex`] is selected, with the compiled `rex` oracle —
-//! uploading event rows straight to the store (parallel upload). Job
+//! byte scanner ([`fastpath::FastParser`]), uploading event rows straight
+//! to the store (parallel upload). Job
 //! start/end fragments come back to the driver, which pairs them into
 //! application runs. Window/type predicates push down into the scan:
 //! filtered lines never materialize a row.
 
-use crate::etl::fastpath::{
-    self, reference_scan_line, FastParser, LineOutcome, Lines, ScanPredicate, ScanStats,
-};
-use crate::etl::parsers::{EventParser, ParsedLine};
+use crate::etl::fastpath::{self, FastParser, LineOutcome, Lines, ScanPredicate, ScanStats};
+use crate::etl::parsers::ParsedLine;
 use crate::framework::Framework;
 use crate::model::apprun::AppRun;
 use loggen::trace::RawLine;
@@ -31,7 +28,9 @@ pub struct ImportReport {
     pub skipped: usize,
     /// Event lines dropped by the import predicate during the scan.
     pub filtered: usize,
-    /// Lines the fast path routed through the regex oracle (non-ASCII).
+    /// Always 0: the byte scanner parses every valid UTF-8 line itself, so
+    /// no line falls back to another parser. Kept only because code outside
+    /// this crate (the `perfbench` harness) builds this struct by field.
     pub fallbacks: usize,
     /// Event rows written (counting both table views).
     pub event_rows: usize,
@@ -41,36 +40,23 @@ pub struct ImportReport {
     pub unmatched_jobs: usize,
 }
 
-/// Which parse engine the batch import runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParserBackend {
-    /// The zero-copy byte scanner ([`fastpath::FastParser`]) — the
-    /// production path.
-    #[default]
-    Fast,
-    /// The compiled `rex` pattern set — the reference oracle, kept for
-    /// differential testing and benchmarking.
-    Regex,
-}
-
 /// Knobs for [`import_bytes`].
 ///
 /// # Example
 /// ```
-/// use hpclog_core::etl::batch::{ImportOptions, ParserBackend};
+/// use hpclog_core::etl::batch::ImportOptions;
 /// use hpclog_core::etl::fastpath::ScanPredicate;
 /// let opts = ImportOptions {
 ///     predicate: ScanPredicate::default().with_types(["MCE"]),
 ///     ..ImportOptions::default()
 /// };
-/// assert_eq!(opts.backend, ParserBackend::Fast);
+/// assert!(opts.predicate.keeps(0, "MCE"));
+/// assert_eq!(opts.chunk_target_bytes, None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ImportOptions {
     /// Window/type filters pushed down into the scan.
     pub predicate: ScanPredicate,
-    /// Parse engine; defaults to the fast path.
-    pub backend: ParserBackend,
     /// Target chunk size in bytes; `None` sizes chunks so every executor
     /// partition gets work.
     pub chunk_target_bytes: Option<usize>,
@@ -97,11 +83,10 @@ pub fn import_rendered(fw: &Framework, rendered: Vec<String>) -> Result<ImportRe
 ///
 /// The corpus is chunked on newline boundaries (no line crosses a
 /// chunk), chunk ranges are distributed over the executor pool, and each
-/// task scans its chunks with the selected [`ParserBackend`] under the
-/// pushed-down [`ScanPredicate`]. Both backends follow the same
-/// disposition contract ([`reference_scan_line`]), so reports and tables
-/// are identical between them — the differential equivalence suite
-/// asserts exactly that.
+/// task scans its chunks with [`FastParser::scan_line`] under the
+/// pushed-down [`ScanPredicate`]. Reports and tables are what the regex
+/// pattern set would load line by line — the differential equivalence
+/// suite asserts exactly that.
 ///
 /// A failed upload (e.g. [`DbError::Unavailable`] during an outage) does
 /// not stop the import: every task writes both table views, the driver
@@ -122,7 +107,6 @@ pub fn import_bytes(
     let rdd = fw.engine().parallelize(chunks, nparts);
     let cluster = Arc::clone(fw.cluster());
     let consistency = fw.consistency();
-    let backend = opts.backend;
     let pred = opts.predicate.clone();
 
     // Map stage: scan + upload events in place; ship job fragments,
@@ -132,7 +116,6 @@ pub fn import_bytes(
         parsed: usize,
         skipped: usize,
         filtered: usize,
-        fallbacks: usize,
         event_rows: usize,
         job_lines: Vec<ParsedLine>,
         error: Option<DbError>,
@@ -141,20 +124,12 @@ pub fn import_bytes(
         fw.engine()
             .run_job(&rdd, move |_, ranges: Vec<(usize, usize)>| {
                 let fast = FastParser::new();
-                let oracle = EventParser::new();
                 let mut stats = ScanStats::default();
                 let mut out = PartResult::default();
                 let mut events = Vec::new();
                 for (start, end) in ranges {
                     for line in Lines::new(&corpus[start..end]) {
-                        let outcome = match backend {
-                            ParserBackend::Fast => fast.scan_line(line, &pred, &mut stats),
-                            ParserBackend::Regex => match std::str::from_utf8(line) {
-                                Ok(s) => reference_scan_line(&oracle, s, &pred),
-                                Err(_) => LineOutcome::Skipped,
-                            },
-                        };
-                        match outcome {
+                        match fast.scan_line(line, &pred, &mut stats) {
                             LineOutcome::Event(ev) => events.push(ev),
                             LineOutcome::Job(job) => out.job_lines.push(job),
                             LineOutcome::Skipped => out.skipped += 1,
@@ -162,10 +137,7 @@ pub fn import_bytes(
                         }
                     }
                 }
-                if backend == ParserBackend::Fast {
-                    stats.flush_telemetry();
-                    out.fallbacks = stats.fallbacks as usize;
-                }
+                stats.flush_telemetry();
                 out.parsed = events.len() + out.job_lines.len();
                 // Both views are attempted, as `insert_batch` attempts every
                 // partition, before the first shortfall is reported.
@@ -197,7 +169,6 @@ pub fn import_bytes(
         report.parsed += part.parsed;
         report.skipped += part.skipped;
         report.filtered += part.filtered;
-        report.fallbacks += part.fallbacks;
         report.event_rows += part.event_rows;
         for job in part.job_lines {
             match job {
@@ -287,7 +258,6 @@ mod tests {
         assert_eq!(report.parsed, scenario.lines.len());
         assert_eq!(report.skipped, 0);
         assert_eq!(report.filtered, 0);
-        assert_eq!(report.fallbacks, 0, "loggen corpus is pure ASCII");
         assert_eq!(report.event_rows, scenario.truth.len() * 2);
         // Jobs whose end falls inside the scenario window pair up; the rest
         // are unmatched starts.
@@ -369,62 +339,5 @@ mod tests {
         // Jobs pair regardless of the window.
         assert_eq!(report.jobs, 1);
         assert_eq!(report.parsed, 3);
-    }
-
-    #[test]
-    fn fast_and_regex_backends_produce_identical_reports() {
-        let fw_fast = fw();
-        let fw_regex = fw();
-        let cfg = ScenarioConfig {
-            rate_scale: 8.0,
-            ..ScenarioConfig::mce_hotspot(3, 0)
-        };
-        let scenario = Scenario::generate(fw_fast.topology(), &cfg, 77);
-        let corpus = scenario.render_corpus();
-        for pred in [
-            ScanPredicate::default(),
-            ScanPredicate::default().with_types(["MCE", "LUSTRE_ERR"]),
-            ScanPredicate::default().with_window(cfg.start_ms, cfg.start_ms + 3_600_000),
-        ] {
-            let fast = import_bytes(
-                &fw_fast,
-                corpus.clone(),
-                &ImportOptions {
-                    predicate: pred.clone(),
-                    backend: ParserBackend::Fast,
-                    chunk_target_bytes: Some(4096),
-                },
-            )
-            .unwrap();
-            let regex = import_bytes(
-                &fw_regex,
-                corpus.clone(),
-                &ImportOptions {
-                    predicate: pred,
-                    backend: ParserBackend::Regex,
-                    chunk_target_bytes: Some(4096),
-                },
-            )
-            .unwrap();
-            // Backends must agree on every count except `fallbacks`
-            // (only the fast path counts oracle handoffs).
-            assert_eq!(
-                ImportReport {
-                    fallbacks: 0,
-                    jobs: 0,
-                    unmatched_jobs: 0,
-                    ..fast
-                },
-                ImportReport {
-                    fallbacks: 0,
-                    jobs: 0,
-                    unmatched_jobs: 0,
-                    ..regex
-                }
-            );
-            // Job counts include re-imported pairs; compare directly.
-            assert_eq!(fast.jobs, regex.jobs);
-            assert_eq!(fast.unmatched_jobs, regex.unmatched_jobs);
-        }
     }
 }

@@ -1,14 +1,15 @@
-//! Extract–transform–load: batch regex import and real-time streaming.
+//! Extract–transform–load: batch import and real-time streaming.
 //!
-//! Two parse paths feed the event/job tables:
+//! One parser feeds the event/job tables:
 //!
-//! - [`parsers`] — the compiled `rex` pattern set, the **reference
-//!   oracle** for what a raw line means;
-//! - [`fastpath`] — a zero-copy byte scanner over `&[u8]` that mirrors
-//!   the oracle bit for bit on ASCII input and falls back to it
-//!   otherwise (see `DESIGN.md` §13).
+//! - [`parsers`] — what a raw line means: the regex pattern set (the
+//!   specification) and the [`parsers::ParsedLine`] it yields;
+//! - [`fastpath`] — the zero-copy byte scanner over `&[u8]` that
+//!   implements those patterns, total over valid UTF-8 (see `DESIGN.md`
+//!   §13). The compiled regexes are the test-side oracle it is checked
+//!   against.
 //!
-//! [`batch`] drives either path chunk-parallel over a rendered corpus;
+//! [`batch`] drives the scanner chunk-parallel over a rendered corpus;
 //! [`stream`] consumes the log bus with at-least-once semantics.
 #![deny(missing_docs)]
 

@@ -1,19 +1,44 @@
-//! Regex-based log parsing: raw lines → typed events and job records.
+//! What a raw line means: the pattern set and the parsed form.
 //!
 //! The paper's batch import parses "the data in search for known patterns
-//! for each event type (typically defined as regular expressions)". The
-//! patterns below are matched with the in-repo `rex` engine.
+//! for each event type (typically defined as regular expressions)". A line
+//! is the envelope `<ts_ms> <facility> <source> <text>` (split on the
+//! first three spaces, `ts_ms` an `i64`), and its text is matched against
+//! these patterns, in this order:
+//!
+//! | pattern | result |
+//! |---|---|
+//! | `^apid (\d+) start user=(\w+) app=([A-Za-z0-9+._\-]+) nodes=(\d+)-(\d+)` (`app` facility only) | [`ParsedLine::JobStart`] |
+//! | `^apid (\d+) end exit=(-?\d+)` (`app` facility only) | [`ParsedLine::JobEnd`] |
+//! | `^Machine Check Exception: bank (\d+)` | `MCE` |
+//! | `^EDAC MC\d+: (CE\|UE) ` | `MEM_ECC` / `MEM_UE` |
+//! | `^NVRM: Xid \([0-9a-f:]+\): (\d+),` | `GPU_DBE` (48 and unknown), `GPU_OFF_BUS` (79), `GPU_SXM_PWR` (62) |
+//! | `^Lustre(Error)?: ` | `LUSTRE_EVICT` if `(evicted\|Connection restored)` occurs, else `LUSTRE_ERR` |
+//! | `^DVS: ` | `DVS_ERR` |
+//! | `Gemini LCB lcb=\S+ failed` | `NET_LINK` |
+//! | `congestion protection engaged` | `NET_THROTTLE` |
+//! | `^Kernel panic` | `KERNEL_PANIC` |
+//!
+//! A capture that overflows its integer type rejects the whole line. The
+//! classes are ASCII (`\d` = `[0-9]`, `\w` = `[0-9A-Z_a-z]`, `\s` =
+//! `[ \t\n\r\x0B\x0C]`), and a line that is not valid UTF-8 matches
+//! nothing.
+//!
+//! Batch and streaming ingest parse with the byte scanner
+//! ([`crate::etl::fastpath::FastParser`]). The patterns themselves, compiled
+//! with the in-repo `rex` engine, are the test-side oracle the scanner is
+//! checked against (`tests/support/`, `tests/etl_equivalence.rs`).
 
 use crate::model::event::EventRecord;
-use rex::Regex;
 
 /// A successfully parsed line.
 ///
 /// # Example
 /// ```
-/// use hpclog_core::etl::parsers::{EventParser, ParsedLine};
-/// let p = EventParser::new();
-/// match p.parse("1500000360000 app alps apid 7 end exit=-9 runtime_s=360") {
+/// use hpclog_core::etl::fastpath::FastParser;
+/// use hpclog_core::etl::parsers::ParsedLine;
+/// let p = FastParser::new();
+/// match p.parse_line(b"1500000360000 app alps apid 7 end exit=-9 runtime_s=360") {
 ///     Some(ParsedLine::JobEnd { apid, exit_code, .. }) => {
 ///         assert_eq!((apid, exit_code), (7, -9));
 ///     }
@@ -50,199 +75,39 @@ pub enum ParsedLine {
     },
 }
 
-/// Compiled pattern set. Build once per thread/partition; matching is
-/// allocation-light and linear in the line length.
-///
-/// This is the **reference oracle** for the ingest pipeline: the
-/// zero-copy byte scanner ([`crate::etl::fastpath::FastParser`]) must
-/// agree with it on every line, and falls back to it for non-ASCII
-/// input.
-///
-/// # Example
-/// ```
-/// use hpclog_core::etl::parsers::{EventParser, ParsedLine};
-/// let p = EventParser::new();
-/// let line = "1500000000123 console c0-0c0s0n0 EDAC MC0: CE page 0x3aa2f";
-/// match p.parse(line) {
-///     Some(ParsedLine::Event(ev)) => assert_eq!(ev.event_type, "MEM_ECC"),
-///     other => panic!("{other:?}"),
-/// }
-/// ```
-pub struct EventParser {
-    mce: Regex,
-    edac: Regex,
-    xid: Regex,
-    lustre: Regex,
-    lustre_evict: Regex,
-    dvs: Regex,
-    net_link: Regex,
-    net_throttle: Regex,
-    panic: Regex,
-    job_start: Regex,
-    job_end: Regex,
-}
-
-impl Default for EventParser {
-    fn default() -> Self {
-        EventParser::new()
-    }
-}
-
-impl EventParser {
-    /// Compiles the pattern set.
-    pub fn new() -> EventParser {
-        let re = |p: &str| Regex::new(p).expect("static pattern");
-        EventParser {
-            mce: re(r"^Machine Check Exception: bank (\d+)"),
-            edac: re(r"^EDAC MC\d+: (CE|UE) "),
-            xid: re(r"^NVRM: Xid \([0-9a-f:]+\): (\d+),"),
-            lustre: re(r"^Lustre(Error)?: "),
-            lustre_evict: re(r"(evicted|Connection restored)"),
-            dvs: re(r"^DVS: "),
-            net_link: re(r"Gemini LCB lcb=\S+ failed"),
-            net_throttle: re(r"congestion protection engaged"),
-            panic: re(r"^Kernel panic"),
-            job_start: re(
-                r"^apid (\d+) start user=(\w+) app=([A-Za-z0-9+._\-]+) nodes=(\d+)-(\d+)",
-            ),
-            job_end: re(r"^apid (\d+) end exit=(-?\d+)"),
-        }
-    }
-
-    /// Splits the envelope `<ts_ms> <facility> <source> <text>`.
-    ///
-    /// # Example
-    /// ```
-    /// use hpclog_core::etl::parsers::EventParser;
-    /// let p = EventParser::new();
-    /// let (ts, fac, src, text) = p.parse_envelope("1500 console n0 DVS: down").unwrap();
-    /// assert_eq!((ts, fac, src, text), (1500, "console", "n0", "DVS: down"));
-    /// assert!(p.parse_envelope("not-a-timestamp console n0 x").is_none());
-    /// ```
-    pub fn parse_envelope<'l>(&self, line: &'l str) -> Option<(i64, &'l str, &'l str, &'l str)> {
-        let mut parts = line.splitn(4, ' ');
-        let ts: i64 = parts.next()?.parse().ok()?;
-        let facility = parts.next()?;
-        let source = parts.next()?;
-        let text = parts.next()?;
-        Some((ts, facility, source, text))
-    }
-
-    /// Classifies the message text into an event type name.
-    ///
-    /// # Example
-    /// ```
-    /// use hpclog_core::etl::parsers::EventParser;
-    /// let p = EventParser::new();
-    /// assert_eq!(p.classify("Kernel panic - not syncing"), Some("KERNEL_PANIC"));
-    /// assert_eq!(p.classify("routine chatter"), None);
-    /// ```
-    pub fn classify(&self, text: &str) -> Option<&'static str> {
-        if self.mce.is_match(text) {
-            return Some("MCE");
-        }
-        if let Some(caps) = self.edac.captures(text) {
-            return Some(match caps.get(1) {
-                Some("CE") => "MEM_ECC",
-                _ => "MEM_UE",
-            });
-        }
-        if let Some(caps) = self.xid.captures(text) {
-            return match caps.get(1)?.parse::<u32>().ok()? {
-                48 => Some("GPU_DBE"),
-                79 => Some("GPU_OFF_BUS"),
-                62 => Some("GPU_SXM_PWR"),
-                _ => Some("GPU_DBE"), // unknown Xids still count as GPU errors
-            };
-        }
-        if self.lustre.is_match(text) {
-            return Some(if self.lustre_evict.is_match(text) {
-                "LUSTRE_EVICT"
-            } else {
-                "LUSTRE_ERR"
-            });
-        }
-        if self.dvs.is_match(text) {
-            return Some("DVS_ERR");
-        }
-        if self.net_link.is_match(text) {
-            return Some("NET_LINK");
-        }
-        if self.net_throttle.is_match(text) {
-            return Some("NET_THROTTLE");
-        }
-        if self.panic.is_match(text) {
-            return Some("KERNEL_PANIC");
-        }
-        None
-    }
-
-    /// Parses one full raw line.
-    ///
-    /// # Example
-    /// ```
-    /// use hpclog_core::etl::parsers::EventParser;
-    /// let p = EventParser::new();
-    /// assert!(p.parse("1500 console n0 Machine Check Exception: bank 2").is_some());
-    /// assert!(p.parse("1500 console n0 routine chatter").is_none());
-    /// ```
-    pub fn parse(&self, line: &str) -> Option<ParsedLine> {
-        let (ts_ms, facility, source, text) = self.parse_envelope(line)?;
-        if facility == "app" {
-            if let Some(caps) = self.job_start.captures(text) {
-                return Some(ParsedLine::JobStart {
-                    apid: caps.get(1)?.parse().ok()?,
-                    ts_ms,
-                    user: caps.get(2)?.to_owned(),
-                    app: caps.get(3)?.to_owned(),
-                    node_first: caps.get(4)?.parse().ok()?,
-                    node_last: caps.get(5)?.parse().ok()?,
-                });
-            }
-            if let Some(caps) = self.job_end.captures(text) {
-                return Some(ParsedLine::JobEnd {
-                    apid: caps.get(1)?.parse().ok()?,
-                    ts_ms,
-                    exit_code: caps.get(2)?.parse().ok()?,
-                });
-            }
-        }
-        let event_type = self.classify(text)?;
-        Some(ParsedLine::Event(EventRecord {
-            ts_ms,
-            event_type: event_type.to_owned(),
-            source: source.to_owned(),
-            amount: 1,
-            raw: text.to_owned(),
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::etl::fastpath::FastParser;
 
-    fn parser() -> EventParser {
-        EventParser::new()
+    fn parse(line: &str) -> Option<ParsedLine> {
+        FastParser::new().parse_line(line.as_bytes())
+    }
+
+    /// The event type a console line with this message text parses to.
+    fn classify(text: &str) -> Option<String> {
+        match parse(&format!("1 console n0 {text}")) {
+            Some(ParsedLine::Event(ev)) => Some(ev.event_type),
+            _ => None,
+        }
     }
 
     #[test]
     fn envelope_splits_and_keeps_text_spaces() {
-        let p = parser();
-        let (ts, fac, src, text) = p
-            .parse_envelope("1500000000123 console c0-0c0s0n0 Machine Check Exception: bank 4")
-            .unwrap();
-        assert_eq!(ts, 1_500_000_000_123);
-        assert_eq!(fac, "console");
-        assert_eq!(src, "c0-0c0s0n0");
-        assert_eq!(text, "Machine Check Exception: bank 4");
-        assert!(p.parse_envelope("notanumber console x y").is_none());
-        assert!(p.parse_envelope("12 console").is_none());
+        match parse("1500000000123 console c0-0c0s0n0 Machine Check Exception: bank 4") {
+            Some(ParsedLine::Event(ev)) => {
+                assert_eq!(ev.ts_ms, 1_500_000_000_123);
+                assert_eq!(ev.source, "c0-0c0s0n0");
+                assert_eq!(ev.raw, "Machine Check Exception: bank 4");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(parse("notanumber console x DVS: y").is_none());
+        assert!(parse("12 console").is_none());
     }
 
     #[test]
     fn classification_per_type() {
-        let p = parser();
         let cases = [
             ("Machine Check Exception: bank 4: b200 addr 3f cpu 1", "MCE"),
             ("EDAC MC0: CE page 0x3aa2f, offset 0x630", "MEM_ECC"),
@@ -268,16 +133,15 @@ mod tests {
             ("Kernel panic - not syncing: Fatal exception in interrupt", "KERNEL_PANIC"),
         ];
         for (text, want) in cases {
-            assert_eq!(p.classify(text), Some(want), "{text}");
+            assert_eq!(classify(text).as_deref(), Some(want), "{text}");
         }
-        assert_eq!(p.classify("some harmless chatter"), None);
+        assert_eq!(classify("some harmless chatter"), None);
     }
 
     #[test]
     fn job_lines_parse_with_odd_app_names() {
-        let p = parser();
         let line = "1500000000000 app alps apid 1000001 start user=usr0042 app=DCA++ nodes=128-255 width=128";
-        match p.parse(line).unwrap() {
+        match parse(line).unwrap() {
             ParsedLine::JobStart {
                 apid,
                 user,
@@ -295,7 +159,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let line = "1500000360000 app alps apid 1000001 end exit=-9 runtime_s=360";
-        match p.parse(line).unwrap() {
+        match parse(line).unwrap() {
             ParsedLine::JobEnd {
                 apid, exit_code, ..
             } => {
@@ -308,10 +172,9 @@ mod tests {
 
     #[test]
     fn event_lines_become_event_records_with_raw() {
-        let p = parser();
         let line =
             "1500000000123 console c3-2c1s4n2 Machine Check Exception: bank 4: b2 addr 3f cpu 12";
-        match p.parse(line).unwrap() {
+        match parse(line).unwrap() {
             ParsedLine::Event(ev) => {
                 assert_eq!(ev.event_type, "MCE");
                 assert_eq!(ev.source, "c3-2c1s4n2");
@@ -324,12 +187,9 @@ mod tests {
 
     #[test]
     fn unparseable_lines_yield_none() {
-        let p = parser();
-        assert!(p.parse("").is_none());
-        assert!(p
-            .parse("1500 console c0-0c0s0n0 just some chatter")
-            .is_none());
-        assert!(p.parse("garbage").is_none());
+        assert!(parse("").is_none());
+        assert!(parse("1500 console c0-0c0s0n0 just some chatter").is_none());
+        assert!(parse("garbage").is_none());
     }
 
     #[test]
@@ -344,10 +204,9 @@ mod tests {
             },
             11,
         );
-        let p = parser();
         for line in &scenario.lines {
             assert!(
-                p.parse(&line.render()).is_some(),
+                parse(&line.render()).is_some(),
                 "unparsed: {}",
                 line.render()
             );
@@ -365,14 +224,13 @@ mod tests {
             },
             13,
         );
-        let p = parser();
         let mut truth: std::collections::HashMap<&str, usize> = Default::default();
         for o in &scenario.truth {
             *truth.entry(o.event_type).or_default() += 1;
         }
         let mut parsed: std::collections::HashMap<String, usize> = Default::default();
         for line in &scenario.lines {
-            if let Some(ParsedLine::Event(ev)) = p.parse(&line.render()) {
+            if let Some(ParsedLine::Event(ev)) = parse(&line.render()) {
                 *parsed.entry(ev.event_type).or_default() += 1;
             }
         }

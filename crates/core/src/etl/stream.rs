@@ -161,8 +161,8 @@ pub struct StreamIngester<'f> {
     fw: &'f Framework,
     consumer: Consumer,
     batcher: MicroBatcher<Tracked>,
-    /// The zero-copy scanner (with regex-oracle fallback for non-ASCII
-    /// lines) — byte-identical to the batch path, see `fastpath`.
+    /// The zero-copy byte scanner — the batch path's parser, see
+    /// `fastpath`.
     parser: FastParser,
     cfg: StreamConfig,
     rng: StdRng,

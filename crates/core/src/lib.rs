@@ -4,8 +4,9 @@
 //! substrates in this workspace: a time-series-oriented **data model**
 //! (eight-plus Cassandra-style tables with dual time/location views of
 //! events and time/user/app/location views of application runs), a
-//! **batch ETL** path (regex parsing of raw console/app/network logs,
-//! parallelized on the `sparklet` engine), a **streaming ingestion** path
+//! **batch ETL** path (raw console/app/network logs parsed against the
+//! event patterns by a byte scanner, parallelized on the `sparklet`
+//! engine), a **streaming ingestion** path
 //! (`logbus` consumer → 1-second coalescing windows → the store), a set of
 //! **analytics** (heat maps on the physical system map, distributions,
 //! event histograms, cross-correlation, transfer entropy, and word-count /

@@ -3,7 +3,8 @@
 use hpclog_core::analytics::bin_counts;
 use hpclog_core::analytics::composite::{mine_rules, Scope};
 use hpclog_core::analytics::transfer_entropy::transfer_entropy_binary;
-use hpclog_core::etl::parsers::{EventParser, ParsedLine};
+use hpclog_core::etl::fastpath::FastParser;
+use hpclog_core::etl::parsers::ParsedLine;
 use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::model::event::EventRecord;
 use hpclog_core::model::keys::HOUR_MS;
@@ -70,8 +71,7 @@ proptest! {
         node in 0usize..384,
     ) {
         let line = line_for(etype, ts, node);
-        let parser = EventParser::new();
-        match parser.parse(&line.render()) {
+        match FastParser::new().parse_line(line.render().as_bytes()) {
             Some(ParsedLine::Event(ev)) => {
                 prop_assert_eq!(ev.event_type, etype);
                 prop_assert_eq!(ev.ts_ms, ts);

@@ -9,7 +9,8 @@
 //! * [`sparklet`] — the Spark-style in-memory processing engine
 //! * [`logbus`] — the Kafka-style message bus
 //! * [`loggen`] — the synthetic Titan (topology, failures, raw logs, jobs)
-//! * [`rex`] — the regex engine behind the ETL patterns
+//! * [`rex`] — the regex engine that runs the ETL patterns as the oracle
+//!   the byte scanner is tested against
 //! * [`jsonlite`] — the JSON codec behind the server protocol
 //! * [`viz`] — SVG/ASCII renderers for the frontend's figures
 //! * [`core`] — the framework itself (data model, ETL, analytics, server)

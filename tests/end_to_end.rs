@@ -135,11 +135,14 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
     assert!(fw.scan_events_rdd("LUSTRE_ERR", t0, t1).count() > 0);
     let engine = QueryEngine::new(Arc::new(fw));
 
-    // Drive a read and two analytics ops through the server surface so
-    // coordinator and request spans fire.
+    // Drive reads and two analytics ops through the server surface so
+    // coordinator and request spans fire. `nodeinfo` is a single-partition
+    // select (`Cluster::read`), which feeds `rasdb.coordinator.read`
+    // whatever else runs in this binary.
     let events_op = format!(r#"{{"op":"events","type":"MCE","from":{t0},"to":{t1}}}"#);
     for op in [
         events_op.clone(),
+        r#"{"op":"nodeinfo","cname":"c0-0c0s0n0"}"#.to_owned(),
         format!(r#"{{"op":"heatmap","type":"LUSTRE_ERR","from":{t0},"to":{t1}}}"#),
         format!(r#"{{"op":"wordcount","type":"LUSTRE_ERR","from":{t0},"to":{t1},"top":5}}"#),
     ] {
