@@ -23,9 +23,9 @@ fn seeded(hours: i64, per_hour: usize) -> Framework {
         .map(|i| EventRecord {
             ts_ms: (i / per_hour) as i64 * HOUR_MS + (i % per_hour) as i64,
             event_type: "MCE".into(),
-            source: topo.node((i * 31) % topo.node_count()).cname,
+            source: topo.node((i * 31) % topo.node_count()).cname.into(),
             amount: 1,
-            raw: String::new(),
+            raw: "".into(),
         })
         .collect();
     fw.insert_events(&evs).expect("seed");

@@ -24,13 +24,14 @@ fn seeded() -> Framework {
         .map(|i| EventRecord {
             ts_ms: (i / 2000) as i64 * HOUR_MS + (i % 2000) as i64,
             event_type: "LUSTRE_ERR".into(),
-            source: topo.node(i % topo.node_count()).cname,
+            source: topo.node(i % topo.node_count()).cname.into(),
             amount: 1,
             raw: format!(
                 "LustreError: 11-0: atlas1-OST0041-osc-ffff{:012x}: Communicating with \
                  10.36.226.77@o2ib, operation ost_read failed with -110 (attempt {i})",
                 i
-            ),
+            )
+            .into(),
         })
         .collect();
     fw.insert_events(&evs).expect("seed");

@@ -65,7 +65,8 @@ fn seeded() -> QueryEngine {
                 event_type: etype.into(),
                 source: topo
                     .node(((hour * 40 + i) as usize) % topo.node_count())
-                    .cname,
+                    .cname
+                    .into(),
                 amount: 1,
                 raw: raw.into(),
             });

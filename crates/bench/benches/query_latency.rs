@@ -24,7 +24,7 @@ fn seeded() -> Framework {
             // Spread over all four hours (coprime stride > 4h/20k).
             ts_ms: (i as i64 * 977) % (4 * HOUR_MS),
             event_type: "LUSTRE_ERR".into(),
-            source: format!("c{}-{}c0s{}n0", i % 2, i % 2, i % 8),
+            source: format!("c{}-{}c0s{}n0", i % 2, i % 2, i % 8).into(),
             amount: 1,
             raw: "LustreError: timeout".into(),
         })

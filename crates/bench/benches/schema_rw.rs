@@ -24,7 +24,7 @@ fn events(n: usize, topo: &Topology) -> Vec<EventRecord> {
         .map(|i| EventRecord {
             ts_ms: (i as i64) * 997 % HOUR_MS,
             event_type: "MCE".into(),
-            source: topo.node(i % topo.node_count()).cname,
+            source: topo.node(i % topo.node_count()).cname.into(),
             amount: 1,
             raw: "Machine Check Exception: bank 1: b2 addr 3f cpu 0".into(),
         })
@@ -68,7 +68,7 @@ fn bench_schema_rw(c: &mut Criterion) {
                 .events_by_type("MCE", 0, HOUR_MS)
                 .expect("read")
                 .into_iter()
-                .filter(|e| e.source == node)
+                .filter(|e| *e.source == *node)
                 .count();
             assert!(got > 0);
             got

@@ -74,9 +74,9 @@ fn bench_streaming(c: &mut Criterion) {
                         .map(|l| EventRecord {
                             ts_ms: l.ts_ms,
                             event_type: "MCE".into(),
-                            source: l.source.clone(),
+                            source: l.source.as_str().into(),
                             amount: 1,
-                            raw: l.text.clone(),
+                            raw: l.text.as_str().into(),
                         })
                         .collect();
                     fw.insert_events(&evs).expect("insert")

@@ -46,7 +46,7 @@ fn bench_te(c: &mut Criterion) {
             event_type: if i % 3 == 0 { "NET_LINK" } else { "LUSTRE_ERR" }.into(),
             source: "c0-0c0s0n0".into(),
             amount: 1,
-            raw: String::new(),
+            raw: "".into(),
         })
         .collect();
     fw.insert_events(&evs).expect("seed");

@@ -73,7 +73,7 @@ pub fn mine_rules(
 
     let mut type_counts: HashMap<&str, u64> = HashMap::new();
     for e in &sorted {
-        *type_counts.entry(e.event_type.as_str()).or_default() += 1;
+        *type_counts.entry(&*e.event_type).or_default() += 1;
     }
 
     // For each A occurrence, which B types appear within the window? Count
@@ -88,9 +88,9 @@ pub fn mine_rules(
             if b.event_type == a.event_type || !in_scope(a, b) {
                 continue;
             }
-            if seen.insert(b.event_type.as_str()) {
+            if seen.insert(&*b.event_type) {
                 *pair_support
-                    .entry((a.event_type.clone(), b.event_type.clone()))
+                    .entry((a.event_type.to_string(), b.event_type.to_string()))
                     .or_default() += 1;
             }
         }
@@ -159,9 +159,9 @@ mod tests {
         EventRecord {
             ts_ms: ts,
             event_type: t.into(),
-            source: topo.node(node).cname,
+            source: topo.node(node).cname.into(),
             amount: 1,
-            raw: String::new(),
+            raw: "".into(),
         }
     }
 

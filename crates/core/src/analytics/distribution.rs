@@ -179,7 +179,7 @@ pub fn distribution_of(
                 *counts.entry(format!("blade{blade}")).or_default() += e.amount as f64;
             }
             GroupBy::Node => {
-                *counts.entry(e.source.clone()).or_default() += e.amount as f64;
+                *counts.entry(e.source.to_string()).or_default() += e.amount as f64;
             }
             GroupBy::Application => match find_run(&runs, e.ts_ms, idx) {
                 Some(r) => *counts.entry(r.app.clone()).or_default() += e.amount as f64,
@@ -213,9 +213,9 @@ mod tests {
         fw.insert_event(&EventRecord {
             ts_ms: ts,
             event_type: "LUSTRE_ERR".into(),
-            source: fw.topology().node(node).cname,
+            source: fw.topology().node(node).cname.into(),
             amount,
-            raw: String::new(),
+            raw: "".into(),
         })
         .unwrap();
     }
@@ -273,7 +273,7 @@ mod tests {
             event_type: "LUSTRE_ERR".into(),
             source: "mds01".into(), // not a compute node
             amount: 3,
-            raw: String::new(),
+            raw: "".into(),
         })
         .unwrap();
         let d = distribution(&fw, "LUSTRE_ERR", 0, HOUR_MS, GroupBy::Cabinet).unwrap();

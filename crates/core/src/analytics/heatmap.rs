@@ -141,9 +141,9 @@ mod tests {
             fw.insert_event(&EventRecord {
                 ts_ms: (i as i64) * 1000,
                 event_type: "MCE".into(),
-                source: topo.node(node).cname,
+                source: topo.node(node).cname.into(),
                 amount: 1,
-                raw: String::new(),
+                raw: "".into(),
             })
             .unwrap();
         }
@@ -178,9 +178,9 @@ mod tests {
             fw.insert_event(&EventRecord {
                 ts_ms: i * 100,
                 event_type: "GPU_DBE".into(),
-                source: cname.clone(),
+                source: cname.as_str().into(),
                 amount: 2,
-                raw: String::new(),
+                raw: "".into(),
             })
             .unwrap();
         }
@@ -195,9 +195,9 @@ mod tests {
         fw.insert_event(&EventRecord {
             ts_ms: 0,
             event_type: "MCE".into(),
-            source: fw.topology().node(0).cname,
+            source: fw.topology().node(0).cname.into(),
             amount: 7,
-            raw: String::new(),
+            raw: "".into(),
         })
         .unwrap();
         let hm = cabinet_heatmap(&fw, "MCE", 0, HOUR_MS).unwrap();

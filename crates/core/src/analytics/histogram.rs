@@ -83,7 +83,7 @@ mod tests {
                     event_type: "MCE".into(),
                     source: "c0-0c0s0n0".into(),
                     amount: 1,
-                    raw: String::new(),
+                    raw: "".into(),
                 })
                 .unwrap();
             }

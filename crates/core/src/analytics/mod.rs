@@ -62,7 +62,7 @@ mod tests {
             event_type: "MCE".into(),
             source: "n".into(),
             amount,
-            raw: String::new(),
+            raw: "".into(),
         }
     }
 

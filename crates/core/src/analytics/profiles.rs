@@ -184,9 +184,9 @@ mod tests {
         fw.insert_event(&EventRecord {
             ts_ms: ts,
             event_type: t.into(),
-            source: fw.topology().node(node).cname,
+            source: fw.topology().node(node).cname.into(),
             amount,
-            raw: String::new(),
+            raw: "".into(),
         })
         .unwrap();
     }

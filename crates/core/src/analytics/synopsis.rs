@@ -108,7 +108,7 @@ mod tests {
                 event_type: "MCE".into(),
                 source: src.into(),
                 amount,
-                raw: String::new(),
+                raw: "".into(),
             })
             .unwrap();
         }

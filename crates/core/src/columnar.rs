@@ -160,10 +160,10 @@ impl ColumnBlock {
     pub fn record(&self, i: usize) -> EventRecord {
         EventRecord {
             ts_ms: self.ts[i],
-            event_type: self.event_type.clone(),
-            source: self.dict[self.source_ids[i] as usize].clone(),
+            event_type: self.event_type.as_str().into(),
+            source: self.dict[self.source_ids[i] as usize].as_str().into(),
             amount: self.amounts[i],
-            raw: self.raw(i).to_owned(),
+            raw: self.raw(i).into(),
         }
     }
 
@@ -436,7 +436,7 @@ mod tests {
         assert_eq!(b.source_ids, vec![0, 1, 0]);
         assert_eq!(b.amounts, vec![1, 2, 3]);
         assert_eq!(b.raw(1), "mce bank 2");
-        assert_eq!(b.record(2).source, "c0-0c0s0n0");
+        assert_eq!(&*b.record(2).source, "c0-0c0s0n0");
         assert!(b.source_raw_bytes() >= b.dict.iter().map(String::len).sum());
         // Multi-byte messages side by side: an offset off by one byte
         // would split a code point and panic the slice.

@@ -96,7 +96,7 @@ impl Context {
         };
         if let (Some(t), Some(_)) = (&self.event_type, &self.source) {
             // Both pinned: the by-location fetch needs a type filter.
-            events.retain(|e| &e.event_type == t);
+            events.retain(|e| *e.event_type == **t);
         }
         if let Some(cabinet) = self.cabinet {
             let topo = fw.topology();
@@ -159,7 +159,7 @@ mod tests {
             event_type: t.into(),
             source: src.into(),
             amount: 1,
-            raw: String::new(),
+            raw: "".into(),
         })
         .unwrap();
     }
@@ -219,7 +219,7 @@ mod tests {
             .fetch_events(&fw)
             .unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].source, "c1-0c0s0n0");
+        assert_eq!(&*got[0].source, "c1-0c0s0n0");
     }
 
     #[test]
@@ -247,7 +247,7 @@ mod tests {
             .unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].ts_ms, 1500);
-        assert_eq!(got[0].source, "c0-0c0s0n0");
+        assert_eq!(&*got[0].source, "c0-0c0s0n0");
     }
 
     #[test]

@@ -340,4 +340,55 @@ mod tests {
         assert_eq!(report.jobs, 1);
         assert_eq!(report.parsed, 3);
     }
+
+    /// Both table views of an imported event point at one copy of its
+    /// message and of its source, and events of one type at one copy of the
+    /// type name.
+    #[test]
+    fn both_views_of_an_event_share_its_text() {
+        use rasdb::query::Consistency;
+        use rasdb::ring::NodeId;
+        use rasdb::types::{Key, Value};
+        use std::sync::Arc;
+
+        let fw = fw();
+        let corpus = b"\
+1500000000123 console c0-0c0s0n0 Machine Check Exception: bank 1\n\
+1500000000456 console c0-0c0s0n1 Machine Check Exception: bank 2\n"
+            .to_vec();
+        import_bytes(&fw, corpus, &ImportOptions::default()).unwrap();
+        let text = |v: &Value| match v {
+            Value::Text(s) => Arc::clone(s),
+            other => panic!("{other:?} is not text"),
+        };
+        let hour = Value::BigInt(crate::model::hour_of(1_500_000_000_123));
+        let read = |table: &str, partition: &str| {
+            let partition = vec![hour.clone(), Value::text(partition)];
+            let rows = fw.cluster().select(table).partition(partition);
+            rows.run(Consistency::One).unwrap()
+        };
+        // `event_by_time` rows are `(ts, source)`; `event_by_location`
+        // partitions are `(hour, source)` and its rows `(ts, type)`.
+        let by_time = read("event_by_time", "MCE");
+        assert_eq!(by_time.len(), 2);
+        let by_location =
+            ["c0-0c0s0n0", "c0-0c0s0n1"].map(|source| read("event_by_location", source)[0].clone());
+        let location_keys: Vec<Key> = (0..4)
+            .flat_map(|n| {
+                let keys = fw
+                    .cluster()
+                    .local_partition_keys("event_by_location", NodeId(n));
+                keys.into_iter()
+            })
+            .collect();
+        for (time_row, location_row) in by_time.iter().zip(&by_location) {
+            let raw = text(time_row.cell("raw").unwrap());
+            assert!(Arc::ptr_eq(&raw, &text(location_row.cell("raw").unwrap())));
+            let source = &time_row.clustering.0[1];
+            let key = location_keys.iter().find(|k| k.0[1] == *source).unwrap();
+            assert!(Arc::ptr_eq(&text(source), &text(&key.0[1])));
+        }
+        let types = by_location.map(|row| text(&row.clustering.0[1]));
+        assert!(Arc::ptr_eq(&types[0], &types[1]), "the type name is shared");
+    }
 }

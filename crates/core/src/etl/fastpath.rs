@@ -38,7 +38,9 @@
 
 use crate::etl::parsers::ParsedLine;
 use crate::model::event::EventRecord;
+use loggen::events::EVENT_CATALOG;
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// What became of one scanned line.
 ///
@@ -49,7 +51,7 @@ use std::collections::HashSet;
 /// let (pred, mut stats) = (ScanPredicate::default(), ScanStats::default());
 /// let line = b"1500000000123 console c0-0c0s0n0 Machine Check Exception: bank 4";
 /// match p.scan_line(line, &pred, &mut stats) {
-///     LineOutcome::Event(ev) => assert_eq!(ev.event_type, "MCE"),
+///     LineOutcome::Event(ev) => assert_eq!(&*ev.event_type, "MCE"),
 ///     other => panic!("{other:?}"),
 /// }
 /// ```
@@ -488,7 +490,7 @@ impl FastParser {
             }
             return match classify(env.text) {
                 Some(event_type) => {
-                    if !pred.type_in(event_type) {
+                    if !pred.type_in(EVENT_CATALOG[event_type].name) {
                         stats.pushdown_skips += 1;
                         LineOutcome::Filtered
                     } else {
@@ -513,7 +515,7 @@ impl FastParser {
         }
         match classify(env.text) {
             Some(event_type) => {
-                if !pred.keeps(env.ts_ms, event_type) {
+                if !pred.keeps(env.ts_ms, EVENT_CATALOG[event_type].name) {
                     stats.pushdown_skips += 1;
                     LineOutcome::Filtered
                 } else {
@@ -526,27 +528,72 @@ impl FastParser {
 }
 
 /// Materializes an event record — the only place the fast path allocates
-/// for an event line, and only for the fields the table writer consumes.
-fn materialize(env: &Envelope<'_>, event_type: &'static str) -> EventRecord {
+/// for an event line: one allocation each for `source` and `raw`, which
+/// both table views then share, while the type name is the catalog's
+/// shared copy.
+fn materialize(env: &Envelope<'_>, event_type: usize) -> EventRecord {
     EventRecord {
         ts_ms: env.ts_ms,
-        event_type: event_type.to_owned(),
+        event_type: Arc::clone(&type_names()[event_type]),
         // Valid UTF-8 cut at ASCII bytes: the conversion replaces nothing.
-        source: String::from_utf8_lossy(env.source).into_owned(),
+        source: String::from_utf8_lossy(env.source).into(),
         amount: 1,
-        raw: String::from_utf8_lossy(env.text).into_owned(),
+        raw: String::from_utf8_lossy(env.text).into(),
     }
 }
 
-/// Classifies the message text into an event type: the event patterns
-/// checked in their order, with their quirks (an `NVRM: Xid` line whose
-/// error code overflows `u32` rejects the line outright, as the pattern
-/// set's `parse::<u32>().ok()?` does).
-fn classify(text: &[u8]) -> Option<&'static str> {
+/// The event-type names, one shared copy each, in catalog order: a record
+/// takes its type from here by the classifier's index.
+fn type_names() -> &'static [Arc<str>] {
+    static NAMES: OnceLock<Vec<Arc<str>>> = OnceLock::new();
+    NAMES.get_or_init(|| EVENT_CATALOG.iter().map(|t| Arc::from(t.name)).collect())
+}
+
+/// The catalog index of the event type `name`, found at compile time: a
+/// name the catalog lacks fails the build.
+const fn catalog_index(name: &str) -> usize {
+    let mut i = 0;
+    while i < EVENT_CATALOG.len() {
+        let (a, b) = (EVENT_CATALOG[i].name.as_bytes(), name.as_bytes());
+        let mut same = a.len() == b.len();
+        let mut j = 0;
+        while same && j < a.len() {
+            same = a[j] == b[j];
+            j += 1;
+        }
+        if same {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("event type missing from the catalog")
+}
+
+const MCE: usize = catalog_index("MCE");
+const MEM_ECC: usize = catalog_index("MEM_ECC");
+const MEM_UE: usize = catalog_index("MEM_UE");
+const GPU_DBE: usize = catalog_index("GPU_DBE");
+const GPU_OFF_BUS: usize = catalog_index("GPU_OFF_BUS");
+const GPU_SXM_PWR: usize = catalog_index("GPU_SXM_PWR");
+const LUSTRE_ERR: usize = catalog_index("LUSTRE_ERR");
+const LUSTRE_EVICT: usize = catalog_index("LUSTRE_EVICT");
+const DVS_ERR: usize = catalog_index("DVS_ERR");
+const NET_LINK: usize = catalog_index("NET_LINK");
+const NET_THROTTLE: usize = catalog_index("NET_THROTTLE");
+const KERNEL_PANIC: usize = catalog_index("KERNEL_PANIC");
+
+/// Classifies the message text into an event type, returned as its index in
+/// [`EVENT_CATALOG`]: the event patterns checked in their order, with their
+/// quirks (an `NVRM: Xid` line whose error code overflows `u32` rejects the
+/// line outright, as the pattern set's `parse::<u32>().ok()?` does).
+fn classify(text: &[u8]) -> Option<usize> {
     // ^Machine Check Exception: bank (\d+)
-    const MCE: &[u8] = b"Machine Check Exception: bank ";
-    if text.len() > MCE.len() && text.starts_with(MCE) && text[MCE.len()].is_ascii_digit() {
-        return Some("MCE");
+    const MCE_TEXT: &[u8] = b"Machine Check Exception: bank ";
+    if text.len() > MCE_TEXT.len()
+        && text.starts_with(MCE_TEXT)
+        && text[MCE_TEXT.len()].is_ascii_digit()
+    {
+        return Some(MCE);
     }
     // ^EDAC MC\d+: (CE|UE) "
     const EDAC: &[u8] = b"EDAC MC";
@@ -555,10 +602,10 @@ fn classify(text: &[u8]) -> Option<&'static str> {
         if d > EDAC.len() && text[d..].starts_with(b": ") {
             let rest = &text[d + 2..];
             if rest.starts_with(b"CE ") {
-                return Some("MEM_ECC");
+                return Some(MEM_ECC);
             }
             if rest.starts_with(b"UE ") {
-                return Some("MEM_UE");
+                return Some(MEM_UE);
             }
         }
     }
@@ -576,10 +623,10 @@ fn classify(text: &[u8]) -> Option<&'static str> {
             if code_end > code_start && text.get(code_end) == Some(&b',') {
                 // A u32 overflow rejects the whole line.
                 return match parse_u32_digits(&text[code_start..code_end])? {
-                    48 => Some("GPU_DBE"),
-                    79 => Some("GPU_OFF_BUS"),
-                    62 => Some("GPU_SXM_PWR"),
-                    _ => Some("GPU_DBE"), // unknown Xids still count as GPU errors
+                    48 => Some(GPU_DBE),
+                    79 => Some(GPU_OFF_BUS),
+                    62 => Some(GPU_SXM_PWR),
+                    _ => Some(GPU_DBE), // unknown Xids still count as GPU errors
                 };
             }
         }
@@ -588,15 +635,15 @@ fn classify(text: &[u8]) -> Option<&'static str> {
     if text.starts_with(b"Lustre: ") || text.starts_with(b"LustreError: ") {
         return Some(
             if find(text, b"evicted").is_some() || find(text, b"Connection restored").is_some() {
-                "LUSTRE_EVICT"
+                LUSTRE_EVICT
             } else {
-                "LUSTRE_ERR"
+                LUSTRE_ERR
             },
         );
     }
     // ^DVS: "
     if text.starts_with(b"DVS: ") {
-        return Some("DVS_ERR");
+        return Some(DVS_ERR);
     }
     // Gemini LCB lcb=\S+ failed   (unanchored)
     const LCB: &[u8] = b"Gemini LCB lcb=";
@@ -608,17 +655,17 @@ fn classify(text: &[u8]) -> Option<&'static str> {
             j += 1;
         }
         if j > run_start && text[j..].starts_with(b" failed") {
-            return Some("NET_LINK");
+            return Some(NET_LINK);
         }
         at = at + i + 1;
     }
     // congestion protection engaged   (unanchored)
     if find(text, b"congestion protection engaged").is_some() {
-        return Some("NET_THROTTLE");
+        return Some(NET_THROTTLE);
     }
     // ^Kernel panic
     if text.starts_with(b"Kernel panic") {
-        return Some("KERNEL_PANIC");
+        return Some(KERNEL_PANIC);
     }
     None
 }
@@ -837,21 +884,18 @@ mod tests {
         // Multi-byte characters in the text, the source and the facility.
         let ev = event("1 console n0 Lustre: évicted client".as_bytes());
         assert_eq!(
-            (ev.event_type.as_str(), ev.raw.as_str()),
+            (&*ev.event_type, &*ev.raw),
             ("LUSTRE_ERR", "Lustre: évicted client")
         );
         let ev = event("1 console nö0 DVS: x".as_bytes());
+        assert_eq!((&*ev.event_type, &*ev.source), ("DVS_ERR", "nö0"));
         assert_eq!(
-            (ev.event_type.as_str(), ev.source.as_str()),
-            ("DVS_ERR", "nö0")
-        );
-        assert_eq!(
-            event("1 cönsole n0 DVS: x".as_bytes()).event_type,
+            &*event("1 cönsole n0 DVS: x".as_bytes()).event_type,
             "DVS_ERR"
         );
         // No-break space is `\S` to the pattern set: it extends the run.
         let ev = event("1 netwatch n0 Gemini LCB lcb=g21\u{a0}l07 failed".as_bytes());
-        assert_eq!(ev.event_type, "NET_LINK");
+        assert_eq!(&*ev.event_type, "NET_LINK");
         // Non-ASCII letters and digits are not `\w` or `\d`.
         let p = FastParser::new();
         assert!(p
@@ -873,8 +917,8 @@ mod tests {
     fn embedded_nul_is_handled_like_any_ascii_byte() {
         // NUL is ASCII and non-space: it extends the \S+ run.
         let ev = event(b"1 netwatch n0 Gemini LCB lcb=a\0b failed");
-        assert_eq!(ev.event_type, "NET_LINK");
-        assert_eq!(event(b"1 console n0 DVS: x\0y").raw, "DVS: x\0y");
+        assert_eq!(&*ev.event_type, "NET_LINK");
+        assert_eq!(&*event(b"1 console n0 DVS: x\0y").raw, "DVS: x\0y");
     }
 
     // -- pushdown --------------------------------------------------------

@@ -87,7 +87,7 @@ mod tests {
     /// The event type a console line with this message text parses to.
     fn classify(text: &str) -> Option<String> {
         match parse(&format!("1 console n0 {text}")) {
-            Some(ParsedLine::Event(ev)) => Some(ev.event_type),
+            Some(ParsedLine::Event(ev)) => Some(ev.event_type.to_string()),
             _ => None,
         }
     }
@@ -97,8 +97,8 @@ mod tests {
         match parse("1500000000123 console c0-0c0s0n0 Machine Check Exception: bank 4") {
             Some(ParsedLine::Event(ev)) => {
                 assert_eq!(ev.ts_ms, 1_500_000_000_123);
-                assert_eq!(ev.source, "c0-0c0s0n0");
-                assert_eq!(ev.raw, "Machine Check Exception: bank 4");
+                assert_eq!(&*ev.source, "c0-0c0s0n0");
+                assert_eq!(&*ev.raw, "Machine Check Exception: bank 4");
             }
             other => panic!("{other:?}"),
         }
@@ -176,8 +176,8 @@ mod tests {
             "1500000000123 console c3-2c1s4n2 Machine Check Exception: bank 4: b2 addr 3f cpu 12";
         match parse(line).unwrap() {
             ParsedLine::Event(ev) => {
-                assert_eq!(ev.event_type, "MCE");
-                assert_eq!(ev.source, "c3-2c1s4n2");
+                assert_eq!(&*ev.event_type, "MCE");
+                assert_eq!(&*ev.source, "c3-2c1s4n2");
                 assert_eq!(ev.amount, 1);
                 assert!(ev.raw.starts_with("Machine Check Exception"));
             }
@@ -231,7 +231,7 @@ mod tests {
         let mut parsed: std::collections::HashMap<String, usize> = Default::default();
         for line in &scenario.lines {
             if let Some(ParsedLine::Event(ev)) = parse(&line.render()) {
-                *parsed.entry(ev.event_type).or_default() += 1;
+                *parsed.entry(ev.event_type.to_string()).or_default() += 1;
             }
         }
         for (t, n) in truth {

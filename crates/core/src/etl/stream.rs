@@ -469,10 +469,10 @@ fn parse_dlq_event(value: &str) -> Option<EventRecord> {
     let mut parts = rest.splitn(5, '|');
     Some(EventRecord {
         ts_ms: parts.next()?.parse().ok()?,
-        event_type: parts.next()?.to_owned(),
-        source: parts.next()?.to_owned(),
+        event_type: parts.next()?.into(),
+        source: parts.next()?.into(),
         amount: parts.next()?.parse().ok()?,
-        raw: parts.next().unwrap_or_default().to_owned(),
+        raw: parts.next().unwrap_or_default().into(),
     })
 }
 
@@ -602,7 +602,7 @@ mod tests {
         assert_eq!(stored.len(), 3);
         let big = stored
             .iter()
-            .find(|e| e.source == "c0-0c0s0n0" && e.ts_ms == t0)
+            .find(|e| &*e.source == "c0-0c0s0n0" && e.ts_ms == t0)
             .unwrap();
         assert_eq!(big.amount, 3, "coalesced amount sums occurrences");
     }
@@ -701,10 +701,10 @@ mod tests {
     fn dlq_event_serialization_round_trips() {
         let ev = EventRecord {
             ts_ms: 1_500_000_000_000,
-            event_type: "MCE".to_owned(),
-            source: "c0-0c0s0n0".to_owned(),
+            event_type: "MCE".into(),
+            source: "c0-0c0s0n0".into(),
             amount: 3,
-            raw: "Machine Check | with pipes | inside".to_owned(),
+            raw: "Machine Check | with pipes | inside".into(),
         };
         let parsed = parse_dlq_event(&serialize_event(&ev)).unwrap();
         assert_eq!(parsed, ev);

@@ -528,10 +528,10 @@ pub fn marshal_roundtrip(records: Vec<EventRecord>) -> Vec<EventRecord> {
             }
             EventRecord {
                 ts_ms: decoded[0].as_i64().expect("ts"),
-                event_type: decoded[1].as_text().expect("type").to_owned(),
-                source: decoded[2].as_text().expect("source").to_owned(),
+                event_type: decoded[1].as_text().expect("type").into(),
+                source: decoded[2].as_text().expect("source").into(),
                 amount: decoded[3].as_i64().expect("amount") as i32,
-                raw: decoded[4].as_text().expect("raw").to_owned(),
+                raw: decoded[4].as_text().expect("raw").into(),
             }
         })
         .collect()
@@ -558,10 +558,10 @@ mod tests {
     fn ev(ts: i64, t: &str, src: &str) -> EventRecord {
         EventRecord {
             ts_ms: ts,
-            event_type: t.to_owned(),
-            source: src.to_owned(),
+            event_type: t.into(),
+            source: src.into(),
             amount: 1,
-            raw: format!("{t} on {src}"),
+            raw: format!("{t} on {src}").into(),
         }
     }
 
@@ -785,7 +785,7 @@ mod tests {
         let records: Vec<EventRecord> = (0..50)
             .map(|i| {
                 let mut e = ev(i, "LUSTRE_ERR", "c0-0c0s0n0");
-                e.raw = "x".repeat(1000);
+                e.raw = "x".repeat(1000).into();
                 e
             })
             .collect();

@@ -2,21 +2,25 @@
 
 use crate::model::keys::hour_of;
 use rasdb::types::{Row, Value};
+use std::sync::Arc;
 
 /// One system event as the analytics layer sees it.
+///
+/// The text fields are shared: both table views of the event — keys and
+/// cells, on every replica — point at the record's one copy of each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
     /// Occurrence time, ms since epoch.
     pub ts_ms: i64,
     /// Event-type name (catalog key).
-    pub event_type: String,
+    pub event_type: Arc<str>,
     /// Source component cname.
-    pub source: String,
+    pub source: Arc<str>,
     /// Occurrence multiplicity (coalesced count).
     pub amount: i32,
     /// Raw log message, retained "in a semi-structured format" for text
     /// analytics.
-    pub raw: String,
+    pub raw: Arc<str>,
 }
 
 impl EventRecord {
@@ -25,11 +29,11 @@ impl EventRecord {
     pub fn to_time_row(&self) -> Vec<(&'static str, Value)> {
         vec![
             ("hour", Value::BigInt(hour_of(self.ts_ms))),
-            ("type", Value::text(&self.event_type)),
+            ("type", Value::Text(Arc::clone(&self.event_type))),
             ("ts", Value::Timestamp(self.ts_ms)),
-            ("source", Value::text(&self.source)),
+            ("source", Value::Text(Arc::clone(&self.source))),
             ("amount", Value::Int(self.amount)),
-            ("raw", Value::text(&self.raw)),
+            ("raw", Value::Text(Arc::clone(&self.raw))),
         ]
     }
 
@@ -37,11 +41,11 @@ impl EventRecord {
     pub fn to_location_row(&self) -> Vec<(&'static str, Value)> {
         vec![
             ("hour", Value::BigInt(hour_of(self.ts_ms))),
-            ("source", Value::text(&self.source)),
+            ("source", Value::Text(Arc::clone(&self.source))),
             ("ts", Value::Timestamp(self.ts_ms)),
-            ("type", Value::text(&self.event_type)),
+            ("type", Value::Text(Arc::clone(&self.event_type))),
             ("amount", Value::Int(self.amount)),
-            ("raw", Value::text(&self.raw)),
+            ("raw", Value::Text(Arc::clone(&self.raw))),
         ]
     }
 
@@ -49,34 +53,34 @@ impl EventRecord {
     /// supplied by the caller, clustering/cells from the row).
     pub fn from_time_row(event_type: &str, row: &Row) -> Option<EventRecord> {
         let ts = row.clustering.0.first()?.as_i64()?;
-        let source = row.clustering.0.get(1)?.as_text()?.to_owned();
+        let source = row.clustering.0.get(1)?.as_text()?.into();
         Some(EventRecord {
             ts_ms: ts,
-            event_type: event_type.to_owned(),
+            event_type: event_type.into(),
             source,
             amount: row.cell("amount").and_then(|v| v.as_i64()).unwrap_or(1) as i32,
             raw: row
                 .cell("raw")
                 .and_then(|v| v.as_text())
                 .unwrap_or_default()
-                .to_owned(),
+                .into(),
         })
     }
 
     /// Rebuilds a record from an `event_by_location` row.
     pub fn from_location_row(source: &str, row: &Row) -> Option<EventRecord> {
         let ts = row.clustering.0.first()?.as_i64()?;
-        let event_type = row.clustering.0.get(1)?.as_text()?.to_owned();
+        let event_type = row.clustering.0.get(1)?.as_text()?.into();
         Some(EventRecord {
             ts_ms: ts,
             event_type,
-            source: source.to_owned(),
+            source: source.into(),
             amount: row.cell("amount").and_then(|v| v.as_i64()).unwrap_or(1) as i32,
             raw: row
                 .cell("raw")
                 .and_then(|v| v.as_text())
                 .unwrap_or_default()
-                .to_owned(),
+                .into(),
         })
     }
 
@@ -99,10 +103,10 @@ mod tests {
     fn sample() -> EventRecord {
         EventRecord {
             ts_ms: 3 * HOUR_MS + 1234,
-            event_type: "MCE".to_owned(),
-            source: "c0-0c0s0n0".to_owned(),
+            event_type: "MCE".into(),
+            source: "c0-0c0s0n0".into(),
             amount: 2,
-            raw: "Machine Check Exception: bank 1".to_owned(),
+            raw: "Machine Check Exception: bank 1".into(),
         }
     }
 
@@ -153,7 +157,7 @@ mod tests {
         let row = Row::new(Key::from(vec![Value::Timestamp(5), Value::text("n")]), []);
         let ev = EventRecord::from_time_row("MCE", &row).unwrap();
         assert_eq!(ev.amount, 1);
-        assert_eq!(ev.raw, "");
+        assert_eq!(&*ev.raw, "");
     }
 
     #[test]
@@ -167,7 +171,7 @@ mod tests {
     fn marshalled_size_is_positive_and_tracks_payload() {
         let small = sample();
         let mut big = sample();
-        big.raw = "x".repeat(1000);
+        big.raw = "x".repeat(1000).into();
         assert!(small.marshalled_size() > 0);
         assert!(big.marshalled_size() > small.marshalled_size() + 900);
     }

@@ -296,7 +296,7 @@ impl QueryEngine {
                 ));
             };
             let key = (*ts_ms, source.as_str(), event_type.as_str());
-            events.retain(|e| (e.ts_ms, e.source.as_str(), e.event_type.as_str()) > key);
+            events.retain(|e| (e.ts_ms, &*e.source, &*e.event_type) > key);
         }
         let mut page = None;
         if let Some(limit) = req.limit {
@@ -306,8 +306,8 @@ impl QueryEngine {
                 events.last().map(|e| {
                     Cursor::Event {
                         ts_ms: e.ts_ms,
-                        source: e.source.clone(),
-                        event_type: e.event_type.clone(),
+                        source: e.source.to_string(),
+                        event_type: e.event_type.to_string(),
                     }
                     .encode()
                 })
@@ -324,10 +324,10 @@ impl QueryEngine {
         let rows = json_array(events.iter().map(|e| {
             json_object([
                 ("ts", Json::from(e.ts_ms)),
-                ("type", Json::from(e.event_type.as_str())),
-                ("source", Json::from(e.source.as_str())),
+                ("type", Json::from(&*e.event_type)),
+                ("source", Json::from(&*e.source)),
                 ("amount", Json::from(e.amount)),
-                ("raw", Json::from(e.raw.as_str())),
+                ("raw", Json::from(&*e.raw)),
             ])
         }));
         let mut out = OpOutput::data([("rows", rows)]);
@@ -1214,9 +1214,9 @@ mod tests {
             fw.insert_event(&EventRecord {
                 ts_ms: i * 60_000,
                 event_type: "MCE".into(),
-                source: format!("c0-0c0s{}n0", i % 4),
+                source: format!("c0-0c0s{}n0", i % 4).into(),
                 amount: 1,
-                raw: format!("Machine Check Exception: bank {i}"),
+                raw: format!("Machine Check Exception: bank {i}").into(),
             })
             .unwrap();
         }
@@ -1380,7 +1380,7 @@ mod tests {
         let event = |ts_ms: i64, source: String, amount: i32| EventRecord {
             ts_ms,
             event_type: "LUSTRE_ERR".into(),
-            source,
+            source: source.into(),
             amount,
             raw: "LustreError: 11-0: an error".into(),
         };
@@ -1546,7 +1546,7 @@ mod tests {
                         event_type: t.into(),
                         source: "c0-0c0s0n0".into(),
                         amount: 1,
-                        raw: String::new(),
+                        raw: "".into(),
                     })
                     .unwrap();
             }

@@ -122,9 +122,9 @@ mod tests {
             fw.insert_event(&EventRecord {
                 ts_ms: i * 60_000,
                 event_type: "LUSTRE_ERR".into(),
-                source: fw.topology().node((i as usize * 7) % 384).cname,
+                source: fw.topology().node((i as usize * 7) % 384).cname.into(),
                 amount: 1,
-                raw: format!("LustreError: OST0041 timeout attempt {i}"),
+                raw: format!("LustreError: OST0041 timeout attempt {i}").into(),
             })
             .unwrap();
         }

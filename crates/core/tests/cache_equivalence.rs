@@ -114,7 +114,7 @@ fn mce_event(topo: &Topology, dt: i64, node: usize) -> EventRecord {
     EventRecord {
         ts_ms: T0 + dt,
         event_type: "MCE".into(),
-        source: topo.node(node % topo.node_count()).cname,
+        source: topo.node(node % topo.node_count()).cname.into(),
         amount: 1,
         raw: "Machine Check Exception: bank 1: b2 addr 3f cpu 0".into(),
     }

@@ -80,9 +80,9 @@ fn a_cached_panel_costs_the_same_few_allocations_whatever_its_size() {
             fw.insert_event(&EventRecord {
                 ts_ms: from + i as i64 * 1_000,
                 event_type: "MCE".into(),
-                source: fw.topology().node(i).cname,
+                source: fw.topology().node(i).cname.into(),
                 amount: 1,
-                raw: format!("Machine Check Exception: bank {i}"),
+                raw: format!("Machine Check Exception: bank {i}").into(),
             })
             .unwrap();
         }

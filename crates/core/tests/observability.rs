@@ -34,9 +34,9 @@ fn engine() -> QueryEngine {
         fw.insert_event(&EventRecord {
             ts_ms: i * 60_000,
             event_type: "MCE".into(),
-            source: format!("c0-0c0s{}n0", i % 4),
+            source: format!("c0-0c0s{}n0", i % 4).into(),
             amount: 1,
-            raw: format!("Machine Check Exception: bank {i}"),
+            raw: format!("Machine Check Exception: bank {i}").into(),
         })
         .unwrap();
     }

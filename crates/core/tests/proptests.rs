@@ -73,10 +73,10 @@ proptest! {
         let line = line_for(etype, ts, node);
         match FastParser::new().parse_line(line.render().as_bytes()) {
             Some(ParsedLine::Event(ev)) => {
-                prop_assert_eq!(ev.event_type, etype);
+                prop_assert_eq!(&*ev.event_type, etype);
                 prop_assert_eq!(ev.ts_ms, ts);
-                prop_assert_eq!(ev.source, line.source);
-                prop_assert_eq!(ev.raw, line.text);
+                prop_assert_eq!(&*ev.source, line.source);
+                prop_assert_eq!(&*ev.raw, line.text);
             }
             other => prop_assert!(false, "parsed {:?}", other),
         }
@@ -94,7 +94,7 @@ proptest! {
                 event_type: "MCE".into(),
                 source: "n".into(),
                 amount: *amount,
-                raw: String::new(),
+                raw: "".into(),
             })
             .collect();
         let bins = bin_counts(&records, 0, 100_000, bin_ms);
@@ -126,15 +126,15 @@ proptest! {
             .iter()
             .map(|(ts, node, t)| EventRecord {
                 ts_ms: *ts,
-                event_type: (*t).to_owned(),
-                source: topo.node(*node).cname,
+                event_type: (*t).into(),
+                source: topo.node(*node).cname.into(),
                 amount: 1,
-                raw: String::new(),
+                raw: "".into(),
             })
             .collect();
         let rules = mine_rules(&events, &topo, window, Scope::Node, 1);
         for rule in &rules {
-            let count_a = events.iter().filter(|e| e.event_type == rule.antecedent).count() as u64;
+            let count_a = events.iter().filter(|e| *e.event_type == *rule.antecedent).count() as u64;
             prop_assert!(rule.support <= count_a);
             prop_assert!(rule.confidence <= 1.0 + 1e-9);
             prop_assert!(rule.lift >= 0.0);
@@ -279,10 +279,10 @@ proptest! {
             );
             written.insert((etype, *ts, source), EventRecord {
                 ts_ms: *ts,
-                event_type: etype.to_owned(),
-                source: source.to_owned(),
+                event_type: etype.into(),
+                source: source.into(),
                 amount: *amount,
-                raw,
+                raw: raw.into(),
             });
         }
         let written: Vec<EventRecord> = written.into_values().collect();
@@ -308,7 +308,7 @@ proptest! {
             for etype in ["MCE", "LUSTRE_ERR"] {
                 let truth: Vec<&EventRecord> = written
                     .iter()
-                    .filter(|e| e.event_type == etype && (from..to).contains(&e.ts_ms))
+                    .filter(|e| &*e.event_type == etype && (from..to).contains(&e.ts_ms))
                     .collect();
                 let scan = fw.scan_window(etype, from, to).unwrap();
                 let rows = fw.events_by_type(etype, from, to).unwrap();
@@ -322,7 +322,7 @@ proptest! {
                         "{:?}", by
                     );
                 }
-                let messages: Vec<String> = rows.iter().map(|e| e.raw.clone()).collect();
+                let messages: Vec<String> = rows.iter().map(|e| e.raw.to_string()).collect();
                 prop_assert_eq!(
                     word_count_events(&fw, etype, from, to).unwrap(),
                     word_count_serial(&messages)

@@ -139,10 +139,10 @@ impl EventParser {
         let event_type = self.classify(text)?;
         Some(ParsedLine::Event(EventRecord {
             ts_ms,
-            event_type: event_type.to_owned(),
-            source: source.to_owned(),
+            event_type: event_type.into(),
+            source: source.into(),
             amount: 1,
-            raw: text.to_owned(),
+            raw: text.into(),
         }))
     }
 }

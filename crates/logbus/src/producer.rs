@@ -68,7 +68,9 @@ impl<'b> Producer<'b> {
         value: impl Into<String>,
         timestamp_ms: i64,
     ) -> Result<(usize, u64), BusError> {
-        let _span = telemetry::span!("logbus.producer.send");
+        // Profile-level detail: a span per record would fill the trace ring
+        // and push out the step, window and write spans of a busy stream.
+        let _span = telemetry::profiling_active().then(|| telemetry::span!("logbus.producer.send"));
         let topic_ref = self.broker.topic(topic)?;
         let partition = match key {
             Some(k) => topic_ref.partition_for_key(k),

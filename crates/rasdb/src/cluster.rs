@@ -252,15 +252,24 @@ impl Cluster {
         self.epoch.load(Ordering::SeqCst)
     }
 
+    /// Gives each of `partitions` a fresh data version. The versions are
+    /// drawn in one `fetch_add` for all of them, and drawn *under* the
+    /// versions lock: two writers of one partition then install their
+    /// versions in the order they drew them, so the partition's version
+    /// never goes back.
     fn bump_versions<'a>(
         &self,
         table: &Arc<str>,
-        partitions: impl IntoIterator<Item = &'a DecoratedKey>,
+        partitions: impl IntoIterator<Item = &'a DecoratedKey, IntoIter: ExactSizeIterator>,
     ) {
+        let partitions = partitions.into_iter();
         let mut versions = self.versions.lock();
+        let first = self
+            .version_counter
+            .fetch_add(partitions.len() as u64, Ordering::SeqCst)
+            + 1;
         let of_table = versions.entry(Arc::clone(table)).or_default();
-        for partition in partitions {
-            let v = self.version_counter.fetch_add(1, Ordering::SeqCst) + 1;
+        for (partition, v) in partitions.zip(first..) {
             of_table.insert(partition.clone(), v);
         }
     }
@@ -548,22 +557,43 @@ impl Cluster {
                 *group_of.entry(&m.partition).or_insert(next)
             })
             .collect();
-        let mut groups: Vec<Vec<Arc<Mutation>>> = vec![Vec::new(); group_of.len()];
+        let groups = group_of.len();
         drop(group_of);
-        for (m, g) in mutations.into_iter().zip(row_groups) {
-            groups[g].push(Arc::new(m));
+        // The rows laid out once, group after group, with one counting pass:
+        // `ends[g]` is first where group `g` starts, then, once its rows are
+        // in place, where it ends.
+        let mut ends = vec![0usize; groups];
+        for &g in &row_groups {
+            ends[g] += 1;
         }
+        let mut start = 0;
+        for end in &mut ends {
+            start += std::mem::replace(end, start);
+        }
+        let mut slots: Vec<Option<Arc<Mutation>>> = vec![None; row_groups.len()];
+        for (m, g) in mutations.into_iter().zip(row_groups) {
+            slots[ends[g]] = Some(Arc::new(m));
+            ends[g] += 1;
+        }
+        let rows: Vec<Arc<Mutation>> = slots
+            .into_iter()
+            .map(|m| m.expect("one row per slot"))
+            .collect();
+        let group = |g: usize| {
+            let start = if g == 0 { 0 } else { ends[g - 1] };
+            &rows[start..ends[g]]
+        };
 
         // One topology snapshot yields every group's replicas and gainers,
         // so a transition committing mid-write can never make the
         // coordinator miss both the old and the new owner of a range.
         // Per node: the groups it receives, and whether its ack counts.
-        let mut required = Vec::with_capacity(groups.len());
+        let mut required = Vec::with_capacity(groups);
         let mut per_node: BTreeMap<NodeId, Vec<(usize, bool)>> = BTreeMap::new();
         {
             let topo = self.topology.read();
-            for (g, group) in groups.iter().enumerate() {
-                let token = group[0].partition.token();
+            for g in 0..groups {
+                let token = group(g)[0].partition.token();
                 let replicas = topo.ring.replicas(token);
                 required.push(consistency.required(replicas.len()));
                 // Double-write window: while a transition is in flight,
@@ -575,23 +605,20 @@ impl Cluster {
                 // commit.
                 if let Some(t) = &topo.transition {
                     for id in t.target_ring.replicas(token) {
-                        if !replicas.contains(&id) {
-                            per_node.entry(id).or_default().push((g, false));
+                        if !replicas.contains(id) {
+                            per_node.entry(*id).or_default().push((g, false));
                         }
                     }
                 }
                 for id in replicas {
-                    per_node.entry(id).or_default().push((g, true));
+                    per_node.entry(*id).or_default().push((g, true));
                 }
             }
         }
 
-        let mut acks = vec![0usize; groups.len()];
+        let mut acks = vec![0usize; groups];
         for (id, assigned) in &per_node {
-            let batch: Vec<&[Arc<Mutation>]> = assigned
-                .iter()
-                .map(|&(g, _)| groups[g].as_slice())
-                .collect();
+            let batch: Vec<&[Arc<Mutation>]> = assigned.iter().map(|&(g, _)| group(g)).collect();
             if self.node_arc(*id).apply_batch(&batch) {
                 for &(g, counts) in assigned {
                     acks[g] += usize::from(counts);
@@ -605,12 +632,11 @@ impl Cluster {
         // snapshotted the old version cannot cache post-write rows under a
         // still-current tag. Bumped even on the Unavailable path: some
         // replicas may have applied the mutations.
-        self.bump_versions(table, groups.iter().map(|g| &g[0].partition));
+        self.bump_versions(table, (0..groups).map(|g| &group(g)[0].partition));
 
-        let rows: usize = groups.iter().map(Vec::len).sum();
-        self.coord_stats.record_write_rows(rows as u64);
-        span.tag("rows", rows.to_string());
-        span.tag("partitions", groups.len().to_string());
+        self.coord_stats.record_write_rows(rows.len() as u64);
+        span.tag("rows", rows.len().to_string());
+        span.tag("partitions", groups.to_string());
         span.tag("replica_batches", per_node.len().to_string());
 
         match acks.iter().zip(&required).find(|(got, need)| got < need) {
@@ -685,7 +711,12 @@ impl Cluster {
         // Reads route via the *old* ring for the whole transition window:
         // gainers may still be mid-stream, so only the pre-change replica
         // set is guaranteed complete until commit swaps the ring.
-        let replicas = self.topology.read().ring.replicas(plan.partition.token());
+        let replicas = self
+            .topology
+            .read()
+            .ring
+            .replicas(plan.partition.token())
+            .to_vec();
         let required = consistency.required(replicas.len());
         Ok((Arc::clone(&schema.name), replicas, required))
     }
@@ -1235,7 +1266,11 @@ impl Cluster {
 
     /// The replica set that owns a partition key of `table`.
     pub fn owners(&self, partition: &Key) -> Vec<NodeId> {
-        self.topology.read().ring.replicas(token_for(partition))
+        self.topology
+            .read()
+            .ring
+            .replicas(token_for(partition))
+            .to_vec()
     }
 
     /// The token of a partition key.
@@ -1509,7 +1544,7 @@ impl Cluster {
         for m in &leaver_hints {
             let token = m.partition.token();
             let old_reps = old_ring.replicas(token);
-            for g in target_ring.replicas(token) {
+            for &g in target_ring.replicas(token) {
                 if old_reps.contains(&g) {
                     continue;
                 }
@@ -1559,7 +1594,8 @@ impl Cluster {
                 let donors = old_ring.replicas(token);
                 let gainers: Vec<NodeId> = target_ring
                     .replicas(token)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .filter(|n| !donors.contains(n))
                     .collect();
                 if gainers.is_empty() {
@@ -1568,7 +1604,7 @@ impl Cluster {
                 let mut streamed_any = false;
                 for g in gainers {
                     let rows =
-                        self.stream_partition(&table, &pk, &donors, g, tnode, faults, report)?;
+                        self.stream_partition(&table, &pk, donors, g, tnode, faults, report)?;
                     if rows > 0 {
                         streamed_any = true;
                         report.rows_streamed += rows;

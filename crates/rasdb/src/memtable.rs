@@ -1,9 +1,9 @@
-//! In-memory write buffer: partitions, in decorated-key (ring) order →
-//! clustering-sorted runs of rows.
+//! In-memory write buffer: partitions, hashed by their token →
+//! clustering-sorted runs of rows; ring order is restored at flush.
 
 use crate::partitioner::DecoratedKey;
 use crate::types::{Cell, Key, Row, Value};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -191,12 +191,14 @@ pub(crate) fn merge_all(mut runs: Vec<Run>) -> Run {
 /// (empty for a pure delete), and the row tombstone timestamp, if any.
 pub type RowChange<'a> = (&'a Key, &'a Cells, Option<u64>);
 
-/// The memtable for a single table on a single node: partitions in
-/// decorated-key order, each the sorted run a flush hands to its SSTable as
-/// it is. A lookup compares tokens; keys only on a token tie.
+/// The memtable for a single table on a single node: each partition the
+/// sorted run a flush hands to its SSTable as it is. Partitions are found by
+/// hash — a decorated key hashes as its stored token, so a lookup hashes one
+/// word and compares keys only on a match — and put in ring order once, at
+/// flush.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    partitions: BTreeMap<DecoratedKey, Run>,
+    partitions: HashMap<DecoratedKey, Run>,
     weight: usize,
 }
 
@@ -213,14 +215,21 @@ impl Memtable {
     /// returns the number of rows consumed.
     ///
     /// A new row that sorts after the run's last key is pushed; new rows
-    /// that sort inside the run are put in together at the end.
+    /// that sort inside the run are put in together at the end. The
+    /// partition key is cloned only when the partition is new.
     pub fn upsert_rows<'a>(
         &mut self,
         partition: &DecoratedKey,
         rows: impl IntoIterator<Item = RowChange<'a>>,
         flush_at: usize,
     ) -> usize {
-        let run = self.partitions.entry(partition.clone()).or_default();
+        // A new partition is built apart and put in only if it stores
+        // something.
+        let mut fresh = Run::new();
+        let run = match self.partitions.get_mut(partition) {
+            Some(run) => run,
+            None => &mut fresh,
+        };
         // New rows that sort inside the run, kept sorted.
         let mut inside: Run = Vec::new();
         let mut applied = 0;
@@ -266,8 +275,8 @@ impl Memtable {
         if !inside.is_empty() {
             merge_into(run, inside);
         }
-        if run.is_empty() {
-            self.partitions.remove(partition);
+        if !fresh.is_empty() {
+            self.partitions.insert(partition.clone(), fresh);
         }
         applied
     }
@@ -288,14 +297,17 @@ impl Memtable {
         self.partitions.is_empty()
     }
 
-    /// Drains the memtable into `(partition, run)` pairs in decorated order
-    /// for an SSTable flush; the runs move out as they are.
+    /// Drains the memtable into `(partition, run)` pairs in decorated
+    /// (ring) order for an SSTable flush; the runs move out as they are.
     pub fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Run)> {
         self.weight = 0;
-        std::mem::take(&mut self.partitions).into_iter().collect()
+        let mut drained: Vec<_> = std::mem::take(&mut self.partitions).into_iter().collect();
+        drained.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        drained
     }
 
-    /// Iterates all partition keys (for token-range scans).
+    /// Iterates all partition keys (for token-range scans), in no
+    /// particular order.
     pub fn partition_keys(&self) -> impl Iterator<Item = &DecoratedKey> {
         self.partitions.keys()
     }

@@ -255,8 +255,9 @@ impl StorageNode {
     }
 
     /// All partition keys stored locally for `table` (memtable + SSTables),
-    /// each once, in decorated (ring) order. Drives token-range scans and
-    /// range streaming.
+    /// each once, in decorated (ring) order — the memtable lists its own in
+    /// no order, and the set puts them in place. Drives token-range scans
+    /// and range streaming.
     pub fn local_partition_keys(&self, table: &str) -> Vec<DecoratedKey> {
         let tables = self.tables.read();
         let Some(store) = tables.get(table) else {
@@ -341,6 +342,14 @@ impl StorageNode {
             }
         }
         self.set_up(true);
+    }
+
+    /// The records a table's commit log retains, in append order (tests).
+    pub fn logged_mutations(&self, table: &str) -> Vec<Arc<Mutation>> {
+        let tables = self.tables.read();
+        tables.get(table).map_or_else(Vec::new, |store| {
+            store.lock().commitlog.replay().cloned().collect()
+        })
     }
 
     /// Current SSTable count for a table (tests/benches).

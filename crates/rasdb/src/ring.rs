@@ -11,6 +11,10 @@
 //! adjacent to the added/removed tokens — the consistent-hashing minimal
 //! movement property the paper's Cassandra deployment relies on when
 //! scaling the ring under live ingest.
+//!
+//! A ring never changes once built, so the replica set of every range is
+//! worked out once, in [`Ring::from_members`]: a lookup is a binary search
+//! and a slice.
 
 use crate::partitioner::{murmur3_x64_128, Token};
 
@@ -24,6 +28,9 @@ pub struct NodeId(pub usize);
 pub struct Ring {
     /// `(token, owner)` sorted by token.
     entries: Vec<(Token, NodeId)>,
+    /// The replica set of the range ending at `entries[i]`, at
+    /// `replica_sets[i * rf..(i + 1) * rf]`.
+    replica_sets: Vec<NodeId>,
     /// Current members, sorted by id.
     members: Vec<NodeId>,
     vnodes: usize,
@@ -68,8 +75,24 @@ impl Ring {
         }
         entries.sort_unstable();
         entries.dedup_by_key(|e| e.0);
+        // The first `rf` distinct nodes walking clockwise from each entry.
+        let mut replica_sets = Vec::with_capacity(entries.len() * replication_factor);
+        for start in 0..entries.len() {
+            let set = replica_sets.len();
+            for i in 0..entries.len() {
+                let (_, node) = entries[(start + i) % entries.len()];
+                if !replica_sets[set..].contains(&node) {
+                    replica_sets.push(node);
+                    if replica_sets.len() - set == replication_factor {
+                        break;
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(replica_sets.len(), entries.len() * replication_factor);
         Ring {
             entries,
+            replica_sets,
             members,
             vnodes,
             replication_factor,
@@ -126,24 +149,15 @@ impl Ring {
     }
 
     /// The ordered replica set for a token: the first `rf` distinct nodes
-    /// walking clockwise.
-    pub fn replicas(&self, token: Token) -> Vec<NodeId> {
+    /// walking clockwise, as precomputed for its range.
+    pub fn replicas(&self, token: Token) -> &[NodeId] {
         let start = self
             .entries
             .partition_point(|(t, _)| *t < token)
             // Wrap past the last token back to the ring start.
             % self.entries.len();
-        let mut out = Vec::with_capacity(self.replication_factor);
-        for i in 0..self.entries.len() {
-            let (_, node) = self.entries[(start + i) % self.entries.len()];
-            if !out.contains(&node) {
-                out.push(node);
-                if out.len() == self.replication_factor {
-                    break;
-                }
-            }
-        }
-        out
+        let rf = self.replication_factor;
+        &self.replica_sets[start * rf..(start + 1) * rf]
     }
 
     /// All vnode tokens owned by `node`, used for token-range scans.
@@ -161,6 +175,7 @@ mod tests {
     use super::*;
     use crate::partitioner::token_for;
     use crate::types::{Key, Value};
+    use proptest::prelude::*;
 
     #[test]
     fn replicas_are_distinct_and_sized_rf() {
@@ -292,5 +307,59 @@ mod tests {
     #[should_panic(expected = "replication factor")]
     fn without_member_below_rf_panics() {
         Ring::new(3, 8, 3).without_member(NodeId(0));
+    }
+
+    /// What `replicas` did on every call before the replica table: walk
+    /// clockwise from the first entry at or after `token`, keeping the first
+    /// `rf` distinct owners.
+    fn walked_replicas(ring: &Ring, token: Token) -> Vec<NodeId> {
+        let n = ring.entries.len();
+        let start = ring.entries.partition_point(|(t, _)| *t < token) % n;
+        let mut out = Vec::with_capacity(ring.replication_factor);
+        for i in 0..n {
+            let (_, node) = ring.entries[(start + i) % n];
+            if !out.contains(&node) {
+                out.push(node);
+                if out.len() == ring.replication_factor {
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The precomputed replica sets are the walk, for every replication
+        /// factor, on rings built directly, grown and shrunk: at random
+        /// tokens, at every vnode token and on either side of it, and past
+        /// both ends of the ring.
+        #[test]
+        fn the_replica_table_is_the_clockwise_walk(
+            nodes in 1..7usize,
+            vnodes in 1..9usize,
+            random in prop::collection::vec(any::<i64>(), 16),
+            leaver in 0..7usize,
+        ) {
+            for rf in 1..=nodes {
+                let base = Ring::new(nodes, vnodes, rf);
+                let mut rings = vec![base.with_member(NodeId(nodes))];
+                if nodes > rf {
+                    rings.push(base.without_member(NodeId(leaver % nodes)));
+                }
+                rings.push(base);
+                for ring in &rings {
+                    let mut tokens: Vec<Token> = random.iter().map(|&t| Token(t)).collect();
+                    for &(t, _) in &ring.entries {
+                        tokens.extend([t.0.wrapping_sub(1), t.0, t.0.wrapping_add(1)].map(Token));
+                    }
+                    tokens.extend([Token(i64::MIN), Token(i64::MAX)]);
+                    for t in tokens {
+                        prop_assert_eq!(ring.replicas(t), &walked_replicas(ring, t)[..]);
+                    }
+                }
+            }
+        }
     }
 }

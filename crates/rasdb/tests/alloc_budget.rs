@@ -71,14 +71,16 @@ fn live_bytes() -> isize {
 const ROWS: usize = 1_000;
 /// The batches of a round — table, and whether the rows of one partition
 /// arrive one after another, as a storm delivers them — with the allocations
-/// one inserted row of each may cost, all three replicas included: 4.5 / 6.0
-/// / 3.5 as measured. Hashing each partition key through an encoding of its
-/// own cost 4.5 / 6.2 / 4.5 (an allocation per group, and a key of its own
-/// for every row of a storm); a private cell vector per replica and a B-tree
-/// per memtable partition, 7.7 / 8.6.
+/// one inserted row of each may cost, all three replicas included: 4.4 / 5.3
+/// / 3.4 as measured. A vector per partition group and a replica vector per
+/// group cost 4.5 / 6.0 / 3.5 — most `event_by_location` groups are one row;
+/// hashing each partition key through an encoding of its own, 4.5 / 6.2 /
+/// 4.5 (an allocation per group, and a key of its own for every row of a
+/// storm); a private cell vector per replica and a B-tree per memtable
+/// partition, 7.7 / 8.6.
 const SHAPES: [(&str, bool, f64); 3] = [
     ("event_by_time", false, 4.8),
-    ("event_by_location", false, 6.1),
+    ("event_by_location", false, 5.6),
     ("event_by_time", true, 3.8),
 ];
 /// Bytes one inserted row may leave live, all three replicas included: 753 /

@@ -728,3 +728,107 @@ fn batch_inside_a_join_window_is_double_written_like_single_writes() {
     assert_eq!(pending_hints(&batched), pending_hints(&twin));
     assert_same_state_and_durable(&batched, &twin);
 }
+
+/// Four nodes, RF 3, table `a`, and a storage engine that neither flushes
+/// nor truncates its commit log during a test.
+fn roomy_cluster() -> Cluster {
+    let c = Cluster::new(ClusterConfig {
+        nodes: NODES,
+        replication_factor: 3,
+        vnodes: 8,
+    });
+    let schema = TableSchema::builder("a")
+        .partition_key("hour", ColumnType::BigInt)
+        .clustering_key("ts", ColumnType::Timestamp)
+        .column("v", ColumnType::Int)
+        .build()
+        .unwrap();
+    c.create_table(schema).unwrap();
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Each replica's commit log receives a mixed batch in the order the
+    /// grouping that laid out one vector per group gave it: the replica's
+    /// groups in order of first arrival, each group's rows in arrival order.
+    #[test]
+    fn commit_logs_receive_the_groups_in_first_arrival_order(
+        rows in prop::collection::vec((0..HOURS, 0..8i64), 1..40),
+    ) {
+        let c = roomy_cluster();
+        // `v` is the row's place in the batch.
+        let batch = rows.iter().enumerate().map(|(i, &(h, ts))| row(h, ts, i as i32)).collect();
+        c.insert_batch("a", batch, Consistency::All).unwrap();
+
+        let mut groups: Vec<(i64, Vec<i32>)> = Vec::new();
+        for (i, &(h, _)) in rows.iter().enumerate() {
+            match groups.iter_mut().find(|(hour, _)| *hour == h) {
+                Some((_, members)) => members.push(i as i32),
+                None => groups.push((h, vec![i as i32])),
+            }
+        }
+        for n in 0..NODES {
+            let id = NodeId(n);
+            let expected: Vec<i32> = groups
+                .iter()
+                .filter(|(h, _)| c.owners(pk(*h).key()).contains(&id))
+                .flat_map(|(_, members)| members.iter().copied())
+                .collect();
+            let logged: Vec<i32> = c
+                .node(id)
+                .logged_mutations("a")
+                .iter()
+                .map(|m| match m.cells[0].1.value {
+                    Some(Value::Int(v)) => v,
+                    ref other => panic!("cell {other:?}"),
+                })
+                .collect();
+            prop_assert_eq!(logged, expected, "node {}", n);
+        }
+    }
+}
+
+/// Two writers keep writing one partition while a reader samples its data
+/// version: what the reader sees never goes back. A batch draws all of its
+/// versions at once; drawn before the versions lock is taken, the writer
+/// that drew first could install last, and the partition's version would
+/// step back to an older one (a race: that draw fails this test on most
+/// runs, not all).
+#[test]
+fn a_partition_version_never_goes_back_under_concurrent_writers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let c = Arc::new(roomy_cluster());
+    let done = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2)
+        .map(|w| {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                for i in 0..10_000 {
+                    // The shared partition and a few of this writer's own.
+                    let batch = (0..4).map(|p| row(p * (w + 1), i, i as i32)).collect();
+                    c.insert_batch("a", batch, Consistency::One).unwrap();
+                }
+            })
+        })
+        .collect();
+    let sampler = {
+        let (c, done) = (Arc::clone(&c), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let (mut last, mut samples) = (0, 0u64);
+            while !done.load(Ordering::Relaxed) {
+                let v = c.data_version("a", &pk(0));
+                assert!(v >= last, "version went back from {last} to {v}");
+                last = v;
+                samples += 1;
+            }
+            samples
+        })
+    };
+    for w in writers {
+        w.join().unwrap();
+    }
+    done.store(true, Ordering::Relaxed);
+    assert!(sampler.join().unwrap() > 0);
+}

@@ -69,7 +69,7 @@ fn main() {
     );
     let mut by_type: std::collections::HashMap<&str, usize> = Default::default();
     for e in &events {
-        *by_type.entry(e.event_type.as_str()).or_default() += 1;
+        *by_type.entry(&*e.event_type).or_default() += 1;
     }
     let mut pairs: Vec<_> = by_type.into_iter().collect();
     pairs.sort_by_key(|&(_, n)| std::cmp::Reverse(n));

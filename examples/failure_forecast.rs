@@ -45,7 +45,7 @@ fn main() {
             fw.insert_event(&EventRecord {
                 ts_ms: ts + k * 20_000,
                 event_type: "GPU_DBE".into(),
-                source: topo.node(node).cname.clone(),
+                source: topo.node(node).cname.as_str().into(),
                 amount: 1,
                 raw: "NVRM: Xid (0000:02:00): 48, Double Bit ECC Error".into(),
             })
@@ -54,7 +54,7 @@ fn main() {
         fw.insert_event(&EventRecord {
             ts_ms: ts + 120_000,
             event_type: "GPU_OFF_BUS".into(),
-            source: topo.node(node).cname.clone(),
+            source: topo.node(node).cname.as_str().into(),
             amount: 1,
             raw: "NVRM: Xid (0000:02:00): 79, GPU has fallen off the bus.".into(),
         })

@@ -47,10 +47,10 @@ fn main() {
     for occ in &events {
         fw.insert_event(&EventRecord {
             ts_ms: occ.ts_ms,
-            event_type: occ.event_type.to_owned(),
-            source: topo.node(occ.node).cname,
+            event_type: occ.event_type.into(),
+            source: topo.node(occ.node).cname.into(),
             amount: occ.count as i32,
-            raw: String::new(),
+            raw: "".into(),
         })
         .expect("insert");
     }

@@ -43,6 +43,11 @@ OBSERVABILITY_SMOKE=1 cargo bench -q -p hpclog-bench --bench observability
 echo "==> loadgen bench (smoke mode, asserts the goodput-under-overload gate)"
 LOADGEN_SMOKE=1 cargo bench -q -p hpclog-bench --bench loadgen
 
+# perfbench is a package of its own, outside the workspace, so tier-1 never
+# reaches the harness's unit tests.
+echo "==> perfbench harness unit tests"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # The exit code is the check: what the generator wrote vs what was stored,
 # (dash_cold) the stored rows read back through read_multi and the column
 # blocks against generator truth, responses byte-identical across rounds, and

@@ -92,9 +92,9 @@ fn causal_injection_shows_directed_transfer_entropy() {
             fw.insert_event(&EventRecord {
                 ts_ms: at,
                 event_type: etype.into(),
-                source: topo.node(node).cname.clone(),
+                source: topo.node(node).cname.as_str().into(),
                 amount: 1,
-                raw: String::new(),
+                raw: "".into(),
             })
             .expect("insert");
         }
