@@ -19,27 +19,27 @@
 //!
 //! Blocks are built **lazily** on the first analytics scan from the same
 //! merged, read-repaired row path every query uses, and cached in a
-//! [`ColumnarStore`] under the block-cache byte budget with exactly the
-//! block cache's invalidation rules (`rasdb/src/cache.rs`): each entry
-//! snapshots the partition's data version and the cluster topology epoch
-//! *before* its rows are read, and a later lookup whose snapshot
-//! disagrees drops the entry and rebuilds. A write bumps the version
-//! only after it is applied, so a write racing a build can make the
-//! stored block stale but never wrongly current — which is all a
+//! [`ColumnarStore`] under the block-cache byte budget — a
+//! [`rasdb::cache::Validated`] tier, with the contract every tier shares:
+//! each block is stamped with its partition's data version and the
+//! topology epoch *before* its rows are read, and a lookup whose stamp is
+//! no longer current drops the block and rebuilds. A write bumps the
+//! version only after it is applied, so a write racing a build can make
+//! the stored block stale but never wrongly current — which is all a
 //! still-filling hour needs: it is a block whose version moves often.
 //! With a zero budget nothing is retained and every scan builds
 //! transient blocks; the kernels and their answers are the same
 //! (enforced by the `cache_equivalence` proptest).
 
 use crate::model::event::EventRecord;
-use rasdb::cache::LruCache;
-use rasdb::stats::CacheStats;
+use rasdb::cache::{Stamp, Validated};
+use rasdb::cluster::Cluster;
 use rasdb::types::Row;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use telemetry::{Counter, Gauge};
+use std::sync::Arc;
+use telemetry::Counter;
 
 /// One `(hour, event_type)` partition in columnar form.
 ///
@@ -221,12 +221,6 @@ impl WindowScan {
     }
 }
 
-struct StoreEntry {
-    block: Arc<ColumnBlock>,
-    version: u64,
-    epoch: u64,
-}
-
 fn block_key(hour: i64, event_type: &str) -> Vec<u8> {
     let mut key = Vec::with_capacity(24 + event_type.len());
     key.extend_from_slice(b"event_by_time\x1f");
@@ -278,71 +272,45 @@ impl ColumnarStats {
     }
 }
 
-/// The lazily-populated cache of [`ColumnBlock`]s, LRU-bounded by the
-/// block-cache byte budget and invalidated by per-partition data
-/// versions plus the cluster topology epoch — the same rules the rasdb
-/// partition-block cache applies.
+/// The lazily-populated cache of [`ColumnBlock`]s: the columnar tier, in
+/// one shard under the block-cache byte budget, because a storm hour's
+/// block can outweigh a sixteenth of the budget (DESIGN §9).
 pub struct ColumnarStore {
-    cache: Mutex<LruCache<StoreEntry>>,
-    stats: CacheStats,
+    cache: Validated<Arc<ColumnBlock>>,
     built: AtomicU64,
     zone_skips: AtomicU64,
     dict_raw: AtomicU64,
     dict_encoded: AtomicU64,
     t_built: Arc<Counter>,
     t_zone_skips: Arc<Counter>,
-    t_bytes: Arc<Gauge>,
 }
 
 impl ColumnarStore {
     /// Creates a store with the given byte budget. With a budget of 0
-    /// nothing is retained: every lookup misses and every scan builds
-    /// transient blocks.
+    /// nothing is retained: every scan builds transient blocks.
     pub fn new(budget: usize) -> ColumnarStore {
         let t = telemetry::global();
         ColumnarStore {
-            cache: Mutex::new(LruCache::new(budget)),
-            stats: CacheStats::new("columnar"),
+            cache: Validated::new("columnar", 1, budget),
             built: AtomicU64::new(0),
             zone_skips: AtomicU64::new(0),
             dict_raw: AtomicU64::new(0),
             dict_encoded: AtomicU64::new(0),
             t_built: t.counter("cache.columnar.blocks_built"),
             t_zone_skips: t.counter("cache.columnar.zone_skips"),
-            t_bytes: t.gauge("cache.columnar.bytes_resident"),
         }
     }
 
-    /// Looks up the block for `(hour, event_type)`, validating the cached
-    /// data-version and topology-epoch snapshots against the caller's
-    /// current view. A stale entry is dropped (lazy invalidation) and
-    /// reported as a miss.
-    pub fn get(
-        &self,
-        hour: i64,
-        event_type: &str,
-        version: u64,
-        epoch: u64,
-    ) -> Option<Arc<ColumnBlock>> {
-        let key = block_key(hour, event_type);
-        let mut cache = self.cache.lock().unwrap();
-        if let Some(e) = cache.get(&key) {
-            if e.version == version && e.epoch == epoch {
-                self.stats.record_hit();
-                return Some(Arc::clone(&e.block));
-            }
-            cache.remove(&key);
-            self.t_bytes.set(cache.used_bytes() as i64);
-            self.stats.record_invalidations(1);
-        }
-        self.stats.record_miss();
-        None
+    /// The block for `(hour, event_type)`, if its stamp is still current
+    /// on `cluster`.
+    pub fn get(&self, cluster: &Cluster, hour: i64, event_type: &str) -> Option<Arc<ColumnBlock>> {
+        self.cache.get(cluster, &block_key(hour, event_type))
     }
 
-    /// Caches a freshly built block under the version/epoch snapshot
-    /// taken *before* its source rows were read. Oversized blocks (bigger
-    /// than the whole budget) are simply not retained.
-    pub fn insert(&self, block: Arc<ColumnBlock>, version: u64, epoch: u64) {
+    /// Caches a freshly built block under the stamp taken *before* its
+    /// source rows were read. Oversized blocks (bigger than the whole
+    /// budget) are simply not retained.
+    pub fn insert(&self, block: Arc<ColumnBlock>, stamp: Stamp) {
         self.built.fetch_add(1, Ordering::Relaxed);
         self.t_built.incr(1);
         self.dict_raw
@@ -350,29 +318,13 @@ impl ColumnarStore {
         self.dict_encoded
             .fetch_add(block.source_encoded_bytes() as u64, Ordering::Relaxed);
         let key = block_key(block.hour, &block.event_type);
-        let bytes = block.footprint();
-        let mut cache = self.cache.lock().unwrap();
-        let evicted = cache.insert(
-            key,
-            StoreEntry {
-                block,
-                version,
-                epoch,
-            },
-            bytes,
-        );
-        self.stats.record_evictions(evicted);
-        self.t_bytes.set(cache.used_bytes() as i64);
+        self.cache.insert(key, block, stamp, |_, b| b.footprint());
     }
 
     /// Changes the byte budget at runtime, evicting LRU-first down to the
     /// new limit; returns how many blocks were evicted.
     pub fn set_budget(&self, budget: usize) -> u64 {
-        let mut cache = self.cache.lock().unwrap();
-        let evicted = cache.set_budget(budget);
-        self.stats.record_evictions(evicted);
-        self.t_bytes.set(cache.used_bytes() as i64);
-        evicted
+        self.cache.set_budget(budget)
     }
 
     /// Records one zone-map block skip.
@@ -383,17 +335,17 @@ impl ColumnarStore {
 
     /// Snapshot of the store's counters and residency.
     pub fn stats(&self) -> ColumnarStats {
-        let cache = self.cache.lock().unwrap();
+        let tier = self.cache.stats();
         ColumnarStats {
             blocks_built: self.built.load(Ordering::Relaxed),
-            blocks_resident: cache.len() as u64,
-            blocks_evicted: self.stats.evictions(),
-            invalidations: self.stats.invalidations(),
-            hits: self.stats.hits(),
-            misses: self.stats.misses(),
+            blocks_resident: self.cache.len() as u64,
+            blocks_evicted: tier.evictions(),
+            invalidations: tier.invalidations(),
+            hits: tier.hits(),
+            misses: tier.misses(),
             zone_skips: self.zone_skips.load(Ordering::Relaxed),
-            bytes_resident: cache.used_bytes() as u64,
-            bytes_budget: cache.budget() as u64,
+            bytes_resident: self.cache.used_bytes() as u64,
+            bytes_budget: self.cache.budget() as u64,
             dict_raw_bytes: self.dict_raw.load(Ordering::Relaxed),
             dict_encoded_bytes: self.dict_encoded.load(Ordering::Relaxed),
         }
@@ -403,7 +355,11 @@ impl ColumnarStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rasdb::cluster::ClusterConfig;
+    use rasdb::query::Consistency;
+    use rasdb::schema::{ColumnType, TableSchema};
     use rasdb::types::{Key, Value};
+    use rasdb::DecoratedKey;
 
     fn row(ts: i64, source: &str, amount: i64, raw: &str) -> Row {
         Row::new(
@@ -474,17 +430,50 @@ mod tests {
         assert_eq!(b.ts, vec![5]);
     }
 
+    /// A cluster with one table whose partition 0 stands in for the
+    /// block's hour partition.
+    fn cluster() -> Cluster {
+        let c = Cluster::new(ClusterConfig {
+            nodes: 2,
+            replication_factor: 1,
+            vnodes: 4,
+        });
+        c.create_table(
+            TableSchema::builder("t")
+                .partition_key("pk", ColumnType::BigInt)
+                .clustering_key("ck", ColumnType::BigInt)
+                .column("v", ColumnType::Int)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        c
+    }
+
+    fn stamp(c: &Cluster) -> Stamp {
+        let partition = DecoratedKey::new(Key::from(vec![Value::BigInt(0)]));
+        Stamp::take(c, [("t".to_owned(), partition)])
+    }
+
     #[test]
     fn store_validates_version_and_epoch_snapshots() {
+        let c = cluster();
         let store = ColumnarStore::new(1 << 20);
-        store.insert(Arc::new(block()), 3, 7);
-        assert!(store.get(0, "MCE", 3, 7).is_some());
+        store.insert(Arc::new(block()), stamp(&c));
+        assert!(store.get(&c, 0, "MCE").is_some());
         // Data-version bump → stale → dropped and rebuilt by the caller.
-        assert!(store.get(0, "MCE", 4, 7).is_none());
-        assert!(store.get(0, "MCE", 3, 7).is_none(), "stale entry dropped");
-        store.insert(Arc::new(block()), 4, 7);
+        let row = vec![
+            ("pk", Value::BigInt(0)),
+            ("ck", Value::BigInt(0)),
+            ("v", Value::Int(1)),
+        ];
+        c.insert("t", row, Consistency::One).unwrap();
+        assert!(store.get(&c, 0, "MCE").is_none());
+        assert!(store.get(&c, 0, "MCE").is_none(), "stale entry dropped");
+        store.insert(Arc::new(block()), stamp(&c));
         // Topology-epoch bump behaves identically.
-        assert!(store.get(0, "MCE", 4, 8).is_none());
+        c.take_node_down(rasdb::ring::NodeId(1));
+        assert!(store.get(&c, 0, "MCE").is_none());
         let s = store.stats();
         assert_eq!(s.blocks_built, 2);
         assert_eq!(s.invalidations, 2);
@@ -494,11 +483,12 @@ mod tests {
 
     #[test]
     fn store_budget_bounds_residency() {
+        let c = cluster();
         let store = ColumnarStore::new(1 << 20);
         for h in 0..8 {
             let mut b = block();
             b.hour = h;
-            store.insert(Arc::new(b), 1, 1);
+            store.insert(Arc::new(b), stamp(&c));
         }
         assert_eq!(store.stats().blocks_resident, 8);
         let evicted = store.set_budget(1);

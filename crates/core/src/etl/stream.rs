@@ -198,12 +198,8 @@ impl<'f> StreamIngester<'f> {
         cfg: StreamConfig,
     ) -> Result<Self, BusError> {
         let consumer = Consumer::new(fw.bus(), group, RAW_LOG_TOPIC)?;
-        // Every flushed window is about to land in the event tables, so any
-        // memoized answer over the still-open hour is about to go stale.
-        let result_cache = std::sync::Arc::clone(fw.result_cache());
         let mut batcher = MicroBatcher::with_lateness(WINDOW_MS, cfg.lateness_ms)
             .with_high_watermark(cfg.high_watermark)
-            .with_flush_listener(move |_window_start| result_cache.invalidate_open())
             .with_compactor(|bucket: Vec<Tracked>| {
                 coalesce(
                     bucket,

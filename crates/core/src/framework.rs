@@ -8,6 +8,7 @@ use crate::server::cache::ResultCache;
 use logbus::Broker;
 use loggen::events::EVENT_CATALOG;
 use loggen::topology::Topology;
+use rasdb::cache::Stamp;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
@@ -72,11 +73,10 @@ pub struct Framework {
     topology: Topology,
     consistency: Consistency,
     remote_link_bytes_per_sec: Option<u64>,
-    result_cache: Arc<ResultCache>,
+    result_cache: ResultCache,
     columnar: ColumnarStore,
     /// Highest timestamp streaming ingestion has committed through;
-    /// `i64::MIN` until the first commit. Windows ending past this are
-    /// "open": cached results for them are dropped on every commit.
+    /// `i64::MIN` until the first commit.
     ingest_watermark: AtomicI64,
 }
 
@@ -124,7 +124,7 @@ impl Framework {
             topology: cfg.topology,
             consistency: cfg.consistency,
             remote_link_bytes_per_sec: cfg.remote_link_bytes_per_sec,
-            result_cache: Arc::new(ResultCache::new(cfg.result_cache_bytes)),
+            result_cache: ResultCache::new(cfg.result_cache_bytes),
             columnar: ColumnarStore::new(cfg.block_cache_bytes),
             ingest_watermark: AtomicI64::new(i64::MIN),
         })
@@ -156,7 +156,7 @@ impl Framework {
     }
 
     /// The analytics result cache (see [`crate::server::cache`]).
-    pub fn result_cache(&self) -> &Arc<ResultCache> {
+    pub fn result_cache(&self) -> &ResultCache {
         &self.result_cache
     }
 
@@ -169,22 +169,19 @@ impl Framework {
 
     /// The streaming ingest watermark: every event at or below this
     /// timestamp has been committed by streaming ingestion. `i64::MIN`
-    /// until the first commit, so every window counts as open before
-    /// streaming starts. It governs the result cache's eager drop only;
-    /// scans never consult it.
+    /// until the first commit. Neither the caches nor the scans consult
+    /// it: a cached answer is current exactly when its stamp is (§9).
     pub fn ingest_watermark(&self) -> i64 {
         self.ingest_watermark.load(Ordering::SeqCst)
     }
 
     /// Records a streaming commit through `watermark_ms`: advances the
-    /// ingest watermark (monotonically) and drops every open-window entry
-    /// from the result cache. Called by
+    /// ingest watermark (monotonically). Called by
     /// [`StreamIngester`](crate::etl::stream::StreamIngester) after each
     /// successful offset commit.
     pub fn note_ingest_commit(&self, watermark_ms: i64) {
         self.ingest_watermark
             .fetch_max(watermark_ms, Ordering::SeqCst);
-        self.result_cache.invalidate_open();
     }
 
     /// The `(table, partition)` pairs a window read touches — one per
@@ -291,42 +288,44 @@ impl Framework {
     /// Columnar analytics scan of one event type over `[from_ms, to_ms)`.
     ///
     /// Every hour of the window is served the same way, from a
-    /// [`ColumnBlock`]: the store is probed under the partition's data
-    /// version and the topology epoch (both snapshotted *before* any row
-    /// is read, exactly like the rasdb block cache), every hour that
-    /// misses is fetched in one [`Cluster::read_multi`] scatter, built and
-    /// stored. A still-filling hour is simply a block whose version moves
-    /// often — the next scan after a write drops and rebuilds it. Blocks
-    /// whose timestamp zone map cannot overlap the window are skipped
-    /// without touching a row. Results are byte-identical to
-    /// [`Framework::events_by_type`], and a read error fails the scan.
+    /// [`ColumnBlock`]: the store is probed, and every hour that misses is
+    /// stamped (its data version and the topology epoch, *before* any row
+    /// is read, exactly like the rasdb block cache), fetched in one
+    /// [`Cluster::read_multi`] scatter, built and stored. A still-filling
+    /// hour is simply a block whose version moves often — the next scan
+    /// after a write drops and rebuilds it. Blocks whose timestamp zone map
+    /// cannot overlap the window are skipped without touching a row.
+    /// Results are byte-identical to [`Framework::events_by_type`], and a
+    /// read error fails the scan.
     pub fn scan_window(
         &self,
         event_type: &str,
         from_ms: i64,
         to_ms: i64,
     ) -> Result<WindowScan, DbError> {
-        let epoch = self.cluster.topology_epoch();
         // One slot per hour of the window; an hour the store cannot serve
         // stays `None` until the batched read below fills it.
         let mut blocks: Vec<Option<Arc<ColumnBlock>>> = Vec::new();
-        let mut missing: Vec<(usize, i64, u64)> = Vec::new();
+        let mut missing: Vec<(usize, i64, Stamp)> = Vec::new();
         let mut plans: Vec<ReadPlan> = Vec::new();
         let hourly = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
         for (hour, plan) in keys::hours_in(from_ms, to_ms).zip(hourly) {
-            let version = self.cluster.data_version("event_by_time", &plan.partition);
-            let cached = self.columnar.get(hour, event_type, version, epoch);
+            let cached = self.columnar.get(&self.cluster, hour, event_type);
             if cached.is_none() {
-                missing.push((blocks.len(), hour, version));
+                let stamp = Stamp::take(
+                    &self.cluster,
+                    [(plan.table.clone(), plan.partition.clone())],
+                );
+                missing.push((blocks.len(), hour, stamp));
                 plans.push(plan);
             }
             blocks.push(cached);
         }
         if !plans.is_empty() {
             let batches = self.cluster.read_multi(&plans, self.consistency)?;
-            for ((slot, hour, version), rows) in missing.into_iter().zip(batches) {
+            for ((slot, hour, stamp), rows) in missing.into_iter().zip(batches) {
                 let block = Arc::new(ColumnBlock::build(hour, event_type, &rows));
-                self.columnar.insert(Arc::clone(&block), version, epoch);
+                self.columnar.insert(Arc::clone(&block), stamp);
                 blocks[slot] = Some(block);
             }
         }

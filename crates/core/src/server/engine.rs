@@ -13,15 +13,15 @@
 use crate::analytics::distribution::{distribution, distribution_of, Distribution, GroupBy};
 use crate::analytics::{correlation, heatmap, histogram, synopsis, text, transfer_entropy};
 use crate::framework::Framework;
-use crate::model::keys::{DAY_MS, HOUR_MS};
+use crate::model::keys::HOUR_MS;
 use crate::model::nodeinfo;
-use crate::server::cache::ResultEntry;
 use crate::server::recorder::{FlightRecorder, RecordedQuery};
 use crate::server::request::{
     write_envelope, ApiError, Cursor, ErrorCode, OpOutput, Page, QueryRequest,
 };
 use crate::server::slo::SloRegistry;
 use jsonlite::{json_array, json_object, Value as Json};
+use rasdb::cache::Stamp;
 use rasdb::cluster::ExecResult;
 use rasdb::types::Key;
 use rasdb::DecoratedKey;
@@ -192,15 +192,9 @@ impl QueryEngine {
         }
     }
 
-    /// Whether a window ending at `to` extends past the streaming ingest
-    /// watermark (i.e. overlaps the open, still-filling hour).
-    fn window_open(&self, to: i64) -> bool {
-        to > self.fw.ingest_watermark()
-    }
-
     /// Runs `compute` through the result cache. A validated hit returns
-    /// the memoized `data` bytes as they are — the entry's own deps are
-    /// what validates it, so `deps` runs only on a miss. A miss snapshots
+    /// the memoized `data` bytes as they are — the entry's own stamp is
+    /// what validates it, so `deps` runs only on a miss. A miss stamps
     /// the topology epoch and every dependency's data version *before*
     /// computing (so a write racing the compute can only make the stored
     /// entry stale, never silently current), then stores the result.
@@ -209,7 +203,6 @@ impl QueryEngine {
         &self,
         key: Vec<u8>,
         deps: impl FnOnce() -> Vec<(String, DecoratedKey)>,
-        open: bool,
         compute: impl FnOnce() -> Result<OpOutput, ApiError>,
     ) -> Result<OpOutput, ApiError> {
         let cache = self.fw.result_cache();
@@ -222,23 +215,9 @@ impl QueryEngine {
             }
             probe.tag("outcome", "miss");
         }
-        let deps = deps();
-        let epoch = cluster.topology_epoch();
-        let versions = deps
-            .iter()
-            .map(|(t, p)| cluster.data_version(t, p))
-            .collect();
+        let stamp = Stamp::take(cluster, deps());
         let out = compute()?;
-        cache.store(
-            key,
-            ResultEntry {
-                data: Arc::clone(&out.data),
-                deps,
-                versions,
-                epoch,
-                open,
-            },
-        );
+        cache.store(key, Arc::clone(&out.data), stamp);
         Ok(out)
     }
 
@@ -342,7 +321,7 @@ impl QueryEngine {
         let t = req.str_field("type")?.to_owned();
         let key = cache_key(&["heatmap", &t, &from.to_string(), &to.to_string()]);
         let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
-        self.cached(key, deps, self.window_open(to), || {
+        self.cached(key, deps, || {
             let hm = heatmap::cabinet_heatmap(&self.fw, &t, from, to)?;
             Ok(OpOutput::data([
                 ("cabinets", json_array(hm.cabinets.clone())),
@@ -415,7 +394,7 @@ impl QueryEngine {
             }
             deps
         };
-        self.cached(key, deps, self.window_open(to), || {
+        self.cached(key, deps, || {
             Ok(output(distribution(&self.fw, &t, from, to, by)?))
         })
     }
@@ -432,7 +411,7 @@ impl QueryEngine {
             &bin.to_string(),
         ]);
         let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
-        self.cached(key, deps, self.window_open(to), || {
+        self.cached(key, deps, || {
             let h = histogram::event_histogram(&self.fw, &t, from, to, bin)?;
             Ok(OpOutput::data([
                 ("from", Json::from(h.from_ms)),
@@ -462,7 +441,7 @@ impl QueryEngine {
             deps.extend(Framework::window_deps("event_by_time", Some(&y), from, to));
             deps
         };
-        self.cached(key, deps, self.window_open(to), || {
+        self.cached(key, deps, || {
             let sweep = transfer_entropy::te_lag_sweep(&self.fw, &x, &y, from, to, bin, max_lag)?;
             Ok(OpOutput::data([(
                 "lags",
@@ -501,7 +480,7 @@ impl QueryEngine {
             deps.extend(Framework::window_deps("event_by_time", Some(&b), from, to));
             deps
         };
-        self.cached(key, deps, self.window_open(to), || {
+        self.cached(key, deps, || {
             let xc =
                 correlation::event_cross_correlation(&self.fw, &a, &b, from, to, bin, max_lag)?;
             Ok(OpOutput::data([(
@@ -526,7 +505,7 @@ impl QueryEngine {
             &k.to_string(),
         ]);
         let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
-        self.cached(key, deps, self.window_open(to), || {
+        self.cached(key, deps, || {
             let counts = text::word_count_events(&self.fw, &t, from, to)?;
             let top = text::top_k(&counts, k);
             Ok(OpOutput::data([(
@@ -675,8 +654,7 @@ impl QueryEngine {
             let day = Key::from(vec![rasdb::types::Value::BigInt(day)]);
             vec![("eventsynopsis".to_owned(), DecoratedKey::new(day))]
         };
-        let day_end = day.saturating_add(1).saturating_mul(DAY_MS);
-        self.cached(key, deps, self.window_open(day_end), || {
+        self.cached(key, deps, || {
             let rows = synopsis::read_synopsis(&self.fw, day)?;
             Ok(OpOutput::data([(
                 "rows",
@@ -1456,7 +1434,7 @@ mod tests {
         let blocks = fw.columnar().stats();
         assert_eq!(blocks.blocks_built, 3, "one per hour, the open one too");
 
-        // A commit into the open hour drops the memoised answer.
+        // A write into the open hour makes the memoised answer stale.
         let req = format!(
             r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"cabinet"}}"#
         );
@@ -1726,5 +1704,37 @@ mod tests {
         let parsed = jsonlite::parse(&third).unwrap();
         assert_eq!(parsed["data"]["total"].as_f64(), Some(11.0));
         assert!(e.framework().result_cache().stats().invalidations() >= 1);
+    }
+
+    /// The open hour is a partition whose version moves, nothing more: a
+    /// streaming commit that wrote nothing leaves an answer over it a hit,
+    /// and a write into one of its hours makes it a miss.
+    #[test]
+    fn an_open_window_entry_lives_until_a_write_not_a_commit() {
+        let e = engine();
+        let fw = e.framework();
+        let req = r#"{"op":"heatmap","type":"MCE","from":0,"to":7200000}"#;
+        let first = call(&e, req);
+        let stats = fw.result_cache().stats();
+        for watermark in [i64::MIN, 30 * 60_000, HOUR_MS + 1, 2 * HOUR_MS] {
+            fw.note_ingest_commit(watermark);
+            let hits = stats.hits();
+            assert_eq!(call(&e, req)["data"], first["data"], "after {watermark}");
+            assert_eq!(stats.hits(), hits + 1, "a commit drops nothing");
+        }
+        assert_eq!(stats.invalidations(), 0);
+        fw.insert_event(&EventRecord {
+            ts_ms: HOUR_MS + 5,
+            event_type: "MCE".into(),
+            source: "c0-0c0s1n0".into(),
+            amount: 1,
+            raw: "written into the second hour".into(),
+        })
+        .unwrap();
+        let (hits, misses) = (stats.hits(), stats.misses());
+        let after = call(&e, req);
+        assert_eq!((stats.hits(), stats.misses()), (hits, misses + 1));
+        assert_eq!(stats.invalidations(), 1);
+        assert_eq!(after["data"]["total"].as_f64(), Some(11.0));
     }
 }

@@ -1,14 +1,15 @@
 //! Cache equivalence: for any interleaving of direct writes, streaming
-//! ingestion (with watermark commits), synopsis rebuilds, columnar-block
-//! churn, topology-epoch bumps, and queries, a framework with both cache
-//! tiers (and the columnar analytics store) enabled must answer every
-//! request **byte-for-byte identically** to a framework with all of them
-//! disabled.
+//! ingestion (with watermark commits), bare commits that write nothing,
+//! synopsis rebuilds, columnar-block churn, topology-epoch bumps, node
+//! outages, and queries, a framework with every cache tier (the block and
+//! result caches and the columnar analytics store) enabled must answer
+//! every request **byte-for-byte identically** to a framework with all of
+//! them disabled.
 //!
 //! This is the correctness contract of the whole caching design: hits,
-//! misses, lazy invalidation, open-window (watermark) invalidation,
-//! columnar block builds/evictions, and epoch-driven drops must never be
-//! observable through the API.
+//! misses, stamp validation, columnar block builds/evictions, and
+//! epoch-driven drops must never be observable through the API — and no
+//! tier may need a commit to notice a write.
 
 use hpclog_core::analytics::synopsis;
 use hpclog_core::etl::stream::{publish_lines, StreamIngester};
@@ -18,6 +19,7 @@ use hpclog_core::server::QueryEngine;
 use loggen::topology::Topology;
 use loggen::trace::{Facility, RawLine};
 use proptest::prelude::*;
+use rasdb::ring::NodeId;
 use std::sync::Arc;
 
 const T0: i64 = 1_500_000_000_000;
@@ -29,8 +31,11 @@ enum Step {
     /// Direct insert through the batch path (bumps data versions).
     Insert { dt: i64, node: usize },
     /// Publish one raw line to the bus and run a streaming step — flushed
-    /// windows commit offsets + watermark, invalidating open entries.
+    /// windows commit offsets + watermark.
     Stream { dt: i64, node: usize },
+    /// Advance the ingest watermark without writing anything: a commit
+    /// alone must not change what any tier serves.
+    Commit { watermark: i64 },
     /// Rebuild the synopsis table over the whole span.
     Synopsis,
     /// Evict every resident columnar block (budget to zero and back), so
@@ -39,6 +44,10 @@ enum Step {
     /// Join a node into both clusters: the topology epoch moves, which
     /// must drop columnar blocks and result-cache entries alike.
     EpochBump,
+    /// Take one node down, run every query, and bring it back. With one
+    /// replica per partition, a read the down node owns fails: a tier that
+    /// served a hit across the epoch change would answer instead.
+    Outage { node: usize },
     /// Run one query from the fixed list against both engines.
     Query(usize),
 }
@@ -47,9 +56,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         4 => (0..SPAN_MS, 0usize..8).prop_map(|(dt, node)| Step::Insert { dt, node }),
         4 => (0..SPAN_MS, 0usize..8).prop_map(|(dt, node)| Step::Stream { dt, node }),
+        2 => (-SPAN_MS..2 * SPAN_MS).prop_map(|dt| Step::Commit { watermark: T0 + dt }),
         2 => Just(Step::Synopsis),
         2 => Just(Step::ColumnarChurn),
         1 => Just(Step::EpochBump),
+        1 => (0usize..8).prop_map(|node| Step::Outage { node }),
         6 => (0usize..7).prop_map(Step::Query),
     ]
 }
@@ -121,7 +132,7 @@ fn mce_event(topo: &Topology, dt: i64, node: usize) -> EventRecord {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn cached_and_uncached_frameworks_answer_byte_identically(
@@ -153,6 +164,10 @@ proptest! {
                     cached_ing.step(16).unwrap();
                     plain_ing.step(16).unwrap();
                 }
+                Step::Commit { watermark } => {
+                    cached_fw.note_ingest_commit(*watermark);
+                    plain_fw.note_ingest_commit(*watermark);
+                }
                 Step::Synopsis => {
                     synopsis::build_synopsis(&cached_fw, T0, T0 + SPAN_MS).unwrap();
                     synopsis::build_synopsis(&plain_fw, T0, T0 + SPAN_MS).unwrap();
@@ -171,6 +186,22 @@ proptest! {
                 Step::EpochBump => {
                     cached_fw.cluster().join_node().unwrap();
                     plain_fw.cluster().join_node().unwrap();
+                }
+                Step::Outage { node } => {
+                    let id = NodeId(node % cached_fw.cluster().node_count());
+                    cached_fw.cluster().take_node_down(id);
+                    plain_fw.cluster().take_node_down(id);
+                    for q in &queries {
+                        prop_assert_eq!(
+                            sans_trace(cached.handle(q)),
+                            sans_trace(plain.handle(q)),
+                            "node {} down: {}",
+                            id.0,
+                            q
+                        );
+                    }
+                    cached_fw.cluster().bring_node_up(id);
+                    plain_fw.cluster().bring_node_up(id);
                 }
                 Step::Query(i) => {
                     let q = &queries[*i];

@@ -1,37 +1,249 @@
-//! Byte-budgeted LRU caching for the coordinator read path.
+//! One cache contract for every memo tier of the read path.
 //!
-//! Two things live here:
+//! Three tiers memoize reads: merged partition reads in the coordinator
+//! (the block tier, here), and column blocks and complete analytics answers
+//! in `core`. All three are the same thing, [`Validated`]: a byte-budgeted
+//! LRU whose every value carries a [`Stamp`] of what it was computed from.
 //!
-//! * [`LruCache`] — a generic byte-budgeted LRU keyed by opaque bytes. The
-//!   cluster's partition-block cache uses it directly, and the analytics
-//!   result cache in `core` reuses it with its own entry type.
-//! * [`BlockEntry`] + [`block_key`] — the partition-block cache entry and
-//!   canonical key for memoizing merged, read-repaired partition reads.
+//! * A [`Stamp`] is the topology epoch plus the data version of each
+//!   `(table, partition)` the value read, snapshotted *before* the read.
+//!   [`Stamp::is_current`] is the one validity check: a lookup re-checks the
+//!   stored stamp against the cluster, so a write, a read repair or a
+//!   topology change is seen on the next lookup, whichever path made it.
+//!   The coordinator bumps a version only after the write is applied, so a
+//!   write racing a compute leaves the stored value stale, never wrongly
+//!   current.
+//! * A stale entry is dropped and counted once, as an invalidation and a
+//!   miss. Nothing drops entries early: eviction serves the budget, not
+//!   correctness.
+//! * A budget of zero turns a tier off: nothing is stored, and a lookup
+//!   counts no hit, miss or invalidation.
 //!
-//! Correctness does not depend on eviction or explicit invalidation: every
-//! entry carries the partition's data version and the cluster topology
-//! epoch at fill time, and the coordinator re-validates both on every
-//! lookup (see [`Cluster::data_version`](crate::Cluster::data_version)). A
-//! stale entry is indistinguishable from a miss.
+//! The helpers below the type ([`block_key`], [`rows_footprint`]) are the
+//! block tier's key and weight.
 
+use crate::cluster::Cluster;
+use crate::partitioner::DecoratedKey;
 use crate::query::{Consistency, ReadPlan};
+use crate::stats::CacheStats;
 use crate::types::{Key, Row, Value};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use telemetry::Gauge;
 
-/// A byte-budgeted LRU map from opaque byte keys to values.
+/// What a cached value was computed from: the topology epoch and the data
+/// version of each `(table, partition)` it read.
+#[derive(Debug)]
+pub struct Stamp {
+    epoch: u64,
+    deps: Vec<(String, DecoratedKey, u64)>,
+}
+
+impl Stamp {
+    /// Snapshots the topology epoch and the data version of each
+    /// dependency. Take it *before* reading what the value is computed
+    /// from.
+    pub fn take(
+        cluster: &Cluster,
+        deps: impl IntoIterator<Item = (String, DecoratedKey)>,
+    ) -> Stamp {
+        let epoch = cluster.topology_epoch();
+        let deps = deps
+            .into_iter()
+            .map(|(table, partition)| {
+                let version = cluster.data_version(&table, &partition);
+                (table, partition, version)
+            })
+            .collect();
+        Stamp { epoch, deps }
+    }
+
+    /// Whether nothing the value was computed from has changed since the
+    /// snapshot: the one place a stored epoch or version meets the cluster.
+    pub fn is_current(&self, cluster: &Cluster) -> bool {
+        self.epoch == cluster.topology_epoch()
+            && self.deps.iter().all(|(table, partition, version)| {
+                cluster.data_version(table, partition) == *version
+            })
+    }
+
+    /// Approximate bytes of the dependency tags, each key weighed at its
+    /// encoded length (computed, not encoded).
+    pub fn footprint(&self) -> usize {
+        self.deps
+            .iter()
+            .map(|(table, partition, _)| table.len() + partition.key().encoded_len() + 8)
+            .sum()
+    }
+}
+
+/// A byte-budgeted LRU of stamped values, split across independently
+/// locked shards (chosen by a hash of the key) that share the budget.
 ///
-/// Recency is tracked with a monotonic tick per touch; eviction removes the
-/// least-recently-used entries until the accounted footprint fits the
-/// budget. A budget of zero disables the cache entirely (inserts are
-/// dropped, lookups always miss).
-pub struct LruCache<V> {
+/// Instruments: `cache.<tier>.{hit,miss,evict,invalidate}`,
+/// `cache.<tier>.hit_ratio_pct` ([`CacheStats`]) and
+/// `cache.<tier>.bytes_resident`.
+pub struct Validated<V> {
+    shards: Box<[Mutex<LruCache<Entry<V>>>]>,
+    budget: AtomicUsize,
+    used: AtomicI64,
+    stats: CacheStats,
+    resident: Arc<Gauge>,
+}
+
+struct Entry<V> {
+    value: V,
+    stamp: Stamp,
+}
+
+impl<V: Clone> Validated<V> {
+    /// A tier named `tier` with `shards` LRUs sharing `budget` bytes.
+    pub fn new(tier: &str, shards: usize, budget: usize) -> Validated<V> {
+        let shards = shards.max(1);
+        Validated {
+            shards: (0..shards)
+                .map(|_| Mutex::new(LruCache::new(budget.div_ceil(shards))))
+                .collect(),
+            budget: AtomicUsize::new(budget),
+            used: AtomicI64::new(0),
+            stats: CacheStats::new(tier),
+            resident: telemetry::global().gauge(&format!("cache.{tier}.bytes_resident")),
+        }
+    }
+
+    /// The value stored under `key` if its stamp is still current. A stale
+    /// entry is dropped and counted as an invalidation and a miss. A hit
+    /// clones the value inside the shard lock: store values that are
+    /// cheap to clone (`Arc`s).
+    pub fn get(&self, cluster: &Cluster, key: &[u8]) -> Option<V> {
+        if self.budget() == 0 {
+            return None;
+        }
+        let mut shard = self.shard(key);
+        let hit = match shard.get(key) {
+            Some(e) if e.stamp.is_current(cluster) => Some(e.value.clone()),
+            Some(_) => {
+                self.resize(&mut shard, |lru| lru.remove(key));
+                self.stats.record_invalidations(1);
+                None
+            }
+            None => None,
+        };
+        drop(shard);
+        match hit {
+            Some(_) => self.stats.record_hit(),
+            None => self.stats.record_miss(),
+        }
+        hit
+    }
+
+    /// Stores `value` under `key` with the stamp taken before it was
+    /// computed. `weigh` prices the entry in budget bytes, outside the
+    /// lock and only if the tier is on; an entry heavier than its shard's
+    /// budget is not stored and displaces nothing.
+    pub fn insert(
+        &self,
+        key: Vec<u8>,
+        value: V,
+        stamp: Stamp,
+        weigh: impl FnOnce(&[u8], &V) -> usize,
+    ) {
+        if self.budget() == 0 {
+            return;
+        }
+        let bytes = weigh(&key, &value);
+        let mut shard = self.shard(&key);
+        let evicted = self.resize(&mut shard, |lru| {
+            lru.insert(key, Entry { value, stamp }, bytes)
+        });
+        self.stats.record_evictions(evicted);
+    }
+
+    /// Replaces the byte budget: shrinking evicts least-recently-used
+    /// entries, zero clears the tier and turns it off. Returns the number
+    /// evicted.
+    pub fn set_budget(&self, budget: usize) -> u64 {
+        self.budget.store(budget, Ordering::Relaxed);
+        // Rounded up: any nonzero budget keeps every shard on.
+        let per_shard = budget.div_ceil(self.shards.len());
+        let evicted = self
+            .shards
+            .iter()
+            .map(|shard| self.resize(&mut shard.lock(), |lru| lru.set_budget(per_shard)))
+            .sum();
+        self.stats.record_evictions(evicted);
+        evicted
+    }
+
+    /// The configured byte budget (0 = off).
+    pub fn budget(&self) -> usize {
+        self.budget.load(Ordering::Relaxed)
+    }
+
+    /// Budget bytes currently held.
+    pub fn used_bytes(&self) -> usize {
+        self.used.load(Ordering::Relaxed) as usize
+    }
+
+    /// Live entries across every shard.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
+    /// True when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().all(|s| s.lock().map.is_empty())
+    }
+
+    /// Hit/miss/evict/invalidate counters.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// The shard holding `key`, locked. The lock tolerates poisoning: a
+    /// panic under it (a value's `clone`, say) leaves the LRU consistent,
+    /// so later lookups carry on instead of panicking too.
+    fn shard(&self, key: &[u8]) -> MutexGuard<'_, LruCache<Entry<V>>> {
+        // FNV-1a: cheap and well spread over short keys.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in key {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        self.shards[(h % self.shards.len() as u64) as usize].lock()
+    }
+
+    /// Runs `change` on a locked shard and keeps the tier's resident bytes
+    /// (and their gauge) in step with it.
+    fn resize<R>(
+        &self,
+        lru: &mut LruCache<Entry<V>>,
+        change: impl FnOnce(&mut LruCache<Entry<V>>) -> R,
+    ) -> R {
+        let before = lru.used as i64;
+        let out = change(lru);
+        let delta = lru.used as i64 - before;
+        if delta != 0 {
+            let total = self.used.fetch_add(delta, Ordering::Relaxed) + delta;
+            self.resident.set(total);
+        }
+        out
+    }
+}
+
+/// A byte-budgeted LRU map from byte keys to values, the storage of one
+/// [`Validated`] shard. Recency is a monotonic tick per touch, indexed in
+/// a tree; each key is one `Arc<[u8]>` shared by the map and that index,
+/// so a hit moves a pointer and copies no key.
+struct LruCache<V> {
     budget: usize,
     used: usize,
     tick: u64,
-    map: HashMap<Vec<u8>, Slot<V>>,
-    recency: BTreeMap<u64, Vec<u8>>,
+    map: HashMap<Arc<[u8]>, Slot<V>>,
+    recency: BTreeMap<u64, Arc<[u8]>>,
 }
 
 struct Slot<V> {
@@ -41,8 +253,7 @@ struct Slot<V> {
 }
 
 impl<V> LruCache<V> {
-    /// Creates a cache bounded by `budget` accounted bytes.
-    pub fn new(budget: usize) -> LruCache<V> {
+    fn new(budget: usize) -> LruCache<V> {
         LruCache {
             budget,
             used: 0,
@@ -52,103 +263,57 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Replaces the byte budget; shrinking evicts LRU entries to fit and a
-    /// budget of zero clears the cache. Returns the number evicted.
-    pub fn set_budget(&mut self, budget: usize) -> u64 {
+    /// Replaces the budget, evicting least-recently-used entries to fit;
+    /// returns the number evicted.
+    fn set_budget(&mut self, budget: usize) -> u64 {
         self.budget = budget;
         self.evict_to_fit()
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Accounted bytes currently held.
-    pub fn used_bytes(&self) -> usize {
-        self.used
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &[u8]) -> Option<&V> {
+    /// Looks up `key`, making it the most recently used on a hit.
+    fn get(&mut self, key: &[u8]) -> Option<&V> {
         let slot = self.map.get_mut(key)?;
-        self.recency.remove(&slot.tick);
+        let shared = self
+            .recency
+            .remove(&slot.tick)
+            .expect("every entry has a tick");
         self.tick += 1;
         slot.tick = self.tick;
-        self.recency.insert(slot.tick, key.to_vec());
-        Some(&self.map[key].value)
+        self.recency.insert(self.tick, shared);
+        Some(&slot.value)
     }
 
-    /// Inserts (or replaces) an entry accounted at `bytes`, then evicts
-    /// LRU entries until the budget fits. Returns the number evicted.
-    /// Entries larger than the whole budget are not stored.
-    pub fn insert(&mut self, key: Vec<u8>, value: V, bytes: usize) -> u64 {
+    /// Inserts (or replaces) an entry weighing `bytes`, then evicts
+    /// least-recently-used entries until the budget fits; returns the
+    /// number evicted. An entry heavier than the whole budget is not
+    /// stored: it would evict everything and still not fit.
+    fn insert(&mut self, key: Vec<u8>, value: V, bytes: usize) -> u64 {
         if bytes > self.budget {
-            // Would evict everything and still not fit: keep the working set.
             return 0;
         }
         self.remove(&key);
+        let key: Arc<[u8]> = key.into();
         self.tick += 1;
         self.used += bytes;
-        self.recency.insert(self.tick, key.clone());
-        self.map.insert(
-            key,
-            Slot {
-                value,
-                bytes,
-                tick: self.tick,
-            },
-        );
+        self.recency.insert(self.tick, Arc::clone(&key));
+        let tick = self.tick;
+        self.map.insert(key, Slot { value, bytes, tick });
         self.evict_to_fit()
     }
 
-    /// Removes one entry.
-    pub fn remove(&mut self, key: &[u8]) -> Option<V> {
+    fn remove(&mut self, key: &[u8]) -> Option<V> {
         let slot = self.map.remove(key)?;
         self.recency.remove(&slot.tick);
         self.used -= slot.bytes;
         Some(slot.value)
     }
 
-    /// Keeps only entries for which `keep` returns true; returns the number
-    /// dropped.
-    pub fn retain(&mut self, mut keep: impl FnMut(&[u8], &V) -> bool) -> u64 {
-        let doomed: Vec<Vec<u8>> = self
-            .map
-            .iter()
-            .filter(|(k, slot)| !keep(k, &slot.value))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &doomed {
-            self.remove(k);
-        }
-        doomed.len() as u64
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.recency.clear();
-        self.used = 0;
-    }
-
     fn evict_to_fit(&mut self) -> u64 {
         let mut evicted = 0;
         while self.used > self.budget {
-            let Some((&tick, _)) = self.recency.iter().next() else {
+            let Some((_, key)) = self.recency.pop_first() else {
                 break;
             };
-            let key = self.recency.remove(&tick).expect("recency entry exists");
             if let Some(slot) = self.map.remove(&key) {
                 self.used -= slot.bytes;
             }
@@ -156,32 +321,6 @@ impl<V> LruCache<V> {
         }
         evicted
     }
-}
-
-impl<V> std::fmt::Debug for LruCache<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LruCache")
-            .field("budget", &self.budget)
-            .field("used", &self.used)
-            .field("entries", &self.map.len())
-            .finish()
-    }
-}
-
-/// One memoized partition read: the merged, read-repaired, ordered and
-/// limited rows [`Cluster::read`](crate::Cluster::read) produced, tagged
-/// with the partition data version and topology epoch observed *before*
-/// the replica reads were issued.
-#[derive(Debug, Clone)]
-pub struct BlockEntry {
-    /// Final rows exactly as the uncached read returned them: the very
-    /// allocation that read handed its caller and every hit hands out again.
-    pub rows: Arc<[Row]>,
-    /// [`Cluster::data_version`](crate::Cluster::data_version) at fill time.
-    pub version: u64,
-    /// [`Cluster::topology_epoch`](crate::Cluster::topology_epoch) at fill
-    /// time.
-    pub epoch: u64,
 }
 
 fn encode_bound(out: &mut Vec<u8>, bound: &Bound<Key>) {
@@ -254,63 +393,185 @@ pub fn rows_footprint(rows: &[Row]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::full_range;
-    use crate::partitioner::DecoratedKey;
+    use crate::cluster::{full_range, ClusterConfig};
+    use crate::schema::{ColumnType, TableSchema};
+    use std::sync::atomic::AtomicBool;
+
+    fn cluster() -> Cluster {
+        let c = Cluster::new(ClusterConfig {
+            nodes: 2,
+            replication_factor: 1,
+            vnodes: 4,
+        });
+        c.create_table(
+            TableSchema::builder("t")
+                .partition_key("pk", ColumnType::BigInt)
+                .clustering_key("ck", ColumnType::BigInt)
+                .column("v", ColumnType::Int)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        c
+    }
+
+    fn dep(pk: i64) -> (String, DecoratedKey) {
+        (
+            "t".to_owned(),
+            DecoratedKey::new(Key::from(vec![Value::BigInt(pk)])),
+        )
+    }
+
+    fn write(c: &Cluster, pk: i64) {
+        c.insert(
+            "t",
+            vec![
+                ("pk", Value::BigInt(pk)),
+                ("ck", Value::BigInt(0)),
+                ("v", Value::Int(1)),
+            ],
+            Consistency::One,
+        )
+        .unwrap();
+    }
+
+    /// A one-shard tier of `budget` bytes.
+    fn tier(budget: usize) -> Validated<u32> {
+        Validated::new("unit", 1, budget)
+    }
+
+    /// Stores `v` weighing `bytes`, stamped on partition 1.
+    fn put(cache: &Validated<u32>, c: &Cluster, key: &[u8], v: u32, bytes: usize) {
+        cache.insert(key.to_vec(), v, Stamp::take(c, [dep(1)]), |_, _| bytes);
+    }
+
+    fn counts(cache: &Validated<u32>) -> (u64, u64, u64, u64) {
+        let s = cache.stats();
+        (s.hits(), s.misses(), s.invalidations(), s.evictions())
+    }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let mut c: LruCache<u32> = LruCache::new(30);
-        c.insert(b"a".to_vec(), 1, 10);
-        c.insert(b"b".to_vec(), 2, 10);
-        c.insert(b"c".to_vec(), 3, 10);
-        assert_eq!(c.len(), 3);
+        let c = cluster();
+        let cache = tier(30);
+        put(&cache, &c, b"a", 1, 10);
+        put(&cache, &c, b"b", 2, 10);
+        put(&cache, &c, b"c", 3, 10);
+        assert_eq!(cache.len(), 3);
         // Touch "a" so "b" is now the LRU entry.
-        assert_eq!(c.get(b"a"), Some(&1));
-        let evicted = c.insert(b"d".to_vec(), 4, 10);
-        assert_eq!(evicted, 1);
-        assert!(c.get(b"b").is_none(), "LRU entry evicted");
-        assert_eq!(c.get(b"a"), Some(&1));
-        assert_eq!(c.get(b"d"), Some(&4));
-        assert_eq!(c.used_bytes(), 30);
+        assert_eq!(cache.get(&c, b"a"), Some(1));
+        put(&cache, &c, b"d", 4, 10);
+        assert_eq!(cache.stats().evictions(), 1);
+        assert_eq!(cache.get(&c, b"b"), None, "LRU entry evicted");
+        assert_eq!(cache.get(&c, b"a"), Some(1));
+        assert_eq!(cache.get(&c, b"d"), Some(4));
+        assert_eq!(cache.get(&c, b"c"), Some(3));
+        assert_eq!(cache.used_bytes(), 30);
+        // Recency is now c, d, a (most recent first): two more entries
+        // evict "a" and then "d".
+        put(&cache, &c, b"e", 5, 10);
+        put(&cache, &c, b"f", 6, 10);
+        assert_eq!(cache.get(&c, b"a"), None);
+        assert_eq!(cache.get(&c, b"d"), None);
+        assert_eq!(cache.get(&c, b"c"), Some(3));
     }
 
     #[test]
     fn zero_budget_disables_and_oversized_entries_skip() {
-        let mut c: LruCache<u32> = LruCache::new(0);
-        assert_eq!(c.insert(b"a".to_vec(), 1, 1), 0);
-        assert!(c.is_empty());
-        let mut c: LruCache<u32> = LruCache::new(10);
-        c.insert(b"a".to_vec(), 1, 8);
+        let c = cluster();
+        // A tier that is off stores nothing and counts nothing.
+        let cache = tier(0);
+        put(&cache, &c, b"a", 1, 1);
+        assert_eq!(cache.get(&c, b"a"), None);
+        assert!(cache.is_empty());
+        assert_eq!(counts(&cache), (0, 0, 0, 0));
         // An entry bigger than the whole budget never displaces the
         // working set.
-        c.insert(b"huge".to_vec(), 2, 11);
-        assert_eq!(c.get(b"a"), Some(&1));
-        assert!(c.get(b"huge").is_none());
+        let cache = tier(10);
+        put(&cache, &c, b"a", 1, 8);
+        put(&cache, &c, b"huge", 2, 11);
+        assert_eq!(cache.get(&c, b"a"), Some(1));
+        assert_eq!(cache.get(&c, b"huge"), None);
+        assert_eq!((cache.len(), cache.used_bytes()), (1, 8));
+        assert_eq!(counts(&cache), (1, 1, 0, 0));
     }
 
     #[test]
     fn replace_reaccounts_bytes_and_shrink_evicts() {
-        let mut c: LruCache<u32> = LruCache::new(100);
-        c.insert(b"a".to_vec(), 1, 40);
-        c.insert(b"a".to_vec(), 2, 60);
-        assert_eq!(c.used_bytes(), 60);
-        assert_eq!(c.get(b"a"), Some(&2));
-        c.insert(b"b".to_vec(), 3, 40);
-        assert_eq!(c.set_budget(40), 1, "shrink evicts the older entry");
-        assert_eq!(c.get(b"b"), Some(&3));
-        assert_eq!(c.set_budget(0), 1);
-        assert!(c.is_empty());
+        let c = cluster();
+        let cache = tier(100);
+        put(&cache, &c, b"a", 1, 40);
+        put(&cache, &c, b"a", 2, 60);
+        assert_eq!(cache.used_bytes(), 60);
+        assert_eq!(cache.get(&c, b"a"), Some(2));
+        put(&cache, &c, b"b", 3, 40);
+        assert_eq!(cache.set_budget(40), 1, "shrink evicts the older entry");
+        assert_eq!(cache.get(&c, b"b"), Some(3));
+        assert_eq!(cache.set_budget(0), 1);
+        assert!(cache.is_empty());
+        assert_eq!(cache.used_bytes(), 0);
     }
 
     #[test]
-    fn retain_drops_matching_entries() {
-        let mut c: LruCache<u32> = LruCache::new(100);
-        c.insert(b"keep".to_vec(), 1, 10);
-        c.insert(b"drop".to_vec(), 2, 10);
-        assert_eq!(c.retain(|_, v| *v == 1), 1);
-        assert_eq!(c.get(b"keep"), Some(&1));
-        assert!(c.get(b"drop").is_none());
-        assert_eq!(c.used_bytes(), 10);
+    fn a_stale_entry_counts_once_as_an_invalidation_and_a_miss() {
+        let c = cluster();
+        let cache = tier(1 << 10);
+        let stamp = || Stamp::take(&c, [dep(1), dep(2)]);
+        cache.insert(b"k".to_vec(), 7, stamp(), |_, _| 10);
+        assert_eq!(cache.get(&c, b"k"), Some(7));
+        // A write elsewhere leaves it current.
+        write(&c, 3);
+        assert_eq!(cache.get(&c, b"k"), Some(7));
+        // A write to either dependency makes it stale: dropped once, then
+        // an ordinary miss.
+        write(&c, 2);
+        assert_eq!(cache.get(&c, b"k"), None);
+        assert_eq!(cache.get(&c, b"k"), None);
+        assert_eq!(counts(&cache), (2, 2, 1, 0));
+        assert_eq!((cache.len(), cache.used_bytes()), (0, 0));
+        // So does a topology change.
+        cache.insert(b"k".to_vec(), 8, stamp(), |_, _| 10);
+        c.take_node_down(crate::ring::NodeId(1));
+        assert_eq!(cache.get(&c, b"k"), None);
+        assert_eq!(counts(&cache), (2, 3, 2, 0));
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_leaves_the_tier_working() {
+        /// A value whose clone (run inside the shard lock on a hit)
+        /// panics while `armed`.
+        struct Fragile(Arc<AtomicBool>);
+        impl Clone for Fragile {
+            fn clone(&self) -> Fragile {
+                assert!(!self.0.load(Ordering::SeqCst), "clone under the lock");
+                Fragile(Arc::clone(&self.0))
+            }
+        }
+        let c = cluster();
+        let cache: Validated<Fragile> = Validated::new("unit", 1, 1 << 10);
+        let armed = Arc::new(AtomicBool::new(false));
+        let stamp = || Stamp::take(&c, [dep(1)]);
+        cache.insert(
+            b"a".to_vec(),
+            Fragile(Arc::clone(&armed)),
+            stamp(),
+            |_, _| 10,
+        );
+        armed.store(true, Ordering::SeqCst);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get(&c, b"a");
+        }));
+        assert!(panicked.is_err());
+        armed.store(false, Ordering::SeqCst);
+        assert!(cache.get(&c, b"a").is_some(), "get after the panic");
+        cache.insert(
+            b"b".to_vec(),
+            Fragile(Arc::clone(&armed)),
+            stamp(),
+            |_, _| 10,
+        );
+        assert!(cache.get(&c, b"b").is_some(), "insert after the panic");
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

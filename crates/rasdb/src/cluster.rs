@@ -2,7 +2,7 @@
 //! (replication, consistency levels, hinted handoff, read repair) and live
 //! topology changes (join/decommission with fault-tolerant range streaming).
 
-use crate::cache::{block_key, rows_footprint, BlockEntry, LruCache};
+use crate::cache::{block_key, rows_footprint, Stamp, Validated};
 use crate::commitlog::Mutation;
 use crate::cql;
 use crate::error::DbError;
@@ -186,8 +186,8 @@ pub struct Cluster {
     /// Bumped whenever replica visibility changes (node down/up), which can
     /// change what a read at a given consistency level observes.
     epoch: AtomicU64,
-    block_cache: Mutex<LruCache<BlockEntry>>,
-    block_cache_stats: CacheStats,
+    /// The block tier: merged partition reads, in one shard (DESIGN §9).
+    block_cache: Validated<Arc<[Row]>>,
     topo_stats: TopologyStats,
     stream_chunk_rows: AtomicU64,
 }
@@ -221,8 +221,7 @@ impl Cluster {
             versions: Mutex::new(HashMap::new()),
             version_counter: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            block_cache: Mutex::new(LruCache::new(DEFAULT_BLOCK_CACHE_BYTES)),
-            block_cache_stats: CacheStats::new("block"),
+            block_cache: Validated::new("block", 1, DEFAULT_BLOCK_CACHE_BYTES),
             topo_stats: TopologyStats::default(),
             stream_chunk_rows: AtomicU64::new(DEFAULT_STREAM_CHUNK_ROWS),
         }
@@ -278,61 +277,12 @@ impl Cluster {
     /// [`DEFAULT_BLOCK_CACHE_BYTES`]); `0` disables the cache and drops
     /// every entry. Benches comparing raw read paths should disable it.
     pub fn set_block_cache_budget(&self, bytes: usize) {
-        let evicted = self.block_cache.lock().set_budget(bytes);
-        self.block_cache_stats.record_evictions(evicted);
+        self.block_cache.set_budget(bytes);
     }
 
     /// Hit/miss/evict/invalidate counters for the partition-block cache.
     pub fn block_cache_stats(&self) -> &CacheStats {
-        &self.block_cache_stats
-    }
-
-    /// Looks up a block, validating its version and epoch tags; stale
-    /// entries are dropped and count as both an invalidation and a miss. A
-    /// hit clones a pointer to the cached rows.
-    fn block_cache_get(&self, key: &[u8], version: u64, epoch: u64) -> Option<Arc<[Row]>> {
-        let mut cache = self.block_cache.lock();
-        if cache.budget() == 0 {
-            return None;
-        }
-        let hit = match cache.get(key) {
-            Some(e) if e.version == version && e.epoch == epoch => Some(Arc::clone(&e.rows)),
-            Some(_) => {
-                cache.remove(key);
-                self.block_cache_stats.record_invalidations(1);
-                None
-            }
-            None => None,
-        };
-        drop(cache);
-        match hit {
-            Some(rows) => {
-                self.block_cache_stats.record_hit();
-                Some(rows)
-            }
-            None => {
-                self.block_cache_stats.record_miss();
-                None
-            }
-        }
-    }
-
-    /// Caches the rows a read is about to return: the entry shares the
-    /// caller's allocation, and the block is weighed outside the cache lock
-    /// without encoding anything. A block heavier than the whole budget is
-    /// not stored and displaces nothing.
-    fn block_cache_insert(&self, key: Vec<u8>, rows: &Arc<[Row]>, version: u64, epoch: u64) {
-        if self.block_cache.lock().budget() == 0 {
-            return;
-        }
-        let bytes = rows_footprint(rows) + key.len();
-        let entry = BlockEntry {
-            rows: Arc::clone(rows),
-            version,
-            epoch,
-        };
-        let evicted = self.block_cache.lock().insert(key, entry, bytes);
-        self.block_cache_stats.record_evictions(evicted);
+        self.block_cache.stats()
     }
 
     /// The scatter-gather worker pool, spawned lazily so short-lived
@@ -743,16 +693,15 @@ impl Cluster {
         let _span = telemetry::span!("rasdb.coordinator.read");
         let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
 
-        // Version and epoch are snapshotted *before* any replica read: a
-        // write landing mid-read bumps past the snapshot, so the entry we
-        // insert below can never be validated against post-write state.
+        // The stamp is taken *before* any replica read: a write landing
+        // mid-read bumps past it, so the entry stored below can never be
+        // validated against post-write state.
         let cache_key = block_key(plan, consistency);
-        let version = self.data_version(&plan.table, &plan.partition);
-        let epoch = self.topology_epoch();
-        if let Some(rows) = self.block_cache_get(&cache_key, version, epoch) {
+        if let Some(rows) = self.block_cache.get(self, &cache_key) {
             self.coord_stats.record_read_rows(rows.len() as u64);
             return Ok(rows);
         }
+        let stamp = Stamp::take(self, [(plan.table.clone(), plan.partition.clone())]);
 
         let mut responses: Vec<(NodeId, Run)> = Vec::new();
         let mut cursor = 0;
@@ -774,7 +723,10 @@ impl Cluster {
             });
         }
         let rows = self.finish_read(&table, plan, responses);
-        self.block_cache_insert(cache_key, &rows, version, epoch);
+        self.block_cache
+            .insert(cache_key, Arc::clone(&rows), stamp, |key, rows| {
+                rows_footprint(rows) + key.len()
+            });
         self.coord_stats.record_read_rows(rows.len() as u64);
         Ok(rows)
     }
@@ -887,13 +839,12 @@ impl Cluster {
         let now = Instant::now();
 
         // Validate every plan up front (the batch is all-or-nothing), then
-        // consult the block cache: only misses are scattered. Versions and
-        // the topology epoch are snapshotted before any replica read, for
-        // the same reason as in [`Cluster::read`].
-        let epoch = self.topology_epoch();
+        // consult the block cache: only misses are scattered. A miss's
+        // stamp is taken before any replica read, for the same reason as
+        // in [`Cluster::read`].
         let mut results: Vec<Option<Arc<[Row]>>> = vec![None; plans.len()];
         let mut miss: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<(Vec<u8>, u64)> = Vec::new();
+        let mut miss_keys: Vec<(Vec<u8>, Stamp)> = Vec::new();
         // Plan/merge sub-spans (like the per-replica spans below) are
         // profile-level phase detail: skipped unless a profile is being
         // collected, so the steady-state read path emits exactly one span
@@ -905,13 +856,13 @@ impl Cluster {
             for (idx, plan) in plans.iter().enumerate() {
                 let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
                 let key = block_key(plan, consistency);
-                let version = self.data_version(&plan.table, &plan.partition);
-                if let Some(rows) = self.block_cache_get(&key, version, epoch) {
+                if let Some(rows) = self.block_cache.get(self, &key) {
                     results[idx] = Some(rows);
                     continue;
                 }
+                let stamp = Stamp::take(self, [(plan.table.clone(), plan.partition.clone())]);
                 miss.push(idx);
-                miss_keys.push((key, version));
+                miss_keys.push((key, stamp));
                 gathers.push(Gather {
                     table,
                     replicas,
@@ -1061,10 +1012,13 @@ impl Cluster {
             }
 
             let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
-            for ((gi, g), (key, version)) in gathers.into_iter().enumerate().zip(miss_keys) {
+            for ((gi, g), (key, stamp)) in gathers.into_iter().enumerate().zip(miss_keys) {
                 let idx = miss[gi];
                 let rows = self.finish_read(&g.table, &plans[idx], g.responses);
-                self.block_cache_insert(key, &rows, version, epoch);
+                self.block_cache
+                    .insert(key, Arc::clone(&rows), stamp, |key, rows| {
+                        rows_footprint(rows) + key.len()
+                    });
                 results[idx] = Some(rows);
             }
         }
@@ -2361,7 +2315,7 @@ mod tests {
         let stats = c.block_cache_stats();
         assert_eq!((stats.hits(), stats.misses()), (0, 1));
         assert_eq!(stats.evictions(), 0);
-        assert!(c.block_cache.lock().is_empty());
+        assert!(c.block_cache.is_empty());
     }
 
     #[test]

@@ -373,8 +373,8 @@ impl CacheStats {
         self.evict_counter.incr(n);
     }
 
-    /// Records `n` entries dropped because their data version, topology
-    /// epoch, or watermark tag went stale.
+    /// Records `n` entries dropped because their stamp (data versions and
+    /// topology epoch, see [`crate::cache::Stamp`]) went stale.
     pub fn record_invalidations(&self, n: u64) {
         if n == 0 {
             return;

@@ -16,9 +16,6 @@ const MAX_WIDENINGS: u32 = 10;
 /// Bucket-compaction hook: merges equal-key items within one bucket.
 type Compactor<T> = Box<dyn FnMut(Vec<T>) -> Vec<T> + Send>;
 
-/// Flush hook: observes each emitted window's start timestamp.
-type FlushListener = Box<dyn FnMut(i64) + Send>;
-
 /// Groups timestamped items into fixed event-time windows.
 ///
 /// Items may arrive out of order; a window is emitted once the watermark
@@ -42,7 +39,6 @@ pub struct MicroBatcher<T> {
     late_drops: u64,
     high_watermark: usize,
     compactor: Option<Compactor<T>>,
-    flush_listener: Option<FlushListener>,
     load_sheds: u64,
 }
 
@@ -80,7 +76,6 @@ impl<T> MicroBatcher<T> {
             late_drops: 0,
             high_watermark: 0,
             compactor: None,
-            flush_listener: None,
             load_sheds: 0,
         }
     }
@@ -100,19 +95,6 @@ impl<T> MicroBatcher<T> {
         compact: impl FnMut(Vec<T>) -> Vec<T> + Send + 'static,
     ) -> MicroBatcher<T> {
         self.compactor = Some(Box::new(compact));
-        self
-    }
-
-    /// Installs a hook called with each window's start timestamp as it is
-    /// emitted by [`MicroBatcher::drain_ready`] / [`MicroBatcher::drain_all`].
-    /// Streaming consumers use this to invalidate caches that memoized the
-    /// still-open window (the log-analytics ingester drops open-window
-    /// result-cache entries here). Builder-style.
-    pub fn with_flush_listener(
-        mut self,
-        listener: impl FnMut(i64) + Send + 'static,
-    ) -> MicroBatcher<T> {
-        self.flush_listener = Some(Box::new(listener));
         self
     }
 
@@ -213,7 +195,6 @@ impl<T> MicroBatcher<T> {
             .into_iter()
             .map(|w| (w, self.buckets.remove(&w).expect("present")))
             .collect();
-        self.notify_flushes(&out);
         self.maybe_narrow();
         out
     }
@@ -221,17 +202,8 @@ impl<T> MicroBatcher<T> {
     /// Emits everything regardless of watermark (end of stream).
     pub fn drain_all(&mut self) -> Vec<(i64, Vec<T>)> {
         let out: Vec<(i64, Vec<T>)> = std::mem::take(&mut self.buckets).into_iter().collect();
-        self.notify_flushes(&out);
         self.maybe_narrow();
         out
-    }
-
-    fn notify_flushes(&mut self, flushed: &[(i64, Vec<T>)]) {
-        if let Some(listener) = self.flush_listener.as_mut() {
-            for (window_start, _) in flushed {
-                listener(*window_start);
-            }
-        }
     }
 
     /// Snaps a widened window back to its base width once the backlog has
@@ -340,22 +312,6 @@ mod tests {
         let windows: Vec<i64> = b.drain_all().into_iter().map(|(w, _)| w).collect();
         assert_eq!(windows, vec![1000, 3000, 5000]);
         assert_eq!(b.buffered(), 0);
-    }
-
-    #[test]
-    fn flush_listener_sees_each_emitted_window_start() {
-        use std::sync::{Arc, Mutex};
-        let flushed = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&flushed);
-        let mut b = MicroBatcher::with_lateness(1000, 0)
-            .with_flush_listener(move |w| sink.lock().unwrap().push(w));
-        b.feed(100, "a");
-        b.feed(1100, "b");
-        b.feed(2100, "c");
-        b.drain_ready();
-        assert_eq!(*flushed.lock().unwrap(), vec![0, 1000]);
-        b.drain_all();
-        assert_eq!(*flushed.lock().unwrap(), vec![0, 1000, 2000]);
     }
 
     #[test]

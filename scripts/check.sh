@@ -43,6 +43,13 @@ OBSERVABILITY_SMOKE=1 cargo bench -q -p hpclog-bench --bench observability
 echo "==> loadgen bench (smoke mode, asserts the goodput-under-overload gate)"
 LOADGEN_SMOKE=1 cargo bench -q -p hpclog-bench --bench loadgen
 
+# Any perfbench build rewrites perfbench/Cargo.lock (it still lists `rex`):
+# keep the committed copy and put it back however this script ends, so a run
+# leaves the tree clean.
+saved_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$saved_lock"
+trap 'cp "$saved_lock" perfbench/Cargo.lock; rm -f "$saved_lock"' EXIT
+
 # perfbench is a package of its own, outside the workspace, so tier-1 never
 # reaches the harness's unit tests.
 echo "==> perfbench harness unit tests"
