@@ -277,10 +277,11 @@ impl Framework {
     ) -> Result<Vec<EventRecord>, DbError> {
         let plans = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
         let batches = self.cluster.read_multi(&plans, self.consistency)?;
+        let event_type: Arc<str> = event_type.into();
         Ok(batches
             .iter()
             .flat_map(|rows| rows.iter())
-            .filter_map(|r| EventRecord::from_time_row(event_type, r))
+            .filter_map(|r| EventRecord::from_time_row(&event_type, r))
             .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
             .collect())
     }
@@ -355,10 +356,11 @@ impl Framework {
     ) -> Result<Vec<EventRecord>, DbError> {
         let plans = Self::window_plans("event_by_location", Some(source), from_ms, to_ms);
         let batches = self.cluster.read_multi(&plans, self.consistency)?;
+        let source: Arc<str> = source.into();
         Ok(batches
             .iter()
             .flat_map(|rows| rows.iter())
-            .filter_map(|r| EventRecord::from_location_row(source, r))
+            .filter_map(|r| EventRecord::from_location_row(&source, r))
             .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
             .collect())
     }
@@ -378,7 +380,7 @@ impl Framework {
         let workers = self.engine.workers();
         let plans = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
         let cluster = Arc::clone(&self.cluster);
-        let event_type = event_type.to_owned();
+        let event_type: Arc<str> = event_type.into();
         let consistency = self.consistency;
         let link = self.remote_link_bytes_per_sec;
         let owner_of = {
@@ -597,6 +599,32 @@ mod tests {
         // Every by-source record also appears in the by-type view.
         for e in &by_src {
             assert!(by_type.contains(e));
+        }
+    }
+
+    #[test]
+    fn records_read_back_share_the_stored_text() {
+        let fw = small();
+        let written = ev(5, "MCE", "c0-0c0s0n0");
+        fw.insert_event(&written).unwrap();
+        let rows = fw
+            .cluster()
+            .select("event_by_time")
+            .partition(vec![Value::BigInt(0), Value::text("MCE")])
+            .run(Consistency::Quorum)
+            .unwrap();
+        let Some(Value::Text(stored)) = rows[0].cell("raw") else {
+            panic!("a stored raw message")
+        };
+        assert!(Arc::ptr_eq(stored, &written.raw), "one copy, written once");
+        let by_type = fw.events_by_type("MCE", 0, HOUR_MS).unwrap();
+        let by_source = fw.events_by_source("c0-0c0s0n0", 0, HOUR_MS).unwrap();
+        for record in [&by_type[0], &by_source[0]] {
+            assert_eq!(*record, written);
+            assert!(
+                Arc::ptr_eq(&record.raw, stored),
+                "the record shares the row's raw"
+            );
         }
     }
 

@@ -50,37 +50,32 @@ impl EventRecord {
     }
 
     /// Rebuilds a record from an `event_by_time` row (partition key parts
-    /// supplied by the caller, clustering/cells from the row).
-    pub fn from_time_row(event_type: &str, row: &Row) -> Option<EventRecord> {
+    /// supplied by the caller, clustering/cells from the row). The record
+    /// shares the row's text and the caller's `event_type`; nothing is
+    /// copied.
+    pub fn from_time_row(event_type: &Arc<str>, row: &Row) -> Option<EventRecord> {
         let ts = row.clustering.0.first()?.as_i64()?;
-        let source = row.clustering.0.get(1)?.as_text()?.into();
+        let source = shared_text(row.clustering.0.get(1)?)?;
         Some(EventRecord {
             ts_ms: ts,
-            event_type: event_type.into(),
+            event_type: Arc::clone(event_type),
             source,
             amount: row.cell("amount").and_then(|v| v.as_i64()).unwrap_or(1) as i32,
-            raw: row
-                .cell("raw")
-                .and_then(|v| v.as_text())
-                .unwrap_or_default()
-                .into(),
+            raw: raw_of(row),
         })
     }
 
-    /// Rebuilds a record from an `event_by_location` row.
-    pub fn from_location_row(source: &str, row: &Row) -> Option<EventRecord> {
+    /// Rebuilds a record from an `event_by_location` row, sharing its text
+    /// and the caller's `source` as [`EventRecord::from_time_row`] does.
+    pub fn from_location_row(source: &Arc<str>, row: &Row) -> Option<EventRecord> {
         let ts = row.clustering.0.first()?.as_i64()?;
-        let event_type = row.clustering.0.get(1)?.as_text()?.into();
+        let event_type = shared_text(row.clustering.0.get(1)?)?;
         Some(EventRecord {
             ts_ms: ts,
             event_type,
-            source: source.into(),
+            source: Arc::clone(source),
             amount: row.cell("amount").and_then(|v| v.as_i64()).unwrap_or(1) as i32,
-            raw: row
-                .cell("raw")
-                .and_then(|v| v.as_text())
-                .unwrap_or_default()
-                .into(),
+            raw: raw_of(row),
         })
     }
 
@@ -93,6 +88,21 @@ impl EventRecord {
         }
         buf.len()
     }
+}
+
+/// Another pointer to a text value's string.
+fn shared_text(v: &Value) -> Option<Arc<str>> {
+    match v {
+        Value::Text(s) => Some(Arc::clone(s)),
+        _ => None,
+    }
+}
+
+/// A row's raw message, shared; the empty string when it has none.
+fn raw_of(row: &Row) -> Arc<str> {
+    row.cell("raw")
+        .and_then(shared_text)
+        .unwrap_or_else(|| "".into())
 }
 
 #[cfg(test)]
@@ -136,26 +146,44 @@ mod tests {
                 ("raw".into(), Value::text(&ev.raw)),
             ],
         );
-        assert_eq!(EventRecord::from_time_row("MCE", &row).unwrap(), ev);
+        assert_eq!(EventRecord::from_time_row(&"MCE".into(), &row).unwrap(), ev);
 
         let loc_row = Row::new(
             Key::from(vec![
                 Value::Timestamp(ev.ts_ms),
                 Value::text(&ev.event_type),
             ]),
-            row.cells().iter().cloned(),
+            row.cells().map(|(n, v)| (Arc::clone(n), v.clone())),
         );
         assert_eq!(
-            EventRecord::from_location_row("c0-0c0s0n0", &loc_row).unwrap(),
+            EventRecord::from_location_row(&"c0-0c0s0n0".into(), &loc_row).unwrap(),
             ev
         );
+    }
+
+    #[test]
+    fn records_share_the_text_of_the_rows_they_are_read_from() {
+        use rasdb::types::Key;
+        let ev = sample();
+        let (source, raw) = (
+            Value::Text(Arc::clone(&ev.source)),
+            Value::Text(ev.raw.clone()),
+        );
+        let cells = [("amount".into(), Value::Int(2)), ("raw".into(), raw)];
+        let row = Row::new(Key::from(vec![Value::Timestamp(ev.ts_ms), source]), cells);
+        let by_time = EventRecord::from_time_row(&ev.event_type, &row).unwrap();
+        assert!(Arc::ptr_eq(&by_time.raw, &ev.raw), "raw is the stored copy");
+        assert!(Arc::ptr_eq(&by_time.source, &ev.source));
+        assert!(Arc::ptr_eq(&by_time.event_type, &ev.event_type));
+        let by_location = EventRecord::from_location_row(&ev.source, &row);
+        assert!(Arc::ptr_eq(&by_location.unwrap().raw, &ev.raw));
     }
 
     #[test]
     fn missing_cells_default() {
         use rasdb::types::Key;
         let row = Row::new(Key::from(vec![Value::Timestamp(5), Value::text("n")]), []);
-        let ev = EventRecord::from_time_row("MCE", &row).unwrap();
+        let ev = EventRecord::from_time_row(&"MCE".into(), &row).unwrap();
         assert_eq!(ev.amount, 1);
         assert_eq!(&*ev.raw, "");
     }
@@ -164,7 +192,7 @@ mod tests {
     fn malformed_rows_return_none() {
         use rasdb::types::Key;
         let row = Row::new(Key::default(), []);
-        assert!(EventRecord::from_time_row("MCE", &row).is_none());
+        assert!(EventRecord::from_time_row(&"MCE".into(), &row).is_none());
     }
 
     #[test]

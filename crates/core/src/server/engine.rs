@@ -956,11 +956,8 @@ impl QueryEngine {
             ExecResult::Rows(rows) => Ok(OpOutput::data([(
                 "rows",
                 json_array(rows.iter().map(|r| {
-                    let mut obj = json_object(
-                        r.cells()
-                            .iter()
-                            .map(|(k, v)| (k.to_string(), db_value_to_json(v))),
-                    );
+                    let mut obj =
+                        json_object(r.cells().map(|(k, v)| (k.to_string(), db_value_to_json(v))));
                     obj.insert(
                         "_key",
                         json_array(r.clustering.0.iter().map(db_value_to_json)),

@@ -1,7 +1,11 @@
 //! Property tests across the framework's pipelines.
 
+#[path = "support/tokens.rs"]
+mod reference_tokens;
+
 use hpclog_core::analytics::bin_counts;
 use hpclog_core::analytics::composite::{mine_rules, Scope};
+use hpclog_core::analytics::text::{tokenize, tokens};
 use hpclog_core::analytics::transfer_entropy::transfer_entropy_binary;
 use hpclog_core::etl::fastpath::FastParser;
 use hpclog_core::etl::parsers::ParsedLine;
@@ -11,6 +15,7 @@ use hpclog_core::model::keys::HOUR_MS;
 use loggen::topology::Topology;
 use loggen::trace::{Facility, RawLine};
 use proptest::prelude::*;
+use reference_tokens::{tokenize_owned, word_count_reference, STOPWORDS};
 
 fn arb_event_type() -> impl Strategy<Value = &'static str> {
     prop_oneof![
@@ -58,6 +63,59 @@ fn line_for(etype: &str, ts: i64, node: usize) -> RawLine {
         facility: Facility::Console,
         source: topo.node(node % topo.node_count()).cname,
         text,
+    }
+}
+
+/// A stop word of the reference list, each letter in random case.
+fn arb_stopword() -> impl Strategy<Value = String> {
+    (0..STOPWORDS.len(), any::<u16>()).prop_map(|(i, case)| {
+        let letter = |(at, c): (usize, char)| match (case >> at) & 1 {
+            1 => c.to_ascii_uppercase(),
+            _ => c,
+        };
+        STOPWORDS[i].chars().enumerate().map(letter).collect()
+    })
+}
+
+/// Messages of hex runs, words, alphanumeric runs of exactly 2, 3 and 10
+/// bytes (the shortest kept token and the longest stop word), every stop
+/// word in random case — set apart, and glued to its neighbours — and
+/// multi-byte characters — alone, and glued directly to alphanumeric runs
+/// on both sides — joined by separators and by nothing.
+fn arb_message() -> impl Strategy<Value = String> {
+    // Latin, CJK, emoji, Unicode-only whitespace, a titlecase digraph and
+    // an Arabic-Indic digit: alphanumeric or not, none is ASCII.
+    let multibyte = || {
+        let chars = ["é", "ß", "Ω", "日本", "🔥", "\u{a0}", "ǅ", "٣"];
+        (0..chars.len()).prop_map(move |i| chars[i].to_owned())
+    };
+    let glued = ("[A-Za-z0-9]{1,4}", multibyte(), "[A-Za-z0-9]{1,4}");
+    let piece = prop_oneof![
+        3 => "[a-fA-F0-9]{1,5}",
+        3 => "[A-Za-z]{1,6}",
+        2 => "[A-Za-z0-9]{2}",
+        2 => "[A-Za-z0-9]{3}",
+        2 => "[A-Za-z0-9]{10}",
+        2 => arb_stopword(),
+        3 => arb_stopword().prop_map(|w| format!(" {w}:")),
+        2 => multibyte(),
+        2 => glued.prop_map(|(a, m, b)| format!("{a}{m}{b}")),
+        2 => "\\PC{1,3}",
+        3 => "[ :_.-]{0,2}",
+    ];
+    prop::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The byte-class tokenizer says what the char-split reference says:
+    /// the same tokens, in the same order, borrowed or owned.
+    #[test]
+    fn borrowed_tokens_are_the_owned_tokens(message in arb_message()) {
+        let borrowed: Vec<&str> = tokens(&message).collect();
+        prop_assert_eq!(&borrowed, &tokenize_owned(&message));
+        prop_assert_eq!(tokenize(&message), borrowed);
     }
 }
 
@@ -251,7 +309,7 @@ proptest! {
         use hpclog_core::analytics::heatmap::node_heatmap;
         use hpclog_core::analytics::synopsis::{build_synopsis, read_synopsis};
         use hpclog_core::analytics::bin_scan;
-        use hpclog_core::analytics::text::{word_count_events, word_count_serial};
+        use hpclog_core::analytics::text::word_count_events;
         use hpclog_core::model::apprun::AppRun;
         use std::collections::{BTreeMap, BTreeSet};
 
@@ -322,10 +380,9 @@ proptest! {
                         "{:?}", by
                     );
                 }
-                let messages: Vec<String> = rows.iter().map(|e| e.raw.to_string()).collect();
                 prop_assert_eq!(
                     word_count_events(&fw, etype, from, to).unwrap(),
-                    word_count_serial(&messages)
+                    word_count_reference(rows.iter().map(|e| &*e.raw))
                 );
                 let mut slots = vec![0.0; topo.node_count()];
                 for e in &truth {

@@ -584,12 +584,7 @@ mod tests {
             ],
         );
         let mut encoded = Vec::new();
-        for v in row
-            .clustering
-            .0
-            .iter()
-            .chain(row.cells().iter().map(|c| &c.1))
-        {
+        for v in row.clustering.0.iter().chain(row.cells().map(|c| c.1)) {
             v.encode_into(&mut encoded);
         }
         let one = 48 + ("amount".len() + 32) + ("raw".len() + 32) + encoded.len();

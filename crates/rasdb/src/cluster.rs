@@ -1084,8 +1084,7 @@ impl Cluster {
                         }
                     }
                     for row in &mut rows {
-                        row.cells
-                            .retain(|(name, _)| cols.iter().any(|c| **c == **name));
+                        row.project(|name| cols.iter().any(|c| **c == *name));
                     }
                 }
                 Ok(ExecResult::Rows(rows))
@@ -2103,7 +2102,7 @@ mod tests {
             panic!()
         };
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].cells().len(), 1);
+        assert_eq!(rows[0].cells().count(), 1);
         assert_eq!(rows[0].cell("source"), Some(&Value::text("nodeA")));
         assert_eq!(rows[0].cell("amount"), None);
         // Unknown projected column is a clean error.

@@ -2,7 +2,7 @@
 //! clustering-sorted runs of rows; ring order is restored at flush.
 
 use crate::partitioner::DecoratedKey;
-use crate::types::{Cell, Key, Row, Value};
+use crate::types::{Cell, Key, Row};
 use std::collections::HashMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -87,17 +87,23 @@ impl RowEntry {
         a
     }
 
-    /// Materializes the row a read returns, honoring tombstones: the live
-    /// cells are cloned out in column-name order under the names they were
-    /// stored with. Returns `None` when nothing is visible (fully deleted row).
+    /// Materializes the row a read returns, honoring tombstones. When every
+    /// stored cell is live and newer than the row tombstone, the row takes
+    /// the entry's cells pointer as it is; otherwise it gets a copy of the
+    /// live cells alone. Returns `None` when nothing is visible (fully
+    /// deleted row).
     pub fn visible(self, clustering: Key) -> Option<Row> {
         let floor = self.deleted_at;
-        let cells: Vec<(Arc<str>, Value)> = self
-            .cells
-            .iter()
-            .filter(|(_, c)| floor.is_none_or(|ts| c.write_ts > ts))
-            .filter_map(|(n, c)| Some((Arc::clone(n), c.value.clone()?)))
-            .collect();
+        let live = |c: &Cell| c.value.is_some() && floor.is_none_or(|ts| c.write_ts > ts);
+        let cells = if self.cells.iter().all(|(_, c)| live(c)) {
+            self.cells
+        } else {
+            self.cells
+                .iter()
+                .filter(|(_, c)| live(c))
+                .cloned()
+                .collect()
+        };
         (!cells.is_empty()).then_some(Row { clustering, cells })
     }
 
@@ -347,6 +353,7 @@ pub fn full_range() -> (Bound<Key>, Bound<Key>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Value;
 
     fn pk(h: i64) -> DecoratedKey {
         DecoratedKey::new(Key::from(vec![Value::BigInt(h)]))
@@ -575,5 +582,39 @@ mod tests {
         let vis = m.visible(ck(1)).unwrap();
         assert_eq!(vis.cell("x"), Some(&Value::Int(1)));
         assert_eq!(vis.cell("y"), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn a_read_row_shares_the_stored_cells_unless_something_is_dead() {
+        let stored = sorted_cells([("a".into(), cellv(1, 5)), ("b".into(), cellv(2, 5))]);
+        let entry = |deleted_at| RowEntry {
+            cells: Arc::clone(&stored),
+            deleted_at,
+        };
+        // All live and above the row tombstone: the stored pointer itself.
+        for deleted_at in [None, Some(4)] {
+            let row = entry(deleted_at).visible(ck(1)).unwrap();
+            assert!(Arc::ptr_eq(&row.cells, &stored), "{deleted_at:?}");
+        }
+        // A row tombstone that shadows one cell, and a cell tombstone: a
+        // filtered copy in which neither lookup nor iteration sees the dead.
+        let mut shadowed = RowEntry::default();
+        shadowed.upsert(&sorted_cells([
+            ("a".into(), cellv(1, 5)),
+            ("b".into(), cellv(2, 9)),
+            ("c".into(), Cell::tombstone(9)),
+        ]));
+        shadowed.delete(6);
+        let row = shadowed.visible(ck(1)).unwrap();
+        assert_eq!((row.cell("a"), row.cell("c")), (None, None));
+        assert_eq!(row.cell("b"), Some(&Value::Int(2)));
+        let names: Vec<&str> = row.cells().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["b"]);
+        assert_eq!(row.cells.len(), 1, "only live cells are held");
+        // Everything shadowed: no row at all.
+        assert!(entry(Some(5)).visible(ck(1)).is_none());
+        let mut dead = RowEntry::default();
+        dead.upsert(&sorted_cells([("a".into(), Cell::tombstone(3))]));
+        assert!(dead.visible(ck(1)).is_none());
     }
 }

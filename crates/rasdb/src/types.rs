@@ -1,5 +1,6 @@
 //! Cell values, keys, and rows.
 
+use crate::memtable::Cells;
 use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -414,42 +415,68 @@ impl Cell {
 
 /// A materialized row returned by reads: clustering key plus named cells.
 ///
-/// The read-side twin of a stored row: the live cells are a small vector
-/// sorted by column name, and a row that came out of a read carries the
-/// schema's interned names, so materializing it allocates no name.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The read-side view of a stored row: its cells are the replica's stored
+/// [`Cells`] slice itself whenever every stored cell is live, so a read
+/// hands out a pointer, not a copy, and a row carries the schema's
+/// interned names. A row holds only live cells; equality compares the
+/// clustering key and the `(name, value)` pairs, never write timestamps.
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Clustering-key components.
     pub clustering: Key,
     /// Live cells, sorted by column name, one per name.
-    pub(crate) cells: Vec<(Arc<str>, Value)>,
+    pub(crate) cells: Cells,
 }
 
 impl Row {
     /// Builds a row from cells in any order; the names must be distinct.
     pub fn new(clustering: Key, cells: impl IntoIterator<Item = (Arc<str>, Value)>) -> Row {
-        let mut cells: Vec<(Arc<str>, Value)> = cells.into_iter().collect();
+        let mut cells: Vec<(Arc<str>, Cell)> = cells
+            .into_iter()
+            .map(|(name, v)| (name, Cell::live(v, 0)))
+            .collect();
         cells.sort_by(|a, b| a.0.cmp(&b.0));
         debug_assert!(
             cells.windows(2).all(|w| w[0].0 < w[1].0),
             "a row holds one cell per column name"
         );
-        Row { clustering, cells }
+        Row {
+            clustering,
+            cells: cells.into(),
+        }
     }
 
     /// The live cells in column-name order.
-    pub fn cells(&self) -> &[(Arc<str>, Value)] {
-        &self.cells
+    pub fn cells(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
+        self.cells
+            .iter()
+            .filter_map(|(name, c)| Some((name, c.value.as_ref()?)))
     }
 
     /// Looks up a cell by column name.
     pub fn cell(&self, column: &str) -> Option<&Value> {
-        self.cells
-            .binary_search_by(|(n, _)| (**n).cmp(column))
-            .ok()
-            .map(|i| &self.cells[i].1)
+        let i = self.cells.binary_search_by(|(n, _)| (**n).cmp(column));
+        self.cells[i.ok()?].1.value.as_ref()
+    }
+
+    /// Keeps only the cells whose column `keep` accepts (CQL projection).
+    pub(crate) fn project(&mut self, keep: impl Fn(&str) -> bool) {
+        self.cells = self
+            .cells
+            .iter()
+            .filter(|(n, _)| keep(n))
+            .cloned()
+            .collect();
     }
 }
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        self.clustering == other.clustering && self.cells().eq(other.cells())
+    }
+}
+
+impl Eq for Row {}
 
 #[cfg(test)]
 mod tests {
@@ -585,11 +612,25 @@ mod tests {
                 ("amount".into(), Value::Int(2)),
             ],
         );
-        let names: Vec<&str> = row.cells().iter().map(|(n, _)| &**n).collect();
+        let names: Vec<&str> = row.cells().map(|(n, _)| &**n).collect();
         assert_eq!(names, ["amount", "raw"]);
         assert_eq!(row.cell("amount"), Some(&Value::Int(2)));
         assert_eq!(row.cell("raw"), Some(&Value::text("x")));
         assert_eq!(row.cell("nope"), None);
+    }
+
+    #[test]
+    fn row_equality_ignores_write_timestamps() {
+        let clustering = Key::from(vec![Value::Timestamp(1)]);
+        let built = Row::new(clustering.clone(), [("a".into(), Value::Int(1))]);
+        let stored = |ts| Row {
+            clustering: clustering.clone(),
+            cells: crate::memtable::sorted_cells([("a".into(), Cell::live(Value::Int(1), ts))]),
+        };
+        assert_eq!(built, stored(7), "a built row equals the row read back");
+        assert_eq!(stored(7), stored(9));
+        let other = Row::new(clustering, [("a".into(), Value::Int(2))]);
+        assert_ne!(built, other, "values still count");
     }
 
     #[test]

@@ -634,7 +634,7 @@ proptest! {
         prop_assert!(merged.cells().windows(2).all(|w| w[0].0 < w[1].0), "sorted, no duplicates");
         prop_assert_eq!(merged.weight(), model.cells.len() + 1);
         let visible = merged.clone().visible(Key::default()).map(|row| {
-            let cells = row.cells().iter().map(|(n, v)| (n.to_string(), v.clone()));
+            let cells = row.cells().map(|(n, v)| (n.to_string(), v.clone()));
             cells.collect::<BTreeMap<String, Value>>()
         });
         prop_assert_eq!(visible, model.visible());
