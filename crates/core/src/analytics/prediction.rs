@@ -9,7 +9,7 @@
 //! crosses a threshold. Evaluation reports precision/recall on a held-out
 //! suffix of the data.
 
-use crate::analytics::bin_counts;
+use crate::analytics::bin_scan;
 use crate::framework::Framework;
 use rasdb::error::DbError;
 use std::collections::BTreeMap;
@@ -70,7 +70,7 @@ pub struct Metrics {
 /// Binned per-type series over a common window.
 pub type BinnedSeries = BTreeMap<String, Vec<f64>>;
 
-/// Fetches and bins every catalog type over `[from, to)`.
+/// Scans and bins every catalog type's column blocks over `[from, to)`.
 pub fn binned_series(
     fw: &Framework,
     from_ms: i64,
@@ -79,11 +79,8 @@ pub fn binned_series(
 ) -> Result<BinnedSeries, DbError> {
     let mut out = BTreeMap::new();
     for etype in loggen::events::EVENT_CATALOG {
-        let events = fw.events_by_type(etype.name, from_ms, to_ms)?;
-        out.insert(
-            etype.name.to_owned(),
-            bin_counts(&events, from_ms, to_ms, bin_ms),
-        );
+        let scan = fw.scan_window(etype.name, from_ms, to_ms)?;
+        out.insert(etype.name.to_owned(), bin_scan(&scan, bin_ms));
     }
     Ok(out)
 }

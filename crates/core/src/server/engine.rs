@@ -135,6 +135,9 @@ impl QueryEngine {
 
         let t_exec = Instant::now();
         let mut op = String::new();
+        // Only requests that reached an op feed SLO accounting: a parse
+        // failure or a typo'd op name cannot page anyone.
+        let mut dispatched = false;
         let answer = {
             let mut span = telemetry::SpanGuard::enter_in("server.engine.request", &ctx);
             match &parsed {
@@ -142,7 +145,9 @@ impl QueryEngine {
                 Ok(body) => QueryRequest::parse(body).and_then(|req| {
                     op = req.op.clone();
                     span.tag("op", &req.op);
-                    self.dispatch(&req)
+                    let out = self.dispatch(&req);
+                    dispatched = !matches!(&out, Err(e) if e.code == ErrorCode::UnknownOp);
+                    out
                 }),
             }
             // Request span closes here so its duration (and its trace's
@@ -181,7 +186,7 @@ impl QueryEngine {
             phases: phases.clone(),
             profiled,
         });
-        if known_op(&op) {
+        if dispatched {
             self.slo.record(&op, ok, total_us as u64);
         }
         let error = answer.err();
@@ -1095,38 +1100,6 @@ fn profile_json(
     profile
 }
 
-/// Ops that feed SLO accounting — the dispatchable op set. Unknown ops
-/// and pre-dispatch failures are excluded so a typo'd op name cannot
-/// page anyone.
-fn known_op(op: &str) -> bool {
-    matches!(
-        op,
-        "events"
-            | "heatmap"
-            | "distribution"
-            | "histogram"
-            | "transfer_entropy"
-            | "cross_correlation"
-            | "wordcount"
-            | "apps"
-            | "nodeinfo"
-            | "synopsis"
-            | "rules"
-            | "profile"
-            | "predict"
-            | "render"
-            | "cql"
-            | "topology"
-            | "dlq"
-            | "dlq_requeue"
-            | "metrics"
-            | "storage"
-            | "slow_queries"
-            | "health"
-            | "trace"
-    )
-}
-
 /// Shared shape for committed join/decommission reports.
 fn transition_json(r: &rasdb::TransitionReport) -> OpOutput {
     OpOutput::data([
@@ -1311,6 +1284,19 @@ mod tests {
             assert!(!resp["error"]["message"].as_str().unwrap().is_empty());
             assert!(resp["message"].is_null(), "flat error mirror gone in v2");
         }
+    }
+
+    #[test]
+    fn only_dispatched_ops_feed_slo_accounting() {
+        let e = engine();
+        for req in ["not json at all", r#"{"no_op":1}"#, r#"{"op":"nope"}"#] {
+            call(&e, req);
+            assert!(e.slo().health().1.is_empty(), "{req}");
+        }
+        call(&e, r#"{"op":"metrics"}"#);
+        let (_, rows) = e.slo().health();
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].op.as_str(), rows[0].total), ("metrics", 1));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests across the framework's pipelines.
 
+#[path = "support/bins.rs"]
+mod reference_bins;
 #[path = "support/tokens.rs"]
 mod reference_tokens;
 
-use hpclog_core::analytics::bin_counts;
 use hpclog_core::analytics::composite::{mine_rules, Scope};
 use hpclog_core::analytics::text::{tokenize, tokens};
 use hpclog_core::analytics::transfer_entropy::transfer_entropy_binary;
@@ -15,6 +16,7 @@ use hpclog_core::model::keys::HOUR_MS;
 use loggen::topology::Topology;
 use loggen::trace::{Facility, RawLine};
 use proptest::prelude::*;
+use reference_bins::bin_counts;
 use reference_tokens::{tokenize_owned, word_count_reference, STOPWORDS};
 
 fn arb_event_type() -> impl Strategy<Value = &'static str> {
@@ -411,4 +413,46 @@ proptest! {
             }
         }
     }
+}
+
+/// `predict` bins every catalog type's column blocks; the row-side binner
+/// over what `events_by_type` reads back must give the same series, bit for
+/// bit, on aligned and hour-cutting windows.
+#[test]
+fn binned_series_equals_the_row_side_binner() {
+    use hpclog_core::analytics::prediction::binned_series;
+    use loggen::events::EVENT_CATALOG;
+    use loggen::trace::{Scenario, ScenarioConfig};
+
+    let topo = Topology::scaled(2, 2);
+    let cfg = ScenarioConfig {
+        rate_scale: 10.0,
+        ..ScenarioConfig::mce_hotspot(3, 1)
+    };
+    let scenario = Scenario::generate(&topo, &cfg, 1977);
+    let fw = boot(topo);
+    fw.batch_import(&scenario.lines).unwrap();
+    let start = cfg.start_ms;
+    let windows = [
+        (start, start + cfg.duration_ms),
+        (start + 17 * 60_000, start + 2 * HOUR_MS + 5 * 60_000),
+    ];
+    let mut events = 0;
+    for (from, to) in windows {
+        for bin_ms in [60_000, 7 * 60_000] {
+            let series = binned_series(&fw, from, to, bin_ms).unwrap();
+            assert_eq!(series.len(), EVENT_CATALOG.len());
+            for etype in EVENT_CATALOG {
+                let rows = fw.events_by_type(etype.name, from, to).unwrap();
+                events += rows.len();
+                assert_eq!(
+                    series[etype.name],
+                    bin_counts(&rows, from, to, bin_ms),
+                    "{} over [{from}, {to}) in {bin_ms} ms bins",
+                    etype.name
+                );
+            }
+        }
+    }
+    assert!(events > 0, "the scenario stored events");
 }

@@ -20,11 +20,11 @@ use crate::topology::{
     MemberStatus, StreamFaults, TopologyFaultPlan, TopologyStatus, TransitionKind, TransitionReport,
 };
 use crate::types::{Key, Row, Value};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -113,7 +113,7 @@ impl CoordinatorPool {
         let mut handles = self.handles.lock();
         while queues.len() < nodes {
             let id = queues.len();
-            let (tx, rx) = unbounded::<CoordJob>();
+            let (tx, rx) = channel::<CoordJob>();
             queues.push(tx);
             handles.push(
                 std::thread::Builder::new()
@@ -882,7 +882,7 @@ impl Cluster {
         }
 
         if !miss.is_empty() {
-            let (tx, rx) = unbounded::<ReplicaResponse>();
+            let (tx, rx) = channel::<ReplicaResponse>();
             let pool = self.coordinator();
 
             // Queues the read for gather `gi` on its next untried *up*

@@ -1,7 +1,6 @@
 //! Cell values, keys, and rows.
 
 use crate::memtable::Cells;
-use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,7 +30,7 @@ pub enum Value {
     /// Milliseconds since the Unix epoch.
     Timestamp(i64),
     /// Raw bytes.
-    Blob(Bytes),
+    Blob(Arc<[u8]>),
     /// An ordered list of values.
     List(Vec<Value>),
     /// A string-keyed map of values.
@@ -189,10 +188,7 @@ impl Value {
                 if rest.len() < len {
                     return None;
                 }
-                (
-                    Value::Blob(Bytes::copy_from_slice(&rest[..len])),
-                    &rest[len..],
-                )
+                (Value::Blob(rest[..len].into()), &rest[len..])
             }
             7 => {
                 let (len, mut rest) = take_len(rest)?;
@@ -588,7 +584,7 @@ mod tests {
             Value::Double(2.5),
             Value::Bool(true),
             Value::Timestamp(1_500_000_000_000),
-            Value::Blob(Bytes::from_static(b"\x00\x01\x02")),
+            Value::Blob(b"\x00\x01\x02"[..].into()),
             Value::List(vec![Value::Int(1), Value::text("x")]),
             Value::Map(m),
         ];

@@ -3,7 +3,6 @@
 use crate::pool::ExecutorPool;
 use crate::rdd::{PartitionSource, Rdd, SourceRdd, VecPartitions};
 use crate::Data;
-use crossbeam::channel::unbounded;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -131,7 +130,7 @@ impl SparkletContext {
             return Vec::new();
         }
         let f = Arc::new(f);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let locality = self.locality();
         let stage_span = telemetry::span!("sparklet.scheduler.stage");
         let stage_id = stage_span.id();

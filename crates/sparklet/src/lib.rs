@@ -13,9 +13,9 @@
 //!   `aggregate_by_key`, `sort_by_key`, and `join`, executed as a map-side
 //!   combine stage followed by a hash-partitioned reduce stage.
 //! * **A scheduler** ([`context`], [`pool`]) — a fixed pool of executor
-//!   threads, each with its own task queue; tasks carry *preferred
-//!   executors* so partition computation can run where the data lives
-//!   (the paper's data-locality argument).
+//!   threads over one run queue, with a pinned deque per executor; tasks
+//!   carry *preferred executors* so partition computation can run where
+//!   the data lives (the paper's data-locality argument).
 //! * **Micro-batch streaming** ([`streaming`]) — event-time windows with
 //!   the 1-second coalescing rule used by the real-time ingestion path.
 //!

@@ -1,10 +1,12 @@
-//! Executor pool: fixed worker threads, each with a private queue plus a
-//! shared queue, so tasks can be pinned to the executor that holds the data.
+//! Executor pool: fixed worker threads over one run queue. The queue holds
+//! one pinned deque per executor plus one shared deque, so a task can be
+//! pinned to the executor that holds its data; an executor serves its own
+//! deque first and takes shared work whenever it is idle.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// A unit of work.
@@ -56,10 +58,43 @@ impl PoolStats {
     }
 }
 
+/// The run queue every executor waits on: one lock over all deques, one
+/// condition variable to wake executors when work arrives or the pool
+/// closes.
+struct RunQueue {
+    state: Mutex<Queues>,
+    ready: Condvar,
+}
+
+struct Queues {
+    pinned: Vec<VecDeque<Task>>,
+    shared: VecDeque<Task>,
+    closed: bool,
+}
+
+impl RunQueue {
+    /// Tasks run outside the lock, and every update under it is one push,
+    /// pop or flag write, so even a poisoned guard holds valid queues.
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push_pinned(&self, worker: usize, task: Task) {
+        self.lock().pinned[worker].push_back(task);
+        // Only `worker` may take it, and the condvar cannot name one waiter.
+        self.ready.notify_all();
+    }
+
+    fn push_shared(&self, task: Task) {
+        self.lock().shared.push_back(task);
+        // Any idle executor may take it.
+        self.ready.notify_one();
+    }
+}
+
 /// A fixed pool of executor threads.
 pub struct ExecutorPool {
-    private_txs: Vec<Sender<Task>>,
-    shared_tx: Sender<Task>,
+    queue: Arc<RunQueue>,
     handles: Vec<JoinHandle<()>>,
     stats: Arc<PoolStats>,
     next_rr: AtomicU64,
@@ -69,23 +104,25 @@ impl ExecutorPool {
     /// Spawns `workers` executor threads.
     pub fn new(workers: usize) -> ExecutorPool {
         let workers = workers.max(1);
-        let (shared_tx, shared_rx) = unbounded::<Task>();
-        let mut private_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let (tx, rx) = unbounded::<Task>();
-            private_txs.push(tx);
-            let shared_rx = shared_rx.clone();
-            handles.push(
+        let queue = Arc::new(RunQueue {
+            state: Mutex::new(Queues {
+                pinned: (0..workers).map(|_| VecDeque::new()).collect(),
+                shared: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let handles = (0..workers)
+            .map(|id| {
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("sparklet-exec-{id}"))
-                    .spawn(move || worker_loop(id, rx, shared_rx))
-                    .expect("spawn executor"),
-            );
-        }
+                    .spawn(move || worker_loop(id, &queue))
+                    .expect("spawn executor")
+            })
+            .collect();
         ExecutorPool {
-            private_txs,
-            shared_tx,
+            queue,
             handles,
             stats: Arc::new(PoolStats::default()),
             next_rr: AtomicU64::new(0),
@@ -94,32 +131,32 @@ impl ExecutorPool {
 
     /// Number of executors.
     pub fn workers(&self) -> usize {
-        self.private_txs.len()
+        self.handles.len()
     }
 
     /// Submits a task. With `Some(worker)` the task is pinned to that
-    /// executor's private queue; otherwise it goes to the shared queue
-    /// (any idle executor picks it up).
+    /// executor's deque; otherwise it goes to the shared deque (any idle
+    /// executor picks it up).
     pub fn submit(&self, preferred: Option<usize>, task: Task) {
         match preferred {
-            Some(w) if w < self.private_txs.len() => {
+            Some(w) if w < self.workers() => {
                 self.stats.record_local();
-                self.private_txs[w].send(task).expect("executor alive");
+                self.queue.push_pinned(w, task);
             }
             _ => {
                 self.stats.record_other();
-                self.shared_tx.send(task).expect("executor alive");
+                self.queue.push_shared(task);
             }
         }
     }
 
-    /// Submits ignoring preference, spreading round-robin over private
-    /// queues (used when locality-aware scheduling is disabled, to keep
+    /// Submits ignoring preference, spreading round-robin over the pinned
+    /// deques (used when locality-aware scheduling is disabled, to keep
     /// queueing behaviour comparable).
     pub fn submit_round_robin(&self, task: Task) {
-        let w = (self.next_rr.fetch_add(1, Ordering::Relaxed) as usize) % self.private_txs.len();
+        let w = (self.next_rr.fetch_add(1, Ordering::Relaxed) as usize) % self.workers();
         self.stats.record_other();
-        self.private_txs[w].send(task).expect("executor alive");
+        self.queue.push_pinned(w, task);
     }
 
     /// Dispatch counters.
@@ -130,34 +167,28 @@ impl ExecutorPool {
 
 impl Drop for ExecutorPool {
     fn drop(&mut self) {
-        // Closing the channels ends the worker loops.
-        self.private_txs.clear();
-        drop(std::mem::replace(&mut self.shared_tx, unbounded().0));
+        // Executors run everything already queued, then see the close.
+        self.queue.lock().closed = true;
+        self.queue.ready.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(id: usize, private_rx: Receiver<Task>, shared_rx: Receiver<Task>) {
+fn worker_loop(id: usize, queue: &RunQueue) {
     WORKER_ID.with(|w| w.set(Some(id)));
+    let mut q = queue.lock();
     loop {
-        // Drain pinned work first, then fall back to the shared queue.
-        crossbeam::channel::select! {
-            recv(private_rx) -> task => match task {
-                Ok(task) => task(),
-                Err(_) => break,
-            },
-            recv(shared_rx) -> task => match task {
-                Ok(task) => task(),
-                Err(_) => {
-                    // Shared queue closed; keep serving pinned tasks.
-                    while let Ok(task) = private_rx.recv() {
-                        task();
-                    }
-                    break;
-                }
-            },
+        // Pinned work first, then the shared deque.
+        match q.pinned[id].pop_front().or_else(|| q.shared.pop_front()) {
+            Some(task) => {
+                drop(q);
+                task();
+                q = queue.lock();
+            }
+            None if q.closed => return,
+            None => q = queue.ready.wait(q).unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -166,13 +197,25 @@ fn worker_loop(id: usize, private_rx: Receiver<Task>, shared_rx: Receiver<Task>)
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Mutex;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    /// A task that reports it started on `started`, then blocks until its
+    /// gate's sender is dropped.
+    fn gated(started: Sender<()>, gate: Receiver<()>) -> Task {
+        Box::new(move || {
+            started.send(()).unwrap();
+            let _ = gate.recv();
+        })
+    }
 
     #[test]
     fn executes_all_tasks() {
         let pool = ExecutorPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         for _ in 0..100 {
             let c = Arc::clone(&counter);
             let tx = done_tx.clone();
@@ -185,9 +228,7 @@ mod tests {
             );
         }
         for _ in 0..100 {
-            done_rx
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .unwrap();
+            done_rx.recv_timeout(WAIT).unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 100);
     }
@@ -196,7 +237,7 @@ mod tests {
     fn pinned_tasks_run_on_their_executor() {
         let pool = ExecutorPool::new(4);
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         for w in 0..4 {
             for _ in 0..10 {
                 let seen = Arc::clone(&seen);
@@ -211,9 +252,7 @@ mod tests {
             }
         }
         for _ in 0..40 {
-            done_rx
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .unwrap();
+            done_rx.recv_timeout(WAIT).unwrap();
         }
         for (wanted, got) in seen.lock().unwrap().iter() {
             assert_eq!(Some(*wanted), *got);
@@ -221,18 +260,56 @@ mod tests {
     }
 
     #[test]
+    fn pinned_work_runs_before_earlier_shared_work() {
+        let pool = ExecutorPool::new(1);
+        let (gate_tx, gate_rx) = channel();
+        let (started_tx, started_rx) = channel();
+        pool.submit(Some(0), gated(started_tx, gate_rx));
+        started_rx.recv_timeout(WAIT).unwrap();
+        // The executor is busy: both tasks wait in the run queue, the
+        // shared one submitted first.
+        let (order_tx, order_rx) = channel();
+        for (preferred, name) in [(None, "shared"), (Some(0), "pinned")] {
+            let tx = order_tx.clone();
+            pool.submit(preferred, Box::new(move || tx.send(name).unwrap()));
+        }
+        drop(gate_tx);
+        let order: Vec<&str> = (0..2)
+            .map(|_| order_rx.recv_timeout(WAIT).unwrap())
+            .collect();
+        assert_eq!(order, ["pinned", "shared"]);
+    }
+
+    #[test]
+    fn shared_work_goes_to_the_idle_executor() {
+        let pool = ExecutorPool::new(2);
+        let (gate_tx, gate_rx) = channel();
+        let (started_tx, started_rx) = channel();
+        pool.submit(Some(0), gated(started_tx, gate_rx));
+        started_rx.recv_timeout(WAIT).unwrap();
+        let (done_tx, done_rx) = channel();
+        for _ in 0..8 {
+            let tx = done_tx.clone();
+            pool.submit(None, Box::new(move || tx.send(current_worker()).unwrap()));
+        }
+        // All eight finish while executor 0 is still blocked.
+        for _ in 0..8 {
+            assert_eq!(done_rx.recv_timeout(WAIT), Ok(Some(1)));
+        }
+        drop(gate_tx);
+    }
+
+    #[test]
     fn out_of_range_preference_falls_back_to_shared() {
         let pool = ExecutorPool::new(2);
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         pool.submit(
             Some(99),
             Box::new(move || {
                 done_tx.send(current_worker()).unwrap();
             }),
         );
-        let who = done_rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .unwrap();
+        let who = done_rx.recv_timeout(WAIT).unwrap();
         assert!(who.is_some());
         assert_eq!(pool.stats().other_dispatches(), 1);
     }
@@ -245,29 +322,42 @@ mod tests {
     #[test]
     fn drop_joins_cleanly_with_pending_pinned_tasks() {
         let pool = ExecutorPool::new(2);
+        // Hold both executors so everything below is still queued when
+        // the pool closes.
+        let (started_tx, started_rx) = channel();
+        let gates: Vec<_> = (0..2)
+            .map(|w| {
+                let (gate_tx, gate_rx) = channel();
+                pool.submit(Some(w), gated(started_tx.clone(), gate_rx));
+                gate_tx
+            })
+            .collect();
         let counter = Arc::new(AtomicUsize::new(0));
+        let count = |counter: &Arc<AtomicUsize>| -> Task {
+            let c = Arc::clone(counter);
+            Box::new(move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            })
+        };
         for w in 0..2 {
             for _ in 0..50 {
-                let c = Arc::clone(&counter);
-                pool.submit(
-                    Some(w),
-                    Box::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }),
-                );
+                pool.submit(Some(w), count(&counter));
             }
         }
-        drop(pool); // must process or abandon without deadlock
-                    // All pinned tasks were queued before drop; workers drain their
-                    // private queues before exiting.
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
+        for _ in 0..50 {
+            pool.submit(None, count(&counter));
+        }
+        drop(gates);
+        drop(pool);
+        assert_eq!(started_rx.try_iter().count(), 2);
+        assert_eq!(counter.load(Ordering::SeqCst), 150);
     }
 
     #[test]
     fn round_robin_spreads_over_workers() {
         let pool = ExecutorPool::new(4);
         let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         for _ in 0..64 {
             let seen = Arc::clone(&seen);
             let tx = done_tx.clone();
@@ -279,9 +369,7 @@ mod tests {
             }));
         }
         for _ in 0..64 {
-            done_rx
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .unwrap();
+            done_rx.recv_timeout(WAIT).unwrap();
         }
         assert_eq!(seen.lock().unwrap().len(), 4);
     }

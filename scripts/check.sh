@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (warnings are errors), the
-# tier-1 test suite (the root package and every crate's suites, through the
-# workspace's `default-members`), and smoke runs of the benches. Run from
+# tier-1 test suite (the root package, every crate's suites and the compat
+# shims' own tests, through the workspace's `default-members`), and smoke runs of the benches. Run from
 # anywhere; it cds to the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,7 +43,8 @@ OBSERVABILITY_SMOKE=1 cargo bench -q -p hpclog-bench --bench observability
 echo "==> loadgen bench (smoke mode, asserts the goodput-under-overload gate)"
 LOADGEN_SMOKE=1 cargo bench -q -p hpclog-bench --bench loadgen
 
-# Any perfbench build rewrites perfbench/Cargo.lock (it still lists `rex`):
+# Any perfbench build rewrites perfbench/Cargo.lock (it still lists `rex`,
+# `crossbeam` and `bytes`):
 # keep the committed copy and put it back however this script ends, so a run
 # leaves the tree clean.
 saved_lock="$(mktemp)"
