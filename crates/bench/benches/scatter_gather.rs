@@ -1,8 +1,11 @@
-//! Scatter-gather vs sequential hour-loop: a 24-hour window on a 4-node
-//! cluster, with simulated per-read replica service latency standing in
-//! for the RPC + disk time a networked Cassandra ring pays per partition
-//! read. Sequential coordination serializes those waits; `read_multi`
-//! overlaps them across the per-node worker queues.
+//! One `read_multi` vs a sequential hour-loop of `read`: a 24-hour window
+//! on a 4-node cluster, with simulated per-read replica service latency
+//! standing in for the RPC + disk time a networked Cassandra ring pays per
+//! partition read. The latency is simulated time, charged once per call:
+//! each `read` waits for its own quorum, whose two reads overlap, while
+//! one `read_multi` queues all 48 reads on their nodes and waits once, for
+//! the longest queue. The CPU work (replica reads, merges) is the same on
+//! both sides and runs on the calling thread.
 //!
 //! Emits `BENCH_scatter_gather.json` at the workspace root so the perf
 //! trajectory is tracked across PRs.
@@ -64,12 +67,14 @@ fn seeded() -> Cluster {
     // partition-block cache so every iteration pays the simulated replica
     // service time (the cache has its own bench, query_cache).
     cluster.set_block_cache_budget(0);
-    // Simulated service latency goes on AFTER seeding so the writes above
-    // stay fast.
-    for n in 0..cluster.node_count() {
-        cluster.node(NodeId(n)).set_read_latency_us(READ_LATENCY_US);
-    }
+    set_latency(&cluster, READ_LATENCY_US);
     cluster
+}
+
+fn set_latency(cluster: &Cluster, us: u64) {
+    for n in 0..cluster.node_count() {
+        cluster.node(NodeId(n)).set_read_latency_us(us);
+    }
 }
 
 fn window_plans() -> Vec<ReadPlan> {
@@ -121,10 +126,15 @@ fn bench_scatter_gather(c: &mut Criterion) {
         .map(|p| cluster.read(p, Consistency::Quorum).unwrap())
         .collect();
     let par = cluster.read_multi(&plans, Consistency::Quorum).unwrap();
-    assert_eq!(seq, par, "scatter-gather must match the sequential loop");
+    assert_eq!(seq, par, "read_multi must match the sequential loop");
 
-    // Steady-state timings for the JSON artifact (criterion's warm-up
-    // handles the pool spawn; here we hand-measure after one warm call).
+    // Steady-state timings for the JSON artifact, hand-measured after one
+    // warm call: first the CPU work alone, at latency zero, then with the
+    // simulated latency the calls wait out on top of it.
+    set_latency(&cluster, 0);
+    let sequential_cpu_ms = measure(|| sequential(&cluster, &plans), 10);
+    let read_multi_cpu_ms = measure(|| scatter(&cluster, &plans), 10);
+    set_latency(&cluster, READ_LATENCY_US);
     let sequential_ms = measure(|| sequential(&cluster, &plans), 10);
     let read_multi_ms = measure(|| scatter(&cluster, &plans), 10);
     let speedup = sequential_ms / read_multi_ms;
@@ -137,12 +147,20 @@ fn bench_scatter_gather(c: &mut Criterion) {
             "  \"replication_factor\": 3,\n",
             "  \"consistency\": \"quorum\",\n",
             "  \"read_latency_us\": {},\n",
+            "  \"sequential_cpu_ms\": {:.3},\n",
+            "  \"read_multi_cpu_ms\": {:.3},\n",
             "  \"sequential_ms\": {:.3},\n",
             "  \"read_multi_ms\": {:.3},\n",
             "  \"speedup\": {:.2}\n",
             "}}\n"
         ),
-        HOURS, READ_LATENCY_US, sequential_ms, read_multi_ms, speedup
+        HOURS,
+        READ_LATENCY_US,
+        sequential_cpu_ms,
+        read_multi_cpu_ms,
+        sequential_ms,
+        read_multi_ms,
+        speedup
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -150,7 +168,8 @@ fn bench_scatter_gather(c: &mut Criterion) {
     );
     std::fs::write(path, &json).expect("write BENCH_scatter_gather.json");
     println!(
-        "sequential {sequential_ms:.3} ms, read_multi {read_multi_ms:.3} ms, speedup {speedup:.2}x"
+        "sequential {sequential_ms:.3} ms ({sequential_cpu_ms:.3} ms CPU), \
+         read_multi {read_multi_ms:.3} ms ({read_multi_cpu_ms:.3} ms CPU), speedup {speedup:.2}x"
     );
 
     let mut group = c.benchmark_group("scatter_gather");

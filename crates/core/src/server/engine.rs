@@ -992,10 +992,12 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// Splits a request's wall clock across [`PHASES`]. `parse` and
 /// `serialize` come from direct timestamps; within the execute interval,
 /// `cache_probe` / `plan` / `merge` are the summed durations of the
-/// request's same-named spans **on the dispatch thread** (worker-thread
-/// replica reads overlap each other, so counting them would double-bill
-/// wall time), `fan_out` is the coordinator's `read_multi` time not spent
-/// planning or merging, and `analyze` is whatever execute time remains.
+/// request's same-named spans **on the dispatch thread**, where its
+/// coordinator reads run (spans of other threads, such as parallel scan
+/// tasks, overlap the request's own time and would double-bill it);
+/// `fan_out` is the coordinator's `read_multi` time not spent planning or
+/// merging: the replica reads and the simulated replica latency the call
+/// waits out. `analyze` is whatever execute time remains.
 /// Without a profile (`spans` empty) the span-derived phases are 0 and
 /// the whole execute interval lands in `analyze`.
 fn phase_breakdown(

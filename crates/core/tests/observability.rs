@@ -5,8 +5,9 @@
 //! - `"profile": true` returns a per-phase breakdown whose phases sum to
 //!   the end-to-end latency within 10%;
 //! - a profile is a closed span tree: every parent id resolves within the
-//!   same profile (no orphan spans across the `read_multi` worker pool),
-//!   and concurrent profiled requests never leak spans into each other;
+//!   same profile (the coordinator's plan, replica-read and merge spans
+//!   nest under its `read_multi` span on the calling thread), and
+//!   concurrent profiled requests never leak spans into each other;
 //! - the streaming ingester's per-step trace keeps its store/commit spans
 //!   parented (no orphans across `StreamIngester` steps);
 //! - histogram exemplars and the flight recorder agree on trace ids.

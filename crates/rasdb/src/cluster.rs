@@ -24,9 +24,8 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -58,8 +57,8 @@ pub enum ExecResult {
     Applied,
 }
 
-/// Default per-read deadline before a speculative retry is sent to the
-/// next replica (see [`Cluster::read_multi`]).
+/// Default per-read deadline, in simulated time, before a speculative retry
+/// is sent to the next replica (see [`Cluster::read_multi`]).
 pub const DEFAULT_SPECULATIVE_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// Default per-node hinted-handoff queue cap (see [`Cluster::set_hint_cap`]).
@@ -77,70 +76,45 @@ pub const TOPOLOGY_RETRY_AFTER_MS: u64 = 100;
 /// [`Cluster::set_stream_chunk_rows`]).
 pub const DEFAULT_STREAM_CHUNK_ROWS: u64 = 128;
 
-/// A unit of coordinator work bound for one storage node's queue.
-type CoordJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// One replica's answer to a scatter read: `(plan index, replica, raw rows
-/// or None when the node was down)`.
-type ReplicaResponse = (usize, NodeId, Option<Run>);
-
-/// Persistent coordinator worker pool: one thread + queue per storage
-/// node, so a slow or down node backs up only its own queue and can never
-/// stall reads bound for healthy nodes. The pool grows when nodes join a
-/// live cluster; slots are never removed (decommissioned nodes keep their
-/// idle worker, matching their permanently reserved `NodeId`).
-struct CoordinatorPool {
-    queues: RwLock<Vec<Sender<CoordJob>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+/// One coordinator call's account (see [`Cluster::read_multi`]): simulated
+/// time in microseconds from the call's start, and what its reads did. Real
+/// CPU time never enters it, so CPU work never triggers a hedge.
+#[derive(Default)]
+struct SimTime {
+    /// When each node is next free, indexed by `NodeId`; grown only when a
+    /// read finishes after time zero.
+    node_free: Vec<u64>,
+    /// The latest finish the call waits for.
+    finish: u64,
+    /// Plans served by the block cache.
+    block_hits: usize,
+    /// Reads re-sent because their replica was down at read time.
+    retries: u64,
+    /// Reads sent past a speculative timeout.
+    hedges: u64,
 }
 
-impl CoordinatorPool {
-    fn new(nodes: usize) -> CoordinatorPool {
-        let pool = CoordinatorPool {
-            queues: RwLock::new(Vec::with_capacity(nodes)),
-            handles: Mutex::new(Vec::with_capacity(nodes)),
-        };
-        pool.ensure(nodes);
-        pool
-    }
-
-    /// Grows the pool to at least `nodes` workers.
-    fn ensure(&self, nodes: usize) {
-        if self.queues.read().len() >= nodes {
-            return;
+impl SimTime {
+    /// Queues one read on `node`, dispatched at `at`: it starts when the
+    /// node is free and takes the node's latency. Returns its finish.
+    fn queue(&mut self, node: &StorageNode, at: u64) -> u64 {
+        let slot = node.id.0;
+        let free = self.node_free.get(slot).copied().unwrap_or(0);
+        let done = free.max(at) + node.read_latency_us();
+        if done > free {
+            if self.node_free.len() <= slot {
+                self.node_free.resize(slot + 1, 0);
+            }
+            self.node_free[slot] = done;
         }
-        let mut queues = self.queues.write();
-        let mut handles = self.handles.lock();
-        while queues.len() < nodes {
-            let id = queues.len();
-            let (tx, rx) = channel::<CoordJob>();
-            queues.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rasdb-coord-{id}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn coordinator worker"),
-            );
-        }
+        done
     }
 
-    fn submit(&self, node: NodeId, job: CoordJob) {
-        self.queues.read()[node.0]
-            .send(job)
-            .expect("coordinator worker alive");
-    }
-}
-
-impl Drop for CoordinatorPool {
-    fn drop(&mut self) {
-        // Closing the queues ends the worker loops.
-        self.queues.write().clear();
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
+    /// Sleeps for the call's simulated time: the one place a coordinator
+    /// pays simulated replica latency.
+    fn charge(&self) {
+        if self.finish > 0 {
+            std::thread::sleep(Duration::from_micros(self.finish));
         }
     }
 }
@@ -173,8 +147,6 @@ pub struct Cluster {
     clock: AtomicU64,
     hints: Mutex<HashMap<NodeId, VecDeque<Arc<Mutation>>>>,
     hint_cap: AtomicU64,
-    /// Scatter-gather worker pool, spawned on first `read_multi`.
-    coordinator: OnceLock<CoordinatorPool>,
     coord_stats: CoordinatorStats,
     speculative_timeout_us: AtomicU64,
     /// Monotonic per-partition data versions: bumped after every mutation
@@ -215,7 +187,6 @@ impl Cluster {
             clock: AtomicU64::new(1),
             hints: Mutex::new(HashMap::new()),
             hint_cap: AtomicU64::new(DEFAULT_HINT_CAP),
-            coordinator: OnceLock::new(),
             coord_stats: CoordinatorStats::default(),
             speculative_timeout_us: AtomicU64::new(DEFAULT_SPECULATIVE_TIMEOUT.as_micros() as u64),
             versions: Mutex::new(HashMap::new()),
@@ -285,26 +256,14 @@ impl Cluster {
         self.block_cache.stats()
     }
 
-    /// The scatter-gather worker pool, spawned lazily so short-lived
-    /// clusters (unit tests, property-test shrink iterations) never pay
-    /// for threads they don't use.
-    fn coordinator(&self) -> &CoordinatorPool {
-        let pool = self
-            .coordinator
-            .get_or_init(|| CoordinatorPool::new(self.node_count()));
-        // Nodes may have joined since the pool was spawned.
-        pool.ensure(self.node_count());
-        pool
-    }
-
     /// Coordinator read-path counters (replica skips, speculative retries,
-    /// scatter batches).
+    /// `read_multi` batches).
     pub fn coordinator_stats(&self) -> &CoordinatorStats {
         &self.coord_stats
     }
 
-    /// Overrides the per-read deadline after which `read_multi` sends a
-    /// speculative retry to the next replica.
+    /// Overrides the per-read deadline, in simulated time, after which a
+    /// coordinator read also sends a speculative retry to the next replica.
     pub fn set_speculative_timeout(&self, d: Duration) {
         self.speculative_timeout_us
             .store(d.as_micros() as u64, Ordering::SeqCst);
@@ -672,116 +631,237 @@ impl Cluster {
     }
 
     /// Advances `cursor` past known-down replicas (counting each skip) and
-    /// returns the next replica worth dispatching to. Shared by the
-    /// sequential read loop and the scatter-gather dispatcher so both paths
-    /// select replicas — and feed the block cache — identically.
-    fn next_up_replica(&self, replicas: &[NodeId], cursor: &mut usize) -> Option<NodeId> {
+    /// returns the next replica worth reading.
+    fn next_up_replica(&self, replicas: &[NodeId], cursor: &mut usize) -> Option<Arc<StorageNode>> {
         while *cursor < replicas.len() {
-            let id = replicas[*cursor];
+            let node = self.node_arc(replicas[*cursor]);
             *cursor += 1;
-            if self.node_arc(id).is_up() {
-                return Some(id);
+            if node.is_up() {
+                return Some(node);
             }
             self.coord_stats.record_replica_skipped();
         }
         None
     }
 
-    /// Executes a resolved read plan. The rows are shared with the block
-    /// cache: a repeat of the read returns the same allocation.
+    /// Executes a resolved read plan: [`Cluster::read_multi`] of one plan,
+    /// without its batch counters and profile spans. The rows are shared
+    /// with the block cache: a repeat read returns the same allocation.
     pub fn read(&self, plan: &ReadPlan, consistency: Consistency) -> Result<Arc<[Row]>, DbError> {
         let _span = telemetry::span!("rasdb.coordinator.read");
-        let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
+        let mut sim = SimTime::default();
+        let rows = self.read_plan(plan, consistency, &mut sim, false)?;
+        sim.charge();
+        self.coord_stats.record_read_rows(rows.len() as u64);
+        Ok(rows)
+    }
 
+    /// Reads plans one after another on the calling thread and returns
+    /// their rows in plan order. Simulated replica latency
+    /// ([`NodeConfig::read_latency_us`]) is charged once for the whole call:
+    /// every plan is dispatched at its start, each read queues on its node,
+    /// so reads bound for different nodes overlap, and the call sleeps once,
+    /// for its latest plan's finish.
+    ///
+    /// Each plan reads its first `required` *up* replicas in ring order. A
+    /// replica found down at read time is retried at once on the next one,
+    /// and past each speculative timeout without `required` answers (see
+    /// [`Cluster::set_speculative_timeout`]) a hedge goes to the next
+    /// untried up replica; the plan merges its first `required` answers.
+    ///
+    /// The first plan that fails validation or falls short of its
+    /// consistency level fails the call with its error, as a loop of
+    /// [`Cluster::read`] would.
+    pub fn read_multi(
+        &self,
+        plans: &[ReadPlan],
+        consistency: Consistency,
+    ) -> Result<Vec<Arc<[Row]>>, DbError> {
+        let mut span = telemetry::span!("rasdb.coordinator.read_multi");
+        if plans.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.coord_stats.record_read_multi(plans.len() as u64);
+        // Plan, replica and merge sub-spans are profile-level detail:
+        // skipped unless a profile is being collected, so the steady-state
+        // read path emits exactly one span per call.
+        let detail = telemetry::profiling_active();
+        let mut sim = SimTime::default();
+        let results = plans
+            .iter()
+            .map(|plan| self.read_plan(plan, consistency, &mut sim, detail))
+            .collect::<Result<Vec<_>, _>>()?;
+        sim.charge();
+        if detail {
+            span.tag("plans", plans.len().to_string());
+            span.tag("block_hits", sim.block_hits.to_string());
+            span.tag("block_misses", (plans.len() - sim.block_hits).to_string());
+        }
+        // Always tagged when nonzero: a retry or hedge is exactly what a
+        // ring reader wants to see; the zero case is noise.
+        if detail || sim.retries > 0 {
+            span.tag("retries", sim.retries.to_string());
+        }
+        if detail || sim.hedges > 0 {
+            span.tag("hedges", sim.hedges.to_string());
+        }
+        self.coord_stats
+            .record_read_rows(results.iter().map(|rows| rows.len() as u64).sum());
+        Ok(results)
+    }
+
+    /// One plan's coordinator read, the one read path: the block-cache
+    /// probe, the stamp, the replica gather on `sim`'s clock and
+    /// [`Cluster::finish_read`]. `detail` emits the profile-level spans.
+    fn read_plan(
+        &self,
+        plan: &ReadPlan,
+        consistency: Consistency,
+        sim: &mut SimTime,
+        detail: bool,
+    ) -> Result<Arc<[Row]>, DbError> {
+        let plan_span = detail.then(|| telemetry::span!("rasdb.coordinator.plan"));
+        let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
+        let cache_key = block_key(plan, consistency);
+        if let Some(rows) = self.block_cache.get(self, &cache_key) {
+            sim.block_hits += 1;
+            return Ok(rows);
+        }
         // The stamp is taken *before* any replica read: a write landing
         // mid-read bumps past it, so the entry stored below can never be
         // validated against post-write state.
-        let cache_key = block_key(plan, consistency);
-        if let Some(rows) = self.block_cache.get(self, &cache_key) {
-            self.coord_stats.record_read_rows(rows.len() as u64);
-            return Ok(rows);
-        }
         let stamp = Stamp::take(self, [(plan.table.clone(), plan.partition.clone())]);
+        drop(plan_span);
 
-        let mut responses: Vec<(NodeId, Run)> = Vec::new();
-        let mut cursor = 0;
-        while let Some(id) = self.next_up_replica(&replicas, &mut cursor) {
-            if let Some(raw) = self
-                .node_arc(id)
-                .read_raw(&plan.table, &plan.partition, &plan.range)
-            {
-                responses.push((id, raw));
-            }
-            if responses.len() >= required {
-                break;
-            }
-        }
-        if responses.len() < required {
-            return Err(DbError::Unavailable {
-                required,
-                received: responses.len(),
-            });
-        }
+        let responses = self.gather(plan, &replicas, required, sim, detail)?;
+        let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
         let rows = self.finish_read(&table, plan, responses);
         self.block_cache
             .insert(cache_key, Arc::clone(&rows), stamp, |key, rows| {
                 rows_footprint(rows) + key.len()
             });
-        self.coord_stats.record_read_rows(rows.len() as u64);
         Ok(rows)
     }
 
-    /// Shared tail of every coordinator read: one walk over the replicas'
-    /// responses — each a sorted run — that merges them (LWW per cell),
-    /// decides read repair, filters tombstones and applies order and limit.
+    /// The replica reads of one plan, on `sim`'s clock. `required` reads go
+    /// out at time zero to the first up replicas in ring order; a replica
+    /// found down at read time is retried at once on the next. While the
+    /// `required`-th earliest answer lands after the next speculative
+    /// deadline, one more read goes to the next untried up replica at that
+    /// deadline. Returns the first `required` answers in finish order (ring
+    /// order at latency zero) and makes `sim` wait for the last of them.
+    fn gather(
+        &self,
+        plan: &ReadPlan,
+        replicas: &[NodeId],
+        required: usize,
+        sim: &mut SimTime,
+        detail: bool,
+    ) -> Result<impl Iterator<Item = (NodeId, Run)>, DbError> {
+        let mut cursor = 0;
+        // Reads the next up replica at `at`; `None` once none is left.
+        let mut read_next = |at: u64, mut kind: &'static str, sim: &mut SimTime| {
+            while let Some(node) = self.next_up_replica(replicas, &mut cursor) {
+                let span = detail.then(|| {
+                    let mut span = telemetry::span!("rasdb.coordinator.replica_read");
+                    span.tag("node", node.id.0.to_string());
+                    span.tag("kind", kind);
+                    span
+                });
+                let raw = node.read_raw(&plan.table, &plan.partition, &plan.range);
+                drop(span);
+                match raw {
+                    Some(run) => return Some((sim.queue(&node, at), node.id, run)),
+                    None => {
+                        self.coord_stats.record_speculative_retry();
+                        sim.retries += 1;
+                        kind = "retry";
+                    }
+                }
+            }
+            None
+        };
+
+        let mut answers: Vec<(u64, NodeId, Run)> = Vec::with_capacity(required);
+        answers.extend((0..required).map_while(|_| read_next(0, "scatter", sim)));
+        if answers.len() < required {
+            return Err(DbError::Unavailable {
+                required,
+                received: answers.len(),
+            });
+        }
+        let timeout = self.speculative_timeout_us.load(Ordering::Relaxed);
+        let mut deadline = timeout;
+        loop {
+            // Stable: equal finishes keep dispatch order.
+            answers.sort_by_key(|(done, _, _)| *done);
+            if answers[required - 1].0 <= deadline {
+                break;
+            }
+            let Some(hedge) = read_next(deadline, "hedge", sim) else {
+                break;
+            };
+            self.coord_stats.record_speculative_retry();
+            sim.hedges += 1;
+            answers.push(hedge);
+            deadline = deadline.saturating_add(timeout);
+        }
+        sim.finish = sim.finish.max(answers[required - 1].0);
+        answers.truncate(required);
+        Ok(answers.into_iter().map(|(_, id, run)| (id, run)))
+    }
+
+    /// Shared tail of every coordinator read: merges the replicas'
+    /// responses — each a sorted run — (LWW per cell), decides read repair,
+    /// filters tombstones and applies order and limit.
     ///
-    /// A row on which every replica agrees is moved into the result. A row
-    /// that differs is merged in response order, and the merged state is
-    /// queued for exactly the replicas that were missing it or held
-    /// something else; each replica then receives its repairs as one batch.
-    /// A repair changes what lower consistency levels may observe on the
-    /// repaired replica, so it bumps the partition version like any other
-    /// mutation.
+    /// When every replica answered the same run, that run is the result and
+    /// nothing is repaired; replicas share a row's key and cells, so the
+    /// check compares pointers. Otherwise one walk merges each row's copies
+    /// in response order, and the merged state is queued for exactly the
+    /// replicas that were missing it or held something else; each replica
+    /// then receives its repairs as one batch. A repair changes what lower
+    /// consistency levels may observe on the repaired replica, so it bumps
+    /// the partition version like any other mutation.
     fn finish_read(
         &self,
         table: &Arc<str>,
         plan: &ReadPlan,
-        responses: Vec<(NodeId, Run)>,
+        responses: impl Iterator<Item = (NodeId, Run)>,
     ) -> Arc<[Row]> {
-        let (replicas, runs): (Vec<NodeId>, Vec<Run>) = responses.into_iter().unzip();
-        let mut repairs: Vec<Vec<Arc<Mutation>>> = vec![Vec::new(); replicas.len()];
+        let (replicas, mut runs): (Vec<NodeId>, Vec<Run>) = responses.unzip();
         let mut rows = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
-        merge_runs(runs, |ck, copies| {
-            let agreed = copies.len() == replicas.len()
-                && copies[1..].iter().all(|(_, e)| *e == copies[0].1);
-            let entry = if agreed {
-                copies.swap_remove(0).1
-            } else {
+        if runs[1..].iter().all(|run| *run == runs[0]) {
+            let run = runs.swap_remove(0);
+            rows.extend(run.into_iter().filter_map(|(ck, e)| e.visible(ck)));
+        } else {
+            let mut repairs: Vec<Vec<Arc<Mutation>>> = vec![Vec::new(); replicas.len()];
+            merge_runs(runs, |ck, copies| {
                 let merged = copies
                     .iter()
                     .map(|(_, e)| e.clone())
                     .reduce(RowEntry::merge)
                     .expect("merge_runs hands out one copy or more");
-                let repair = Arc::new(Mutation::from_entry(table, &plan.partition, &ck, &merged));
+                let mut repair = None;
                 for (replica, queue) in repairs.iter_mut().enumerate() {
                     let have = copies.iter().find(|(from, _)| *from == replica);
                     if have.is_none_or(|(_, e)| *e != merged) {
-                        queue.push(Arc::clone(&repair));
+                        queue.push(Arc::clone(repair.get_or_insert_with(|| {
+                            Arc::new(Mutation::from_entry(table, &plan.partition, &ck, &merged))
+                        })));
                     }
                 }
-                merged
-            };
-            rows.extend(entry.visible(ck));
-        });
-
-        let mut repaired = 0;
-        for (id, batch) in replicas.iter().zip(&repairs) {
-            if !batch.is_empty() && self.node_arc(*id).apply_batch(&[batch]) {
-                repaired += batch.len();
+                rows.extend(merged.visible(ck));
+            });
+            let mut repaired = 0;
+            for (id, batch) in replicas.iter().zip(&repairs) {
+                if !batch.is_empty() && self.node_arc(*id).apply_batch(&[batch]) {
+                    repaired += batch.len();
+                }
             }
-        }
-        if repaired > 0 {
-            self.bump_versions(table, [&plan.partition]);
+            if repaired > 0 {
+                self.bump_versions(table, [&plan.partition]);
+            }
         }
 
         if plan.descending {
@@ -791,245 +871,6 @@ impl Cluster {
             rows.truncate(limit);
         }
         rows.into()
-    }
-
-    /// Scatter-gather read: executes every plan concurrently across the
-    /// coordinator worker pool and returns the results in plan order.
-    ///
-    /// Each plan's read fans out to its first `required` *up* replicas in
-    /// ring order — the same replica set the sequential [`Cluster::read`]
-    /// would consult, so results are identical. If a dispatched replica
-    /// turns out to be down mid-read, or a read outlives the speculative
-    /// deadline (see [`Cluster::set_speculative_timeout`]), the coordinator
-    /// retries against the next untried replica instead of blocking.
-    ///
-    /// Errors are all-or-nothing: any plan failing validation or falling
-    /// short of its consistency level fails the whole batch, mirroring the
-    /// error the sequential loop would have produced.
-    pub fn read_multi(
-        &self,
-        plans: &[ReadPlan],
-        consistency: Consistency,
-    ) -> Result<Vec<Arc<[Row]>>, DbError> {
-        let mut span = telemetry::span!("rasdb.coordinator.read_multi");
-        // Trace context for worker-pool closures: replica reads on pool
-        // threads parent under this span and carry the request's trace id.
-        let ctx = span.context();
-        if plans.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.coord_stats.record_read_multi(plans.len() as u64);
-
-        // Per-plan gather state. Validation happens up front so a bad plan
-        // fails before any work is queued.
-        struct Gather {
-            table: Arc<str>,
-            replicas: Vec<NodeId>,
-            required: usize,
-            /// Next replica index to try when a dispatched read fails or
-            /// times out.
-            next_replica: usize,
-            responses: Vec<(NodeId, Run)>,
-            inflight: usize,
-            deadline: Instant,
-            done: bool,
-        }
-
-        let timeout = Duration::from_micros(self.speculative_timeout_us.load(Ordering::SeqCst));
-        let now = Instant::now();
-
-        // Validate every plan up front (the batch is all-or-nothing), then
-        // consult the block cache: only misses are scattered. A miss's
-        // stamp is taken before any replica read, for the same reason as
-        // in [`Cluster::read`].
-        let mut results: Vec<Option<Arc<[Row]>>> = vec![None; plans.len()];
-        let mut miss: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<(Vec<u8>, Stamp)> = Vec::new();
-        // Plan/merge sub-spans (like the per-replica spans below) are
-        // profile-level phase detail: skipped unless a profile is being
-        // collected, so the steady-state read path emits exactly one span
-        // per read_multi call.
-        let detail = telemetry::profiling_active();
-        let mut gathers = Vec::new();
-        {
-            let _plan_span = detail.then(|| telemetry::span!("rasdb.coordinator.plan"));
-            for (idx, plan) in plans.iter().enumerate() {
-                let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
-                let key = block_key(plan, consistency);
-                if let Some(rows) = self.block_cache.get(self, &key) {
-                    results[idx] = Some(rows);
-                    continue;
-                }
-                let stamp = Stamp::take(self, [(plan.table.clone(), plan.partition.clone())]);
-                miss.push(idx);
-                miss_keys.push((key, stamp));
-                gathers.push(Gather {
-                    table,
-                    replicas,
-                    required,
-                    next_replica: 0,
-                    responses: Vec::new(),
-                    inflight: 0,
-                    deadline: now + timeout,
-                    done: false,
-                });
-            }
-        }
-        if detail {
-            span.tag("plans", plans.len().to_string());
-            span.tag("block_hits", (plans.len() - miss.len()).to_string());
-            span.tag("block_misses", miss.len().to_string());
-        }
-
-        if !miss.is_empty() {
-            let (tx, rx) = channel::<ReplicaResponse>();
-            let pool = self.coordinator();
-
-            // Queues the read for gather `gi` on its next untried *up*
-            // replica. Returns false when the replica list is exhausted.
-            // `kind` labels why the read was dispatched (`scatter` for the
-            // initial fan-out, `retry` after a down replica, `hedge` on a
-            // speculative deadline) and rides into the replica span.
-            let dispatch_next =
-                |g: &mut Gather, gi: usize, kind: &'static str, tx: &Sender<ReplicaResponse>| {
-                    if let Some(id) = self.next_up_replica(&g.replicas, &mut g.next_replica) {
-                        let node = self.node_arc(id);
-                        let plan = plans[miss[gi]].clone();
-                        let tx = tx.clone();
-                        pool.submit(
-                            id,
-                            Box::new(move || {
-                                // Per-replica spans are profile-level detail:
-                                // emitted only while some request is profiling,
-                                // so the unprofiled fan-out hot path pays one
-                                // atomic load per dispatch instead of a span.
-                                // (Aggregate scatter/retry/hedge stats stay
-                                // always-on via the `read_multi` span tags.)
-                                let rspan = telemetry::profiling_active().then(|| {
-                                    let mut rspan = match ctx {
-                                        Some(c) => telemetry::SpanGuard::enter_in(
-                                            "rasdb.coordinator.replica_read",
-                                            &c,
-                                        ),
-                                        None => telemetry::span!("rasdb.coordinator.replica_read"),
-                                    };
-                                    rspan.tag("node", node.id.0.to_string());
-                                    rspan.tag("kind", kind);
-                                    rspan
-                                });
-                                let raw = node.read_raw(&plan.table, &plan.partition, &plan.range);
-                                drop(rspan);
-                                let _ = tx.send((gi, node.id, raw));
-                            }),
-                        );
-                        g.inflight += 1;
-                        return true;
-                    }
-                    false
-                };
-
-            // Initial scatter: `required` concurrent reads per plan.
-            for (gi, g) in gathers.iter_mut().enumerate() {
-                for _ in 0..g.required {
-                    if !dispatch_next(g, gi, "scatter", &tx) {
-                        break;
-                    }
-                }
-                if g.inflight < g.required {
-                    return Err(DbError::Unavailable {
-                        required: g.required,
-                        received: 0,
-                    });
-                }
-            }
-
-            // Gather until every plan has `required` responses.
-            let mut retries = 0u64;
-            let mut hedges = 0u64;
-            let mut remaining = gathers.len();
-            while remaining > 0 {
-                match rx.recv_timeout(timeout) {
-                    Ok((gi, id, raw)) => {
-                        let g = &mut gathers[gi];
-                        g.inflight -= 1;
-                        if g.done {
-                            continue;
-                        }
-                        match raw {
-                            Some(rows) => {
-                                g.responses.push((id, rows));
-                                if g.responses.len() >= g.required {
-                                    g.done = true;
-                                    remaining -= 1;
-                                }
-                            }
-                            None => {
-                                // The node went down between dispatch and
-                                // read: retry on the next replica.
-                                self.coord_stats.record_speculative_retry();
-                                retries += 1;
-                                if !dispatch_next(g, gi, "retry", &tx) && g.inflight == 0 {
-                                    return Err(DbError::Unavailable {
-                                        required: g.required,
-                                        received: g.responses.len(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Deadline pass: hedge every stalled plan with one
-                        // more replica. Extend deadlines so each plan hedges
-                        // at most once per timeout window.
-                        let now = Instant::now();
-                        for (gi, g) in gathers.iter_mut().enumerate() {
-                            if g.done || now < g.deadline {
-                                continue;
-                            }
-                            g.deadline = now + timeout;
-                            if dispatch_next(g, gi, "hedge", &tx) {
-                                self.coord_stats.record_speculative_retry();
-                                hedges += 1;
-                            } else if g.inflight == 0 {
-                                return Err(DbError::Unavailable {
-                                    required: g.required,
-                                    received: g.responses.len(),
-                                });
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => unreachable!("tx held by coordinator"),
-                }
-            }
-            drop(tx);
-            // Always tagged when nonzero — a retry or hedge is exactly
-            // what a ring reader wants to see; the zero case is noise.
-            if detail || retries > 0 {
-                span.tag("retries", retries.to_string());
-            }
-            if detail || hedges > 0 {
-                span.tag("hedges", hedges.to_string());
-            }
-
-            let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
-            for ((gi, g), (key, stamp)) in gathers.into_iter().enumerate().zip(miss_keys) {
-                let idx = miss[gi];
-                let rows = self.finish_read(&g.table, &plans[idx], g.responses);
-                self.block_cache
-                    .insert(key, Arc::clone(&rows), stamp, |key, rows| {
-                        rows_footprint(rows) + key.len()
-                    });
-                results[idx] = Some(rows);
-            }
-        }
-
-        let results: Vec<Arc<[Row]>> = results
-            .into_iter()
-            .map(|rows| rows.expect("every plan served from cache or scatter"))
-            .collect();
-        self.coord_stats
-            .record_read_rows(results.iter().map(|rows| rows.len() as u64).sum());
-        Ok(results)
     }
 
     /// Executes a CQL statement.
@@ -1583,10 +1424,19 @@ impl Cluster {
         donors: &[NodeId],
     ) -> Result<Run, DbError> {
         let required = Consistency::Quorum.required(donors.len());
+        // The donors are read one after another: each read is dispatched
+        // when the one before it finished.
+        let mut sim = SimTime::default();
         let runs: Vec<Run> = donors
             .iter()
-            .filter_map(|id| self.node_arc(*id).read_raw(table, pk, &full_range()))
+            .filter_map(|id| {
+                let node = self.node_arc(*id);
+                let run = node.read_raw(table, pk, &full_range())?;
+                sim.finish = sim.queue(&node, sim.finish);
+                Some(run)
+            })
             .collect();
+        sim.charge();
         if runs.len() < required {
             return Err(DbError::Unavailable {
                 required,
@@ -1860,6 +1710,17 @@ mod tests {
         .unwrap();
     }
 
+    /// A full read of one hour's `MCE` partition.
+    fn hour_plan(hour: i64) -> ReadPlan {
+        ReadPlan {
+            table: "event_by_time".into(),
+            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(hour), Value::text("MCE")])),
+            range: full_range(),
+            limit: None,
+            descending: false,
+        }
+    }
+
     #[test]
     fn insert_select_roundtrip() {
         let c = events_cluster(4, 3);
@@ -2123,18 +1984,7 @@ mod tests {
                 put(&c, hour, "MCE", ts, "n", Consistency::Quorum);
             }
         }
-        let plans: Vec<ReadPlan> = (0..24)
-            .map(|hour| ReadPlan {
-                table: "event_by_time".into(),
-                partition: DecoratedKey::new(Key::from(vec![
-                    Value::BigInt(hour),
-                    Value::text("MCE"),
-                ])),
-                range: full_range(),
-                limit: None,
-                descending: false,
-            })
-            .collect();
+        let plans: Vec<ReadPlan> = (0..24).map(hour_plan).collect();
         let batched = c.read_multi(&plans, Consistency::Quorum).unwrap();
         assert_eq!(batched.len(), 24);
         for (plan, rows) in plans.iter().zip(&batched) {
@@ -2178,18 +2028,7 @@ mod tests {
         for hour in 0..12 {
             put(&c, hour, "MCE", 2, "n", Consistency::Quorum);
         }
-        let plans: Vec<ReadPlan> = (0..12)
-            .map(|hour| ReadPlan {
-                table: "event_by_time".into(),
-                partition: DecoratedKey::new(Key::from(vec![
-                    Value::BigInt(hour),
-                    Value::text("MCE"),
-                ])),
-                range: full_range(),
-                limit: None,
-                descending: false,
-            })
-            .collect();
+        let plans: Vec<ReadPlan> = (0..12).map(hour_plan).collect();
         let batched = c.read_multi(&plans, Consistency::Quorum).unwrap();
         for (plan, rows) in plans.iter().zip(&batched) {
             assert_eq!(rows.len(), 2);
@@ -2218,22 +2057,45 @@ mod tests {
     fn read_multi_hedges_a_slow_replica() {
         let c = events_cluster(4, 3);
         put(&c, 3, "MCE", 1, "n", Consistency::All);
-        let pkey = Key::from(vec![Value::BigInt(3), Value::text("MCE")]);
-        let owners = c.owners(&pkey);
-        // First replica answers slower than the speculative deadline; at
-        // Consistency::One the hedge to the next replica wins the race.
+        let plan = hour_plan(3);
+        let owners = c.owners(plan.partition.key());
+        // The first replica answers at 20 ms, past the 2 ms deadline; at
+        // Consistency::One the hedge to the next replica answers at 2 ms.
         c.node(owners[0]).set_read_latency_us(20_000);
         c.set_speculative_timeout(Duration::from_millis(2));
-        let plan = ReadPlan {
-            table: "event_by_time".into(),
-            partition: DecoratedKey::new(pkey),
-            range: full_range(),
-            limit: None,
-            descending: false,
-        };
+        let started = std::time::Instant::now();
         let rows = c.read_multi(&[plan], Consistency::One).unwrap();
+        let took = started.elapsed();
         assert_eq!(rows[0].len(), 1);
-        assert!(c.coordinator_stats().speculative_retries() >= 1);
+        assert_eq!(c.coordinator_stats().speculative_retries(), 1);
+        // The call waits for the hedge's finish, not the slow replica's.
+        assert!(took >= Duration::from_millis(2), "{took:?}");
+        assert!(took < Duration::from_millis(20), "{took:?}");
+    }
+
+    #[test]
+    fn read_multi_charges_simulated_time_once_per_call() {
+        let c = events_cluster(4, 3);
+        for hour in 0..8 {
+            put(&c, hour, "MCE", 1, "n", Consistency::All);
+        }
+        for n in 0..c.node_count() {
+            c.node(NodeId(n)).set_read_latency_us(2_000);
+        }
+        // No hedges: each plan reads exactly its quorum.
+        c.set_speculative_timeout(Duration::from_secs(60));
+        let plans: Vec<ReadPlan> = (0..8).map(hour_plan).collect();
+        let started = std::time::Instant::now();
+        let batches = c.read_multi(&plans, Consistency::Quorum).unwrap();
+        let took = started.elapsed();
+        assert!(batches.iter().all(|rows| rows.len() == 1));
+        assert_eq!(c.coordinator_stats().speculative_retries(), 0);
+        // 16 replica reads of 2 ms each, queued on four nodes: at most
+        // eight wait on any one node, so the call takes at least one read
+        // and at most 16 ms, never the 32 ms a charge per read would sum to.
+        let replica_reads = Duration::from_millis(2) * 16;
+        assert!(took >= Duration::from_millis(2), "{took:?}");
+        assert!(took < replica_reads, "{took:?}");
     }
 
     #[test]
@@ -2242,13 +2104,7 @@ mod tests {
         for ts in 0..10 {
             put(&c, 1, "MCE", ts, "n", Consistency::Quorum);
         }
-        let plan = ReadPlan {
-            table: "event_by_time".into(),
-            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1), Value::text("MCE")])),
-            range: full_range(),
-            limit: None,
-            descending: false,
-        };
+        let plan = hour_plan(1);
         let first = c.read(&plan, Consistency::Quorum).unwrap();
         let hits = c.block_cache_stats().hits();
         assert_eq!(c.read(&plan, Consistency::Quorum).unwrap(), first);
@@ -2285,13 +2141,7 @@ mod tests {
         for ts in 0..500 {
             put(&c, 1, "MCE", ts, "c0-0c0s0n0", Consistency::Quorum);
         }
-        let plan = ReadPlan {
-            table: "event_by_time".into(),
-            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1), Value::text("MCE")])),
-            range: full_range(),
-            limit: None,
-            descending: false,
-        };
+        let plan = hour_plan(1);
 
         // A block that fits is one allocation, whoever reads it.
         let first = c.read(&plan, Consistency::Quorum).unwrap();

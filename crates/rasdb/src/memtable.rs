@@ -28,11 +28,20 @@ pub fn sorted_cells(cells: impl IntoIterator<Item = (Arc<str>, Cell)>) -> Cells 
 ///
 /// Iteration order (stream encoding, [`RowEntry::visible`]) is column-name
 /// order. Nothing shared is ever changed: a merge builds a new slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, Eq)]
 pub struct RowEntry {
     cells: Cells,
     /// Row-level delete timestamp, if any.
     pub deleted_at: Option<u64>,
+}
+
+/// Replicas of a row share its cells, so equal pointers settle equality
+/// before any cell is read (`Arc` has no such shortcut for a slice).
+impl PartialEq for RowEntry {
+    fn eq(&self, other: &RowEntry) -> bool {
+        self.deleted_at == other.deleted_at
+            && (Arc::ptr_eq(&self.cells, &other.cells) || self.cells == other.cells)
+    }
 }
 
 impl RowEntry {

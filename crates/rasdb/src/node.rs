@@ -27,9 +27,9 @@ pub struct NodeConfig {
     /// Bloom-filter usage on reads (ablation hook).
     pub use_bloom: bool,
     /// Simulated per-read service latency (RPC + disk round trip of a
-    /// replica read). `0` = serve instantly. Benches use this to model a
-    /// real networked cluster, where the sequential-vs-scatter-gather
-    /// difference comes from overlapping replica waits.
+    /// replica read). `0` = serve instantly. The coordinator charges it as
+    /// simulated time, queued per node, and decides hedges on it; benches
+    /// use it to model a networked cluster.
     pub read_latency_us: u64,
 }
 
@@ -99,6 +99,12 @@ impl StorageNode {
     /// slow-replica injection in tests/benches).
     pub fn set_read_latency_us(&self, us: u64) {
         self.read_latency_us.store(us, Ordering::SeqCst);
+    }
+
+    /// The simulated service latency of one read. The node does not wait
+    /// it out: the coordinator charges it as simulated time.
+    pub fn read_latency_us(&self) -> u64 {
+        self.read_latency_us.load(Ordering::Relaxed)
     }
 
     /// Registers a table (idempotent).
@@ -216,10 +222,6 @@ impl StorageNode {
     ) -> Option<Run> {
         if !self.is_up() {
             return None;
-        }
-        let latency = self.read_latency_us.load(Ordering::Relaxed);
-        if latency > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(latency));
         }
         let mut runs: Vec<Run> = Vec::new();
         {

@@ -7,7 +7,7 @@
 //! alongside coordinator latency histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock};
 use telemetry::{Counter, Gauge};
 
 /// Registry-backed counters on the read and write hot paths, shared by
@@ -24,8 +24,7 @@ struct GlobalCounters {
 }
 
 fn globals() -> &'static GlobalCounters {
-    static G: OnceLock<GlobalCounters> = OnceLock::new();
-    G.get_or_init(|| {
+    static G: LazyLock<GlobalCounters> = LazyLock::new(|| {
         let r = telemetry::global();
         GlobalCounters {
             coordinator_write_rows: r.counter("rasdb.coordinator.write.rows"),
@@ -37,7 +36,8 @@ fn globals() -> &'static GlobalCounters {
             bloom_skips: r.counter("rasdb.storage.bloom_skips"),
             sstable_probes: r.counter("rasdb.storage.sstable_probes"),
         }
-    })
+    });
+    &G
 }
 
 /// Per-node operation counters. All methods are lock-free; relaxed ordering
@@ -102,9 +102,10 @@ impl NodeStats {
     }
 }
 
-/// Coordinator-side read-path counters: replica selection and the
-/// scatter-gather machinery. Per-cluster counts are exact; every increment
-/// is mirrored into `rasdb.coordinator.*` counters in the global registry.
+/// Coordinator-side counters: replica skips, retries and hedges,
+/// `read_multi` batches, hints. Per-cluster counts are exact; every
+/// increment is mirrored into `rasdb.coordinator.*` counters in the global
+/// registry.
 #[derive(Debug, Default)]
 pub struct CoordinatorStats {
     replica_skipped: AtomicU64,

@@ -314,8 +314,40 @@ fn hex(bytes: &[u8]) -> String {
 /// replica, their commit logs, hint queues, SSTables and read results all
 /// point at the components the coordinator built once. Build one with
 /// `Key::from(vec![..])`; read the components through `key.0`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+///
+/// Two copies of one key are one pointer, so equality and order check the
+/// pointer before the components: a replica merge compares the copies of
+/// a row's key without reading them (`Arc` has no such shortcut for a
+/// slice).
+#[derive(Debug, Clone, Eq, Default)]
 pub struct Key(pub Arc<[Value]>);
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 impl Key {
     /// Binary encoding: what a partition key's token hashes, and what

@@ -260,7 +260,7 @@ fn a_cold_read_costs_a_few_allocations_per_row_and_a_cache_hit_a_few_in_all() {
     let c = cluster();
     let (big, small) = (one_partition(&c, 1, ROWS), one_partition(&c, 2, 50));
     c.flush_all();
-    // Once for the coordinator's worker pool and the process's first span.
+    // Once for the process's first span and the registry's counters.
     read(&c, &one_partition(&c, 3, 1), 1);
 
     let (cold, _) = read(&c, &big, ROWS);

@@ -5,12 +5,16 @@
 //! memtable range into a fresh `BTreeMap`; the coordinator gather did the
 //! same with the replicas' responses and then compared every replica against
 //! the merged map again to decide read repair. Both are sorted-run merges
-//! now. The coordinator half of the old code lives on here as the model
-//! ([`model_read`]): it is fed what the consulted replicas hold before a
-//! read and predicts the rows the read returns, the repair each replica
-//! receives and whether the partition version moves. The replica half is
+//! now. The coordinator half of the old code lives on in
+//! `support/read_model.rs` as the model ([`model_read`]): it is fed what the
+//! consulted replicas hold before a read and predicts the rows the read
+//! returns, the repair each replica receives and whether the partition
+//! version moves. The replica half is
 //! checked against a twin cluster that takes the same writes and never
 //! flushes, so each of its partitions is one run and nothing is merged.
+
+#[path = "support/read_model.rs"]
+mod read_model;
 
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
@@ -22,14 +26,14 @@ use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Cell, Key, Row, Value};
 use rasdb::DecoratedKey;
-use std::collections::{BTreeMap, HashMap};
+use read_model::{consulted, model_read, Raw};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Duration;
 
 const NODES: usize = 3;
 const HOURS: i64 = 2;
-type Raw = Vec<(Key, RowEntry)>;
 type Range = (Bound<Key>, Bound<Key>);
 
 #[derive(Debug, Clone)]
@@ -213,69 +217,6 @@ fn replica_states(c: &Cluster, hour: i64, range: &Range) -> Vec<Option<Raw>> {
         .collect()
 }
 
-/// The replicas a read consults: the first `required` that are up, in ring
-/// order; `Err` is the `Unavailable` the read returns instead.
-fn consulted(c: &Cluster, hour: i64, consistency: Consistency) -> Result<Vec<NodeId>, DbError> {
-    let owners = c.owners(pk(hour).key());
-    let required = consistency.required(owners.len());
-    let up: Vec<NodeId> = owners
-        .into_iter()
-        .filter(|id| c.node(*id).is_up())
-        .take(required)
-        .collect();
-    if up.len() < required {
-        return Err(DbError::Unavailable {
-            required,
-            received: up.len(),
-        });
-    }
-    Ok(up)
-}
-
-/// The coordinator read as it was: every response inserted into one map,
-/// every replica compared against the map again, the map filtered into
-/// rows. Returns the rows and, per response, the rows it is sent as repair.
-fn model_read(responses: &[(NodeId, Raw)], plan: &ReadPlan) -> (Vec<Row>, Vec<Raw>) {
-    let mut merged: BTreeMap<Key, RowEntry> = BTreeMap::new();
-    for (_, raw) in responses {
-        for (ck, entry) in raw {
-            match merged.remove(ck) {
-                None => {
-                    merged.insert(ck.clone(), entry.clone());
-                }
-                Some(existing) => {
-                    merged.insert(ck.clone(), RowEntry::merge(existing, entry.clone()));
-                }
-            }
-        }
-    }
-    let repairs: Vec<Raw> = responses
-        .iter()
-        .map(|(_, raw)| {
-            if responses.len() < 2 {
-                return Vec::new();
-            }
-            let theirs: HashMap<&Key, &RowEntry> = raw.iter().map(|(k, e)| (k, e)).collect();
-            merged
-                .iter()
-                .filter(|(ck, entry)| theirs.get(ck).is_none_or(|have| have != entry))
-                .map(|(ck, entry)| (ck.clone(), entry.clone()))
-                .collect()
-        })
-        .collect();
-    let mut rows: Vec<Row> = merged
-        .into_iter()
-        .filter_map(|(ck, e)| e.visible(ck))
-        .collect();
-    if plan.descending {
-        rows.reverse();
-    }
-    if let Some(limit) = plan.limit {
-        rows.truncate(limit);
-    }
-    (rows, repairs)
-}
-
 /// A replica's partition once the repair rows have been merged into it.
 fn repaired(before: &Raw, repair: &Raw) -> Raw {
     let mut state: BTreeMap<Key, RowEntry> = before.iter().cloned().collect();
@@ -300,7 +241,7 @@ struct Expected {
 fn expect(c: &Cluster, hour: i64, spec: &ReadSpec) -> Expected {
     let plan = plan(hour, spec);
     let mut states = replica_states(c, hour, &full_range());
-    let replicas = match consulted(c, hour, spec.consistency) {
+    let replicas = match consulted(c, &pk(hour), spec.consistency) {
         Ok(replicas) => replicas,
         Err(e) => {
             return Expected {

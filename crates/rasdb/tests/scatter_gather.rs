@@ -1,20 +1,30 @@
-//! Equivalence property: `read_multi` over N plans must return exactly
-//! what N sequential `read` calls return — row for row, error for error —
-//! including under a down node with hinted handoff still pending.
+//! `read_multi` against a model of the coordinator read that is not the
+//! code under test.
 //!
-//! The path-comparison properties disable the partition-block cache so
-//! they keep comparing two *independent* read paths (with the cache on,
-//! the sequential read would simply replay the batch's cached blocks); a
-//! dedicated property then pits a caching cluster against a cache-free
-//! twin across write/read interleavings.
+//! `read` and `read_multi` run the same per-plan read, so N sequential
+//! `read` calls are no oracle for a batch. Every result is checked against
+//! the reference read in `support/read_model.rs` instead: the rows a plan
+//! returns, exactly which replicas it reads (its first `required` up owners,
+//! once each), the down owners it counts as skipped on the way, and no
+//! retry or hedge at latency zero. The checks cover a healthy cluster, a
+//! down node with hinted handoff pending, and too few replicas up.
+//!
+//! The model properties disable the partition-block cache, so every plan
+//! reads its replicas; a dedicated property then pits a caching cluster
+//! against a cache-free twin across write/read interleavings.
+
+#[path = "support/read_model.rs"]
+mod read_model;
 
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
+use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Key, Value};
 use rasdb::DecoratedKey;
+use read_model::{consulted, expected_rows, passed_over};
 use std::ops::Bound;
 
 const HOURS: i64 = 6;
@@ -102,10 +112,71 @@ fn apply_writes(cluster: &Cluster, writes: &[Write]) {
     }
 }
 
+fn node_reads(cluster: &Cluster) -> Vec<u64> {
+    (0..cluster.node_count())
+        .map(|n| cluster.node(NodeId(n)).stats().reads)
+        .collect()
+}
+
+/// Checks one `read_multi` of `plans` against the model: each plan's rows,
+/// each node read exactly once per plan that consults it, the down owners
+/// passed over counted as skips, and no retry or hedge. Then checks `read`
+/// of each plan against the same rows.
+fn assert_read_multi_matches_model(
+    cluster: &Cluster,
+    plans: &[ReadPlan],
+    consistency: Consistency,
+) {
+    let mut want = Vec::new();
+    let mut reads = vec![0u64; cluster.node_count()];
+    let mut skips = 0;
+    for plan in plans {
+        let replicas = consulted(cluster, &plan.partition, consistency).expect("available");
+        for id in &replicas {
+            reads[id.0] += 1;
+        }
+        skips += passed_over(cluster, &plan.partition, &replicas);
+        want.push(expected_rows(cluster, plan, consistency).unwrap());
+    }
+    let stats = cluster.coordinator_stats();
+    let (reads_before, skipped_before, retries_before) = (
+        node_reads(cluster),
+        stats.replica_skipped(),
+        stats.speculative_retries(),
+    );
+
+    let batched = cluster.read_multi(plans, consistency).unwrap();
+    prop_assert_eq!(batched.len(), plans.len());
+    for ((plan, rows), want) in plans.iter().zip(&batched).zip(&want) {
+        prop_assert_eq!(&rows[..], &want[..], "{:?}", plan);
+    }
+    let read: Vec<u64> = node_reads(cluster)
+        .iter()
+        .zip(&reads_before)
+        .map(|(after, before)| after - before)
+        .collect();
+    prop_assert_eq!(read, reads, "replica reads per node");
+    prop_assert_eq!(
+        stats.replica_skipped() - skipped_before,
+        skips,
+        "skipped replicas"
+    );
+    prop_assert_eq!(
+        stats.speculative_retries(),
+        retries_before,
+        "retries and hedges"
+    );
+
+    for (plan, want) in plans.iter().zip(&want) {
+        prop_assert_eq!(&cluster.read(plan, consistency).unwrap()[..], &want[..]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Healthy cluster: batched results equal sequential results.
+    /// Healthy cluster: every plan reads its quorum and returns the
+    /// model's rows, batched or sequential.
     #[test]
     fn read_multi_equals_sequential_reads(
         writes in prop::collection::vec(arb_write(), 1..80),
@@ -117,16 +188,12 @@ proptest! {
         apply_writes(&cluster, &writes);
 
         let plans: Vec<ReadPlan> = specs.iter().map(to_plan).collect();
-        let batched = cluster.read_multi(&plans, Consistency::Quorum).unwrap();
-        prop_assert_eq!(batched.len(), plans.len());
-        for (plan, rows) in plans.iter().zip(&batched) {
-            let sequential = cluster.read(plan, Consistency::Quorum).unwrap();
-            prop_assert_eq!(rows, &sequential);
-        }
+        assert_read_multi_matches_model(&cluster, &plans, Consistency::Quorum);
     }
 
     /// One node down with hinted handoff pending: the surviving quorum
-    /// must still answer, and batched == sequential throughout.
+    /// answers, the down node is skipped and never read, and batched and
+    /// sequential reads return the model's rows.
     #[test]
     fn read_multi_equals_sequential_with_node_down(
         before in prop::collection::vec(arb_write(), 1..40),
@@ -144,15 +211,12 @@ proptest! {
         apply_writes(&cluster, &after);
 
         let plans: Vec<ReadPlan> = specs.iter().map(to_plan).collect();
-        let batched = cluster.read_multi(&plans, Consistency::Quorum).unwrap();
-        for (plan, rows) in plans.iter().zip(&batched) {
-            let sequential = cluster.read(plan, Consistency::Quorum).unwrap();
-            prop_assert_eq!(rows, &sequential);
-        }
+        assert_read_multi_matches_model(&cluster, &plans, Consistency::Quorum);
     }
 
-    /// Error equivalence: with too many replicas down, both paths fail
-    /// Unavailable rather than silently returning partial data.
+    /// Too many replicas down: both paths fail with the model's
+    /// `Unavailable` rather than return partial data, and a level the one
+    /// live replica can serve returns the model's rows.
     #[test]
     fn read_multi_fails_like_sequential_when_unavailable(
         writes in prop::collection::vec(arb_write(), 1..20),
@@ -167,13 +231,12 @@ proptest! {
 
         let plans: Vec<ReadPlan> = specs.iter().map(to_plan).collect();
         // Quorum of rf=3 needs 2; only one replica is up.
-        prop_assert!(cluster.read_multi(&plans, Consistency::Quorum).is_err());
-        prop_assert!(cluster.read(&plans[0], Consistency::Quorum).is_err());
-        // Consistency::One still works on both paths and agrees.
-        let batched = cluster.read_multi(&plans, Consistency::One).unwrap();
-        for (plan, rows) in plans.iter().zip(&batched) {
-            prop_assert_eq!(rows, &cluster.read(plan, Consistency::One).unwrap());
-        }
+        let want = consulted(&cluster, &plans[0].partition, Consistency::Quorum).unwrap_err();
+        prop_assert_eq!(&want, &DbError::Unavailable { required: 2, received: 1 });
+        prop_assert_eq!(cluster.read_multi(&plans, Consistency::Quorum).unwrap_err(), want.clone());
+        prop_assert_eq!(cluster.read(&plans[0], Consistency::Quorum).unwrap_err(), want);
+        // Consistency::One still works on both paths.
+        assert_read_multi_matches_model(&cluster, &plans, Consistency::One);
     }
 
     /// Block-cache transparency: a cluster with the cache enabled must be
