@@ -1,6 +1,10 @@
 //! Distributions of event occurrences "over cabinets, blades, nodes, and
 //! applications" (paper §III-B) — the complementary view to the heat map.
+//! [`distribution`] folds column blocks; [`distribution_of`] groups
+//! already-fetched rows and is the reference the block kernel must equal.
 
+use crate::analytics::heatmap::grouped_counts;
+use crate::columnar::Slots;
 use crate::framework::Framework;
 use crate::model::apprun::AppRun;
 use crate::model::event::EventRecord;
@@ -21,6 +25,18 @@ pub enum GroupBy {
     Application,
 }
 
+impl GroupBy {
+    /// The grouping's canonical request name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            GroupBy::Cabinet => "cabinet",
+            GroupBy::Blade => "blade",
+            GroupBy::Node => "node",
+            GroupBy::Application => "application",
+        }
+    }
+}
+
 /// A labeled distribution, sorted by descending count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Distribution {
@@ -38,10 +54,20 @@ impl Distribution {
 }
 
 /// Computes the distribution of one event type over `[from, to)` by a
-/// columnar window scan: each hour's block parses each *distinct* source
-/// once per dictionary entry and pre-renders its group label, so rows
-/// reduce to a table lookup. It accumulates the same integer sums as
-/// [`distribution_of`], so the result is byte-identical to the row path.
+/// columnar window scan. Rows fold into slots through each block's node
+/// index (`ColumnBlock::nodes`, resolved once per block), and no label is
+/// built or hashed per row:
+///
+/// - cabinet and blade: one slot per cabinet / blade of the topology, each
+///   present slot labelled once at the end;
+/// - node: one slot per dictionary id of each block, labelled by its
+///   source string, so two spellings of one node stay apart as they do in
+///   the row path;
+/// - application: one slot per run, found per row since it depends on the
+///   row's timestamp.
+///
+/// The sums are of integer amounts, hence exact, so the result is
+/// byte-identical to [`distribution_of`] over the same rows.
 pub fn distribution(
     fw: &Framework,
     event_type: &str,
@@ -51,87 +77,95 @@ pub fn distribution(
 ) -> Result<Distribution, DbError> {
     let topo = fw.topology();
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-
-    // Application grouping needs the runs active in the events' span —
-    // derived from the in-window min/max timestamps, exactly as
-    // `distribution_of` derives them from its materialized slice.
-    let runs = if group_by == GroupBy::Application {
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for b in &scan.parts {
-            let r = b.range(from_ms, to_ms);
-            if !r.is_empty() {
-                lo = lo.min(b.ts[r.start]);
-                hi = hi.max(b.ts[r.end - 1]);
-            }
+    match group_by {
+        GroupBy::Cabinet => {
+            let slots =
+                grouped_counts(&scan, topo, topo.cabinet_count(), |n| n / NODES_PER_CABINET);
+            Ok(labelled(slots, |c| format!("cab{c}")))
         }
-        if lo <= hi {
-            // Runs may have started up to a day before the first event.
-            fw.apps_by_time(lo - 24 * 3_600_000, hi + 1)?
-        } else {
-            Vec::new()
+        GroupBy::Blade => {
+            let slots = grouped_counts(&scan, topo, topo.blade_count(), |n| n / NODES_PER_BLADE);
+            Ok(labelled(slots, |b| format!("blade{b}")))
         }
-    } else {
-        Vec::new()
-    };
-
-    let mut counts: HashMap<String, f64> = HashMap::new();
-    let mut unattributed = 0.0;
-    for b in &scan.parts {
-        let idxs: Vec<Option<usize>> = b.dict.iter().map(|s| topo.parse_cname(s)).collect();
-        // One pre-rendered label per distinct source for the static
-        // groupings (None = unattributed).
-        let labels: Vec<Option<String>> = match group_by {
-            GroupBy::Cabinet => idxs
-                .iter()
-                .map(|i| i.map(|i| format!("cab{}", i / NODES_PER_CABINET)))
-                .collect(),
-            GroupBy::Blade => idxs
-                .iter()
-                .map(|i| i.map(|i| format!("blade{}", i / NODES_PER_BLADE)))
-                .collect(),
-            GroupBy::Node => idxs
-                .iter()
-                .zip(&b.dict)
-                .map(|(i, s)| i.map(|_| s.clone()))
-                .collect(),
-            GroupBy::Application => Vec::new(),
-        };
-        for i in b.range(from_ms, to_ms) {
-            let sid = b.source_ids[i] as usize;
-            let amount = b.amounts[i] as f64;
-            let Some(idx) = idxs[sid] else {
-                unattributed += amount;
-                continue;
-            };
-            if group_by == GroupBy::Application {
-                match find_run(&runs, b.ts[i], idx) {
-                    Some(r) => *counts.entry(r.app.clone()).or_default() += amount,
-                    None => unattributed += amount,
+        GroupBy::Node => {
+            let mut counts: HashMap<&str, f64> = HashMap::new();
+            let mut unattributed = 0.0;
+            for b in &scan.parts {
+                let nodes = b.nodes(topo);
+                let mut slots = Slots::new(b.dict.len());
+                slots.fold(b, b.range(from_ms, to_ms), |i| {
+                    let sid = b.source_ids[i] as usize;
+                    nodes[sid].map(|_| sid)
+                });
+                for (sid, sum) in slots.iter_present() {
+                    *counts.entry(&b.dict[sid]).or_default() += sum;
                 }
-            } else if let Some(label) = &labels[sid] {
-                match counts.get_mut(label) {
-                    Some(c) => *c += amount,
-                    None => {
-                        counts.insert(label.clone(), amount);
-                    }
+                unattributed += slots.unattributed;
+            }
+            Ok(finish(counts, unattributed))
+        }
+        GroupBy::Application => {
+            // The runs active in the events' span, derived from the
+            // in-window min/max timestamps exactly as `distribution_of`
+            // derives them from its materialized slice.
+            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+            for b in &scan.parts {
+                let r = b.range(from_ms, to_ms);
+                if !r.is_empty() {
+                    lo = lo.min(b.ts[r.start]);
+                    hi = hi.max(b.ts[r.end - 1]);
                 }
             }
+            let runs = runs_between(fw, lo, hi)?;
+            let mut slots = Slots::new(runs.len());
+            for b in &scan.parts {
+                let nodes = b.nodes(topo);
+                slots.fold(b, b.range(from_ms, to_ms), |i| {
+                    let node = nodes[b.source_ids[i] as usize]?;
+                    find_run(&runs, b.ts[i], node as usize)
+                });
+            }
+            let mut counts: HashMap<&str, f64> = HashMap::new();
+            for (run, sum) in slots.iter_present() {
+                *counts.entry(&runs[run].app).or_default() += sum;
+            }
+            Ok(finish(counts, slots.unattributed))
         }
     }
-    Ok(finish(counts, unattributed))
 }
 
-/// The first run covering `(ts, node idx)` — shared by the block scan
-/// and [`distribution_of`], so attribution order is identical everywhere.
-fn find_run(runs: &[AppRun], ts_ms: i64, idx: usize) -> Option<&AppRun> {
-    runs.iter().find(|r| {
+/// The application runs that may cover an event in `[lo, hi]`: runs may
+/// have started up to a day before the first event. Empty when `lo > hi`
+/// (no events).
+fn runs_between(fw: &Framework, lo: i64, hi: i64) -> Result<Vec<AppRun>, DbError> {
+    if lo <= hi {
+        fw.apps_by_time(lo - 24 * 3_600_000, hi + 1)
+    } else {
+        Ok(Vec::new())
+    }
+}
+
+/// The position of the first run covering `(ts, node idx)`, shared by the
+/// block scan and [`distribution_of`], so attribution order is identical
+/// everywhere.
+fn find_run(runs: &[AppRun], ts_ms: i64, idx: usize) -> Option<usize> {
+    runs.iter().position(|r| {
         r.running_at(ts_ms) && (r.node_first as usize) <= idx && idx <= r.node_last as usize
     })
 }
 
+/// The distribution of the present `slots`, each labelled once.
+fn labelled(slots: Slots, label: impl Fn(usize) -> String) -> Distribution {
+    let entries = slots.iter_present().map(|(s, sum)| (label(s), sum));
+    finish(entries, slots.unattributed)
+}
+
 /// Sorts the accumulated counts into the canonical heaviest-first order.
-fn finish(counts: HashMap<String, f64>, unattributed: f64) -> Distribution {
-    let mut entries: Vec<(String, f64)> = counts.into_iter().collect();
+fn finish<L: Into<String>>(
+    counts: impl IntoIterator<Item = (L, f64)>,
+    unattributed: f64,
+) -> Distribution {
+    let mut entries: Vec<(String, f64)> = counts.into_iter().map(|(l, c)| (l.into(), c)).collect();
     entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     Distribution {
         entries,
@@ -154,12 +188,7 @@ pub fn distribution_of(
         let (lo, hi) = events.iter().fold((i64::MAX, i64::MIN), |(lo, hi), e| {
             (lo.min(e.ts_ms), hi.max(e.ts_ms))
         });
-        if lo <= hi {
-            // Runs may have started up to a day before the first event.
-            fw.apps_by_time(lo - 24 * 3_600_000, hi + 1)?
-        } else {
-            Vec::new()
-        }
+        runs_between(fw, lo, hi)?
     } else {
         Vec::new()
     };
@@ -182,7 +211,7 @@ pub fn distribution_of(
                 *counts.entry(e.source.to_string()).or_default() += e.amount as f64;
             }
             GroupBy::Application => match find_run(&runs, e.ts_ms, idx) {
-                Some(r) => *counts.entry(r.app.clone()).or_default() += e.amount as f64,
+                Some(r) => *counts.entry(runs[r].app.clone()).or_default() += e.amount as f64,
                 None => unattributed += e.amount as f64,
             },
         }

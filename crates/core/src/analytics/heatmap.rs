@@ -1,12 +1,13 @@
 //! Heat maps over the physical system map (paper Fig 5): per-cabinet and
 //! per-node event counts for a type over a selected interval, computed by
 //! a columnar window scan with dictionary-id pushdown: each hour's block
-//! resolves each *distinct* source cname to a node index once per
-//! dictionary entry instead of once per row, and blocks outside the
-//! window are zone-map-skipped.
+//! resolves each *distinct* source cname to a node index once for the
+//! block's life, rows fold into per-cabinet or per-node slots by a table
+//! lookup, and blocks outside the window are zone-map-skipped.
 
+use crate::columnar::{Slots, WindowScan};
 use crate::framework::Framework;
-use loggen::topology::NODES_PER_CABINET;
+use loggen::topology::{Topology, NODES_PER_CABINET};
 use rasdb::error::DbError;
 
 /// Per-cabinet counts plus summary statistics.
@@ -38,35 +39,26 @@ impl HeatMap {
     }
 }
 
-/// Sums event amounts into `size` groups, where `group` maps a parsed
-/// node index to its group slot — the shared columnar accumulation for
-/// both heat-map granularities.
-fn grouped_counts(
-    fw: &Framework,
-    event_type: &str,
-    from_ms: i64,
-    to_ms: i64,
+/// Folds the in-window rows of `scan` into `size` slots, where `group`
+/// maps a source's node index to its slot: the one grouping kernel of both
+/// heat-map granularities and of the cabinet / blade distributions. Each
+/// block's sources resolve to node indices once per block
+/// (`ColumnBlock::nodes`), so a row costs a table lookup and an add. Rows
+/// whose source names no node are summed as unattributed.
+pub(crate) fn grouped_counts(
+    scan: &WindowScan,
+    topo: &Topology,
     size: usize,
     group: impl Fn(usize) -> usize,
-) -> Result<Vec<f64>, DbError> {
-    let topo = fw.topology();
-    let mut slots = vec![0.0f64; size];
-    let scan = fw.scan_window(event_type, from_ms, to_ms)?;
+) -> Slots {
+    let mut slots = Slots::new(size);
     for b in &scan.parts {
-        // Dictionary-id pushdown: each distinct source parses once per
-        // block, rows then group by a table lookup.
-        let groups: Vec<Option<usize>> = b
-            .dict
-            .iter()
-            .map(|s| topo.parse_cname(s).map(&group).filter(|&g| g < size))
-            .collect();
-        for i in b.range(from_ms, to_ms) {
-            if let Some(g) = groups[b.source_ids[i] as usize] {
-                slots[g] += b.amounts[i] as f64;
-            }
-        }
+        let nodes = b.nodes(topo);
+        slots.fold(b, b.range(scan.from_ms, scan.to_ms), |i| {
+            nodes[b.source_ids[i] as usize].map(|n| group(n as usize))
+        });
     }
-    Ok(slots)
+    slots
 }
 
 /// Computes the cabinet heat map for one event type over `[from, to)`
@@ -77,11 +69,12 @@ pub fn cabinet_heatmap(
     from_ms: i64,
     to_ms: i64,
 ) -> Result<HeatMap, DbError> {
-    let ncab = fw.topology().cabinet_count();
-    let cabinets = grouped_counts(fw, event_type, from_ms, to_ms, ncab, |idx| {
+    let topo = fw.topology();
+    let scan = fw.scan_window(event_type, from_ms, to_ms)?;
+    let cabinets = grouped_counts(&scan, topo, topo.cabinet_count(), |idx| {
         idx / NODES_PER_CABINET
-    })?;
-    Ok(summarize(cabinets))
+    });
+    Ok(summarize(cabinets.sums))
 }
 
 /// Computes per-node counts for one event type (node-level heat map).
@@ -91,8 +84,9 @@ pub fn node_heatmap(
     from_ms: i64,
     to_ms: i64,
 ) -> Result<Vec<f64>, DbError> {
-    let n = fw.topology().node_count();
-    grouped_counts(fw, event_type, from_ms, to_ms, n, |idx| idx)
+    let topo = fw.topology();
+    let scan = fw.scan_window(event_type, from_ms, to_ms)?;
+    Ok(grouped_counts(&scan, topo, topo.node_count(), |idx| idx).sums)
 }
 
 fn summarize(cabinets: Vec<f64>) -> HeatMap {
@@ -121,7 +115,6 @@ mod tests {
     use crate::framework::FrameworkConfig;
     use crate::model::event::EventRecord;
     use crate::model::keys::HOUR_MS;
-    use loggen::topology::Topology;
 
     fn fw() -> Framework {
         Framework::new(FrameworkConfig {

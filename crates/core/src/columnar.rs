@@ -11,8 +11,10 @@
 //!   so whole blocks are skipped when a query window cannot overlap them
 //!   and sub-hour windows binary-search to the exact row range;
 //! - `source_ids` + `dict`: **dictionary-encoded** source locations —
-//!   one `u32` per row into a per-block string dictionary, so kernels
-//!   resolve each distinct cname once per block instead of once per row;
+//!   one `u32` per row into a per-block string dictionary, whose entries
+//!   resolve to topology node indices at most once per block
+//!   (`ColumnBlock::nodes`), so kernels group rows by a table lookup
+//!   instead of parsing or hashing a cname per row;
 //! - `amounts`: the `i32` amount column;
 //! - `raw`: every raw message concatenated into one string with an
 //!   offset column, for zero-copy text analytics.
@@ -32,13 +34,15 @@
 //! (enforced by the `cache_equivalence` proptest).
 
 use crate::model::event::EventRecord;
+use loggen::topology::Topology;
 use rasdb::cache::{Stamp, Validated};
 use rasdb::cluster::Cluster;
 use rasdb::types::Row;
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use telemetry::Counter;
 
 /// One `(hour, event_type)` partition in columnar form.
@@ -62,6 +66,9 @@ pub struct ColumnBlock {
     pub amounts: Vec<i32>,
     raw_offsets: Vec<u32>,
     raw_text: String,
+    /// The node index of each dictionary entry and the topology it was
+    /// resolved against, filled on first use (see `ColumnBlock::nodes`).
+    nodes: OnceLock<(Topology, Box<[Option<u32>]>)>,
 }
 
 impl ColumnBlock {
@@ -109,7 +116,25 @@ impl ColumnBlock {
             amounts,
             raw_offsets,
             raw_text,
+            nodes: OnceLock::new(),
         }
+    }
+
+    /// The topology node index of each dictionary entry (`None` for a
+    /// source that names no node of `topo`, such as `mds01`), parsed by
+    /// the first kernel that asks and kept for the block's life, so a
+    /// cached block parses each distinct source once. A block belongs to
+    /// one framework, hence to one topology: asking with another panics.
+    pub(crate) fn nodes(&self, topo: &Topology) -> &[Option<u32>] {
+        let (resolved_for, nodes) = self.nodes.get_or_init(|| {
+            let nodes = self.dict.iter().map(|s| {
+                let node = topo.parse_cname(s)?;
+                Some(u32::try_from(node).expect("a node index fits in u32"))
+            });
+            (topo.clone(), nodes.collect())
+        });
+        assert_eq!(resolved_for, topo, "a block's node index has one topology");
+        nodes
     }
 
     /// Rows in the block.
@@ -182,14 +207,20 @@ impl ColumnBlock {
         self.source_ids.len() * 4 + self.dict.iter().map(String::len).sum::<usize>()
     }
 
-    /// Resident byte footprint charged against the store budget.
+    /// Resident byte footprint charged against the store budget. The node
+    /// index is charged from the build on, resolved or not, so a block's
+    /// charge never changes while it is resident.
     pub fn footprint(&self) -> usize {
         self.ts.len() * 8
             + self.source_ids.len() * 4
             + self.amounts.len() * 4
             + self.raw_offsets.len() * 4
             + self.raw_text.len()
-            + self.dict.iter().map(|s| s.len() + 24).sum::<usize>()
+            + self
+                .dict
+                .iter()
+                .map(|s| s.len() + 24 + size_of::<Option<u32>>())
+                .sum::<usize>()
             + self.event_type.len()
             + 64
     }
@@ -218,6 +249,62 @@ impl WindowScan {
             .iter()
             .flat_map(|b| b.range(self.from_ms, self.to_ms).map(|i| b.record(i)))
             .collect()
+    }
+}
+
+/// Amounts folded into dense slots: the grouping shape every block kernel
+/// shares. A kernel names each row's slot from the block's columns (its
+/// source's node index, its dictionary id, its application run) and never
+/// hashes a label per row; labels are rendered once per present slot.
+#[derive(Debug)]
+pub(crate) struct Slots {
+    /// Summed amount per slot.
+    pub(crate) sums: Vec<f64>,
+    /// Whether any row landed in the slot: a present slot may sum to 0.
+    pub(crate) present: Vec<bool>,
+    /// Summed amount of the rows that named no slot.
+    pub(crate) unattributed: f64,
+}
+
+impl Slots {
+    /// `size` empty slots.
+    pub(crate) fn new(size: usize) -> Slots {
+        Slots {
+            sums: vec![0.0; size],
+            present: vec![false; size],
+            unattributed: 0.0,
+        }
+    }
+
+    /// Adds the amount of each row in `rows` of `b` to the slot `slot`
+    /// names for that row index, or to `unattributed` for `None`. Amounts
+    /// are integers, so the sums are exact whatever the fold order.
+    pub(crate) fn fold(
+        &mut self,
+        b: &ColumnBlock,
+        rows: Range<usize>,
+        mut slot: impl FnMut(usize) -> Option<usize>,
+    ) {
+        for i in rows {
+            let amount = b.amounts[i] as f64;
+            match slot(i) {
+                Some(s) => {
+                    self.sums[s] += amount;
+                    self.present[s] = true;
+                }
+                None => self.unattributed += amount,
+            }
+        }
+    }
+
+    /// The slots any row landed in, with their sums, in slot order.
+    pub(crate) fn iter_present(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.sums
+            .iter()
+            .zip(&self.present)
+            .enumerate()
+            .filter(|(_, (_, &p))| p)
+            .map(|(s, (&sum, _))| (s, sum))
     }
 }
 
@@ -428,6 +515,85 @@ mod tests {
         let b = ColumnBlock::build(0, "MCE", &[bad, row(5, "n0", 1, "x")]);
         assert_eq!(b.len(), 1);
         assert_eq!(b.ts, vec![5]);
+    }
+
+    #[test]
+    fn node_index_is_parsed_once_and_charged_from_the_build() {
+        let topo = Topology::scaled(1, 1);
+        let rows = [
+            row(100, "c0-0c0s0n0", 1, "a"),
+            row(200, "mds01", 1, "b"),
+            row(300, "c0-0c0s1n2", 1, "c"),
+        ];
+        let b = ColumnBlock::build(0, "MCE", &rows);
+        let charged = b.footprint();
+        let nodes = b.nodes(&topo);
+        let parsed: Vec<Option<u32>> = b
+            .dict
+            .iter()
+            .map(|s| topo.parse_cname(s).map(|i| i as u32))
+            .collect();
+        assert_eq!(nodes, parsed);
+        assert_eq!(nodes[1], None, "mds01 is no compute node");
+        assert!(
+            std::ptr::eq(nodes, b.nodes(&topo)),
+            "a second call returns the same slice"
+        );
+        assert_eq!(b.footprint(), charged, "resolving changes no charge");
+        // One more distinct source of the same length costs its string,
+        // its header and its index slot.
+        let other = ColumnBlock::build(
+            0,
+            "MCE",
+            &[
+                rows[0].clone(),
+                rows[1].clone(),
+                row(300, "c0-0c0s1n3", 1, "c"),
+            ],
+        );
+        let same = ColumnBlock::build(
+            0,
+            "MCE",
+            &[
+                rows[0].clone(),
+                rows[1].clone(),
+                row(300, "c0-0c0s0n0", 1, "c"),
+            ],
+        );
+        assert_eq!(
+            other.footprint() - same.footprint(),
+            "c0-0c0s1n3".len() + 24 + size_of::<Option<u32>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one topology")]
+    fn node_index_refuses_a_second_topology() {
+        let b = block();
+        b.nodes(&Topology::scaled(1, 1));
+        b.nodes(&Topology::scaled(2, 2));
+    }
+
+    #[test]
+    fn slots_report_present_slots_and_unattributed_rows() {
+        let b = block();
+        let mut slots = Slots::new(3);
+        // Row 0 → slot 2, row 1 → no slot, row 2 → slot 0.
+        slots.fold(&b, 0..3, |i| [Some(2), None, Some(0)][i]);
+        assert_eq!(slots.sums, vec![3.0, 0.0, 1.0]);
+        assert_eq!(slots.unattributed, 2.0);
+        assert_eq!(
+            slots.iter_present().collect::<Vec<_>>(),
+            [(0, 3.0), (2, 1.0)]
+        );
+        let zero = ColumnBlock::build(0, "MCE", &[row(1, "n0", 0, "")]);
+        let mut slots = Slots::new(2);
+        slots.fold(&zero, 0..1, |_| Some(1));
+        assert_eq!(
+            slots.iter_present().collect::<Vec<_>>(),
+            [(1, 0.0)],
+            "a slot that only zero amounts reached is still present"
+        );
     }
 
     /// A cluster with one table whose partition 0 stands in for the

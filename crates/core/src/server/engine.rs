@@ -344,8 +344,7 @@ impl QueryEngine {
 
     fn op_distribution(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let ctx = req.context()?;
-        let by_name = req.opt_str("by").unwrap_or("cabinet");
-        let by = match by_name {
+        let by = match req.opt_str("by").unwrap_or("cabinet") {
             "cabinet" => GroupBy::Cabinet,
             "blade" => GroupBy::Blade,
             "node" => GroupBy::Node,
@@ -378,10 +377,12 @@ impl QueryEngine {
             return Ok(output(distribution_of(&self.fw, &events, by)?));
         };
         let (from, to) = (ctx.from_ms, ctx.to_ms);
+        // Keyed on the grouping, not its spelling: `app` and `application`
+        // share one entry.
         let key = cache_key(&[
             "distribution",
             &t,
-            by_name,
+            by.name(),
             &from.to_string(),
             &to.to_string(),
         ]);
@@ -1325,6 +1326,23 @@ mod tests {
         );
         assert_eq!(resp["status"].as_str(), Some("ok"));
         assert_eq!(resp["data"]["entries"].as_array().unwrap().len(), 4);
+    }
+
+    /// The two spellings of the application grouping name one answer, so
+    /// they share one result-cache entry.
+    #[test]
+    fn distribution_cache_key_is_the_grouping_not_its_spelling() {
+        let e = engine();
+        let cache = e.framework().result_cache();
+        let req = |by: &str| {
+            format!(r#"{{"op":"distribution","type":"MCE","from":0,"to":3600000,"by":"{by}"}}"#)
+        };
+        let first = call(&e, &req("app"));
+        let (entries, hits) = (cache.len(), cache.stats().hits());
+        let second = call(&e, &req("application"));
+        assert_eq!(cache.stats().hits(), hits + 1, "the other spelling hits");
+        assert_eq!(cache.len(), entries, "and stores nothing new");
+        assert_eq!(second["data"], first["data"]);
     }
 
     /// `distribution` answers from column blocks what the row path answers,

@@ -302,7 +302,7 @@ proptest! {
     /// what a fold over the events written here says it should be.
     #[test]
     fn block_kernels_agree_with_the_row_side_reference(
-        raw in prop::collection::vec((0..3 * HOUR_MS, 0usize..5, 1i32..4, any::<bool>()), 0..60),
+        raw in prop::collection::vec((0..3 * HOUR_MS, 0usize..7, 1i32..4, any::<bool>()), 0..60),
         aligned in (0i64..18, 1i64..18),
         unaligned in (0..3 * HOUR_MS, 0..3 * HOUR_MS),
         bin_ms in 60_000..HOUR_MS,
@@ -317,15 +317,22 @@ proptest! {
 
         let fw = boot(Topology::scaled(1, 2));
         let topo = fw.topology();
-        // Two blades of cabinet 0, one node of cabinet 1, and a source
-        // that is no compute node at all.
+        // Two blades of cabinet 0, one node of cabinet 1, a source that
+        // is no compute node at all, a second spelling of node 1 (the
+        // parser takes leading zeros; per-node answers keep the two
+        // strings apart) and a well-formed cname of a cabinet outside the
+        // topology (unattributed, like `mds01`).
         let sources = [
             topo.node(0).cname,
             topo.node(1).cname,
             topo.node(5).cname,
             topo.node(100).cname,
             "mds01".to_owned(),
+            "c0-0c0s0n01".to_owned(),
+            "c9-0c0s0n0".to_owned(),
         ];
+        prop_assert_eq!(topo.parse_cname(&sources[5]), Some(1));
+        prop_assert_eq!(topo.parse_cname(&sources[6]), None);
         // Rows are keyed (type, ts, source): keep the last of each key so
         // what is written is exactly what must be read back.
         let mut written: BTreeMap<(&str, i64, &str), EventRecord> = BTreeMap::new();
