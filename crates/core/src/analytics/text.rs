@@ -153,11 +153,12 @@ pub fn word_count_parallel(fw: &Framework, messages: Vec<String>) -> HashMap<Str
 }
 
 /// The `k` heaviest terms, ties broken alphabetically (deterministic).
+/// Sorts borrowed entries and clones only the `k` it returns.
 pub fn top_k(counts: &HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
-    let mut entries: Vec<(String, u64)> = counts.iter().map(|(w, c)| (w.clone(), *c)).collect();
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut entries: Vec<(&String, u64)> = counts.iter().map(|(w, c)| (w, *c)).collect();
+    entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     entries.truncate(k);
-    entries
+    entries.into_iter().map(|(w, c)| (w.clone(), c)).collect()
 }
 
 /// TF-IDF over messages-as-documents. Returns per-term aggregate scores

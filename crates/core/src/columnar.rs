@@ -38,7 +38,9 @@ use loggen::topology::Topology;
 use rasdb::cache::{Stamp, Validated};
 use rasdb::cluster::Cluster;
 use rasdb::types::Row;
+use sparklet::agg::Fnv1a;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +85,7 @@ impl ColumnBlock {
         let mut raw_offsets = Vec::with_capacity(rows.len() + 1);
         let mut raw_text = String::new();
         let mut dict: Vec<String> = Vec::new();
-        let mut seen: HashMap<&str, u32> = HashMap::new();
+        let mut seen: HashMap<&str, u32, BuildHasherDefault<Fnv1a>> = HashMap::default();
         raw_offsets.push(0);
         for row in rows {
             let (Some(t), Some(source)) = (
@@ -96,14 +98,19 @@ impl ColumnBlock {
                 dict.push(source.to_owned());
                 (dict.len() - 1) as u32
             });
+            // One walk of the row's cells for both columns.
+            let (mut amount, mut raw) = (None, None);
+            for (name, value) in row.cells() {
+                match &**name {
+                    "amount" => amount = value.as_i64(),
+                    "raw" => raw = value.as_text(),
+                    _ => {}
+                }
+            }
             ts.push(t);
             source_ids.push(id);
-            amounts.push(row.cell("amount").and_then(|v| v.as_i64()).unwrap_or(1) as i32);
-            let raw = row
-                .cell("raw")
-                .and_then(|v| v.as_text())
-                .unwrap_or_default();
-            raw_text.push_str(raw);
+            amounts.push(amount.unwrap_or(1) as i32);
+            raw_text.push_str(raw.unwrap_or_default());
             raw_offsets.push(raw_text.len() as u32);
         }
         debug_assert!(ts.is_sorted(), "clustering order must be ascending");
@@ -405,7 +412,8 @@ impl ColumnarStore {
         self.dict_encoded
             .fetch_add(block.source_encoded_bytes() as u64, Ordering::Relaxed);
         let key = block_key(block.hour, &block.event_type);
-        self.cache.insert(key, block, stamp, |_, b| b.footprint());
+        self.cache
+            .insert(key, block, stamp, |_, b, _| b.footprint());
     }
 
     /// Changes the byte budget at runtime, evicting LRU-first down to the

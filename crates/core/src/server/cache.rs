@@ -84,8 +84,9 @@ impl ResultCache {
     /// matter, monotonicity in data size does.
     pub fn store(&self, key: Vec<u8>, data: Arc<str>, stamp: Stamp) {
         let tags = stamp.footprint() + 64;
-        self.0
-            .insert(key, data, stamp, |key, data| key.len() + data.len() + tags);
+        self.0.insert(key, data, stamp, |key, data, _| {
+            key.len() + data.len() + tags
+        });
     }
 }
 

@@ -105,7 +105,7 @@ impl<V: Clone> Validated<V> {
         let shards = shards.max(1);
         Validated {
             shards: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(budget.div_ceil(shards))))
+                .map(|_| Mutex::new(LruCache::new(per_shard(budget, shards))))
                 .collect(),
             budget: AtomicUsize::new(budget),
             used: AtomicI64::new(0),
@@ -143,18 +143,21 @@ impl<V: Clone> Validated<V> {
     /// Stores `value` under `key` with the stamp taken before it was
     /// computed. `weigh` prices the entry in budget bytes, outside the
     /// lock and only if the tier is on; an entry heavier than its shard's
-    /// budget is not stored and displaces nothing.
+    /// budget is not stored and displaces nothing. That budget is
+    /// `weigh`'s third argument: past it the exact weight does not matter,
+    /// so `weigh` may stop counting there.
     pub fn insert(
         &self,
         key: Vec<u8>,
         value: V,
         stamp: Stamp,
-        weigh: impl FnOnce(&[u8], &V) -> usize,
+        weigh: impl FnOnce(&[u8], &V, usize) -> usize,
     ) {
-        if self.budget() == 0 {
+        let budget = self.budget();
+        if budget == 0 {
             return;
         }
-        let bytes = weigh(&key, &value);
+        let bytes = weigh(&key, &value, per_shard(budget, self.shards.len()));
         let mut shard = self.shard(&key);
         let evicted = self.resize(&mut shard, |lru| {
             lru.insert(key, Entry { value, stamp }, bytes)
@@ -167,12 +170,11 @@ impl<V: Clone> Validated<V> {
     /// evicted.
     pub fn set_budget(&self, budget: usize) -> u64 {
         self.budget.store(budget, Ordering::Relaxed);
-        // Rounded up: any nonzero budget keeps every shard on.
-        let per_shard = budget.div_ceil(self.shards.len());
+        let shard_budget = per_shard(budget, self.shards.len());
         let evicted = self
             .shards
             .iter()
-            .map(|shard| self.resize(&mut shard.lock(), |lru| lru.set_budget(per_shard)))
+            .map(|shard| self.resize(&mut shard.lock(), |lru| lru.set_budget(shard_budget)))
             .sum();
         self.stats.record_evictions(evicted);
         evicted
@@ -232,6 +234,12 @@ impl<V: Clone> Validated<V> {
         }
         out
     }
+}
+
+/// Each shard's part of a tier's budget, rounded up: any nonzero budget
+/// keeps every shard on.
+fn per_shard(budget: usize, shards: usize) -> usize {
+    budget.div_ceil(shards)
 }
 
 /// A byte-budgeted LRU map from byte keys to values, the storage of one
@@ -373,9 +381,17 @@ pub fn block_key(plan: &ReadPlan, consistency: Consistency) -> Vec<u8> {
 /// Values are costed at the length of their binary encoding (computed, not
 /// encoded) plus fixed per-row and per-cell overheads; exactness does not
 /// matter, monotonicity in data size does.
-pub fn rows_footprint(rows: &[Row]) -> usize {
+///
+/// The sum stops once it passes `cap`, and what it has by then, more than
+/// `cap`, is returned: given a tier's budget as the cap
+/// ([`Validated::insert`]), a storm partition is not weighed to the last
+/// row only to be turned away.
+pub fn rows_footprint(rows: &[Row], cap: usize) -> usize {
     let mut n = 64;
     for row in rows {
+        if n > cap {
+            break;
+        }
         n += 48;
         n += row
             .clustering
@@ -442,7 +458,7 @@ mod tests {
 
     /// Stores `v` weighing `bytes`, stamped on partition 1.
     fn put(cache: &Validated<u32>, c: &Cluster, key: &[u8], v: u32, bytes: usize) {
-        cache.insert(key.to_vec(), v, Stamp::take(c, [dep(1)]), |_, _| bytes);
+        cache.insert(key.to_vec(), v, Stamp::take(c, [dep(1)]), |_, _, _| bytes);
     }
 
     fn counts(cache: &Validated<u32>) -> (u64, u64, u64, u64) {
@@ -494,6 +510,24 @@ mod tests {
         assert_eq!(cache.get(&c, b"huge"), None);
         assert_eq!((cache.len(), cache.used_bytes()), (1, 8));
         assert_eq!(counts(&cache), (1, 1, 0, 0));
+        // `weigh` is handed its shard's budget: an entry that weighs it is
+        // stored, one byte more is refused.
+        for (shards, cap) in [(1, 10), (4, 3)] {
+            for (extra, stored) in [(0, 1), (1, 0)] {
+                let cache = Validated::new("unit", shards, 10);
+                let mut seen = 0;
+                cache.insert(
+                    b"k".to_vec(),
+                    1,
+                    Stamp::take(&c, [dep(1)]),
+                    |_, _, budget| {
+                        seen = budget;
+                        budget + extra
+                    },
+                );
+                assert_eq!((seen, cache.len()), (cap, stored), "{shards} shards");
+            }
+        }
     }
 
     #[test]
@@ -517,7 +551,7 @@ mod tests {
         let c = cluster();
         let cache = tier(1 << 10);
         let stamp = || Stamp::take(&c, [dep(1), dep(2)]);
-        cache.insert(b"k".to_vec(), 7, stamp(), |_, _| 10);
+        cache.insert(b"k".to_vec(), 7, stamp(), |_, _, _| 10);
         assert_eq!(cache.get(&c, b"k"), Some(7));
         // A write elsewhere leaves it current.
         write(&c, 3);
@@ -530,7 +564,7 @@ mod tests {
         assert_eq!(counts(&cache), (2, 2, 1, 0));
         assert_eq!((cache.len(), cache.used_bytes()), (0, 0));
         // So does a topology change.
-        cache.insert(b"k".to_vec(), 8, stamp(), |_, _| 10);
+        cache.insert(b"k".to_vec(), 8, stamp(), |_, _, _| 10);
         c.take_node_down(crate::ring::NodeId(1));
         assert_eq!(cache.get(&c, b"k"), None);
         assert_eq!(counts(&cache), (2, 3, 2, 0));
@@ -555,7 +589,7 @@ mod tests {
             b"a".to_vec(),
             Fragile(Arc::clone(&armed)),
             stamp(),
-            |_, _| 10,
+            |_, _, _| 10,
         );
         armed.store(true, Ordering::SeqCst);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -568,7 +602,7 @@ mod tests {
             b"b".to_vec(),
             Fragile(Arc::clone(&armed)),
             stamp(),
-            |_, _| 10,
+            |_, _, _| 10,
         );
         assert!(cache.get(&c, b"b").is_some(), "insert after the panic");
         assert_eq!(cache.len(), 2);
@@ -588,9 +622,17 @@ mod tests {
             v.encode_into(&mut encoded);
         }
         let one = 48 + ("amount".len() + 32) + ("raw".len() + 32) + encoded.len();
-        assert_eq!(rows_footprint(&[]), 64);
-        assert_eq!(rows_footprint(std::slice::from_ref(&row)), 64 + one);
-        assert_eq!(rows_footprint(&[row.clone(), row]), 64 + 2 * one);
+        let all = usize::MAX;
+        assert_eq!(rows_footprint(&[], all), 64);
+        assert_eq!(rows_footprint(std::slice::from_ref(&row), all), 64 + one);
+        assert_eq!(
+            rows_footprint(&[row.clone(), row.clone()], all),
+            64 + 2 * one
+        );
+        // Past the cap the sum stops, over the cap and short of the rest.
+        let rows = vec![row; 4];
+        assert_eq!(rows_footprint(&rows, 64 + one), 64 + 2 * one);
+        assert_eq!(rows_footprint(&rows, 64 + 2 * one), 64 + 3 * one);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::cache::{block_key, rows_footprint, Stamp, Validated};
 use crate::commitlog::Mutation;
 use crate::cql;
 use crate::error::DbError;
-use crate::memtable::{merge_all, merge_runs, RowEntry, Run};
-use crate::node::{NodeConfig, StorageNode};
+use crate::memtable::{merge_all, merge_runs, Merged, RowEntry, Run};
+use crate::node::{Digest, NodeConfig, StorageNode};
 use crate::partitioner::{token_for, DecoratedKey, Token};
 use crate::query::{
     clustering_bounds, CmpOp, Consistency, Predicate, ReadPlan, SelectStatement, Statement,
@@ -75,6 +75,11 @@ pub const TOPOLOGY_RETRY_AFTER_MS: u64 = 100;
 /// Default rows per range-streaming chunk (see
 /// [`Cluster::set_stream_chunk_rows`]).
 pub const DEFAULT_STREAM_CHUNK_ROWS: u64 = 128;
+
+/// A replica's answer to a plan read: `None` when the replica holds the
+/// data response (its digest matched, or it sent the data response), else
+/// its merged run.
+type Answer = (NodeId, Option<Run>);
 
 /// One coordinator call's account (see [`Cluster::read_multi`]): simulated
 /// time in microseconds from the call's start, and what its reads did. Real
@@ -733,12 +738,12 @@ impl Cluster {
         let stamp = Stamp::take(self, [(plan.table.clone(), plan.partition.clone())]);
         drop(plan_span);
 
-        let responses = self.gather(plan, &replicas, required, sim, detail)?;
+        let (data, answers) = self.gather(plan, &replicas, required, sim, detail)?;
         let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
-        let rows = self.finish_read(&table, plan, responses);
+        let rows = self.finish_read(&table, plan, data, answers);
         self.block_cache
-            .insert(cache_key, Arc::clone(&rows), stamp, |key, rows| {
-                rows_footprint(rows) + key.len()
+            .insert(cache_key, Arc::clone(&rows), stamp, |key, rows, cap| {
+                rows_footprint(rows, cap) + key.len()
             });
         Ok(rows)
     }
@@ -748,8 +753,13 @@ impl Cluster {
     /// found down at read time is retried at once on the next. While the
     /// `required`-th earliest answer lands after the next speculative
     /// deadline, one more read goes to the next untried up replica at that
-    /// deadline. Returns the first `required` answers in finish order (ring
-    /// order at latency zero) and makes `sim` wait for the last of them.
+    /// deadline. Makes `sim` wait for the `required`-th answer.
+    ///
+    /// The first replica read answers with its rows, the data response;
+    /// every later one, hedges included, with a digest checked against them
+    /// ([`StorageNode::read_digest`]). Returns the data response and the
+    /// first `required` answers in finish order (ring order at latency
+    /// zero).
     fn gather(
         &self,
         plan: &ReadPlan,
@@ -757,8 +767,9 @@ impl Cluster {
         required: usize,
         sim: &mut SimTime,
         detail: bool,
-    ) -> Result<impl Iterator<Item = (NodeId, Run)>, DbError> {
+    ) -> Result<(Run, Vec<Answer>), DbError> {
         let mut cursor = 0;
+        let mut data: Option<Run> = None;
         // Reads the next up replica at `at`; `None` once none is left.
         let mut read_next = |at: u64, mut kind: &'static str, sim: &mut SimTime| {
             while let Some(node) = self.next_up_replica(replicas, &mut cursor) {
@@ -766,11 +777,28 @@ impl Cluster {
                     let mut span = telemetry::span!("rasdb.coordinator.replica_read");
                     span.tag("node", node.id.0.to_string());
                     span.tag("kind", kind);
+                    span.tag("answer", if data.is_some() { "digest" } else { "data" });
                     span
                 });
-                let raw = node.read_raw(&plan.table, &plan.partition, &plan.range);
+                let (table, partition, range) = (&plan.table, &plan.partition, &plan.range);
+                let answer = match &data {
+                    None => node.read_raw(table, partition, range).map(|run| {
+                        data = Some(run);
+                        None
+                    }),
+                    Some(rows) => node
+                        .read_digest(table, partition, range, rows)
+                        .map(|digest| {
+                            let differs = match digest {
+                                Digest::Matches => None,
+                                Digest::Differs(run) => Some(run),
+                            };
+                            self.coord_stats.record_digest_read(differs.is_some());
+                            differs
+                        }),
+                };
                 drop(span);
-                match raw {
+                match answer {
                     Some(run) => return Some((sim.queue(&node, at), node.id, run)),
                     None => {
                         self.coord_stats.record_speculative_retry();
@@ -782,7 +810,7 @@ impl Cluster {
             None
         };
 
-        let mut answers: Vec<(u64, NodeId, Run)> = Vec::with_capacity(required);
+        let mut answers: Vec<(u64, NodeId, Option<Run>)> = Vec::with_capacity(required);
         answers.extend((0..required).map_while(|_| read_next(0, "scatter", sim)));
         if answers.len() < required {
             return Err(DbError::Unavailable {
@@ -808,35 +836,40 @@ impl Cluster {
         }
         sim.finish = sim.finish.max(answers[required - 1].0);
         answers.truncate(required);
-        Ok(answers.into_iter().map(|(_, id, run)| (id, run)))
+        let answers = answers.into_iter().map(|(_, id, run)| (id, run)).collect();
+        Ok((data.expect("a read answered with rows"), answers))
     }
 
-    /// Shared tail of every coordinator read: merges the replicas'
-    /// responses — each a sorted run — (LWW per cell), decides read repair,
-    /// filters tombstones and applies order and limit.
+    /// Shared tail of every coordinator read: decides the rows and read
+    /// repair from what [`Cluster::gather`] returned, filters tombstones and
+    /// applies order and limit.
     ///
-    /// When every replica answered the same run, that run is the result and
-    /// nothing is repaired; replicas share a row's key and cells, so the
-    /// check compares pointers. Otherwise one walk merges each row's copies
-    /// in response order, and the merged state is queued for exactly the
-    /// replicas that were missing it or held something else; each replica
-    /// then receives its repairs as one batch. A repair changes what lower
-    /// consistency levels may observe on the repaired replica, so it bumps
-    /// the partition version like any other mutation.
+    /// When every answer is the data response — each digest matched, the
+    /// common case — it is the result and nothing is repaired. Otherwise
+    /// each answer is a full run (a matching one the data response), and
+    /// one slice-wise walk merges each row's copies in answer order; the
+    /// merged state is queued for exactly the replicas that were missing it
+    /// or held something else, and each replica then receives its repairs
+    /// as one batch. A repair changes what lower consistency levels may
+    /// observe on the repaired replica, so it bumps the partition version
+    /// like any other mutation.
     fn finish_read(
         &self,
         table: &Arc<str>,
         plan: &ReadPlan,
-        responses: impl Iterator<Item = (NodeId, Run)>,
+        data: Run,
+        answers: Vec<Answer>,
     ) -> Arc<[Row]> {
-        let (replicas, mut runs): (Vec<NodeId>, Vec<Run>) = responses.unzip();
-        let mut rows = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
-        if runs[1..].iter().all(|run| *run == runs[0]) {
-            let run = runs.swap_remove(0);
-            rows.extend(run.into_iter().filter_map(|(ck, e)| e.visible(ck)));
+        let mut rows = Vec::with_capacity(data.len());
+        if answers.iter().all(|(_, run)| run.is_none()) {
+            rows.extend(data.into_iter().filter_map(|(ck, e)| e.visible(ck)));
         } else {
+            let (replicas, runs): (Vec<NodeId>, Vec<Run>) = answers
+                .into_iter()
+                .map(|(id, run)| (id, run.unwrap_or_else(|| data.clone())))
+                .unzip();
             let mut repairs: Vec<Vec<Arc<Mutation>>> = vec![Vec::new(); replicas.len()];
-            merge_runs(runs, |ck, copies| {
+            let mut settle = |ck: Key, copies: &[(usize, RowEntry)]| {
                 let merged = copies
                     .iter()
                     .map(|(_, e)| e.clone())
@@ -852,6 +885,12 @@ impl Cluster {
                     }
                 }
                 rows.extend(merged.visible(ck));
+            };
+            merge_runs(runs, |step| match step {
+                Merged::Only(from, stretch) => {
+                    stretch.for_each(|(ck, entry)| settle(ck, &[(from, entry)]));
+                }
+                Merged::Shared(ck, copies) => settle(ck, copies),
             });
             let mut repaired = 0;
             for (id, batch) in replicas.iter().zip(&repairs) {

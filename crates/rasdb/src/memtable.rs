@@ -127,79 +127,149 @@ impl RowEntry {
 /// each key once.
 pub type Run = Vec<(Key, RowEntry)>;
 
-/// The rows of a run that fall inside a clustering range: keys and cells
-/// are pointer copies.
-pub(crate) fn range_of(run: &Run, range: &(Bound<Key>, Bound<Key>)) -> Run {
+/// The rows of a run that fall inside a clustering range.
+pub(crate) fn range_of<'a>(
+    run: &'a [(Key, RowEntry)],
+    range: &(Bound<Key>, Bound<Key>),
+) -> &'a [(Key, RowEntry)] {
     let start = run.partition_point(|(k, _)| !(range.0.as_ref(), Bound::Unbounded).contains(k));
     let end = run.partition_point(|(k, _)| (Bound::Unbounded, range.1.as_ref()).contains(k));
-    run[start..end.max(start)].to_vec()
+    &run[start..end.max(start)]
 }
 
-/// Merges sorted runs in one pass. For every clustering key, in ascending
-/// order, `on_row` receives the key and the copies of that row as
-/// `(index of the run, entry)` in run order, which is the order
-/// [`RowEntry::merge`] folds them in (older sources first). The copies
-/// buffer is reused from row to row; `on_row` may drain it.
-pub(crate) fn merge_runs(runs: Vec<Run>, mut on_row: impl FnMut(Key, &mut Vec<(usize, RowEntry)>)) {
-    /// Takes the head of run `i` and advances the run.
-    fn pop(
-        heads: &mut [Option<(Key, RowEntry)>],
-        rest: &mut [std::vec::IntoIter<(Key, RowEntry)>],
-        i: usize,
-    ) -> (Key, RowEntry) {
-        let head = heads[i].take().expect("head checked by the caller");
-        heads[i] = rest[i].next();
-        head
-    }
+/// One step of [`merge_runs`].
+pub(crate) enum Merged<'a> {
+    /// Rows, in ascending key order, that only run `.0` holds: every other
+    /// run's next key sorts after them. They are moved out of the run as
+    /// they are taken; rows left untaken come back in a later step.
+    Only(
+        usize,
+        std::iter::Take<&'a mut std::vec::IntoIter<(Key, RowEntry)>>,
+    ),
+    /// A key several runs hold, with its copies as `(index of the run,
+    /// entry)` in run order, which is the order [`RowEntry::merge`] folds
+    /// them in (older sources first). The buffer is reused from step to
+    /// step; it may be drained.
+    Shared(Key, &'a mut Vec<(usize, RowEntry)>),
+}
 
+/// Merges sorted runs in one pass, slice by slice, handing `on_step` every
+/// clustering key once, in ascending order. The run holding the smallest
+/// key leads: the stretch of it that sorts before every other run's next
+/// key is handed out in one step, found by binary search; a key that
+/// several runs hold is one step with all its copies. Runs that do not
+/// interleave (a partition written in time order and flushed as it grew)
+/// cost a step each, not a step per row.
+pub(crate) fn merge_runs(runs: Vec<Run>, mut on_step: impl FnMut(Merged<'_>)) {
     debug_assert!(
         runs.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)),
         "a run is sorted by clustering key and holds each key once"
     );
     let mut rest: Vec<std::vec::IntoIter<(Key, RowEntry)>> =
         runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(Key, RowEntry)>> = rest.iter_mut().map(Iterator::next).collect();
-    let mut copies = Vec::with_capacity(heads.len());
+    let mut copies = Vec::with_capacity(rest.len());
     loop {
-        // The first run holding the smallest key leads: every other copy of
-        // that row sits at the head of a later run.
-        let mut lead: Option<(usize, &Key)> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some((key, _)) = head {
-                if lead.is_none_or(|(_, least)| key < least) {
-                    lead = Some((i, key));
-                }
-            }
-        }
-        let Some((lead, _)) = lead else {
+        let heads = rest.iter().enumerate();
+        let heads = heads.filter_map(|(i, run)| Some((i, &run.as_slice().first()?.0)));
+        let Some((lead, key, bound)) = lead(heads) else {
             return;
         };
-        let (key, entry) = pop(&mut heads, &mut rest, lead);
-        copies.clear();
-        copies.push((lead, entry));
-        for i in lead + 1..rest.len() {
-            if heads[i].as_ref().is_some_and(|(k, _)| *k == key) {
-                copies.push((i, pop(&mut heads, &mut rest, i).1));
+        if bound == Some(key) {
+            let key = key.clone();
+            copies.clear();
+            for (i, run) in rest.iter_mut().enumerate().skip(lead) {
+                if run.as_slice().first().is_some_and(|(k, _)| *k == key) {
+                    copies.push((i, run.next().expect("the head was checked").1));
+                }
             }
+            on_step(Merged::Shared(key, &mut copies));
+        } else {
+            let ahead = rest[lead].as_slice();
+            let n = bound.map_or(ahead.len(), |b| ahead.partition_point(|(k, _)| k < b));
+            on_step(Merged::Only(lead, rest[lead].by_ref().take(n)));
         }
-        on_row(key, &mut copies);
     }
+}
+
+/// The lead of a merge step among the runs' next keys, given as `(index
+/// of the run, key)`: the first run holding the smallest key, that key,
+/// and the smallest key of the other runs, which equals the lead's when
+/// another run holds it too. `None` once every run is spent.
+fn lead<'a>(
+    heads: impl Iterator<Item = (usize, &'a Key)>,
+) -> Option<(usize, &'a Key, Option<&'a Key>)> {
+    let (mut lead, mut next): (Option<(usize, &Key)>, Option<&Key>) = (None, None);
+    for (i, key) in heads {
+        match lead {
+            Some((_, least)) if key >= least => next = Some(next.map_or(key, |n| n.min(key))),
+            _ => (next, lead) = (lead.map(|(_, k)| k), Some((i, key))),
+        }
+    }
+    lead.map(|(i, key)| (i, key, next))
 }
 
 /// Merges sorted runs, oldest first, into the one run they describe; a
 /// single non-empty run is returned as it is.
-pub(crate) fn merge_all(mut runs: Vec<Run>) -> Run {
+pub fn merge_all(mut runs: Vec<Run>) -> Run {
     runs.retain(|run| !run.is_empty());
     if runs.len() <= 1 {
         return runs.pop().unwrap_or_default();
     }
-    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
-    merge_runs(runs, |key, copies| {
-        let copies = copies.drain(..).map(|(_, entry)| entry);
-        let entry = copies.reduce(RowEntry::merge);
-        merged.push((key, entry.expect("merge_runs hands out one copy or more")));
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    merge_runs(runs, |step| match step {
+        Merged::Only(_, rows) => merged.extend(rows),
+        Merged::Shared(key, copies) => {
+            let copies = copies.drain(..).map(|(_, entry)| entry);
+            let entry = copies.reduce(RowEntry::merge);
+            merged.push((key, entry.expect("a shared key has two copies or more")));
+        }
     });
     merged
+}
+
+/// Whether `runs`, merged, are `data` row for row, decided without
+/// merging them: a stretch that one run alone holds is compared in place,
+/// keys and entries by pointer before content, so runs that share the
+/// stored rows of `data` cost a pointer compare per row. A key that
+/// several runs hold (an overwrite of a flushed row) has its copies folded
+/// as [`merge_all`] folds them, and the folded entry is compared.
+pub(crate) fn merges_to(runs: &[&[(Key, RowEntry)]], mut data: &[(Key, RowEntry)]) -> bool {
+    // Runs merge to as many rows as they hold, or fewer.
+    if runs.iter().map(|run| run.len()).sum::<usize>() < data.len() {
+        return false;
+    }
+    let mut rest: Vec<&[(Key, RowEntry)]> = runs.to_vec();
+    loop {
+        let heads = rest.iter().copied().enumerate();
+        let heads = heads.filter_map(|(i, run)| Some((i, &run.first()?.0)));
+        let Some((lead, key, bound)) = lead(heads) else {
+            return data.is_empty();
+        };
+        if bound == Some(key) {
+            let copies = rest[lead..].iter_mut().filter_map(|run| {
+                let ((k, entry), tail) = run.split_first()?;
+                (k == key).then(|| {
+                    *run = tail;
+                    entry.clone()
+                })
+            });
+            let merged = copies.reduce(RowEntry::merge);
+            match data.split_first() {
+                Some(((k, entry), tail)) if k == key && Some(entry) == merged.as_ref() => {
+                    data = tail;
+                }
+                _ => return false,
+            }
+        } else {
+            let run = rest[lead];
+            let n = bound.map_or(run.len(), |b| run.partition_point(|(k, _)| k < b));
+            if data.get(..n) != Some(&run[..n]) {
+                return false;
+            }
+            rest[lead] = &run[n..];
+            data = &data[n..];
+        }
+    }
 }
 
 /// One row change borrowed from a mutation: clustering key, cells to upsert
@@ -298,8 +368,17 @@ impl Memtable {
 
     /// Reads raw row entries of one partition within a clustering range.
     pub fn read_raw(&self, partition: &DecoratedKey, range: (Bound<Key>, Bound<Key>)) -> Run {
+        self.slice(partition, &range).to_vec()
+    }
+
+    /// The stored rows of one partition within a clustering range.
+    pub(crate) fn slice(
+        &self,
+        partition: &DecoratedKey,
+        range: &(Bound<Key>, Bound<Key>),
+    ) -> &[(Key, RowEntry)] {
         let run = self.partitions.get(partition);
-        run.map_or_else(Vec::new, |run| range_of(run, &range))
+        run.map_or(&[], |run| range_of(run, range))
     }
 
     /// Approximate size in cells; drives flush decisions.
@@ -536,28 +615,134 @@ mod tests {
             e.upsert(&sorted_cells([("a".into(), cellv(v, ts))]));
             e
         };
-        let runs = vec![
+        // Each step as (run, keys) for a stretch, (None, key, runs) for a
+        // shared key.
+        let steps = |runs: Vec<Run>| {
+            let mut steps = Vec::new();
+            let mut merged = Vec::new();
+            merge_runs(runs, |step| match step {
+                Merged::Only(from, rows) => {
+                    let keys: Vec<Key> = rows.map(|(k, _)| k).collect();
+                    steps.push((Some(from), keys, vec![]));
+                }
+                Merged::Shared(key, copies) => {
+                    let from = copies.iter().map(|c| c.0).collect();
+                    steps.push((None, vec![key], from));
+                    merged.push(copies.drain(..).map(|c| c.1).reduce(RowEntry::merge));
+                }
+            });
+            (steps, merged)
+        };
+        let (seen, merged) = steps(vec![
             vec![(ck(1), entry(10, 1)), (ck(3), entry(30, 1))],
             vec![],
             vec![(ck(2), entry(21, 2)), (ck(3), entry(31, 2))],
             vec![(ck(3), entry(32, 3)), (ck(4), entry(42, 3))],
-        ];
-        let mut seen = Vec::new();
-        let mut merged = Vec::new();
-        merge_runs(runs, |key, copies| {
-            seen.push((key.clone(), copies.iter().map(|c| c.0).collect::<Vec<_>>()));
-            merged.push(copies.drain(..).map(|c| c.1).reduce(RowEntry::merge));
-        });
+        ]);
         assert_eq!(
             seen,
             vec![
-                (ck(1), vec![0]),
-                (ck(2), vec![2]),
-                (ck(3), vec![0, 2, 3]),
-                (ck(4), vec![3]),
+                (Some(0), vec![ck(1)], vec![]),
+                (Some(2), vec![ck(2)], vec![]),
+                (None, vec![ck(3)], vec![0, 2, 3]),
+                (Some(3), vec![ck(4)], vec![]),
             ]
         );
-        assert_eq!(merged[2], Some(entry(32, 3)), "the newest write wins");
+        assert_eq!(merged, [Some(entry(32, 3))], "the newest write wins");
+
+        // Runs that do not interleave cost a step each.
+        let run = |keys: std::ops::Range<i64>| keys.map(|k| (ck(k), entry(1, 1))).collect();
+        let (seen, _) = steps(vec![run(5..9), run(0..5), run(9..12)]);
+        let stretches: Vec<_> = seen
+            .iter()
+            .map(|(from, keys, _)| (*from, keys.len()))
+            .collect();
+        assert_eq!(stretches, [(Some(1), 5), (Some(0), 4), (Some(2), 3)]);
+    }
+
+    #[test]
+    fn merges_to_compares_runs_with_data_and_folds_a_repeated_key() {
+        let entry = |v: i32, ts: u64| {
+            let mut e = RowEntry::default();
+            e.upsert(&sorted_cells([("a".into(), cellv(v, ts))]));
+            e
+        };
+        let row = |k: i64| (ck(k), entry(k as i32, 1));
+        let (a, b) = (vec![row(1), row(4)], vec![row(2), row(3)]);
+        let data = merge_all(vec![a.clone(), b.clone()]);
+        assert!(merges_to(&[&a, &b], &data));
+        assert!(
+            merges_to(&[&b, &[], &a], &data),
+            "disjoint runs in any order"
+        );
+        // A cell that differs, a row missing, a row too many.
+        let mut changed = data.clone();
+        changed[2].1 = entry(9, 1);
+        assert!(!merges_to(&[&a, &b], &changed));
+        assert!(!merges_to(&[&a, &b], &data[1..]));
+        assert!(!merges_to(&[&a], &data));
+        // Two runs that hold one key: its copies fold, newest write last,
+        // to what a merge makes of them, whether the lengths agree or not.
+        let over = vec![(ck(4), entry(40, 2))];
+        let folded = merge_all(vec![a.clone(), b.clone(), over.clone()]);
+        assert_eq!(folded[3].1, entry(40, 2));
+        assert!(merges_to(&[&a, &b, &over], &folded));
+        assert!(
+            !merges_to(&[&a, &b, &over], &data),
+            "data lacks the overwrite"
+        );
+        assert!(
+            !merges_to(&[&a, &b], &folded),
+            "the runs lack the overwrite"
+        );
+        let five = merge_all(vec![data.clone(), vec![row(5)]]);
+        assert!(!merges_to(&[&a, &b, &[row(4)]], &five));
+        // The copies fold in run order: an older copy first changes nothing.
+        let stale = vec![(ck(4), entry(0, 0))];
+        assert!(merges_to(&[&stale, &a, &b, &over], &folded));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Runs merge to their own merge, repeated keys included, and to
+        /// nothing that lacks a row of it, holds a row differently or holds
+        /// a row more.
+        #[test]
+        fn merges_to_agrees_with_merge_all(
+            shapes in proptest::collection::vec(
+                proptest::collection::btree_map(0..12i64, (0..3i32, 1..4u64), 0..8),
+                1..6,
+            ),
+            pick in 0..64usize,
+        ) {
+            let runs: Vec<Run> = shapes
+                .iter()
+                .map(|keys| {
+                    let row = |(k, (v, ts)): (&i64, &(i32, u64))| {
+                        let mut entry = RowEntry::default();
+                        entry.upsert(&sorted_cells([("a".into(), cellv(*v, *ts))]));
+                        (ck(*k), entry)
+                    };
+                    keys.iter().map(row).collect()
+                })
+                .collect();
+            let sources: Vec<&[(Key, RowEntry)]> = runs.iter().map(Vec::as_slice).collect();
+            let data = merge_all(runs.clone());
+            proptest::prop_assert!(merges_to(&sources, &data));
+            if !data.is_empty() {
+                let at = pick % data.len();
+                let mut fewer = data.clone();
+                fewer.remove(at);
+                proptest::prop_assert!(!merges_to(&sources, &fewer));
+                let mut changed = data.clone();
+                changed[at].1.delete(9);
+                proptest::prop_assert!(!merges_to(&sources, &changed));
+                let mut more = data.clone();
+                more.push((ck(12), data[at].1.clone()));
+                proptest::prop_assert!(!merges_to(&sources, &more));
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::commitlog::{CommitLog, Mutation};
 use crate::compaction::{self, CompactionConfig};
-use crate::memtable::{merge_all, Memtable, Run};
+use crate::memtable::{merge_all, merges_to, Memtable, RowEntry, Run};
 use crate::partitioner::DecoratedKey;
 use crate::ring::NodeId;
 use crate::sstable::SsTable;
@@ -43,6 +43,15 @@ impl Default for NodeConfig {
             read_latency_us: 0,
         }
     }
+}
+
+/// What a digest read answers (see [`StorageNode::read_digest`]).
+#[derive(Debug)]
+pub(crate) enum Digest {
+    /// The replica's merged view of the range is the data response.
+    Matches,
+    /// It is not: the replica's merged run.
+    Differs(Run),
 }
 
 /// Storage for one table on one node.
@@ -212,8 +221,8 @@ impl StorageNode {
     /// Every source is already a sorted run with each clustering key once:
     /// an SSTable's slice of the partition, the memtable's slice of it. The
     /// runs are copied out under the table lock, oldest first (SSTables in
-    /// list order, then the memtable); the merge runs after the lock is
-    /// released, and a partition found in a single source is that run.
+    /// list order, then the memtable), and merged slice by slice after the
+    /// lock is released; a partition found in a single source is that run.
     pub fn read_raw(
         &self,
         table: &str,
@@ -223,22 +232,64 @@ impl StorageNode {
         if !self.is_up() {
             return None;
         }
-        let mut runs: Vec<Run> = Vec::new();
-        {
+        let runs: Vec<Run> = {
             let tables = self.tables.read();
             let store = tables.get(table)?.lock();
-            self.stats.record_read();
-            for sst in &store.sstables {
-                if self.cfg.use_bloom && !sst.may_contain(partition) {
-                    self.stats.record_bloom_skip();
-                    continue;
-                }
-                self.stats.record_sstable_probe();
-                runs.push(sst.read_raw(partition, range, self.cfg.use_bloom));
-            }
-            runs.push(store.memtable.read_raw(partition, range.clone()));
-        }
+            let sources = self.sources(&store, partition, range);
+            sources.into_iter().map(<[_]>::to_vec).collect()
+        };
         Some(merge_all(runs))
+    }
+
+    /// A digest read: whether this replica's merged view of the range is
+    /// `data`, the response of the replica that answered with rows. The
+    /// sources are walked under the table lock and compared with `data`
+    /// row by row, pointer first, without copying a row; a key several
+    /// sources hold is compared as its folded copies ([`merges_to`]). A
+    /// mismatch answers with the merged run [`StorageNode::read_raw`]
+    /// returns. Counts as the node's one read of the partition.
+    pub(crate) fn read_digest(
+        &self,
+        table: &str,
+        partition: &DecoratedKey,
+        range: &(Bound<Key>, Bound<Key>),
+        data: &[(Key, RowEntry)],
+    ) -> Option<Digest> {
+        if !self.is_up() {
+            return None;
+        }
+        let runs: Vec<Run> = {
+            let tables = self.tables.read();
+            let store = tables.get(table)?.lock();
+            let sources = self.sources(&store, partition, range);
+            if merges_to(&sources, data) {
+                return Some(Digest::Matches);
+            }
+            sources.into_iter().map(<[_]>::to_vec).collect()
+        };
+        Some(Digest::Differs(merge_all(runs)))
+    }
+
+    /// The stored slices of a partition range, oldest first: the SSTables
+    /// the bloom filter lets through, then the memtable. Counts the read.
+    fn sources<'a>(
+        &self,
+        store: &'a TableStore,
+        partition: &DecoratedKey,
+        range: &(Bound<Key>, Bound<Key>),
+    ) -> Vec<&'a [(Key, RowEntry)]> {
+        self.stats.record_read();
+        let mut sources = Vec::with_capacity(store.sstables.len() + 1);
+        for sst in &store.sstables {
+            if self.cfg.use_bloom && !sst.may_contain(partition) {
+                self.stats.record_bloom_skip();
+                continue;
+            }
+            self.stats.record_sstable_probe();
+            sources.push(sst.read_raw(partition, range, self.cfg.use_bloom));
+        }
+        sources.push(store.memtable.slice(partition, range));
+        sources
     }
 
     /// Materialized read (visible rows only).

@@ -119,19 +119,19 @@ impl SsTable {
         self.bloom.may_contain(partition.hash128())
     }
 
-    /// Reads row entries of one partition within a clustering range.
+    /// The stored row entries of one partition within a clustering range.
     /// `use_bloom` enables the filter short-circuit (ablation hook).
     pub fn read_raw(
         &self,
         partition: &DecoratedKey,
         range: &(Bound<Key>, Bound<Key>),
         use_bloom: bool,
-    ) -> Run {
+    ) -> &[(Key, RowEntry)] {
         if use_bloom && !self.may_contain(partition) {
-            return Vec::new();
+            return &[];
         }
         let found = self.data.binary_search_by(|(pk, _)| pk.cmp(partition));
-        found.map_or_else(|_| Vec::new(), |i| range_of(&self.data[i].1, range))
+        found.map_or(&[], |i| range_of(&self.data[i].1, range))
     }
 
     /// Iterates all partitions (compaction and token-range scans).

@@ -15,6 +15,8 @@ use telemetry::{Counter, Gauge};
 struct GlobalCounters {
     coordinator_write_rows: Arc<Counter>,
     coordinator_read_rows: Arc<Counter>,
+    digest_reads: Arc<Counter>,
+    digest_mismatches: Arc<Counter>,
     writes: Arc<Counter>,
     reads: Arc<Counter>,
     flushes: Arc<Counter>,
@@ -29,6 +31,8 @@ fn globals() -> &'static GlobalCounters {
         GlobalCounters {
             coordinator_write_rows: r.counter("rasdb.coordinator.write.rows"),
             coordinator_read_rows: r.counter("rasdb.coordinator.read.rows"),
+            digest_reads: r.counter("rasdb.coordinator.digest_reads"),
+            digest_mismatches: r.counter("rasdb.coordinator.digest_mismatches"),
             writes: r.counter("rasdb.storage.writes"),
             reads: r.counter("rasdb.storage.reads"),
             flushes: r.counter("rasdb.storage.flushes"),
@@ -102,8 +106,8 @@ impl NodeStats {
     }
 }
 
-/// Coordinator-side counters: replica skips, retries and hedges,
-/// `read_multi` batches, hints. Per-cluster counts are exact; every
+/// Coordinator-side counters: replica skips, retries and hedges, digest
+/// reads, `read_multi` batches, hints. Per-cluster counts are exact; every
 /// increment is mirrored into `rasdb.coordinator.*` counters in the global
 /// registry.
 #[derive(Debug, Default)]
@@ -112,6 +116,8 @@ pub struct CoordinatorStats {
     speculative_retries: AtomicU64,
     read_multi_batches: AtomicU64,
     read_multi_plans: AtomicU64,
+    digest_reads: AtomicU64,
+    digest_mismatches: AtomicU64,
     hints_dropped: AtomicU64,
     hints_rerouted: AtomicU64,
 }
@@ -132,6 +138,17 @@ impl CoordinatorStats {
         telemetry::global()
             .counter("rasdb.coordinator.speculative_retries")
             .incr(1);
+    }
+
+    /// Records a digest read; `differs` when the replica's merged view was
+    /// not the data response and the plan took the full merge.
+    pub fn record_digest_read(&self, differs: bool) {
+        self.digest_reads.fetch_add(1, Ordering::Relaxed);
+        globals().digest_reads.incr(1);
+        if differs {
+            self.digest_mismatches.fetch_add(1, Ordering::Relaxed);
+            globals().digest_mismatches.incr(1);
+        }
     }
 
     /// Records one `read_multi` batch of `plans` partition reads.
@@ -185,6 +202,18 @@ impl CoordinatorStats {
     /// Total plans fanned out across all batches.
     pub fn read_multi_plans(&self) -> u64 {
         self.read_multi_plans.load(Ordering::Relaxed)
+    }
+
+    /// Replica reads answered with a digest instead of rows.
+    pub fn digest_reads(&self) -> u64 {
+        self.digest_reads.load(Ordering::Relaxed)
+    }
+
+    /// Digest reads whose replica did not hold the data response: replicas
+    /// that really disagree, each a plan sent to the full merge and read
+    /// repair.
+    pub fn digest_mismatches(&self) -> u64 {
+        self.digest_mismatches.load(Ordering::Relaxed)
     }
 
     /// Records a hinted-handoff mutation re-applied to a partition's new

@@ -5,9 +5,10 @@
 //! slice that the mutation, its commit-log records and all three replicas
 //! point at — plus a slot in each replica's sorted run, so an insert at RF 3
 //! may allocate only a handful of times per row and leave well under a
-//! kilobyte behind; a cold read copies pointers out of each replica it
-//! consults and returns rows that point at the stored cells, and a
-//! block-cache hit copies nothing. This binary has its own counting allocator; the
+//! kilobyte behind; a cold read copies pointers out of the replica that
+//! answers with rows (the others answer with a digest, compared in place)
+//! and returns rows that point at the stored cells, and a block-cache hit
+//! copies nothing. This binary has its own counting allocator; the
 //! counters are process-wide, so its tests take [`SERIAL`] and run one at a
 //! time, and the numbers repeat on any machine.
 
@@ -221,6 +222,13 @@ const READ_RESIDUE_BYTES: isize = 4 * 1024;
 
 /// `events()` as one `event_by_time` partition of `rows` rows.
 fn one_partition(c: &Cluster, hour: i64, rows: usize) -> ReadPlan {
+    in_runs(c, hour, rows, 1)
+}
+
+/// `events()` as one `event_by_time` partition of `rows` rows, written in
+/// `runs` stretches of time with a flush after each but the last: every
+/// replica holds the partition as `runs - 1` SSTables and its memtable.
+fn in_runs(c: &Cluster, hour: i64, rows: usize, runs: usize) -> ReadPlan {
     let batch: Vec<_> = events()
         .into_iter()
         .take(rows)
@@ -230,8 +238,14 @@ fn one_partition(c: &Cluster, hour: i64, rows: usize) -> ReadPlan {
             row
         })
         .collect();
-    c.insert_batch("event_by_time", batch, Consistency::Quorum)
-        .unwrap();
+    let mut stretches = batch.chunks(rows.div_ceil(runs)).peekable();
+    while let Some(stretch) = stretches.next() {
+        c.insert_batch("event_by_time", stretch.to_vec(), Consistency::Quorum)
+            .unwrap();
+        if stretches.peek().is_some() {
+            c.flush_all();
+        }
+    }
     ReadPlan {
         table: "event_by_time".into(),
         partition: DecoratedKey::new(Key::from(vec![Value::BigInt(hour), Value::text("MCE")])),
@@ -308,5 +322,31 @@ fn a_cold_read_costs_a_few_allocations_per_row_and_a_cache_hit_a_few_in_all() {
     assert!(
         residue <= 2 * READ_RESIDUE_BYTES,
         "{residue} bytes outlived the rows and the cache entries"
+    );
+}
+
+#[test]
+fn a_cold_read_of_a_partition_in_several_runs_costs_no_allocations_per_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let c = cluster();
+    // Three SSTables and the memtable on every replica, as a storm hour
+    // that was flushed while it grew.
+    let plan = in_runs(&c, 1, ROWS, 4);
+    let flushes: Vec<u64> = c
+        .owners(plan.partition.key())
+        .into_iter()
+        .map(|id| c.node(id).stats().flushes)
+        .collect();
+    assert_eq!(flushes, [3, 3, 3]);
+    read(&c, &one_partition(&c, 3, 1), 1);
+
+    let (cold, _) = read(&c, &plan, ROWS);
+    println!(
+        "cold read of four runs: {:.2} allocations per row",
+        cold as f64 / ROWS as f64
+    );
+    assert!(
+        cold as f64 <= MAX_READ_ALLOCATIONS_PER_ROW * ROWS as f64,
+        "{cold} allocations for a cold read of {ROWS} rows in four runs"
     );
 }
