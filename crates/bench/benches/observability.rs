@@ -40,11 +40,11 @@ fn seeded() -> QueryEngine {
         vnodes: 16,
         topology: Topology::scaled(2, 2),
         // The rotating cold panels re-read the same hour partitions every
-        // round, so the coordinator block cache would absorb them after
-        // round one and the simulated replica latency would never be paid.
-        // Disabling it keeps the cold path cold: every refresh pays the
-        // scatter-gather fan-out a networked deployment pays.
-        block_cache_bytes: 0,
+        // round, so the column store would absorb them after round one and
+        // the simulated replica latency would never be paid. Disabling it
+        // keeps the cold path cold: every refresh pays the scatter-gather
+        // fan-out a networked deployment pays.
+        columnar_cache_bytes: 0,
         ..Default::default()
     })
     .unwrap();
@@ -192,7 +192,7 @@ fn bench_observability(c: &mut Criterion) {
             "\"heatmap_cold\", \"events_cold\"],\n",
             "  \"window_hours\": {},\n",
             "  \"events_seeded\": {},\n",
-            "  \"block_cache_bytes\": 0,\n",
+            "  \"columnar_cache_bytes\": 0,\n",
             "  \"read_latency_us\": {},\n",
             "  \"rounds\": {},\n",
             "  \"tracing_on_median_ms\": {:.3},\n",

@@ -1,9 +1,10 @@
-//! Warm vs cold dashboard refresh through the two-tier query cache: the
-//! same four-panel analytics dashboard (heatmap, distribution, histogram,
-//! wordcount) over a fixed 24-hour window, repeated the way a frontend
-//! polls it. Cold runs against a framework with both cache tiers disabled;
-//! warm runs against the default framework after one priming pass, so
-//! every request is a validated result-cache hit.
+//! Warm vs cold dashboard refresh through the two cache tiers (result and
+//! column blocks): the same four-panel analytics dashboard (heatmap,
+//! distribution, histogram, wordcount) over a fixed 24-hour window,
+//! repeated the way a frontend polls it. Cold runs against a framework
+//! with both cache tiers disabled; warm runs against the default framework
+//! after one priming pass, so every request is a validated result-cache
+//! hit.
 //!
 //! Per-read replica service latency is simulated (as in the
 //! scatter_gather bench) to stand in for the RPC + disk time a networked
@@ -33,7 +34,7 @@ fn smoke() -> bool {
 }
 
 fn seeded(caches_on: bool) -> QueryEngine {
-    let (block, result) = if caches_on {
+    let (columnar, result) = if caches_on {
         (32 << 20, 8 << 20)
     } else {
         (0, 0)
@@ -43,7 +44,7 @@ fn seeded(caches_on: bool) -> QueryEngine {
         replication_factor: 3,
         vnodes: 16,
         topology: Topology::scaled(2, 2),
-        block_cache_bytes: block,
+        columnar_cache_bytes: columnar,
         result_cache_bytes: result,
         ..Default::default()
     })

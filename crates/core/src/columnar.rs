@@ -21,7 +21,7 @@
 //!
 //! Blocks are built **lazily** on the first analytics scan from the same
 //! merged, read-repaired row path every query uses, and cached in a
-//! [`ColumnarStore`] under the block-cache byte budget — a
+//! [`ColumnarStore`] under its own byte budget — a
 //! [`rasdb::cache::Validated`] tier, with the contract every tier shares:
 //! each block is stamped with its partition's data version and the
 //! topology epoch *before* its rows are read, and a lookup whose stamp is
@@ -46,6 +46,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use telemetry::Counter;
+
+/// Default byte budget of the [`ColumnarStore`].
+pub const DEFAULT_COLUMNAR_CACHE_BYTES: usize = 32 << 20;
 
 /// One `(hour, event_type)` partition in columnar form.
 ///
@@ -367,8 +370,8 @@ impl ColumnarStats {
 }
 
 /// The lazily-populated cache of [`ColumnBlock`]s: the columnar tier, in
-/// one shard under the block-cache byte budget, because a storm hour's
-/// block can outweigh a sixteenth of the budget (DESIGN §9).
+/// one shard, because a storm hour's block can outweigh a sixteenth of the
+/// budget (DESIGN §9).
 pub struct ColumnarStore {
     cache: Validated<Arc<ColumnBlock>>,
     built: AtomicU64,
@@ -412,8 +415,7 @@ impl ColumnarStore {
         self.dict_encoded
             .fetch_add(block.source_encoded_bytes() as u64, Ordering::Relaxed);
         let key = block_key(block.hour, &block.event_type);
-        self.cache
-            .insert(key, block, stamp, |_, b, _| b.footprint());
+        self.cache.insert(key, block, stamp, |_, b| b.footprint());
     }
 
     /// Changes the byte budget at runtime, evicting LRU-first down to the

@@ -42,9 +42,9 @@ pub struct FrameworkConfig {
     /// this parameter to reproduce that comparison (1 Gbit/s default,
     /// a typical virtualized-cluster link).
     pub remote_link_bytes_per_sec: Option<u64>,
-    /// Byte budget for the coordinator's partition-block cache
-    /// (0 disables it).
-    pub block_cache_bytes: usize,
+    /// Byte budget for the column-block store (0 keeps no block
+    /// resident).
+    pub columnar_cache_bytes: usize,
     /// Byte budget for the analytics result cache (0 disables it).
     pub result_cache_bytes: usize,
 }
@@ -59,7 +59,7 @@ impl Default for FrameworkConfig {
             topology: Topology::scaled(5, 4),
             consistency: Consistency::Quorum,
             remote_link_bytes_per_sec: Some(125_000_000), // 1 Gbit/s
-            block_cache_bytes: rasdb::cluster::DEFAULT_BLOCK_CACHE_BYTES,
+            columnar_cache_bytes: crate::columnar::DEFAULT_COLUMNAR_CACHE_BYTES,
             result_cache_bytes: crate::server::cache::DEFAULT_RESULT_CACHE_BYTES,
         }
     }
@@ -96,7 +96,6 @@ impl Framework {
             replication_factor: cfg.replication_factor,
             vnodes: cfg.vnodes,
         }));
-        cluster.set_block_cache_budget(cfg.block_cache_bytes);
         tables::create_all(&cluster)?;
         nodeinfo::populate(&cluster, &cfg.topology)?;
         for etype in EVENT_CATALOG {
@@ -125,7 +124,7 @@ impl Framework {
             consistency: cfg.consistency,
             remote_link_bytes_per_sec: cfg.remote_link_bytes_per_sec,
             result_cache: ResultCache::new(cfg.result_cache_bytes),
-            columnar: ColumnarStore::new(cfg.block_cache_bytes),
+            columnar: ColumnarStore::new(cfg.columnar_cache_bytes),
             ingest_watermark: AtomicI64::new(i64::MIN),
         })
     }
@@ -160,9 +159,9 @@ impl Framework {
         &self.result_cache
     }
 
-    /// The columnar block store (see [`crate::columnar`]). Shares the
-    /// block-cache byte budget; with a zero budget no block is retained
-    /// and every scan builds transient ones.
+    /// The columnar block store (see [`crate::columnar`]), sized by
+    /// [`FrameworkConfig::columnar_cache_bytes`]; with a zero budget no
+    /// block is retained and every scan builds transient ones.
     pub fn columnar(&self) -> &ColumnarStore {
         &self.columnar
     }
@@ -291,7 +290,7 @@ impl Framework {
     /// Every hour of the window is served the same way, from a
     /// [`ColumnBlock`]: the store is probed, and every hour that misses is
     /// stamped (its data version and the topology epoch, *before* any row
-    /// is read, exactly like the rasdb block cache), fetched in one
+    /// is read, as every cache tier stamps), fetched in one
     /// [`Cluster::read_multi`] scatter, built and stored. A still-filling
     /// hour is simply a block whose version moves often — the next scan
     /// after a write drops and rebuilds it. Blocks whose timestamp zone map
@@ -781,7 +780,7 @@ mod tests {
             replication_factor: 1,
             vnodes: 4,
             topology: Topology::scaled(1, 1),
-            block_cache_bytes: 0,
+            columnar_cache_bytes: 0,
             ..Default::default()
         })
         .unwrap();

@@ -25,6 +25,7 @@ use rasdb::cache::Stamp;
 use rasdb::cluster::ExecResult;
 use rasdb::types::Key;
 use rasdb::DecoratedKey;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{SpanRecord, TraceContext};
@@ -264,47 +265,17 @@ impl QueryEngine {
     fn op_events(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let ctx = req.context()?;
         let mut events = ctx.fetch_events(&self.fw)?;
-        events.sort_by(|a, b| {
-            (a.ts_ms, &a.source, &a.event_type).cmp(&(b.ts_ms, &b.source, &b.event_type))
-        });
-        if let Some(cursor) = &req.cursor {
-            let Cursor::Event {
-                ts_ms,
-                source,
-                event_type,
-            } = cursor
-            else {
-                return Err(ApiError::new(
-                    ErrorCode::BadCursor,
-                    "cursor is not an 'events' cursor",
-                ));
-            };
-            let key = (*ts_ms, source.as_str(), event_type.as_str());
-            events.retain(|e| (e.ts_ms, &*e.source, &*e.event_type) > key);
-        }
-        let mut page = None;
-        if let Some(limit) = req.limit {
-            let has_more = events.len() > limit;
-            events.truncate(limit);
-            let cursor = if has_more {
-                events.last().map(|e| {
-                    Cursor::Event {
-                        ts_ms: e.ts_ms,
-                        source: e.source.to_string(),
-                        event_type: e.event_type.to_string(),
-                    }
-                    .encode()
-                })
-            } else {
-                None
-            };
-            page = Some(Page { cursor, has_more });
-        } else if req.cursor.is_some() {
-            page = Some(Page {
-                cursor: None,
-                has_more: false,
-            });
-        }
+        let page = paginate(
+            req,
+            "events",
+            &mut events,
+            |a, b| (a.ts_ms, &a.source, &a.event_type).cmp(&(b.ts_ms, &b.source, &b.event_type)),
+            |e| Cursor::Event {
+                ts_ms: e.ts_ms,
+                source: e.source.to_string(),
+                event_type: e.event_type.to_string(),
+            },
+        )?;
         let rows = json_array(events.iter().map(|e| {
             json_object([
                 ("ts", Json::from(e.ts_ms)),
@@ -314,11 +285,10 @@ impl QueryEngine {
                 ("raw", Json::from(&*e.raw)),
             ])
         }));
-        let mut out = OpOutput::data([("rows", rows)]);
-        if let Some(page) = page {
-            out = out.with_page(page);
-        }
-        Ok(out)
+        Ok(OpOutput {
+            page,
+            ..OpOutput::data([("rows", rows)])
+        })
     }
 
     fn op_heatmap(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
@@ -535,39 +505,16 @@ impl QueryEngine {
             let (from, to) = req.window()?;
             self.fw.apps_by_time(from, to)
         }?;
-        runs.sort_by_key(|r| (r.start_ms, r.apid));
-        if let Some(cursor) = &req.cursor {
-            let Cursor::App { start_ms, apid } = cursor else {
-                return Err(ApiError::new(
-                    ErrorCode::BadCursor,
-                    "cursor is not an 'apps' cursor",
-                ));
-            };
-            let key = (*start_ms, *apid);
-            runs.retain(|r| (r.start_ms, r.apid) > key);
-        }
-        let mut page = None;
-        if let Some(limit) = req.limit {
-            let has_more = runs.len() > limit;
-            runs.truncate(limit);
-            let cursor = if has_more {
-                runs.last().map(|r| {
-                    Cursor::App {
-                        start_ms: r.start_ms,
-                        apid: r.apid,
-                    }
-                    .encode()
-                })
-            } else {
-                None
-            };
-            page = Some(Page { cursor, has_more });
-        } else if req.cursor.is_some() {
-            page = Some(Page {
-                cursor: None,
-                has_more: false,
-            });
-        }
+        let page = paginate(
+            req,
+            "apps",
+            &mut runs,
+            |a, b| (a.start_ms, a.apid).cmp(&(b.start_ms, b.apid)),
+            |r| Cursor::App {
+                start_ms: r.start_ms,
+                apid: r.apid,
+            },
+        )?;
         let rows = json_array(runs.iter().map(|r| {
             json_object([
                 ("apid", Json::from(r.apid)),
@@ -580,11 +527,10 @@ impl QueryEngine {
                 ("exit_code", Json::from(r.exit_code)),
             ])
         }));
-        let mut out = OpOutput::data([("runs", rows)]);
-        if let Some(page) = page {
-            out = out.with_page(page);
-        }
-        Ok(out)
+        Ok(OpOutput {
+            page,
+            ..OpOutput::data([("runs", rows)])
+        })
     }
 
     fn op_nodeinfo(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
@@ -982,6 +928,46 @@ impl QueryEngine {
 /// typed [`QueryRequest`] fields — never from the raw body — so requests
 /// that produce identical answers share one entry regardless of field
 /// order or whitespace.
+/// Cuts one page of a cursor-driven op's `items`: sorts them by `order`,
+/// drops every item up to and including the request's cursor, which must
+/// be one of `op`'s, and keeps the request's `limit`. `cursor` encodes an
+/// item as the cursor resuming after it; items must sort as their cursors
+/// do. Returns the `page` object when the request has a limit or a cursor.
+fn paginate<T>(
+    req: &QueryRequest,
+    op: &str,
+    items: &mut Vec<T>,
+    order: impl FnMut(&T, &T) -> Ordering,
+    cursor: impl Fn(&T) -> Cursor,
+) -> Result<Option<Page>, ApiError> {
+    items.sort_by(order);
+    if let Some(after) = &req.cursor {
+        if after.op() != op {
+            return Err(ApiError::new(
+                ErrorCode::BadCursor,
+                format!("cursor is not an '{op}' cursor"),
+            ));
+        }
+        let seen = items.partition_point(|t| cursor(t) <= *after);
+        items.drain(..seen);
+    }
+    Ok(match req.limit {
+        Some(limit) => {
+            let has_more = items.len() > limit;
+            items.truncate(limit);
+            let cursor = items
+                .last()
+                .filter(|_| has_more)
+                .map(|t| cursor(t).encode());
+            Some(Page { cursor, has_more })
+        }
+        None => req.cursor.is_some().then_some(Page {
+            cursor: None,
+            has_more: false,
+        }),
+    })
+}
+
 fn cache_key(parts: &[&str]) -> Vec<u8> {
     parts.join("\x1f").into_bytes()
 }

@@ -191,8 +191,9 @@ impl From<DbError> for ApiError {
 }
 
 /// An opaque pagination cursor. Encodes the sort key of the last item the
-/// previous page returned; the next page resumes strictly after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// previous page returned; the next page resumes strictly after it. Cursors
+/// of one op order as their items sort.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Cursor {
     /// `events` pages sort by `(ts_ms, source, type)`.
     Event {
@@ -213,6 +214,14 @@ pub enum Cursor {
 }
 
 impl Cursor {
+    /// The op whose pages this cursor resumes.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Cursor::Event { .. } => "events",
+            Cursor::App { .. } => "apps",
+        }
+    }
+
     /// The wire form handed back under `page.cursor`.
     pub fn encode(&self) -> String {
         match self {

@@ -81,7 +81,7 @@ fn queries() -> Vec<String> {
 }
 
 fn boot(caches_on: bool) -> Arc<Framework> {
-    let (block, result) = if caches_on {
+    let (columnar, result) = if caches_on {
         (4 << 20, 4 << 20)
     } else {
         (0, 0)
@@ -92,7 +92,7 @@ fn boot(caches_on: bool) -> Arc<Framework> {
             replication_factor: 1,
             vnodes: 4,
             topology: Topology::scaled(1, 1),
-            block_cache_bytes: block,
+            columnar_cache_bytes: columnar,
             result_cache_bytes: result,
             ..Default::default()
         })

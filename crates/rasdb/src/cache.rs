@@ -1,9 +1,10 @@
 //! One cache contract for every memo tier of the read path.
 //!
-//! Three tiers memoize reads: merged partition reads in the coordinator
-//! (the block tier, here), and column blocks and complete analytics answers
-//! in `core`. All three are the same thing, [`Validated`]: a byte-budgeted
-//! LRU whose every value carries a [`Stamp`] of what it was computed from.
+//! Two tiers memoize reads, both in `core`: column blocks and complete
+//! analytics answers. The coordinator itself caches nothing: a read goes to
+//! the replicas. Both tiers are the same thing, [`Validated`]: a
+//! byte-budgeted LRU whose every value carries a [`Stamp`] of what it was
+//! computed from.
 //!
 //! * A [`Stamp`] is the topology epoch plus the data version of each
 //!   `(table, partition)` the value read, snapshotted *before* the read.
@@ -18,18 +19,12 @@
 //!   correctness.
 //! * A budget of zero turns a tier off: nothing is stored, and a lookup
 //!   counts no hit, miss or invalidation.
-//!
-//! The helpers below the type ([`block_key`], [`rows_footprint`]) are the
-//! block tier's key and weight.
 
 use crate::cluster::Cluster;
 use crate::partitioner::DecoratedKey;
-use crate::query::{Consistency, ReadPlan};
 use crate::stats::CacheStats;
-use crate::types::{Key, Row, Value};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use telemetry::Gauge;
@@ -143,21 +138,18 @@ impl<V: Clone> Validated<V> {
     /// Stores `value` under `key` with the stamp taken before it was
     /// computed. `weigh` prices the entry in budget bytes, outside the
     /// lock and only if the tier is on; an entry heavier than its shard's
-    /// budget is not stored and displaces nothing. That budget is
-    /// `weigh`'s third argument: past it the exact weight does not matter,
-    /// so `weigh` may stop counting there.
+    /// budget is not stored and displaces nothing.
     pub fn insert(
         &self,
         key: Vec<u8>,
         value: V,
         stamp: Stamp,
-        weigh: impl FnOnce(&[u8], &V, usize) -> usize,
+        weigh: impl FnOnce(&[u8], &V) -> usize,
     ) {
-        let budget = self.budget();
-        if budget == 0 {
+        if self.budget() == 0 {
             return;
         }
-        let bytes = weigh(&key, &value, per_shard(budget, self.shards.len()));
+        let bytes = weigh(&key, &value);
         let mut shard = self.shard(&key);
         let evicted = self.resize(&mut shard, |lru| {
             lru.insert(key, Entry { value, stamp }, bytes)
@@ -331,86 +323,13 @@ impl<V> LruCache<V> {
     }
 }
 
-fn encode_bound(out: &mut Vec<u8>, bound: &Bound<Key>) {
-    match bound {
-        Bound::Unbounded => out.push(0),
-        Bound::Included(k) => {
-            out.push(1);
-            encode_key(out, k);
-        }
-        Bound::Excluded(k) => {
-            out.push(2);
-            encode_key(out, k);
-        }
-    }
-}
-
-fn encode_key(out: &mut Vec<u8>, key: &Key) {
-    let bytes = key.encode();
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&bytes);
-}
-
-/// Canonical cache key for a partition block: every field of the plan that
-/// can change the result, plus the consistency level (reads at different
-/// consistency levels may legitimately observe different replica states).
-pub fn block_key(plan: &ReadPlan, consistency: Consistency) -> Vec<u8> {
-    let mut out = Vec::with_capacity(plan.table.len() + 64);
-    out.extend_from_slice(&(plan.table.len() as u32).to_le_bytes());
-    out.extend_from_slice(plan.table.as_bytes());
-    encode_key(&mut out, plan.partition.key());
-    encode_bound(&mut out, &plan.range.0);
-    encode_bound(&mut out, &plan.range.1);
-    match plan.limit {
-        None => out.push(0),
-        Some(n) => {
-            out.push(1);
-            out.extend_from_slice(&(n as u64).to_le_bytes());
-        }
-    }
-    out.push(plan.descending as u8);
-    out.push(match consistency {
-        Consistency::One => 0,
-        Consistency::Quorum => 1,
-        Consistency::All => 2,
-    });
-    out
-}
-
-/// Approximate heap footprint of a result block, used for byte budgeting.
-/// Values are costed at the length of their binary encoding (computed, not
-/// encoded) plus fixed per-row and per-cell overheads; exactness does not
-/// matter, monotonicity in data size does.
-///
-/// The sum stops once it passes `cap`, and what it has by then, more than
-/// `cap`, is returned: given a tier's budget as the cap
-/// ([`Validated::insert`]), a storm partition is not weighed to the last
-/// row only to be turned away.
-pub fn rows_footprint(rows: &[Row], cap: usize) -> usize {
-    let mut n = 64;
-    for row in rows {
-        if n > cap {
-            break;
-        }
-        n += 48;
-        n += row
-            .clustering
-            .0
-            .iter()
-            .map(Value::encoded_len)
-            .sum::<usize>();
-        for (name, v) in row.cells() {
-            n += name.len() + 32 + v.encoded_len();
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{full_range, ClusterConfig};
+    use crate::cluster::ClusterConfig;
+    use crate::query::Consistency;
     use crate::schema::{ColumnType, TableSchema};
+    use crate::types::{Key, Value};
     use std::sync::atomic::AtomicBool;
 
     fn cluster() -> Cluster {
@@ -458,7 +377,7 @@ mod tests {
 
     /// Stores `v` weighing `bytes`, stamped on partition 1.
     fn put(cache: &Validated<u32>, c: &Cluster, key: &[u8], v: u32, bytes: usize) {
-        cache.insert(key.to_vec(), v, Stamp::take(c, [dep(1)]), |_, _, _| bytes);
+        cache.insert(key.to_vec(), v, Stamp::take(c, [dep(1)]), |_, _| bytes);
     }
 
     fn counts(cache: &Validated<u32>) -> (u64, u64, u64, u64) {
@@ -510,22 +429,15 @@ mod tests {
         assert_eq!(cache.get(&c, b"huge"), None);
         assert_eq!((cache.len(), cache.used_bytes()), (1, 8));
         assert_eq!(counts(&cache), (1, 1, 0, 0));
-        // `weigh` is handed its shard's budget: an entry that weighs it is
-        // stored, one byte more is refused.
+        // The limit is the shard's share of the budget: an entry that
+        // weighs it is stored, one byte more is refused.
         for (shards, cap) in [(1, 10), (4, 3)] {
             for (extra, stored) in [(0, 1), (1, 0)] {
                 let cache = Validated::new("unit", shards, 10);
-                let mut seen = 0;
-                cache.insert(
-                    b"k".to_vec(),
-                    1,
-                    Stamp::take(&c, [dep(1)]),
-                    |_, _, budget| {
-                        seen = budget;
-                        budget + extra
-                    },
-                );
-                assert_eq!((seen, cache.len()), (cap, stored), "{shards} shards");
+                cache.insert(b"k".to_vec(), 1, Stamp::take(&c, [dep(1)]), |_, _| {
+                    cap + extra
+                });
+                assert_eq!(cache.len(), stored, "{shards} shards");
             }
         }
     }
@@ -551,7 +463,7 @@ mod tests {
         let c = cluster();
         let cache = tier(1 << 10);
         let stamp = || Stamp::take(&c, [dep(1), dep(2)]);
-        cache.insert(b"k".to_vec(), 7, stamp(), |_, _, _| 10);
+        cache.insert(b"k".to_vec(), 7, stamp(), |_, _| 10);
         assert_eq!(cache.get(&c, b"k"), Some(7));
         // A write elsewhere leaves it current.
         write(&c, 3);
@@ -564,7 +476,7 @@ mod tests {
         assert_eq!(counts(&cache), (2, 2, 1, 0));
         assert_eq!((cache.len(), cache.used_bytes()), (0, 0));
         // So does a topology change.
-        cache.insert(b"k".to_vec(), 8, stamp(), |_, _, _| 10);
+        cache.insert(b"k".to_vec(), 8, stamp(), |_, _| 10);
         c.take_node_down(crate::ring::NodeId(1));
         assert_eq!(cache.get(&c, b"k"), None);
         assert_eq!(counts(&cache), (2, 3, 2, 0));
@@ -589,7 +501,7 @@ mod tests {
             b"a".to_vec(),
             Fragile(Arc::clone(&armed)),
             stamp(),
-            |_, _, _| 10,
+            |_, _| 10,
         );
         armed.store(true, Ordering::SeqCst);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -602,62 +514,9 @@ mod tests {
             b"b".to_vec(),
             Fragile(Arc::clone(&armed)),
             stamp(),
-            |_, _, _| 10,
+            |_, _| 10,
         );
         assert!(cache.get(&c, b"b").is_some(), "insert after the panic");
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn footprint_costs_values_at_their_encoded_length() {
-        let row = Row::new(
-            Key::from(vec![Value::Timestamp(7), Value::text("c0-0c0s0n0")]),
-            [
-                ("amount".into(), Value::Int(1)),
-                ("raw".into(), Value::text("twelve bytes")),
-            ],
-        );
-        let mut encoded = Vec::new();
-        for v in row.clustering.0.iter().chain(row.cells().map(|c| c.1)) {
-            v.encode_into(&mut encoded);
-        }
-        let one = 48 + ("amount".len() + 32) + ("raw".len() + 32) + encoded.len();
-        let all = usize::MAX;
-        assert_eq!(rows_footprint(&[], all), 64);
-        assert_eq!(rows_footprint(std::slice::from_ref(&row), all), 64 + one);
-        assert_eq!(
-            rows_footprint(&[row.clone(), row.clone()], all),
-            64 + 2 * one
-        );
-        // Past the cap the sum stops, over the cap and short of the rest.
-        let rows = vec![row; 4];
-        assert_eq!(rows_footprint(&rows, 64 + one), 64 + 2 * one);
-        assert_eq!(rows_footprint(&rows, 64 + 2 * one), 64 + 3 * one);
-    }
-
-    #[test]
-    fn block_keys_distinguish_every_plan_field() {
-        let base = ReadPlan {
-            table: "event_by_time".into(),
-            partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1), Value::text("MCE")])),
-            range: full_range(),
-            limit: None,
-            descending: false,
-        };
-        let k0 = block_key(&base, Consistency::Quorum);
-        let mut other = base.clone();
-        other.partition = DecoratedKey::new(Key::from(vec![Value::BigInt(2), Value::text("MCE")]));
-        assert_ne!(k0, block_key(&other, Consistency::Quorum));
-        let mut other = base.clone();
-        other.limit = Some(5);
-        assert_ne!(k0, block_key(&other, Consistency::Quorum));
-        let mut other = base.clone();
-        other.descending = true;
-        assert_ne!(k0, block_key(&other, Consistency::Quorum));
-        let mut other = base.clone();
-        other.range.0 = Bound::Included(Key::from(vec![Value::Timestamp(7)]));
-        assert_ne!(k0, block_key(&other, Consistency::Quorum));
-        assert_ne!(k0, block_key(&base, Consistency::One));
-        assert_eq!(k0, block_key(&base.clone(), Consistency::Quorum));
     }
 }

@@ -2,7 +2,6 @@
 //! (replication, consistency levels, hinted handoff, read repair) and live
 //! topology changes (join/decommission with fault-tolerant range streaming).
 
-use crate::cache::{block_key, rows_footprint, Stamp, Validated};
 use crate::commitlog::Mutation;
 use crate::cql;
 use crate::error::DbError;
@@ -24,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
 /// Cluster construction parameters.
@@ -64,10 +63,6 @@ pub const DEFAULT_SPECULATIVE_TIMEOUT: Duration = Duration::from_millis(5);
 /// Default per-node hinted-handoff queue cap (see [`Cluster::set_hint_cap`]).
 pub const DEFAULT_HINT_CAP: u64 = 8192;
 
-/// Default byte budget for the partition-block cache (see
-/// [`Cluster::set_block_cache_budget`]).
-pub const DEFAULT_BLOCK_CACHE_BYTES: usize = 32 << 20;
-
 /// Suggested client back-off returned with [`DbError::TopologyChanging`]
 /// when an admin op is rejected because a transition is already in flight.
 pub const TOPOLOGY_RETRY_AFTER_MS: u64 = 100;
@@ -91,8 +86,6 @@ struct SimTime {
     node_free: Vec<u64>,
     /// The latest finish the call waits for.
     finish: u64,
-    /// Plans served by the block cache.
-    block_hits: usize,
     /// Reads re-sent because their replica was down at read time.
     retries: u64,
     /// Reads sent past a speculative timeout.
@@ -163,8 +156,6 @@ pub struct Cluster {
     /// Bumped whenever replica visibility changes (node down/up), which can
     /// change what a read at a given consistency level observes.
     epoch: AtomicU64,
-    /// The block tier: merged partition reads, in one shard (DESIGN §9).
-    block_cache: Validated<Arc<[Row]>>,
     topo_stats: TopologyStats,
     stream_chunk_rows: AtomicU64,
 }
@@ -197,7 +188,6 @@ impl Cluster {
             versions: Mutex::new(HashMap::new()),
             version_counter: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            block_cache: Validated::new("block", 1, DEFAULT_BLOCK_CACHE_BYTES),
             topo_stats: TopologyStats::default(),
             stream_chunk_rows: AtomicU64::new(DEFAULT_STREAM_CHUNK_ROWS),
         }
@@ -249,16 +239,17 @@ impl Cluster {
         }
     }
 
-    /// Replaces the partition-block cache byte budget (default
-    /// [`DEFAULT_BLOCK_CACHE_BYTES`]); `0` disables the cache and drops
-    /// every entry. Benches comparing raw read paths should disable it.
-    pub fn set_block_cache_budget(&self, bytes: usize) {
-        self.block_cache.set_budget(bytes);
-    }
+    /// Does nothing: the coordinator keeps no partition-block cache. Kept
+    /// only because the pipeline benchmark names it; ROADMAP item 1(a)
+    /// deletes it.
+    pub fn set_block_cache_budget(&self, _bytes: usize) {}
 
-    /// Hit/miss/evict/invalidate counters for the partition-block cache.
+    /// Counters of a partition-block cache the coordinator no longer has:
+    /// unregistered and always zero. Kept only because the pipeline
+    /// benchmark names it; ROADMAP item 1(a) deletes it.
     pub fn block_cache_stats(&self) -> &CacheStats {
-        self.block_cache.stats()
+        static NONE: LazyLock<CacheStats> = LazyLock::new(CacheStats::default);
+        &NONE
     }
 
     /// Coordinator read-path counters (replica skips, speculative retries,
@@ -650,8 +641,7 @@ impl Cluster {
     }
 
     /// Executes a resolved read plan: [`Cluster::read_multi`] of one plan,
-    /// without its batch counters and profile spans. The rows are shared
-    /// with the block cache: a repeat read returns the same allocation.
+    /// without its batch counters and profile spans.
     pub fn read(&self, plan: &ReadPlan, consistency: Consistency) -> Result<Arc<[Row]>, DbError> {
         let _span = telemetry::span!("rasdb.coordinator.read");
         let mut sim = SimTime::default();
@@ -699,8 +689,6 @@ impl Cluster {
         sim.charge();
         if detail {
             span.tag("plans", plans.len().to_string());
-            span.tag("block_hits", sim.block_hits.to_string());
-            span.tag("block_misses", (plans.len() - sim.block_hits).to_string());
         }
         // Always tagged when nonzero: a retry or hedge is exactly what a
         // ring reader wants to see; the zero case is noise.
@@ -715,9 +703,9 @@ impl Cluster {
         Ok(results)
     }
 
-    /// One plan's coordinator read, the one read path: the block-cache
-    /// probe, the stamp, the replica gather on `sim`'s clock and
-    /// [`Cluster::finish_read`]. `detail` emits the profile-level spans.
+    /// One plan's coordinator read, the one read path: the replica gather
+    /// on `sim`'s clock and [`Cluster::finish_read`]. `detail` emits the
+    /// profile-level spans.
     fn read_plan(
         &self,
         plan: &ReadPlan,
@@ -727,25 +715,10 @@ impl Cluster {
     ) -> Result<Arc<[Row]>, DbError> {
         let plan_span = detail.then(|| telemetry::span!("rasdb.coordinator.plan"));
         let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
-        let cache_key = block_key(plan, consistency);
-        if let Some(rows) = self.block_cache.get(self, &cache_key) {
-            sim.block_hits += 1;
-            return Ok(rows);
-        }
-        // The stamp is taken *before* any replica read: a write landing
-        // mid-read bumps past it, so the entry stored below can never be
-        // validated against post-write state.
-        let stamp = Stamp::take(self, [(plan.table.clone(), plan.partition.clone())]);
         drop(plan_span);
-
         let (data, answers) = self.gather(plan, &replicas, required, sim, detail)?;
         let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
-        let rows = self.finish_read(&table, plan, data, answers);
-        self.block_cache
-            .insert(cache_key, Arc::clone(&rows), stamp, |key, rows, cap| {
-                rows_footprint(rows, cap) + key.len()
-            });
-        Ok(rows)
+        Ok(self.finish_read(&table, plan, data, answers))
     }
 
     /// The replica reads of one plan, on `sim`'s clock. `required` reads go
@@ -2135,75 +2108,6 @@ mod tests {
         let replica_reads = Duration::from_millis(2) * 16;
         assert!(took >= Duration::from_millis(2), "{took:?}");
         assert!(took < replica_reads, "{took:?}");
-    }
-
-    #[test]
-    fn block_cache_serves_repeats_and_invalidates_on_write() {
-        let c = events_cluster(4, 3);
-        for ts in 0..10 {
-            put(&c, 1, "MCE", ts, "n", Consistency::Quorum);
-        }
-        let plan = hour_plan(1);
-        let first = c.read(&plan, Consistency::Quorum).unwrap();
-        let hits = c.block_cache_stats().hits();
-        assert_eq!(c.read(&plan, Consistency::Quorum).unwrap(), first);
-        assert_eq!(c.block_cache_stats().hits(), hits + 1);
-
-        // A write to the partition bumps its version: the stale entry is
-        // invalidated and the re-read sees the new row.
-        put(&c, 1, "MCE", 99, "n", Consistency::Quorum);
-        let invalidations = c.block_cache_stats().invalidations();
-        assert_eq!(c.read(&plan, Consistency::Quorum).unwrap().len(), 11);
-        assert_eq!(c.block_cache_stats().invalidations(), invalidations + 1);
-
-        // Topology changes invalidate too: a down node shifts what any
-        // consistency level can observe.
-        c.take_node_down(NodeId(0));
-        let invalidations = c.block_cache_stats().invalidations();
-        let _ = c.read(&plan, Consistency::One).unwrap();
-        let _ = c.read(&plan, Consistency::One).unwrap();
-        c.bring_node_up(NodeId(0));
-        let _ = c.read(&plan, Consistency::One).unwrap();
-        assert!(c.block_cache_stats().invalidations() > invalidations);
-
-        // Budget zero disables the cache entirely.
-        c.set_block_cache_budget(0);
-        let hits = c.block_cache_stats().hits();
-        let _ = c.read(&plan, Consistency::Quorum).unwrap();
-        let _ = c.read(&plan, Consistency::Quorum).unwrap();
-        assert_eq!(c.block_cache_stats().hits(), hits);
-    }
-
-    #[test]
-    fn block_cache_shares_rows_and_skips_blocks_over_budget() {
-        let c = events_cluster(4, 3);
-        for ts in 0..500 {
-            put(&c, 1, "MCE", ts, "c0-0c0s0n0", Consistency::Quorum);
-        }
-        let plan = hour_plan(1);
-
-        // A block that fits is one allocation, whoever reads it.
-        let first = c.read(&plan, Consistency::Quorum).unwrap();
-        let second = c.read(&plan, Consistency::Quorum).unwrap();
-        let batched = c
-            .read_multi(std::slice::from_ref(&plan), Consistency::Quorum)
-            .unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
-        assert!(Arc::ptr_eq(&first, &batched[0]));
-        assert_eq!(c.block_cache_stats().hits(), 2);
-
-        // A partition larger than the whole budget is returned and nothing
-        // else: not stored, and nothing evicted to make room for it.
-        let c = events_cluster(4, 3);
-        for ts in 0..500 {
-            put(&c, 1, "MCE", ts, "c0-0c0s0n0", Consistency::Quorum);
-        }
-        c.set_block_cache_budget(1024);
-        assert_eq!(c.read(&plan, Consistency::Quorum).unwrap().len(), 500);
-        let stats = c.block_cache_stats();
-        assert_eq!((stats.hits(), stats.misses()), (0, 1));
-        assert_eq!(stats.evictions(), 0);
-        assert!(c.block_cache.is_empty());
     }
 
     #[test]

@@ -169,8 +169,8 @@ impl CoordinatorStats {
         globals().coordinator_write_rows.incr(rows);
     }
 
-    /// Records the rows one `read` or `read_multi` call returned, block-cache
-    /// hits included: the read-side twin of [`Self::record_write_rows`].
+    /// Records the rows one `read` or `read_multi` call returned: the
+    /// read-side twin of [`Self::record_write_rows`].
     pub fn record_read_rows(&self, rows: u64) {
         globals().coordinator_read_rows.incr(rows);
     }
@@ -342,7 +342,9 @@ impl TopologyStats {
 /// Local counts are exact; every increment is mirrored into
 /// `cache.<tier>.{hit,miss,evict,invalidate}` counters in the global
 /// registry, and each hit or miss refreshes a `cache.<tier>.hit_ratio_pct`
-/// gauge so `/metrics` shows cache effectiveness directly.
+/// gauge so `/metrics` shows cache effectiveness directly. A default
+/// `CacheStats` is registered nowhere.
+#[derive(Default)]
 pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
@@ -356,7 +358,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Creates counters for a named cache tier (e.g. `"block"`, `"result"`).
+    /// Creates counters for a named cache tier (e.g. `"columnar"`, `"result"`).
     pub fn new(tier: &str) -> CacheStats {
         let r = telemetry::global();
         CacheStats {

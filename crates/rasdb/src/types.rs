@@ -86,7 +86,7 @@ impl Value {
     }
 
     /// The number of bytes [`Value::encode_into`] appends, without encoding:
-    /// what the block cache weighs a row by.
+    /// what a cache stamp weighs a key by.
     pub fn encoded_len(&self) -> usize {
         1 + match self {
             Value::Text(s) => 4 + s.len(),

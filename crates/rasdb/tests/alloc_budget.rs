@@ -7,8 +7,8 @@
 //! may allocate only a handful of times per row and leave well under a
 //! kilobyte behind; a cold read copies pointers out of the replica that
 //! answers with rows (the others answer with a digest, compared in place)
-//! and returns rows that point at the stored cells, and a block-cache hit
-//! copies nothing. This binary has its own counting allocator; the
+//! and returns rows that point at the stored cells. This binary has its own
+//! counting allocator; the
 //! counters are process-wide, so its tests take [`SERIAL`] and run one at a
 //! time, and the numbers repeat on any machine.
 
@@ -214,9 +214,6 @@ fn an_inserted_row_costs_a_few_allocations_and_a_kilobyte_and_leaks_nothing() {
 /// allocations and a block over the cache's budget as many on top of the
 /// read.)
 const MAX_READ_ALLOCATIONS_PER_ROW: f64 = 0.1;
-/// Allocations a read may cost that do not grow with the partition: the
-/// plan, the cache key, the gather's channel and jobs, the span.
-const MAX_READ_ALLOCATIONS_PER_PLAN: usize = 64;
 /// What a read may leave behind once its rows are dropped: its span.
 const READ_RESIDUE_BYTES: isize = 4 * 1024;
 
@@ -269,60 +266,31 @@ fn read(c: &Cluster, plan: &ReadPlan, rows: usize) -> (usize, isize) {
 }
 
 #[test]
-fn a_cold_read_costs_a_few_allocations_per_row_and_a_cache_hit_a_few_in_all() {
+fn a_cold_read_costs_a_few_allocations_per_row_and_leaves_nothing_live() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let c = cluster();
-    let (big, small) = (one_partition(&c, 1, ROWS), one_partition(&c, 2, 50));
+    let plan = one_partition(&c, 1, ROWS);
     c.flush_all();
     // Once for the process's first span and the registry's counters.
     read(&c, &one_partition(&c, 3, 1), 1);
 
-    let (cold, _) = read(&c, &big, ROWS);
-    println!(
-        "cold read: {:.1} allocations per row",
-        cold as f64 / ROWS as f64
-    );
-    assert!(
-        cold as f64 <= MAX_READ_ALLOCATIONS_PER_ROW * ROWS as f64,
-        "{cold} allocations for a cold read of {ROWS} rows"
-    );
-    read(&c, &small, 50);
-
-    // A hit hands out the cached rows: the cost is per plan, whatever the
-    // partition's size, and the rows are not held twice.
-    for (plan, rows) in [(&big, ROWS), (&small, 50)] {
-        let (hit, live) = read(&c, plan, rows);
-        println!("cache hit on {rows} rows: {hit} allocations");
-        assert!(
-            hit <= MAX_READ_ALLOCATIONS_PER_PLAN,
-            "{hit} allocations for a block-cache hit on {rows} rows"
+    // The coordinator caches nothing: a repeat read is as cold as the
+    // first, and neither holds a byte once its rows are dropped.
+    for _ in 0..2 {
+        let (cold, live) = read(&c, &plan, ROWS);
+        println!(
+            "cold read: {:.1} allocations per row",
+            cold as f64 / ROWS as f64
         );
-        assert!(live <= READ_RESIDUE_BYTES, "a hit left {live} bytes live");
+        assert!(
+            cold as f64 <= MAX_READ_ALLOCATIONS_PER_ROW * ROWS as f64,
+            "{cold} allocations for a cold read of {ROWS} rows"
+        );
+        assert!(
+            live <= READ_RESIDUE_BYTES,
+            "a cold read left {live} bytes live"
+        );
     }
-    assert_eq!(c.block_cache_stats().hits(), 2);
-
-    // A partition over the whole budget costs what it costs with the cache
-    // off: it is not weighed by encoding it, copied and then dropped.
-    c.set_block_cache_budget(0);
-    let live_before = live_bytes();
-    let (uncached, _) = read(&c, &big, ROWS);
-    c.set_block_cache_budget(1024);
-    let (over_budget, live) = read(&c, &big, ROWS);
-    println!("cache off: {uncached} allocations, block over budget: {over_budget}");
-    assert!(
-        over_budget <= uncached + MAX_READ_ALLOCATIONS_PER_PLAN,
-        "{over_budget} allocations with the block over budget, {uncached} with the cache off"
-    );
-    assert!(
-        live <= READ_RESIDUE_BYTES,
-        "a cold read left {live} bytes live"
-    );
-    // Dropping the results and the cache entries returned every byte.
-    let residue = live_bytes() - live_before;
-    assert!(
-        residue <= 2 * READ_RESIDUE_BYTES,
-        "{residue} bytes outlived the rows and the cache entries"
-    );
 }
 
 #[test]

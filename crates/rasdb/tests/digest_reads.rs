@@ -18,7 +18,7 @@ use read_model::{consulted, model_read, Raw};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Three nodes, RF 3, the block cache off so every read reaches replicas.
+/// Three nodes, RF 3.
 fn cluster() -> Cluster {
     let c = Cluster::new(ClusterConfig {
         nodes: 3,
@@ -34,7 +34,6 @@ fn cluster() -> Cluster {
             .unwrap(),
     )
     .unwrap();
-    c.set_block_cache_budget(0);
     c
 }
 

@@ -1,16 +1,18 @@
 //! Elastic membership: live join/decommission under fault-injected range
 //! streaming must never lose an acked row, must bump the topology epoch
-//! exactly once per committed transition (and never on abort), and must
-//! keep the partition-block cache honest across the commit.
+//! exactly once per committed transition (and never on abort), so that a
+//! cached value's [`Stamp`] goes stale across a commit and only then.
 
 use proptest::prelude::*;
+use rasdb::cache::Stamp;
 use rasdb::cluster::{Cluster, ClusterConfig};
 use rasdb::error::DbError;
 use rasdb::query::Consistency;
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::topology::TopologyFaultPlan;
-use rasdb::types::{Row, Value};
+use rasdb::types::{Key, Row, Value};
+use rasdb::DecoratedKey;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,8 +99,15 @@ fn join_streams_ranges_and_bumps_epoch_exactly_once() {
     }
 }
 
+/// A stamp on partition `hour` of `t`, as a cache tier takes it before a
+/// read.
+fn stamp(c: &Cluster, hour: i64) -> Stamp {
+    let partition = DecoratedKey::new(Key::from(vec![Value::BigInt(hour)]));
+    Stamp::take(c, [("t".to_owned(), partition)])
+}
+
 #[test]
-fn stale_block_cache_entry_is_never_served_after_commit() {
+fn a_stamp_taken_before_a_committed_join_is_stale_after_it() {
     let c = cluster(3, 2);
     for ts in 0..32i64 {
         put(&c, 7, ts, ts as i32);
@@ -110,25 +119,15 @@ fn stale_block_cache_entry_is_never_served_after_commit() {
             .unwrap()
     };
     let before = read();
-    let hits0 = c.block_cache_stats().hits();
-    assert_eq!(read(), before);
-    assert_eq!(c.block_cache_stats().hits(), hits0 + 1, "warm entry hits");
+    let taken = stamp(&c, 7);
+    assert!(taken.is_current(&c), "nothing changed yet");
 
-    // The commit bumps the epoch, so the entry filled under the old epoch
-    // must be invalidated, not served: replica sets changed underneath it.
+    // The commit bumps the epoch: replica sets changed underneath whatever
+    // was computed under the old one, so no tier may serve it.
     c.join_node().unwrap();
-    let inval0 = c.block_cache_stats().invalidations();
-    let hits1 = c.block_cache_stats().hits();
+    assert!(!taken.is_current(&c), "a committed join stales the stamp");
+    assert!(stamp(&c, 7).is_current(&c));
     assert_eq!(read(), before, "data unchanged by the move");
-    assert!(
-        c.block_cache_stats().invalidations() > inval0,
-        "stale-epoch entry must be evicted on next lookup"
-    );
-    assert_eq!(
-        c.block_cache_stats().hits(),
-        hits1,
-        "the stale entry must not count as a hit"
-    );
 }
 
 #[test]
@@ -141,13 +140,15 @@ fn aborted_join_restores_pre_join_topology_without_epoch_or_cache_churn() {
     let epoch0 = c.topology_epoch();
     let members0 = c.ring().members().to_vec();
 
-    // Warm a cache entry under the pre-join epoch.
+    // Read a partition and stamp it under the pre-join epoch, as a cache
+    // tier does.
     let read = || {
         c.select("t")
             .partition(vec![Value::BigInt(3)])
             .run(Consistency::Quorum)
             .unwrap()
     };
+    let stamp = stamp(&c, 3);
     let warm = read();
 
     // Every chunk-send attempt drops; the retry budget exhausts and the
@@ -172,12 +173,9 @@ fn aborted_join_restores_pre_join_topology_without_epoch_or_cache_churn() {
     c.bring_node_up(NodeId(3));
     assert!(!c.node(NodeId(3)).is_up(), "retired slots stay down");
 
-    // No spurious invalidation: the pre-join entry is still valid.
-    let hits0 = c.block_cache_stats().hits();
-    let inval0 = c.block_cache_stats().invalidations();
+    // No spurious invalidation: the pre-join stamp is still current.
+    assert!(stamp.is_current(&c), "an aborted join stales nothing");
     assert_eq!(read(), warm);
-    assert_eq!(c.block_cache_stats().hits(), hits0 + 1);
-    assert_eq!(c.block_cache_stats().invalidations(), inval0);
 
     // The cluster is not wedged: a clean retry joins fine and bumps once.
     let report = c.join_node().unwrap();

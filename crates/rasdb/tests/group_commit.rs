@@ -25,8 +25,7 @@ const NODES: usize = 4;
 const HOURS: i64 = 5;
 
 /// Four nodes, RF 3, and a storage engine small enough that flushes,
-/// compactions and commit-log segment rotations land inside a batch. The
-/// block cache is off so that every read goes to the replicas.
+/// compactions and commit-log segment rotations land inside a batch.
 fn cluster() -> Cluster {
     let c = Cluster::with_node_config(
         ClusterConfig {
@@ -49,7 +48,6 @@ fn cluster() -> Cluster {
             .unwrap();
         c.create_table(schema).unwrap();
     }
-    c.set_block_cache_budget(0);
     c
 }
 

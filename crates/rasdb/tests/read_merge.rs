@@ -129,11 +129,8 @@ fn cluster() -> Cluster {
             .unwrap(),
     )
     .unwrap();
-    // Cell tombstones bypass the coordinator, so no version bump would
-    // invalidate a cached block; hints beyond the newest are dropped, so a
-    // returning replica stays stale; and no hedge may add a response the
-    // model does not expect.
-    c.set_block_cache_budget(0);
+    // Hints beyond the newest are dropped, so a returning replica stays
+    // stale; and no hedge may add a response the model does not expect.
     c.set_hint_cap(1);
     c.set_speculative_timeout(Duration::from_secs(60));
     c

@@ -8,10 +8,6 @@
 //! once each), the down owners it counts as skipped on the way, and no
 //! retry or hedge at latency zero. The checks cover a healthy cluster, a
 //! down node with hinted handoff pending, and too few replicas up.
-//!
-//! The model properties disable the partition-block cache, so every plan
-//! reads its replicas; a dedicated property then pits a caching cluster
-//! against a cache-free twin across write/read interleavings.
 
 #[path = "support/read_model.rs"]
 mod read_model;
@@ -183,7 +179,6 @@ proptest! {
         specs in prop::collection::vec(arb_plan(), 1..12),
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
-        cluster.set_block_cache_budget(0);
         cluster.create_table(schema()).unwrap();
         apply_writes(&cluster, &writes);
 
@@ -202,7 +197,6 @@ proptest! {
         specs in prop::collection::vec(arb_plan(), 1..12),
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 5, replication_factor: 3, vnodes: 8 });
-        cluster.set_block_cache_budget(0);
         cluster.create_table(schema()).unwrap();
         apply_writes(&cluster, &before);
         cluster.take_node_down(NodeId(down));
@@ -223,7 +217,6 @@ proptest! {
         specs in prop::collection::vec(arb_plan(), 1..6),
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 3, replication_factor: 3, vnodes: 8 });
-        cluster.set_block_cache_budget(0);
         cluster.create_table(schema()).unwrap();
         apply_writes(&cluster, &writes);
         cluster.take_node_down(NodeId(0));
@@ -238,51 +231,4 @@ proptest! {
         // Consistency::One still works on both paths.
         assert_read_multi_matches_model(&cluster, &plans, Consistency::One);
     }
-
-    /// Block-cache transparency: a cluster with the cache enabled must be
-    /// indistinguishable from a cache-free twin across arbitrary
-    /// interleavings of writes and reads (repeat reads of a partition hit
-    /// the cache; writes invalidate by version).
-    #[test]
-    fn cached_reads_equal_uncached_across_interleavings(
-        steps in prop::collection::vec(
-            prop_oneof![
-                2 => arb_write().prop_map(Step::Write),
-                3 => arb_plan().prop_map(Step::Read),
-            ],
-            1..60,
-        ),
-    ) {
-        let cached = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
-        let plain = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
-        plain.set_block_cache_budget(0);
-        cached.create_table(schema()).unwrap();
-        plain.create_table(schema()).unwrap();
-
-        for step in &steps {
-            match step {
-                Step::Write(w) => {
-                    apply_writes(&cached, std::slice::from_ref(w));
-                    apply_writes(&plain, std::slice::from_ref(w));
-                }
-                Step::Read(spec) => {
-                    let plan = to_plan(spec);
-                    // Exercise both coordinator read paths on both sides.
-                    let a = cached.read(&plan, Consistency::Quorum).unwrap();
-                    let b = plain.read(&plan, Consistency::Quorum).unwrap();
-                    prop_assert_eq!(&a, &b);
-                    let a = cached.read_multi(std::slice::from_ref(&plan), Consistency::Quorum).unwrap();
-                    let b = plain.read_multi(std::slice::from_ref(&plan), Consistency::Quorum).unwrap();
-                    prop_assert_eq!(a, b);
-                }
-            }
-        }
-    }
-}
-
-/// One interleaving step for the cache-transparency property.
-#[derive(Debug, Clone)]
-enum Step {
-    Write(Write),
-    Read(PlanSpec),
 }
