@@ -7,7 +7,8 @@ use crate::framework::Framework;
 use rasdb::error::DbError;
 use sparklet::agg::Fnv1a;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Words carrying no diagnostic signal in system logs.
 const STOPWORDS: &[&str] = &[
@@ -56,18 +57,28 @@ const CLASS: [u8; 256] = {
     table
 };
 
-/// The case-folded key of an alphanumeric run: its bytes lower-cased
-/// (`| 0x20` lower-cases an ASCII letter and leaves a digit as it is) and
-/// shifted in one after another. No such byte is 0, so runs of up to
-/// [`KEY_BYTES`] bytes have distinct keys.
+/// The key of an alphanumeric run of up to [`KEY_BYTES`] bytes: its bytes
+/// shifted in one after another, case preserved. No such byte is 0, so
+/// the key is injective and its length is its count of non-zero bytes.
 const fn push_key(key: u128, byte: u8) -> u128 {
-    (key << 8) | (byte | 0x20) as u128
+    (key << 8) | byte as u128
 }
 
 /// The bytes a key holds: a longer run is never a stop word.
 const KEY_BYTES: usize = std::mem::size_of::<u128>();
 
-/// The key of every stop word, computed from [`STOPWORDS`] at compile time.
+/// `0x20` in every byte: or-ed into a key, it lower-cases each ASCII letter
+/// and leaves each digit as it is.
+const FOLD: u128 = u128::from_ne_bytes([0x20; KEY_BYTES]);
+
+/// A non-zero key with each of its bytes lower-cased: the key of the run
+/// in lower case.
+const fn folded(key: u128) -> u128 {
+    key | FOLD >> (key.leading_zeros() / 8 * 8)
+}
+
+/// The folded key of every stop word, computed from [`STOPWORDS`] at
+/// compile time.
 const STOPWORD_KEYS: [u128; STOPWORDS.len()] = {
     let mut keys = [0; STOPWORDS.len()];
     let mut i = 0;
@@ -79,22 +90,28 @@ const STOPWORD_KEYS: [u128; STOPWORDS.len()] = {
             keys[i] = push_key(keys[i], word[at]);
             at += 1;
         }
+        keys[i] = folded(keys[i]);
         i += 1;
     }
     keys
 };
 
-/// Splits a message into analyzable tokens, borrowed from it: ASCII
-/// alphanumeric runs, length ≥ 3, not purely hex digits (object ids like
-/// `OST0041` survive; raw numbers and addresses don't), stopwords removed,
-/// case preserved.
+/// Whether the key of a run of at most [`KEY_BYTES`] bytes is a stop word
+/// in any case.
+fn is_stopword(key: u128) -> bool {
+    STOPWORD_KEYS.contains(&folded(key))
+}
+
+/// The one token scan: every alphanumeric run of `bytes` that is at least
+/// 3 bytes long and not purely hex digits, with its key (meaningful for a
+/// run of at most [`KEY_BYTES`] bytes; a longer one shifts its first bytes
+/// out). Stop words are left to the caller.
 ///
-/// One pass over the bytes: a run is scanned once, collecting on the way
-/// whether all of it is hex and its stop-word key. A run starts and ends
-/// at an ASCII byte or at the message's ends, which are always character
-/// boundaries, so every token is sliced back out of `message` as it is.
-pub fn tokens(message: &str) -> impl Iterator<Item = &str> {
-    let bytes = message.as_bytes();
+/// A run is scanned once, collecting on the way whether all of it is hex
+/// and its key. A run starts and ends at an ASCII byte or at the message's
+/// ends, which are always character boundaries, so every run can be sliced
+/// back out of the message as it is.
+fn runs(bytes: &[u8]) -> impl Iterator<Item = (Range<usize>, u128)> + '_ {
     let mut at = 0;
     std::iter::from_fn(move || {
         while at < bytes.len() {
@@ -113,14 +130,23 @@ pub fn tokens(message: &str) -> impl Iterator<Item = &str> {
                 key = push_key(key, b);
                 at += 1;
             }
-            let len = at - start;
-            let stopword = len <= KEY_BYTES && STOPWORD_KEYS.contains(&key);
-            if len >= 3 && all & HEX == 0 && !stopword {
-                return Some(&message[start..at]);
+            if at - start >= 3 && all & HEX == 0 {
+                return Some((start..at, key));
             }
         }
         None
     })
+}
+
+/// Splits a message into analyzable tokens, borrowed from it: ASCII
+/// alphanumeric runs, length ≥ 3, not purely hex digits (object ids like
+/// `OST0041` survive; raw numbers and addresses don't), stopwords removed,
+/// case preserved. One pass over the bytes (`runs`), each run's
+/// stop-word test made on its key.
+pub fn tokens(message: &str) -> impl Iterator<Item = &str> {
+    runs(message.as_bytes())
+        .filter(|(at, key)| at.len() > KEY_BYTES || !is_stopword(*key))
+        .map(|(at, _)| &message[at])
 }
 
 /// [`tokens`], each copied into a `String` of its own.
@@ -130,13 +156,7 @@ pub fn tokenize(message: &str) -> Vec<String> {
 
 /// Sequential word count (the baseline the parallel path is compared to).
 pub fn word_count_serial(messages: &[String]) -> HashMap<String, u64> {
-    let mut counts = HashMap::new();
-    for msg in messages {
-        for tok in tokenize(msg) {
-            *counts.entry(tok).or_insert(0) += 1;
-        }
-    }
-    counts
+    count(messages.iter().map(String::as_str))
 }
 
 /// Parallel word count on the engine (flat_map → reduce_by_key).
@@ -197,12 +217,7 @@ pub fn tf_idf(messages: &[String]) -> HashMap<String, f64> {
 
 /// Word count over the raw messages of one event type in a window — the
 /// paper's Fig 7 workflow (raw Lustre lines → word bubbles → dead OST).
-///
-/// Counts borrowed tokens straight off the blocks' raw-message columns
-/// into one map hashed with sparklet's FNV-1a (a short token costs a few
-/// multiplies, not a SipHash round), and copies each distinct term once,
-/// at the end. FNV-1a resists no crafted collisions: log text built to
-/// collide can slow one window's count, never change it.
+/// Counts the blocks' stored messages in place (`count`).
 pub fn word_count_events(
     fw: &Framework,
     event_type: &str,
@@ -210,18 +225,71 @@ pub fn word_count_events(
     to_ms: i64,
 ) -> Result<HashMap<String, u64>, DbError> {
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-    let mut counts: HashMap<&str, u64, BuildHasherDefault<Fnv1a>> = HashMap::default();
-    for b in &scan.parts {
-        for i in b.range(from_ms, to_ms) {
-            for tok in tokens(b.raw(i)) {
-                *counts.entry(tok).or_insert(0) += 1;
+    Ok(count(
+        scan.parts
+            .iter()
+            .flat_map(|b| b.range(from_ms, to_ms).map(|i| b.raw(i))),
+    ))
+}
+
+/// How often each token of [`tokens`] occurs over `messages`.
+///
+/// A token of up to [`KEY_BYTES`] bytes is counted by its key, which the
+/// scan packed anyway, in a map hashed by [`Fold`]: no token is hashed
+/// byte by byte or compared as a string. A longer token is counted
+/// borrowed in a map hashed with sparklet's FNV-1a. Stop words are dropped
+/// once per distinct key at the end (no stop word is longer than a key, so
+/// the long map holds none), and each
+/// distinct term is copied once, at the end: the count allocates per
+/// term, never per token.
+fn count<'a>(messages: impl IntoIterator<Item = &'a str>) -> HashMap<String, u64> {
+    let mut short: HashMap<u128, u64, BuildHasherDefault<Fold>> = HashMap::default();
+    let mut long: HashMap<&str, u64, BuildHasherDefault<Fnv1a>> = HashMap::default();
+    for message in messages {
+        for (at, key) in runs(message.as_bytes()) {
+            if at.len() <= KEY_BYTES {
+                *short.entry(key).or_insert(0) += 1;
+            } else {
+                *long.entry(&message[at]).or_insert(0) += 1;
             }
         }
     }
-    Ok(counts
-        .into_iter()
-        .map(|(tok, n)| (tok.to_owned(), n))
-        .collect())
+    let mut counts = HashMap::with_capacity(short.len() + long.len());
+    for (key, n) in short {
+        if !is_stopword(key) {
+            let bytes = key.to_be_bytes();
+            let token = &bytes[key.leading_zeros() as usize / 8..];
+            let token = std::str::from_utf8(token).expect("a key holds ASCII bytes");
+            counts.insert(token.to_owned(), n);
+        }
+    }
+    counts.extend(long.into_iter().map(|(tok, n)| (tok.to_owned(), n)));
+    counts
+}
+
+/// The hasher of packed token keys: one folded multiply (the 128-bit
+/// product of the key's halves, each mixed with a constant, its two
+/// halves xor-ed). It is fixed and keyless, so it resists no crafted
+/// collisions: log text built to collide can slow one window's count,
+/// never change it.
+#[derive(Default)]
+struct Fold(u64);
+
+impl Hasher for Fold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u128 keys are hashed with Fold")
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        const LO: u64 = 0x243f_6a88_85a3_08d3;
+        const HI: u64 = 0x1319_8a2e_0370_7344;
+        let product = u128::from(key as u64 ^ LO) * u128::from((key >> 64) as u64 ^ HI);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //!   (`ColumnBlock::nodes`), so kernels group rows by a table lookup
 //!   instead of parsing or hashing a cname per row;
 //! - `amounts`: the `i32` amount column;
-//! - `raw`: every raw message concatenated into one string with an
-//!   offset column, for zero-copy text analytics.
+//! - `raw`: each row's message as the stored `Arc<str>` of its `raw`
+//!   cell, shared with the row path rather than copied, and still charged
+//!   at its length against the budget.
 //!
 //! Blocks are built **lazily** on the first analytics scan from the same
 //! merged, read-repaired row path every query uses, and cached in a
@@ -37,7 +38,7 @@ use crate::model::event::EventRecord;
 use loggen::topology::Topology;
 use rasdb::cache::{Stamp, Validated};
 use rasdb::cluster::Cluster;
-use rasdb::types::Row;
+use rasdb::types::{Row, Value};
 use sparklet::agg::Fnv1a;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -69,8 +70,8 @@ pub struct ColumnBlock {
     pub dict: Vec<String>,
     /// Amount column.
     pub amounts: Vec<i32>,
-    raw_offsets: Vec<u32>,
-    raw_text: String,
+    /// The stored text of each row's `raw` cell (`None`: the row has none).
+    raw: Vec<Option<Arc<str>>>,
     /// The node index of each dictionary entry and the topology it was
     /// resolved against, filled on first use (see `ColumnBlock::nodes`).
     nodes: OnceLock<(Topology, Box<[Option<u32>]>)>,
@@ -85,11 +86,9 @@ impl ColumnBlock {
         let mut ts = Vec::with_capacity(rows.len());
         let mut source_ids = Vec::with_capacity(rows.len());
         let mut amounts = Vec::with_capacity(rows.len());
-        let mut raw_offsets = Vec::with_capacity(rows.len() + 1);
-        let mut raw_text = String::new();
+        let mut raws = Vec::with_capacity(rows.len());
         let mut dict: Vec<String> = Vec::new();
         let mut seen: HashMap<&str, u32, BuildHasherDefault<Fnv1a>> = HashMap::default();
-        raw_offsets.push(0);
         for row in rows {
             let (Some(t), Some(source)) = (
                 row.clustering.0.first().and_then(|v| v.as_i64()),
@@ -106,15 +105,19 @@ impl ColumnBlock {
             for (name, value) in row.cells() {
                 match &**name {
                     "amount" => amount = value.as_i64(),
-                    "raw" => raw = value.as_text(),
+                    "raw" => {
+                        raw = match value {
+                            Value::Text(text) => Some(Arc::clone(text)),
+                            _ => None,
+                        }
+                    }
                     _ => {}
                 }
             }
             ts.push(t);
             source_ids.push(id);
             amounts.push(amount.unwrap_or(1) as i32);
-            raw_text.push_str(raw.unwrap_or_default());
-            raw_offsets.push(raw_text.len() as u32);
+            raws.push(raw);
         }
         debug_assert!(ts.is_sorted(), "clustering order must be ascending");
         ColumnBlock {
@@ -124,8 +127,7 @@ impl ColumnBlock {
             source_ids,
             dict,
             amounts,
-            raw_offsets,
-            raw_text,
+            raw: raws,
             nodes: OnceLock::new(),
         }
     }
@@ -184,10 +186,10 @@ impl ColumnBlock {
         lo..hi.max(lo)
     }
 
-    /// The raw message of row `i`, as a zero-copy slice of the
-    /// concatenated message text.
+    /// The raw message of row `i`: the text stored in its row's `raw`
+    /// cell, borrowed, or `""` when the row has none.
     pub fn raw(&self, i: usize) -> &str {
-        &self.raw_text[self.raw_offsets[i] as usize..self.raw_offsets[i + 1] as usize]
+        self.raw[i].as_deref().unwrap_or_default()
     }
 
     /// Materializes row `i` back into an [`EventRecord`] (allocates; used
@@ -198,7 +200,7 @@ impl ColumnBlock {
             event_type: self.event_type.as_str().into(),
             source: self.dict[self.source_ids[i] as usize].as_str().into(),
             amount: self.amounts[i],
-            raw: self.raw(i).into(),
+            raw: self.raw[i].clone().unwrap_or_else(|| "".into()),
         }
     }
 
@@ -217,15 +219,22 @@ impl ColumnBlock {
         self.source_ids.len() * 4 + self.dict.iter().map(String::len).sum::<usize>()
     }
 
-    /// Resident byte footprint charged against the store budget. The node
-    /// index is charged from the build on, resolved or not, so a block's
-    /// charge never changes while it is resident.
+    /// Resident byte footprint charged against the store budget. Each
+    /// message is charged at its length plus its pointer, although the
+    /// block shares it with the stored row: a resident block keeps the
+    /// text alive. The node index is charged from the build on, resolved
+    /// or not, so a block's charge never changes while it is resident.
     pub fn footprint(&self) -> usize {
         self.ts.len() * 8
             + self.source_ids.len() * 4
             + self.amounts.len() * 4
-            + self.raw_offsets.len() * 4
-            + self.raw_text.len()
+            + self.raw.len() * size_of::<Option<Arc<str>>>()
+            + self
+                .raw
+                .iter()
+                .flatten()
+                .map(|text| text.len())
+                .sum::<usize>()
             + self
                 .dict
                 .iter()
@@ -455,7 +464,7 @@ mod tests {
     use rasdb::cluster::ClusterConfig;
     use rasdb::query::Consistency;
     use rasdb::schema::{ColumnType, TableSchema};
-    use rasdb::types::{Key, Value};
+    use rasdb::types::Key;
     use rasdb::DecoratedKey;
 
     fn row(ts: i64, source: &str, amount: i64, raw: &str) -> Row {
@@ -491,8 +500,7 @@ mod tests {
         assert_eq!(b.raw(1), "mce bank 2");
         assert_eq!(&*b.record(2).source, "c0-0c0s0n0");
         assert!(b.source_raw_bytes() >= b.dict.iter().map(String::len).sum());
-        // Multi-byte messages side by side: an offset off by one byte
-        // would split a code point and panic the slice.
+        // Multi-byte and empty messages side by side, each read back whole.
         let texts = ["ошибка OST0041", "🔥", "", "日本語 mce", "ascii"];
         let rows: Vec<Row> = (0i64..)
             .zip(texts)
@@ -502,6 +510,45 @@ mod tests {
         for (i, t) in texts.iter().enumerate() {
             assert_eq!(b.raw(i), *t);
         }
+    }
+
+    #[test]
+    fn raw_is_the_stored_text() {
+        let rows = [row(100, "n0", 1, "mce bank 1"), row(200, "n1", 1, "")];
+        let b = ColumnBlock::build(0, "MCE", &rows);
+        for (i, r) in rows.iter().enumerate() {
+            let stored = r.cell("raw").and_then(Value::as_text).unwrap();
+            assert_eq!(b.raw(i).as_ptr(), stored.as_ptr(), "raw is the stored copy");
+            assert_eq!(b.raw(i), stored);
+        }
+        assert_eq!(b.record(0).raw.as_ptr(), b.raw(0).as_ptr());
+    }
+
+    #[test]
+    fn a_row_without_raw_reads_empty() {
+        let bare = Row::new(Key::from(vec![Value::Timestamp(5), Value::text("n0")]), []);
+        let b = ColumnBlock::build(0, "MCE", &[bare, row(6, "n0", 1, "x")]);
+        assert_eq!(b.raw(0), "");
+        assert_eq!(&*b.record(0).raw, "");
+        assert_eq!(b.raw(1), "x");
+    }
+
+    #[test]
+    fn footprint_charges_each_message_byte() {
+        let grow = 37;
+        let base = [
+            row(100, "n0", 1, "mce bank 1"),
+            row(200, "n1", 1, "mce bank 2"),
+        ];
+        let longer = [
+            base[0].clone(),
+            row(200, "n1", 1, &format!("mce bank 2{}", "x".repeat(grow))),
+        ];
+        let (short, long) = (
+            ColumnBlock::build(0, "MCE", &base),
+            ColumnBlock::build(0, "MCE", &longer),
+        );
+        assert_eq!(long.footprint() - short.footprint(), grow);
     }
 
     #[test]

@@ -79,8 +79,10 @@ fn arb_stopword() -> impl Strategy<Value = String> {
     })
 }
 
-/// Messages of hex runs, words, alphanumeric runs of exactly 2, 3 and 10
-/// bytes (the shortest kept token and the longest stop word), every stop
+/// Messages of hex runs, words, alphanumeric runs of exactly 2, 3, 10, 16
+/// and 17 bytes (the shortest kept token, the longest stop word, the
+/// longest token counted by its packed key and the shortest one counted as
+/// a string — 16 bytes of hex digits too), every stop
 /// word in random case — set apart, and glued to its neighbours — and
 /// multi-byte characters — alone, and glued directly to alphanumeric runs
 /// on both sides — joined by separators and by nothing.
@@ -98,6 +100,9 @@ fn arb_message() -> impl Strategy<Value = String> {
         2 => "[A-Za-z0-9]{2}",
         2 => "[A-Za-z0-9]{3}",
         2 => "[A-Za-z0-9]{10}",
+        2 => "[A-Za-z0-9]{16}",
+        2 => "[A-Za-z0-9]{17}",
+        1 => "[a-fA-F0-9]{16}",
         2 => arb_stopword(),
         3 => arb_stopword().prop_map(|w| format!(" {w}:")),
         2 => multibyte(),
@@ -299,10 +304,15 @@ proptest! {
     /// meet: for any events over three hours and any window — one aligned
     /// to ten minutes, one to nothing — what the kernels read off the
     /// blocks is what the reference functions compute from the rows, and
-    /// what a fold over the events written here says it should be.
+    /// what a fold over the events written here says it should be. Each
+    /// event's message is drawn from `arb_message`, so the word count is
+    /// held to the reference on the same adversarial text as `tokens`.
     #[test]
     fn block_kernels_agree_with_the_row_side_reference(
-        raw in prop::collection::vec((0..3 * HOUR_MS, 0usize..7, 1i32..4, any::<bool>()), 0..60),
+        raw in prop::collection::vec(
+            (0..3 * HOUR_MS, 0usize..7, 1i32..4, any::<bool>(), arb_message()),
+            0..60,
+        ),
         aligned in (0i64..18, 1i64..18),
         unaligned in (0..3 * HOUR_MS, 0..3 * HOUR_MS),
         bin_ms in 60_000..HOUR_MS,
@@ -336,20 +346,15 @@ proptest! {
         // Rows are keyed (type, ts, source): keep the last of each key so
         // what is written is exactly what must be read back.
         let mut written: BTreeMap<(&str, i64, &str), EventRecord> = BTreeMap::new();
-        for (ts, src, amount, lustre) in &raw {
+        for (ts, src, amount, lustre, message) in &raw {
             let etype = if *lustre { "LUSTRE_ERR" } else { "MCE" };
             let source = sources[*src].as_str();
-            let raw = format!(
-                "LustreError: OST{:04x} THE timeout retry{} on {source}",
-                ts % 5,
-                ts % 3
-            );
             written.insert((etype, *ts, source), EventRecord {
                 ts_ms: *ts,
                 event_type: etype.into(),
                 source: source.into(),
                 amount: *amount,
-                raw: raw.into(),
+                raw: message.as_str().into(),
             });
         }
         let written: Vec<EventRecord> = written.into_values().collect();
