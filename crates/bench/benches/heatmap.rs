@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpclog_core::analytics::distribution::{distribution, GroupBy};
 use hpclog_core::analytics::heatmap::cabinet_heatmap;
+use hpclog_core::context::Context;
 use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::model::event::EventRecord;
 use hpclog_core::model::keys::HOUR_MS;
@@ -52,10 +53,14 @@ fn bench_heatmap(c: &mut Criterion) {
     }
     group.bench_function("distribution_by_blade_24h", |b| {
         b.iter(|| {
-            distribution(&fw, "MCE", 0, 24 * HOUR_MS, GroupBy::Blade)
-                .expect("dist")
-                .entries
-                .len()
+            distribution(
+                &fw,
+                &Context::window(0, 24 * HOUR_MS).with_type("MCE"),
+                GroupBy::Blade,
+            )
+            .expect("dist")
+            .entries
+            .len()
         })
     });
     group.finish();

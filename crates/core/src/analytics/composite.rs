@@ -7,6 +7,7 @@
 //! spatial scope? Rules carry support, confidence, and lift so spurious
 //! co-occurrence (both types merely being frequent) is filtered out.
 
+use crate::context::Context;
 use crate::framework::Framework;
 use crate::model::event::EventRecord;
 use loggen::topology::{Topology, NODES_PER_CABINET};
@@ -125,7 +126,7 @@ pub fn mine_rules(
     rules
 }
 
-/// Mines rules straight from the store over `[from, to)`.
+/// Mines rules straight from the store: every catalog type over `[from, to)`.
 pub fn mine_from_store(
     fw: &Framework,
     from_ms: i64,
@@ -134,17 +135,9 @@ pub fn mine_from_store(
     scope: Scope,
     min_support: u64,
 ) -> Result<Vec<Rule>, DbError> {
-    let mut events = Vec::new();
-    for etype in loggen::events::EVENT_CATALOG {
-        events.extend(fw.events_by_type(etype.name, from_ms, to_ms)?);
-    }
-    Ok(mine_rules(
-        &events,
-        fw.topology(),
-        window_ms,
-        scope,
-        min_support,
-    ))
+    let events = Context::window(from_ms, to_ms).fetch_events(fw)?;
+    let topo = fw.topology();
+    Ok(mine_rules(&events, topo, window_ms, scope, min_support))
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Distributions of event occurrences "over cabinets, blades, nodes, and
 //! applications" (paper §III-B) — the complementary view to the heat map.
-//! [`distribution`] folds column blocks; [`distribution_of`] groups
-//! already-fetched rows and is the reference the block kernel must equal.
+//! [`distribution`] folds the column-block rows a context selects;
+//! [`distribution_of`], its reference, groups already-fetched rows.
 
 use crate::analytics::heatmap::grouped_counts;
 use crate::columnar::Slots;
+use crate::context::Context;
 use crate::framework::Framework;
 use crate::model::apprun::AppRun;
 use crate::model::event::EventRecord;
@@ -25,18 +26,6 @@ pub enum GroupBy {
     Application,
 }
 
-impl GroupBy {
-    /// The grouping's canonical request name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            GroupBy::Cabinet => "cabinet",
-            GroupBy::Blade => "blade",
-            GroupBy::Node => "node",
-            GroupBy::Application => "application",
-        }
-    }
-}
-
 /// A labeled distribution, sorted by descending count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Distribution {
@@ -53,8 +42,8 @@ impl Distribution {
     }
 }
 
-/// Computes the distribution of one event type over `[from, to)` by a
-/// columnar window scan. Rows fold into slots through each block's node
+/// Computes the distribution of the rows a context selects
+/// ([`Context::select`]). Rows fold into slots through each block's node
 /// index (`ColumnBlock::nodes`, resolved once per block), and no label is
 /// built or hashed per row:
 ///
@@ -67,33 +56,33 @@ impl Distribution {
 ///   row's timestamp.
 ///
 /// The sums are of integer amounts, hence exact, so the result is
-/// byte-identical to [`distribution_of`] over the same rows.
+/// byte-identical to [`distribution_of`] over the selected rows.
 pub fn distribution(
     fw: &Framework,
-    event_type: &str,
-    from_ms: i64,
-    to_ms: i64,
+    ctx: &Context,
     group_by: GroupBy,
 ) -> Result<Distribution, DbError> {
     let topo = fw.topology();
-    let scan = fw.scan_window(event_type, from_ms, to_ms)?;
+    let parts = ctx.select(fw)?;
+    let rows = || parts.iter().map(|(b, rows)| (&**b, rows.iter().copied()));
     match group_by {
         GroupBy::Cabinet => {
-            let slots =
-                grouped_counts(&scan, topo, topo.cabinet_count(), |n| n / NODES_PER_CABINET);
+            let slots = grouped_counts(rows(), topo, topo.cabinet_count(), |n| {
+                n / NODES_PER_CABINET
+            });
             Ok(labelled(slots, |c| format!("cab{c}")))
         }
         GroupBy::Blade => {
-            let slots = grouped_counts(&scan, topo, topo.blade_count(), |n| n / NODES_PER_BLADE);
+            let slots = grouped_counts(rows(), topo, topo.blade_count(), |n| n / NODES_PER_BLADE);
             Ok(labelled(slots, |b| format!("blade{b}")))
         }
         GroupBy::Node => {
             let mut counts: HashMap<&str, f64> = HashMap::new();
             let mut unattributed = 0.0;
-            for b in &scan.parts {
+            for (b, rows) in rows() {
                 let nodes = b.nodes(topo);
                 let mut slots = Slots::new(b.dict.len());
-                slots.fold(b, b.range(from_ms, to_ms), |i| {
+                slots.fold(b, rows, |i| {
                     let sid = b.source_ids[i] as usize;
                     nodes[sid].map(|_| sid)
                 });
@@ -105,22 +94,19 @@ pub fn distribution(
             Ok(finish(counts, unattributed))
         }
         GroupBy::Application => {
-            // The runs active in the events' span, derived from the
-            // in-window min/max timestamps exactly as `distribution_of`
-            // derives them from its materialized slice.
+            // The runs active in the selected rows' span, derived from
+            // their min/max timestamps exactly as `distribution_of` derives
+            // them from its rows.
             let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-            for b in &scan.parts {
-                let r = b.range(from_ms, to_ms);
-                if !r.is_empty() {
-                    lo = lo.min(b.ts[r.start]);
-                    hi = hi.max(b.ts[r.end - 1]);
-                }
+            for (b, rows) in &parts {
+                lo = lo.min(b.ts[rows[0]]);
+                hi = hi.max(b.ts[rows[rows.len() - 1]]);
             }
             let runs = runs_between(fw, lo, hi)?;
             let mut slots = Slots::new(runs.len());
-            for b in &scan.parts {
+            for (b, rows) in rows() {
                 let nodes = b.nodes(topo);
-                slots.fold(b, b.range(from_ms, to_ms), |i| {
+                slots.fold(b, rows, |i| {
                     let node = nodes[b.source_ids[i] as usize]?;
                     find_run(&runs, b.ts[i], node as usize)
                 });
@@ -146,9 +132,9 @@ fn runs_between(fw: &Framework, lo: i64, hi: i64) -> Result<Vec<AppRun>, DbError
 }
 
 /// The position of the first run covering `(ts, node idx)`, shared by the
-/// block scan and [`distribution_of`], so attribution order is identical
-/// everywhere.
-fn find_run(runs: &[AppRun], ts_ms: i64, idx: usize) -> Option<usize> {
+/// block scan, [`distribution_of`] and a context's user / app filter, so
+/// attribution order is identical everywhere.
+pub(crate) fn find_run(runs: &[AppRun], ts_ms: i64, idx: usize) -> Option<usize> {
     runs.iter().position(|r| {
         r.running_at(ts_ms) && (r.node_first as usize) <= idx && idx <= r.node_last as usize
     })
@@ -173,7 +159,8 @@ fn finish<L: Into<String>>(
     }
 }
 
-/// Groups an already-fetched event stream (reused by context analytics).
+/// Groups already-fetched rows: the row-side reference that
+/// [`distribution`] must equal, kept for the tests that compare them.
 pub fn distribution_of(
     fw: &Framework,
     events: &[EventRecord],
@@ -238,6 +225,10 @@ mod tests {
         .unwrap()
     }
 
+    fn window(event_type: &str) -> Context {
+        Context::window(0, HOUR_MS).with_type(event_type)
+    }
+
     fn ev(fw: &Framework, ts: i64, node: usize, amount: i32) {
         fw.insert_event(&EventRecord {
             ts_ms: ts,
@@ -257,15 +248,15 @@ mod tests {
         ev(&fw, 2, 4, 1); // cab0 blade1
         ev(&fw, 3, 96, 1); // cab1 blade24
 
-        let d = distribution(&fw, "LUSTRE_ERR", 0, HOUR_MS, GroupBy::Cabinet).unwrap();
+        let d = distribution(&fw, &window("LUSTRE_ERR"), GroupBy::Cabinet).unwrap();
         assert_eq!(d.entries[0], ("cab0".to_owned(), 3.0));
         assert_eq!(d.entries[1], ("cab1".to_owned(), 1.0));
 
-        let d = distribution(&fw, "LUSTRE_ERR", 0, HOUR_MS, GroupBy::Blade).unwrap();
+        let d = distribution(&fw, &window("LUSTRE_ERR"), GroupBy::Blade).unwrap();
         assert_eq!(d.entries[0], ("blade0".to_owned(), 2.0));
         assert_eq!(d.entries.len(), 3);
 
-        let d = distribution(&fw, "LUSTRE_ERR", 0, HOUR_MS, GroupBy::Node).unwrap();
+        let d = distribution(&fw, &window("LUSTRE_ERR"), GroupBy::Node).unwrap();
         assert_eq!(d.entries.len(), 4);
         assert_eq!(d.top(2).len(), 2);
         assert_eq!(d.unattributed, 0.0);
@@ -289,7 +280,7 @@ mod tests {
         ev(&fw, 5_000, 10, 1); // inside VASP
         ev(&fw, 5_000, 90, 1); // outside allocation
         ev(&fw, 20_000, 10, 1); // after the run
-        let d = distribution(&fw, "LUSTRE_ERR", 0, HOUR_MS, GroupBy::Application).unwrap();
+        let d = distribution(&fw, &window("LUSTRE_ERR"), GroupBy::Application).unwrap();
         assert_eq!(d.entries, vec![("VASP".to_owned(), 1.0)]);
         assert_eq!(d.unattributed, 2.0);
     }
@@ -305,7 +296,7 @@ mod tests {
             raw: "".into(),
         })
         .unwrap();
-        let d = distribution(&fw, "LUSTRE_ERR", 0, HOUR_MS, GroupBy::Cabinet).unwrap();
+        let d = distribution(&fw, &window("LUSTRE_ERR"), GroupBy::Cabinet).unwrap();
         assert!(d.entries.is_empty());
         assert_eq!(d.unattributed, 3.0);
     }
@@ -313,7 +304,7 @@ mod tests {
     #[test]
     fn empty_stream_is_empty() {
         let fw = fw();
-        let d = distribution(&fw, "MCE", 0, HOUR_MS, GroupBy::Node).unwrap();
+        let d = distribution(&fw, &window("MCE"), GroupBy::Node).unwrap();
         assert!(d.entries.is_empty());
         assert_eq!(d.unattributed, 0.0);
     }

@@ -5,7 +5,7 @@
 //! block's life, rows fold into per-cabinet or per-node slots by a table
 //! lookup, and blocks outside the window are zone-map-skipped.
 
-use crate::columnar::{Slots, WindowScan};
+use crate::columnar::{ColumnBlock, Slots};
 use crate::framework::Framework;
 use loggen::topology::{Topology, NODES_PER_CABINET};
 use rasdb::error::DbError;
@@ -39,22 +39,23 @@ impl HeatMap {
     }
 }
 
-/// Folds the in-window rows of `scan` into `size` slots, where `group`
-/// maps a source's node index to its slot: the one grouping kernel of both
-/// heat-map granularities and of the cabinet / blade distributions. Each
-/// block's sources resolve to node indices once per block
-/// (`ColumnBlock::nodes`), so a row costs a table lookup and an add. Rows
-/// whose source names no node are summed as unattributed.
-pub(crate) fn grouped_counts(
-    scan: &WindowScan,
+/// Folds the listed rows of each block (a scan's window ranges, or a
+/// context's selection) into `size` slots, where `group` maps a source's
+/// node index to its slot: the one grouping kernel of both heat-map
+/// granularities and of the cabinet / blade distributions. Each block's
+/// sources resolve to node indices once per block (`ColumnBlock::nodes`),
+/// so a row costs a table lookup and an add. Rows whose source names no
+/// node are summed as unattributed.
+pub(crate) fn grouped_counts<'a, R: IntoIterator<Item = usize>>(
+    parts: impl IntoIterator<Item = (&'a ColumnBlock, R)>,
     topo: &Topology,
     size: usize,
     group: impl Fn(usize) -> usize,
 ) -> Slots {
     let mut slots = Slots::new(size);
-    for b in &scan.parts {
+    for (b, rows) in parts {
         let nodes = b.nodes(topo);
-        slots.fold(b, b.range(scan.from_ms, scan.to_ms), |i| {
+        slots.fold(b, rows, |i| {
             nodes[b.source_ids[i] as usize].map(|n| group(n as usize))
         });
     }
@@ -71,7 +72,7 @@ pub fn cabinet_heatmap(
 ) -> Result<HeatMap, DbError> {
     let topo = fw.topology();
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-    let cabinets = grouped_counts(&scan, topo, topo.cabinet_count(), |idx| {
+    let cabinets = grouped_counts(scan.rows(), topo, topo.cabinet_count(), |idx| {
         idx / NODES_PER_CABINET
     });
     Ok(summarize(cabinets.sums))
@@ -86,7 +87,7 @@ pub fn node_heatmap(
 ) -> Result<Vec<f64>, DbError> {
     let topo = fw.topology();
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-    Ok(grouped_counts(&scan, topo, topo.node_count(), |idx| idx).sums)
+    Ok(grouped_counts(scan.rows(), topo, topo.node_count(), |idx| idx).sums)
 }
 
 fn summarize(cabinets: Vec<f64>) -> HeatMap {

@@ -57,18 +57,20 @@ pub fn run_exposures(fw: &Framework, app: &str) -> Result<Vec<RunExposure>, DbEr
     let mut out = Vec::with_capacity(runs.len());
     for run in &runs {
         let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-        // All events any of the run's nodes reported during the run.
+        // All events any of the run's nodes reported during the run, each
+        // row's node read off its block's node index.
+        let (first, last) = (run.node_first as usize, run.node_last as usize);
         for etype in loggen::events::EVENT_CATALOG {
-            let events = fw.events_by_type(etype.name, run.start_ms, run.end_ms)?;
-            let n: u64 = events
-                .iter()
-                .filter(|e| {
-                    topo.parse_cname(&e.source).is_some_and(|idx| {
-                        (run.node_first as usize) <= idx && idx <= run.node_last as usize
-                    })
-                })
-                .map(|e| e.amount as u64)
-                .sum();
+            let mut n = 0u64;
+            for (b, rows) in fw.scan_window(etype.name, run.start_ms, run.end_ms)?.rows() {
+                let nodes = b.nodes(topo);
+                let node = |i: usize| nodes[b.source_ids[i] as usize].map(|n| n as usize);
+                let on_run = |&i: &usize| node(i).is_some_and(|n| first <= n && n <= last);
+                n += rows
+                    .filter(on_run)
+                    .map(|i| b.amounts[i] as u64)
+                    .sum::<u64>();
+            }
             if n > 0 {
                 counts.insert(etype.name.to_owned(), n);
             }

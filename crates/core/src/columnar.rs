@@ -61,13 +61,13 @@ pub struct ColumnBlock {
     /// The hour bucket (`ts / HOUR_MS`) this block covers.
     pub hour: i64,
     /// The event type of every row in the block.
-    pub event_type: String,
+    pub event_type: Arc<str>,
     /// Timestamp column, sorted ascending (the clustering order).
     pub ts: Vec<i64>,
     /// Dictionary ids into [`ColumnBlock::dict`], one per row.
     pub source_ids: Vec<u32>,
     /// The source-location dictionary, in first-appearance order.
-    pub dict: Vec<String>,
+    pub dict: Vec<Arc<str>>,
     /// Amount column.
     pub amounts: Vec<i32>,
     /// The stored text of each row's `raw` cell (`None`: the row has none).
@@ -87,17 +87,17 @@ impl ColumnBlock {
         let mut source_ids = Vec::with_capacity(rows.len());
         let mut amounts = Vec::with_capacity(rows.len());
         let mut raws = Vec::with_capacity(rows.len());
-        let mut dict: Vec<String> = Vec::new();
+        let mut dict: Vec<Arc<str>> = Vec::new();
         let mut seen: HashMap<&str, u32, BuildHasherDefault<Fnv1a>> = HashMap::default();
         for row in rows {
-            let (Some(t), Some(source)) = (
+            let (Some(t), Some(Value::Text(source))) = (
                 row.clustering.0.first().and_then(|v| v.as_i64()),
-                row.clustering.0.get(1).and_then(|v| v.as_text()),
+                row.clustering.0.get(1),
             ) else {
                 continue;
             };
-            let id = *seen.entry(source).or_insert_with(|| {
-                dict.push(source.to_owned());
+            let id = *seen.entry(&**source).or_insert_with(|| {
+                dict.push(Arc::clone(source));
                 (dict.len() - 1) as u32
             });
             // One walk of the row's cells for both columns.
@@ -122,7 +122,7 @@ impl ColumnBlock {
         debug_assert!(ts.is_sorted(), "clustering order must be ascending");
         ColumnBlock {
             hour,
-            event_type: event_type.to_owned(),
+            event_type: event_type.into(),
             ts,
             source_ids,
             dict,
@@ -192,13 +192,13 @@ impl ColumnBlock {
         self.raw[i].as_deref().unwrap_or_default()
     }
 
-    /// Materializes row `i` back into an [`EventRecord`] (allocates; used
-    /// by equivalence tests, not by the kernels).
+    /// Materializes row `i` back into an [`EventRecord`] that shares the
+    /// block's type, its dictionary entry and its stored message.
     pub fn record(&self, i: usize) -> EventRecord {
         EventRecord {
             ts_ms: self.ts[i],
-            event_type: self.event_type.as_str().into(),
-            source: self.dict[self.source_ids[i] as usize].as_str().into(),
+            event_type: Arc::clone(&self.event_type),
+            source: Arc::clone(&self.dict[self.source_ids[i] as usize]),
             amount: self.amounts[i],
             raw: self.raw[i].clone().unwrap_or_else(|| "".into()),
         }
@@ -216,7 +216,7 @@ impl ColumnBlock {
     /// Bytes the dictionary-encoded source column occupies (ids plus the
     /// dictionary itself).
     pub fn source_encoded_bytes(&self) -> usize {
-        self.source_ids.len() * 4 + self.dict.iter().map(String::len).sum::<usize>()
+        self.source_ids.len() * 4 + self.dict.iter().map(|s| s.len()).sum::<usize>()
     }
 
     /// Resident byte footprint charged against the store budget. Each
@@ -259,14 +259,18 @@ pub struct WindowScan {
 }
 
 impl WindowScan {
-    /// Materializes every in-window event in hour/clustering order —
-    /// byte-equivalent to the row path's
-    /// [`crate::framework::Framework::events_by_type`]. Allocates one
-    /// record per row; used by equivalence tests, not by the kernels.
-    pub fn records(&self) -> Vec<EventRecord> {
+    /// Each block with the range of its rows inside the window.
+    pub fn rows(&self) -> impl Iterator<Item = (&ColumnBlock, Range<usize>)> {
         self.parts
             .iter()
-            .flat_map(|b| b.range(self.from_ms, self.to_ms).map(|i| b.record(i)))
+            .map(|b| (&**b, b.range(self.from_ms, self.to_ms)))
+    }
+
+    /// Every in-window event in hour/clustering order, as shared records
+    /// ([`ColumnBlock::record`]): what `Framework::events_by_type` reads.
+    pub fn records(&self) -> Vec<EventRecord> {
+        let rows = self.rows();
+        rows.flat_map(|(b, rows)| rows.map(|i| b.record(i)))
             .collect()
     }
 }
@@ -295,13 +299,14 @@ impl Slots {
         }
     }
 
-    /// Adds the amount of each row in `rows` of `b` to the slot `slot`
-    /// names for that row index, or to `unattributed` for `None`. Amounts
-    /// are integers, so the sums are exact whatever the fold order.
+    /// Adds the amount of each row of `b` that `rows` lists (a window's
+    /// range, or a context's selected indices) to the slot `slot` names for
+    /// that row index, or to `unattributed` for `None`. Amounts are
+    /// integers, so the sums are exact whatever the fold order.
     pub(crate) fn fold(
         &mut self,
         b: &ColumnBlock,
-        rows: Range<usize>,
+        rows: impl IntoIterator<Item = usize>,
         mut slot: impl FnMut(usize) -> Option<usize>,
     ) {
         for i in rows {
@@ -494,12 +499,12 @@ mod tests {
         let b = block();
         assert_eq!(b.len(), 3);
         assert_eq!(b.ts, vec![100, 200, 300]);
-        assert_eq!(b.dict, vec!["c0-0c0s0n0", "c0-0c0s1n2"]);
+        assert_eq!(b.dict, ["c0-0c0s0n0".into(), "c0-0c0s1n2".into()]);
         assert_eq!(b.source_ids, vec![0, 1, 0]);
         assert_eq!(b.amounts, vec![1, 2, 3]);
         assert_eq!(b.raw(1), "mce bank 2");
         assert_eq!(&*b.record(2).source, "c0-0c0s0n0");
-        assert!(b.source_raw_bytes() >= b.dict.iter().map(String::len).sum());
+        assert!(b.source_raw_bytes() >= b.dict.iter().map(|s| s.len()).sum());
         // Multi-byte and empty messages side by side, each read back whole.
         let texts = ["ошибка OST0041", "🔥", "", "日本語 mce", "ascii"];
         let rows: Vec<Row> = (0i64..)
@@ -522,6 +527,28 @@ mod tests {
             assert_eq!(b.raw(i), stored);
         }
         assert_eq!(b.record(0).raw.as_ptr(), b.raw(0).as_ptr());
+    }
+
+    #[test]
+    fn records_share_the_block_text() {
+        let rows = [
+            row(100, "n0", 1, "a"),
+            row(200, "n1", 1, "b"),
+            row(300, "n0", 1, "c"),
+        ];
+        let b = ColumnBlock::build(0, "MCE", &rows);
+        let stored = rows[0].clustering.0[1].as_text().unwrap();
+        assert_eq!(b.dict[0].as_ptr(), stored.as_ptr(), "the stored source key");
+        let (first, last) = (b.record(0), b.record(2));
+        assert!(
+            Arc::ptr_eq(&first.source, &last.source),
+            "one entry per source"
+        );
+        assert!(
+            Arc::ptr_eq(&first.event_type, &b.event_type),
+            "one type per block"
+        );
+        assert!(Arc::ptr_eq(&first.event_type, &b.record(1).event_type));
     }
 
     #[test]

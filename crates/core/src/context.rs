@@ -1,10 +1,22 @@
 //! User contexts: "a context is selected on the basis of event type,
 //! application, location, user, time period, or a combination of these,
 //! over which the system status is defined and examined" (paper §III-B).
+//!
+//! A context resolves once per request into the rows it selects from column
+//! blocks ([`Context::select`]); no op that takes one reads rows.
 
+use crate::analytics::distribution::find_run;
+use crate::columnar::ColumnBlock;
 use crate::framework::Framework;
 use crate::model::event::EventRecord;
+use loggen::topology::NODES_PER_CABINET;
 use rasdb::error::DbError;
+use rasdb::types::{Key, Value};
+use rasdb::DecoratedKey;
+use std::sync::Arc;
+
+/// The rows a context selects: each block holding one, with their ascending indices.
+pub type Selection = Vec<(Arc<ColumnBlock>, Vec<usize>)>;
 
 /// A spatio-temporal selection over the event space.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -74,62 +86,86 @@ impl Context {
         c
     }
 
-    /// Fetches the events selected by this context.
-    ///
-    /// Table choice follows the partition design: a pinned source uses
-    /// `event_by_location`; otherwise a pinned type uses `event_by_time`;
-    /// with neither pinned, every catalog type is scanned. Cabinet, user,
-    /// and app restrictions filter the fetched stream (user/app via the
-    /// run tables' node allocations and time spans).
-    pub fn fetch_events(&self, fw: &Framework) -> Result<Vec<EventRecord>, DbError> {
-        let mut events = if let Some(source) = &self.source {
-            fw.events_by_source(source, self.from_ms, self.to_ms)?
-        } else if let Some(t) = &self.event_type {
-            fw.events_by_type(t, self.from_ms, self.to_ms)?
-        } else {
-            let mut all = Vec::new();
-            for etype in loggen::events::EVENT_CATALOG {
-                all.extend(fw.events_by_type(etype.name, self.from_ms, self.to_ms)?);
-            }
-            all.sort_by_key(|e| e.ts_ms);
-            all
+    /// The event types the context reads: the pinned one, or the catalog.
+    fn types(&self) -> Vec<&str> {
+        let catalog = loggen::events::EVENT_CATALOG.iter().map(|t| t.name);
+        self.event_type
+            .as_deref()
+            .map_or_else(|| catalog.collect(), |t| vec![t])
+    }
+
+    /// The `(table, partition)` pairs [`Context::select`] reads, which an
+    /// answer memoised over the context depends on: each read type's hours,
+    /// and a user's run partition (all their apps) or else an app's.
+    pub(crate) fn deps(&self) -> Vec<(String, DecoratedKey)> {
+        let (from, to) = (self.from_ms, self.to_ms);
+        let hours = |t| Framework::window_deps("event_by_time", Some(t), from, to);
+        let mut deps: Vec<_> = self.types().into_iter().flat_map(hours).collect();
+        let (table, name) = match (&self.user, &self.app) {
+            (Some(user), _) => ("application_by_user", user),
+            (None, Some(app)) => ("application_by_name", app),
+            (None, None) => return deps,
         };
-        if let (Some(t), Some(_)) = (&self.event_type, &self.source) {
-            // Both pinned: the by-location fetch needs a type filter.
-            events.retain(|e| *e.event_type == **t);
-        }
-        if let Some(cabinet) = self.cabinet {
-            let topo = fw.topology();
-            events.retain(|e| {
-                topo.parse_cname(&e.source)
-                    .map(|idx| idx / loggen::topology::NODES_PER_CABINET == cabinet)
-                    .unwrap_or(false)
-            });
-        }
-        if self.user.is_some() || self.app.is_some() {
-            let runs = match (&self.user, &self.app) {
-                (Some(u), _) => {
-                    let mut rs = fw.apps_by_user(u)?;
-                    if let Some(a) = &self.app {
-                        rs.retain(|r| &r.app == a);
-                    }
-                    rs
+        let partition = DecoratedKey::new(Key::from(vec![Value::text(name)]));
+        deps.push((table.to_owned(), partition));
+        deps
+    }
+
+    /// Resolves the context into the rows of its window, in the blocks of
+    /// each type it reads ([`Framework::scan_window`]), that pass `source`
+    /// (one dictionary id, matched by string: another spelling of a node is
+    /// another source), `cabinet` (the block's node index of its sources)
+    /// and `user` / `app` (the runs, read once: intervals × node ranges).
+    /// A row whose source names no node passes no cabinet, user or app filter.
+    pub fn select(&self, fw: &Framework) -> Result<Selection, DbError> {
+        let runs = match (&self.user, &self.app) {
+            (Some(user), app) => {
+                let mut runs = fw.apps_by_user(user)?;
+                runs.retain(|r| app.as_ref().is_none_or(|a| &r.app == a));
+                Some(runs)
+            }
+            (None, Some(app)) => Some(fw.apps_by_name(app)?),
+            (None, None) => None,
+        };
+        let filtered = self.source.is_some() || self.cabinet.is_some() || runs.is_some();
+        let topo = fw.topology();
+        let mut parts = Vec::new();
+        for t in self.types() {
+            for b in fw.scan_window(t, self.from_ms, self.to_ms)?.parts {
+                let id_of = |s: &String| b.dict.iter().position(|d| **d == **s);
+                let source = self.source.as_ref().map(id_of);
+                if source == Some(None) {
+                    continue;
                 }
-                (None, Some(a)) => fw.apps_by_name(a)?,
-                (None, None) => unreachable!(),
-            };
-            let topo = fw.topology();
-            events.retain(|e| {
-                let Some(idx) = topo.parse_cname(&e.source) else {
-                    return false;
-                };
-                runs.iter().any(|r| {
-                    r.running_at(e.ts_ms)
-                        && (r.node_first as usize) <= idx
-                        && idx <= r.node_last as usize
-                })
-            });
+                let nodes = b.nodes(topo);
+                let window = b.range(self.from_ms, self.to_ms);
+                let mut rows = Vec::with_capacity(window.len());
+                rows.extend(window.filter(|&i| {
+                    let sid = b.source_ids[i] as usize;
+                    let node = nodes[sid].map(|n| n as usize);
+                    let in_cabinet = |c| node.is_some_and(|n| n / NODES_PER_CABINET == c);
+                    let in_run = |rs| node.is_some_and(|n| find_run(rs, b.ts[i], n).is_some());
+                    !filtered
+                        || source.is_none_or(|id| id == Some(sid))
+                            && self.cabinet.is_none_or(in_cabinet)
+                            && runs.as_deref().is_none_or(in_run)
+                }));
+                if !rows.is_empty() {
+                    parts.push((b, rows));
+                }
+            }
         }
+        Ok(parts)
+    }
+
+    /// Fetches the events this context selects: the records of
+    /// [`Context::select`] in time order, sharing their blocks' text.
+    pub fn fetch_events(&self, fw: &Framework) -> Result<Vec<EventRecord>, DbError> {
+        let mut events = Vec::new();
+        for (b, rows) in self.select(fw)? {
+            events.extend(rows.into_iter().map(|i| b.record(i)));
+        }
+        events.sort_by_key(|e| e.ts_ms);
         Ok(events)
     }
 }

@@ -10,7 +10,7 @@
 //! format. `events` and `apps` paginate with opaque cursors
 //! backed by the coordinator's scatter-gather `read_multi`.
 
-use crate::analytics::distribution::{distribution, distribution_of, Distribution, GroupBy};
+use crate::analytics::distribution::{distribution, GroupBy};
 use crate::analytics::{correlation, heatmap, histogram, synopsis, text, transfer_entropy};
 use crate::framework::Framework;
 use crate::model::keys::HOUR_MS;
@@ -321,57 +321,33 @@ impl QueryEngine {
             "application" | "app" => GroupBy::Application,
             other => return Err(ApiError::bad_request(format!("unknown grouping '{other}'"))),
         };
-        let output = |d: Distribution| {
-            OpOutput::data([
-                (
-                    "entries",
-                    json_array(
-                        d.entries
-                            .iter()
-                            .map(|(l, c)| json_array([Json::from(l.as_str()), Json::from(*c)])),
-                    ),
-                ),
-                ("unattributed", Json::from(d.unattributed)),
-            ])
-        };
-        // Only the pure (type, window) selection runs on column blocks and
-        // is memoized; source, cabinet, user, and app filters join
-        // per-request state whose dependencies are not expressible as hour
-        // partitions, and take the row path.
-        let pure = ctx.source.is_none()
-            && ctx.cabinet.is_none()
-            && ctx.user.is_none()
-            && ctx.app.is_none();
-        let Some(t) = ctx.event_type.clone().filter(|_| pure) else {
-            let events = ctx.fetch_events(&self.fw)?;
-            return Ok(output(distribution_of(&self.fw, &events, by)?));
-        };
-        let (from, to) = (ctx.from_ms, ctx.to_ms);
-        // Keyed on the grouping, not its spelling: `app` and `application`
-        // share one entry.
-        let key = cache_key(&[
-            "distribution",
-            &t,
-            by.name(),
-            &from.to_string(),
-            &to.to_string(),
-        ]);
+        // Keyed on the grouping, not its spelling (`app` and `application`
+        // share one entry), and on every field of the context: their derived
+        // `Debug` forms name each one, strings escaped.
+        let key = cache_key(&["distribution", &format!("{by:?} {ctx:?}")]);
         let deps = || {
-            let mut deps = Framework::window_deps("event_by_time", Some(&t), from, to);
+            let mut deps = ctx.deps();
             if by == GroupBy::Application {
                 // Attribution joins runs that may have started up to a day
                 // earlier (see `distribution_of`): depend on that superset.
                 deps.extend(Framework::window_deps(
                     "application_by_time",
                     None,
-                    from.saturating_sub(24 * HOUR_MS),
-                    to,
+                    ctx.from_ms.saturating_sub(24 * HOUR_MS),
+                    ctx.to_ms,
                 ));
             }
             deps
         };
         self.cached(key, deps, || {
-            Ok(output(distribution(&self.fw, &t, from, to, by)?))
+            let d = distribution(&self.fw, &ctx, by)?;
+            let entry =
+                |(l, c): &(String, f64)| json_array([Json::from(l.as_str()), Json::from(*c)]);
+            let entries = json_array(d.entries.iter().map(entry));
+            Ok(OpOutput::data([
+                ("entries", entries),
+                ("unattributed", Json::from(d.unattributed)),
+            ]))
         })
     }
 
@@ -1129,14 +1105,20 @@ fn db_value_to_json(v: &rasdb::types::Value) -> Json {
 }
 
 #[cfg(test)]
+#[path = "../../tests/support/context.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytics::distribution::distribution_of;
     use crate::context::Context;
     use crate::framework::FrameworkConfig;
     use crate::model::apprun::AppRun;
     use crate::model::event::EventRecord;
     use crate::model::keys::HOUR_MS;
     use loggen::topology::Topology;
+    use reference::fetch_events_reference;
 
     fn engine() -> QueryEngine {
         let fw = Framework::new(FrameworkConfig {
@@ -1332,8 +1314,8 @@ mod tests {
     }
 
     /// `distribution` answers from column blocks what the row path answers,
-    /// the still-filling hour included, and only the unfiltered request
-    /// does so.
+    /// the still-filling hour included, under a filtered context too, and
+    /// memoises every answer with the partitions its context read.
     #[test]
     fn distribution_on_column_blocks_is_the_row_path_byte_for_byte() {
         let fw = Framework::new(FrameworkConfig {
@@ -1390,7 +1372,8 @@ mod tests {
             resp["data"].to_string()
         };
         let row_path = |ctx: Context, by: GroupBy| {
-            let d = distribution_of(fw, &ctx.fetch_events(fw).unwrap(), by).unwrap();
+            let rows = fetch_events_reference(&ctx, fw).unwrap();
+            let d = distribution_of(fw, &rows, by).unwrap();
             let entries = d
                 .entries
                 .iter()
@@ -1435,24 +1418,55 @@ mod tests {
         assert_ne!(after, before);
         assert_eq!(after, row_path(window(), GroupBy::Cabinet));
 
-        // A filtered context takes rows, touches no block, and is not
-        // memoised.
-        let (blocks, entries) = (fw.columnar().stats(), fw.result_cache().len());
+        // A filtered context reads the same blocks, answers what the row
+        // side reads and filters, and is memoised.
+        let filtered = |filter: &str| {
+            format!(
+                r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"node",{filter}}}"#
+            )
+        };
+        let built = fw.columnar().stats().blocks_built;
         for (filter, ctx) in [
             (r#""cabinet":1"#, window().with_cabinet(1)),
             (r#""user":"usr1""#, window().with_user("usr1")),
+            (r#""app":"VASP""#, window().with_app("VASP")),
+            (r#""source":"mds01""#, window().with_source("mds01")),
         ] {
-            let req = format!(
-                r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"node",{filter}}}"#
-            );
-            assert_eq!(
-                data(e.handle(&req)),
-                row_path(ctx, GroupBy::Node),
-                "{filter}"
-            );
+            let (req, entries) = (filtered(filter), fw.result_cache().len());
+            let uncached = data(e.handle(&req));
+            assert_eq!(uncached, row_path(ctx, GroupBy::Node), "{filter}");
+            assert_eq!(fw.result_cache().len(), entries + 1, "{filter}: memoised");
+            let hits = fw.result_cache().stats().hits();
+            assert_eq!(data(e.handle(&req)), uncached, "{filter}: cached");
+            assert_eq!(fw.result_cache().stats().hits(), hits + 1, "{filter}");
         }
-        assert_eq!(fw.columnar().stats(), blocks);
-        assert_eq!(fw.result_cache().len(), entries);
+        assert_eq!(
+            fw.columnar().stats().blocks_built,
+            built,
+            "no block rebuilt"
+        );
+
+        // Another run of usr1 changes what the user context selects: the
+        // memoised answer goes stale.
+        let user = filtered(r#""user":"usr1""#);
+        let before = data(e.handle(&user));
+        fw.insert_app_run(&AppRun {
+            apid: 2,
+            user: "usr1".into(),
+            app: "LAMMPS".into(),
+            start_ms: 0,
+            end_ms: 3 * HOUR_MS,
+            node_first: 96,
+            node_last: 191,
+            exit_code: 0,
+            other_info: Default::default(),
+        })
+        .unwrap();
+        let invalidations = fw.result_cache().stats().invalidations();
+        let after = data(e.handle(&user));
+        assert_eq!(fw.result_cache().stats().invalidations(), invalidations + 1);
+        assert_ne!(after, before);
+        assert_eq!(after, row_path(window().with_user("usr1"), GroupBy::Node));
     }
 
     #[test]

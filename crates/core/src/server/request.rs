@@ -297,7 +297,7 @@ pub struct QueryRequest {
     pub event_type: Option<String>,
     /// Source (node cname) filter.
     pub source: Option<String>,
-    /// Cabinet filter.
+    /// Cabinet filter, validated non-negative.
     pub cabinet: Option<i64>,
     /// User filter.
     pub user: Option<String>,
@@ -363,14 +363,30 @@ impl QueryRequest {
             })?),
         };
 
+        // A filter field that is present must be well formed: dropping it
+        // would answer for the unfiltered context while looking accepted.
+        let text = |name: &str| match req.get(name) {
+            None => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(|s| Some(s.to_owned()))
+                .ok_or_else(|| ApiError::bad_request(format!("'{name}' must be a string"))),
+        };
+        let cabinet = match req.get("cabinet") {
+            None => None,
+            Some(v) => Some(v.as_i64().filter(|c| *c >= 0).ok_or_else(|| {
+                ApiError::bad_request("'cabinet' must be a non-negative integer")
+            })?),
+        };
+
         Ok(QueryRequest {
             op,
             window,
-            event_type: req["type"].as_str().map(str::to_owned),
-            source: req["source"].as_str().map(str::to_owned),
-            cabinet: req["cabinet"].as_i64(),
-            user: req["user"].as_str().map(str::to_owned),
-            app: req["app"].as_str().map(str::to_owned),
+            event_type: text("type")?,
+            source: text("source")?,
+            cabinet,
+            user: text("user")?,
+            app: text("app")?,
             limit,
             cursor,
             raw: req.clone(),

@@ -1,10 +1,10 @@
 //! Cache equivalence: for any interleaving of direct writes, streaming
 //! ingestion (with watermark commits), bare commits that write nothing,
 //! synopsis rebuilds, columnar-block churn, topology-epoch bumps, node
-//! outages, and queries, a framework with every cache tier (the block and
-//! result caches and the columnar analytics store) enabled must answer
-//! every request **byte-for-byte identically** to a framework with all of
-//! them disabled.
+//! outages, application runs, and queries (filtered contexts among them), a
+//! framework with every cache tier (the result cache and the columnar
+//! analytics store) enabled must answer every request **byte-for-byte
+//! identically** to a framework with all of them disabled.
 //!
 //! This is the correctness contract of the whole caching design: hits,
 //! misses, stamp validation, columnar block builds/evictions, and
@@ -14,6 +14,7 @@
 use hpclog_core::analytics::synopsis;
 use hpclog_core::etl::stream::{publish_lines, StreamIngester};
 use hpclog_core::framework::{Framework, FrameworkConfig};
+use hpclog_core::model::apprun::AppRun;
 use hpclog_core::model::event::EventRecord;
 use hpclog_core::server::QueryEngine;
 use loggen::topology::Topology;
@@ -48,6 +49,10 @@ enum Step {
     /// replica per partition, a read the down node owns fails: a tier that
     /// served a hit across the epoch change would answer instead.
     Outage { node: usize },
+    /// Insert a run of `usr1` into both frameworks: it changes what the
+    /// user-filtered `distribution` selects, so a cached answer that does
+    /// not depend on the user's run partition would be served stale.
+    AppRun { apid: i64, dt: i64, node: usize },
     /// Run one query from the fixed list against both engines.
     Query(usize),
 }
@@ -61,12 +66,15 @@ fn arb_step() -> impl Strategy<Value = Step> {
         2 => Just(Step::ColumnarChurn),
         1 => Just(Step::EpochBump),
         1 => (0usize..8).prop_map(|node| Step::Outage { node }),
-        6 => (0usize..7).prop_map(Step::Query),
+        2 => (any::<u16>(), 0..SPAN_MS, 0usize..8)
+            .prop_map(|(apid, dt, node)| Step::AppRun { apid: apid.into(), dt, node }),
+        6 => (0..queries().len()).prop_map(Step::Query),
     ]
 }
 
 fn queries() -> Vec<String> {
     let (a, b) = (T0, T0 + SPAN_MS);
+    let node = Topology::scaled(1, 1).node(1).cname;
     vec![
         format!(r#"{{"op":"heatmap","type":"MCE","from":{a},"to":{b}}}"#),
         format!(r#"{{"op":"histogram","type":"MCE","from":{a},"to":{b},"bin_ms":600000}}"#),
@@ -77,6 +85,12 @@ fn queries() -> Vec<String> {
             r#"{{"op":"cross_correlation","x":"MCE","y":"MCE","from":{a},"to":{b},"bin_ms":600000,"max_lag":3}}"#
         ),
         format!(r#"{{"op":"synopsis","day":{}}}"#, T0 / (24 * 3_600_000)),
+        // Filtered contexts, memoised like the rest.
+        format!(r#"{{"op":"distribution","from":{a},"to":{b},"by":"node","cabinet":0}}"#),
+        format!(r#"{{"op":"distribution","type":"MCE","from":{a},"to":{b},"source":"{node}"}}"#),
+        format!(
+            r#"{{"op":"distribution","type":"MCE","from":{a},"to":{b},"by":"node","user":"usr1"}}"#
+        ),
     ]
 }
 
@@ -202,6 +216,21 @@ proptest! {
                     }
                     cached_fw.cluster().bring_node_up(id);
                     plain_fw.cluster().bring_node_up(id);
+                }
+                Step::AppRun { apid, dt, node } => {
+                    let run = AppRun {
+                        apid: *apid,
+                        user: "usr1".into(),
+                        app: "VASP".into(),
+                        start_ms: T0 + dt,
+                        end_ms: T0 + dt + SPAN_MS / 4,
+                        node_first: *node as i64,
+                        node_last: *node as i64 + 2,
+                        exit_code: 0,
+                        other_info: Default::default(),
+                    };
+                    cached_fw.insert_app_run(&run).unwrap();
+                    plain_fw.insert_app_run(&run).unwrap();
                 }
                 Step::Query(i) => {
                     let q = &queries[*i];

@@ -347,6 +347,34 @@ fn error_rows() -> Vec<(&'static str, &'static str)> {
         ),
         (r#"{"op":"dlq","max":0}"#, "BAD_REQUEST"),
         (r#"{"op":"dlq_requeue","max":-3}"#, "BAD_REQUEST"),
+        // A filter field that is present but malformed is refused, not
+        // dropped (the unfiltered answer) or wrapped (-1 as `usize::MAX`).
+        (
+            r#"{"op":"distribution","type":"MCE","from":0,"to":1,"cabinet":-1}"#,
+            "BAD_REQUEST",
+        ),
+        (r#"{"op":"apps","cabinet":-1}"#, "BAD_REQUEST"),
+        (
+            r#"{"op":"events","type":"MCE","from":0,"to":1,"cabinet":"3"}"#,
+            "BAD_REQUEST",
+        ),
+        (
+            r#"{"op":"distribution","type":"MCE","from":0,"to":1,"cabinet":1.5}"#,
+            "BAD_REQUEST",
+        ),
+        (
+            r#"{"op":"distribution","type":"MCE","from":0,"to":1,"user":5}"#,
+            "BAD_REQUEST",
+        ),
+        (r#"{"op":"apps","app":["VASP"]}"#, "BAD_REQUEST"),
+        (
+            r#"{"op":"events","from":0,"to":1,"source":{"cname":"c0-0c0s0n0"}}"#,
+            "BAD_REQUEST",
+        ),
+        (
+            r#"{"op":"wordcount","type":7,"from":0,"to":1}"#,
+            "BAD_REQUEST",
+        ),
     ]
 }
 

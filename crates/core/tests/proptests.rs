@@ -2,12 +2,15 @@
 
 #[path = "support/bins.rs"]
 mod reference_bins;
+#[path = "support/context.rs"]
+mod reference_context;
 #[path = "support/tokens.rs"]
 mod reference_tokens;
 
 use hpclog_core::analytics::composite::{mine_rules, Scope};
 use hpclog_core::analytics::text::{tokenize, tokens};
 use hpclog_core::analytics::transfer_entropy::transfer_entropy_binary;
+use hpclog_core::context::Context;
 use hpclog_core::etl::fastpath::FastParser;
 use hpclog_core::etl::parsers::ParsedLine;
 use hpclog_core::framework::{Framework, FrameworkConfig};
@@ -17,6 +20,7 @@ use loggen::topology::Topology;
 use loggen::trace::{Facility, RawLine};
 use proptest::prelude::*;
 use reference_bins::bin_counts;
+use reference_context::fetch_events_reference;
 use reference_tokens::{tokenize_owned, word_count_reference, STOPWORDS};
 
 fn arb_event_type() -> impl Strategy<Value = &'static str> {
@@ -388,8 +392,9 @@ proptest! {
                 prop_assert_eq!(scan.records(), rows);
                 prop_assert_eq!(bin_scan(&scan, bin_ms), bin_counts(&rows, from, to, bin_ms));
                 for by in [GroupBy::Cabinet, GroupBy::Blade, GroupBy::Node, GroupBy::Application] {
+                    let ctx = Context::window(from, to).with_type(etype);
                     prop_assert_eq!(
-                        distribution(&fw, etype, from, to, by).unwrap(),
+                        distribution(&fw, &ctx, by).unwrap(),
                         distribution_of(&fw, &rows, by).unwrap(),
                         "{:?}", by
                     );
@@ -422,6 +427,120 @@ proptest! {
                     .find(|r| r.event_type == etype && r.hour == hour)
                     .expect("synopsis row written");
                 prop_assert_eq!((row.events, row.nodes), (events, nodes.len() as i64));
+            }
+        }
+    }
+
+    /// Contexts on column blocks against the row side: for any events,
+    /// runs and context (typed or untyped, with or without a source, a
+    /// cabinet, a user and an app), `Context::fetch_events` returns what
+    /// the reference reads as rows and filters, and `distribution` groups
+    /// those rows as `distribution_of` does under all four groupings.
+    /// Sources are those of `block_kernels_agree_with_the_row_side_reference`
+    /// plus one that wrote nothing. Events lie in hours 24–27, and each run
+    /// starts near one: at it, or a day before it and lasting over a day.
+    /// Such a run attributes a row only if it started at most a day before
+    /// the first *selected* row; the window's first row would reach back
+    /// further.
+    #[test]
+    fn contexts_on_blocks_agree_with_the_row_side_reference(
+        raw in prop::collection::vec((0..3 * HOUR_MS, 0usize..7, 1i32..4, 0usize..3), 0..120),
+        runs in prop::collection::vec(
+            (
+                (0usize..2, 0usize..2),
+                (0usize..1000, any::<bool>(), -600_000i64..600_000, 0..3 * HOUR_MS),
+                (0i64..8, 0i64..120),
+            ),
+            0..6,
+        ),
+        contexts in prop::collection::vec(
+            (0usize..4, 0usize..16, 0usize..6, 0usize..4, 0usize..4),
+            1..6,
+        ),
+        window in (0..HOUR_MS, 2 * HOUR_MS..3 * HOUR_MS),
+    ) {
+        use hpclog_core::analytics::distribution::{distribution, distribution_of, GroupBy};
+        use hpclog_core::model::apprun::AppRun;
+        use std::collections::BTreeMap;
+
+        const T0: i64 = 24 * HOUR_MS;
+        let fw = boot(Topology::scaled(1, 2));
+        let topo = fw.topology();
+        let sources = [
+            topo.node(0).cname,
+            topo.node(1).cname,
+            topo.node(5).cname,
+            topo.node(100).cname,
+            "mds01".to_owned(),
+            "c0-0c0s0n01".to_owned(),
+            "c9-0c0s0n0".to_owned(),
+            topo.node(50).cname,
+        ];
+        let types = ["MCE", "LUSTRE_ERR", "GPU_DBE"];
+        let (users, apps) = (["usr1", "usr2"], ["VASP", "LAMMPS"]);
+        let mut written: BTreeMap<(&str, i64, &str), EventRecord> = BTreeMap::new();
+        for (dt, src, amount, t) in &raw {
+            let source = sources[*src].as_str();
+            written.insert((types[*t], T0 + dt, source), EventRecord {
+                ts_ms: T0 + dt,
+                event_type: types[*t].into(),
+                source: source.into(),
+                amount: *amount,
+                raw: "".into(),
+            });
+        }
+        let written: Vec<EventRecord> = written.into_values().collect();
+        fw.insert_events(&written).unwrap();
+        // Each run starts near an event: at it, or a day before it and then
+        // lasting a day more.
+        for (apid, ((user, app), (at, early, offset, length), (first, width))) in
+            runs.iter().enumerate()
+        {
+            let Some(event) = written.get(at % written.len().max(1)) else {
+                break;
+            };
+            let day = if *early { 24 * HOUR_MS } else { 0 };
+            let start_ms = event.ts_ms + offset - day;
+            fw.insert_app_run(&AppRun {
+                apid: apid as i64,
+                user: users[*user].into(),
+                app: apps[*app].into(),
+                start_ms,
+                end_ms: start_ms + day + length,
+                node_first: *first,
+                node_last: first + width,
+                exit_code: 0,
+                other_info: Default::default(),
+            })
+            .unwrap();
+        }
+
+        let (from, to) = (T0 + window.0, T0 + window.1);
+        for (t, source, cabinet, user, app) in contexts {
+            let ctx = Context {
+                // Each filter is absent about half the time.
+                event_type: [None, None, Some("MCE"), Some("LUSTRE_ERR")][t].map(str::to_owned),
+                source: sources.get(source).cloned(),
+                cabinet: [None, None, None, Some(0), Some(1), Some(5)][cabinet],
+                user: user.checked_sub(2).map(|u| users[u].to_owned()),
+                app: app.checked_sub(2).map(|a| apps[a].to_owned()),
+                from_ms: from,
+                to_ms: to,
+            };
+            let order = |a: &EventRecord, b: &EventRecord| {
+                (a.ts_ms, &a.source, &a.event_type).cmp(&(b.ts_ms, &b.source, &b.event_type))
+            };
+            let mut want = fetch_events_reference(&ctx, &fw).unwrap();
+            let mut got = ctx.fetch_events(&fw).unwrap();
+            want.sort_by(order);
+            got.sort_by(order);
+            prop_assert_eq!(&got, &want, "{:?}", ctx);
+            for by in [GroupBy::Cabinet, GroupBy::Blade, GroupBy::Node, GroupBy::Application] {
+                prop_assert_eq!(
+                    distribution(&fw, &ctx, by).unwrap(),
+                    distribution_of(&fw, &want, by).unwrap(),
+                    "{:?} by {:?}", ctx, by
+                );
             }
         }
     }

@@ -7,6 +7,7 @@
 
 use hpclog_core::analytics::distribution::{distribution, GroupBy};
 use hpclog_core::analytics::heatmap::{cabinet_heatmap, node_heatmap};
+use hpclog_core::context::Context;
 use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::model::keys::HOUR_MS;
 use loggen::topology::{Topology, NODES_PER_CABINET};
@@ -61,9 +62,10 @@ fn main() {
     );
 
     // Complementary distributions (paper: "heat map and distributions offer
-    // complementary insights").
+    // complementary insights"), over the MCE context of the window.
+    let mce = Context::window(t0, t1).with_type("MCE");
     for by in [GroupBy::Cabinet, GroupBy::Blade, GroupBy::Node] {
-        let d = distribution(&fw, "MCE", t0, t1, by).expect("distribution");
+        let d = distribution(&fw, &mce, by).expect("distribution");
         let top: Vec<String> = d
             .top(3)
             .iter()
@@ -73,7 +75,7 @@ fn main() {
     }
 
     // Which applications were hit? (Fig 6's question.)
-    let d = distribution(&fw, "MCE", t0, t1, GroupBy::Application).expect("distribution");
+    let d = distribution(&fw, &mce, GroupBy::Application).expect("distribution");
     println!("\napplications overlapping the MCE events:");
     for (app, count) in d.top(5) {
         println!("  {count:>6.0}  {app}");

@@ -28,6 +28,22 @@ if cargo tree -p hpclog-core -e normal --offline | grep -qw rex; then
   exit 1
 fi
 
+# Every analytics op selects its rows from column blocks. The row-side
+# readers stay as the references the tests compare against; product code
+# (each file's lines before its first `#[cfg(test)]`) calls none of them.
+echo "==> no analytics op reads rows"
+shopt -s globstar
+row_reads="$(for f in crates/core/src/**/*.rs; do
+  awk -v file="$f" '/#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// || /fn (events_by_type|events_by_source|distribution_of)\(/ { next }
+    /(events_by_type|events_by_source|distribution_of)\(/ { print file ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$row_reads" ]; then
+  echo "product code reads rows:" >&2
+  echo "$row_reads" >&2
+  exit 1
+fi
+
 echo "==> doc-link check (README/DESIGN/EXPERIMENTS intra-repo links)"
 scripts/check_doc_links.sh
 

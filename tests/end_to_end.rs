@@ -5,6 +5,7 @@ use hpc_log_analytics::core::analytics::distribution::{distribution, GroupBy};
 use hpc_log_analytics::core::analytics::heatmap::cabinet_heatmap;
 use hpc_log_analytics::core::analytics::histogram::event_histogram;
 use hpc_log_analytics::core::analytics::synopsis;
+use hpc_log_analytics::core::context::Context;
 use hpc_log_analytics::core::framework::{Framework, FrameworkConfig};
 use hpc_log_analytics::core::model::keys::{hour_of, HOUR_MS};
 use hpc_log_analytics::core::server::QueryEngine;
@@ -207,7 +208,6 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
 
 #[test]
 fn context_drilldown_matches_manual_filtering() {
-    use hpc_log_analytics::core::context::Context;
     let (fw, scenario, cfg) = boot();
     fw.batch_import(&scenario.lines).expect("import");
     let t0 = cfg.start_ms;
@@ -240,7 +240,12 @@ fn distribution_by_application_attributes_to_running_jobs() {
     fw.batch_import(&scenario.lines).expect("import");
     let t0 = cfg.start_ms;
     let t1 = t0 + cfg.duration_ms;
-    let d = distribution(&fw, "LUSTRE_ERR", t0, t1, GroupBy::Application).expect("dist");
+    let d = distribution(
+        &fw,
+        &Context::window(t0, t1).with_type("LUSTRE_ERR"),
+        GroupBy::Application,
+    )
+    .expect("dist");
     let attributed: f64 = d.entries.iter().map(|(_, c)| c).sum();
     let total = scenario
         .truth
