@@ -64,7 +64,7 @@ pub fn distribution(
 ) -> Result<Distribution, DbError> {
     let topo = fw.topology();
     let parts = ctx.select(fw)?;
-    let rows = || parts.iter().map(|(b, rows)| (&**b, rows.iter().copied()));
+    let rows = || parts.iter().map(|(b, runs)| (&**b, runs.iter().cloned()));
     match group_by {
         GroupBy::Cabinet => {
             let slots = grouped_counts(rows(), topo, topo.cabinet_count(), |n| {
@@ -79,10 +79,10 @@ pub fn distribution(
         GroupBy::Node => {
             let mut counts: HashMap<&str, f64> = HashMap::new();
             let mut unattributed = 0.0;
-            for (b, rows) in rows() {
+            for (b, rows) in &parts {
                 let nodes = b.nodes(topo);
                 let mut slots = Slots::new(b.dict.len());
-                slots.fold(b, rows, |i| {
+                slots.fold(b, rows.iter().cloned(), |i| {
                     let sid = b.source_ids[i] as usize;
                     nodes[sid].map(|_| sid)
                 });
@@ -99,14 +99,14 @@ pub fn distribution(
             // them from its rows.
             let (mut lo, mut hi) = (i64::MAX, i64::MIN);
             for (b, rows) in &parts {
-                lo = lo.min(b.ts[rows[0]]);
-                hi = hi.max(b.ts[rows[rows.len() - 1]]);
+                lo = lo.min(b.ts[rows[0].start]);
+                hi = hi.max(b.ts[rows[rows.len() - 1].end - 1]);
             }
             let runs = runs_between(fw, lo, hi)?;
             let mut slots = Slots::new(runs.len());
-            for (b, rows) in rows() {
+            for (b, rows) in &parts {
                 let nodes = b.nodes(topo);
-                slots.fold(b, rows, |i| {
+                slots.fold(b, rows.iter().cloned(), |i| {
                     let node = nodes[b.source_ids[i] as usize]?;
                     find_run(&runs, b.ts[i], node as usize)
                 });

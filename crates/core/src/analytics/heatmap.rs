@@ -9,6 +9,7 @@ use crate::columnar::{ColumnBlock, Slots};
 use crate::framework::Framework;
 use loggen::topology::{Topology, NODES_PER_CABINET};
 use rasdb::error::DbError;
+use std::ops::Range;
 
 /// Per-cabinet counts plus summary statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,23 +40,23 @@ impl HeatMap {
     }
 }
 
-/// Folds the listed rows of each block (a scan's window ranges, or a
+/// Folds the listed row runs of each block (a scan's window range, or a
 /// context's selection) into `size` slots, where `group` maps a source's
 /// node index to its slot: the one grouping kernel of both heat-map
 /// granularities and of the cabinet / blade distributions. Each block's
 /// sources resolve to node indices once per block (`ColumnBlock::nodes`),
 /// so a row costs a table lookup and an add. Rows whose source names no
 /// node are summed as unattributed.
-pub(crate) fn grouped_counts<'a, R: IntoIterator<Item = usize>>(
+pub(crate) fn grouped_counts<'a, R: IntoIterator<Item = Range<usize>>>(
     parts: impl IntoIterator<Item = (&'a ColumnBlock, R)>,
     topo: &Topology,
     size: usize,
     group: impl Fn(usize) -> usize,
 ) -> Slots {
     let mut slots = Slots::new(size);
-    for (b, rows) in parts {
+    for (b, runs) in parts {
         let nodes = b.nodes(topo);
-        slots.fold(b, rows, |i| {
+        slots.fold(b, runs, |i| {
             nodes[b.source_ids[i] as usize].map(|n| group(n as usize))
         });
     }
@@ -72,7 +73,8 @@ pub fn cabinet_heatmap(
 ) -> Result<HeatMap, DbError> {
     let topo = fw.topology();
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-    let cabinets = grouped_counts(scan.rows(), topo, topo.cabinet_count(), |idx| {
+    let rows = scan.parts.iter().map(|b| (&**b, [b.range(from_ms, to_ms)]));
+    let cabinets = grouped_counts(rows, topo, topo.cabinet_count(), |idx| {
         idx / NODES_PER_CABINET
     });
     Ok(summarize(cabinets.sums))
@@ -87,7 +89,8 @@ pub fn node_heatmap(
 ) -> Result<Vec<f64>, DbError> {
     let topo = fw.topology();
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
-    Ok(grouped_counts(scan.rows(), topo, topo.node_count(), |idx| idx).sums)
+    let rows = scan.parts.iter().map(|b| (&**b, [b.range(from_ms, to_ms)]));
+    Ok(grouped_counts(rows, topo, topo.node_count(), |idx| idx).sums)
 }
 
 fn summarize(cabinets: Vec<f64>) -> HeatMap {

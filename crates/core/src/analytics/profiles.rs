@@ -62,14 +62,13 @@ pub fn run_exposures(fw: &Framework, app: &str) -> Result<Vec<RunExposure>, DbEr
         let (first, last) = (run.node_first as usize, run.node_last as usize);
         for etype in loggen::events::EVENT_CATALOG {
             let mut n = 0u64;
-            for (b, rows) in fw.scan_window(etype.name, run.start_ms, run.end_ms)?.rows() {
+            for b in fw.scan_window(etype.name, run.start_ms, run.end_ms)?.parts {
                 let nodes = b.nodes(topo);
                 let node = |i: usize| nodes[b.source_ids[i] as usize].map(|n| n as usize);
                 let on_run = |&i: &usize| node(i).is_some_and(|n| first <= n && n <= last);
-                n += rows
-                    .filter(on_run)
-                    .map(|i| b.amounts[i] as u64)
-                    .sum::<u64>();
+                for i in b.range(run.start_ms, run.end_ms).filter(on_run) {
+                    n += b.amounts[i] as u64;
+                }
             }
             if n > 0 {
                 counts.insert(etype.name.to_owned(), n);

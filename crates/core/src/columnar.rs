@@ -259,18 +259,12 @@ pub struct WindowScan {
 }
 
 impl WindowScan {
-    /// Each block with the range of its rows inside the window.
-    pub fn rows(&self) -> impl Iterator<Item = (&ColumnBlock, Range<usize>)> {
-        self.parts
-            .iter()
-            .map(|b| (&**b, b.range(self.from_ms, self.to_ms)))
-    }
-
     /// Every in-window event in hour/clustering order, as shared records
     /// ([`ColumnBlock::record`]): what `Framework::events_by_type` reads.
     pub fn records(&self) -> Vec<EventRecord> {
-        let rows = self.rows();
-        rows.flat_map(|(b, rows)| rows.map(|i| b.record(i)))
+        self.parts
+            .iter()
+            .flat_map(|b| b.range(self.from_ms, self.to_ms).map(|i| b.record(i)))
             .collect()
     }
 }
@@ -299,24 +293,25 @@ impl Slots {
         }
     }
 
-    /// Adds the amount of each row of `b` that `rows` lists (a window's
-    /// range, or a context's selected indices) to the slot `slot` names for
-    /// that row index, or to `unattributed` for `None`. Amounts are
+    /// Adds the amount of each row of `b` in `runs` to the slot `slot` names
+    /// for that row index, or to `unattributed` for `None`. Amounts are
     /// integers, so the sums are exact whatever the fold order.
     pub(crate) fn fold(
         &mut self,
         b: &ColumnBlock,
-        rows: impl IntoIterator<Item = usize>,
+        runs: impl IntoIterator<Item = Range<usize>>,
         mut slot: impl FnMut(usize) -> Option<usize>,
     ) {
-        for i in rows {
-            let amount = b.amounts[i] as f64;
-            match slot(i) {
-                Some(s) => {
-                    self.sums[s] += amount;
-                    self.present[s] = true;
+        for rows in runs {
+            for i in rows {
+                let amount = b.amounts[i] as f64;
+                match slot(i) {
+                    Some(s) => {
+                        self.sums[s] += amount;
+                        self.present[s] = true;
+                    }
+                    None => self.unattributed += amount,
                 }
-                None => self.unattributed += amount,
             }
         }
     }
@@ -663,7 +658,7 @@ mod tests {
         let b = block();
         let mut slots = Slots::new(3);
         // Row 0 → slot 2, row 1 → no slot, row 2 → slot 0.
-        slots.fold(&b, 0..3, |i| [Some(2), None, Some(0)][i]);
+        slots.fold(&b, [0..1, 1..3], |i| [Some(2), None, Some(0)][i]);
         assert_eq!(slots.sums, vec![3.0, 0.0, 1.0]);
         assert_eq!(slots.unattributed, 2.0);
         assert_eq!(
@@ -672,7 +667,7 @@ mod tests {
         );
         let zero = ColumnBlock::build(0, "MCE", &[row(1, "n0", 0, "")]);
         let mut slots = Slots::new(2);
-        slots.fold(&zero, 0..1, |_| Some(1));
+        slots.fold(&zero, std::iter::once(0..1), |_| Some(1));
         assert_eq!(
             slots.iter_present().collect::<Vec<_>>(),
             [(1, 0.0)],

@@ -13,10 +13,12 @@ use loggen::topology::NODES_PER_CABINET;
 use rasdb::error::DbError;
 use rasdb::types::{Key, Value};
 use rasdb::DecoratedKey;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The rows a context selects: each block holding one, with their ascending indices.
-pub type Selection = Vec<(Arc<ColumnBlock>, Vec<usize>)>;
+/// The rows a context selects: each block holding one, with its selected
+/// row indices as ascending, disjoint runs.
+pub type Selection = Vec<(Arc<ColumnBlock>, Vec<Range<usize>>)>;
 
 /// A spatio-temporal selection over the event space.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -111,45 +113,50 @@ impl Context {
         deps
     }
 
-    /// Resolves the context into the rows of its window, in the blocks of
-    /// each type it reads ([`Framework::scan_window`]), that pass `source`
-    /// (one dictionary id, matched by string: another spelling of a node is
-    /// another source), `cabinet` (the block's node index of its sources)
-    /// and `user` / `app` (the runs, read once: intervals × node ranges).
-    /// A row whose source names no node passes no cabinet, user or app filter.
+    /// Resolves the context into runs of the rows of its window, in the
+    /// blocks of each type it reads ([`Framework::scan_window`]), that pass
+    /// `source` (one dictionary id, matched by string), `cabinet` and `user`
+    /// / `app` (runs read once: intervals × node ranges). Only the last three
+    /// read a block's node index; they pass no row whose source names no node.
     pub fn select(&self, fw: &Framework) -> Result<Selection, DbError> {
-        let runs = match (&self.user, &self.app) {
-            (Some(user), app) => {
-                let mut runs = fw.apps_by_user(user)?;
-                runs.retain(|r| app.as_ref().is_none_or(|a| &r.app == a));
-                Some(runs)
-            }
+        let mut runs = match (&self.user, &self.app) {
+            (Some(user), _) => Some(fw.apps_by_user(user)?),
             (None, Some(app)) => Some(fw.apps_by_name(app)?),
             (None, None) => None,
         };
-        let filtered = self.source.is_some() || self.cabinet.is_some() || runs.is_some();
-        let topo = fw.topology();
+        if let (Some(runs), Some(app)) = (&mut runs, &self.app) {
+            runs.retain(|r| &r.app == app);
+        }
+        let located = self.cabinet.is_some() || runs.is_some();
         let mut parts = Vec::new();
         for t in self.types() {
             for b in fw.scan_window(t, self.from_ms, self.to_ms)?.parts {
+                let window = b.range(self.from_ms, self.to_ms);
                 let id_of = |s: &String| b.dict.iter().position(|d| **d == **s);
                 let source = self.source.as_ref().map(id_of);
-                if source == Some(None) {
+                if window.is_empty() || source == Some(None) {
+                    continue;
+                } else if source.is_none() && !located {
+                    parts.push((b, vec![window]));
                     continue;
                 }
-                let nodes = b.nodes(topo);
-                let window = b.range(self.from_ms, self.to_ms);
-                let mut rows = Vec::with_capacity(window.len());
-                rows.extend(window.filter(|&i| {
+                let nodes = if located { b.nodes(fw.topology()) } else { &[] };
+                let pass = |&i: &usize| {
                     let sid = b.source_ids[i] as usize;
-                    let node = nodes[sid].map(|n| n as usize);
-                    let in_cabinet = |c| node.is_some_and(|n| n / NODES_PER_CABINET == c);
-                    let in_run = |rs| node.is_some_and(|n| find_run(rs, b.ts[i], n).is_some());
-                    !filtered
-                        || source.is_none_or(|id| id == Some(sid))
-                            && self.cabinet.is_none_or(in_cabinet)
-                            && runs.as_deref().is_none_or(in_run)
-                }));
+                    let node = || nodes[sid].map(|n| n as usize);
+                    let in_cabinet = |c| node().is_some_and(|n| n / NODES_PER_CABINET == c);
+                    let in_run = |rs| node().is_some_and(|n| find_run(rs, b.ts[i], n).is_some());
+                    source.is_none_or(|id| id == Some(sid))
+                        && self.cabinet.is_none_or(in_cabinet)
+                        && runs.as_deref().is_none_or(in_run)
+                };
+                let mut rows: Vec<Range<usize>> = Vec::new();
+                for i in window.filter(pass) {
+                    match rows.last_mut() {
+                        Some(run) if run.end == i => run.end += 1,
+                        _ => rows.push(i..i + 1),
+                    }
+                }
                 if !rows.is_empty() {
                     parts.push((b, rows));
                 }
@@ -159,14 +166,14 @@ impl Context {
     }
 
     /// Fetches the events this context selects: the records of
-    /// [`Context::select`] in time order, sharing their blocks' text.
+    /// [`Context::select`], sharing their blocks' text, in catalog type
+    /// order and time order within a type (callers sort across types).
     pub fn fetch_events(&self, fw: &Framework) -> Result<Vec<EventRecord>, DbError> {
-        let mut events = Vec::new();
-        for (b, rows) in self.select(fw)? {
-            events.extend(rows.into_iter().map(|i| b.record(i)));
-        }
-        events.sort_by_key(|e| e.ts_ms);
-        Ok(events)
+        let parts = self.select(fw)?;
+        let rows = parts
+            .iter()
+            .flat_map(|(b, rows)| rows.iter().cloned().flatten().map(|i| b.record(i)));
+        Ok(rows.collect())
     }
 }
 

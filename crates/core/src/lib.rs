@@ -49,11 +49,6 @@
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-// The reference models under `tests/support` name this crate as its users
-// do; the unit tests that include one need the name too.
-#[cfg(test)]
-extern crate self as hpclog_core;
-
 pub mod analytics;
 pub mod columnar;
 pub mod context;

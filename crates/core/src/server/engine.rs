@@ -328,8 +328,7 @@ impl QueryEngine {
         let deps = || {
             let mut deps = ctx.deps();
             if by == GroupBy::Application {
-                // Attribution joins runs that may have started up to a day
-                // earlier (see `distribution_of`): depend on that superset.
+                // Attribution joins runs started up to a day earlier, too.
                 deps.extend(Framework::window_deps(
                     "application_by_time",
                     None,
@@ -1105,20 +1104,14 @@ fn db_value_to_json(v: &rasdb::types::Value) -> Json {
 }
 
 #[cfg(test)]
-#[path = "../../tests/support/context.rs"]
-mod reference;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::analytics::distribution::distribution_of;
-    use crate::context::Context;
     use crate::framework::FrameworkConfig;
     use crate::model::apprun::AppRun;
     use crate::model::event::EventRecord;
     use crate::model::keys::HOUR_MS;
     use loggen::topology::Topology;
-    use reference::fetch_events_reference;
 
     fn engine() -> QueryEngine {
         let fw = Framework::new(FrameworkConfig {
@@ -1314,8 +1307,9 @@ mod tests {
     }
 
     /// `distribution` answers from column blocks what the row path answers,
-    /// the still-filling hour included, under a filtered context too, and
-    /// memoises every answer with the partitions its context read.
+    /// the still-filling hour included, and memoises the answer with the
+    /// hours it read. Filtered contexts are held to their row-side
+    /// reference in `tests/filtered_distribution.rs`.
     #[test]
     fn distribution_on_column_blocks_is_the_row_path_byte_for_byte() {
         let fw = Framework::new(FrameworkConfig {
@@ -1371,8 +1365,8 @@ mod tests {
             assert_eq!(resp["status"].as_str(), Some("ok"), "{resp}");
             resp["data"].to_string()
         };
-        let row_path = |ctx: Context, by: GroupBy| {
-            let rows = fetch_events_reference(&ctx, fw).unwrap();
+        let row_path = |by: GroupBy| {
+            let rows = fw.events_by_type("LUSTRE_ERR", from, to).unwrap();
             let d = distribution_of(fw, &rows, by).unwrap();
             let entries = d
                 .entries
@@ -1384,7 +1378,6 @@ mod tests {
             ])
             .to_string()
         };
-        let window = || Context::window(from, to).with_type("LUSTRE_ERR");
 
         for (name, by) in [
             ("cabinet", GroupBy::Cabinet),
@@ -1397,7 +1390,7 @@ mod tests {
             );
             let (entries, hits) = (fw.result_cache().len(), fw.result_cache().stats().hits());
             let uncached = data(e.handle(&req));
-            assert_eq!(uncached, row_path(window(), by), "by {name}");
+            assert_eq!(uncached, row_path(by), "by {name}");
             assert!(!uncached.contains(r#""unattributed":0"#), "{uncached}");
             assert_eq!(fw.result_cache().len(), entries + 1, "by {name}: memoised");
             assert_eq!(data(e.handle(&req)), uncached, "by {name}: cached");
@@ -1416,57 +1409,7 @@ mod tests {
         fw.note_ingest_commit(2 * HOUR_MS + 50 * 60_000);
         let after = data(e.handle(&req));
         assert_ne!(after, before);
-        assert_eq!(after, row_path(window(), GroupBy::Cabinet));
-
-        // A filtered context reads the same blocks, answers what the row
-        // side reads and filters, and is memoised.
-        let filtered = |filter: &str| {
-            format!(
-                r#"{{"op":"distribution","type":"LUSTRE_ERR","from":{from},"to":{to},"by":"node",{filter}}}"#
-            )
-        };
-        let built = fw.columnar().stats().blocks_built;
-        for (filter, ctx) in [
-            (r#""cabinet":1"#, window().with_cabinet(1)),
-            (r#""user":"usr1""#, window().with_user("usr1")),
-            (r#""app":"VASP""#, window().with_app("VASP")),
-            (r#""source":"mds01""#, window().with_source("mds01")),
-        ] {
-            let (req, entries) = (filtered(filter), fw.result_cache().len());
-            let uncached = data(e.handle(&req));
-            assert_eq!(uncached, row_path(ctx, GroupBy::Node), "{filter}");
-            assert_eq!(fw.result_cache().len(), entries + 1, "{filter}: memoised");
-            let hits = fw.result_cache().stats().hits();
-            assert_eq!(data(e.handle(&req)), uncached, "{filter}: cached");
-            assert_eq!(fw.result_cache().stats().hits(), hits + 1, "{filter}");
-        }
-        assert_eq!(
-            fw.columnar().stats().blocks_built,
-            built,
-            "no block rebuilt"
-        );
-
-        // Another run of usr1 changes what the user context selects: the
-        // memoised answer goes stale.
-        let user = filtered(r#""user":"usr1""#);
-        let before = data(e.handle(&user));
-        fw.insert_app_run(&AppRun {
-            apid: 2,
-            user: "usr1".into(),
-            app: "LAMMPS".into(),
-            start_ms: 0,
-            end_ms: 3 * HOUR_MS,
-            node_first: 96,
-            node_last: 191,
-            exit_code: 0,
-            other_info: Default::default(),
-        })
-        .unwrap();
-        let invalidations = fw.result_cache().stats().invalidations();
-        let after = data(e.handle(&user));
-        assert_eq!(fw.result_cache().stats().invalidations(), invalidations + 1);
-        assert_ne!(after, before);
-        assert_eq!(after, row_path(window().with_user("usr1"), GroupBy::Node));
+        assert_eq!(after, row_path(GroupBy::Cabinet));
     }
 
     #[test]
