@@ -7,6 +7,8 @@ use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::model::event::EventRecord;
 use hpclog_core::model::keys::HOUR_MS;
 use loggen::topology::Topology;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 fn seeded() -> Framework {
     let topo = Topology::scaled(2, 2);
@@ -40,12 +42,21 @@ fn seeded() -> Framework {
 }
 
 fn scan_and_aggregate(fw: &Framework) -> usize {
-    // Count events per source across 48 hours (a typical heat-map job).
-    fw.scan_events_rdd("LUSTRE_ERR", 0, 48 * HOUR_MS)
-        .map(|e| (e.source, e.amount as u64))
-        .reduce_by_key(8, |a, b| a + b)
-        .collect()
-        .len()
+    // Count events per source across 48 hours (a typical heat-map job):
+    // each partition folds its own rows, the driver merges the folds.
+    let rdd = fw.scan_events_rdd("LUSTRE_ERR", 0, 48 * HOUR_MS);
+    let folds = fw.engine().run_job(&rdd, |_, events: Vec<EventRecord>| {
+        let mut counts: HashMap<Arc<str>, u64> = HashMap::new();
+        for e in events {
+            *counts.entry(e.source).or_default() += e.amount as u64;
+        }
+        counts
+    });
+    let mut total: HashMap<Arc<str>, u64> = HashMap::new();
+    for (source, n) in folds.into_iter().flatten() {
+        *total.entry(source).or_default() += n;
+    }
+    total.len()
 }
 
 fn bench_locality(c: &mut Criterion) {

@@ -1,14 +1,12 @@
 //! F7b/C6: "a simple word counts, which is rapidly executed by Spark, can
-//! locate the source of the problem" — serial vs engine-parallel word
-//! count over raw Lustre messages, plus TF-IDF.
+//! locate the source of the problem" — word count over raw Lustre
+//! messages, plus TF-IDF.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hpclog_core::analytics::text::{tf_idf, top_k, word_count_parallel, word_count_serial};
-use hpclog_core::framework::{Framework, FrameworkConfig};
+use hpclog_core::analytics::text::{tf_idf, top_k, word_count_serial};
 use loggen::events::Occurrence;
 use loggen::failure::rng;
 use loggen::lustre::render_error;
-use loggen::topology::Topology;
 
 fn storm_messages(n: usize) -> Vec<String> {
     let mut r = rng(42);
@@ -28,14 +26,6 @@ fn storm_messages(n: usize) -> Vec<String> {
 }
 
 fn bench_wordcount(c: &mut Criterion) {
-    let fw = Framework::new(FrameworkConfig {
-        db_nodes: 8,
-        replication_factor: 2,
-        vnodes: 8,
-        topology: Topology::scaled(1, 1),
-        ..Default::default()
-    })
-    .expect("boot");
     let mut group = c.benchmark_group("wordcount_tfidf");
     group.sample_size(10);
 
@@ -44,14 +34,6 @@ fn bench_wordcount(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
             b.iter(|| {
                 let counts = word_count_serial(&messages);
-                let top = top_k(&counts, 10);
-                assert!(top.iter().any(|(w, _)| w == "OST0041"));
-                top.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel_8_workers", n), &n, |b, _| {
-            b.iter(|| {
-                let counts = word_count_parallel(&fw, messages.clone());
                 let top = top_k(&counts, 10);
                 assert!(top.iter().any(|(w, _)| w == "OST0041"));
                 top.len()

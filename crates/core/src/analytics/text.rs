@@ -154,22 +154,10 @@ pub fn tokenize(message: &str) -> Vec<String> {
     tokens(message).map(str::to_owned).collect()
 }
 
-/// Sequential word count (the baseline the parallel path is compared to).
+/// Word count over messages in memory: the count the `wordcount` op runs
+/// over a window's column blocks.
 pub fn word_count_serial(messages: &[String]) -> HashMap<String, u64> {
     count(messages.iter().map(String::as_str))
-}
-
-/// Parallel word count on the engine (flat_map → reduce_by_key).
-pub fn word_count_parallel(fw: &Framework, messages: Vec<String>) -> HashMap<String, u64> {
-    let nparts = (fw.engine().workers() * 2).max(1);
-    fw.engine()
-        .parallelize(messages, nparts)
-        .flat_map(|msg| tokenize(&msg))
-        .map(|tok| (tok, 1u64))
-        .reduce_by_key(fw.engine().workers().max(1), |a, b| a + b)
-        .collect()
-        .into_iter()
-        .collect()
 }
 
 /// The `k` heaviest terms, ties broken alphabetically (deterministic).
@@ -295,8 +283,6 @@ impl Hasher for Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::FrameworkConfig;
-    use loggen::topology::Topology;
 
     #[test]
     fn tokenizer_keeps_object_ids_drops_numbers_and_stopwords() {
@@ -316,31 +302,6 @@ mod tests {
     fn short_tokens_dropped() {
         assert!(tokenize("an ab xyz").contains(&"xyz".to_owned()));
         assert_eq!(tokenize("a bb cc").len(), 0);
-    }
-
-    #[test]
-    fn serial_and_parallel_word_counts_agree() {
-        let fw = Framework::new(FrameworkConfig {
-            db_nodes: 2,
-            replication_factor: 1,
-            vnodes: 4,
-            topology: Topology::scaled(1, 1),
-            ..Default::default()
-        })
-        .unwrap();
-        let messages: Vec<String> = (0..200)
-            .map(|i| {
-                format!(
-                    "LustreError OST{:04x} timeout ost_write retry{}",
-                    i % 5,
-                    i % 3
-                )
-            })
-            .collect();
-        let serial = word_count_serial(&messages);
-        let parallel = word_count_parallel(&fw, messages);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial["LustreError"], 200);
     }
 
     #[test]

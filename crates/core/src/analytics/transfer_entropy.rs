@@ -73,26 +73,6 @@ pub fn binarize(bins: &[f64]) -> Vec<bool> {
     bins.iter().map(|c| *c > 0.0).collect()
 }
 
-/// TE in both directions between two event types over `[from, to)`.
-pub fn event_transfer_entropy(
-    fw: &Framework,
-    type_x: &str,
-    type_y: &str,
-    from_ms: i64,
-    to_ms: i64,
-    bin_ms: i64,
-    lag: usize,
-) -> Result<TePair, DbError> {
-    let sx = fw.scan_window(type_x, from_ms, to_ms)?;
-    let sy = fw.scan_window(type_y, from_ms, to_ms)?;
-    let x = binarize(&bin_scan(&sx, bin_ms));
-    let y = binarize(&bin_scan(&sy, bin_ms));
-    Ok(TePair {
-        x_to_y: transfer_entropy_binary(&x, &y, lag),
-        y_to_x: transfer_entropy_binary(&y, &x, lag),
-    })
-}
-
 /// TE(X→Y) and TE(Y→X) as functions of lag (the Fig 7 curve).
 pub fn te_lag_sweep(
     fw: &Framework,

@@ -652,6 +652,18 @@ mod tests {
         // Scans respect the window even mid-hour.
         let rdd = fw.scan_events_rdd("GPU_DBE", 5_000, HOUR_MS + 5_000);
         assert_eq!(rdd.count(), 10);
+        // Same rows as the driver-side read under either placement; without
+        // locality, non-owner partitions cross `remote_transfer`'s marshal
+        // round trip, which must be lossless.
+        for (from, to) in [(0, 3 * HOUR_MS), (5_000, HOUR_MS + 5_000)] {
+            let want = fw.events_by_type("GPU_DBE", from, to).unwrap();
+            for locality in [true, false] {
+                fw.engine().set_locality(locality);
+                let mut got = fw.scan_events_rdd("GPU_DBE", from, to).collect();
+                got.sort_by_key(|e| e.ts_ms);
+                assert_eq!(got, want, "locality {locality}, window {from}..{to}");
+            }
+        }
     }
 
     #[test]

@@ -587,7 +587,6 @@ impl Cluster {
             cluster: self,
             table: table.to_owned(),
             partition: Vec::new(),
-            prefix: Vec::new(),
             lower: None,
             upper: None,
             limit: None,
@@ -1604,7 +1603,6 @@ pub struct SelectBuilder<'c> {
     cluster: &'c Cluster,
     table: String,
     partition: Vec<Value>,
-    prefix: Vec<Value>,
     lower: Option<(Value, bool)>,
     upper: Option<(Value, bool)>,
     limit: Option<usize>,
@@ -1618,12 +1616,6 @@ impl<'c> SelectBuilder<'c> {
         self
     }
 
-    /// Adds an equality constraint on the next clustering component.
-    pub fn clustering_eq(mut self, value: Value) -> Self {
-        self.prefix.push(value);
-        self
-    }
-
     /// Inclusive lower bound on the next clustering component.
     pub fn from_inclusive(mut self, value: Value) -> Self {
         self.lower = Some((value, true));
@@ -1633,12 +1625,6 @@ impl<'c> SelectBuilder<'c> {
     /// Exclusive upper bound on the next clustering component.
     pub fn to_exclusive(mut self, value: Value) -> Self {
         self.upper = Some((value, false));
-        self
-    }
-
-    /// Inclusive upper bound on the next clustering component.
-    pub fn to_inclusive(mut self, value: Value) -> Self {
-        self.upper = Some((value, true));
         self
     }
 
@@ -1661,7 +1647,7 @@ impl<'c> SelectBuilder<'c> {
             .schema(&self.table)
             .ok_or_else(|| DbError::NoSuchTable(self.table.clone()))?;
         let range = clustering_bounds(
-            self.prefix,
+            Vec::new(),
             self.lower,
             self.upper,
             schema.clustering_key.len(),

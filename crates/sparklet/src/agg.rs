@@ -1,18 +1,10 @@
-//! Shuffle-based aggregations over key/value datasets: the MapReduce core.
-//!
-//! A shuffle runs as two stages, like Spark: a *map* stage computes each
-//! parent partition, combines values per key locally (map-side combine),
-//! and buckets the result by key hash; the driver regroups buckets; a
-//! *reduce* stage merges each bucket in parallel.
+//! A fast deterministic hasher for short keys.
 
-use crate::rdd::Rdd;
-use crate::Data;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::Hasher;
 
-/// Deterministic 64-bit FNV-1a hasher: bucket assignment must be stable
-/// across runs (std's `RandomState` is randomly seeded per process).
+/// Deterministic 64-bit FNV-1a hasher, for maps over short trusted keys
+/// (dictionary builds, word counts) where SipHash's per-key cost shows.
+/// It has no defence against keys crafted to collide.
 #[derive(Default)]
 pub struct Fnv1a(u64);
 
@@ -32,408 +24,5 @@ impl Hasher for Fnv1a {
             h = h.wrapping_mul(PRIME);
         }
         self.0 = h;
-    }
-}
-
-/// Stable bucket index for a key.
-pub fn bucket_of<K: Hash>(key: &K, buckets: usize) -> usize {
-    let mut h = Fnv1a::default();
-    key.hash(&mut h);
-    (h.finish() % buckets as u64) as usize
-}
-
-impl<K, V> Rdd<(K, V)>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-{
-    /// Generic shuffle with combiners (Spark's `combineByKey`).
-    pub fn combine_by_key<C: Data>(
-        &self,
-        num_partitions: usize,
-        create: impl Fn(V) -> C + Send + Sync + 'static,
-        merge_value: impl Fn(C, V) -> C + Send + Sync + 'static,
-        merge_combiners: impl Fn(C, C) -> C + Send + Sync + 'static,
-    ) -> Rdd<(K, C)> {
-        let n = num_partitions.max(1);
-        let create = Arc::new(create);
-        let merge_value = Arc::new(merge_value);
-        let merge_combiners = Arc::new(merge_combiners);
-
-        // Map stage: per-partition combine + bucket by key hash.
-        let (create2, merge_value2) = (Arc::clone(&create), Arc::clone(&merge_value));
-        let map_outputs: Vec<Vec<Vec<(K, C)>>> = self.ctx.run_job(self, move |_, data| {
-            let mut combined: HashMap<K, C> = HashMap::new();
-            for (k, v) in data {
-                match combined.remove(&k) {
-                    None => {
-                        combined.insert(k, create2(v));
-                    }
-                    Some(c) => {
-                        combined.insert(k, merge_value2(c, v));
-                    }
-                }
-            }
-            let mut buckets: Vec<Vec<(K, C)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, c) in combined {
-                buckets[bucket_of(&k, n)].push((k, c));
-            }
-            buckets
-        });
-
-        // Exchange: regroup map outputs by target partition.
-        let mut exchanged: Vec<Vec<(K, C)>> = (0..n).map(|_| Vec::new()).collect();
-        for mut buckets in map_outputs {
-            for (target, bucket) in buckets.drain(..).enumerate() {
-                exchanged[target].extend(bucket);
-            }
-        }
-
-        // Reduce stage: merge combiners per bucket, in parallel.
-        let unmerged = self
-            .ctx
-            .materialized(exchanged.into_iter().map(Arc::new).collect());
-        let mc = Arc::clone(&merge_combiners);
-        unmerged.map_partitions(move |_, pairs| {
-            let mut merged: HashMap<K, C> = HashMap::new();
-            for (k, c) in pairs {
-                match merged.remove(&k) {
-                    None => {
-                        merged.insert(k, c);
-                    }
-                    Some(prev) => {
-                        merged.insert(k, mc(prev, c));
-                    }
-                }
-            }
-            merged.into_iter().collect()
-        })
-    }
-
-    /// Classic word-count-style reduction.
-    pub fn reduce_by_key(
-        &self,
-        num_partitions: usize,
-        f: impl Fn(V, V) -> V + Send + Sync + 'static,
-    ) -> Rdd<(K, V)> {
-        let f = Arc::new(f);
-        let f1 = Arc::clone(&f);
-        let f2 = Arc::clone(&f);
-        self.combine_by_key(
-            num_partitions,
-            |v| v,
-            move |c, v| f1(c, v),
-            move |a, b| f2(a, b),
-        )
-    }
-
-    /// Groups all values per key.
-    pub fn group_by_key(&self, num_partitions: usize) -> Rdd<(K, Vec<V>)> {
-        self.combine_by_key(
-            num_partitions,
-            |v| vec![v],
-            |mut c, v| {
-                c.push(v);
-                c
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        )
-    }
-
-    /// Aggregation with a zero value and distinct sequential/combining ops.
-    pub fn aggregate_by_key<C: Data>(
-        &self,
-        num_partitions: usize,
-        zero: C,
-        seq: impl Fn(C, V) -> C + Send + Sync + 'static,
-        comb: impl Fn(C, C) -> C + Send + Sync + 'static,
-    ) -> Rdd<(K, C)> {
-        let seq = Arc::new(seq);
-        let z = zero.clone();
-        let seq2 = Arc::clone(&seq);
-        self.combine_by_key(
-            num_partitions,
-            move |v| seq2(z.clone(), v),
-            move |c, v| seq(c, v),
-            comb,
-        )
-    }
-
-    /// Per-key element counts, returned to the driver.
-    pub fn count_by_key(&self) -> HashMap<K, u64> {
-        self.map(|(k, _)| (k, 1u64))
-            .reduce_by_key(self.num_partitions().max(1), |a, b| a + b)
-            .collect()
-            .into_iter()
-            .collect()
-    }
-
-    /// Inner hash join.
-    pub fn join<W: Data>(&self, other: &Rdd<(K, W)>, num_partitions: usize) -> Rdd<(K, (V, W))> {
-        let left = self.group_by_key(num_partitions);
-        let right = other.group_by_key(num_partitions);
-        // Both sides are hash-partitioned by the same function, so matching
-        // keys land in equal-indexed partitions; zip them pairwise.
-        type Grouped<K, W> = Vec<Arc<Vec<(K, Vec<W>)>>>;
-        let rights: Grouped<K, W> = right
-            .ctx
-            .run_job(&right, |_, data| data)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        left.map_partitions(move |p, lhs| {
-            let rhs: HashMap<K, Vec<W>> = rights[p].as_ref().clone().into_iter().collect();
-            let mut out = Vec::new();
-            for (k, vs) in lhs {
-                if let Some(ws) = rhs.get(&k) {
-                    for v in &vs {
-                        for w in ws {
-                            out.push((k.clone(), (v.clone(), w.clone())));
-                        }
-                    }
-                }
-            }
-            out
-        })
-    }
-}
-
-impl<T> Rdd<T>
-where
-    T: Data + Hash + Eq,
-{
-    /// Removes duplicates via a shuffle (global dedup).
-    pub fn distinct(&self, num_partitions: usize) -> Rdd<T> {
-        self.map(|t| (t, ()))
-            .reduce_by_key(num_partitions, |_, _| ())
-            .map(|(t, ())| t)
-    }
-
-    /// Per-value counts, returned to the driver.
-    pub fn count_by_value(&self) -> HashMap<T, u64> {
-        self.map(|t| (t, 1u64))
-            .reduce_by_key(self.num_partitions().max(1), |a, b| a + b)
-            .collect()
-            .into_iter()
-            .collect()
-    }
-}
-
-impl<K, V> Rdd<(K, V)>
-where
-    K: Data + Hash + Eq + Ord,
-    V: Data,
-{
-    /// Sorts by key into `num_partitions` range partitions (ascending),
-    /// using sampled splitters like Spark's `RangePartitioner`.
-    pub fn sort_by_key(&self, num_partitions: usize) -> Rdd<(K, V)> {
-        let n = num_partitions.max(1);
-        // Sample keys to pick balanced splitters.
-        let mut sample: Vec<K> = self
-            .ctx
-            .run_job(self, |_, data: Vec<(K, V)>| {
-                data.iter()
-                    .step_by(7.max(data.len() / 64).max(1))
-                    .map(|(k, _)| k.clone())
-                    .collect::<Vec<K>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        sample.sort();
-        let splitters: Arc<Vec<K>> = Arc::new(
-            (1..n)
-                .filter_map(|i| sample.get(i * sample.len() / n).cloned())
-                .collect(),
-        );
-
-        // Range-bucket every element.
-        let sp = Arc::clone(&splitters);
-        let bucketed: Vec<Vec<Vec<(K, V)>>> = self.ctx.run_job(self, move |_, data| {
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in data {
-                let b = sp.partition_point(|s| *s <= k);
-                buckets[b.min(n - 1)].push((k, v));
-            }
-            buckets
-        });
-        let mut exchanged: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-        for mut buckets in bucketed {
-            for (target, bucket) in buckets.drain(..).enumerate() {
-                exchanged[target].extend(bucket);
-            }
-        }
-        let unsorted = self
-            .ctx
-            .materialized(exchanged.into_iter().map(Arc::new).collect());
-        unsorted.map_partitions(|_, mut data| {
-            data.sort_by(|a, b| a.0.cmp(&b.0));
-            data
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::context::SparkletContext;
-    use std::collections::HashMap;
-
-    fn ctx() -> SparkletContext {
-        SparkletContext::new(4)
-    }
-
-    #[test]
-    fn reduce_by_key_counts_words() {
-        let ctx = ctx();
-        let words = vec!["ost", "mds", "ost", "ost", "client", "mds"];
-        let counts: HashMap<String, u64> = ctx
-            .parallelize(words.into_iter().map(String::from).collect(), 3)
-            .map(|w| (w, 1u64))
-            .reduce_by_key(4, |a, b| a + b)
-            .collect()
-            .into_iter()
-            .collect();
-        assert_eq!(counts["ost"], 3);
-        assert_eq!(counts["mds"], 2);
-        assert_eq!(counts["client"], 1);
-    }
-
-    #[test]
-    fn shuffle_result_matches_sequential_fold() {
-        let ctx = ctx();
-        let pairs: Vec<(i64, i64)> = (0..500).map(|i| (i % 17, i)).collect();
-        let mut expected: HashMap<i64, i64> = HashMap::new();
-        for (k, v) in &pairs {
-            *expected.entry(*k).or_insert(0) += v;
-        }
-        let got: HashMap<i64, i64> = ctx
-            .parallelize(pairs, 9)
-            .reduce_by_key(5, |a, b| a + b)
-            .collect()
-            .into_iter()
-            .collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn group_by_key_collects_all_values() {
-        let ctx = ctx();
-        let grouped: HashMap<i32, Vec<i32>> = ctx
-            .parallelize(vec![(1, 10), (2, 20), (1, 11), (1, 12)], 2)
-            .group_by_key(3)
-            .collect()
-            .into_iter()
-            .map(|(k, mut v)| {
-                v.sort();
-                (k, v)
-            })
-            .collect();
-        assert_eq!(grouped[&1], vec![10, 11, 12]);
-        assert_eq!(grouped[&2], vec![20]);
-    }
-
-    #[test]
-    fn aggregate_by_key_with_distinct_types() {
-        let ctx = ctx();
-        // Average per key: aggregate into (sum, count).
-        let avg: HashMap<i32, f64> = ctx
-            .parallelize(vec![(1, 2.0f64), (1, 4.0), (2, 10.0)], 2)
-            .aggregate_by_key(
-                2,
-                (0.0f64, 0u64),
-                |(s, c), v| (s + v, c + 1),
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            )
-            .map(|(k, (s, c))| (k, s / c as f64))
-            .collect()
-            .into_iter()
-            .collect();
-        assert_eq!(avg[&1], 3.0);
-        assert_eq!(avg[&2], 10.0);
-    }
-
-    #[test]
-    fn count_by_key_matches() {
-        let ctx = ctx();
-        let counts = ctx
-            .parallelize(vec![("a", 1), ("b", 2), ("a", 3)], 2)
-            .count_by_key();
-        assert_eq!(counts[&"a"], 2);
-        assert_eq!(counts[&"b"], 1);
-    }
-
-    #[test]
-    fn join_inner_semantics() {
-        let ctx = ctx();
-        let users = ctx.parallelize(vec![(1, "alice"), (2, "bob"), (3, "carol")], 2);
-        let jobs = ctx.parallelize(
-            vec![(1, "vasp"), (1, "lammps"), (3, "gromacs"), (9, "ghost")],
-            3,
-        );
-        let mut joined = users.join(&jobs, 4).collect();
-        joined.sort();
-        let mut expected = vec![
-            (1, ("alice", "vasp")),
-            (1, ("alice", "lammps")),
-            (3, ("carol", "gromacs")),
-        ];
-        expected.sort();
-        assert_eq!(joined, expected);
-    }
-
-    #[test]
-    fn sort_by_key_global_order() {
-        let ctx = ctx();
-        let mut data: Vec<(i64, i64)> = (0..200).map(|i| ((i * 7919) % 997, i)).collect();
-        let sorted = ctx.parallelize(data.clone(), 8).sort_by_key(5).collect();
-        data.sort_by_key(|(k, _)| *k);
-        let got_keys: Vec<i64> = sorted.iter().map(|(k, _)| *k).collect();
-        let want_keys: Vec<i64> = data.iter().map(|(k, _)| *k).collect();
-        assert_eq!(got_keys, want_keys);
-    }
-
-    #[test]
-    fn sort_by_key_handles_few_elements() {
-        let ctx = ctx();
-        let sorted = ctx
-            .parallelize(vec![(3, ()), (1, ()), (2, ())], 1)
-            .sort_by_key(8)
-            .collect();
-        assert_eq!(
-            sorted.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn distinct_and_count_by_value() {
-        let ctx = ctx();
-        let rdd = ctx.parallelize(vec![1, 2, 2, 3, 3, 3], 3);
-        let mut d = rdd.distinct(4).collect();
-        d.sort();
-        assert_eq!(d, vec![1, 2, 3]);
-        let counts = rdd.count_by_value();
-        assert_eq!(counts[&1], 1);
-        assert_eq!(counts[&2], 2);
-        assert_eq!(counts[&3], 3);
-    }
-
-    #[test]
-    fn empty_shuffles_are_fine() {
-        let ctx = ctx();
-        let empty: Vec<(i32, i32)> = Vec::new();
-        assert!(ctx
-            .parallelize(empty.clone(), 3)
-            .reduce_by_key(4, |a, b| a + b)
-            .collect()
-            .is_empty());
-        assert!(ctx
-            .parallelize(empty, 3)
-            .sort_by_key(4)
-            .collect()
-            .is_empty());
     }
 }

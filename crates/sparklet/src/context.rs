@@ -1,7 +1,7 @@
 //! The driver-side context: owns the executor pool and runs jobs.
 
 use crate::pool::ExecutorPool;
-use crate::rdd::{PartitionSource, Rdd, SourceRdd, VecPartitions};
+use crate::rdd::{PartitionSource, Rdd};
 use crate::Data;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,24 +58,20 @@ impl SparkletContext {
         // Balanced split: the first `len % n` partitions get one extra item.
         let base = len / n;
         let extra = len % n;
-        let mut parts: Vec<Arc<Vec<T>>> = Vec::with_capacity(n);
         let mut iter = data.into_iter();
-        for i in 0..n {
-            let size = base + usize::from(i < extra);
-            let part: Vec<T> = iter.by_ref().take(size).collect();
-            parts.push(Arc::new(part));
-        }
+        let parts = (0..n)
+            .map(|i| {
+                let part: Arc<Vec<T>> =
+                    Arc::new(iter.by_ref().take(base + usize::from(i < extra)).collect());
+                PartitionSource {
+                    preferred: None,
+                    load: Arc::new(move || part.as_ref().clone()),
+                }
+            })
+            .collect();
         Rdd {
             ctx: self.clone(),
-            imp: Arc::new(VecPartitions { parts }),
-        }
-    }
-
-    /// Builds a dataset from loader-backed partitions (storage scans).
-    pub fn from_sources<T: Data>(&self, sources: Vec<PartitionSource<T>>) -> Rdd<T> {
-        Rdd {
-            ctx: self.clone(),
-            imp: Arc::new(SourceRdd { sources }),
+            parts,
         }
     }
 
@@ -95,7 +91,7 @@ impl SparkletContext {
         T: Data,
     {
         let load = Arc::new(load);
-        let sources = plans
+        let parts = plans
             .into_iter()
             .map(|plan| {
                 let pinned = preferred(&plan);
@@ -106,26 +102,21 @@ impl SparkletContext {
                 }
             })
             .collect();
-        self.from_sources(sources)
-    }
-
-    /// Builds a dataset from pre-materialized partitions (shuffle output).
-    pub(crate) fn materialized<T: Data>(&self, parts: Vec<Arc<Vec<T>>>) -> Rdd<T> {
         Rdd {
             ctx: self.clone(),
-            imp: Arc::new(VecPartitions { parts }),
+            parts,
         }
     }
 
-    /// Runs one job: computes every partition of `rdd` on the pool and
-    /// applies `f` to each materialized partition. Results come back in
+    /// Runs one job: loads every partition of `rdd` on the pool and
+    /// applies `f` to each loaded partition. Results come back in
     /// partition order. Panics in tasks propagate to the driver.
     pub fn run_job<T: Data, R: Send + 'static>(
         &self,
         rdd: &Rdd<T>,
         f: impl Fn(usize, Vec<T>) -> R + Send + Sync + 'static,
     ) -> Vec<R> {
-        let n = rdd.imp.partitions();
+        let n = rdd.num_partitions();
         if n == 0 {
             return Vec::new();
         }
@@ -139,11 +130,11 @@ impl SparkletContext {
         // from the engine's thread-local), so cross-thread analytics work
         // stays attributable to the originating request.
         let stage_ctx = stage_span.context();
-        for p in 0..n {
-            let imp = Arc::clone(&rdd.imp);
+        for (p, part) in rdd.parts.iter().enumerate() {
+            let load = Arc::clone(&part.load);
             let f = Arc::clone(&f);
             let tx = tx.clone();
-            let preferred = rdd.imp.preferred(p);
+            let preferred = part.preferred;
             let task = Box::new(move || {
                 // Child of the stage span even though it runs on an
                 // executor thread; locality is judged where the task
@@ -162,7 +153,7 @@ impl SparkletContext {
                     })
                     .incr(1);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let data = imp.compute(p);
+                    let data = load();
                     f(p, data)
                 }));
                 drop(task_span);
@@ -171,7 +162,7 @@ impl SparkletContext {
                 let _ = tx.send((p, result));
             });
             if locality {
-                self.inner.pool.submit(rdd.imp.preferred(p), task);
+                self.inner.pool.submit(preferred, task);
             } else {
                 self.inner.pool.submit_round_robin(task);
             }
@@ -266,13 +257,7 @@ mod tests {
     #[test]
     fn locality_toggle_changes_dispatch_counters() {
         let ctx = SparkletContext::new(2);
-        let sources = (0..8)
-            .map(|i| crate::rdd::PartitionSource {
-                preferred: Some(i % 2),
-                load: Arc::new(move || vec![i as i32]),
-            })
-            .collect();
-        let rdd = ctx.from_sources(sources);
+        let rdd = ctx.from_planned((0..8).collect(), |i| Some(i % 2), |&i| vec![i as i32]);
         rdd.count();
         let (local_after_first, _) = ctx.pool_stats();
         assert_eq!(local_after_first, 8, "all tasks pinned");

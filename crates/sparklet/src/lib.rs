@@ -1,36 +1,31 @@
-//! `sparklet` — an in-memory, partitioned, DAG-scheduled data-processing
-//! engine: the Apache Spark substitute for the log-analytics framework.
+//! `sparklet` — an in-memory, partitioned job runner: the Apache Spark
+//! substitute for the log-analytics framework's parallel ETL.
 //!
 //! The paper co-locates "a pair of a Spark worker node and a Cassandra node
-//! ... in each of the 32 VMs" and runs "MapReduce operations over time
-//! ordered data spread across the cluster". `sparklet` rebuilds the pieces
-//! that matter for those claims:
+//! ... in each of the 32 VMs" and runs its ETL as parallel jobs over data
+//! spread across the cluster. `sparklet` keeps the pieces that run:
 //!
-//! * **RDDs** ([`rdd`]) — lazily evaluated, partitioned collections with
-//!   narrow transformations (`map`, `filter`, `flat_map`,
-//!   `map_partitions`, `union`) and caching.
-//! * **Shuffles** ([`agg`]) — `reduce_by_key`, `group_by_key`,
-//!   `aggregate_by_key`, `sort_by_key`, and `join`, executed as a map-side
-//!   combine stage followed by a hash-partitioned reduce stage.
-//! * **A scheduler** ([`context`], [`pool`]) — a fixed pool of executor
-//!   threads over one run queue, with a pinned deque per executor; tasks
-//!   carry *preferred executors* so partition computation can run where
-//!   the data lives (the paper's data-locality argument).
+//! * **Datasets** ([`rdd`]) — a shared list of partitions, each a loader
+//!   plus an optional preferred executor; `parallelize` splits a vector,
+//!   `from_planned` turns storage read plans into owner-pinned partitions.
+//! * **A job runner** ([`context`], [`pool`]) — `run_job` calls every
+//!   partition's loader on a fixed pool of executor threads over one run
+//!   queue, with a pinned deque per executor, so a partition can be loaded
+//!   where its data lives (the paper's data-locality argument).
 //! * **Micro-batch streaming** ([`streaming`]) — event-time windows with
 //!   the 1-second coalescing rule used by the real-time ingestion path.
+//! * **Hashing** ([`agg`]) — the FNV-1a hasher of the columnar and text
+//!   kernels.
 //!
 //! # Example
 //! ```
 //! use sparklet::context::SparkletContext;
 //!
 //! let ctx = SparkletContext::new(4);
-//! let counts = ctx
-//!     .parallelize((0..1000).collect::<Vec<i64>>(), 8)
-//!     .map(|n| (n % 10, 1u64))
-//!     .reduce_by_key(8, |a, b| a + b)
-//!     .collect();
-//! assert_eq!(counts.len(), 10);
-//! assert!(counts.iter().all(|(_, c)| *c == 100));
+//! let data = ctx.parallelize((0..1000).collect::<Vec<i64>>(), 8);
+//! let sums = ctx.run_job(&data, |_, part| part.iter().sum::<i64>());
+//! assert_eq!(sums.len(), 8);
+//! assert_eq!(sums.iter().sum::<i64>(), 499_500);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,286 +1,33 @@
-//! Resilient-distributed-dataset lookalike: lazy, partitioned, lineage-based.
+//! A partitioned dataset: a shared list of partition loaders.
 
 use crate::context::SparkletContext;
 use crate::Data;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Internal evaluation interface: one object per lineage node.
-pub(crate) trait RddImpl<T: Data>: Send + Sync {
-    /// Number of partitions.
-    fn partitions(&self) -> usize;
-    /// Preferred executor for a partition (data locality), if any.
-    fn preferred(&self, partition: usize) -> Option<usize>;
-    /// Materializes one partition.
-    fn compute(&self, partition: usize) -> Vec<T>;
-}
-
-/// A lazily evaluated, partitioned dataset.
-///
-/// Cloning an `Rdd` is cheap (lineage is shared). All transformations are
-/// lazy; actions ([`Rdd::collect`], [`Rdd::count`], ...) run a parallel job
-/// on the context's executor pool.
-pub struct Rdd<T: Data> {
-    pub(crate) ctx: SparkletContext,
-    pub(crate) imp: Arc<dyn RddImpl<T>>,
-}
-
-impl<T: Data> Clone for Rdd<T> {
-    fn clone(&self) -> Self {
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::clone(&self.imp),
-        }
-    }
-}
-
 /// A partition backed by a loader closure plus an optional preferred
-/// executor — how storage scans (e.g. rasdb token ranges) enter the engine.
-pub struct PartitionSource<T> {
+/// executor — how storage scans (e.g. rasdb read plans) enter the engine.
+pub(crate) struct PartitionSource<T> {
     /// Executor that holds this partition's data locally.
     pub preferred: Option<usize>,
-    /// Loads the partition contents.
+    /// Loads the partition contents; called once per job that runs it.
     pub load: Arc<dyn Fn() -> Vec<T> + Send + Sync>,
 }
 
-pub(crate) struct SourceRdd<T> {
-    pub sources: Vec<PartitionSource<T>>,
-}
-
-impl<T: Data> RddImpl<T> for SourceRdd<T> {
-    fn partitions(&self) -> usize {
-        self.sources.len()
-    }
-    fn preferred(&self, p: usize) -> Option<usize> {
-        self.sources[p].preferred
-    }
-    fn compute(&self, p: usize) -> Vec<T> {
-        (self.sources[p].load)()
-    }
-}
-
-pub(crate) struct VecPartitions<T> {
-    pub parts: Vec<Arc<Vec<T>>>,
-}
-
-impl<T: Data> RddImpl<T> for VecPartitions<T> {
-    fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-    fn preferred(&self, _p: usize) -> Option<usize> {
-        None
-    }
-    fn compute(&self, p: usize) -> Vec<T> {
-        self.parts[p].as_ref().clone()
-    }
-}
-
-struct MapRdd<T, U> {
-    parent: Arc<dyn RddImpl<T>>,
-    f: Arc<dyn Fn(T) -> U + Send + Sync>,
-}
-
-impl<T: Data, U: Data> RddImpl<U> for MapRdd<T, U> {
-    fn partitions(&self) -> usize {
-        self.parent.partitions()
-    }
-    fn preferred(&self, p: usize) -> Option<usize> {
-        self.parent.preferred(p)
-    }
-    fn compute(&self, p: usize) -> Vec<U> {
-        self.parent
-            .compute(p)
-            .into_iter()
-            .map(|t| (self.f)(t))
-            .collect()
-    }
-}
-
-struct FilterRdd<T> {
-    parent: Arc<dyn RddImpl<T>>,
-    f: Arc<dyn Fn(&T) -> bool + Send + Sync>,
-}
-
-impl<T: Data> RddImpl<T> for FilterRdd<T> {
-    fn partitions(&self) -> usize {
-        self.parent.partitions()
-    }
-    fn preferred(&self, p: usize) -> Option<usize> {
-        self.parent.preferred(p)
-    }
-    fn compute(&self, p: usize) -> Vec<T> {
-        self.parent
-            .compute(p)
-            .into_iter()
-            .filter(|t| (self.f)(t))
-            .collect()
-    }
-}
-
-struct FlatMapRdd<T, U> {
-    parent: Arc<dyn RddImpl<T>>,
-    f: Arc<dyn Fn(T) -> Vec<U> + Send + Sync>,
-}
-
-impl<T: Data, U: Data> RddImpl<U> for FlatMapRdd<T, U> {
-    fn partitions(&self) -> usize {
-        self.parent.partitions()
-    }
-    fn preferred(&self, p: usize) -> Option<usize> {
-        self.parent.preferred(p)
-    }
-    fn compute(&self, p: usize) -> Vec<U> {
-        self.parent
-            .compute(p)
-            .into_iter()
-            .flat_map(|t| (self.f)(t))
-            .collect()
-    }
-}
-
-struct MapPartitionsRdd<T, U> {
-    parent: Arc<dyn RddImpl<T>>,
-    f: Arc<dyn Fn(usize, Vec<T>) -> Vec<U> + Send + Sync>,
-}
-
-impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
-    fn partitions(&self) -> usize {
-        self.parent.partitions()
-    }
-    fn preferred(&self, p: usize) -> Option<usize> {
-        self.parent.preferred(p)
-    }
-    fn compute(&self, p: usize) -> Vec<U> {
-        (self.f)(p, self.parent.compute(p))
-    }
-}
-
-struct UnionRdd<T> {
-    parents: Vec<Arc<dyn RddImpl<T>>>,
-}
-
-impl<T: Data> RddImpl<T> for UnionRdd<T> {
-    fn partitions(&self) -> usize {
-        self.parents.iter().map(|p| p.partitions()).sum()
-    }
-    fn preferred(&self, mut p: usize) -> Option<usize> {
-        for parent in &self.parents {
-            if p < parent.partitions() {
-                return parent.preferred(p);
-            }
-            p -= parent.partitions();
-        }
-        None
-    }
-    fn compute(&self, mut p: usize) -> Vec<T> {
-        for parent in &self.parents {
-            if p < parent.partitions() {
-                return parent.compute(p);
-            }
-            p -= parent.partitions();
-        }
-        panic!("partition index out of range");
-    }
-}
-
-struct CachedRdd<T> {
-    parent: Arc<dyn RddImpl<T>>,
-    slots: Mutex<Vec<Option<Arc<Vec<T>>>>>,
-}
-
-impl<T: Data> RddImpl<T> for CachedRdd<T> {
-    fn partitions(&self) -> usize {
-        self.parent.partitions()
-    }
-    fn preferred(&self, p: usize) -> Option<usize> {
-        self.parent.preferred(p)
-    }
-    fn compute(&self, p: usize) -> Vec<T> {
-        if let Some(hit) = self.slots.lock()[p].clone() {
-            return hit.as_ref().clone();
-        }
-        // Compute outside the lock: sibling partitions stay parallel, and a
-        // duplicated computation under a race is harmless (same result).
-        let data = Arc::new(self.parent.compute(p));
-        self.slots.lock()[p] = Some(Arc::clone(&data));
-        data.as_ref().clone()
-    }
+/// A partitioned dataset. Nothing is loaded until a job runs:
+/// [`Rdd::collect`], [`Rdd::count`] or [`SparkletContext::run_job`] call
+/// every partition's loader on the context's executor pool, each time.
+///
+/// Cloning an `Rdd` is cheap: the partition list is shared.
+#[derive(Clone)]
+pub struct Rdd<T: Data> {
+    pub(crate) ctx: SparkletContext,
+    pub(crate) parts: Arc<[PartitionSource<T>]>,
 }
 
 impl<T: Data> Rdd<T> {
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.imp.partitions()
-    }
-
-    /// Element-wise transformation.
-    pub fn map<U: Data>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Rdd<U> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::new(MapRdd {
-                parent: Arc::clone(&self.imp),
-                f: Arc::new(f),
-            }),
-        }
-    }
-
-    /// Keeps elements matching the predicate.
-    pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::new(FilterRdd {
-                parent: Arc::clone(&self.imp),
-                f: Arc::new(f),
-            }),
-        }
-    }
-
-    /// One-to-many transformation.
-    pub fn flat_map<U: Data>(&self, f: impl Fn(T) -> Vec<U> + Send + Sync + 'static) -> Rdd<U> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::new(FlatMapRdd {
-                parent: Arc::clone(&self.imp),
-                f: Arc::new(f),
-            }),
-        }
-    }
-
-    /// Whole-partition transformation; `f` receives the partition index.
-    pub fn map_partitions<U: Data>(
-        &self,
-        f: impl Fn(usize, Vec<T>) -> Vec<U> + Send + Sync + 'static,
-    ) -> Rdd<U> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::new(MapPartitionsRdd {
-                parent: Arc::clone(&self.imp),
-                f: Arc::new(f),
-            }),
-        }
-    }
-
-    /// Concatenates two datasets (partitions of `self` first).
-    pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::new(UnionRdd {
-                parents: vec![Arc::clone(&self.imp), Arc::clone(&other.imp)],
-            }),
-        }
-    }
-
-    /// Marks the dataset for in-memory caching: the first action
-    /// materializes each partition once; later actions reuse it.
-    pub fn cache(&self) -> Rdd<T> {
-        let n = self.imp.partitions();
-        Rdd {
-            ctx: self.ctx.clone(),
-            imp: Arc::new(CachedRdd {
-                parent: Arc::clone(&self.imp),
-                slots: Mutex::new(vec![None; n]),
-            }),
-        }
+        self.parts.len()
     }
 
     /// Action: materializes every partition, in partition order.
@@ -296,83 +43,16 @@ impl<T: Data> Rdd<T> {
             .into_iter()
             .sum()
     }
-
-    /// Action: reduces all elements with `f`; `None` on an empty dataset.
-    pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Option<T> {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        let partials = self.ctx.run_job(self, move |_, data: Vec<T>| {
-            data.into_iter().reduce(|a, b| g(a, b))
-        });
-        partials.into_iter().flatten().reduce(|a, b| f(a, b))
-    }
-
-    /// Action: the first `n` elements in partition order. Computes
-    /// partitions one at a time, stopping early.
-    pub fn take(&self, n: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(n);
-        for p in 0..self.imp.partitions() {
-            if out.len() >= n {
-                break;
-            }
-            out.extend(self.imp.compute(p));
-        }
-        out.truncate(n);
-        out
-    }
-
-    /// Action: the first element, if any.
-    pub fn first(&self) -> Option<T> {
-        self.take(1).into_iter().next()
-    }
-
-    /// Deterministic Bernoulli sample: keeps each element with probability
-    /// `fraction`, decided by a per-partition splitmix stream seeded from
-    /// `seed` (same seed → same sample).
-    pub fn sample(&self, fraction: f64, seed: u64) -> Rdd<T> {
-        let fraction = fraction.clamp(0.0, 1.0);
-        self.map_partitions(move |p, data| {
-            let mut state = seed ^ (p as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            data.into_iter()
-                .filter(|_| {
-                    state = splitmix64(state);
-                    ((state >> 11) as f64 / (1u64 << 53) as f64) < fraction
-                })
-                .collect()
-        })
-    }
-}
-
-/// SplitMix64 step (public-domain PRNG; deterministic sampling needs no
-/// external crate).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::context::SparkletContext;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn ctx() -> SparkletContext {
         SparkletContext::new(4)
-    }
-
-    #[test]
-    fn map_filter_flatmap_pipeline() {
-        let ctx = ctx();
-        let out = ctx
-            .parallelize((1..=10i32).collect(), 3)
-            .map(|x| x * 2)
-            .filter(|x| x % 4 == 0)
-            .flat_map(|x| vec![x, x + 1])
-            .collect();
-        assert_eq!(out, vec![4, 5, 8, 9, 12, 13, 16, 17, 20, 21]);
     }
 
     #[test]
@@ -384,102 +64,21 @@ mod tests {
     }
 
     #[test]
-    fn count_and_reduce() {
-        let ctx = ctx();
-        let rdd = ctx.parallelize((1..=100i64).collect(), 8);
-        assert_eq!(rdd.count(), 100);
-        assert_eq!(rdd.reduce(|a, b| a + b), Some(5050));
-        let empty = ctx.parallelize(Vec::<i64>::new(), 4);
-        assert_eq!(empty.count(), 0);
-        assert_eq!(empty.reduce(|a, b| a + b), None);
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let ctx = ctx();
-        let a = ctx.parallelize(vec![1, 2], 2);
-        let b = ctx.parallelize(vec![3, 4], 1);
-        let u = a.union(&b);
-        assert_eq!(u.num_partitions(), 3);
-        assert_eq!(u.collect(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn map_partitions_sees_indices() {
-        let ctx = ctx();
-        let out = ctx
-            .parallelize(vec![10, 20, 30, 40], 2)
-            .map_partitions(|idx, data| vec![(idx, data.len())])
-            .collect();
-        assert_eq!(out, vec![(0, 2), (1, 2)]);
-    }
-
-    #[test]
-    fn take_stops_early_and_first_works() {
-        let ctx = ctx();
-        let rdd = ctx.parallelize((0..1000).collect::<Vec<i32>>(), 100);
-        assert_eq!(rdd.take(3), vec![0, 1, 2]);
-        assert_eq!(rdd.first(), Some(0));
-        assert_eq!(rdd.take(0), Vec::<i32>::new());
-        assert_eq!(rdd.take(5000).len(), 1000);
-    }
-
-    #[test]
-    fn cache_computes_each_partition_once() {
-        let ctx = ctx();
-        let computed = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&computed);
-        let sources: Vec<PartitionSource<i32>> = (0..4)
-            .map(|i| {
-                let c = Arc::clone(&c2);
-                PartitionSource {
-                    preferred: None,
-                    load: Arc::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                        vec![i]
-                    }),
-                }
-            })
-            .collect();
-        let rdd = ctx.from_sources(sources).cache();
-        assert_eq!(rdd.collect().len(), 4);
-        let after_first = computed.load(Ordering::SeqCst);
-        assert_eq!(after_first, 4);
-        assert_eq!(rdd.count(), 4);
-        assert_eq!(rdd.collect().len(), 4);
-        assert_eq!(computed.load(Ordering::SeqCst), 4, "no recomputation");
-    }
-
-    #[test]
     fn uncached_sources_recompute_per_action() {
         let ctx = ctx();
         let computed = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&computed);
-        let rdd = ctx.from_sources(vec![PartitionSource {
-            preferred: None,
-            load: Arc::new(move || {
+        let rdd = ctx.from_planned(
+            vec![()],
+            |_| None,
+            move |_| {
                 c2.fetch_add(1, Ordering::SeqCst);
                 vec![1]
-            }),
-        }]);
+            },
+        );
         rdd.count();
         rdd.count();
         assert_eq!(computed.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_roughly_sized() {
-        let ctx = ctx();
-        let rdd = ctx.parallelize((0..10_000).collect::<Vec<i32>>(), 8);
-        let a = rdd.sample(0.3, 7).collect();
-        let b = rdd.sample(0.3, 7).collect();
-        assert_eq!(a, b, "same seed, same sample");
-        let c = rdd.sample(0.3, 8).collect();
-        assert_ne!(a, c, "different seed, different sample");
-        let frac = a.len() as f64 / 10_000.0;
-        assert!((frac - 0.3).abs() < 0.05, "got {frac}");
-        assert!(rdd.sample(0.0, 1).collect().is_empty());
-        assert_eq!(rdd.sample(1.0, 1).count(), 10_000);
     }
 
     #[test]
@@ -487,6 +86,7 @@ mod tests {
         let ctx = ctx();
         let a = ctx.parallelize(vec![1, 2, 3], 2);
         let b = a.clone();
+        assert!(Arc::ptr_eq(&a.parts, &b.parts));
         assert_eq!(a.collect(), b.collect());
     }
 }

@@ -3,89 +3,38 @@
 
 use proptest::prelude::*;
 use sparklet::context::SparkletContext;
-use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn map_filter_equals_sequential(
+    fn partitions_load_the_data_in_order(
         data in prop::collection::vec(any::<i32>(), 0..200),
         parts in 1usize..12,
     ) {
         let ctx = SparkletContext::new(4);
-        let got = ctx
-            .parallelize(data.clone(), parts)
-            .map(|x| x.wrapping_mul(3))
-            .filter(|x| x % 2 == 0)
-            .collect();
-        let want: Vec<i32> = data
-            .into_iter()
-            .map(|x| x.wrapping_mul(3))
-            .filter(|x| x % 2 == 0)
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn reduce_by_key_equals_hashmap_fold(
-        pairs in prop::collection::vec((0i64..20, any::<i32>()), 0..300),
-        parts in 1usize..10,
-        shuffle_parts in 1usize..10,
-    ) {
-        let ctx = SparkletContext::new(4);
-        let got: HashMap<i64, i64> = ctx
-            .parallelize(pairs.clone(), parts)
-            .map(|(k, v)| (k, v as i64))
-            .reduce_by_key(shuffle_parts, |a, b| a + b)
-            .collect()
-            .into_iter()
-            .collect();
-        let mut want: HashMap<i64, i64> = HashMap::new();
-        for (k, v) in pairs {
-            *want.entry(k).or_insert(0) += v as i64;
-        }
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sort_by_key_is_a_permutation_sorted(
-        pairs in prop::collection::vec((any::<i64>(), any::<i32>()), 0..200),
-        parts in 1usize..8,
-        out_parts in 1usize..8,
-    ) {
-        let ctx = SparkletContext::new(4);
-        let got = ctx.parallelize(pairs.clone(), parts).sort_by_key(out_parts).collect();
-        // Keys ascending.
-        prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Same multiset.
-        let mut got_sorted = got.clone();
-        got_sorted.sort();
-        let mut want = pairs;
-        want.sort();
-        prop_assert_eq!(got_sorted, want);
-    }
-
-    #[test]
-    fn count_and_reduce_agree(
-        data in prop::collection::vec(-1000i64..1000, 0..200),
-        parts in 1usize..8,
-    ) {
-        let ctx = SparkletContext::new(3);
         let rdd = ctx.parallelize(data.clone(), parts);
+        prop_assert_eq!(rdd.num_partitions(), parts);
+        let sizes = ctx.run_job(&rdd, |_, part| part.len());
+        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        prop_assert!(max - min <= 1, "unbalanced: {:?}", sizes);
+        prop_assert_eq!(rdd.collect(), data.clone());
         prop_assert_eq!(rdd.count(), data.len());
-        prop_assert_eq!(rdd.reduce(|a, b| a + b), data.into_iter().reduce(|a, b| a + b));
-    }
+        prop_assert_eq!(ctx.run_job(&rdd, |p, _| p), (0..parts).collect::<Vec<_>>());
 
-    #[test]
-    fn union_collect_is_concatenation(
-        a in prop::collection::vec(any::<i16>(), 0..50),
-        b in prop::collection::vec(any::<i16>(), 0..50),
-    ) {
-        let ctx = SparkletContext::new(2);
-        let got = ctx.parallelize(a.clone(), 3).union(&ctx.parallelize(b.clone(), 2)).collect();
-        let want: Vec<i16> = a.into_iter().chain(b).collect();
-        prop_assert_eq!(got, want);
+        // One plan per partition, pinned round the executors or spread
+        // round-robin: placement never changes what is loaded.
+        let plans: Vec<(usize, Vec<i32>)> = data
+            .chunks(data.len().div_ceil(parts).max(1))
+            .map(|c| c.to_vec())
+            .enumerate()
+            .collect();
+        for locality in [true, false] {
+            ctx.set_locality(locality);
+            let planned = ctx.from_planned(plans.clone(), |p| Some(p.0 % 4), |p| p.1.clone());
+            prop_assert_eq!(planned.num_partitions(), plans.len());
+            prop_assert_eq!(planned.collect(), data.clone());
+        }
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records a duration as nanoseconds (saturating at `u64::MAX`).
-    pub fn record_duration(&self, duration: std::time::Duration) {
-        self.record(duration.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
