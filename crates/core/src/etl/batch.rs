@@ -3,9 +3,9 @@
 //!
 //! The corpus is split into byte chunks on newline boundaries
 //! ([`fastpath::split_chunks`]), the chunk ranges are partitioned over
-//! the executor pool, and each task scans its chunks zero-copy with the
-//! byte scanner ([`fastpath::FastParser`]), uploading event rows straight
-//! to the store (parallel upload). Job
+//! the engine's executors, and each task scans its chunks zero-copy with
+//! the byte scanner ([`fastpath::FastParser`]), uploading event rows
+//! straight to the store (parallel upload). Job
 //! start/end fragments come back to the driver, which pairs them into
 //! application runs. Window/type predicates push down into the scan:
 //! filtered lines never materialize a row.
@@ -17,7 +17,6 @@ use crate::model::apprun::AppRun;
 use loggen::trace::RawLine;
 use rasdb::error::DbError;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// What a batch import did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,8 +81,8 @@ pub fn import_rendered(fw: &Framework, rendered: Vec<String>) -> Result<ImportRe
 /// Runs the chunk-parallel batch import over a raw corpus.
 ///
 /// The corpus is chunked on newline boundaries (no line crosses a
-/// chunk), chunk ranges are distributed over the executor pool, and each
-/// task scans its chunks with [`FastParser::scan_line`] under the
+/// chunk), chunk ranges are distributed over the engine's executors, and
+/// each task scans its chunks with [`FastParser::scan_line`] under the
 /// pushed-down [`ScanPredicate`]. Reports and tables are what the regex
 /// pattern set would load line by line — the differential equivalence
 /// suite asserts exactly that.
@@ -103,15 +102,11 @@ pub fn import_bytes(
         .chunk_target_bytes
         .unwrap_or_else(|| (corpus.len() / nparts).max(64 * 1024));
     let chunks = fastpath::split_chunks(&corpus, target);
-    let corpus: Arc<Vec<u8>> = Arc::new(corpus);
     let rdd = fw.engine().parallelize(chunks, nparts);
-    let cluster = Arc::clone(fw.cluster());
-    let consistency = fw.consistency();
-    let pred = opts.predicate.clone();
 
     // Map stage: scan + upload events in place; ship job fragments,
     // counters and the first failed upload back to the driver.
-    #[derive(Clone, Default)]
+    #[derive(Default)]
     struct PartResult {
         parsed: usize,
         skipped: usize,
@@ -120,42 +115,29 @@ pub fn import_bytes(
         job_lines: Vec<ParsedLine>,
         error: Option<DbError>,
     }
-    let results: Vec<PartResult> =
-        fw.engine()
-            .run_job(&rdd, move |_, ranges: Vec<(usize, usize)>| {
-                let fast = FastParser::new();
-                let mut stats = ScanStats::default();
-                let mut out = PartResult::default();
-                let mut events = Vec::new();
-                for (start, end) in ranges {
-                    for line in Lines::new(&corpus[start..end]) {
-                        match fast.scan_line(line, &pred, &mut stats) {
-                            LineOutcome::Event(ev) => events.push(ev),
-                            LineOutcome::Job(job) => out.job_lines.push(job),
-                            LineOutcome::Skipped => out.skipped += 1,
-                            LineOutcome::Filtered => out.filtered += 1,
-                        }
-                    }
+    let results = fw.engine().run_job(&rdd, |_, ranges: Vec<(usize, usize)>| {
+        let fast = FastParser::new();
+        let mut stats = ScanStats::default();
+        let mut out = PartResult::default();
+        let mut events = Vec::new();
+        for (start, end) in ranges {
+            for line in Lines::new(&corpus[start..end]) {
+                match fast.scan_line(line, &opts.predicate, &mut stats) {
+                    LineOutcome::Event(ev) => events.push(ev),
+                    LineOutcome::Job(job) => out.job_lines.push(job),
+                    LineOutcome::Skipped => out.skipped += 1,
+                    LineOutcome::Filtered => out.filtered += 1,
                 }
-                stats.flush_telemetry();
-                out.parsed = events.len() + out.job_lines.len();
-                // Both views are attempted, as `insert_batch` attempts every
-                // partition, before the first shortfall is reported.
-                let time_rows = events.iter().map(|e| e.to_time_row()).collect();
-                let loc_rows = events.iter().map(|e| e.to_location_row()).collect();
-                for (table, rows) in [
-                    ("event_by_time", time_rows),
-                    ("event_by_location", loc_rows),
-                ] {
-                    match cluster.insert_batch(table, rows, consistency) {
-                        Ok(written) => out.event_rows += written,
-                        Err(e) => {
-                            out.error.get_or_insert(e);
-                        }
-                    }
-                }
-                out
-            });
+            }
+        }
+        stats.flush_telemetry();
+        out.parsed = events.len() + out.job_lines.len();
+        match fw.insert_events(&events) {
+            Ok(written) => out.event_rows = written,
+            Err(e) => out.error = Some(e),
+        }
+        out
+    });
 
     // Driver: pair job fragments into runs.
     let mut report = ImportReport::default();

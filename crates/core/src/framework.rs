@@ -14,7 +14,7 @@ use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::types::Value;
 use rasdb::DecoratedKey;
-use sparklet::pool::current_worker;
+use sparklet::context::current_worker;
 use sparklet::{Rdd, SparkletContext};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -28,8 +28,10 @@ pub struct FrameworkConfig {
     pub replication_factor: usize,
     /// Vnodes per storage node.
     pub vnodes: usize,
-    /// Executor threads; `None` co-locates one executor per storage node,
-    /// mirroring "a pair of a Spark worker node and a Cassandra node".
+    /// Executors: the most threads one sparklet job runs on, started for
+    /// the job and joined before it returns. `None` co-locates one
+    /// executor per storage node, mirroring "a pair of a Spark worker node
+    /// and a Cassandra node".
     pub workers: Option<usize>,
     /// The machine being monitored.
     pub topology: Topology,
@@ -202,23 +204,23 @@ impl Framework {
 
     /// Inserts one event into both event tables (the dual views).
     pub fn insert_event(&self, ev: &EventRecord) -> Result<(), DbError> {
-        self.cluster
-            .insert_owned("event_by_time", ev.to_time_row(), self.consistency)?;
-        self.cluster
-            .insert_owned("event_by_location", ev.to_location_row(), self.consistency)
+        self.insert_events(std::slice::from_ref(ev)).map(drop)
     }
 
     /// Inserts a batch of events into both views; returns rows written.
+    /// Both views are attempted, as [`Cluster::insert_batch`] attempts
+    /// every row, before the first shortfall is returned, so an outage
+    /// leaves neither view behind the other.
     pub fn insert_events(&self, events: &[EventRecord]) -> Result<usize, DbError> {
         let time_rows = events.iter().map(EventRecord::to_time_row).collect();
         let loc_rows = events.iter().map(EventRecord::to_location_row).collect();
-        let a = self
+        let by_time = self
             .cluster
-            .insert_batch("event_by_time", time_rows, self.consistency)?;
-        let b = self
-            .cluster
-            .insert_batch("event_by_location", loc_rows, self.consistency)?;
-        Ok(a + b)
+            .insert_batch("event_by_time", time_rows, self.consistency);
+        let by_location =
+            self.cluster
+                .insert_batch("event_by_location", loc_rows, self.consistency);
+        Ok(by_time? + by_location?)
     }
 
     /// Inserts an application run into all four denormalized views.
@@ -377,18 +379,22 @@ impl Framework {
     /// yields no records here.
     pub fn scan_events_rdd(&self, event_type: &str, from_ms: i64, to_ms: i64) -> Rdd<EventRecord> {
         let workers = self.engine.workers();
-        let plans = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
+        let plans: Vec<(ReadPlan, usize)> =
+            Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms)
+                .into_iter()
+                .map(|plan| {
+                    let owner = self.cluster.owners(plan.partition.key())[0].0 % workers;
+                    (plan, owner)
+                })
+                .collect();
         let cluster = Arc::clone(&self.cluster);
         let event_type: Arc<str> = event_type.into();
         let consistency = self.consistency;
         let link = self.remote_link_bytes_per_sec;
-        let owner_of = {
-            let cluster = Arc::clone(&cluster);
-            move |plan: &ReadPlan| Some(cluster.owners(plan.partition.key())[0].0 % workers)
-        };
-        self.engine
-            .from_planned(plans, owner_of.clone(), move |plan| {
-                let preferred = owner_of(plan);
+        self.engine.from_planned(
+            plans,
+            |p| Some(p.1),
+            move |(plan, owner)| {
                 let rows = cluster
                     .read_multi(std::slice::from_ref(plan), consistency)
                     .map(|mut b| b.pop().unwrap_or_default())
@@ -398,12 +404,13 @@ impl Framework {
                     .filter_map(|r| EventRecord::from_time_row(&event_type, r))
                     .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
                     .collect();
-                if current_worker() == preferred {
+                if current_worker() == Some(*owner) {
                     records
                 } else {
                     remote_transfer(records, link)
                 }
-            })
+            },
+        )
     }
 
     /// Application runs of a user.
@@ -598,6 +605,41 @@ mod tests {
         // Every by-source record also appears in the by-type view.
         for e in &by_src {
             assert!(by_type.contains(e));
+        }
+    }
+
+    #[test]
+    fn an_outage_still_writes_the_location_view() {
+        let fw = Framework::new(FrameworkConfig {
+            db_nodes: 4,
+            replication_factor: 3,
+            vnodes: 8,
+            topology: Topology::scaled(2, 2),
+            ..Default::default()
+        })
+        .unwrap();
+        for n in [1, 2] {
+            fw.cluster().take_node_down(rasdb::ring::NodeId(n));
+        }
+        let events: Vec<EventRecord> = (0..6)
+            .flat_map(|h| ["MCE", "GPU_DBE"].map(|t| (h, t)))
+            .enumerate()
+            .map(|(i, (h, t))| ev(h * HOUR_MS + i as i64, t, &format!("c0-0c0s{}n0", i % 4)))
+            .collect();
+        // A partition with both down nodes among its replicas misses quorum.
+        assert!(matches!(
+            fw.insert_events(&events),
+            Err(DbError::Unavailable { .. })
+        ));
+        for e in &events {
+            let plans =
+                Framework::window_plans("event_by_location", Some(&e.source), 0, 6 * HOUR_MS);
+            let rows = fw.cluster().read_multi(&plans, Consistency::One).unwrap();
+            let mut stored = rows.iter().flat_map(|b| b.iter());
+            assert!(
+                stored.any(|r| EventRecord::from_location_row(&e.source, r).as_ref() == Some(e)),
+                "{e:?} stored in event_by_location"
+            );
         }
     }
 

@@ -15,7 +15,7 @@ pub(crate) struct PartitionSource<T> {
 
 /// A partitioned dataset. Nothing is loaded until a job runs:
 /// [`Rdd::collect`], [`Rdd::count`] or [`SparkletContext::run_job`] call
-/// every partition's loader on the context's executor pool, each time.
+/// every partition's loader on the context's executors, each time.
 ///
 /// Cloning an `Rdd` is cheap: the partition list is shared.
 #[derive(Clone)]

@@ -2,7 +2,20 @@
 //! sequential evaluation, for any data and partitioning.
 
 use proptest::prelude::*;
-use sparklet::context::SparkletContext;
+use sparklet::context::{current_worker, SparkletContext};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// What partition `p` loads in the runner property.
+fn contents(p: usize) -> Vec<u64> {
+    (0..p as u64 % 5).map(|i| i * 7 + p as u64).collect()
+}
+
+/// The job the runner property runs: a function of the partition index
+/// and what it loaded.
+fn fold(p: usize, loaded: Vec<u64>) -> (usize, u64) {
+    (p, loaded.iter().map(|v| v * (p as u64 + 1)).sum())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -21,19 +34,44 @@ proptest! {
         prop_assert_eq!(rdd.collect(), data.clone());
         prop_assert_eq!(rdd.count(), data.len());
         prop_assert_eq!(ctx.run_job(&rdd, |p, _| p), (0..parts).collect::<Vec<_>>());
+    }
 
-        // One plan per partition, pinned round the executors or spread
-        // round-robin: placement never changes what is loaded.
-        let plans: Vec<(usize, Vec<i32>)> = data
-            .chunks(data.len().div_ceil(parts).max(1))
-            .map(|c| c.to_vec())
-            .enumerate()
-            .collect();
-        for locality in [true, false] {
-            ctx.set_locality(locality);
-            let planned = ctx.from_planned(plans.clone(), |p| Some(p.0 % 4), |p| p.1.clone());
-            prop_assert_eq!(planned.num_partitions(), plans.len());
-            prop_assert_eq!(planned.collect(), data.clone());
+    /// `run_job` against the sequential reference — each loader, then the
+    /// job, on the driver, in partition order — with every loader run
+    /// exactly once, on the executor its partition is pinned to.
+    #[test]
+    fn run_job_matches_a_sequential_reference(
+        workers in 1usize..=6,
+        // 8 stands for no preference.
+        drawn in prop::collection::vec(0usize..9, 0..=24),
+        locality in any::<bool>(),
+    ) {
+        let ctx = SparkletContext::new(workers);
+        ctx.set_locality(locality);
+        let plans: Vec<(usize, Option<usize>)> =
+            drawn.iter().map(|&w| (w < 8).then_some(w)).enumerate().collect();
+        let n = plans.len();
+        // Per partition: its loads, and the executor it ran on plus one.
+        let counters = || Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
+        let (loads, ran_on) = (counters(), counters());
+        let (l, r) = (Arc::clone(&loads), Arc::clone(&ran_on));
+        let rdd = ctx.from_planned(plans.clone(), |plan| plan.1, move |&(p, _)| {
+            l[p].fetch_add(1, Ordering::SeqCst);
+            r[p].store(current_worker().map_or(0, |w| w + 1), Ordering::SeqCst);
+            contents(p)
+        });
+        let driver = current_worker();
+        let reference: Vec<_> = (0..n).map(|p| fold(p, contents(p))).collect();
+        prop_assert_eq!(ctx.run_job(&rdd, fold), reference);
+        prop_assert_eq!(current_worker(), driver);
+        for (p, pref) in plans {
+            prop_assert_eq!(loads[p].load(Ordering::SeqCst), 1, "partition {} loads", p);
+            let ran = ran_on[p].load(Ordering::SeqCst);
+            let home = if locality { pref.filter(|&w| w < workers) } else { Some(p % workers) };
+            prop_assert!(
+                (1..=workers).contains(&ran) && home.is_none_or(|w| ran == w + 1),
+                "partition {} pinned to {:?} ran on {}", p, home, ran - 1
+            );
         }
     }
 
