@@ -9,52 +9,20 @@
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
-/// Widening stops once the window reaches `base * 2^MAX_WIDENINGS`; past
-/// that, buffering growth is the bus backpressure's problem, not ours.
-const MAX_WIDENINGS: u32 = 10;
-
-/// Bucket-compaction hook: merges equal-key items within one bucket.
-type Compactor<T> = Box<dyn FnMut(Vec<T>) -> Vec<T> + Send>;
-
 /// Groups timestamped items into fixed event-time windows.
 ///
 /// Items may arrive out of order; a window is emitted once the watermark
 /// (largest timestamp seen, minus the allowed lateness) passes its end.
-///
-/// # Load shedding
-///
-/// With a *high-watermark* configured ([`MicroBatcher::with_high_watermark`])
-/// a batcher whose buffered-item count exceeds the limit widens its
-/// coalescing window (doubling `window_ms`) and, when a compactor is
-/// installed ([`MicroBatcher::with_compactor`]), merges equal-key items in
-/// place. A lagging ingester thus trades window granularity for bounded
-/// memory instead of growing its buffers without limit; the window snaps
-/// back to its base width once the backlog fully drains.
+/// Every window is `window_ms` wide however many items are buffered; after
+/// [`MicroBatcher::drain_ready`] the buffer holds at most the last
+/// `allowed_lateness_ms + window_ms` of event time.
+#[derive(Debug)]
 pub struct MicroBatcher<T> {
     window_ms: i64,
-    base_window_ms: i64,
     allowed_lateness_ms: i64,
     buckets: BTreeMap<i64, Vec<T>>,
     watermark: i64,
     late_drops: u64,
-    high_watermark: usize,
-    compactor: Option<Compactor<T>>,
-    load_sheds: u64,
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for MicroBatcher<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MicroBatcher")
-            .field("window_ms", &self.window_ms)
-            .field("base_window_ms", &self.base_window_ms)
-            .field("allowed_lateness_ms", &self.allowed_lateness_ms)
-            .field("buckets", &self.buckets)
-            .field("watermark", &self.watermark)
-            .field("late_drops", &self.late_drops)
-            .field("high_watermark", &self.high_watermark)
-            .field("load_sheds", &self.load_sheds)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<T> MicroBatcher<T> {
@@ -69,33 +37,11 @@ impl<T> MicroBatcher<T> {
     pub fn with_lateness(window_ms: i64, allowed_lateness_ms: i64) -> MicroBatcher<T> {
         MicroBatcher {
             window_ms: window_ms.max(1),
-            base_window_ms: window_ms.max(1),
             allowed_lateness_ms: allowed_lateness_ms.max(0),
             buckets: BTreeMap::new(),
             watermark: i64::MIN,
             late_drops: 0,
-            high_watermark: 0,
-            compactor: None,
-            load_sheds: 0,
         }
-    }
-
-    /// Caps buffered items at `max_buffered` (0 disables): exceeding it
-    /// triggers load shedding by window widening. Builder-style.
-    pub fn with_high_watermark(mut self, max_buffered: usize) -> MicroBatcher<T> {
-        self.high_watermark = max_buffered;
-        self
-    }
-
-    /// Installs a compactor applied to each bucket after a widening pass;
-    /// it should merge equal-key items (e.g. via [`coalesce`]) so shedding
-    /// actually reduces the buffered count. Builder-style.
-    pub fn with_compactor(
-        mut self,
-        compact: impl FnMut(Vec<T>) -> Vec<T> + Send + 'static,
-    ) -> MicroBatcher<T> {
-        self.compactor = Some(Box::new(compact));
-        self
     }
 
     /// Advances the watermark without feeding an item. Used to seed a fresh
@@ -106,14 +52,10 @@ impl<T> MicroBatcher<T> {
         self.watermark = self.watermark.max(ts_ms);
     }
 
-    /// The current (possibly widened) coalescing window width.
-    pub fn window_ms(&self) -> i64 {
-        self.window_ms
-    }
-
-    /// How many widening passes load shedding has performed.
-    pub fn load_sheds(&self) -> u64 {
-        self.load_sheds
+    /// The event-time watermark: the largest timestamp accepted or passed
+    /// to [`MicroBatcher::advance_watermark`], `i64::MIN` before either.
+    pub fn watermark(&self) -> i64 {
+        self.watermark
     }
 
     /// Window start for a timestamp.
@@ -132,50 +74,7 @@ impl<T> MicroBatcher<T> {
         }
         self.watermark = self.watermark.max(ts_ms);
         self.buckets.entry(window).or_default().push(item);
-        self.maybe_shed();
         true
-    }
-
-    /// Sheds load when buffered items exceed the high-watermark: first
-    /// compacts buckets at the current width, then widens (doubling the
-    /// window and re-bucketing) until the count is back under the limit,
-    /// widening no longer helps, or the widening cap is hit.
-    fn maybe_shed(&mut self) {
-        if self.high_watermark == 0 || self.buffered() <= self.high_watermark {
-            return;
-        }
-        self.compact_buckets();
-        while self.buffered() > self.high_watermark
-            && self.window_ms < self.base_window_ms.saturating_mul(1 << MAX_WIDENINGS)
-        {
-            let before = self.buffered();
-            self.window_ms = self.window_ms.saturating_mul(2);
-            self.load_sheds += 1;
-            // Re-bucket: old window starts are multiples of the old width,
-            // so `window_of` maps each old bucket wholly into its (unique)
-            // containing wide bucket — no item ever splits across two.
-            let old = std::mem::take(&mut self.buckets);
-            for (w, items) in old {
-                self.buckets
-                    .entry(self.window_of(w))
-                    .or_default()
-                    .extend(items);
-            }
-            self.compact_buckets();
-            if self.buffered() == before {
-                // Nothing merged: all keys distinct, widening further only
-                // coarsens output without freeing memory.
-                break;
-            }
-        }
-    }
-
-    fn compact_buckets(&mut self) {
-        if let Some(compact) = self.compactor.as_mut() {
-            for bucket in self.buckets.values_mut() {
-                *bucket = compact(std::mem::take(bucket));
-            }
-        }
     }
 
     /// Emits every window whose end (plus lateness) is at or before the
@@ -184,35 +83,17 @@ impl<T> MicroBatcher<T> {
         if self.watermark == i64::MIN {
             return Vec::new();
         }
-        let limit = self.watermark - self.allowed_lateness_ms;
-        let ready: Vec<i64> = self
-            .buckets
-            .keys()
-            .take_while(|w| **w + self.window_ms <= limit)
-            .copied()
-            .collect();
-        let out: Vec<(i64, Vec<T>)> = ready
+        // Window `w` is ready when `w + window_ms <= watermark - lateness`.
+        let first_open = self.watermark - self.allowed_lateness_ms - self.window_ms + 1;
+        let open = self.buckets.split_off(&first_open);
+        std::mem::replace(&mut self.buckets, open)
             .into_iter()
-            .map(|w| (w, self.buckets.remove(&w).expect("present")))
-            .collect();
-        self.maybe_narrow();
-        out
+            .collect()
     }
 
     /// Emits everything regardless of watermark (end of stream).
     pub fn drain_all(&mut self) -> Vec<(i64, Vec<T>)> {
-        let out: Vec<(i64, Vec<T>)> = std::mem::take(&mut self.buckets).into_iter().collect();
-        self.maybe_narrow();
-        out
-    }
-
-    /// Snaps a widened window back to its base width once the backlog has
-    /// fully drained (buckets can't be re-split, so narrowing mid-backlog
-    /// would misalign them).
-    fn maybe_narrow(&mut self) {
-        if self.buckets.is_empty() {
-            self.window_ms = self.base_window_ms;
-        }
+        std::mem::take(&mut self.buckets).into_iter().collect()
     }
 
     /// Items dropped for arriving behind the watermark.
@@ -360,57 +241,6 @@ mod tests {
         let merged = coalesce(batch, |e| e.ts, |a, b| a.count += b.count);
         assert_eq!(merged.iter().map(|e| e.count).sum::<u32>(), 100);
         assert_eq!(merged.len(), 7);
-    }
-
-    #[test]
-    fn high_watermark_widens_and_compacts() {
-        // 8 sources emitting every ms: without shedding, 100 ms of lag is
-        // 800 buffered items. With hw=50 and a coalescing compactor the
-        // batcher widens until same-source items merge.
-        let mut b = MicroBatcher::with_lateness(10, 0)
-            .with_high_watermark(50)
-            .with_compactor(|bucket: Vec<Ev>| {
-                coalesce(bucket, |e| e.node, |a, x| a.count += x.count)
-            });
-        let nodes = ["n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"];
-        let mut fed = 0u32;
-        for ts in 0..100 {
-            for node in nodes {
-                b.feed(ts, Ev { ts, node, count: 1 });
-                fed += 1;
-            }
-        }
-        assert!(b.load_sheds() > 0, "shedding must have triggered");
-        assert!(b.window_ms() > 10, "window widened under pressure");
-        assert!(
-            b.buffered() <= 50 + nodes.len(),
-            "memory bounded near the high-watermark, got {}",
-            b.buffered()
-        );
-        // No counts lost to shedding: compaction merges, never drops.
-        let total: u32 = b
-            .drain_all()
-            .iter()
-            .flat_map(|(_, v)| v)
-            .map(|e| e.count)
-            .sum();
-        assert_eq!(total, fed);
-        // Backlog drained: window snaps back to base width.
-        assert_eq!(b.window_ms(), 10);
-    }
-
-    #[test]
-    fn widening_stops_when_compaction_cannot_help() {
-        // All keys distinct: widening can't merge anything, so shedding
-        // gives up at the cap instead of looping forever.
-        let mut b = MicroBatcher::new(10)
-            .with_high_watermark(4)
-            .with_compactor(|bucket: Vec<i64>| bucket);
-        for ts in 0..100 {
-            b.feed(ts, ts);
-        }
-        assert_eq!(b.buffered(), 100, "distinct items are kept, not dropped");
-        assert!(b.window_ms() <= 10 * 1024);
     }
 
     #[test]

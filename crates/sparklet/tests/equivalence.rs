@@ -1,8 +1,10 @@
 //! Property tests: parallel execution must agree with the obvious
-//! sequential evaluation, for any data and partitioning.
+//! sequential evaluation, for any data and partitioning, and the streaming
+//! batcher with a model of what it holds.
 
 use proptest::prelude::*;
 use sparklet::context::{current_worker, SparkletContext};
+use sparklet::streaming::MicroBatcher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -90,5 +92,68 @@ proptest! {
         // Keys unique after coalescing.
         let keys: std::collections::HashSet<_> = merged.iter().map(|(t, n, _)| (t, n)).collect();
         prop_assert_eq!(keys.len(), merged.len());
+    }
+
+    /// `MicroBatcher` against a model of what it holds: nothing is lost,
+    /// the buffer keeps only windows the watermark has not passed, and no
+    /// window is emitted twice, widened or out of order. Call `i` feeds
+    /// (kinds 0–5), advances the watermark to (6) or drains ready windows
+    /// at (7–8) `50 ms × i + jitter`: event time drifts forward while
+    /// arrivals stay out of order. A final call (9) drains everything.
+    #[test]
+    fn micro_batcher_keeps_its_invariants(
+        window in 1i64..2_000,
+        lateness in 0i64..5_000,
+        calls in prop::collection::vec((0u8..9, -4_000i64..1_000), 0..200),
+    ) {
+        let mut b = MicroBatcher::with_lateness(window, lateness);
+        // Accepted `(ts, id)` items not yet emitted, and the model's watermark.
+        let (mut held, mut watermark) = (Vec::new(), i64::MIN);
+        let (mut fed, mut emitted, mut last_window) = (0, 0, None);
+        for (i, &(kind, jitter)) in calls.iter().chain([(9, 0)].iter()).enumerate() {
+            let ts = 50 * i as i64 + jitter;
+            match kind {
+                0..=5 => {
+                    fed += 1;
+                    if b.feed(ts, (ts, i)) {
+                        held.push((ts, i));
+                        watermark = watermark.max(ts);
+                    }
+                }
+                6 => {
+                    b.advance_watermark(ts);
+                    watermark = watermark.max(ts);
+                }
+                _ => {
+                    let out = if kind == 9 { b.drain_all() } else { b.drain_ready() };
+                    for (w, items) in out {
+                        // (iii) Windows on the base-width grid, strictly
+                        // increasing over the run, each item inside its own.
+                        prop_assert_eq!(w.rem_euclid(window), 0, "window {} off the grid", w);
+                        prop_assert!(last_window < Some(w), "{} after {:?}", w, last_window);
+                        last_window = Some(w);
+                        for item in items {
+                            prop_assert!((w..w + window).contains(&item.0), "{:?} not in {}", item, w);
+                            let at = held.iter().position(|h| *h == item);
+                            held.swap_remove(at.expect("emitted an item never accepted"));
+                            emitted += 1;
+                        }
+                    }
+                    // (ii) What stays buffered ends after the watermark
+                    // minus the lateness.
+                    for (ts, _) in &held {
+                        let end = ts.div_euclid(window) * window + window;
+                        prop_assert!(end > watermark - lateness, "{} kept past {}", ts, watermark);
+                    }
+                }
+            }
+            // (i) Every fed item is late, emitted or buffered.
+            prop_assert_eq!(fed, b.late_drops() as usize + emitted + b.buffered());
+            prop_assert_eq!(b.buffered(), held.len());
+            // (iv) The watermark is the largest accepted or advanced-to
+            // timestamp.
+            prop_assert_eq!(b.watermark(), watermark);
+        }
+        prop_assert!(held.is_empty(), "drain_all left {:?}", held);
     }
 }
