@@ -7,7 +7,7 @@ use crate::cql;
 use crate::error::DbError;
 use crate::memtable::{merge_all, merge_runs, Merged, RowEntry, Run};
 use crate::node::{Digest, NodeConfig, StorageNode};
-use crate::partitioner::{token_for, DecoratedKey, Token};
+use crate::partitioner::{token_for, DecoratedKey, Token, TokenMap};
 use crate::query::{
     clustering_bounds, CmpOp, Consistency, Predicate, ReadPlan, SelectStatement, Statement,
 };
@@ -149,9 +149,9 @@ pub struct Cluster {
     speculative_timeout_us: AtomicU64,
     /// Monotonic per-partition data versions: bumped after every mutation
     /// (including repairs), so cached reads can be validated exactly. Keyed
-    /// by table, then by the decorated partition key, which hashes as its
-    /// token: a bump clones a pointer and a lookup hashes one word.
-    versions: Mutex<HashMap<Arc<str>, HashMap<DecoratedKey, u64>>>,
+    /// by table, then by the decorated partition key, whose token is all a
+    /// lookup hashes: a bump of a known partition changes a number in place.
+    versions: Mutex<HashMap<Arc<str>, TokenMap<DecoratedKey, u64>>>,
     version_counter: AtomicU64,
     /// Bumped whenever replica visibility changes (node down/up), which can
     /// change what a read at a given consistency level observes.
@@ -221,7 +221,8 @@ impl Cluster {
     /// drawn in one `fetch_add` for all of them, and drawn *under* the
     /// versions lock: two writers of one partition then install their
     /// versions in the order they drew them, so the partition's version
-    /// never goes back.
+    /// never goes back. A known partition's entry is updated in place; only
+    /// a new one clones its key.
     fn bump_versions<'a>(
         &self,
         table: &Arc<str>,
@@ -235,7 +236,12 @@ impl Cluster {
             + 1;
         let of_table = versions.entry(Arc::clone(table)).or_default();
         for (partition, v) in partitions.zip(first..) {
-            of_table.insert(partition.clone(), v);
+            match of_table.get_mut(partition) {
+                Some(version) => *version = v,
+                None => {
+                    of_table.insert(partition.clone(), v);
+                }
+            }
         }
     }
 
@@ -454,7 +460,7 @@ impl Cluster {
     ) -> Result<(), DbError> {
         // Groups in order of first arrival; rows keep arrival order inside
         // their group. The map hashes each decorated key's token.
-        let mut group_of: HashMap<&DecoratedKey, usize> = HashMap::new();
+        let mut group_of: TokenMap<&DecoratedKey, usize> = TokenMap::default();
         let row_groups: Vec<usize> = mutations
             .iter()
             .map(|m| {

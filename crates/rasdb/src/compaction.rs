@@ -56,14 +56,15 @@ pub fn pick_bucket(tables: &[SsTable], cfg: &CompactionConfig) -> Option<Vec<usi
 }
 
 /// Merges tables into a single run with last-write-wins semantics: each
-/// partition's runs, in table order, go through one sorted-run merge.
-/// Tombstoned cells older than their row tombstone are dropped; the
-/// tombstones themselves are retained (no GC grace modelled).
+/// partition's runs, in table order, go through one sorted-run merge, and a
+/// partition left with one row holds it inline. Tombstoned cells older than
+/// their row tombstone are dropped; the tombstones themselves are retained
+/// (no GC grace modelled).
 pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
     let mut partitions: BTreeMap<DecoratedKey, Vec<Run>> = BTreeMap::new();
     for table in tables {
-        for (pk, run) in table.into_partitions() {
-            partitions.entry(pk).or_default().push(run);
+        for (pk, rows) in table.into_partitions() {
+            partitions.entry(pk).or_default().push(rows.into_run());
         }
     }
     let data = partitions
@@ -74,7 +75,7 @@ pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
             for (_, entry) in &mut run {
                 entry.purge_shadowed();
             }
-            (pk, run)
+            (pk, run.into())
         })
         .collect();
     SsTable::build(sequence, data)
@@ -83,7 +84,7 @@ pub fn merge(tables: Vec<SsTable>, sequence: u64) -> SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::{full_range, sorted_cells, RowEntry};
+    use crate::memtable::{full_range, sorted_cells, RowEntry, Rows};
     use crate::types::{Cell, Key, Value};
 
     fn pk(h: i64) -> DecoratedKey {
@@ -100,7 +101,7 @@ mod tests {
             "v".into(),
             Cell::live(Value::Int(v), write_ts),
         )]));
-        SsTable::build(seq, vec![(pk(h), vec![(ck(ts), e)])])
+        SsTable::build(seq, vec![(pk(h), Rows::One((ck(ts), e)))])
     }
 
     #[test]
@@ -135,7 +136,7 @@ mod tests {
         let live = table_with(1, 1, 1, 7, 10);
         let mut dead_entry = RowEntry::default();
         dead_entry.delete(20);
-        let dead = SsTable::build(2, vec![(pk(1), vec![(ck(1), dead_entry)])]);
+        let dead = SsTable::build(2, vec![(pk(1), Rows::One((ck(1), dead_entry)))]);
         let merged = merge(vec![live, dead], 3);
         let rows = merged.read_raw(&pk(1), &full_range(), true);
         assert_eq!(rows.len(), 1);
@@ -161,7 +162,7 @@ mod tests {
                 (ck(t), e)
             })
             .collect();
-        mixed.push(SsTable::build(9, vec![(pk(99), big_rows)]));
+        mixed.push(SsTable::build(9, vec![(pk(99), Rows::Run(big_rows))]));
         let got = pick_bucket(&mixed, &cfg).unwrap();
         assert_eq!(got.len(), 4, "giant table excluded from the bucket");
         assert!(!got.contains(&4));

@@ -1,10 +1,9 @@
 //! In-memory write buffer: partitions, hashed by their token →
-//! clustering-sorted runs of rows; ring order is restored at flush.
+//! clustering-sorted rows; ring order is restored at flush.
 
-use crate::partitioner::DecoratedKey;
+use crate::partitioner::{DecoratedKey, TokenMap};
 use crate::types::{Cell, Key, Row};
-use std::collections::HashMap;
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A row's cells: sorted by column name, each name once. Immutable and
@@ -126,6 +125,92 @@ impl RowEntry {
 /// range of one, a replica's response: rows in ascending clustering order,
 /// each key once.
 pub type Run = Vec<(Key, RowEntry)>;
+
+/// The rows of one stored partition — a memtable's or an SSTable's — as a
+/// [`Run`] holds them. A partition of one row, which is what most
+/// `(hour, source)` partitions are, holds it inline: no block of its own,
+/// no spare slots. Readers see a slice either way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rows {
+    /// Exactly one row.
+    One((Key, RowEntry)),
+    /// Any other number of rows.
+    Run(Run),
+}
+
+impl Default for Rows {
+    fn default() -> Rows {
+        Rows::Run(Run::new())
+    }
+}
+
+impl Deref for Rows {
+    type Target = [(Key, RowEntry)];
+
+    fn deref(&self) -> &[(Key, RowEntry)] {
+        match self {
+            Rows::One(row) => std::slice::from_ref(row),
+            Rows::Run(run) => run,
+        }
+    }
+}
+
+impl DerefMut for Rows {
+    fn deref_mut(&mut self) -> &mut [(Key, RowEntry)] {
+        match self {
+            Rows::One(row) => std::slice::from_mut(row),
+            Rows::Run(run) => run,
+        }
+    }
+}
+
+/// A run of one row is held inline.
+impl From<Run> for Rows {
+    fn from(mut run: Run) -> Rows {
+        match run.len() {
+            1 => Rows::One(run.pop().expect("one row")),
+            _ => Rows::Run(run),
+        }
+    }
+}
+
+impl Rows {
+    /// The rows as a run (merge inputs).
+    pub fn into_run(self) -> Run {
+        match self {
+            Rows::One(row) => vec![row],
+            Rows::Run(run) => run,
+        }
+    }
+
+    /// The rows as a run that can grow: an inline row moves into a block
+    /// with room for four, the block a run's first push allocates, so a
+    /// partition that grows past one row allocates as often as a run that
+    /// was never inline.
+    fn run_mut(&mut self) -> &mut Run {
+        if let Rows::One(_) = self {
+            let Rows::One(row) = std::mem::take(self) else {
+                unreachable!("matched above")
+            };
+            let mut run = Vec::with_capacity(4);
+            run.push(row);
+            *self = Rows::Run(run);
+        }
+        match self {
+            Rows::Run(run) => run,
+            Rows::One(_) => unreachable!("made a run above"),
+        }
+    }
+
+    /// Puts `row` at index `at`; the first row of a partition stays inline.
+    fn insert(&mut self, at: usize, row: (Key, RowEntry)) {
+        if self.is_empty() {
+            *self = Rows::One(row);
+        } else {
+            self.run_mut().insert(at, row);
+        }
+    }
+}
 
 /// The rows of a run that fall inside a clustering range.
 pub(crate) fn range_of<'a>(
@@ -277,13 +362,13 @@ pub(crate) fn merges_to(runs: &[&[(Key, RowEntry)]], mut data: &[(Key, RowEntry)
 pub type RowChange<'a> = (&'a Key, &'a Cells, Option<u64>);
 
 /// The memtable for a single table on a single node: each partition the
-/// sorted run a flush hands to its SSTable as it is. Partitions are found by
-/// hash — a decorated key hashes as its stored token, so a lookup hashes one
-/// word and compares keys only on a match — and put in ring order once, at
-/// flush.
+/// sorted [`Rows`] a flush hands to its SSTable as they are. Partitions are
+/// found by hash — a decorated key hashes as its stored token, so a lookup
+/// mixes one word and compares keys only on a match — and put in ring order
+/// once, at flush.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    partitions: HashMap<DecoratedKey, Run>,
+    partitions: TokenMap<DecoratedKey, Rows>,
     weight: usize,
 }
 
@@ -299,9 +384,11 @@ impl Memtable {
     /// caller can flush at the same point a row-at-a-time writer would;
     /// returns the number of rows consumed.
     ///
-    /// A new row that sorts after the run's last key is pushed; new rows
-    /// that sort inside the run are put in together at the end. The
-    /// partition key is cloned only when the partition is new.
+    /// A new partition's first row is stored inline, and the partition
+    /// becomes a run when a second row arrives. A new row that sorts after
+    /// the last key is pushed; new rows that sort inside the run are put in
+    /// together at the end. The partition key is cloned only when the
+    /// partition is new.
     pub fn upsert_rows<'a>(
         &mut self,
         partition: &DecoratedKey,
@@ -310,13 +397,13 @@ impl Memtable {
     ) -> usize {
         // A new partition is built apart and put in only if it stores
         // something.
-        let mut fresh = Run::new();
+        let mut fresh = Rows::default();
         let run = match self.partitions.get_mut(partition) {
             Some(run) => run,
             None => &mut fresh,
         };
         // New rows that sort inside the run, kept sorted.
-        let mut inside: Run = Vec::new();
+        let mut inside = Rows::default();
         let mut applied = 0;
         for (clustering, cells, row_delete) in rows {
             applied += 1;
@@ -324,7 +411,7 @@ impl Memtable {
                 // A key-only insert stores nothing.
                 continue;
             }
-            let find = |rows: &Run| rows.binary_search_by(|(k, _)| k.cmp(clustering));
+            let find = |rows: &Rows| rows.binary_search_by(|(k, _)| k.cmp(clustering));
             let (at, rows) = match run.last() {
                 Some((last, _)) if last >= clustering => match find(run) {
                     Ok(i) => (Ok(i), &mut *run),
@@ -358,7 +445,7 @@ impl Memtable {
             }
         }
         if !inside.is_empty() {
-            merge_into(run, inside);
+            merge_into(run.run_mut(), inside.into_run());
         }
         if !fresh.is_empty() {
             self.partitions.insert(partition.clone(), fresh);
@@ -391,9 +478,9 @@ impl Memtable {
         self.partitions.is_empty()
     }
 
-    /// Drains the memtable into `(partition, run)` pairs in decorated
-    /// (ring) order for an SSTable flush; the runs move out as they are.
-    pub fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Run)> {
+    /// Drains the memtable into `(partition, rows)` pairs in decorated
+    /// (ring) order for an SSTable flush; the rows move out as they are.
+    pub fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Rows)> {
         self.weight = 0;
         let mut drained: Vec<_> = std::mem::take(&mut self.partitions).into_iter().collect();
         drained.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -606,6 +693,157 @@ mod tests {
             vec![("a".into(), cellv(1, 1)), ("b".into(), cellv(2, 1))],
         );
         assert!(m.weight() > w1);
+    }
+
+    /// A partition's stored rows, in the form the memtable holds them.
+    fn stored<'m>(m: &'m Memtable, partition: &DecoratedKey) -> &'m Rows {
+        &m.partitions[partition]
+    }
+
+    fn stored_keys(rows: &Rows) -> Vec<Key> {
+        rows.iter().map(|(k, _)| k.clone()).collect()
+    }
+
+    #[test]
+    fn a_partition_of_one_row_holds_it_inline_through_overwrites_and_deletes() {
+        let mut m = Memtable::new();
+        upsert(&mut m, pk(1), ck(5), vec![("a".into(), cellv(1, 10))]);
+        assert!(matches!(stored(&m, &pk(1)), Rows::One(_)));
+        // An overwrite, a stale write and a row tombstone change the row in
+        // place.
+        upsert(&mut m, pk(1), ck(5), vec![("a".into(), cellv(2, 20))]);
+        upsert(&mut m, pk(1), ck(5), vec![("b".into(), cellv(3, 5))]);
+        assert!(matches!(stored(&m, &pk(1)), Rows::One(_)));
+        let rows = read(&m, &pk(1), full_range());
+        assert_eq!(rows[0].cell("a"), Some(&Value::Int(2)));
+        assert_eq!(rows[0].cell("b"), Some(&Value::Int(3)));
+        delete_row(&mut m, pk(1), ck(5), 15);
+        let Rows::One((key, entry)) = stored(&m, &pk(1)) else {
+            panic!("a row tombstone keeps the row inline");
+        };
+        assert_eq!((key, entry.deleted_at), (&ck(5), Some(15)));
+        let rows = read(&m, &pk(1), full_range());
+        assert_eq!(rows[0].cell("a"), Some(&Value::Int(2)));
+        assert_eq!(rows[0].cell("b"), None, "shadowed by the tombstone");
+        // A tombstone is a row of its own: a delete of a key never written
+        // stores one, inline.
+        delete_row(&mut m, pk(2), ck(1), 7);
+        assert!(matches!(stored(&m, &pk(2)), Rows::One((_, e)) if e.deleted_at == Some(7)));
+    }
+
+    #[test]
+    fn a_second_row_turns_an_inline_row_into_a_run_on_either_side() {
+        for (second, order) in [(1, [1, 5]), (9, [5, 9])] {
+            let mut m = Memtable::new();
+            upsert(&mut m, pk(1), ck(5), vec![("a".into(), cellv(5, 1))]);
+            upsert(&mut m, pk(1), ck(second), vec![("a".into(), cellv(1, 1))]);
+            let Rows::Run(run) = stored(&m, &pk(1)) else {
+                panic!("two rows are a run");
+            };
+            assert_eq!(stored_keys(stored(&m, &pk(1))), order.map(ck));
+            assert_eq!(run.capacity(), 4, "a run's first block, as if never inline");
+        }
+    }
+
+    #[test]
+    fn rows_that_sort_inside_an_inline_row_merge_into_it() {
+        let cells = sorted_cells([("a".into(), cellv(1, 1))]);
+        let group = |m: &mut Memtable, keys: &[i64]| {
+            let keys: Vec<Key> = keys.iter().copied().map(ck).collect();
+            m.upsert_rows(&pk(1), keys.iter().map(|k| (k, &cells, None)), usize::MAX);
+        };
+        // All in front of the inline row: one splice into the run it
+        // becomes.
+        let mut m = Memtable::new();
+        group(&mut m, &[5]);
+        group(&mut m, &[1, 3]);
+        assert_eq!(stored_keys(stored(&m, &pk(1))), [1, 3, 5].map(ck));
+        // On both sides, and inside the run the pushed key made: the
+        // back-to-front merge.
+        let mut m = Memtable::new();
+        group(&mut m, &[5]);
+        group(&mut m, &[1, 9, 7, 3]);
+        assert_eq!(stored_keys(stored(&m, &pk(1))), [1, 3, 5, 7, 9].map(ck));
+    }
+
+    #[test]
+    fn a_restart_replays_partitions_into_the_forms_a_batch_left() {
+        use crate::commitlog::Mutation;
+        use crate::node::{NodeConfig, StorageNode};
+        use crate::ring::NodeId;
+
+        let node = StorageNode::new(NodeId(0), NodeConfig::default());
+        node.create_table("t");
+        let mutation = |p: i64, k: i64| {
+            let cells = vec![("a".into(), Value::Int(k as i32))];
+            Arc::new(Mutation::upsert("t", pk(p), ck(k), cells, 1))
+        };
+        // Partitions of one, one, and three rows (the last in two groups).
+        let groups: Vec<Vec<Arc<Mutation>>> = vec![
+            vec![mutation(1, 1)],
+            vec![mutation(2, 4)],
+            vec![mutation(3, 3), mutation(3, 1)],
+            vec![mutation(3, 2)],
+        ];
+        let borrowed: Vec<&[Arc<Mutation>]> = groups.iter().map(Vec::as_slice).collect();
+        assert!(node.apply_batch(&borrowed));
+        let read_all = || (1..=3).map(|p| node.read_raw("t", &pk(p), &full_range()));
+        let before: Vec<_> = read_all().collect();
+        node.restart();
+        assert!(read_all().eq(before), "replay lost or changed a row");
+
+        // The replay upserts the log's records one at a time; the batch
+        // wrote a group at a time: the same partitions, in the same forms.
+        let mut batched = Memtable::new();
+        for group in &groups {
+            let changes = group.iter().map(|m| m.row_change());
+            batched.upsert_rows(&group[0].partition, changes, usize::MAX);
+        }
+        let mut replayed = Memtable::new();
+        for m in node.logged_mutations("t") {
+            replayed.upsert_rows(&m.partition, [m.row_change()], usize::MAX);
+        }
+        assert_eq!(replayed.partitions, batched.partitions);
+        assert!(matches!(stored(&replayed, &pk(1)), Rows::One(_)));
+        assert!(matches!(stored(&replayed, &pk(3)), Rows::Run(r) if r.len() == 3));
+    }
+
+    #[test]
+    fn a_compaction_that_leaves_one_row_stores_it_inline() {
+        use crate::compaction::merge;
+        use crate::sstable::SsTable;
+
+        let flushed = |rows: &[(i64, i64, u64)]| {
+            let mut m = Memtable::new();
+            for &(p, k, ts) in rows {
+                upsert(
+                    &mut m,
+                    pk(p),
+                    ck(k),
+                    vec![("a".into(), cellv(ts as i32, ts))],
+                );
+            }
+            SsTable::build(rows[0].2, m.drain_sorted())
+        };
+        // Partition 1: one key in both tables, merged into one row.
+        // Partition 2: a key in each, merged into a run of two.
+        let merged = merge(
+            vec![
+                flushed(&[(1, 1, 1), (2, 1, 1)]),
+                flushed(&[(1, 1, 2), (2, 2, 2)]),
+            ],
+            3,
+        );
+        let forms: Vec<_> = merged
+            .partitions()
+            .map(|(p, rows)| (p.clone(), rows))
+            .collect();
+        let of = |p: i64| forms.iter().find(|(k, _)| *k == pk(p)).unwrap().1;
+        let Rows::One((_, entry)) = of(1) else {
+            panic!("a merge that yields one row holds it inline");
+        };
+        assert_eq!(entry.cells()[0].1, cellv(2, 2), "the newer write");
+        assert!(matches!(of(2), Rows::Run(run) if run.len() == 2));
     }
 
     #[test]

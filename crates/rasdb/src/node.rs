@@ -171,15 +171,20 @@ impl StorageNode {
     /// records (log first, so an acked batch survives a crash/restart), then
     /// one partition lookup per group, flushing and compacting wherever a
     /// row crosses the threshold.
+    ///
+    /// Tables are looked up once per run of same-table groups, not per
+    /// group; the runs are told apart by comparing the mutations' interned
+    /// table names, which `Arc`'s `==` settles by pointer first.
     pub fn apply_batch(&self, groups: &[&[Arc<Mutation>]]) -> bool {
         if !self.is_up() {
             return false;
         }
         let tables = self.tables.read();
-        if !groups.iter().all(|g| tables.contains_key(&*g[0].table)) {
+        let runs = || groups.chunk_by(|a, b| a[0].table == b[0].table);
+        if !runs().all(|run| tables.contains_key(&*run[0][0].table)) {
             return false;
         }
-        for run in groups.chunk_by(|a, b| a[0].table == b[0].table) {
+        for run in runs() {
             self.apply_locked(&mut tables[&*run[0][0].table].lock(), run);
         }
         true

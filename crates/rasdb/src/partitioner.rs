@@ -6,7 +6,10 @@
 
 use crate::types::Key;
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// A position on the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -93,6 +96,53 @@ impl PartialOrd for DecoratedKey {
 impl Hash for DecoratedKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash.0);
+    }
+}
+
+/// A map keyed by [`DecoratedKey`] (or `&DecoratedKey`) that hashes the
+/// token the key carries instead of running SipHash over it.
+pub(crate) type TokenMap<K, V> = HashMap<K, V, TokenHashing>;
+
+/// Builds the [`TokenHasher`]s of a [`TokenMap`]. Every map of the process
+/// shares one seed, drawn once from [`RandomState`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TokenHashing;
+
+impl BuildHasher for TokenHashing {
+    type Hasher = TokenHasher;
+
+    fn build_hasher(&self) -> TokenHasher {
+        static SEED: OnceLock<(u64, u64)> = OnceLock::new();
+        let seed = *SEED.get_or_init(|| {
+            let random = RandomState::new();
+            (random.hash_one(0u64), random.hash_one(1u64) | 1)
+        });
+        TokenHasher { seed, hash: 0 }
+    }
+}
+
+/// Mixes the one word a decorated key writes — its murmur3 token — with a
+/// single folded multiply by the process seed. Keys that collide here
+/// already collide in their token, and the seed keeps tokens crafted to
+/// share low bits from sharing a bucket.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TokenHasher {
+    seed: (u64, u64),
+    hash: u64,
+}
+
+impl Hasher for TokenHasher {
+    fn write_u64(&mut self, token: u64) {
+        let product = u128::from(token ^ self.seed.0) * u128::from(self.seed.1);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a token map is keyed by decorated keys, which write one u64")
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -206,6 +256,34 @@ mod tests {
             leading.insert((t.0 as u64 >> 56) as u8);
         }
         assert!(leading.len() > 100, "got {}", leading.len());
+    }
+
+    #[test]
+    fn token_hashing_spreads_keys_ground_to_share_their_low_token_bits() {
+        // 256 keys picked, as an attacker would, for tokens whose low byte is
+        // zero: a pass-through hash puts them all in one bucket of a table of
+        // 256. Mixed with the seed they spread like random hashes: about 162
+        // buckets, and never fewer than 144 in a simulation of 3,000 seeds.
+        let keys: Vec<DecoratedKey> = (0..)
+            .map(|i| DecoratedKey::new(Key::from(vec![Value::BigInt(i)])))
+            .filter(|k| k.token().0 & 0xff == 0)
+            .take(256)
+            .collect();
+        let buckets: std::collections::HashSet<u64> = keys
+            .iter()
+            .map(|k| TokenHashing.hash_one(k) & 0xff)
+            .collect();
+        assert!(buckets.len() > 100, "{} of 256 buckets", buckets.len());
+        // One seed per process: every map hashes a key alike, as its token.
+        let key = &keys[0];
+        assert_eq!(
+            TokenHashing.hash_one(key),
+            TokenHashing.hash_one(key.clone())
+        );
+        assert_eq!(
+            TokenHashing.hash_one(key),
+            TokenHashing.hash_one(key.token().0 as u64)
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! structural property reads rely on is preserved.)
 
 use crate::bloom::BloomFilter;
-use crate::memtable::{range_of, RowEntry, Run};
+use crate::memtable::{range_of, RowEntry, Rows};
 use crate::partitioner::{murmur3_x64_128, DecoratedKey};
 use crate::types::Key;
 use std::ops::Bound;
@@ -75,8 +75,9 @@ pub fn stream_chunk_checksum(encoded: &[u8]) -> u64 {
 pub struct SsTable {
     /// Monotonic flush sequence number (newer tables have larger values).
     pub sequence: u64,
-    /// Partitions in decorated-key (ring) order.
-    data: Vec<(DecoratedKey, Run)>,
+    /// Partitions in decorated-key (ring) order, each as the memtable (or a
+    /// compaction) left it.
+    data: Vec<(DecoratedKey, Rows)>,
     bloom: BloomFilter,
     cells: usize,
 }
@@ -84,7 +85,7 @@ pub struct SsTable {
 impl SsTable {
     /// Builds a table from flush output in decorated order. The bloom filter
     /// is fed the hash each partition key already carries.
-    pub fn build(sequence: u64, data: Vec<(DecoratedKey, Run)>) -> SsTable {
+    pub fn build(sequence: u64, data: Vec<(DecoratedKey, Rows)>) -> SsTable {
         debug_assert!(
             data.windows(2).all(|w| w[0].0 < w[1].0),
             "flush output must be in decorated-key order"
@@ -135,12 +136,12 @@ impl SsTable {
     }
 
     /// Iterates all partitions (compaction and token-range scans).
-    pub fn partitions(&self) -> impl Iterator<Item = &(DecoratedKey, Run)> {
+    pub fn partitions(&self) -> impl Iterator<Item = &(DecoratedKey, Rows)> {
         self.data.iter()
     }
 
     /// Consumes the table into its partitions.
-    pub fn into_partitions(self) -> Vec<(DecoratedKey, Run)> {
+    pub fn into_partitions(self) -> Vec<(DecoratedKey, Rows)> {
         self.data
     }
 }
@@ -167,11 +168,14 @@ mod tests {
 
     fn sample() -> SsTable {
         let mut data = vec![
-            (pk(1), vec![(ck(1), entry(1, 1)), (ck(3), entry(3, 1))]),
-            (pk(2), vec![(ck(2), entry(2, 1))]),
+            (
+                pk(1),
+                vec![(ck(1), entry(1, 1)), (ck(3), entry(3, 1))].into(),
+            ),
+            (pk(2), Rows::One((ck(2), entry(2, 1)))),
             (
                 pk(5),
-                (0..100).map(|t| (ck(t), entry(t as i32, 1))).collect(),
+                Rows::Run((0..100).map(|t| (ck(t), entry(t as i32, 1))).collect()),
             ),
         ];
         data.sort_by(|a, b| a.0.cmp(&b.0));

@@ -5,12 +5,15 @@
 //! slice that the mutation, its commit-log records and all three replicas
 //! point at — plus a slot in each replica's sorted run, so an insert at RF 3
 //! may allocate only a handful of times per row and leave well under a
-//! kilobyte behind; a cold read copies pointers out of the replica that
-//! answers with rows (the others answer with a digest, compared in place)
-//! and returns rows that point at the stored cells. This binary has its own
-//! counting allocator; the
-//! counters are process-wide, so its tests take [`SERIAL`] and run one at a
-//! time, and the numbers repeat on any machine.
+//! kilobyte behind. A row that is a partition of its own, as most
+//! `event_by_location` rows of an import or a storm are, adds its
+//! partition's key and map entries on every replica, and is held inline
+//! there rather than in a run. A cold read copies pointers out of the
+//! replica that answers with rows (the others answer with a digest,
+//! compared in place) and returns rows that point at the stored cells. This
+//! binary has its own counting allocator; the counters are process-wide, so
+//! its tests take [`SERIAL`] and run one at a time, and the numbers repeat
+//! on any machine.
 
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::query::{Consistency, ReadPlan};
@@ -70,24 +73,37 @@ fn live_bytes() -> isize {
 }
 
 const ROWS: usize = 1_000;
-/// The batches of a round — table, and whether the rows of one partition
-/// arrive one after another, as a storm delivers them — with the allocations
-/// one inserted row of each may cost, all three replicas included: 4.4 / 5.3
-/// / 3.4 as measured. A vector per partition group and a replica vector per
-/// group cost 4.5 / 6.0 / 3.5 — most `event_by_location` groups are one row;
-/// hashing each partition key through an encoding of its own, 4.5 / 6.2 /
-/// 4.5 (an allocation per group, and a key of its own for every row of a
-/// storm); a private cell vector per replica and a B-tree per memtable
-/// partition, 7.7 / 8.6.
-const SHAPES: [(&str, bool, f64); 3] = [
-    ("event_by_time", false, 4.8),
-    ("event_by_location", false, 5.6),
-    ("event_by_time", true, 3.8),
-];
-/// Bytes one inserted row may leave live, all three replicas included: 753 /
-/// 858 / 653 as measured (a decorated key carries its 16-byte hash), 1,188 /
+/// One event as `insert_batch` takes it.
+type Event = Vec<(&'static str, Value)>;
+/// The batches of a round — table, how the batch is made and its name, and
+/// what one inserted row may cost, all three replicas included: allocations,
+/// and bytes left live.
+///
+/// The first three: 4.4 / 5.3 / 3.4 allocations as measured. A vector per
+/// partition group and a replica vector per group cost 4.5 / 6.0 / 3.5 —
+/// most `event_by_location` groups are one row; hashing each partition key
+/// through an encoding of its own, 4.5 / 6.2 / 4.5 (an allocation per group,
+/// and a key of its own for every row of a storm); a private cell vector per
+/// replica and a B-tree per memtable partition, 7.7 / 8.6. Bytes: 754 / 878
+/// / 657 as measured (a decorated key carries its 16-byte hash), 1,188 /
 /// 1,304 with per-replica cells and B-trees.
-const MAX_LIVE_BYTES_PER_ROW: f64 = 1000.0;
+///
+/// The fourth, a partition per row: 4.09 allocations and 1,063 bytes as
+/// measured. A run per partition, with room for four rows, cost 7.09 and
+/// 1,513.
+type Shape = (&'static str, fn() -> Vec<Event>, &'static str, f64, f64);
+const SHAPES: [Shape; 4] = [
+    ("event_by_time", events, "", 4.8, 1000.0),
+    ("event_by_location", events, "", 5.6, 1000.0),
+    ("event_by_time", storm, ", storm order", 3.8, 1000.0),
+    (
+        "event_by_location",
+        one_per_source,
+        ", a partition per row",
+        4.25,
+        1100.0,
+    ),
+];
 /// What one round may leave behind outside the cluster: the spans of its
 /// `insert_batch` calls in the process-wide trace ring.
 const ROUND_RESIDUE_BYTES: isize = 8 * 1024;
@@ -120,7 +136,7 @@ fn cluster() -> Cluster {
 /// A thousand events over four hours, five types and fifty sources: twenty
 /// `event_by_time` partitions of fifty rows, two hundred `event_by_location`
 /// partitions of five.
-fn events() -> Vec<Vec<(&'static str, Value)>> {
+fn events() -> Vec<Event> {
     const TYPES: [&str; 5] = ["MCE", "LUSTRE_ERR", "MEM_ECC", "GPU_XID", "KERNEL_PANIC"];
     (0..ROWS as i64)
         .map(|i| {
@@ -146,7 +162,7 @@ fn events() -> Vec<Vec<(&'static str, Value)>> {
 
 /// `events()` a day later, the rows of each `(hour, type)` one after
 /// another.
-fn storm() -> Vec<Vec<(&'static str, Value)>> {
+fn storm() -> Vec<Event> {
     let mut rows = events();
     for row in &mut rows {
         row[0].1 = Value::BigInt(row[0].1.as_i64().unwrap() + 24);
@@ -155,14 +171,26 @@ fn storm() -> Vec<Vec<(&'static str, Value)>> {
     rows
 }
 
+/// `events()` two days later, each from a source of its own: a thousand
+/// `event_by_location` partitions of one row.
+fn one_per_source() -> Vec<Event> {
+    let mut rows = events();
+    for (i, row) in rows.iter_mut().enumerate() {
+        row[0].1 = Value::BigInt(row[0].1.as_i64().unwrap() + 48);
+        let source = format!("c{}-{}c{}s0n{}", i / 40, i / 8 % 5, i / 4 % 2, i % 4);
+        row[3].1 = Value::text(source);
+    }
+    rows
+}
+
 /// One round: a fresh cluster, one batch of each shape. Returns, per shape,
 /// the allocations `insert_batch` made and the bytes it left live (the batch
 /// it was handed included), both per row.
-fn round() -> [(f64, f64); 3] {
+fn round() -> [(f64, f64); 4] {
     let c = cluster();
-    let measured = SHAPES.map(|(table, in_a_row, _)| {
+    let measured = SHAPES.map(|(table, make, ..)| {
         let live_before = LIVE_BYTES.load(Ordering::Relaxed);
-        let batch = if in_a_row { storm() } else { events() };
+        let batch = make();
         let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
         let written = c.insert_batch(table, batch, Consistency::Quorum).unwrap();
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
@@ -170,7 +198,7 @@ fn round() -> [(f64, f64); 3] {
         assert_eq!(written, ROWS);
         (allocations as f64 / ROWS as f64, live as f64 / ROWS as f64)
     });
-    assert_eq!(c.stats().writes, 3 * 3 * ROWS as u64, "three replicas each");
+    assert_eq!(c.stats().writes, 4 * 3 * ROWS as u64, "three replicas each");
     measured
 }
 
@@ -185,15 +213,16 @@ fn an_inserted_row_costs_a_few_allocations_and_a_kilobyte_and_leaks_nothing() {
     let measured = round();
     let residue = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
 
-    for ((table, in_a_row, max), (allocations, live)) in SHAPES.into_iter().zip(measured) {
-        let table = format!("{table}{}", if in_a_row { ", storm order" } else { "" });
-        println!("{table}: {allocations:.1} allocations, {live:.0} live bytes per row");
+    for ((table, _, shape, max, max_live), (allocations, live)) in SHAPES.into_iter().zip(measured)
+    {
+        let table = format!("{table}{shape}");
+        println!("{table}: {allocations:.2} allocations, {live:.0} live bytes per row");
         assert!(
             allocations <= max,
-            "{table}: {allocations:.1} allocations per inserted row"
+            "{table}: {allocations:.2} allocations per inserted row"
         );
         assert!(
-            live <= MAX_LIVE_BYTES_PER_ROW,
+            live <= max_live,
             "{table}: {live:.0} bytes live per inserted row"
         );
     }

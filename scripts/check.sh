@@ -44,6 +44,24 @@ if [ -n "$row_reads" ]; then
   exit 1
 fi
 
+# A decorated key carries its murmur3 token, and rasdb's maps keyed by one
+# hash that token through `partitioner::TokenMap` (a seeded one-multiply mix),
+# not SipHash over it. Product code (each file's lines before its first
+# `#[cfg(test)]`) declares no `HashMap`/`HashSet` keyed by `DecoratedKey` or
+# `&DecoratedKey` with another hasher.
+echo "==> rasdb partition maps hash the token"
+untokened="$(for f in crates/rasdb/src/**/*.rs; do
+  awk -v file="$f" '/#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /Hash(Map|Set)<[[:space:]]*&?('"'"'[a-z_]+[[:space:]]+)?DecoratedKey/ && !/TokenHashing/ {
+      print file ":" FNR ": " $0 }' "$f"
+done)"
+if [ -n "$untokened" ]; then
+  echo "a map keyed by DecoratedKey without the token hasher (use TokenMap):" >&2
+  echo "$untokened" >&2
+  exit 1
+fi
+
 echo "==> doc-link check (README/DESIGN/EXPERIMENTS intra-repo links)"
 scripts/check_doc_links.sh
 
