@@ -1,7 +1,6 @@
-//! Text analytics over raw log messages (paper §III-C): tokenization,
+//! Text analytics over raw log messages (paper §III-C): tokenization and
 //! word counts ("a simple word counts, which is rapidly executed by Spark,
-//! can locate the source of the problem"), and TF-IDF, where "a Lustre
-//! message is treated as a document".
+//! can locate the source of the problem").
 
 use crate::framework::Framework;
 use rasdb::error::DbError;
@@ -154,12 +153,6 @@ pub fn tokenize(message: &str) -> Vec<String> {
     tokens(message).map(str::to_owned).collect()
 }
 
-/// Word count over messages in memory: the count the `wordcount` op runs
-/// over a window's column blocks.
-pub fn word_count_serial(messages: &[String]) -> HashMap<String, u64> {
-    count(messages.iter().map(String::as_str))
-}
-
 /// The `k` heaviest terms, ties broken alphabetically (deterministic).
 /// Sorts borrowed entries and clones only the `k` it returns.
 pub fn top_k(counts: &HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
@@ -167,40 +160,6 @@ pub fn top_k(counts: &HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
     entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     entries.truncate(k);
     entries.into_iter().map(|(w, c)| (w.clone(), c)).collect()
-}
-
-/// TF-IDF over messages-as-documents. Returns per-term aggregate scores
-/// (sum of tf·idf over documents), which surfaces terms that are frequent
-/// in *some* messages but not ubiquitous boilerplate.
-pub fn tf_idf(messages: &[String]) -> HashMap<String, f64> {
-    let n_docs = messages.len();
-    if n_docs == 0 {
-        return HashMap::new();
-    }
-    let mut doc_freq: HashMap<String, u64> = HashMap::new();
-    let mut per_doc: Vec<HashMap<String, u64>> = Vec::with_capacity(n_docs);
-    for msg in messages {
-        let mut tf: HashMap<String, u64> = HashMap::new();
-        for tok in tokenize(msg) {
-            *tf.entry(tok).or_insert(0) += 1;
-        }
-        for term in tf.keys() {
-            *doc_freq.entry(term.clone()).or_insert(0) += 1;
-        }
-        per_doc.push(tf);
-    }
-    let mut scores: HashMap<String, f64> = HashMap::new();
-    for tf in &per_doc {
-        let len: u64 = tf.values().sum();
-        if len == 0 {
-            continue;
-        }
-        for (term, count) in tf {
-            let idf = (n_docs as f64 / doc_freq[term] as f64).ln();
-            *scores.entry(term.clone()).or_insert(0.0) += (*count as f64 / len as f64) * idf;
-        }
-    }
-    scores
 }
 
 /// Word count over the raw messages of one event type in a window — the
@@ -313,23 +272,5 @@ mod tests {
         let top = top_k(&counts, 2);
         assert_eq!(top, vec![("ccc".to_owned(), 9), ("aaa".to_owned(), 5)]);
         assert_eq!(top_k(&counts, 0), vec![]);
-    }
-
-    #[test]
-    fn tf_idf_downweights_ubiquitous_terms() {
-        // "LustreError" appears in every message (idf = 0); "OST0041" in few.
-        let mut messages: Vec<String> = (0..50)
-            .map(|i| format!("LustreError timeout node{i}"))
-            .collect();
-        messages.push("LustreError OST0041 refused".to_owned());
-        messages.push("LustreError OST0041 refused again".to_owned());
-        let scores = tf_idf(&messages);
-        assert_eq!(scores["LustreError"], 0.0);
-        assert!(scores["OST0041"] > 0.5, "{}", scores["OST0041"]);
-    }
-
-    #[test]
-    fn tf_idf_empty_input() {
-        assert!(tf_idf(&[]).is_empty());
     }
 }

@@ -89,7 +89,8 @@ pub fn import_rendered(fw: &Framework, rendered: Vec<String>) -> Result<ImportRe
 ///
 /// A failed upload (e.g. [`DbError::Unavailable`] during an outage) does
 /// not stop the import: every task writes both table views, the driver
-/// pairs and stores the jobs, and then the first error is returned.
+/// pairs the jobs and writes every view of each, the line counters are
+/// recorded, and then the first error is returned.
 /// Re-importing the same bytes is idempotent.
 pub fn import_bytes(
     fw: &Framework,
@@ -143,10 +144,10 @@ pub fn import_bytes(
     let mut report = ImportReport::default();
     let mut starts: HashMap<i64, (i64, String, String, i64, i64)> = HashMap::new();
     let mut ends: HashMap<i64, (i64, i32)> = HashMap::new();
-    let mut upload_error = None;
+    let mut first_error = None;
     for part in results {
         if let Some(e) = part.error {
-            upload_error.get_or_insert(e);
+            first_error.get_or_insert(e);
         }
         report.parsed += part.parsed;
         report.skipped += part.skipped;
@@ -180,7 +181,7 @@ pub fn import_bytes(
             report.unmatched_jobs += 1;
             continue;
         };
-        fw.insert_app_run(&AppRun {
+        let stored = fw.insert_app_run(&AppRun {
             apid,
             user,
             app,
@@ -190,13 +191,15 @@ pub fn import_bytes(
             node_last,
             exit_code,
             other_info: Default::default(),
-        })?;
-        report.jobs += 1;
+        });
+        match stored {
+            Ok(()) => report.jobs += 1,
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        }
     }
     report.unmatched_jobs += ends.len();
-    if let Some(e) = upload_error {
-        return Err(e);
-    }
     let g = telemetry::global();
     g.counter("etl.batch.lines_parsed")
         .incr(report.parsed as u64);
@@ -206,7 +209,10 @@ pub fn import_bytes(
         .incr(report.filtered as u64);
     g.counter("etl.batch.event_rows")
         .incr(report.event_rows as u64);
-    Ok(report)
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(report),
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +327,62 @@ mod tests {
         // Jobs pair regardless of the window.
         assert_eq!(report.jobs, 1);
         assert_eq!(report.parsed, 3);
+    }
+
+    /// A job whose views miss quorum does not stop the import: every view
+    /// of every paired job is written to the replicas that are up before
+    /// the first error is returned.
+    #[test]
+    fn an_outage_still_stores_every_paired_job() {
+        use rasdb::{query::Consistency, types::Value};
+
+        let fw = Framework::new(FrameworkConfig {
+            db_nodes: 4,
+            replication_factor: 3,
+            vnodes: 8,
+            topology: Topology::scaled(2, 2),
+            ..Default::default()
+        })
+        .unwrap();
+        for n in [1, 2] {
+            fw.cluster().take_node_down(rasdb::ring::NodeId(n));
+        }
+        // Job `i` starts in hour `i` on cabinet `i`'s first node.
+        let (t0, per_cabinet) = (
+            1_500_000_000_000,
+            loggen::topology::NODES_PER_CABINET as i64,
+        );
+        let lines = (0..8i64).flat_map(|i| {
+            let (start, node) = (t0 + i * crate::model::HOUR_MS, i * per_cabinet);
+            [
+                format!("{start} app alps apid {i} start user=u{i} app=A{i} nodes={node}-{node}"),
+                format!("{} app alps apid {i} end exit=0", start + 60_000),
+            ]
+        });
+        // A view partition with both down nodes among its replicas misses
+        // quorum.
+        assert!(matches!(
+            import_rendered(&fw, lines.collect()),
+            Err(DbError::Unavailable { .. })
+        ));
+        for i in 0..8i64 {
+            let hour = crate::model::hour_of(t0 + i * crate::model::HOUR_MS);
+            let (user, app) = (format!("u{i}"), format!("A{i}"));
+            let views = [
+                ("application_by_time", Value::BigInt(hour)),
+                ("application_by_name", Value::text(&app)),
+                ("application_by_user", Value::text(&user)),
+                ("application_by_location", Value::BigInt(i)),
+            ];
+            for (table, partition) in views {
+                let rows = fw.cluster().select(table).partition(vec![partition]);
+                let stored = rows.run(Consistency::One).unwrap();
+                let runs = stored
+                    .iter()
+                    .filter_map(|r| AppRun::from_row(r, Some(&user), Some(&app)));
+                assert_eq!(runs.map(|r| r.apid).collect::<Vec<_>>(), [i], "{table}");
+            }
+        }
     }
 
     /// Both table views of an imported event point at one copy of its

@@ -14,7 +14,6 @@ use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::types::Value;
 use rasdb::DecoratedKey;
-use sparklet::context::current_worker;
 use sparklet::{Rdd, SparkletContext};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -37,12 +36,9 @@ pub struct FrameworkConfig {
     pub topology: Topology,
     /// Default consistency level for framework operations.
     pub consistency: Consistency,
-    /// Simulated interconnect bandwidth for non-co-located partition
-    /// reads, in bytes/second (`None` = infinitely fast network). The
-    /// paper's deployment avoids this cost entirely by pairing each Spark
-    /// worker with the Cassandra node holding its partitions; benches use
-    /// this parameter to reproduce that comparison (1 Gbit/s default,
-    /// a typical virtualized-cluster link).
+    /// Does nothing: no read crosses a simulated link, so there is no
+    /// wire time to charge. Kept only because the pipeline benchmark sets
+    /// it; ROADMAP item 1(a) deletes it.
     pub remote_link_bytes_per_sec: Option<u64>,
     /// Byte budget for the column-block store (0 keeps no block
     /// resident).
@@ -60,7 +56,7 @@ impl Default for FrameworkConfig {
             workers: None,
             topology: Topology::scaled(5, 4),
             consistency: Consistency::Quorum,
-            remote_link_bytes_per_sec: Some(125_000_000), // 1 Gbit/s
+            remote_link_bytes_per_sec: None,
             columnar_cache_bytes: crate::columnar::DEFAULT_COLUMNAR_CACHE_BYTES,
             result_cache_bytes: crate::server::cache::DEFAULT_RESULT_CACHE_BYTES,
         }
@@ -74,7 +70,6 @@ pub struct Framework {
     bus: Arc<Broker>,
     topology: Topology,
     consistency: Consistency,
-    remote_link_bytes_per_sec: Option<u64>,
     result_cache: ResultCache,
     columnar: ColumnarStore,
     /// Highest timestamp streaming ingestion has committed through;
@@ -124,7 +119,6 @@ impl Framework {
             bus,
             topology: cfg.topology,
             consistency: cfg.consistency,
-            remote_link_bytes_per_sec: cfg.remote_link_bytes_per_sec,
             result_cache: ResultCache::new(cfg.result_cache_bytes),
             columnar: ColumnarStore::new(cfg.columnar_cache_bytes),
             ingest_watermark: AtomicI64::new(i64::MIN),
@@ -223,28 +217,25 @@ impl Framework {
         Ok(by_time? + by_location?)
     }
 
-    /// Inserts an application run into all four denormalized views.
+    /// Inserts an application run into all four denormalized views. Every
+    /// view is attempted before the first failure is returned, so an
+    /// outage leaves no view behind the others.
     pub fn insert_app_run(&self, run: &AppRun) -> Result<(), DbError> {
-        self.cluster
-            .insert_owned("application_by_time", run.to_time_row(), self.consistency)?;
-        self.cluster
-            .insert_owned("application_by_name", run.to_name_row(), self.consistency)?;
-        self.cluster
-            .insert_owned("application_by_user", run.to_user_row(), self.consistency)?;
-        self.cluster.insert_owned(
-            "application_by_location",
-            run.to_location_row(),
-            self.consistency,
-        )
+        let views = [
+            ("application_by_time", run.to_time_row()),
+            ("application_by_name", run.to_name_row()),
+            ("application_by_user", run.to_user_row()),
+            ("application_by_location", run.to_location_row()),
+        ];
+        let written =
+            views.map(|(table, row)| self.cluster.insert_owned(table, row, self.consistency));
+        written.into_iter().collect()
     }
 
     /// Builds one [`ReadPlan`] per hour bucket of `[from_ms, to_ms)` —
     /// partition key `(hour)` or `(hour, fixed)`, decorated once here —
     /// for a single [`Cluster::read_multi`] scatter instead of an
     /// hour-by-hour loop.
-    /// Sparklet scans consume the same batches (see
-    /// [`Framework::scan_events_rdd`]), so driver-side reads and
-    /// owner-pinned tasks share one planning path.
     pub fn window_plans(
         table: &str,
         fixed: Option<&str>,
@@ -366,51 +357,17 @@ impl Framework {
             .collect())
     }
 
-    /// A locality-aware scan: one RDD partition per `(hour, type)` store
-    /// partition — the same plan batch `events_by_type` scatters — each
-    /// pinned to the executor co-located with the partition's primary
-    /// replica. When a partition is computed on a *different* executor,
-    /// the loader pays a marshalling round trip (encode + decode of every
-    /// cell) — the cost a co-located deployment avoids.
-    ///
-    /// This is the co-location experiment's scan (EXPERIMENTS C3,
-    /// `benches/locality.rs`); no dashboard op reaches it — analytics read
-    /// through [`Framework::scan_window`]. A partition whose read fails
-    /// yields no records here.
+    /// [`Framework::scan_window`]'s records as a dataset, one partition
+    /// per hour of the window. No dashboard op reaches it; it stays
+    /// because the pipeline benchmark times it. A failed read yields an
+    /// empty dataset.
     pub fn scan_events_rdd(&self, event_type: &str, from_ms: i64, to_ms: i64) -> Rdd<EventRecord> {
-        let workers = self.engine.workers();
-        let plans: Vec<(ReadPlan, usize)> =
-            Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms)
-                .into_iter()
-                .map(|plan| {
-                    let owner = self.cluster.owners(plan.partition.key())[0].0 % workers;
-                    (plan, owner)
-                })
-                .collect();
-        let cluster = Arc::clone(&self.cluster);
-        let event_type: Arc<str> = event_type.into();
-        let consistency = self.consistency;
-        let link = self.remote_link_bytes_per_sec;
-        self.engine.from_planned(
-            plans,
-            |p| Some(p.1),
-            move |(plan, owner)| {
-                let rows = cluster
-                    .read_multi(std::slice::from_ref(plan), consistency)
-                    .map(|mut b| b.pop().unwrap_or_default())
-                    .unwrap_or_default();
-                let records: Vec<EventRecord> = rows
-                    .iter()
-                    .filter_map(|r| EventRecord::from_time_row(&event_type, r))
-                    .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
-                    .collect();
-                if current_worker() == Some(*owner) {
-                    records
-                } else {
-                    remote_transfer(records, link)
-                }
-            },
-        )
+        let records = self
+            .scan_window(event_type, from_ms, to_ms)
+            .map(|scan| scan.records())
+            .unwrap_or_default();
+        let hours = keys::hours_in(from_ms, to_ms).count();
+        self.engine.parallelize(records, hours)
     }
 
     /// Application runs of a user.
@@ -491,57 +448,6 @@ impl Framework {
     pub fn telemetry_report(&self) -> String {
         telemetry::global().render_table()
     }
-}
-
-/// Simulates fetching a record set from a non-co-located storage node:
-/// marshals every row (real CPU work) and charges the wire time of the
-/// marshalled bytes against the configured link bandwidth.
-pub fn remote_transfer(
-    records: Vec<EventRecord>,
-    link_bytes_per_sec: Option<u64>,
-) -> Vec<EventRecord> {
-    let bytes: usize = records.iter().map(EventRecord::marshalled_size).sum();
-    let records = marshal_roundtrip(records);
-    if let Some(bw) = link_bytes_per_sec {
-        let nanos = (bytes as u128 * 1_000_000_000) / bw.max(1) as u128;
-        std::thread::sleep(std::time::Duration::from_nanos(nanos as u64));
-    }
-    records
-}
-
-/// Simulates network marshalling of a record set: every cell is encoded to
-/// bytes and decoded back (what a non-co-located read pays per row).
-pub fn marshal_roundtrip(records: Vec<EventRecord>) -> Vec<EventRecord> {
-    records
-        .into_iter()
-        .map(|ev| {
-            let values = vec![
-                Value::Timestamp(ev.ts_ms),
-                Value::text(&ev.event_type),
-                Value::text(&ev.source),
-                Value::Int(ev.amount),
-                Value::text(&ev.raw),
-            ];
-            let mut buf = Vec::with_capacity(64 + ev.raw.len());
-            for v in &values {
-                v.encode_into(&mut buf);
-            }
-            let mut rest: &[u8] = &buf;
-            let mut decoded = Vec::with_capacity(values.len());
-            while !rest.is_empty() {
-                let (v, r) = Value::decode(rest).expect("self-encoded data");
-                decoded.push(v);
-                rest = r;
-            }
-            EventRecord {
-                ts_ms: decoded[0].as_i64().expect("ts"),
-                event_type: decoded[1].as_text().expect("type").into(),
-                source: decoded[2].as_text().expect("source").into(),
-                amount: decoded[3].as_i64().expect("amount") as i32,
-                raw: decoded[4].as_text().expect("raw").into(),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -679,6 +585,8 @@ mod tests {
         assert_eq!(got[0].ts_ms, 999);
     }
 
+    /// The dataset facade against the row read it stands for: a full
+    /// window, a mid-hour window, an empty window and one with no data.
     #[test]
     fn scan_rdd_covers_hours_and_counts_match() {
         let fw = small();
@@ -688,23 +596,18 @@ mod tests {
                     .unwrap();
             }
         }
-        let rdd = fw.scan_events_rdd("GPU_DBE", 0, 3 * HOUR_MS);
-        assert_eq!(rdd.num_partitions(), 3);
-        assert_eq!(rdd.count(), 30);
-        // Scans respect the window even mid-hour.
-        let rdd = fw.scan_events_rdd("GPU_DBE", 5_000, HOUR_MS + 5_000);
-        assert_eq!(rdd.count(), 10);
-        // Same rows as the driver-side read under either placement; without
-        // locality, non-owner partitions cross `remote_transfer`'s marshal
-        // round trip, which must be lossless.
-        for (from, to) in [(0, 3 * HOUR_MS), (5_000, HOUR_MS + 5_000)] {
+        let windows = [
+            (0, 3 * HOUR_MS, 3, 30),
+            (5_000, HOUR_MS + 5_000, 2, 10),
+            (HOUR_MS, HOUR_MS, 1, 0),
+            (5 * HOUR_MS, 7 * HOUR_MS, 2, 0),
+        ];
+        for (from, to, partitions, count) in windows {
+            let rdd = fw.scan_events_rdd("GPU_DBE", from, to);
+            assert_eq!(rdd.num_partitions(), partitions, "window {from}..{to}");
+            assert_eq!(rdd.count(), count, "window {from}..{to}");
             let want = fw.events_by_type("GPU_DBE", from, to).unwrap();
-            for locality in [true, false] {
-                fw.engine().set_locality(locality);
-                let mut got = fw.scan_events_rdd("GPU_DBE", from, to).collect();
-                got.sort_by_key(|e| e.ts_ms);
-                assert_eq!(got, want, "locality {locality}, window {from}..{to}");
-            }
+            assert_eq!(rdd.collect(), want, "window {from}..{to}");
         }
     }
 
@@ -849,34 +752,5 @@ mod tests {
             assert_eq!((s.blocks_built, s.hits), (2 * scans, 0));
             assert_eq!((s.blocks_resident, s.bytes_resident), (0, 0));
         }
-    }
-
-    #[test]
-    fn marshal_roundtrip_is_identity() {
-        let records = vec![
-            ev(1, "MCE", "c0-0c0s0n0"),
-            ev(2, "LUSTRE_ERR", "c1-0c0s0n0"),
-        ];
-        assert_eq!(marshal_roundtrip(records.clone()), records);
-    }
-
-    #[test]
-    fn remote_transfer_charges_wire_time() {
-        let records: Vec<EventRecord> = (0..50)
-            .map(|i| {
-                let mut e = ev(i, "LUSTRE_ERR", "c0-0c0s0n0");
-                e.raw = "x".repeat(1000).into();
-                e
-            })
-            .collect();
-        // ~52 KB at 1 MB/s ≈ 52 ms; at None it must be fast.
-        let t = std::time::Instant::now();
-        let out = remote_transfer(records.clone(), Some(1_000_000));
-        let slow = t.elapsed();
-        assert_eq!(out, records);
-        assert!(slow >= std::time::Duration::from_millis(30), "{slow:?}");
-        let t = std::time::Instant::now();
-        let _ = remote_transfer(records, None);
-        assert!(t.elapsed() < slow);
     }
 }

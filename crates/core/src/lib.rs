@@ -9,14 +9,15 @@
 //! engine), a **streaming ingestion** path
 //! (`logbus` consumer → 1-second coalescing windows → the store), a set of
 //! **analytics** (heat maps on the physical system map, distributions,
-//! event histograms, cross-correlation, transfer entropy, and word-count /
-//! TF-IDF text analytics over raw Lustre messages), and an **analytics
-//! server** speaking the frontend's JSON protocol.
+//! event histograms, cross-correlation, transfer entropy, and word counts
+//! over raw Lustre messages), and an **analytics server** speaking the
+//! frontend's JSON protocol.
 //!
 //! The entry point is [`framework::Framework`]: it wires a `rasdb` cluster
-//! with co-located `sparklet` executors (the paper's "pair of a Spark
-//! worker node and a Cassandra node ... in each of the 32 VMs") plus a
-//! `logbus` broker, creates the schema, and loads the machine description.
+//! with `sparklet` executors (by default one per storage node, as the
+//! paper pairs "a Spark worker node and a Cassandra node ... in each of the
+//! 32 VMs") plus a `logbus` broker, creates the schema, and loads the
+//! machine description.
 //!
 //! # Example
 //! ```

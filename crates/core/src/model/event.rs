@@ -78,16 +78,6 @@ impl EventRecord {
             raw: raw_of(row),
         })
     }
-
-    /// Serialization size proxy: encodes every cell value (used to model
-    /// marshalling cost on non-local reads).
-    pub fn marshalled_size(&self) -> usize {
-        let mut buf = Vec::new();
-        for (_, v) in self.to_time_row() {
-            v.encode_into(&mut buf);
-        }
-        buf.len()
-    }
 }
 
 /// Another pointer to a text value's string.
@@ -193,14 +183,5 @@ mod tests {
         use rasdb::types::Key;
         let row = Row::new(Key::default(), []);
         assert!(EventRecord::from_time_row(&"MCE".into(), &row).is_none());
-    }
-
-    #[test]
-    fn marshalled_size_is_positive_and_tracks_payload() {
-        let small = sample();
-        let mut big = sample();
-        big.raw = "x".repeat(1000).into();
-        assert!(small.marshalled_size() > 0);
-        assert!(big.marshalled_size() > small.marshalled_size() + 900);
     }
 }

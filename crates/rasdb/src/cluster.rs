@@ -271,8 +271,7 @@ impl Cluster {
             .store(d.as_micros() as u64, Ordering::SeqCst);
     }
 
-    /// A snapshot of the token ring (placement inspection, locality-aware
-    /// scheduling). The clone decouples callers from topology changes: a
+    /// A snapshot of the token ring (placement inspection). The clone decouples callers from topology changes: a
     /// join or decommission swaps the live ring out from under them.
     pub fn ring(&self) -> Ring {
         self.topology.read().ring.clone()
@@ -289,7 +288,7 @@ impl Cluster {
         self.topology.read().ring.node_count()
     }
 
-    /// Access to a node (tests, stats, locality scans).
+    /// Access to a node (tests, stats).
     pub fn node(&self, id: NodeId) -> Arc<StorageNode> {
         self.node_arc(id)
     }
@@ -1089,8 +1088,7 @@ impl Cluster {
         token_for(partition)
     }
 
-    /// Partition keys whose *primary* replica is `node` (locality scans),
-    /// in ring order.
+    /// Partition keys whose *primary* replica is `node`, in ring order.
     pub fn local_partition_keys(&self, table: &str, node: NodeId) -> Vec<Key> {
         let ring = self.ring();
         self.node_arc(node)

@@ -3,15 +3,15 @@
 //!
 //! The paper co-locates "a pair of a Spark worker node and a Cassandra node
 //! ... in each of the 32 VMs" and runs its ETL as parallel jobs over data
-//! spread across the cluster. `sparklet` keeps the pieces that run:
+//! spread across the cluster. Here Spark's role is played by the batch
+//! import's chunk-parallel scan and upload, and by the streaming path's
+//! micro-batcher; `sparklet` keeps the pieces they run on:
 //!
-//! * **Datasets** ([`rdd`]) — a shared list of partitions, each a loader
-//!   plus an optional preferred executor; `parallelize` splits a vector,
-//!   `from_planned` turns storage read plans into owner-pinned partitions.
-//! * **A job runner** ([`context`]) — `run_job` calls every partition's
-//!   loader on scoped executor threads started for that job, each
-//!   executor taking the partitions pinned to it first, so a partition can
-//!   be loaded where its data lives (the paper's data-locality argument).
+//! * **Datasets** ([`rdd`]) — a shared list of partitions, each a vector;
+//!   `parallelize` splits a vector into balanced partitions.
+//! * **A job runner** ([`context`]) — `run_job` applies a task to every
+//!   partition on scoped executor threads started for that job, each
+//!   taking the next partition from a shared cursor.
 //! * **Micro-batch streaming** ([`streaming`]) — event-time windows with
 //!   the 1-second coalescing rule used by the real-time ingestion path.
 //! * **Hashing** ([`agg`]) — the FNV-1a hasher of the columnar and text

@@ -3,20 +3,21 @@
 //! batcher with a model of what it holds.
 
 use proptest::prelude::*;
-use sparklet::context::{current_worker, SparkletContext};
+use sparklet::context::SparkletContext;
 use sparklet::streaming::MicroBatcher;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 
-/// What partition `p` loads in the runner property.
+/// What partition `p` holds in the runner property.
 fn contents(p: usize) -> Vec<u64> {
     (0..p as u64 % 5).map(|i| i * 7 + p as u64).collect()
 }
 
 /// The job the runner property runs: a function of the partition index
-/// and what it loaded.
-fn fold(p: usize, loaded: Vec<u64>) -> (usize, u64) {
-    (p, loaded.iter().map(|v| v * (p as u64 + 1)).sum())
+/// and what it holds.
+fn fold(p: usize, held: Vec<u64>) -> (usize, u64) {
+    (p, held.iter().map(|v| v * (p as u64 + 1)).sum())
 }
 
 proptest! {
@@ -38,43 +39,32 @@ proptest! {
         prop_assert_eq!(ctx.run_job(&rdd, |p, _| p), (0..parts).collect::<Vec<_>>());
     }
 
-    /// `run_job` against the sequential reference — each loader, then the
-    /// job, on the driver, in partition order — with every loader run
-    /// exactly once, on the executor its partition is pinned to.
+    /// `run_job` against the sequential reference — the job on the
+    /// driver, in partition order — with every partition run exactly once,
+    /// on at most `workers` executor threads, none of them the driver.
     #[test]
     fn run_job_matches_a_sequential_reference(
         workers in 1usize..=6,
-        // 8 stands for no preference.
-        drawn in prop::collection::vec(0usize..9, 0..=24),
-        locality in any::<bool>(),
+        n in 1usize..=24,
     ) {
         let ctx = SparkletContext::new(workers);
-        ctx.set_locality(locality);
-        let plans: Vec<(usize, Option<usize>)> =
-            drawn.iter().map(|&w| (w < 8).then_some(w)).enumerate().collect();
-        let n = plans.len();
-        // Per partition: its loads, and the executor it ran on plus one.
-        let counters = || Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
-        let (loads, ran_on) = (counters(), counters());
-        let (l, r) = (Arc::clone(&loads), Arc::clone(&ran_on));
-        let rdd = ctx.from_planned(plans.clone(), |plan| plan.1, move |&(p, _)| {
-            l[p].fetch_add(1, Ordering::SeqCst);
-            r[p].store(current_worker().map_or(0, |w| w + 1), Ordering::SeqCst);
-            contents(p)
-        });
-        let driver = current_worker();
+        // Partition `p` holds one item: `contents(p)`.
+        let rdd = ctx.parallelize((0..n).map(contents).collect(), n);
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let threads = Mutex::new(HashSet::new());
+        let job = |p: usize, held: Vec<Vec<u64>>| {
+            runs[p].fetch_add(1, Ordering::SeqCst);
+            threads.lock().unwrap().insert(std::thread::current().id());
+            fold(p, held.concat())
+        };
         let reference: Vec<_> = (0..n).map(|p| fold(p, contents(p))).collect();
-        prop_assert_eq!(ctx.run_job(&rdd, fold), reference);
-        prop_assert_eq!(current_worker(), driver);
-        for (p, pref) in plans {
-            prop_assert_eq!(loads[p].load(Ordering::SeqCst), 1, "partition {} loads", p);
-            let ran = ran_on[p].load(Ordering::SeqCst);
-            let home = if locality { pref.filter(|&w| w < workers) } else { Some(p % workers) };
-            prop_assert!(
-                (1..=workers).contains(&ran) && home.is_none_or(|w| ran == w + 1),
-                "partition {} pinned to {:?} ran on {}", p, home, ran - 1
-            );
+        prop_assert_eq!(ctx.run_job(&rdd, job), reference);
+        for (p, ran) in runs.iter().enumerate() {
+            prop_assert_eq!(ran.load(Ordering::SeqCst), 1, "partition {} runs", p);
         }
+        let threads = threads.into_inner().unwrap();
+        prop_assert!(threads.len() <= workers, "{} threads for {} workers", threads.len(), workers);
+        prop_assert!(!threads.contains(&std::thread::current().id()), "the driver ran a task");
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl SpanGuard {
         })
     }
 
-    /// Attaches a key/value tag (e.g. `locality => "hit"`).
+    /// Attaches a key/value tag (e.g. `plans => "24"`).
     pub fn tag(&mut self, key: &'static str, value: impl Into<String>) {
         if let Some(a) = self.active.as_mut() {
             a.tags.push((key, value.into()));

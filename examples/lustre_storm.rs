@@ -99,7 +99,7 @@ fn main() {
     }
 
     // Step 5 — dump the telemetry registry accumulated by the whole
-    // pipeline (ETL spans, coordinator latencies, scheduler locality).
+    // pipeline (ETL spans, coordinator latencies, scheduler tasks).
     save(
         "artifacts/telemetry_snapshot.json",
         &hpclog_core::server::telemetry_export::metrics_json().to_string(),

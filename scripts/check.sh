@@ -62,6 +62,30 @@ if [ -n "$untokened" ]; then
   exit 1
 fi
 
+# Simulated delay is a named, documented cost, never a hidden one: product
+# code (each file's lines before its first `#[cfg(test)]`) sleeps only in
+# these functions, once each — the coordinator's simulated replica latency,
+# a slow range-stream chunk under a topology fault plan, and the stream's
+# publish backoff and store retry. Any other site is printed.
+echo "==> product code sleeps only at the four named sites"
+allowed_sleeps=" crates/rasdb/src/cluster.rs:charge crates/rasdb/src/cluster.rs:send_chunk"
+allowed_sleeps+=" crates/core/src/etl/stream.rs:send_with_retry"
+allowed_sleeps+=" crates/core/src/etl/stream.rs:store_with_retry "
+stray_sleeps="$(for f in crates/*/src/**/*.rs; do
+  awk -v file="$f" -v allowed="$allowed_sleeps" '/#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    match($0, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) {
+      fn = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", fn) }
+    /thread::sleep|(^|[^A-Za-z0-9_.:])sleep\(/ {
+      site = file ":" fn
+      if (index(allowed, " " site " ") == 0 || seen[site]++) print file ":" FNR " (in fn " fn "): " $0 }' "$f"
+done)"
+if [ -n "$stray_sleeps" ]; then
+  echo "a thread::sleep outside the four named sites:" >&2
+  echo "$stray_sleeps" >&2
+  exit 1
+fi
+
 echo "==> doc-link check (README/DESIGN/EXPERIMENTS intra-repo links)"
 scripts/check_doc_links.sh
 

@@ -131,9 +131,6 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
     fw.batch_import(&scenario.lines).expect("import");
     let t0 = cfg.start_ms;
     let t1 = t0 + cfg.duration_ms;
-    // One owner-pinned RDD scan — the co-location experiment's path, which
-    // no dashboard op takes — so the scheduler records locality hits.
-    assert!(fw.scan_events_rdd("LUSTRE_ERR", t0, t1).count() > 0);
     let engine = QueryEngine::new(Arc::new(fw));
 
     // Drive reads and two analytics ops through the server surface so
@@ -161,23 +158,17 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
         .as_i64()
         .expect("write histogram present");
     assert!(write_count > 0, "coordinator writes recorded");
-    // Scheduler tasks split by locality: scan_events_rdd pins partitions
-    // to data owners (hits); batch import spreads with no preference
-    // (misses).
-    let hits = metrics["data"]["counters"]["sparklet.scheduler.task.locality_hit"]
+    // Co-location in this system is a window read that fans out to the
+    // nodes owning its hours in one `read_multi`; the import ran as
+    // scheduler tasks on executor threads.
+    let fanout = metrics["data"]["gauges"]["rasdb.coordinator.read_multi.fanout"]
         .as_i64()
-        .unwrap_or(0);
-    let misses = metrics["data"]["counters"]["sparklet.scheduler.task.locality_miss"]
+        .expect("fan-out gauge present");
+    assert!(fanout > 0, "no read_multi fan-out recorded");
+    let tasks = metrics["data"]["histograms"]["sparklet.scheduler.task"]["count"]
         .as_i64()
-        .unwrap_or(0);
-    assert!(hits > 0, "no locality hits recorded");
-    assert!(misses > 0, "no locality misses recorded");
-    assert!(
-        metrics["data"]["histograms"]["sparklet.scheduler.task"]["count"]
-            .as_i64()
-            .unwrap()
-            > 0
-    );
+        .expect("task histogram present");
+    assert!(tasks > 0, "no scheduler tasks recorded");
 
     // The trace must contain at least one span tree rooted at a server
     // request. Other tests in this binary can flood the bounded ring
