@@ -426,8 +426,15 @@ mod tests {
             })
             .collect();
         for (time_row, location_row) in by_time.iter().zip(&by_location) {
-            let raw = text(time_row.cell("raw").unwrap());
-            assert!(Arc::ptr_eq(&raw, &text(location_row.cell("raw").unwrap())));
+            let (time_raw, location_raw) = (time_row.cell("raw"), location_row.cell("raw"));
+            let raw = text(time_raw.unwrap());
+            assert!(Arc::ptr_eq(&raw, &text(location_raw.unwrap())));
+            // More than the text: both rows read one cells slice, so their
+            // `raw` cells are one value in memory.
+            assert!(
+                std::ptr::eq(time_raw.unwrap(), location_raw.unwrap()),
+                "the two views share one cells pointer"
+            );
             let source = &time_row.clustering.0[1];
             let key = location_keys.iter().find(|k| k.0[1] == *source).unwrap();
             assert!(Arc::ptr_eq(&text(source), &text(&key.0[1])));

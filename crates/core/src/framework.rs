@@ -202,19 +202,17 @@ impl Framework {
     }
 
     /// Inserts a batch of events into both views; returns rows written.
-    /// Both views are attempted, as [`Cluster::insert_batch`] attempts
-    /// every row, before the first shortfall is returned, so an outage
-    /// leaves neither view behind the other.
+    /// One [`Cluster::insert_views`] call binds each event once: both views
+    /// take their keys from its `event_by_time` row and share its cells and
+    /// write timestamp. Both views are attempted before the first shortfall
+    /// is returned, so an outage leaves neither view behind the other.
     pub fn insert_events(&self, events: &[EventRecord]) -> Result<usize, DbError> {
-        let time_rows = events.iter().map(EventRecord::to_time_row).collect();
-        let loc_rows = events.iter().map(EventRecord::to_location_row).collect();
-        let by_time = self
-            .cluster
-            .insert_batch("event_by_time", time_rows, self.consistency);
-        let by_location =
-            self.cluster
-                .insert_batch("event_by_location", loc_rows, self.consistency);
-        Ok(by_time? + by_location?)
+        let rows = events.iter().map(EventRecord::to_time_row).collect();
+        self.cluster.insert_views(
+            &["event_by_time", "event_by_location"],
+            rows,
+            self.consistency,
+        )
     }
 
     /// Inserts an application run into all four denormalized views. Every

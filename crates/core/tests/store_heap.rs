@@ -59,12 +59,13 @@ static GLOBAL: Counting = Counting;
 
 const SLICES: usize = 100;
 /// Live bytes and live allocations per line once the day is imported, and
-/// once every memtable is flushed: 1,356 B and 9.55 after the import, 1,255 B
-/// and 9.55 after the flush as measured (8.90 and 8.24 times the text). With
-/// every partition a run with room for four rows, the store held 1,562 B and
-/// 11.02, and 1,491 B and 11.02.
-const MAX_IMPORTED: (f64, f64) = (1_390.0, 9.80);
-const MAX_FLUSHED: (f64, f64) = (1_290.0, 9.80);
+/// once every memtable is flushed: 1,246 B and 8.68 after the import, 1,145 B
+/// and 8.68 after the flush as measured (8.18 and 7.51 times the text). With
+/// each view of an event holding cells of its own, the store held 1,356 B
+/// and 9.55, and 1,255 B and 9.55; with every partition a run with room for
+/// four rows as well, 1,562 B and 11.02, and 1,491 B and 11.02.
+const MAX_IMPORTED: (f64, f64) = (1_280.0, 8.90);
+const MAX_FLUSHED: (f64, f64) = (1_175.0, 8.90);
 
 /// Live bytes and allocations held since `since`, per line.
 fn per_line(since: (isize, isize), lines: usize) -> (f64, f64) {

@@ -12,7 +12,7 @@ use crate::query::{
     clustering_bounds, CmpOp, Consistency, Predicate, ReadPlan, SelectStatement, Statement,
 };
 use crate::ring::{NodeId, Ring};
-use crate::schema::{KeyRole, TableSchema};
+use crate::schema::{InsertBinder, KeyRole, TableSchema};
 use crate::sstable::{encode_stream_chunk, stream_chunk_checksum};
 use crate::stats::{CacheStats, CoordinatorStats, StatsSnapshot, TopologyStats};
 use crate::topology::{
@@ -351,54 +351,75 @@ impl Cluster {
     }
 
     /// Inserts a batch of rows, each a list of `(column, value)` pairs, at
-    /// one consistency level. Returns the number of rows written.
-    ///
-    /// The whole batch is validated before anything is written: a
-    /// [`DbError::SchemaViolation`] means no replica saw any of its rows.
-    /// After that every row is attempted; if some partition gathered fewer
-    /// acks than the consistency level requires, the first such
-    /// [`DbError::Unavailable`] is returned once the batch is through.
-    /// Replicas that missed rows are hinted, and re-sending the batch is
-    /// idempotent (last write wins per cell).
-    ///
-    /// Column names may be any string type; none is stored. Each is resolved
-    /// against the schema (once per batch while the rows keep one shape) and
-    /// the stored cell points at the schema's interned name.
+    /// one consistency level. Returns the number of rows written. This is
+    /// [`Cluster::insert_views`] with one view.
     pub fn insert_batch<N: AsRef<str>>(
         &self,
         table: &str,
         batch: Vec<Vec<(N, Value)>>,
         consistency: Consistency,
     ) -> Result<usize, DbError> {
-        let span = telemetry::span!("rasdb.coordinator.write");
-        let schema = self
-            .schema(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        let mut binder = schema.binder();
-        let mut mutations = batch
-            .into_iter()
-            .map(|values| {
-                let (partition, clustering, cells) = binder.bind(values)?;
-                Ok(Mutation {
-                    table: Arc::clone(&schema.name),
-                    partition,
-                    clustering,
-                    cells,
-                    row_delete: None,
-                })
+        self.insert_views(&[table], batch, consistency)
+    }
+
+    /// Inserts each row of a batch into every table of `tables`, the views
+    /// of one record that store it under different keys, at one
+    /// consistency level. A row names its columns once for all views, and
+    /// each view takes its own keys from it. Returns the number of rows
+    /// written, counted once per view.
+    ///
+    /// The whole batch is validated against every view before anything is
+    /// written: a [`DbError::SchemaViolation`] or [`DbError::NoSuchTable`]
+    /// means no replica of any view saw any of its rows. After that every
+    /// row of every view is attempted; if some partition gathered fewer
+    /// acks than the consistency level requires, the first such
+    /// [`DbError::Unavailable`] is returned once every view is through.
+    /// Replicas that missed rows are hinted, and re-sending the batch is
+    /// idempotent (last write wins per cell).
+    ///
+    /// A row carries one write timestamp in every view, drawn in arrival
+    /// order, and its regular cells are built once: every view whose
+    /// regular columns are the first view's, by name and type, stores that
+    /// one `Cells` slice. Column names may be any string type; none is
+    /// stored. Each is resolved against each view's schema (once per batch
+    /// while the rows keep one shape), and a stored cell points at the
+    /// schema's interned name.
+    pub fn insert_views<N: AsRef<str>>(
+        &self,
+        tables: &[&str],
+        batch: Vec<Vec<(N, Value)>>,
+        consistency: Consistency,
+    ) -> Result<usize, DbError> {
+        let mut span = Some(telemetry::span!("rasdb.coordinator.write"));
+        if tables.is_empty() {
+            return Err(DbError::BadQuery("an insert needs a table".into()));
+        }
+        let schemas = tables
+            .iter()
+            .map(|&table| {
+                self.schema(table)
+                    .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))
             })
-            .collect::<Result<Vec<Mutation>, DbError>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
+        let views: Vec<&TableSchema> = schemas.iter().map(|s| &**s).collect();
+        let mut binder = InsertBinder::new(&views, batch.len());
+        for values in batch {
+            binder.bind(values)?;
+        }
         // Write timestamps follow arrival order, drawn once the whole batch
-        // is known to be valid; only an empty cells slice can be shared yet.
-        let rows = mutations.len();
+        // is known to be valid: one per row, shared by its views.
+        let rows = binder.rows();
         let first_ts = self.clock.fetch_add(rows as u64, Ordering::Relaxed);
-        for (m, ts) in mutations.iter_mut().zip(first_ts..) {
-            for (_, cell) in Arc::get_mut(&mut m.cells).into_iter().flatten() {
-                cell.write_ts = ts;
+        let mut first_error = None;
+        for (schema, mutations) in views.iter().zip(binder.finish(first_ts)) {
+            let span = span
+                .take()
+                .unwrap_or_else(|| telemetry::span!("rasdb.coordinator.write"));
+            if let Err(e) = self.write_batch(span, &schema.name, mutations, consistency) {
+                first_error.get_or_insert(e);
             }
         }
-        self.write_batch(span, &schema.name, mutations, consistency)?;
-        Ok(rows)
+        first_error.map_or(Ok(rows * views.len()), Err)
     }
 
     /// Deletes one clustered row.

@@ -1,5 +1,6 @@
 //! Table schemas: partition keys, clustering keys, and typed columns.
 
+use crate::commitlog::Mutation;
 use crate::error::DbError;
 use crate::memtable::Cells;
 use crate::partitioner::DecoratedKey;
@@ -166,16 +167,11 @@ impl TableSchema {
         self.defs().find(|c| &*c.name == name)
     }
 
-    /// Starts binding inserts to this table (one binder per batch).
-    pub(crate) fn binder(&self) -> InsertBinder<'_> {
-        InsertBinder {
-            schema: self,
-            slots: Vec::new(),
-            by_name: Vec::new(),
-            keys: Vec::new(),
-            encoded: Vec::new(),
-            last: None,
-        }
+    /// The regular columns in name order, as `(name, type)`.
+    fn regular_by_name(&self) -> Vec<(&str, ColumnType)> {
+        let mut columns: Vec<_> = self.columns.iter().map(|c| (&*c.name, c.ctype)).collect();
+        columns.sort_unstable_by_key(|&(name, _)| name);
+        columns
     }
 
     /// Maps each supplied column name to its slot: every name known and
@@ -209,106 +205,238 @@ impl TableSchema {
     }
 }
 
-/// One insert bound to its table: the decorated partition key and the
-/// clustering key in schema order, then the regular cells under their
-/// interned column names in name order, live at write timestamp 0 until the
-/// coordinator stamps them.
-pub(crate) type BoundInsert = (DecoratedKey, Key, Cells);
-
-/// Validates and splits the rows of one batch in a single pass per row.
+/// Validates the rows of one batch and binds each to every view it is
+/// written to (one table, or several tables that store the same rows under
+/// other keys) in a single pass per row.
 ///
-/// Column names are resolved to schema slots once and the resolution is
-/// reused for every following row that names the same columns in the same
-/// order, so a batch pays for name lookups once and never allocates a name:
-/// stored cells carry the schema's interned one. Partition keys are
-/// decorated here, through one reused encoding buffer, and a row whose
-/// partition key equals the previous row's shares its decorated key: one
-/// reference count, no allocation, no hash.
+/// Column names are resolved to each view's schema slots once, and the
+/// resolution is reused for every following row that names the same
+/// columns in the same order, so a batch pays for name lookups once and
+/// never allocates a name: stored cells carry the schema's interned one.
+/// Partition keys are decorated here, through one reused encoding buffer,
+/// and a row whose partition key in a view equals that view's previous one
+/// shares its decorated key: one reference count, no allocation, no hash.
+///
+/// A row's regular cells are built once. Every view whose regular columns
+/// are the first view's, by name and type, shares the first view's cells;
+/// which views do is settled from the schemas when the binder is made, not
+/// per row. A value is moved into the last key or cells that need it and
+/// cloned for any before, so a row bound to one view moves every value.
 pub(crate) struct InsertBinder<'s> {
-    schema: &'s TableSchema,
-    /// Slot of each supplied column of the row shape resolved last.
-    slots: Vec<usize>,
-    /// Positions of that shape's regular columns, in column-name order.
-    by_name: Vec<usize>,
+    views: Vec<ViewBinder<'s>>,
     /// Scratch for key components on their way into schema order.
     keys: Vec<Option<Value>>,
-    /// Scratch for the partition key's encoding, hashed to decorate it.
+    /// Scratch for a partition key's encoding, hashed to decorate it.
     encoded: Vec<u8>,
-    /// The partition key of the row bound last.
-    last: Option<DecoratedKey>,
+    /// What a sharing view's rows hold until [`InsertBinder::finish`]
+    /// points them at the first view's cells.
+    unset: Cells,
 }
 
-impl InsertBinder<'_> {
-    /// Binds one row's `(column, value)` list: every partition and
-    /// clustering key present, no column named twice, every value of its
-    /// column's type.
+/// One view of an [`InsertBinder`]: its resolution of the current row
+/// shape, and the rows bound to it so far.
+struct ViewBinder<'s> {
+    schema: &'s TableSchema,
+    /// Whether the view points at the first view's cells.
+    shares_cells: bool,
+    /// Slot of each supplied column of the row shape resolved last.
+    slots: Vec<usize>,
+    /// Positions of that shape's regular columns, in column-name order;
+    /// none when the view shares the first view's cells.
+    by_name: Vec<usize>,
+    /// Per supplied column: whether this view moves the value out of the
+    /// row, because no later view uses it, rather than cloning it.
+    takes: Vec<bool>,
+    /// The partition key of the row bound last.
+    last: Option<DecoratedKey>,
+    /// The rows bound so far, live at write timestamp 0 until
+    /// [`InsertBinder::finish`] stamps them.
+    mutations: Vec<Mutation>,
+}
+
+impl<'s> InsertBinder<'s> {
+    /// A binder for a batch of about `rows` rows into `views`, of which
+    /// there is at least one.
+    pub(crate) fn new(views: &[&'s TableSchema], rows: usize) -> InsertBinder<'s> {
+        let first = views[0].regular_by_name();
+        let views = views.iter().enumerate().map(|(v, &schema)| ViewBinder {
+            schema,
+            shares_cells: v > 0 && schema.regular_by_name() == first,
+            slots: Vec::new(),
+            by_name: Vec::new(),
+            takes: Vec::new(),
+            last: None,
+            mutations: Vec::with_capacity(rows),
+        });
+        InsertBinder {
+            views: views.collect(),
+            keys: Vec::new(),
+            encoded: Vec::new(),
+            unset: Cells::default(),
+        }
+    }
+
+    /// Rows bound so far.
+    pub(crate) fn rows(&self) -> usize {
+        self.views[0].mutations.len()
+    }
+
+    /// Resolves a new row shape in every view: every name known and given
+    /// once, every key column present. A shape that one view rejects
+    /// changes none.
+    fn resolve<N: AsRef<str>>(&mut self, values: &[(N, Value)]) -> Result<(), DbError> {
+        let slots: Vec<Vec<usize>> = self
+            .views
+            .iter()
+            .map(|view| view.schema.resolve(values))
+            .collect::<Result<_, _>>()?;
+        // Views bind in order; walking them backwards finds, for each
+        // view, the values that no later view reads.
+        let mut used_later = vec![false; values.len()];
+        for (view, slots) in self.views.iter_mut().zip(slots).rev() {
+            let schema = view.schema;
+            let key_len = schema.key_len();
+            view.by_name.clear();
+            if !view.shares_cells {
+                view.by_name
+                    .extend((0..values.len()).filter(|&i| slots[i] >= key_len));
+                view.by_name.sort_by_key(|&i| &schema.def(slots[i]).name);
+            }
+            view.takes.clear();
+            view.takes.resize(values.len(), false);
+            let keys = (0..values.len()).filter(|&i| slots[i] < key_len);
+            for i in keys.chain(view.by_name.iter().copied()) {
+                view.takes[i] = !std::mem::replace(&mut used_later[i], true);
+            }
+            view.slots = slots;
+        }
+        Ok(())
+    }
+
+    /// Binds one row's `(column, value)` list to every view: in each, every
+    /// partition and clustering key present, no column named twice and
+    /// every value of its column's type. A rejected row is bound to no view.
     pub(crate) fn bind<N: AsRef<str>>(
         &mut self,
         mut values: Vec<(N, Value)>,
-    ) -> Result<BoundInsert, DbError> {
-        let schema = self.schema;
+    ) -> Result<(), DbError> {
+        let first = &self.views[0];
         // No resolved shape is empty: a table has a partition key.
-        let same_shape = !self.slots.is_empty()
-            && values.len() == self.slots.len()
+        let same_shape = !first.slots.is_empty()
+            && values.len() == first.slots.len()
             && values
                 .iter()
-                .zip(&self.slots)
-                .all(|((name, _), &slot)| &*schema.def(slot).name == name.as_ref());
-        let key_len = schema.key_len();
+                .zip(&first.slots)
+                .all(|((name, _), &slot)| &*first.schema.def(slot).name == name.as_ref());
         if !same_shape {
-            self.slots = schema.resolve(&values)?;
-            let regular = (0..values.len()).filter(|&i| self.slots[i] >= key_len);
-            self.by_name = regular.collect();
-            self.by_name
-                .sort_by_key(|&i| &schema.def(self.slots[i]).name);
+            self.resolve(&values)?;
         }
-        self.keys.clear();
-        self.keys.resize(key_len, None);
-        for ((_, value), &slot) in values.iter_mut().zip(&self.slots) {
-            let def = schema.def(slot);
-            if !def.ctype.accepts(value) {
-                return Err(DbError::SchemaViolation(format!(
-                    "column '{}' expects {}, got {}",
-                    def.name,
-                    def.ctype.cql_name(),
-                    value
-                )));
-            }
-            if slot < key_len {
-                self.keys[slot] = Some(std::mem::replace(value, Value::Bool(false)));
+        for view in &self.views {
+            for ((_, value), &slot) in values.iter().zip(&view.slots) {
+                let def = view.schema.def(slot);
+                if !def.ctype.accepts(value) {
+                    return Err(DbError::SchemaViolation(format!(
+                        "column '{}' of '{}' expects {}, got {}",
+                        def.name,
+                        view.schema.name,
+                        def.ctype.cql_name(),
+                        value
+                    )));
+                }
             }
         }
-        // Straight into the shared slice: one allocation, no sort per row.
-        let cells: Cells = self
-            .by_name
-            .iter()
-            .map(|&i| {
-                let value = std::mem::replace(&mut values[i].1, Value::Bool(false));
-                let name = &schema.def(self.slots[i]).name;
-                (Arc::clone(name), Cell::live(value, 0))
+        // Valid in every view: nothing below fails.
+        for view in &mut self.views {
+            let schema = view.schema;
+            let key_len = schema.key_len();
+            let mut value = |i: usize| {
+                let value = &mut values[i].1;
+                if view.takes[i] {
+                    std::mem::replace(value, Value::Bool(false))
+                } else {
+                    value.clone()
+                }
+            };
+            self.keys.clear();
+            self.keys.resize(key_len, None);
+            for (i, &slot) in view.slots.iter().enumerate() {
+                if slot < key_len {
+                    self.keys[slot] = Some(value(i));
+                }
+            }
+            // Straight into the shared slice: one allocation, no sort per row.
+            let cells: Cells = if view.shares_cells {
+                Arc::clone(&self.unset)
+            } else {
+                view.by_name
+                    .iter()
+                    .map(|&i| {
+                        let name = &schema.def(view.slots[i]).name;
+                        (Arc::clone(name), Cell::live(value(i), 0))
+                    })
+                    .collect()
+            };
+            let (partition_parts, clustering_parts) =
+                self.keys.split_at_mut(schema.partition_key.len());
+            let take = |parts: &mut [Option<Value>]| -> Key {
+                let parts = parts.iter_mut().map(Option::take);
+                parts
+                    .map(|v| v.expect("resolve saw every key column"))
+                    .collect()
+            };
+            let repeated = view.last.as_ref().filter(|last| {
+                let parts = partition_parts.iter().map(Option::as_ref);
+                last.key().0.iter().map(Some).eq(parts)
+            });
+            let partition = match repeated.cloned() {
+                Some(partition) => partition,
+                None => {
+                    let partition =
+                        DecoratedKey::with_buffer(take(partition_parts), &mut self.encoded);
+                    view.last = Some(partition.clone());
+                    partition
+                }
+            };
+            view.mutations.push(Mutation {
+                table: Arc::clone(&schema.name),
+                partition,
+                clustering: take(clustering_parts),
+                cells,
+                row_delete: None,
+            });
+        }
+        Ok(())
+    }
+
+    /// The bound rows as mutations, view by view. Row `i` carries write
+    /// timestamp `first_ts + i` in every view, and a view that shares cells
+    /// points at the first view's.
+    pub(crate) fn finish(self, first_ts: u64) -> Vec<Vec<Mutation>> {
+        let stamp = |cells: &mut Cells, ts: u64| {
+            // Unshared until now, unless it is an empty slice.
+            for (_, cell) in Arc::get_mut(cells).into_iter().flatten() {
+                cell.write_ts = ts;
+            }
+        };
+        let mut views = self.views.into_iter();
+        let mut first = views.next().expect("a binder has a view").mutations;
+        for (m, ts) in first.iter_mut().zip(first_ts..) {
+            stamp(&mut m.cells, ts);
+        }
+        let rest: Vec<Vec<Mutation>> = views
+            .map(|view| {
+                let mut mutations = view.mutations;
+                for ((m, ts), shared) in mutations.iter_mut().zip(first_ts..).zip(&first) {
+                    if view.shares_cells {
+                        m.cells = Arc::clone(&shared.cells);
+                    } else {
+                        stamp(&mut m.cells, ts);
+                    }
+                }
+                mutations
             })
             .collect();
-        let (partition_parts, clustering_parts) =
-            self.keys.split_at_mut(schema.partition_key.len());
-        let take = |parts: &mut [Option<Value>]| -> Key {
-            let parts = parts.iter_mut().map(Option::take);
-            parts
-                .map(|v| v.expect("resolve saw every key column"))
-                .collect()
-        };
-        let repeated = self.last.as_ref().filter(|last| {
-            let parts = partition_parts.iter().map(Option::as_ref);
-            last.key().0.iter().map(Some).eq(parts)
-        });
-        let partition = match repeated.cloned() {
-            Some(partition) => partition,
-            None => {
-                let partition = DecoratedKey::with_buffer(take(partition_parts), &mut self.encoded);
-                self.last = Some(partition.clone());
-                partition
-            }
-        };
-        Ok((partition, take(clustering_parts), cells))
+        std::iter::once(first).chain(rest).collect()
     }
 }
 
@@ -386,6 +514,25 @@ impl TableSchemaBuilder {
 mod tests {
     use super::*;
 
+    /// A one-view binder, as `insert_batch` makes.
+    fn one_view(s: &TableSchema) -> InsertBinder<'_> {
+        InsertBinder::new(&[s], 0)
+    }
+
+    /// Binds one row and returns it as its view holds it.
+    fn bind<N: AsRef<str>>(
+        binder: &mut InsertBinder<'_>,
+        values: Vec<(N, Value)>,
+    ) -> Result<(DecoratedKey, Key, Cells), DbError> {
+        binder.bind(values)?;
+        let m = binder.views[0].mutations.last().expect("a bound row");
+        Ok((
+            m.partition.clone(),
+            m.clustering.clone(),
+            Arc::clone(&m.cells),
+        ))
+    }
+
     fn sample() -> TableSchema {
         TableSchema::builder("event_by_time")
             .partition_key("hour", ColumnType::BigInt)
@@ -432,22 +579,22 @@ mod tests {
             ("ts", Value::Timestamp(5)),
             ("amount", Value::Int(2)),
         ];
-        assert!(s.binder().bind(ok).is_ok());
+        assert!(bind(&mut one_view(&s), ok).is_ok());
 
         let missing_key = vec![("hour", Value::BigInt(1)), ("ts", Value::Timestamp(5))];
         assert!(matches!(
-            s.binder().bind(missing_key),
+            bind(&mut one_view(&s), missing_key),
             Err(DbError::SchemaViolation(_))
         ));
         let nothing: Vec<(&str, Value)> = Vec::new();
-        assert!(s.binder().bind(nothing).is_err());
+        assert!(bind(&mut one_view(&s), nothing).is_err());
 
         let wrong_type = vec![
             ("hour", Value::text("not a number")),
             ("type", Value::text("MCE")),
             ("ts", Value::Timestamp(5)),
         ];
-        assert!(s.binder().bind(wrong_type).is_err());
+        assert!(bind(&mut one_view(&s), wrong_type).is_err());
 
         let unknown = vec![
             ("hour", Value::BigInt(1)),
@@ -455,7 +602,7 @@ mod tests {
             ("ts", Value::Timestamp(5)),
             ("bogus", Value::Int(1)),
         ];
-        assert!(s.binder().bind(unknown).is_err());
+        assert!(bind(&mut one_view(&s), unknown).is_err());
     }
 
     #[test]
@@ -476,7 +623,7 @@ mod tests {
             ("ts", Value::Timestamp(6)),
             ("amount", Value::Int(3)),
         ] {
-            let err = s.binder().bind(row(extra)).unwrap_err();
+            let err = bind(&mut one_view(&s), row(extra)).unwrap_err();
             assert!(matches!(err, DbError::SchemaViolation(_)), "{err}");
         }
     }
@@ -490,7 +637,7 @@ mod tests {
             ("type".to_owned(), Value::text("MCE")),
             ("hour".to_owned(), Value::BigInt(1)),
         ];
-        let (pk, ck, rest) = s.binder().bind(values).unwrap();
+        let (pk, ck, rest) = bind(&mut one_view(&s), values).unwrap();
         let key = Key::from(vec![Value::BigInt(1), Value::text("MCE")]);
         assert_eq!(pk, DecoratedKey::new(key));
         assert_eq!(ck, Key::from(vec![Value::Timestamp(5)]));
@@ -507,7 +654,7 @@ mod tests {
     #[test]
     fn a_binder_follows_rows_that_change_shape() {
         let s = sample();
-        let mut binder = s.binder();
+        let mut binder = one_view(&s);
         let full = || {
             vec![
                 ("hour", Value::BigInt(1)),
@@ -520,20 +667,20 @@ mod tests {
         reordered.swap(0, 3);
         let mut renamed = full();
         renamed[3] = ("source", Value::text("c0-0c0s0n0"));
-        let first = binder.bind(full()).unwrap();
-        assert_eq!(binder.bind(full()).unwrap(), first);
-        assert_eq!(binder.bind(reordered).unwrap(), first);
-        let (.., cells) = binder.bind(renamed).unwrap();
+        let first = bind(&mut binder, full()).unwrap();
+        assert_eq!(bind(&mut binder, full()).unwrap(), first);
+        assert_eq!(bind(&mut binder, reordered).unwrap(), first);
+        let (.., cells) = bind(&mut binder, renamed).unwrap();
         assert_eq!(&*cells[0].0, "source");
         // A rejected row leaves the binder usable.
-        assert!(binder.bind(vec![("hour", Value::BigInt(1))]).is_err());
-        assert_eq!(binder.bind(full()).unwrap(), first);
+        assert!(bind(&mut binder, vec![("hour", Value::BigInt(1))]).is_err());
+        assert_eq!(bind(&mut binder, full()).unwrap(), first);
     }
 
     #[test]
     fn consecutive_rows_of_one_partition_share_its_decorated_key() {
         let s = sample();
-        let mut binder = s.binder();
+        let mut binder = one_view(&s);
         let row = |hour: i64, ts: i64| {
             vec![
                 ("hour", Value::BigInt(hour)),
@@ -541,10 +688,10 @@ mod tests {
                 ("ts", Value::Timestamp(ts)),
             ]
         };
-        let (first, ..) = binder.bind(row(1, 1)).unwrap();
-        let (second, ..) = binder.bind(row(1, 2)).unwrap();
-        let (other, ..) = binder.bind(row(2, 3)).unwrap();
-        let (back, ..) = binder.bind(row(1, 4)).unwrap();
+        let (first, ..) = bind(&mut binder, row(1, 1)).unwrap();
+        let (second, ..) = bind(&mut binder, row(1, 2)).unwrap();
+        let (other, ..) = bind(&mut binder, row(2, 3)).unwrap();
+        let (back, ..) = bind(&mut binder, row(1, 4)).unwrap();
         assert!(Arc::ptr_eq(&first.key().0, &second.key().0), "shared");
         assert_ne!(first, other);
         assert_eq!(back, first, "the same key, decorated again");
@@ -554,7 +701,7 @@ mod tests {
     #[test]
     fn cells_come_out_in_name_order_whatever_the_row_order() {
         let s = sample();
-        let mut binder = s.binder();
+        let mut binder = one_view(&s);
         let row = |first: (&'static str, Value), second: (&'static str, Value)| {
             vec![
                 first,
@@ -565,10 +712,10 @@ mod tests {
             ]
         };
         let (source, amount) = (("source", Value::text("c0")), ("amount", Value::Int(2)));
-        let (.., cells) = binder.bind(row(source.clone(), amount.clone())).unwrap();
+        let (.., cells) = bind(&mut binder, row(source.clone(), amount.clone())).unwrap();
         let names: Vec<&str> = cells.iter().map(|(n, _)| &**n).collect();
         assert_eq!(names, ["amount", "source"]);
-        let (.., again) = binder.bind(row(amount, source)).unwrap();
+        let (.., again) = bind(&mut binder, row(amount, source)).unwrap();
         assert_eq!(again, cells);
     }
 

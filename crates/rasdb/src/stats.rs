@@ -158,8 +158,6 @@ impl CoordinatorStats {
         let r = telemetry::global();
         r.counter("rasdb.coordinator.read_multi.batches").incr(1);
         r.counter("rasdb.coordinator.read_multi.plans").incr(plans);
-        r.gauge("rasdb.coordinator.read_multi.fanout")
-            .set(plans as i64);
     }
 
     /// Records the rows of one coordinator write call. The

@@ -161,10 +161,10 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
     // Co-location in this system is a window read that fans out to the
     // nodes owning its hours in one `read_multi`; the import ran as
     // scheduler tasks on executor threads.
-    let fanout = metrics["data"]["gauges"]["rasdb.coordinator.read_multi.fanout"]
+    let plans = metrics["data"]["counters"]["rasdb.coordinator.read_multi.plans"]
         .as_i64()
-        .expect("fan-out gauge present");
-    assert!(fanout > 0, "no read_multi fan-out recorded");
+        .expect("read_multi plan counter present");
+    assert!(plans > 0, "no read_multi plans recorded");
     let tasks = metrics["data"]["histograms"]["sparklet.scheduler.task"]["count"]
         .as_i64()
         .expect("task histogram present");
