@@ -2,20 +2,17 @@
 //! its rows, every other one — hedges included — only says whether it holds
 //! the same. A replica that differs sends the plan down the full merge and
 //! read repair, whose outcome must be what the reference read in
-//! `support/read_model.rs` predicts from what the consulted replicas held.
+//! `support/model.rs` predicts from what the consulted replicas held.
 
-#[path = "support/read_model.rs"]
-mod read_model;
+#[path = "support/model.rs"]
+mod model;
 
+use model::{ck, consulted, model_read, pk, repaired, to_model, visible, Raw, TableModel};
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
-use rasdb::memtable::RowEntry;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
-use rasdb::types::{Key, Row, Value};
-use rasdb::DecoratedKey;
-use read_model::{consulted, model_read, Raw};
-use std::collections::BTreeMap;
+use rasdb::types::Value;
 use std::time::Duration;
 
 /// Three nodes, RF 3.
@@ -49,7 +46,7 @@ fn put(c: &Cluster, ts: i64, a: i32) {
 fn plan() -> ReadPlan {
     ReadPlan {
         table: "t".into(),
-        partition: DecoratedKey::new(Key::from(vec![Value::BigInt(1)])),
+        partition: pk(1),
         range: full_range(),
         limit: None,
         descending: false,
@@ -76,31 +73,18 @@ fn digests(c: &Cluster) -> (u64, u64) {
 }
 
 fn raw(c: &Cluster, id: NodeId) -> Raw {
-    c.node(id)
-        .read_raw("t", &plan().partition, &full_range())
-        .unwrap()
-}
-
-/// A replica's partition once the repair rows have been merged into it.
-fn repaired(before: &Raw, repair: &Raw) -> Raw {
-    let mut state: BTreeMap<Key, RowEntry> = before.iter().cloned().collect();
-    for (ck, entry) in repair {
-        let merged = match state.remove(ck) {
-            None => entry.clone(),
-            Some(existing) => RowEntry::merge(existing, entry.clone()),
-        };
-        state.insert(ck.clone(), merged);
-    }
-    state.into_iter().collect()
+    let run = c.node(id).read_raw("t", &plan().partition, &full_range());
+    to_model(&run.unwrap())
 }
 
 #[test]
 fn a_healthy_read_takes_rows_from_one_replica_and_digests_from_the_rest() {
     let c = healthy();
-    let want: Vec<Row> = raw(&c, NodeId(0))
-        .into_iter()
-        .filter_map(|(ck, e)| e.visible(ck))
-        .collect();
+    let mut model = TableModel::default();
+    for ts in 0..12 {
+        model.write(pk(1).key().clone(), ck(ts), [("a", Value::Int(ts as i32))]);
+    }
+    let want = model.rows(pk(1).key(), &.., None, false);
     for (consistency, digest_reads) in [
         (Consistency::One, 0),
         (Consistency::Quorum, 1),
@@ -109,7 +93,7 @@ fn a_healthy_read_takes_rows_from_one_replica_and_digests_from_the_rest() {
         let before = digests(&c);
         let reads: u64 = (0..3).map(|n| c.node(NodeId(n)).stats().reads).sum();
         let rows = c.read(&plan(), consistency).unwrap();
-        assert_eq!(&rows[..], &want[..], "{consistency:?}");
+        assert_eq!(visible(&rows), want, "{consistency:?}");
         assert_eq!(
             digests(&c),
             (before.0 + digest_reads, before.1),
@@ -149,7 +133,7 @@ fn a_replica_that_missed_a_write_is_one_mismatch_and_the_model_read_repair() {
         let digests_before = digests(&c);
 
         let rows = c.read(&plan(), Consistency::Quorum).unwrap();
-        assert_eq!(&rows[..], &want[..], "stale replica {stale}, {writes:?}");
+        assert_eq!(visible(&rows), want, "stale replica {stale}, {writes:?}");
         assert_eq!(digests(&c), (digests_before.0 + 1, digests_before.1 + 1));
         for (i, ((id, held), repair)) in before.iter().zip(&repairs).enumerate() {
             assert_eq!(raw(&c, *id), repaired(held, repair), "replica {id:?}");
@@ -161,8 +145,8 @@ fn a_replica_that_missed_a_write_is_one_mismatch_and_the_model_read_repair() {
         // Repaired, the replicas agree again.
         let digests_before = digests(&c);
         assert_eq!(
-            &c.read(&plan(), Consistency::Quorum).unwrap()[..],
-            &want[..]
+            visible(&c.read(&plan(), Consistency::Quorum).unwrap()),
+            want
         );
         assert_eq!(digests(&c), (digests_before.0 + 1, digests_before.1));
     }
@@ -196,7 +180,7 @@ fn hedges_answer_with_digests_and_a_stale_data_replica_left_behind_is_not_the_an
     let stale = raw(&c, owners[0]);
     let before = digests(&c);
     let rows = c.read(&plan(), Consistency::Quorum).unwrap();
-    assert_eq!(&rows[..], &want[..]);
+    assert_eq!(visible(&rows), want);
     assert_eq!(digests(&c), (before.0 + 2, before.1 + 2));
     assert_eq!(
         raw(&c, owners[0]),

@@ -3,28 +3,20 @@
 //! exactly once per committed transition (and never on abort), so that a
 //! cached value's [`Stamp`] goes stale across a commit and only then.
 
+#[path = "support/model.rs"]
+mod model;
+
+use model::{pk, row, schema, visible, TableModel};
 use proptest::prelude::*;
 use rasdb::cache::Stamp;
 use rasdb::cluster::{Cluster, ClusterConfig};
 use rasdb::error::DbError;
 use rasdb::query::Consistency;
 use rasdb::ring::NodeId;
-use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::topology::TopologyFaultPlan;
-use rasdb::types::{Key, Row, Value};
-use rasdb::DecoratedKey;
-use std::collections::BTreeMap;
+use rasdb::types::{Row, Value};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn schema() -> TableSchema {
-    TableSchema::builder("t")
-        .partition_key("hour", ColumnType::BigInt)
-        .clustering_key("ts", ColumnType::Timestamp)
-        .column("v", ColumnType::Int)
-        .build()
-        .unwrap()
-}
 
 fn cluster(nodes: usize, rf: usize) -> Cluster {
     let c = Cluster::new(ClusterConfig {
@@ -32,21 +24,13 @@ fn cluster(nodes: usize, rf: usize) -> Cluster {
         replication_factor: rf,
         vnodes: 8,
     });
-    c.create_table(schema()).unwrap();
+    c.create_table(schema("t")).unwrap();
     c
 }
 
 fn put(c: &Cluster, hour: i64, ts: i64, v: i32) {
-    c.insert(
-        "t",
-        vec![
-            ("hour", Value::BigInt(hour)),
-            ("ts", Value::Timestamp(ts)),
-            ("v", Value::Int(v)),
-        ],
-        Consistency::Quorum,
-    )
-    .unwrap();
+    c.insert("t", row(hour, ts, v), Consistency::Quorum)
+        .unwrap();
 }
 
 /// Full-table scan at ALL: every partition's rows, strongest read the
@@ -102,8 +86,7 @@ fn join_streams_ranges_and_bumps_epoch_exactly_once() {
 /// A stamp on partition `hour` of `t`, as a cache tier takes it before a
 /// read.
 fn stamp(c: &Cluster, hour: i64) -> Stamp {
-    let partition = DecoratedKey::new(Key::from(vec![Value::BigInt(hour)]));
-    Stamp::take(c, [("t".to_owned(), partition)])
+    Stamp::take(c, [("t".to_owned(), pk(hour))])
 }
 
 #[test]
@@ -322,14 +305,14 @@ proptest! {
         let churn = cluster(4, 3);
         churn.set_stream_chunk_rows(4);
         let control = cluster(4, 3);
-        let mut model: BTreeMap<(i64, i64), i32> = BTreeMap::new();
+        let mut model = TableModel::default();
 
         for op in &ops {
             match op {
                 ChurnOp::Write { hour, ts, v } => {
                     put(&churn, *hour, *ts, *v);
                     put(&control, *hour, *ts, *v);
-                    model.insert((*hour, *ts), *v);
+                    model.put(*hour, *ts, *v);
                 }
                 ChurnOp::Join { drop_every, corrupt_every, joiner_crash } => {
                     let plan = TopologyFaultPlan::none()
@@ -362,23 +345,9 @@ proptest! {
         let want = scan(&control, 6);
         prop_assert_eq!(got, want);
 
-        // And both agree with the plain map model.
-        let flat: Vec<(i64, i64, i32)> = scan(&churn, 6)
-            .iter()
-            .enumerate()
-            .flat_map(|(h, rows)| {
-                rows.iter().map(move |r| {
-                    let ts = r.clustering.0[0].as_i64().unwrap();
-                    let v = match r.cell("v") {
-                        Some(Value::Int(v)) => *v,
-                        other => panic!("bad cell {other:?}"),
-                    };
-                    (h as i64, ts, v)
-                })
-            })
-            .collect();
-        let want_flat: Vec<(i64, i64, i32)> =
-            model.iter().map(|((h, ts), v)| (*h, *ts, *v)).collect();
-        prop_assert_eq!(flat, want_flat);
+        // And both agree with the storage model.
+        for (h, rows) in (0..6).zip(&got) {
+            prop_assert_eq!(visible(rows), model.hour(h), "hour {}", h);
+        }
     }
 }

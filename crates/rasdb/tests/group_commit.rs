@@ -4,6 +4,10 @@
 //! on every replica, in every hint queue and in every counter — and every
 //! acked row must survive a crash of every replica.
 
+#[path = "support/model.rs"]
+mod model;
+
+use model::{pk, row, schema, visible, ModelRow, TableModel};
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
@@ -11,11 +15,9 @@ use rasdb::memtable::{sorted_cells, RowEntry};
 use rasdb::node::NodeConfig;
 use rasdb::query::Consistency;
 use rasdb::ring::NodeId;
-use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::sstable::{encode_stream_chunk, stream_chunk_checksum};
 use rasdb::topology::TopologyFaultPlan;
 use rasdb::types::{Cell, Key, Row, Value};
-use rasdb::DecoratedKey;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,27 +42,9 @@ fn cluster() -> Cluster {
         },
     );
     for t in TABLES {
-        let schema = TableSchema::builder(t)
-            .partition_key("hour", ColumnType::BigInt)
-            .clustering_key("ts", ColumnType::Timestamp)
-            .column("v", ColumnType::Int)
-            .build()
-            .unwrap();
-        c.create_table(schema).unwrap();
+        c.create_table(schema(t)).unwrap();
     }
     c
-}
-
-fn row(hour: i64, ts: i64, v: i32) -> Vec<(String, Value)> {
-    vec![
-        ("hour".to_owned(), Value::BigInt(hour)),
-        ("ts".to_owned(), Value::Timestamp(ts)),
-        ("v".to_owned(), Value::Int(v)),
-    ]
-}
-
-fn pk(hour: i64) -> DecoratedKey {
-    DecoratedKey::new(Key::from(vec![Value::BigInt(hour)]))
 }
 
 /// One coordinator call on the batched cluster.
@@ -247,32 +231,20 @@ proptest! {
         prop_assert_eq!(pending_hints(&batched), vec![0; NODES]);
         assert_same_state_and_durable(&batched, &twin);
 
-        // And both are right: the scan is what a plain map holds.
-        let mut model: BTreeMap<(usize, i64, i64), i32> = BTreeMap::new();
+        // And both are right: the scan is what the storage model holds.
+        let mut models = [TableModel::default(), TableModel::default()];
         for step in &steps {
             match step {
                 Step::Batch { table, rows } => {
                     for &(h, ts, v) in rows {
-                        model.insert((*table, h, ts), v);
+                        models[*table].put(h, ts, v);
                     }
                 }
-                Step::Delete { table, hour, ts } => {
-                    model.remove(&(*table, *hour, *ts));
-                }
+                Step::Delete { table, hour, ts } => models[*table].delete(*hour, *ts),
             }
         }
-        let stored: Vec<(usize, i64, i64, i32)> = scan(&batched, Consistency::All)
-            .iter()
-            .enumerate()
-            .flat_map(|(i, rows)| {
-                rows.iter().map(move |r| {
-                    let ts = r.clustering.0[0].as_i64().unwrap();
-                    let v = r.cell("v").and_then(Value::as_i64).unwrap() as i32;
-                    (i / HOURS as usize, i as i64 % HOURS, ts, v)
-                })
-            })
-            .collect();
-        let expected: Vec<_> = model.into_iter().map(|((t, h, ts), v)| (t, h, ts, v)).collect();
+        let stored: Vec<_> = scan(&batched, Consistency::All).iter().map(|rows| visible(rows)).collect();
+        let expected: Vec<_> = models.iter().flat_map(|m| (0..HOURS).map(|h| m.hour(h))).collect();
         prop_assert_eq!(stored, expected);
     }
 }
@@ -357,7 +329,7 @@ fn a_column_named_twice_rejects_the_batch_before_anything_is_written() {
     ] {
         let c = cluster();
         let mut batch: Vec<_> = (0..4).map(|i| row(1, i, i as i32)).collect();
-        batch[2].push((name.to_owned(), value));
+        batch[2].push((name, value));
         let err = c.insert_batch("a", batch, Consistency::Quorum).unwrap_err();
         assert!(matches!(err, DbError::SchemaViolation(_)), "{name}: {err}");
 
@@ -497,84 +469,42 @@ fn stream_chunk_bytes_are_what_they_were() {
     assert_eq!(stream_chunk_checksum(&encoded), 0x6ead_47dd_abfe_4db5);
 }
 
-/// A stored row as it was before it became a sorted vector: a `BTreeMap` of
-/// owned names, merged cell by cell.
-#[derive(Debug, Clone, Default)]
-struct ModelRow {
-    cells: BTreeMap<String, Cell>,
-    deleted_at: Option<u64>,
-}
-
-impl ModelRow {
-    fn upsert(&mut self, cells: &[(String, Cell)]) {
-        for (name, new) in cells {
-            let newer = match self.cells.get(name) {
-                None => true,
-                Some(old) if new.write_ts != old.write_ts => new.write_ts > old.write_ts,
-                // A tie goes to the tombstone, then to the larger value.
-                Some(old) => match (&old.value, &new.value) {
-                    (None, _) => false,
-                    (_, None) => true,
-                    (Some(x), Some(y)) => y > x,
-                },
-            };
-            if newer {
-                self.cells.insert(name.clone(), new.clone());
-            }
+/// The stream encoding of a one-row chunk, written out from the format.
+fn encoded(row: &ModelRow, partition: &Key, clustering: &Key) -> Vec<u8> {
+    let mut out = Vec::new();
+    let sized = |out: &mut Vec<u8>, bytes: &[u8]| {
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(bytes);
+    };
+    sized(&mut out, &partition.encode());
+    out.extend_from_slice(&1u32.to_le_bytes());
+    sized(&mut out, &clustering.encode());
+    match row.deleted_at {
+        None => out.push(0),
+        Some(ts) => {
+            out.push(1);
+            out.extend_from_slice(&ts.to_le_bytes());
         }
     }
-
-    fn delete(&mut self, ts: u64) {
-        self.deleted_at = self.deleted_at.max(Some(ts));
-    }
-
-    fn visible(&self) -> Option<BTreeMap<String, Value>> {
-        let cells: BTreeMap<String, Value> = self
-            .cells
-            .iter()
-            .filter(|(_, c)| self.deleted_at.is_none_or(|ts| c.write_ts > ts))
-            .filter_map(|(n, c)| Some((n.clone(), c.value.clone()?)))
-            .collect();
-        (!cells.is_empty()).then_some(cells)
-    }
-
-    /// The stream encoding of a one-row chunk, written out from the format.
-    fn encoded(&self, partition: &Key, clustering: &Key) -> Vec<u8> {
-        let mut out = Vec::new();
-        let sized = |out: &mut Vec<u8>, bytes: &[u8]| {
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
-        };
-        sized(&mut out, &partition.encode());
-        out.extend_from_slice(&1u32.to_le_bytes());
-        sized(&mut out, &clustering.encode());
-        match self.deleted_at {
+    out.extend_from_slice(&(row.cells.len() as u32).to_le_bytes());
+    for (name, cell) in row.cells.iter() {
+        sized(&mut out, name.as_bytes());
+        out.extend_from_slice(&cell.write_ts.to_le_bytes());
+        match &cell.value {
             None => out.push(0),
-            Some(ts) => {
+            Some(v) => {
                 out.push(1);
-                out.extend_from_slice(&ts.to_le_bytes());
+                v.encode_into(&mut out);
             }
         }
-        out.extend_from_slice(&(self.cells.len() as u32).to_le_bytes());
-        for (name, cell) in &self.cells {
-            sized(&mut out, name.as_bytes());
-            out.extend_from_slice(&cell.write_ts.to_le_bytes());
-            match &cell.value {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    v.encode_into(&mut out);
-                }
-            }
-        }
-        out
     }
+    out
 }
 
 /// One change to a stored row.
 #[derive(Debug, Clone)]
 enum RowOp {
-    Upsert(Vec<(String, Cell)>),
+    Upsert(Vec<(Arc<str>, Cell)>),
     Delete(u64),
 }
 
@@ -588,7 +518,7 @@ fn arb_row_ops() -> impl Strategy<Value = Vec<RowOp>> {
         "[a-c]{0,2}".prop_map(|s| Some(Value::text(s))),
     ];
     let cell = (name, value, 0..6u64)
-        .prop_map(|(name, value, write_ts)| (name.to_owned(), Cell { value, write_ts }));
+        .prop_map(|(name, value, write_ts)| (name.into(), Cell { value, write_ts }));
     let op = prop_oneof![
         3 => prop::collection::vec(cell, 0..4).prop_map(RowOp::Upsert),
         1 => (0..6u64).prop_map(RowOp::Delete),
@@ -601,10 +531,8 @@ fn build(ops: &[RowOp]) -> (RowEntry, ModelRow) {
     for op in ops {
         match op {
             RowOp::Upsert(cells) => {
-                row.upsert(&sorted_cells(
-                    cells.iter().map(|(n, c)| (n.as_str().into(), c.clone())),
-                ));
-                model.upsert(cells);
+                row.upsert(&sorted_cells(cells.iter().cloned()));
+                model.write(cells);
             }
             RowOp::Delete(ts) => {
                 row.delete(*ts);
@@ -616,31 +544,28 @@ fn build(ops: &[RowOp]) -> (RowEntry, ModelRow) {
 }
 
 proptest! {
-    /// Upserts, deletes and merges leave the vector-backed row showing and
-    /// encoding what the map-backed row it replaced shows and encodes.
+    /// Upserts, deletes and merges leave the vector-backed row holding,
+    /// showing and encoding what the model's row holds, shows and encodes.
     #[test]
     fn a_vec_backed_row_is_the_map_backed_row(left in arb_row_ops(), right in arb_row_ops()) {
         let (row, mut model) = build(&left);
         let (other, other_model) = build(&right);
         let merged = RowEntry::merge(row, other);
-        if let Some(ts) = other_model.deleted_at {
-            model.delete(ts);
-        }
-        let theirs: Vec<_> = other_model.cells.into_iter().collect();
-        model.upsert(&theirs);
+        model.merge(&other_model);
 
         prop_assert!(merged.cells().windows(2).all(|w| w[0].0 < w[1].0), "sorted, no duplicates");
+        prop_assert_eq!(ModelRow::from(&merged), model);
         prop_assert_eq!(merged.weight(), model.cells.len() + 1);
         let visible = merged.clone().visible(Key::default()).map(|row| {
-            let cells = row.cells().map(|(n, v)| (n.to_string(), v.clone()));
-            cells.collect::<BTreeMap<String, Value>>()
+            let cells = row.cells().map(|(n, v)| (Arc::clone(n), v.clone()));
+            cells.collect::<Vec<_>>()
         });
         prop_assert_eq!(visible, model.visible());
         let partition = pk(3).key().clone();
         let clustering = Key::from(vec![Value::Timestamp(9)]);
         prop_assert_eq!(
             encode_stream_chunk(&partition, &[(clustering.clone(), merged)]),
-            model.encoded(&partition, &clustering)
+            encoded(&model, &partition, &clustering)
         );
     }
 }
@@ -735,13 +660,7 @@ fn roomy_cluster() -> Cluster {
         replication_factor: 3,
         vnodes: 8,
     });
-    let schema = TableSchema::builder("a")
-        .partition_key("hour", ColumnType::BigInt)
-        .clustering_key("ts", ColumnType::Timestamp)
-        .column("v", ColumnType::Int)
-        .build()
-        .unwrap();
-    c.create_table(schema).unwrap();
+    c.create_table(schema("a")).unwrap();
     c
 }
 

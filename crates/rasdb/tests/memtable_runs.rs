@@ -1,57 +1,62 @@
 //! The memtable keeps each partition as a sorted run, partitions in
 //! decorated-key (ring) order. Whatever order rows arrive in, it must hold,
-//! weigh, stop at and flush — partitions in token order — exactly what the
-//! per-partition `BTreeMap` it replaced held, weighed, stopped at and
-//! flushed, a partition of one row held inline, and rows that arrive in
+//! weigh, stop at and flush — partitions in token order — exactly what a
+//! map of the storage model's rows per partition holds, weighs, stops at and
+//! flushes, a partition of one row held inline, and rows that arrive in
 //! front of what is stored must not cost a `Vec::insert` each.
 
+#[path = "support/model.rs"]
+mod model;
+
+use model::{ck, pk, to_model, ModelRow, Raw};
 use proptest::prelude::*;
-use rasdb::memtable::{full_range, sorted_cells, Cells, Memtable, RowEntry, Rows, Run};
+use rasdb::memtable::{full_range, sorted_cells, Cells, Memtable, Rows};
 use rasdb::types::{Cell, Key, Value};
 use rasdb::DecoratedKey;
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Range = (Bound<Key>, Bound<Key>);
 
-fn pk(p: i64) -> DecoratedKey {
-    DecoratedKey::new(Key::from(vec![Value::BigInt(p)]))
-}
-
-fn ck(ts: i64) -> Key {
-    Key::from(vec![Value::Timestamp(ts)])
-}
-
 /// One row change as a group carries it: clustering key, cells, row delete.
 type Change = (Key, Cells, Option<u64>);
 
-/// The memtable as it was: a `BTreeMap` of rows per partition, filled with
-/// the same weight accounting, row by row; partitions in decorated order.
+/// The memtable as a map of the model's rows per partition, filled with the
+/// memtable's weight accounting (a row weighs its cells and one), row by
+/// row; partitions in decorated order.
 #[derive(Default)]
 struct Model {
-    partitions: BTreeMap<DecoratedKey, BTreeMap<Key, RowEntry>>,
+    partitions: BTreeMap<DecoratedKey, BTreeMap<Key, ModelRow>>,
     weight: usize,
 }
 
 impl Model {
-    fn upsert_rows(&mut self, partition: &DecoratedKey, rows: &[Change], flush_at: usize) -> usize {
+    /// Applies generated rows, their cells one by one as drawn.
+    fn upsert_rows(
+        &mut self,
+        partition: &DecoratedKey,
+        rows: &[RowSpec],
+        flush_at: usize,
+    ) -> usize {
         let rows_of = self.partitions.entry(partition.clone()).or_default();
         let mut applied = 0;
-        for (clustering, cells, row_delete) in rows {
+        for (k, cells, row_delete) in rows {
             applied += 1;
             if row_delete.is_none() && cells.is_empty() {
                 continue;
             }
-            let row = rows_of.entry(clustering.clone()).or_default();
+            let row = rows_of.entry(ck(*k)).or_default();
             if let Some(ts) = row_delete {
                 row.delete(*ts);
                 self.weight += 1;
             }
             if !cells.is_empty() {
-                self.weight -= row.weight().min(self.weight);
-                row.upsert(cells);
-                self.weight += row.weight();
+                self.weight -= (row.cells.len() + 1).min(self.weight);
+                let cells: Vec<(Arc<str>, Cell)> = cells.iter().map(cell).collect();
+                row.write(&cells);
+                self.weight += row.cells.len() + 1;
             }
             if self.weight >= flush_at {
                 break;
@@ -63,17 +68,17 @@ impl Model {
         applied
     }
 
-    fn read_raw(&self, partition: &DecoratedKey, range: &Range) -> Run {
+    fn read_raw(&self, partition: &DecoratedKey, range: &Range) -> Raw {
         let Some(rows) = self.partitions.get(partition) else {
             return Vec::new();
         };
         rows.iter()
             .filter(|(k, _)| range.contains(*k))
-            .map(|(k, e)| (k.clone(), e.clone()))
+            .map(|(k, row)| (k.clone(), row.clone()))
             .collect()
     }
 
-    fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Run)> {
+    fn drain_sorted(&mut self) -> Vec<(DecoratedKey, Raw)> {
         self.weight = 0;
         std::mem::take(&mut self.partitions)
             .into_iter()
@@ -85,12 +90,19 @@ impl Model {
 /// One generated cell: name, value (`None`: a cell tombstone), write time.
 type CellSpec = (&'static str, Option<i32>, u64);
 
-/// One group: a partition and its rows — clustering key, cells, row
-/// delete — in arrival order.
+/// A generated row: clustering key, cells, row delete.
+type RowSpec = (i64, Vec<CellSpec>, Option<u64>);
+
+fn cell(&(name, v, write_ts): &CellSpec) -> (Arc<str>, Cell) {
+    let value = v.map(Value::Int);
+    (name.into(), Cell { value, write_ts })
+}
+
+/// One group: a partition and its rows in arrival order.
 #[derive(Debug, Clone)]
 struct Group {
     partition: i64,
-    rows: Vec<(i64, Vec<CellSpec>, Option<u64>)>,
+    rows: Vec<RowSpec>,
 }
 
 fn arb_group() -> impl Strategy<Value = Group> {
@@ -131,25 +143,15 @@ fn changes(group: &Group) -> Vec<Change> {
         .rows
         .iter()
         .map(|(k, cells, delete)| {
-            let cells = cells.iter().map(|&(name, v, ts)| {
-                let value = v.map(Value::Int);
-                (
-                    name.into(),
-                    Cell {
-                        value,
-                        write_ts: ts,
-                    },
-                )
-            });
+            let cells = cells.iter().map(cell);
             (ck(*k), sorted_cells(cells), *delete)
         })
         .collect()
 }
 
-/// The memtable's flush output as the model's: each partition's rows as a
-/// run, once it is checked that a partition holds its rows inline exactly
-/// when it holds one.
-fn drained_runs(memtable: &mut Memtable) -> Vec<(DecoratedKey, Run)> {
+/// The memtable's flush output in model space, once it is checked that a
+/// partition holds its rows inline exactly when it holds one.
+fn drained_runs(memtable: &mut Memtable) -> Vec<(DecoratedKey, Raw)> {
     let drained = memtable.drain_sorted();
     for (partition, rows) in &drained {
         assert_eq!(
@@ -160,7 +162,9 @@ fn drained_runs(memtable: &mut Memtable) -> Vec<(DecoratedKey, Run)> {
             rows.len()
         );
     }
-    let runs = drained.into_iter().map(|(pk, rows)| (pk, rows.into_run()));
+    let runs = drained
+        .iter()
+        .map(|(pk, rows)| (pk.clone(), to_model(rows)));
     runs.collect()
 }
 
@@ -185,22 +189,23 @@ proptest! {
         let (mut memtable, mut model) = (Memtable::new(), Model::default());
         for group in &groups {
             let (partition, changes) = (pk(group.partition), changes(group));
-            let mut rows = &changes[..];
-            while !rows.is_empty() {
-                let borrowed = rows.iter().map(|(k, cells, delete)| (k, cells, *delete));
+            let mut done = 0;
+            while done < changes.len() {
+                let borrowed = changes[done..].iter().map(|(k, cells, delete)| (k, cells, *delete));
                 let applied = memtable.upsert_rows(&partition, borrowed, flush_at);
-                prop_assert_eq!(applied, model.upsert_rows(&partition, rows, flush_at));
+                let modelled = model.upsert_rows(&partition, &group.rows[done..], flush_at);
+                prop_assert_eq!(applied, modelled);
                 prop_assert_eq!(memtable.weight(), model.weight);
                 for p in 0..4 {
                     for range in ranges.iter().chain([&full_range()]) {
                         prop_assert_eq!(
-                            memtable.read_raw(&pk(p), range.clone()),
+                            to_model(&memtable.read_raw(&pk(p), range.clone())),
                             model.read_raw(&pk(p), range),
                             "partition {}, range {:?}", p, range
                         );
                     }
                 }
-                rows = &rows[applied..];
+                done += applied;
                 if memtable.weight() >= flush_at {
                     prop_assert_eq!(drained_runs(&mut memtable), model.drain_sorted());
                 }

@@ -1,14 +1,17 @@
 //! Model-based property tests: the full stack (commit log, memtable,
-//! SSTables, compaction, replication, failures) must agree with a plain
-//! `BTreeMap` model under arbitrary operation sequences.
+//! SSTables, compaction, replication, failures) must agree with the storage
+//! model of `support/model.rs` under arbitrary operation sequences.
 
+#[path = "support/model.rs"]
+mod model;
+
+use model::{ck, pk, row, schema, visible, TableModel};
 use proptest::prelude::*;
 use rasdb::cluster::{Cluster, ClusterConfig};
 use rasdb::query::Consistency;
 use rasdb::ring::NodeId;
-use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Key, Value};
-use std::collections::BTreeMap;
+use std::ops::Bound;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -40,37 +43,20 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn schema() -> TableSchema {
-    TableSchema::builder("t")
-        .partition_key("hour", ColumnType::BigInt)
-        .clustering_key("ts", ColumnType::Timestamp)
-        .column("v", ColumnType::Int)
-        .build()
-        .unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn cluster_matches_btreemap_model(ops in prop::collection::vec(arb_op(), 1..60)) {
         let cluster = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
-        cluster.create_table(schema()).unwrap();
-        let mut model: BTreeMap<(i64, i64), i32> = BTreeMap::new();
+        cluster.create_table(schema("t")).unwrap();
+        let mut model = TableModel::default();
 
         for op in &ops {
             match op {
                 Op::Insert { hour, ts, v } => {
-                    cluster.insert(
-                        "t",
-                        vec![
-                            ("hour", Value::BigInt(*hour)),
-                            ("ts", Value::Timestamp(*ts)),
-                            ("v", Value::Int(*v)),
-                        ],
-                        Consistency::Quorum,
-                    ).unwrap();
-                    model.insert((*hour, *ts), *v);
+                    cluster.insert("t", row(*hour, *ts, *v), Consistency::Quorum).unwrap();
+                    model.put(*hour, *ts, *v);
                 }
                 Op::Delete { hour, ts } => {
                     cluster.delete(
@@ -79,23 +65,15 @@ proptest! {
                         vec![Value::Timestamp(*ts)],
                         Consistency::Quorum,
                     ).unwrap();
-                    model.remove(&(*hour, *ts));
+                    model.delete(*hour, *ts);
                 }
                 Op::Flush => cluster.flush_all(),
                 Op::Restart(n) => cluster.node(NodeId(*n)).restart(),
                 Op::Blip { node, hour, ts, v } => {
                     cluster.take_node_down(NodeId(*node));
                     // RF 3 on 4 nodes: quorum still reachable with 1 down.
-                    cluster.insert(
-                        "t",
-                        vec![
-                            ("hour", Value::BigInt(*hour)),
-                            ("ts", Value::Timestamp(*ts)),
-                            ("v", Value::Int(*v)),
-                        ],
-                        Consistency::Quorum,
-                    ).unwrap();
-                    model.insert((*hour, *ts), *v);
+                    cluster.insert("t", row(*hour, *ts, *v), Consistency::Quorum).unwrap();
+                    model.put(*hour, *ts, *v);
                     cluster.bring_node_up(NodeId(*node));
                 }
             }
@@ -108,22 +86,7 @@ proptest! {
                 .partition(vec![Value::BigInt(hour)])
                 .run(Consistency::Quorum)
                 .unwrap();
-            let got: Vec<(i64, i32)> = rows
-                .iter()
-                .map(|r| {
-                    let ts = r.clustering.0[0].as_i64().unwrap();
-                    let v = match r.cell("v") {
-                        Some(Value::Int(v)) => *v,
-                        other => panic!("bad cell {other:?}"),
-                    };
-                    (ts, v)
-                })
-                .collect();
-            let want: Vec<(i64, i32)> = model
-                .range((hour, i64::MIN)..=(hour, i64::MAX))
-                .map(|((_, ts), v)| (*ts, *v))
-                .collect();
-            prop_assert_eq!(got, want, "partition hour={}", hour);
+            prop_assert_eq!(visible(&rows), model.hour(hour), "partition hour={}", hour);
         }
     }
 
@@ -134,19 +97,11 @@ proptest! {
         width in 1..60i64,
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 3, replication_factor: 2, vnodes: 8 });
-        cluster.create_table(schema()).unwrap();
-        let mut model: BTreeMap<i64, i32> = BTreeMap::new();
+        cluster.create_table(schema("t")).unwrap();
+        let mut model = TableModel::default();
         for (ts, v) in &inserts {
-            cluster.insert(
-                "t",
-                vec![
-                    ("hour", Value::BigInt(0)),
-                    ("ts", Value::Timestamp(*ts)),
-                    ("v", Value::Int(*v)),
-                ],
-                Consistency::All,
-            ).unwrap();
-            model.insert(*ts, *v);
+            cluster.insert("t", row(0, *ts, *v), Consistency::All).unwrap();
+            model.put(0, *ts, *v);
         }
         cluster.flush_all();
         let hi = lo + width;
@@ -157,27 +112,19 @@ proptest! {
             .to_exclusive(Value::Timestamp(hi))
             .run(Consistency::All)
             .unwrap();
-        let got: Vec<i64> = rows.iter().map(|r| r.clustering.0[0].as_i64().unwrap()).collect();
-        let want: Vec<i64> = model.range(lo..hi).map(|(ts, _)| *ts).collect();
-        prop_assert_eq!(got, want);
+        let range = (Bound::Included(ck(lo)), Bound::Excluded(ck(hi)));
+        let want = model.rows(pk(0).key(), &range, None, false);
+        prop_assert_eq!(visible(&rows), want);
     }
 
     #[test]
     fn bloom_filters_skip_foreign_sstables(hours in prop::collection::vec(0..32i64, 8..24)) {
         let cluster = Cluster::new(ClusterConfig { nodes: 1, replication_factor: 1, vnodes: 8 });
-        cluster.create_table(schema()).unwrap();
+        cluster.create_table(schema("t")).unwrap();
         // One SSTable per distinct partition: insert, then flush each round.
         let distinct: std::collections::BTreeSet<i64> = hours.iter().copied().collect();
         for hour in &distinct {
-            cluster.insert(
-                "t",
-                vec![
-                    ("hour", Value::BigInt(*hour)),
-                    ("ts", Value::Timestamp(0)),
-                    ("v", Value::Int(1)),
-                ],
-                Consistency::One,
-            ).unwrap();
+            cluster.insert("t", row(*hour, 0, 1), Consistency::One).unwrap();
             cluster.flush_all();
         }
         // Compaction may have merged some tables; whatever count is left is

@@ -1,33 +1,25 @@
-//! Differential property: the one-pass read path against the code it
-//! replaced.
+//! Differential property: the one-pass read path against the storage model.
 //!
-//! A replica read used to insert every row of every SSTable slice and of the
-//! memtable range into a fresh `BTreeMap`; the coordinator gather did the
-//! same with the replicas' responses and then compared every replica against
-//! the merged map again to decide read repair. Both are sorted-run merges
-//! now. The coordinator half of the old code lives on in
-//! `support/read_model.rs` as the model ([`model_read`]): it is fed what the
-//! consulted replicas hold before a read and predicts the rows the read
-//! returns, the repair each replica receives and whether the partition
-//! version moves. The replica half is
-//! checked against a twin cluster that takes the same writes and never
-//! flushes, so each of its partitions is one run and nothing is merged.
+//! A replica read and the coordinator gather are sorted-run merges. The
+//! coordinator read is checked against `support/model.rs` ([`model_read`]):
+//! fed what the consulted replicas hold before a read, it predicts the rows
+//! the read returns, the repair each replica receives and whether the
+//! partition version moves. The replica read is checked against a twin
+//! cluster that takes the same writes and never flushes, so each of its
+//! partitions is one run and nothing is merged.
 
-#[path = "support/read_model.rs"]
-mod read_model;
+#[path = "support/model.rs"]
+mod model;
 
+use model::{ck, consulted, model_read, pk, repaired, to_model, visible, Raw, Visible};
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::commitlog::Mutation;
 use rasdb::error::DbError;
-use rasdb::memtable::RowEntry;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
 use rasdb::schema::{ColumnType, TableSchema};
 use rasdb::types::{Cell, Key, Row, Value};
-use rasdb::DecoratedKey;
-use read_model::{consulted, model_read, Raw};
-use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Duration;
@@ -103,14 +95,6 @@ fn arb_read() -> impl Strategy<Value = ReadSpec> {
             descending,
             multi,
         })
-}
-
-fn pk(hour: i64) -> DecoratedKey {
-    DecoratedKey::new(Key::from(vec![Value::BigInt(hour)]))
-}
-
-fn ck(ts: i64) -> Key {
-    Key::from(vec![Value::Timestamp(ts)])
 }
 
 fn cluster() -> Cluster {
@@ -209,28 +193,16 @@ fn plan(hour: i64, spec: &ReadSpec) -> ReadPlan {
 
 /// What every node holds of one partition (`None`: the node is down).
 fn replica_states(c: &Cluster, hour: i64, range: &Range) -> Vec<Option<Raw>> {
+    let raw = |n| c.node(NodeId(n)).read_raw("t", &pk(hour), range);
     (0..NODES)
-        .map(|n| c.node(NodeId(n)).read_raw("t", &pk(hour), range))
+        .map(|n| raw(n).as_deref().map(to_model))
         .collect()
-}
-
-/// A replica's partition once the repair rows have been merged into it.
-fn repaired(before: &Raw, repair: &Raw) -> Raw {
-    let mut state: BTreeMap<Key, RowEntry> = before.iter().cloned().collect();
-    for (ck, entry) in repair {
-        let merged = match state.remove(ck) {
-            None => entry.clone(),
-            Some(existing) => RowEntry::merge(existing, entry.clone()),
-        };
-        state.insert(ck.clone(), merged);
-    }
-    state.into_iter().collect()
 }
 
 /// What the model expects of one plan: the read's outcome, every node's
 /// partition afterwards, and whether the partition version moves.
 struct Expected {
-    rows: Result<Vec<Row>, DbError>,
+    rows: Result<Vec<Visible>, DbError>,
     states: Vec<Option<Raw>>,
     repairs: bool,
 }
@@ -317,7 +289,7 @@ proptest! {
             let got = run(&c, spec);
             for (hour, (want, got)) in (0..HOURS).zip(expected.iter().zip(&got)) {
                 match (&want.rows, got) {
-                    (Ok(want), Ok(got)) => prop_assert_eq!(&want[..], &got[..], "{:?}", spec),
+                    (Ok(want), Ok(got)) => prop_assert_eq!(want, &visible(got), "{:?}", spec),
                     (Err(_), Err(DbError::Unavailable { .. })) => {}
                     (want, got) => prop_assert!(false, "{:?}: {:?} for {:?}", spec, got, want),
                 }

@@ -3,24 +3,21 @@
 //!
 //! `read` and `read_multi` run the same per-plan read, so N sequential
 //! `read` calls are no oracle for a batch. Every result is checked against
-//! the reference read in `support/read_model.rs` instead: the rows a plan
+//! the reference read in `support/model.rs` instead: the rows a plan
 //! returns, exactly which replicas it reads (its first `required` up owners,
 //! once each), the down owners it counts as skipped on the way, and no
 //! retry or hedge at latency zero. The checks cover a healthy cluster, a
 //! down node with hinted handoff pending, and too few replicas up.
 
-#[path = "support/read_model.rs"]
-mod read_model;
+#[path = "support/model.rs"]
+mod model;
 
+use model::{ck, consulted, expected_rows, passed_over, pk, row, schema, visible};
 use proptest::prelude::*;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::ring::NodeId;
-use rasdb::schema::{ColumnType, TableSchema};
-use rasdb::types::{Key, Value};
-use rasdb::DecoratedKey;
-use read_model::{consulted, expected_rows, passed_over};
 use std::ops::Bound;
 
 const HOURS: i64 = 6;
@@ -66,26 +63,14 @@ fn arb_plan() -> impl Strategy<Value = PlanSpec> {
         })
 }
 
-fn schema() -> TableSchema {
-    TableSchema::builder("t")
-        .partition_key("hour", ColumnType::BigInt)
-        .clustering_key("ts", ColumnType::Timestamp)
-        .column("v", ColumnType::Int)
-        .build()
-        .unwrap()
-}
-
 fn to_plan(spec: &PlanSpec) -> ReadPlan {
     let range = match spec.range {
         None => full_range(),
-        Some((from, to)) => (
-            Bound::Included(Key::from(vec![Value::Timestamp(from)])),
-            Bound::Excluded(Key::from(vec![Value::Timestamp(to)])),
-        ),
+        Some((from, to)) => (Bound::Included(ck(from)), Bound::Excluded(ck(to))),
     };
     ReadPlan {
         table: "t".into(),
-        partition: DecoratedKey::new(Key::from(vec![Value::BigInt(spec.hour)])),
+        partition: pk(spec.hour),
         range,
         limit: spec.limit,
         descending: spec.descending,
@@ -94,17 +79,8 @@ fn to_plan(spec: &PlanSpec) -> ReadPlan {
 
 fn apply_writes(cluster: &Cluster, writes: &[Write]) {
     for w in writes {
-        cluster
-            .insert(
-                "t",
-                vec![
-                    ("hour", Value::BigInt(w.hour)),
-                    ("ts", Value::Timestamp(w.ts)),
-                    ("v", Value::Int(w.v)),
-                ],
-                Consistency::Quorum,
-            )
-            .unwrap();
+        let row = row(w.hour, w.ts, w.v);
+        cluster.insert("t", row, Consistency::Quorum).unwrap();
     }
 }
 
@@ -144,7 +120,7 @@ fn assert_read_multi_matches_model(
     let batched = cluster.read_multi(plans, consistency).unwrap();
     prop_assert_eq!(batched.len(), plans.len());
     for ((plan, rows), want) in plans.iter().zip(&batched).zip(&want) {
-        prop_assert_eq!(&rows[..], &want[..], "{:?}", plan);
+        prop_assert_eq!(&visible(rows), want, "{:?}", plan);
     }
     let read: Vec<u64> = node_reads(cluster)
         .iter()
@@ -164,7 +140,7 @@ fn assert_read_multi_matches_model(
     );
 
     for (plan, want) in plans.iter().zip(&want) {
-        prop_assert_eq!(&cluster.read(plan, consistency).unwrap()[..], &want[..]);
+        prop_assert_eq!(&visible(&cluster.read(plan, consistency).unwrap()), want);
     }
 }
 
@@ -179,7 +155,7 @@ proptest! {
         specs in prop::collection::vec(arb_plan(), 1..12),
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 4, replication_factor: 3, vnodes: 8 });
-        cluster.create_table(schema()).unwrap();
+        cluster.create_table(schema("t")).unwrap();
         apply_writes(&cluster, &writes);
 
         let plans: Vec<ReadPlan> = specs.iter().map(to_plan).collect();
@@ -197,7 +173,7 @@ proptest! {
         specs in prop::collection::vec(arb_plan(), 1..12),
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 5, replication_factor: 3, vnodes: 8 });
-        cluster.create_table(schema()).unwrap();
+        cluster.create_table(schema("t")).unwrap();
         apply_writes(&cluster, &before);
         cluster.take_node_down(NodeId(down));
         // Writes land on the surviving replicas; hints queue for the down
@@ -217,7 +193,7 @@ proptest! {
         specs in prop::collection::vec(arb_plan(), 1..6),
     ) {
         let cluster = Cluster::new(ClusterConfig { nodes: 3, replication_factor: 3, vnodes: 8 });
-        cluster.create_table(schema()).unwrap();
+        cluster.create_table(schema("t")).unwrap();
         apply_writes(&cluster, &writes);
         cluster.take_node_down(NodeId(0));
         cluster.take_node_down(NodeId(1));

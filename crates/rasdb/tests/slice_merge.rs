@@ -1,16 +1,16 @@
-//! Differential property: the slice-wise run merge against the per-row
-//! merge it replaced.
+//! Differential property: the slice-wise run merge against the model's
+//! merge.
 //!
 //! `merge_all` merges a partition's sorted runs (a replica's SSTable slices
 //! and memtable range, a compaction's tables, the donors of a stream) by
 //! moving whole stretches of the leading run at once and folding copies only
-//! on equal keys. The per-row k-way merge it replaced lives on in
-//! `support/merge_model.rs`; over one to six runs of disjoint, interleaved
-//! and repeated keys, with row and cell tombstones and empty runs, the two
-//! must agree entry for entry.
+//! on equal keys. The reference folds every copy of a row into one, by the
+//! last-write-wins rule of `support/model.rs`; over one to six runs of
+//! disjoint, interleaved and repeated keys, with row and cell tombstones and
+//! empty runs, the two must agree entry for entry.
 
-#[path = "support/merge_model.rs"]
-mod merge_model;
+#[path = "support/model.rs"]
+mod model;
 
 use proptest::prelude::*;
 use rasdb::memtable::{merge_all, sorted_cells, RowEntry, Run};
@@ -89,8 +89,8 @@ proptest! {
     ) {
         let runs = runs_of(&shapes);
         let keys: Vec<&Vec<i64>> = shapes.iter().map(|(keys, _, _)| keys).collect();
-        let got = merge_all(runs.clone());
-        let want = merge_model::merge_all(runs);
+        let got = model::to_model(&merge_all(runs.clone()));
+        let want = model::merge_all(runs.iter().map(|run| model::to_model(run)));
         prop_assert_eq!(got.len(), want.len(), "runs of keys {:?}", keys);
         for (i, (got, want)) in got.iter().zip(&want).enumerate() {
             prop_assert_eq!(got, want, "row {} of runs of keys {:?}", i, keys);

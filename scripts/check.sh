@@ -62,6 +62,23 @@ if [ -n "$untokened" ]; then
   exit 1
 fi
 
+# rasdb's suites assert against one storage model, `support/model.rs`, which
+# folds copies of a row by its own last-write-wins rule. No suite pulls in
+# another support module, and the model calls none of rasdb's merges
+# (`RowEntry::merge`, `Cell::merge`, an `upsert`, or `sorted_cells`, which
+# upserts). Comment lines are skipped.
+echo "==> rasdb suites share one storage model"
+other_models="$(grep -rnE --include='*.rs' '#\[path *= *"support/' crates/rasdb/tests \
+  | grep -v '"support/model.rs"' || true)"
+borrowed_merges="$(grep -nE 'RowEntry::merge|Cell::merge|sorted_cells|\.upsert\(' \
+  crates/rasdb/tests/support/model.rs | grep -vE '^[0-9]+:[[:space:]]*//' \
+  | sed 's#^#crates/rasdb/tests/support/model.rs:#' || true)"
+if [ -n "$other_models$borrowed_merges" ]; then
+  echo "a second storage model, or a model that borrows rasdb's merge:" >&2
+  printf '%s\n' "$other_models" "$borrowed_merges" | sed '/^$/d' >&2
+  exit 1
+fi
+
 # Simulated delay is a named, documented cost, never a hidden one: product
 # code (each file's lines before its first `#[cfg(test)]`) sleeps only in
 # these functions, once each — the coordinator's simulated replica latency,
