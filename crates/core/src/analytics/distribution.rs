@@ -9,6 +9,7 @@ use crate::context::Context;
 use crate::framework::Framework;
 use crate::model::apprun::AppRun;
 use crate::model::event::EventRecord;
+use crate::model::keys::HOUR_MS;
 use loggen::topology::{NODES_PER_BLADE, NODES_PER_CABINET};
 use rasdb::error::DbError;
 use std::collections::HashMap;
@@ -120,12 +121,15 @@ pub fn distribution(
     }
 }
 
+/// How long before an event a run attribution reads may have started.
+pub const ATTRIBUTION_LOOKBACK_MS: i64 = 24 * HOUR_MS;
+
 /// The application runs that may cover an event in `[lo, hi]`: runs may
-/// have started up to a day before the first event. Empty when `lo > hi`
-/// (no events).
+/// have started up to [`ATTRIBUTION_LOOKBACK_MS`] before the first event.
+/// Empty when `lo > hi` (no events).
 fn runs_between(fw: &Framework, lo: i64, hi: i64) -> Result<Vec<AppRun>, DbError> {
     if lo <= hi {
-        fw.apps_by_time(lo - 24 * 3_600_000, hi + 1)
+        fw.apps_by_time(lo - ATTRIBUTION_LOOKBACK_MS, hi + 1)
     } else {
         Ok(Vec::new())
     }

@@ -100,9 +100,7 @@ impl Context {
     /// answer memoised over the context depends on: each read type's hours,
     /// and a user's run partition (all their apps) or else an app's.
     pub(crate) fn deps(&self) -> Vec<(String, DecoratedKey)> {
-        let (from, to) = (self.from_ms, self.to_ms);
-        let hours = |t| Framework::window_deps("event_by_time", Some(t), from, to);
-        let mut deps: Vec<_> = self.types().into_iter().flat_map(hours).collect();
+        let mut deps = Framework::event_deps(&self.types(), self.from_ms, self.to_ms);
         let (table, name) = match (&self.user, &self.app) {
             (Some(user), _) => ("application_by_user", user),
             (None, Some(app)) => ("application_by_name", app),

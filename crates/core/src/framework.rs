@@ -196,6 +196,13 @@ impl Framework {
             .collect()
     }
 
+    /// The `event_by_time` hours of each of `types` over `[from_ms, to_ms)`:
+    /// the dependencies of an answer computed from those types' events.
+    pub fn event_deps(types: &[&str], from_ms: i64, to_ms: i64) -> Vec<(String, DecoratedKey)> {
+        let hours = |t: &&str| Self::window_deps("event_by_time", Some(t), from_ms, to_ms);
+        types.iter().flat_map(hours).collect()
+    }
+
     /// Inserts one event into both event tables (the dual views).
     pub fn insert_event(&self, ev: &EventRecord) -> Result<(), DbError> {
         self.insert_events(std::slice::from_ref(ev)).map(drop)

@@ -4,11 +4,15 @@
 //! query engine, and either forwarded to the backend database, or the big
 //! data processing unit depending on the type of a user query."
 //!
-//! Every op goes through one [`QueryRequest`] parse step (window, context
-//! filters, `limit`, `cursor`) and answers in the uniform envelope written
-//! by [`write_envelope`] — see [`crate::server::request`] for the wire
-//! format. `events` and `apps` paginate with opaque cursors
-//! backed by the coordinator's scatter-gather `read_multi`.
+//! Every op runs one skeleton: validate (one [`QueryRequest`] parse step for
+//! the window, context filters, `limit` and `cursor`, then typed accessors
+//! for the op's own fields), memoise (`cached`, keyed on the validated
+//! parameters, where the answer is a function of stored rows), run, and
+//! encode its `data` once, into the envelope [`write_envelope`] writes (see
+//! [`crate::server::request`] for the wire format). The op bodies live in
+//! `record_ops` (database reads; `events` and `apps` paginate with opaque
+//! cursors), `analytics_ops` (the kernels) and `admin_ops`; this module
+//! keeps dispatch, `cached`, and the profile, recorder and SLO plumbing.
 
 use crate::framework::Framework;
 use crate::server::recorder::{FlightRecorder, RecordedQuery};
@@ -17,6 +21,7 @@ use crate::server::slo::SloRegistry;
 use jsonlite::{json_array, json_object, Value as Json};
 use rasdb::cache::Stamp;
 use rasdb::DecoratedKey;
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{SpanRecord, TraceContext};
@@ -89,22 +94,17 @@ impl QueryEngine {
     /// in the v2 envelope format (`v`, `status`, `data`/`error`, `page`,
     /// `trace_id`).
     pub fn handle(&self, request: &str) -> String {
-        self.handle_traced(request, None)
+        self.handle_http(request, None).body
     }
 
     /// [`QueryEngine::handle`] with an optional caller-supplied trace id
-    /// (e.g. from an `X-Trace-Id` header). Precedence: a `"trace_id"`
-    /// request field wins, then `adopted`, else a fresh id is minted — so
-    /// the envelope always carries one. `"profile": true` additionally
-    /// collects every span of the request and returns a per-phase
-    /// breakdown under `profile`.
-    pub fn handle_traced(&self, request: &str, adopted: Option<u64>) -> String {
-        self.handle_http(request, adopted).body
-    }
-
-    /// [`QueryEngine::handle_traced`] returning the transport view: the
-    /// body plus the HTTP status and retry hint the frontend maps the
-    /// typed error code to (see [`ErrorCode::http_status`]).
+    /// (e.g. from an `X-Trace-Id` header), returning the transport view:
+    /// the body plus the HTTP status and retry hint the frontend maps the
+    /// typed error code to (see [`ErrorCode::http_status`]). Trace id
+    /// precedence: a `"trace_id"` request field wins, then `adopted`, else
+    /// a fresh id is minted — so the envelope always carries one.
+    /// `"profile": true` additionally collects every span of the request
+    /// and returns a per-phase breakdown under `profile`.
     pub fn handle_http(&self, request: &str, adopted: Option<u64>) -> EngineResponse {
         let t_start = Instant::now();
         let parsed = jsonlite::parse(request);
@@ -193,19 +193,25 @@ impl QueryEngine {
         }
     }
 
-    /// Runs `compute` through the result cache. A validated hit returns
-    /// the memoized `data` bytes as they are — the entry's own stamp is
-    /// what validates it, so `deps` runs only on a miss. A miss stamps
-    /// the topology epoch and every dependency's data version *before*
-    /// computing (so a write racing the compute can only make the stored
-    /// entry stale, never silently current), then stores the result.
-    /// Errors are never cached.
+    /// Runs `compute` through the result cache, keyed on `op` and the
+    /// op's validated parameters: `params`' derived `Debug` form, which
+    /// names or places every field and escapes strings. The key never
+    /// reads the raw body, so requests that produce one answer share one
+    /// entry whatever their field order, whitespace or spelled-out
+    /// defaults. A validated hit returns the memoized `data` bytes as they
+    /// are — the entry's own stamp is what validates it, so `deps` runs
+    /// only on a miss. A miss stamps the topology epoch and every
+    /// dependency's data version *before* computing (so a write racing the
+    /// compute can only make the stored entry stale, never silently
+    /// current), then stores the result. Errors are never cached.
     fn cached(
         &self,
-        key: Vec<u8>,
+        op: &str,
+        params: impl Debug,
         deps: impl FnOnce() -> Vec<(String, DecoratedKey)>,
         compute: impl FnOnce() -> Result<OpOutput, ApiError>,
     ) -> Result<OpOutput, ApiError> {
+        let key = format!("{op} {params:?}").into_bytes();
         let cache = self.fw.result_cache();
         let cluster = self.fw.cluster();
         {
@@ -375,5 +381,4 @@ fn profile_json(
     profile
 }
 
-#[cfg(test)]
 mod tests;

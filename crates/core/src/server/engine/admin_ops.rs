@@ -1,5 +1,4 @@
-//! The admin and observability ops: topology changes, the dead-letter
-//! queue, telemetry, storage stats, the flight recorder and SLO health.
+//! The admin and observability ops: topology, dead letters and telemetry.
 
 use super::QueryEngine;
 use crate::server::request::{ApiError, ErrorCode, OpOutput, QueryRequest};
@@ -12,7 +11,7 @@ impl QueryEngine {
     /// surfaces as `TOPOLOGY_CHANGING` with a retry hint.
     pub(super) fn op_topology(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let cluster = self.fw.cluster();
-        match req.opt_str("action").unwrap_or("status") {
+        match req.str_or("action", "status")? {
             "status" => {
                 let s = cluster.topology_status();
                 Ok(OpOutput::data([
@@ -34,17 +33,14 @@ impl QueryEngine {
                     ),
                 ]))
             }
-            "join" => {
-                let report = cluster.join_node()?;
-                Ok(transition_json(&report))
-            }
+            "join" => Ok(transition_json(&cluster.join_node()?)),
             "decommission" => {
                 let id = req.i64_field("node")?;
                 if id < 0 {
                     return Err(ApiError::bad_request("'node' must be non-negative"));
                 }
-                let report = cluster.decommission_node(rasdb::ring::NodeId(id as usize))?;
-                Ok(transition_json(&report))
+                let node = rasdb::ring::NodeId(id as usize);
+                Ok(transition_json(&cluster.decommission_node(node)?))
             }
             other => Err(ApiError::bad_request(format!(
                 "unknown topology action '{other}'"
@@ -67,13 +63,7 @@ impl QueryEngine {
                     json_object([
                         ("partition", Json::from(r.partition as i64)),
                         ("offset", Json::from(r.offset as i64)),
-                        (
-                            "key",
-                            match &r.key {
-                                Some(k) => Json::from(k.as_str()),
-                                None => Json::Null,
-                            },
-                        ),
+                        ("key", r.key.as_deref().map_or(Json::Null, Json::from)),
                         ("value", Json::from(r.value.as_str())),
                     ])
                 })),
@@ -99,6 +89,7 @@ impl QueryEngine {
     /// The global telemetry registry: counters, gauges, and latency
     /// histograms. Pass `"reset": true` to zero everything after reading.
     pub(super) fn op_metrics(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
+        let reset = req.bool_or("reset", false)?;
         let snap = crate::server::telemetry_export::metrics_json();
         let out = OpOutput::data([
             ("enabled", Json::from(telemetry::enabled())),
@@ -106,7 +97,7 @@ impl QueryEngine {
             ("gauges", snap["gauges"].clone()),
             ("histograms", snap["histograms"].clone()),
         ]);
-        if req.raw["reset"].as_bool() == Some(true) {
+        if reset {
             telemetry::global().reset();
         }
         Ok(out)
@@ -140,25 +131,24 @@ impl QueryEngine {
     /// first. An optional `threshold_ms` field re-arms the recorder (0
     /// captures every request); `max` caps the returned rows (default 32).
     pub(super) fn op_slow_queries(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
-        if !req.raw["threshold_ms"].is_null() {
-            let Some(ms) = req.raw["threshold_ms"].as_i64().filter(|ms| *ms >= 0) else {
-                return Err(ApiError::bad_request(
-                    "threshold_ms must be a non-negative integer".to_owned(),
-                ));
-            };
-            self.recorder.set_threshold_ms(ms as u64);
-        }
-        let max = match req.raw["max"].as_i64() {
-            None => 32,
-            Some(n) if n >= 1 => n as usize,
-            Some(_) => {
-                return Err(ApiError::bad_request(
-                    "max must be a positive integer".to_owned(),
-                ))
+        let threshold = &req.raw["threshold_ms"];
+        let threshold = match threshold.as_i64() {
+            Some(ms) if ms >= 0 => Some(ms as u64),
+            _ if threshold.is_null() => None,
+            _ => {
+                let msg = "threshold_ms must be a non-negative integer";
+                return Err(ApiError::bad_request(msg));
             }
         };
+        let max = req.i64_or("max", 32)?;
+        if max < 1 {
+            return Err(ApiError::bad_request("max must be a positive integer"));
+        }
+        if let Some(ms) = threshold {
+            self.recorder.set_threshold_ms(ms);
+        }
         let mut queries = self.recorder.snapshot();
-        queries.truncate(max);
+        queries.truncate(max as usize);
         Ok(OpOutput::data([
             ("count", Json::from(queries.len())),
             (

@@ -1,11 +1,9 @@
-//! The ops answered by the analytics kernels, memoised in the result cache
-//! where their answer is a function of stored rows.
+//! The ops the analytics kernels answer, most of them memoised.
 
 use super::QueryEngine;
-use crate::analytics::distribution::{distribution, GroupBy};
+use crate::analytics::distribution::{distribution, GroupBy, ATTRIBUTION_LOOKBACK_MS};
 use crate::analytics::{correlation, heatmap, histogram, synopsis, text, transfer_entropy};
 use crate::framework::Framework;
-use crate::model::keys::HOUR_MS;
 use crate::server::request::{ApiError, ErrorCode, OpOutput, QueryRequest};
 use jsonlite::{json_array, json_object, Value as Json};
 use rasdb::types::Key;
@@ -14,11 +12,10 @@ use rasdb::DecoratedKey;
 impl QueryEngine {
     pub(super) fn op_heatmap(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let (from, to) = req.window()?;
-        let t = req.str_field("type")?.to_owned();
-        let key = cache_key(&["heatmap", &t, &from.to_string(), &to.to_string()]);
-        let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
-        self.cached(key, deps, || {
-            let hm = heatmap::cabinet_heatmap(&self.fw, &t, from, to)?;
+        let t = req.str_field("type")?;
+        let deps = || Framework::event_deps(&[t], from, to);
+        self.cached("heatmap", (t, from, to), deps, || {
+            let hm = heatmap::cabinet_heatmap(&self.fw, t, from, to)?;
             Ok(OpOutput::data([
                 ("cabinets", json_array(hm.cabinets.clone())),
                 ("total", Json::from(hm.total)),
@@ -35,31 +32,29 @@ impl QueryEngine {
 
     pub(super) fn op_distribution(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let ctx = req.context()?;
-        let by = match req.opt_str("by").unwrap_or("cabinet") {
+        let by = match req.str_or("by", "cabinet")? {
             "cabinet" => GroupBy::Cabinet,
             "blade" => GroupBy::Blade,
             "node" => GroupBy::Node,
             "application" | "app" => GroupBy::Application,
             other => return Err(ApiError::bad_request(format!("unknown grouping '{other}'"))),
         };
-        // Keyed on the grouping, not its spelling (`app` and `application`
-        // share one entry), and on every field of the context: their derived
-        // `Debug` forms name each one, strings escaped.
-        let key = cache_key(&["distribution", &format!("{by:?} {ctx:?}")]);
         let deps = || {
             let mut deps = ctx.deps();
             if by == GroupBy::Application {
-                // Attribution joins runs started up to a day earlier, too.
+                let since = ctx.from_ms.saturating_sub(ATTRIBUTION_LOOKBACK_MS);
                 deps.extend(Framework::window_deps(
                     "application_by_time",
                     None,
-                    ctx.from_ms.saturating_sub(24 * HOUR_MS),
+                    since,
                     ctx.to_ms,
                 ));
             }
             deps
         };
-        self.cached(key, deps, || {
+        // Keyed on the grouping, not its spelling: `app` and `application`
+        // share one entry.
+        self.cached("distribution", (by, &ctx), deps, || {
             let d = distribution(&self.fw, &ctx, by)?;
             let entry =
                 |(l, c): &(String, f64)| json_array([Json::from(l.as_str()), Json::from(*c)]);
@@ -73,18 +68,11 @@ impl QueryEngine {
 
     pub(super) fn op_histogram(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let (from, to) = req.window()?;
-        let t = req.str_field("type")?.to_owned();
+        let t = req.str_field("type")?;
         let bin = req.bin_ms_or(3_600_000)?;
-        let key = cache_key(&[
-            "histogram",
-            &t,
-            &from.to_string(),
-            &to.to_string(),
-            &bin.to_string(),
-        ]);
-        let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
-        self.cached(key, deps, || {
-            let h = histogram::event_histogram(&self.fw, &t, from, to, bin)?;
+        let deps = || Framework::event_deps(&[t], from, to);
+        self.cached("histogram", (t, from, to, bin), deps, || {
+            let h = histogram::event_histogram(&self.fw, t, from, to, bin)?;
             Ok(OpOutput::data([
                 ("from", Json::from(h.from_ms)),
                 ("bin_ms", Json::from(h.bin_ms)),
@@ -95,90 +83,61 @@ impl QueryEngine {
 
     pub(super) fn op_transfer_entropy(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let (from, to) = req.window()?;
-        let x = req.str_field("x")?.to_owned();
-        let y = req.str_field("y")?.to_owned();
-        let bin = req.bin_ms_or(60_000)?;
-        let max_lag = req.pos_i64_or("max_lag", 10)? as usize;
-        let key = cache_key(&[
+        let x = req.str_field("x")?;
+        let y = req.str_field("y")?;
+        let (bin, max_lag) = req.lag_sweep(1)?;
+        let deps = || Framework::event_deps(&[x, y], from, to);
+        self.cached(
             "transfer_entropy",
-            &x,
-            &y,
-            &from.to_string(),
-            &to.to_string(),
-            &bin.to_string(),
-            &max_lag.to_string(),
-        ]);
-        let deps = || {
-            let mut deps = Framework::window_deps("event_by_time", Some(&x), from, to);
-            deps.extend(Framework::window_deps("event_by_time", Some(&y), from, to));
-            deps
-        };
-        self.cached(key, deps, || {
-            let sweep = transfer_entropy::te_lag_sweep(&self.fw, &x, &y, from, to, bin, max_lag)?;
-            Ok(OpOutput::data([(
-                "lags",
-                json_array(sweep.iter().map(|(lag, te)| {
-                    json_object([
-                        ("lag", Json::from(*lag)),
-                        ("x_to_y", Json::from(te.x_to_y)),
-                        ("y_to_x", Json::from(te.y_to_x)),
-                    ])
-                })),
-            )]))
-        })
+            (x, y, from, to, bin, max_lag),
+            deps,
+            || {
+                let sweep = transfer_entropy::te_lag_sweep(&self.fw, x, y, from, to, bin, max_lag)?;
+                Ok(OpOutput::data([(
+                    "lags",
+                    json_array(sweep.iter().map(|(lag, te)| {
+                        json_object([
+                            ("lag", Json::from(*lag)),
+                            ("x_to_y", Json::from(te.x_to_y)),
+                            ("y_to_x", Json::from(te.y_to_x)),
+                        ])
+                    })),
+                )]))
+            },
+        )
     }
 
     pub(super) fn op_cross_correlation(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let (from, to) = req.window()?;
-        let a = req.str_field("x")?.to_owned();
-        let b = req.str_field("y")?.to_owned();
-        let bin = req.bin_ms_or(60_000)?;
-        let max_lag = req.i64_or("max_lag", 10)?;
-        if max_lag < 0 {
-            return Err(ApiError::bad_request("'max_lag' must be non-negative"));
-        }
-        let max_lag = max_lag as usize;
-        let key = cache_key(&[
+        let a = req.str_field("x")?;
+        let b = req.str_field("y")?;
+        let (bin, max_lag) = req.lag_sweep(0)?;
+        let deps = || Framework::event_deps(&[a, b], from, to);
+        self.cached(
             "cross_correlation",
-            &a,
-            &b,
-            &from.to_string(),
-            &to.to_string(),
-            &bin.to_string(),
-            &max_lag.to_string(),
-        ]);
-        let deps = || {
-            let mut deps = Framework::window_deps("event_by_time", Some(&a), from, to);
-            deps.extend(Framework::window_deps("event_by_time", Some(&b), from, to));
-            deps
-        };
-        self.cached(key, deps, || {
-            let xc =
-                correlation::event_cross_correlation(&self.fw, &a, &b, from, to, bin, max_lag)?;
-            Ok(OpOutput::data([(
-                "correlations",
-                json_array(
-                    xc.iter()
-                        .map(|(lag, r)| json_array([Json::from(*lag), Json::from(*r)])),
-                ),
-            )]))
-        })
+            (a, b, from, to, bin, max_lag),
+            deps,
+            || {
+                let xc =
+                    correlation::event_cross_correlation(&self.fw, a, b, from, to, bin, max_lag)?;
+                Ok(OpOutput::data([(
+                    "correlations",
+                    json_array(
+                        xc.iter()
+                            .map(|(lag, r)| json_array([Json::from(*lag), Json::from(*r)])),
+                    ),
+                )]))
+            },
+        )
     }
 
     pub(super) fn op_wordcount(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let (from, to) = req.window()?;
-        let t = req.event_type.as_deref().unwrap_or("LUSTRE_ERR").to_owned();
+        let t = req.event_type.as_deref().unwrap_or("LUSTRE_ERR");
         let k = req.pos_i64_or("top", 20)? as usize;
-        let key = cache_key(&[
-            "wordcount",
-            &t,
-            &from.to_string(),
-            &to.to_string(),
-            &k.to_string(),
-        ]);
-        let deps = || Framework::window_deps("event_by_time", Some(&t), from, to);
-        self.cached(key, deps, || {
-            let counts = text::word_count_events(&self.fw, &t, from, to)?;
+        let deps = || Framework::event_deps(&[t], from, to);
+        self.cached("wordcount", (t, from, to, k), deps, || {
+            let counts = text::word_count_events(&self.fw, t, from, to)?;
             let top = text::top_k(&counts, k);
             Ok(OpOutput::data([(
                 "terms",
@@ -192,12 +151,11 @@ impl QueryEngine {
 
     pub(super) fn op_synopsis(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         let day = req.i64_field("day")?;
-        let key = cache_key(&["synopsis", &day.to_string()]);
         let deps = || {
             let day = Key::from(vec![rasdb::types::Value::BigInt(day)]);
             vec![("eventsynopsis".to_owned(), DecoratedKey::new(day))]
         };
-        self.cached(key, deps, || {
+        self.cached("synopsis", day, deps, || {
             let rows = synopsis::read_synopsis(&self.fw, day)?;
             Ok(OpOutput::data([(
                 "rows",
@@ -218,7 +176,7 @@ impl QueryEngine {
         let (from, to) = req.window()?;
         let window_ms = req.pos_i64_or("window_ms", 60_000)?;
         let min_support = req.pos_i64_or("min_support", 3)? as u64;
-        let scope = match req.opt_str("scope").unwrap_or("node") {
+        let scope = match req.str_or("scope", "node")? {
             "node" => Scope::Node,
             "cabinet" => Scope::Cabinet,
             "system" => Scope::System,
@@ -297,22 +255,15 @@ impl QueryEngine {
             "histogram" => {
                 views::histogram_svg(&self.fw, etype, from, to, req.bin_ms_or(3_600_000)?)
             }
-            "te" => views::te_plot_svg(
-                &self.fw,
-                req.str_field("x")?,
-                req.str_field("y")?,
-                from,
-                to,
-                req.bin_ms_or(60_000)?,
-                req.pos_i64_or("max_lag", 10)? as usize,
-            ),
-            "bubbles" => views::word_bubbles_svg(
-                &self.fw,
-                etype,
-                from,
-                to,
-                req.pos_i64_or("top", 15)? as usize,
-            ),
+            "te" => {
+                let (x, y) = (req.str_field("x")?, req.str_field("y")?);
+                let (bin, max_lag) = req.lag_sweep(1)?;
+                views::te_plot_svg(&self.fw, x, y, from, to, bin, max_lag)
+            }
+            "bubbles" => {
+                let top = req.pos_i64_or("top", 15)? as usize;
+                views::word_bubbles_svg(&self.fw, etype, from, to, top)
+            }
             other => {
                 return Err(ApiError::new(
                     ErrorCode::NotFound,
@@ -325,15 +276,4 @@ impl QueryEngine {
             ("svg", Json::from(svg)),
         ]))
     }
-}
-
-/// Canonical result-cache key: the op name plus every validated request
-/// field that can change the answer, joined with an unprintable separator
-/// (so `("a", "b\x1fc")` and `("a\x1fb", "c")` cannot collide on any
-/// realistic field value). Keys are built *after* validation, from the
-/// typed [`QueryRequest`] fields — never from the raw body — so requests
-/// that produce identical answers share one entry regardless of field
-/// order or whitespace.
-fn cache_key(parts: &[&str]) -> Vec<u8> {
-    parts.join("\x1f").into_bytes()
 }

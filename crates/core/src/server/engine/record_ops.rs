@@ -1,5 +1,4 @@
-//! The ops forwarded to the backend database: event and run listings with
-//! cursor pages, node lookups, and raw CQL.
+//! The ops forwarded to the database: listings, node lookups and raw CQL.
 
 use super::QueryEngine;
 use crate::model::nodeinfo;
@@ -32,10 +31,7 @@ impl QueryEngine {
                 ("raw", Json::from(&*e.raw)),
             ])
         }));
-        Ok(OpOutput {
-            page,
-            ..OpOutput::data([("rows", rows)])
-        })
+        Ok(OpOutput::data([("rows", rows)]).with_page(page))
     }
 
     pub(super) fn op_apps(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
@@ -71,10 +67,7 @@ impl QueryEngine {
                 ("exit_code", Json::from(r.exit_code)),
             ])
         }));
-        Ok(OpOutput {
-            page,
-            ..OpOutput::data([("runs", rows)])
-        })
+        Ok(OpOutput::data([("runs", rows)]).with_page(page))
     }
 
     pub(super) fn op_nodeinfo(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {

@@ -363,21 +363,9 @@ impl QueryRequest {
             })?),
         };
 
-        // A filter field that is present must be well formed: dropping it
-        // would answer for the unfiltered context while looking accepted.
-        let text = |name: &str| match req.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_owned()))
-                .ok_or_else(|| ApiError::bad_request(format!("'{name}' must be a string"))),
-        };
-        let cabinet = match req.get("cabinet") {
-            None => None,
-            Some(v) => Some(v.as_i64().filter(|c| *c >= 0).ok_or_else(|| {
-                ApiError::bad_request("'cabinet' must be a non-negative integer")
-            })?),
-        };
+        let text = |name| optional(req, name, Json::as_str, "a string").map(|s| s.map(Into::into));
+        let non_negative = |v: &Json| v.as_i64().filter(|c| *c >= 0);
+        let cabinet = optional(req, "cabinet", non_negative, "a non-negative integer")?;
 
         Ok(QueryRequest {
             op,
@@ -429,11 +417,6 @@ impl QueryRequest {
             .ok_or_else(|| ApiError::bad_request(format!("missing '{name}'")))
     }
 
-    /// An optional op-specific string field.
-    pub fn opt_str(&self, name: &str) -> Option<&str> {
-        self.raw[name].as_str()
-    }
-
     /// A required op-specific integer field.
     pub fn i64_field(&self, name: &str) -> Result<i64, ApiError> {
         self.raw[name]
@@ -444,14 +427,20 @@ impl QueryRequest {
     /// An optional op-specific integer field with a default. Unlike a
     /// silent `unwrap_or`, a field that is *present* but not an integer is
     /// a typed `BAD_REQUEST` — it would otherwise change the result while
-    /// looking accepted.
+    /// looking accepted. [`QueryRequest::str_or`] and
+    /// [`QueryRequest::bool_or`] read strings and booleans the same way.
     pub fn i64_or(&self, name: &str, default: i64) -> Result<i64, ApiError> {
-        match self.raw.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .as_i64()
-                .ok_or_else(|| ApiError::bad_request(format!("'{name}' must be an integer"))),
-        }
+        Ok(optional(&self.raw, name, Json::as_i64, "an integer")?.unwrap_or(default))
+    }
+
+    /// An optional op-specific string field with a default.
+    pub fn str_or<'a>(&'a self, name: &str, default: &'a str) -> Result<&'a str, ApiError> {
+        Ok(optional(&self.raw, name, Json::as_str, "a string")?.unwrap_or(default))
+    }
+
+    /// An optional op-specific boolean field with a default.
+    pub fn bool_or(&self, name: &str, default: bool) -> Result<bool, ApiError> {
+        Ok(optional(&self.raw, name, Json::as_bool, "a boolean")?.unwrap_or(default))
     }
 
     /// An optional op-specific *positive* integer field with a default; a
@@ -477,6 +466,47 @@ impl QueryRequest {
         }
         Ok(bin)
     }
+
+    /// `bin_ms` (default one minute) and `max_lag` (default 10, at least
+    /// `least`) of a lag sweep over the window. A lag above the window's
+    /// bin count is `BAD_REQUEST`: past it every lag answers 0, and a sweep
+    /// holds one entry per lag.
+    pub fn lag_sweep(&self, least: i64) -> Result<(i64, usize), ApiError> {
+        let bin = self.bin_ms_or(60_000)?;
+        let max_lag = self.i64_or("max_lag", 10)?;
+        if max_lag < least {
+            let bound = if least > 0 {
+                "positive"
+            } else {
+                "non-negative"
+            };
+            return Err(ApiError::bad_request(format!("'max_lag' must be {bound}")));
+        }
+        let (from, to) = self.window()?;
+        let bins = (to - from - 1) / bin + 1;
+        if max_lag > bins {
+            return Err(ApiError::bad_request(format!(
+                "'max_lag' {max_lag} exceeds the window's {bins} bins"
+            )));
+        }
+        Ok((bin, max_lag as usize))
+    }
+}
+
+/// Field `name` of `body` as `read` reads it, `None` when absent. A field
+/// that is present but of another type is a typed `BAD_REQUEST` naming
+/// `kind`: dropped or defaulted, it would change the answer while looking
+/// accepted.
+fn optional<'a, T>(
+    body: &'a Json,
+    name: &str,
+    read: fn(&'a Json) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, ApiError> {
+    let wrong = || ApiError::bad_request(format!("'{name}' must be {kind}"));
+    body.get(name)
+        .map(|v| read(v).ok_or_else(wrong))
+        .transpose()
 }
 
 /// Envelope protocol version carried as `"v"` in every response.
@@ -502,9 +532,9 @@ impl OpOutput {
         }
     }
 
-    /// Attaches pagination state.
-    pub fn with_page(mut self, page: Page) -> OpOutput {
-        self.page = Some(page);
+    /// Attaches pagination state, if any.
+    pub fn with_page(mut self, page: Option<Page>) -> OpOutput {
+        self.page = page;
         self
     }
 }
@@ -628,10 +658,10 @@ mod tests {
 
     #[test]
     fn envelope_is_versioned_and_flat_free() {
-        let out = OpOutput::data([("rows", Json::from(3i64))]).with_page(Page {
+        let out = OpOutput::data([("rows", Json::from(3i64))]).with_page(Some(Page {
             cursor: Some("ev:1:a:b".into()),
             has_more: true,
-        });
+        }));
         let env = envelope(Ok(&out));
         assert_eq!(env["v"].as_i64(), Some(2), "the envelope-v2 cut");
         assert_eq!(env["status"].as_str(), Some("ok"));
@@ -657,11 +687,12 @@ mod tests {
     /// between `page` and `status`, `data` spliced in unchanged.
     #[test]
     fn envelope_keys_come_in_encoder_order() {
-        let out =
-            OpOutput::data([("b", Json::from("x\"y")), ("a", Json::from(1.5))]).with_page(Page {
+        let out = OpOutput::data([("b", Json::from("x\"y")), ("a", Json::from(1.5))]).with_page(
+            Some(Page {
                 cursor: None,
                 has_more: false,
-            });
+            }),
+        );
         let profile = json_object([("total_us", Json::from(2.0))]);
         let mut body = String::new();
         write_envelope(&mut body, Ok(&out), Some(&profile), "00000000deadbeef");
@@ -743,5 +774,58 @@ mod tests {
             req.i64_field("day").unwrap_err().code,
             ErrorCode::BadRequest
         );
+    }
+
+    #[test]
+    fn optional_text_and_flag_accessors_reject_wrong_types() {
+        let req = parse(r#"{"op":"x","by":"node","scope":1,"reset":true,"max":"yes"}"#).unwrap();
+        assert_eq!(req.str_or("by", "cabinet").unwrap(), "node");
+        assert_eq!(req.str_or("action", "status").unwrap(), "status");
+        assert!(req.bool_or("reset", false).unwrap());
+        assert!(!req.bool_or("missing", false).unwrap());
+        for e in [
+            req.str_or("scope", "node").unwrap_err(),
+            req.bool_or("max", false).unwrap_err(),
+            parse(r#"{"op":"x","by":null}"#)
+                .unwrap()
+                .str_or("by", "cabinet")
+                .unwrap_err(),
+        ] {
+            assert_eq!(e.code, ErrorCode::BadRequest, "{}", e.message);
+        }
+    }
+
+    /// A sweep may reach the window's last bin, `ceil((to - from) / bin)`,
+    /// and no further.
+    #[test]
+    fn lag_sweeps_stop_at_the_windows_bin_count() {
+        let sweep = |body: &str, least: i64| parse(body).unwrap().lag_sweep(least);
+        let hour = r#""op":"te","from":0,"to":3600000"#;
+        assert_eq!(sweep(&format!("{{{hour}}}"), 1).unwrap(), (60_000, 10));
+        assert_eq!(
+            sweep(&format!(r#"{{{hour},"max_lag":60}}"#), 1).unwrap(),
+            (60_000, 60)
+        );
+        assert_eq!(
+            sweep(&format!(r#"{{{hour},"max_lag":0}}"#), 0).unwrap(),
+            (60_000, 0)
+        );
+        let ragged = r#"{"op":"te","from":0,"to":3600001,"bin_ms":600000,"max_lag":7}"#;
+        assert_eq!(
+            sweep(ragged, 1).unwrap(),
+            (600_000, 7),
+            "a partial last bin counts"
+        );
+        for (body, least) in [
+            (format!(r#"{{{hour},"max_lag":61}}"#), 0),
+            (format!(r#"{{{hour},"max_lag":1000000000000}}"#), 1),
+            (format!(r#"{{{hour},"max_lag":0}}"#), 1),
+            (format!(r#"{{{hour},"max_lag":-1}}"#), 0),
+            (format!(r#"{{{hour},"max_lag":"3"}}"#), 0),
+            (r#"{"op":"te","max_lag":1}"#.to_owned(), 0),
+        ] {
+            let e = sweep(&body, least).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "{body}");
+        }
     }
 }

@@ -24,7 +24,11 @@ use rasdb::ring::NodeId;
 use std::sync::Arc;
 
 const T0: i64 = 1_500_000_000_000;
-const SPAN_MS: i64 = 2 * 3_600_000;
+const HOUR_MS: i64 = 3_600_000;
+const SPAN_MS: i64 = 2 * HOUR_MS;
+/// How long before its window a run may have started and still be read
+/// when a distribution attributes events to applications.
+const LOOKBACK_MS: i64 = 24 * HOUR_MS;
 
 /// One step of the interleaved workload, applied to both frameworks.
 #[derive(Debug, Clone)]
@@ -49,9 +53,14 @@ enum Step {
     /// replica per partition, a read the down node owns fails: a tier that
     /// served a hit across the epoch change would answer instead.
     Outage { node: usize },
-    /// Insert a run of `usr1` into both frameworks: it changes what the
-    /// user-filtered `distribution` selects, so a cached answer that does
-    /// not depend on the user's run partition would be served stale.
+    /// Run every query, insert a run of `usr1` into both frameworks, and
+    /// run every query again. The run changes what the user-filtered
+    /// `distribution` selects, so a cached answer that does not depend on
+    /// the user's run partition would be served stale. It starts in the
+    /// span, or is a day-long one started at the edge of the attribution
+    /// lookback, in the two hours a day before the span: that changes what
+    /// `by: application` attributes, so that answer must depend on the
+    /// hours of the runs started up to a day before its window.
     AppRun { apid: i64, dt: i64, node: usize },
     /// Run one query from the fixed list against both engines.
     Query(usize),
@@ -66,7 +75,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
         2 => Just(Step::ColumnarChurn),
         1 => Just(Step::EpochBump),
         1 => (0usize..8).prop_map(|node| Step::Outage { node }),
-        2 => (any::<u16>(), 0..SPAN_MS, 0usize..8)
+        2 => (any::<u16>(), prop_oneof![0..SPAN_MS, -LOOKBACK_MS..SPAN_MS - LOOKBACK_MS], 0usize..8)
             .prop_map(|(apid, dt, node)| Step::AppRun { apid: apid.into(), dt, node }),
         6 => (0..queries().len()).prop_map(Step::Query),
     ]
@@ -90,6 +99,12 @@ fn queries() -> Vec<String> {
         format!(r#"{{"op":"distribution","type":"MCE","from":{a},"to":{b},"source":"{node}"}}"#),
         format!(
             r#"{{"op":"distribution","type":"MCE","from":{a},"to":{b},"by":"node","user":"usr1"}}"#
+        ),
+        // From the span's first hour boundary, so the lookback's first
+        // hour partition is a whole hour a day before.
+        format!(
+            r#"{{"op":"distribution","type":"MCE","from":{},"to":{b},"by":"application"}}"#,
+            a + HOUR_MS - a % HOUR_MS
         ),
     ]
 }
@@ -159,6 +174,18 @@ proptest! {
         let mut cached_ing = StreamIngester::new(&cached_fw, "eq", 0).unwrap();
         let mut plain_ing = StreamIngester::new(&plain_fw, "eq", 0).unwrap();
         let queries = queries();
+        // Every query against both engines, compared.
+        let sweep = |when: &str| {
+            for q in &queries {
+                prop_assert_eq!(
+                    sans_trace(cached.handle(q)),
+                    sans_trace(plain.handle(q)),
+                    "{}: {}",
+                    when,
+                    q
+                );
+            }
+        };
 
         for step in &script {
             match step {
@@ -205,25 +232,18 @@ proptest! {
                     let id = NodeId(node % cached_fw.cluster().node_count());
                     cached_fw.cluster().take_node_down(id);
                     plain_fw.cluster().take_node_down(id);
-                    for q in &queries {
-                        prop_assert_eq!(
-                            sans_trace(cached.handle(q)),
-                            sans_trace(plain.handle(q)),
-                            "node {} down: {}",
-                            id.0,
-                            q
-                        );
-                    }
+                    sweep(&format!("node {} down", id.0));
                     cached_fw.cluster().bring_node_up(id);
                     plain_fw.cluster().bring_node_up(id);
                 }
                 Step::AppRun { apid, dt, node } => {
+                    sweep("before a run");
                     let run = AppRun {
                         apid: *apid,
                         user: "usr1".into(),
                         app: "VASP".into(),
                         start_ms: T0 + dt,
-                        end_ms: T0 + dt + SPAN_MS / 4,
+                        end_ms: T0 + dt + SPAN_MS / 4 + if *dt < 0 { LOOKBACK_MS } else { 0 },
                         node_first: *node as i64,
                         node_last: *node as i64 + 2,
                         exit_code: 0,
@@ -231,6 +251,7 @@ proptest! {
                     };
                     cached_fw.insert_app_run(&run).unwrap();
                     plain_fw.insert_app_run(&run).unwrap();
+                    sweep("after a run");
                 }
                 Step::Query(i) => {
                     let q = &queries[*i];
@@ -243,22 +264,9 @@ proptest! {
                 }
             }
         }
-        // Final sweep: every query, twice (the second pass reads the
-        // cached side's warm entries), must still match the uncached
-        // framework exactly.
-        for q in &queries {
-            prop_assert_eq!(
-                sans_trace(cached.handle(q)),
-                sans_trace(plain.handle(q)),
-                "final {}",
-                q
-            );
-            prop_assert_eq!(
-                sans_trace(cached.handle(q)),
-                sans_trace(plain.handle(q)),
-                "warm {}",
-                q
-            );
-        }
+        // Final sweep, twice (the second pass reads the cached side's warm
+        // entries): it must still match the uncached framework exactly.
+        sweep("final");
+        sweep("warm");
     }
 }

@@ -375,6 +375,30 @@ fn error_rows() -> Vec<(&'static str, &'static str)> {
             r#"{"op":"wordcount","type":7,"from":0,"to":1}"#,
             "BAD_REQUEST",
         ),
+        // So is a malformed optional op field: read as its default, it
+        // answered for the default.
+        (
+            r#"{"op":"distribution","type":"MCE","from":0,"to":1,"by":3}"#,
+            "BAD_REQUEST",
+        ),
+        (r#"{"op":"topology","action":5}"#, "BAD_REQUEST"),
+        (r#"{"op":"rules","from":0,"to":1,"scope":1}"#, "BAD_REQUEST"),
+        (r#"{"op":"slow_queries","max":"x"}"#, "BAD_REQUEST"),
+        (r#"{"op":"metrics","reset":"yes"}"#, "BAD_REQUEST"),
+        // A lag past the window's bin count: a sweep holds one entry per
+        // lag, so these asked for terabytes and aborted the process.
+        (
+            r#"{"op":"cross_correlation","x":"MCE","y":"MCE","from":0,"to":3600000,"max_lag":1000000000000}"#,
+            "BAD_REQUEST",
+        ),
+        (
+            r#"{"op":"transfer_entropy","x":"MCE","y":"MCE","from":0,"to":3600000,"max_lag":1000000000000}"#,
+            "BAD_REQUEST",
+        ),
+        (
+            r#"{"op":"render","view":"te","x":"MCE","y":"MCE","from":0,"to":3600000,"max_lag":1000000000000}"#,
+            "BAD_REQUEST",
+        ),
     ]
 }
 
@@ -447,7 +471,7 @@ fn spliced_envelopes_are_the_bytes_of_the_encoded_tree() {
         r#"{"op":"heatmap","type":"MCE","from":0,"to":3600000,"trace_id":"00000000deadbeef"}"#,
     ));
     assert_eq!(env["trace_id"].as_str(), Some("00000000deadbeef"));
-    let env = same_bytes(e.handle_traced(r#"{"op":"zap"}"#, Some(0xfeed)));
+    let env = same_bytes(e.handle_http(r#"{"op":"zap"}"#, Some(0xfeed)).body);
     assert_eq!(env["trace_id"].as_str(), Some("000000000000feed"));
 }
 
