@@ -122,7 +122,7 @@ pub fn distribution(
 }
 
 /// How long before an event a run attribution reads may have started.
-pub const ATTRIBUTION_LOOKBACK_MS: i64 = 24 * HOUR_MS;
+pub(crate) const ATTRIBUTION_LOOKBACK_MS: i64 = 24 * HOUR_MS;
 
 /// The application runs that may cover an event in `[lo, hi]`: runs may
 /// have started up to [`ATTRIBUTION_LOOKBACK_MS`] before the first event.

@@ -198,7 +198,11 @@ impl Framework {
 
     /// The `event_by_time` hours of each of `types` over `[from_ms, to_ms)`:
     /// the dependencies of an answer computed from those types' events.
-    pub fn event_deps(types: &[&str], from_ms: i64, to_ms: i64) -> Vec<(String, DecoratedKey)> {
+    pub(crate) fn event_deps(
+        types: &[&str],
+        from_ms: i64,
+        to_ms: i64,
+    ) -> Vec<(String, DecoratedKey)> {
         let hours = |t: &&str| Self::window_deps("event_by_time", Some(t), from_ms, to_ms);
         types.iter().flat_map(hours).collect()
     }

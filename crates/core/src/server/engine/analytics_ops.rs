@@ -87,24 +87,20 @@ impl QueryEngine {
         let y = req.str_field("y")?;
         let (bin, max_lag) = req.lag_sweep(1)?;
         let deps = || Framework::event_deps(&[x, y], from, to);
-        self.cached(
-            "transfer_entropy",
-            (x, y, from, to, bin, max_lag),
-            deps,
-            || {
-                let sweep = transfer_entropy::te_lag_sweep(&self.fw, x, y, from, to, bin, max_lag)?;
-                Ok(OpOutput::data([(
-                    "lags",
-                    json_array(sweep.iter().map(|(lag, te)| {
-                        json_object([
-                            ("lag", Json::from(*lag)),
-                            ("x_to_y", Json::from(te.x_to_y)),
-                            ("y_to_x", Json::from(te.y_to_x)),
-                        ])
-                    })),
-                )]))
-            },
-        )
+        let params = (x, y, from, to, bin, max_lag);
+        self.cached("transfer_entropy", params, deps, || {
+            let sweep = transfer_entropy::te_lag_sweep(&self.fw, x, y, from, to, bin, max_lag)?;
+            Ok(OpOutput::data([(
+                "lags",
+                json_array(sweep.iter().map(|(lag, te)| {
+                    json_object([
+                        ("lag", Json::from(*lag)),
+                        ("x_to_y", Json::from(te.x_to_y)),
+                        ("y_to_x", Json::from(te.y_to_x)),
+                    ])
+                })),
+            )]))
+        })
     }
 
     pub(super) fn op_cross_correlation(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
@@ -113,22 +109,17 @@ impl QueryEngine {
         let b = req.str_field("y")?;
         let (bin, max_lag) = req.lag_sweep(0)?;
         let deps = || Framework::event_deps(&[a, b], from, to);
-        self.cached(
-            "cross_correlation",
-            (a, b, from, to, bin, max_lag),
-            deps,
-            || {
-                let xc =
-                    correlation::event_cross_correlation(&self.fw, a, b, from, to, bin, max_lag)?;
-                Ok(OpOutput::data([(
-                    "correlations",
-                    json_array(
-                        xc.iter()
-                            .map(|(lag, r)| json_array([Json::from(*lag), Json::from(*r)])),
-                    ),
-                )]))
-            },
-        )
+        let params = (a, b, from, to, bin, max_lag);
+        self.cached("cross_correlation", params, deps, || {
+            let xc = correlation::event_cross_correlation(&self.fw, a, b, from, to, bin, max_lag)?;
+            Ok(OpOutput::data([(
+                "correlations",
+                json_array(
+                    xc.iter()
+                        .map(|(lag, r)| json_array([Json::from(*lag), Json::from(*r)])),
+                ),
+            )]))
+        })
     }
 
     pub(super) fn op_wordcount(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {

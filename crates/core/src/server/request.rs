@@ -647,6 +647,21 @@ mod tests {
         let e = binned(1).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
         assert!(e.message.contains("bin_ms"), "{}", e.message);
+
+        // A lag sweep reaches the window's last bin, `ceil((to - from) /
+        // bin)`, partial or not, and no further.
+        let sweep = |lag: i64, to: i64, least: i64| {
+            let body =
+                format!(r#"{{"op":"x","from":0,"to":{to},"bin_ms":600000,"max_lag":{lag}}}"#);
+            parse(&body).unwrap().lag_sweep(least)
+        };
+        assert_eq!(sweep(6, 3_600_000, 1).unwrap(), (600_000, 6));
+        assert_eq!(sweep(7, 3_600_001, 1).unwrap(), (600_000, 7));
+        assert_eq!(sweep(0, 3_600_000, 0).unwrap(), (600_000, 0));
+        for (lag, least) in [(7, 0), (1_000_000_000_000, 1), (0, 1), (-1, 0)] {
+            let e = sweep(lag, 3_600_000, least).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "max_lag {lag}");
+        }
     }
 
     /// The envelope's bytes, parsed back.
@@ -774,58 +789,5 @@ mod tests {
             req.i64_field("day").unwrap_err().code,
             ErrorCode::BadRequest
         );
-    }
-
-    #[test]
-    fn optional_text_and_flag_accessors_reject_wrong_types() {
-        let req = parse(r#"{"op":"x","by":"node","scope":1,"reset":true,"max":"yes"}"#).unwrap();
-        assert_eq!(req.str_or("by", "cabinet").unwrap(), "node");
-        assert_eq!(req.str_or("action", "status").unwrap(), "status");
-        assert!(req.bool_or("reset", false).unwrap());
-        assert!(!req.bool_or("missing", false).unwrap());
-        for e in [
-            req.str_or("scope", "node").unwrap_err(),
-            req.bool_or("max", false).unwrap_err(),
-            parse(r#"{"op":"x","by":null}"#)
-                .unwrap()
-                .str_or("by", "cabinet")
-                .unwrap_err(),
-        ] {
-            assert_eq!(e.code, ErrorCode::BadRequest, "{}", e.message);
-        }
-    }
-
-    /// A sweep may reach the window's last bin, `ceil((to - from) / bin)`,
-    /// and no further.
-    #[test]
-    fn lag_sweeps_stop_at_the_windows_bin_count() {
-        let sweep = |body: &str, least: i64| parse(body).unwrap().lag_sweep(least);
-        let hour = r#""op":"te","from":0,"to":3600000"#;
-        assert_eq!(sweep(&format!("{{{hour}}}"), 1).unwrap(), (60_000, 10));
-        assert_eq!(
-            sweep(&format!(r#"{{{hour},"max_lag":60}}"#), 1).unwrap(),
-            (60_000, 60)
-        );
-        assert_eq!(
-            sweep(&format!(r#"{{{hour},"max_lag":0}}"#), 0).unwrap(),
-            (60_000, 0)
-        );
-        let ragged = r#"{"op":"te","from":0,"to":3600001,"bin_ms":600000,"max_lag":7}"#;
-        assert_eq!(
-            sweep(ragged, 1).unwrap(),
-            (600_000, 7),
-            "a partial last bin counts"
-        );
-        for (body, least) in [
-            (format!(r#"{{{hour},"max_lag":61}}"#), 0),
-            (format!(r#"{{{hour},"max_lag":1000000000000}}"#), 1),
-            (format!(r#"{{{hour},"max_lag":0}}"#), 1),
-            (format!(r#"{{{hour},"max_lag":-1}}"#), 0),
-            (format!(r#"{{{hour},"max_lag":"3"}}"#), 0),
-            (r#"{"op":"te","max_lag":1}"#.to_owned(), 0),
-        ] {
-            let e = sweep(&body, least).unwrap_err();
-            assert_eq!(e.code, ErrorCode::BadRequest, "{body}");
-        }
     }
 }
