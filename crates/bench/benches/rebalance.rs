@@ -31,12 +31,12 @@ fn smoke() -> bool {
     std::env::var("REBALANCE_SMOKE").as_deref() == Ok("1")
 }
 
+/// Partitions seeded, in both modes: the join streams the new node's share
+/// of them, and the reads made while it streams are the sample whose p95
+/// the gate tests, so the smoke join needs enough rows to last several
+/// hundred reads.
 fn partitions() -> i64 {
-    if smoke() {
-        16
-    } else {
-        64
-    }
+    64
 }
 
 fn rows_per_partition() -> i64 {
@@ -114,13 +114,9 @@ fn bench_rebalance(c: &mut Criterion) {
     let base_p95 = percentile(&mut baseline, 0.95);
 
     // Phase 2: join under load. The stream is chunked small and throttled
-    // so queries genuinely overlap it. Only this phase's p95 can trip the
-    // gate (the baseline's cannot fall below its median), so the smoke
-    // join streams 2-row chunks: about 500 reads, of which the slowest 5%
-    // (25) set the p95, where 4-row chunks and 1 ms stalls gave about 170
-    // reads that 9 slow ones could push over the bound.
-    cluster.set_stream_chunk_rows(if smoke() { 2 } else { 8 });
-    let stall = Duration::from_millis(2);
+    // so queries genuinely overlap it.
+    cluster.set_stream_chunk_rows(if smoke() { 4 } else { 8 });
+    let stall = Duration::from_millis(if smoke() { 1 } else { 2 });
     let join = {
         let c = Arc::clone(&cluster);
         let plan = TopologyFaultPlan::none().slow_chunk_every(1, stall);

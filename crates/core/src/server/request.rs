@@ -468,12 +468,14 @@ impl QueryRequest {
     }
 
     /// `bin_ms` (default one minute) and `max_lag` (default 10, at least
-    /// `least`) of a lag sweep over the window. A lag above the window's
-    /// bin count is `BAD_REQUEST`: past it every lag answers 0, and a sweep
-    /// holds one entry per lag.
+    /// `least`) of a lag sweep over the window. A `max_lag` sent above the
+    /// window's bin count is `BAD_REQUEST`: past it every lag answers 0,
+    /// and a sweep holds one entry per lag. The default 10 is swept over
+    /// any window, since it bounds the sweep by itself.
     pub fn lag_sweep(&self, least: i64) -> Result<(i64, usize), ApiError> {
         let bin = self.bin_ms_or(60_000)?;
-        let max_lag = self.i64_or("max_lag", 10)?;
+        let sent = optional(&self.raw, "max_lag", Json::as_i64, "an integer")?;
+        let max_lag = sent.unwrap_or(10);
         if max_lag < least {
             let bound = if least > 0 {
                 "positive"
@@ -484,7 +486,7 @@ impl QueryRequest {
         }
         let (from, to) = self.window()?;
         let bins = (to - from - 1) / bin + 1;
-        if max_lag > bins {
+        if sent.is_some() && max_lag > bins {
             return Err(ApiError::bad_request(format!(
                 "'max_lag' {max_lag} exceeds the window's {bins} bins"
             )));
@@ -658,6 +660,8 @@ mod tests {
         assert_eq!(sweep(6, 3_600_000, 1).unwrap(), (600_000, 6));
         assert_eq!(sweep(7, 3_600_001, 1).unwrap(), (600_000, 7));
         assert_eq!(sweep(0, 3_600_000, 0).unwrap(), (600_000, 0));
+        let defaulted = parse(r#"{"op":"x","from":0,"to":3600000,"bin_ms":600000}"#).unwrap();
+        assert_eq!(defaulted.lag_sweep(1).unwrap(), (600_000, 10));
         for (lag, least) in [(7, 0), (1_000_000_000_000, 1), (0, 1), (-1, 0)] {
             let e = sweep(lag, 3_600_000, least).unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest, "max_lag {lag}");

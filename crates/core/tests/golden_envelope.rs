@@ -375,8 +375,8 @@ fn error_rows() -> Vec<(&'static str, &'static str)> {
             r#"{"op":"wordcount","type":7,"from":0,"to":1}"#,
             "BAD_REQUEST",
         ),
-        // So is a malformed optional op field: read as its default, it
-        // answered for the default.
+        // So is a malformed optional op field: its default would answer a
+        // question the client did not ask.
         (
             r#"{"op":"distribution","type":"MCE","from":0,"to":1,"by":3}"#,
             "BAD_REQUEST",
@@ -386,7 +386,7 @@ fn error_rows() -> Vec<(&'static str, &'static str)> {
         (r#"{"op":"slow_queries","max":"x"}"#, "BAD_REQUEST"),
         (r#"{"op":"metrics","reset":"yes"}"#, "BAD_REQUEST"),
         // A lag past the window's bin count: a sweep holds one entry per
-        // lag, so these asked for terabytes and aborted the process.
+        // lag, and every lag past the last bin answers 0.
         (
             r#"{"op":"cross_correlation","x":"MCE","y":"MCE","from":0,"to":3600000,"max_lag":1000000000000}"#,
             "BAD_REQUEST",
@@ -400,6 +400,33 @@ fn error_rows() -> Vec<(&'static str, &'static str)> {
             "BAD_REQUEST",
         ),
     ]
+}
+
+/// The lag bound applies to a `max_lag` the client sent: a window shorter
+/// than the default 10 lags still answers every lag.
+#[test]
+fn a_defaulted_max_lag_sweeps_past_a_short_window() {
+    let e = engine();
+    for (req, field, entries) in [
+        (
+            r#"{"op":"transfer_entropy","x":"MCE","y":"GPU_DBE","from":0,"to":3600000,"bin_ms":600000}"#,
+            "lags",
+            10,
+        ),
+        (
+            r#"{"op":"cross_correlation","x":"MCE","y":"GPU_DBE","from":0,"to":3600000,"bin_ms":600000}"#,
+            "correlations",
+            21,
+        ),
+    ] {
+        let resp = call(&e, req);
+        assert_eq!(resp["status"].as_str(), Some("ok"), "{req}: {resp}");
+        let got = resp["data"][field].as_array().map(<[Json]>::len);
+        assert_eq!(got, Some(entries), "{req}: {resp}");
+    }
+    let te = r#"{"op":"render","view":"te","x":"MCE","y":"GPU_DBE","from":0,"to":3600000,"bin_ms":600000}"#;
+    let resp = call(&e, te);
+    assert_eq!(resp["status"].as_str(), Some("ok"), "{te}: {resp}");
 }
 
 #[test]
