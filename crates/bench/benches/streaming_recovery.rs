@@ -46,7 +46,6 @@ fn cfg() -> StreamConfig {
         max_store_attempts: 3,
         backoff_base_ms: 1,
         backoff_cap_ms: 4,
-        ..StreamConfig::default()
     }
 }
 

@@ -12,11 +12,14 @@
 //! The ingester commits bus offsets **only after** the rasdb write batch
 //! covering them is durably acked (or dead-lettered): per partition it
 //! commits the lowest offset still buffered in an open window, so a crash
-//! replays unacked records rather than losing them. Duplicates from replay
-//! are absorbed two ways: records the ingester has already seen in this
-//! life are skipped by offset, and records whose window was already
-//! flushed are suppressed as late by seeding the restarted batcher from
-//! the checkpointed watermark (offsets and watermark commit atomically).
+//! replays unacked records rather than losing them. An open window keeps
+//! only the first offset it was fed from each partition, which is its
+//! lowest: the offset guard below feeds a partition's offsets in increasing
+//! order. Duplicates from replay are absorbed two ways: records the
+//! ingester has already seen in this life are skipped by offset, and
+//! records whose window was already flushed are suppressed as late by
+//! seeding the restarted batcher from the checkpointed watermark (offsets
+//! and watermark commit atomically).
 //! Store failures (`DbError::Unavailable`) are retried with exponential
 //! backoff + jitter; retry-exhausted windows and unparseable lines go to
 //! the [`crate::framework::RAW_LOG_DLQ_TOPIC`] dead-letter topic, which
@@ -31,7 +34,7 @@ use loggen::trace::RawLine;
 use rand::{Rng, SeedableRng, StdRng};
 use rasdb::error::DbError;
 use sparklet::streaming::{coalesce, MicroBatcher};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// The streaming window (paper: one second).
 pub const WINDOW_MS: i64 = 1000;
@@ -59,8 +62,6 @@ pub struct StreamConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling (pre-jitter).
     pub backoff_cap_ms: u64,
-    /// Seed for the backoff jitter RNG (deterministic tests).
-    pub seed: u64,
 }
 
 impl Default for StreamConfig {
@@ -70,7 +71,6 @@ impl Default for StreamConfig {
             max_store_attempts: 5,
             backoff_base_ms: 2,
             backoff_cap_ms: 64,
-            seed: 42,
         }
     }
 }
@@ -129,7 +129,8 @@ pub struct StreamReport {
     pub events_in: usize,
     /// Events written after coalescing.
     pub events_out: usize,
-    /// Lines that were not events (jobs handled by batch; junk skipped).
+    /// Job lines: the stream stores no job (a batch import does). Junk is
+    /// dead-lettered and counted in `parse_failures`, not here.
     pub non_events: usize,
     /// Items dropped for arriving behind the watermark (includes replayed
     /// records suppressed because their window was already flushed).
@@ -146,26 +147,39 @@ pub struct StreamReport {
     pub commit_failures: u64,
 }
 
-/// An event record plus the bus `(partition, offset)` whose durability it
-/// carries, so a flushed window knows exactly which records it made durable.
-struct Tracked {
-    ev: EventRecord,
-    at: (usize, u64),
+/// Per open window, the first offset fed from each partition: its lowest,
+/// as the offset guard feeds a partition's offsets in increasing order.
+struct OpenWindows(BTreeMap<i64, HashMap<usize, u64>>);
+
+impl OpenWindows {
+    /// Notes offset `off` of partition `p`, accepted into window `w`.
+    fn fed(&mut self, w: i64, p: usize, off: u64) {
+        self.0.entry(w).or_default().entry(p).or_insert(off);
+    }
+
+    /// Forgets window `w` once it is durable (stored or dead-lettered).
+    fn close(&mut self, w: i64) {
+        self.0.remove(&w);
+    }
+
+    /// Partition `p`'s lowest offset not yet durable, if a window holds one.
+    fn low(&self, p: usize) -> Option<u64> {
+        self.0.values().filter_map(|w| w.get(&p)).min().copied()
+    }
 }
 
 /// A long-lived streaming ingester (one consumer-group member).
 pub struct StreamIngester<'f> {
     fw: &'f Framework,
     consumer: Consumer,
-    batcher: MicroBatcher<Tracked>,
+    batcher: MicroBatcher<EventRecord>,
     /// The zero-copy byte scanner — the batch path's parser, see
     /// `fastpath`.
     parser: FastParser,
     cfg: StreamConfig,
     rng: StdRng,
-    /// Per-partition offsets buffered in open windows (not yet durable);
-    /// the commit position for a partition is its minimum.
-    pending: HashMap<usize, BTreeSet<u64>>,
+    /// What the open windows hold of each partition (not yet durable).
+    open: OpenWindows,
     /// Per-partition highest offset processed in this ingester's lifetime;
     /// redeliveries at or below it are skipped.
     max_seen: HashMap<usize, u64>,
@@ -203,9 +217,9 @@ impl<'f> StreamIngester<'f> {
             consumer,
             batcher,
             parser: FastParser::new(),
-            rng: StdRng::seed_from_u64(cfg.seed),
+            rng: StdRng::seed_from_u64(42),
             cfg,
-            pending: HashMap::new(),
+            open: OpenWindows(BTreeMap::new()),
             max_seen: HashMap::new(),
             report: StreamReport::default(),
         })
@@ -249,8 +263,9 @@ impl<'f> StreamIngester<'f> {
         match self.parser.parse_line(record.value.as_bytes()) {
             Some(ParsedLine::Event(ev)) => {
                 self.report.events_in += 1;
-                if self.batcher.feed(ev.ts_ms, Tracked { ev, at: (p, off) }) {
-                    self.pending.entry(p).or_default().insert(off);
+                let window = self.batcher.window_of(ev.ts_ms);
+                if self.batcher.feed(ev.ts_ms, ev) {
+                    self.open.fed(window, p, off);
                 }
                 // Late drops are final (counted by the batcher): nothing
                 // buffered, so the offset is immediately committable.
@@ -288,26 +303,20 @@ impl<'f> StreamIngester<'f> {
         r
     }
 
-    fn flush_window(&mut self, window_start: i64, batch: Vec<Tracked>) -> Result<(), DbError> {
+    fn flush_window(&mut self, window: i64, mut events: Vec<EventRecord>) -> Result<(), DbError> {
         let mut span = telemetry::span!("etl.stream.window");
-        span.tag("window_start_ms", window_start.to_string());
-        let (offsets, events): (Vec<(usize, u64)>, Vec<EventRecord>) =
-            batch.into_iter().map(|t| (t.at, t.ev)).unzip();
+        span.tag("window_start_ms", window.to_string());
         let events_in = events.len();
         // Coalesce same (type, source) within the window into one event
         // stamped at the window start, amounts summed.
+        for e in &mut events {
+            e.ts_ms = window;
+        }
         let merged = coalesce(
             events,
             |e| (e.event_type.clone(), e.source.clone()),
             |a, b| a.amount += b.amount,
         );
-        let merged: Vec<EventRecord> = merged
-            .into_iter()
-            .map(|mut e| {
-                e.ts_ms = window_start;
-                e
-            })
-            .collect();
         self.report.events_out += merged.len();
         let g = telemetry::global();
         g.gauge("etl.stream.window_events_in").set(events_in as i64);
@@ -325,15 +334,10 @@ impl<'f> StreamIngester<'f> {
                 }
             }
             // Anything else is a programming error (schema drift): leave
-            // the offsets pending so nothing is committed past them.
+            // the window open so nothing is committed past its offsets.
             Err(e) => return Err(e),
         }
-        // Durable (stored or dead-lettered): these offsets may commit.
-        for (p, off) in offsets {
-            if let Some(set) = self.pending.get_mut(&p) {
-                set.remove(&off);
-            }
-        }
+        self.open.close(window);
         Ok(())
     }
 
@@ -396,12 +400,7 @@ impl<'f> StreamIngester<'f> {
             .consumer
             .positions()
             .iter()
-            .map(
-                |(p, pos)| match self.pending.get(p).and_then(|s| s.first()) {
-                    Some(min) => (*p, *min),
-                    None => (*p, *pos),
-                },
-            )
+            .map(|(p, pos)| (*p, self.open.low(*p).unwrap_or(*pos)))
             .collect();
         let watermark = self.batcher.watermark();
         if self.consumer.commit_through(&safe, watermark).is_ok() {
@@ -526,6 +525,7 @@ mod tests {
     use loggen::topology::Topology;
     use loggen::trace::Facility;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     const T0: i64 = 1_500_000_000_000;
 
@@ -769,6 +769,81 @@ mod tests {
             "[ -~]{0,60}",
             "\\PC{0,30}",
         ]
+    }
+
+    /// One step of an ingester's bookkeeping: a record of `partition`,
+    /// `gap - 1` offsets past its last one (skipped as duplicates or not
+    /// events), fed to `window` or dropped as late; or a window made
+    /// durable.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Feed {
+            partition: usize,
+            gap: u64,
+            window: i64,
+            late: bool,
+        },
+        Close(i64),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            3 => (0usize..4, 1u64..4, 0i64..6, 0u8..5).prop_map(
+                |(partition, gap, window, late)| Step::Feed {
+                    partition,
+                    gap,
+                    window: window * WINDOW_MS,
+                    late: late == 0,
+                }
+            ),
+            1 => (0i64..6).prop_map(|w| Step::Close(w * WINDOW_MS)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The open-window table commits what the per-offset rule it
+        /// replaced commits: every buffered offset in a set per partition,
+        /// each window's `(partition, offset)`s removed from the sets when
+        /// it closes, the commit position the set's least or else the poll
+        /// position. Checked for every partition after every step.
+        #[test]
+        fn open_window_lows_commit_what_every_offset_committed(
+            steps in prop::collection::vec(step(), 0..200),
+        ) {
+            let mut open = OpenWindows(BTreeMap::new());
+            let mut pending: HashMap<usize, BTreeSet<u64>> = HashMap::new();
+            let mut fed: BTreeMap<i64, Vec<(usize, u64)>> = BTreeMap::new();
+            let mut position = [0u64; 4];
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Feed { partition, gap, window, late } => {
+                        let offset = position[partition] + gap - 1;
+                        position[partition] = offset + 1;
+                        if !late {
+                            open.fed(window, partition, offset);
+                            pending.entry(partition).or_default().insert(offset);
+                            fed.entry(window).or_default().push((partition, offset));
+                        }
+                    }
+                    Step::Close(window) => {
+                        open.close(window);
+                        for (p, off) in fed.remove(&window).unwrap_or_default() {
+                            pending.get_mut(&p).unwrap().remove(&off);
+                        }
+                    }
+                }
+                for (p, pos) in position.iter().enumerate() {
+                    let old = pending.get(&p).and_then(|s| s.first()).copied();
+                    prop_assert_eq!(
+                        open.low(p).unwrap_or(*pos),
+                        old.unwrap_or(*pos),
+                        "partition {} after step {}", p, i
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

@@ -16,7 +16,9 @@
 
 use crate::framework::Framework;
 use crate::server::recorder::{FlightRecorder, RecordedQuery};
-use crate::server::request::{write_envelope, ApiError, ErrorCode, OpOutput, QueryRequest};
+use crate::server::request::{
+    envelope_fields, write_envelope, ApiError, ErrorCode, OpOutput, QueryRequest,
+};
 use crate::server::slo::SloRegistry;
 use jsonlite::{json_array, json_object, Value as Json};
 use rasdb::cache::Stamp;
@@ -104,20 +106,18 @@ impl QueryEngine {
     /// precedence: a `"trace_id"` request field wins, then `adopted`, else
     /// a fresh id is minted — so the envelope always carries one.
     /// `"profile": true` additionally collects every span of the request
-    /// and returns a per-phase breakdown under `profile`.
+    /// and returns a per-phase breakdown under `profile`. A `trace_id` or
+    /// `profile` of the wrong type, or a `trace_id` that is not hex, is
+    /// `BAD_REQUEST`, answered unprofiled under `adopted` or a fresh id.
     pub fn handle_http(&self, request: &str, adopted: Option<u64>) -> EngineResponse {
         let t_start = Instant::now();
-        let parsed = jsonlite::parse(request);
+        let parsed = jsonlite::parse(request)
+            .map_err(|e| ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}")))
+            .and_then(|body| Ok((envelope_fields(&body)?, body)));
         let parse_ns = elapsed_ns(t_start);
 
         let (trace, profiled) = match &parsed {
-            Ok(body) => (
-                body["trace_id"]
-                    .as_str()
-                    .and_then(TraceContext::parse_hex)
-                    .or(adopted),
-                body["profile"].as_bool() == Some(true),
-            ),
+            Ok(((trace, profile), _)) => (trace.or(adopted), *profile),
             Err(_) => (adopted, false),
         };
         let ctx = match trace {
@@ -136,9 +136,9 @@ impl QueryEngine {
         let mut dispatched = false;
         let answer = {
             let mut span = telemetry::SpanGuard::enter_in("server.engine.request", &ctx);
-            match &parsed {
-                Err(e) => Err(ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}"))),
-                Ok(body) => QueryRequest::parse(body).and_then(|req| {
+            match parsed {
+                Err(e) => Err(e),
+                Ok((_, body)) => QueryRequest::parse(&body).and_then(|req| {
                     op = req.op.clone();
                     span.tag("op", &req.op);
                     let out = self.dispatch(&req);

@@ -37,6 +37,7 @@ use jsonlite::{json_object, Value as Json};
 use rasdb::error::DbError;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use telemetry::TraceContext;
 
 /// Widest accepted window: 366 days, 8,784 hour partitions. Wider is
 /// `BAD_WINDOW`, before any op plans a partition for it.
@@ -319,9 +320,8 @@ impl QueryRequest {
             .ok_or_else(|| ApiError::bad_request("missing 'op' field"))?
             .to_owned();
 
-        let from = req["from"].as_i64();
-        let to = req["to"].as_i64();
-        let window = match (from, to) {
+        let bound = |name| optional(req, name, Json::as_i64, "an integer");
+        let window = match (bound("from")?, bound("to")?) {
             (Some(from), Some(to)) => {
                 if to < from {
                     return Err(ApiError::new(ErrorCode::BadWindow, "'to' before 'from'"));
@@ -340,7 +340,8 @@ impl QueryRequest {
                 }
                 Some((from, to))
             }
-            _ => None,
+            (None, None) => None,
+            _ => return Err(ApiError::bad_request("a window needs both 'from' and 'to'")),
         };
 
         let limit = match req.get("limit") {
@@ -509,6 +510,17 @@ fn optional<'a, T>(
     body.get(name)
         .map(|v| read(v).ok_or_else(wrong))
         .transpose()
+}
+
+/// The envelope fields of a request body: the `trace_id` to adopt (hex,
+/// as [`TraceContext::parse_hex`] reads it) and whether to `profile`. Like
+/// an op field, one present with another type is `BAD_REQUEST`, and so is
+/// a `trace_id` that is not hex.
+pub(crate) fn envelope_fields(body: &Json) -> Result<(Option<u64>, bool), ApiError> {
+    let hex = |v: &Json| v.as_str().and_then(TraceContext::parse_hex);
+    let trace = optional(body, "trace_id", hex, "1 to 16 hex digits, not all 0")?;
+    let profile = optional(body, "profile", Json::as_bool, "a boolean")?;
+    Ok((trace, profile.unwrap_or(false)))
 }
 
 /// Envelope protocol version carried as `"v"` in every response.

@@ -399,6 +399,23 @@ fn error_rows() -> Vec<(&'static str, &'static str)> {
             r#"{"op":"render","view":"te","x":"MCE","y":"MCE","from":0,"to":3600000,"max_lag":1000000000000}"#,
             "BAD_REQUEST",
         ),
+        // A window bound that is not an integer, or one without the other,
+        // even where the op would answer without a window.
+        (
+            r#"{"op":"events","type":"MCE","from":"0","to":3600000}"#,
+            "BAD_REQUEST",
+        ),
+        (
+            r#"{"op":"apps","user":"usr0001","from":0,"to":"3600000"}"#,
+            "BAD_REQUEST",
+        ),
+        (r#"{"op":"apps","user":"usr0001","from":0}"#, "BAD_REQUEST"),
+        // The envelope fields are typed too: a wrong type, or a `trace_id`
+        // that is not hex, is refused under a fresh trace id.
+        (r#"{"op":"zap","profile":"yes"}"#, "BAD_REQUEST"),
+        (r#"{"op":"zap","profile":1}"#, "BAD_REQUEST"),
+        (r#"{"op":"zap","trace_id":7}"#, "BAD_REQUEST"),
+        (r#"{"op":"zap","trace_id":"not-hex"}"#, "BAD_REQUEST"),
     ]
 }
 

@@ -4,12 +4,13 @@
 //! tables byte-identical to a fault-free run.
 
 use hpclog_core::etl::stream::{dlq_depth, dlq_requeue, publish_lines, StreamIngester};
-use hpclog_core::framework::{Framework, FrameworkConfig};
+use hpclog_core::framework::{Framework, FrameworkConfig, RAW_LOG_TOPIC};
 use hpclog_core::model::event::EventRecord;
 use logbus::FaultPlan;
 use loggen::topology::Topology;
 use loggen::trace::{Facility, RawLine};
 use rasdb::ring::NodeId;
+use std::collections::BTreeSet;
 
 fn boot() -> Framework {
     Framework::new(FrameworkConfig {
@@ -37,8 +38,13 @@ const T0: i64 = 1_500_000_000_000;
 /// faulted run see identical watermark behaviour and the comparison is
 /// exact, not statistical.
 fn storm(n: i64) -> Vec<RawLine> {
+    storm_over(n, &["c0-0c0s0n0"])
+}
+
+/// `n` lines 200 ms apart, taking turns over `sources`.
+fn storm_over(n: i64, sources: &[&str]) -> Vec<RawLine> {
     (0..n)
-        .map(|i| mce_line(T0 + i * 200, "c0-0c0s0n0"))
+        .map(|i| mce_line(T0 + i * 200, sources[i as usize % sources.len()]))
         .collect()
 }
 
@@ -53,57 +59,83 @@ fn table_rows(fw: &Framework) -> Vec<EventRecord> {
 
 #[test]
 fn fault_schedule_zero_loss_byte_identical_tables() {
-    let lines = storm(400);
-
-    // Reference: fault-free ingestion.
-    let clean = boot();
-    publish_lines(&clean, &lines).unwrap();
-    let clean_report = StreamIngester::new(&clean, "g", 2000)
-        .unwrap()
-        .run_to_completion(32)
-        .unwrap();
-    assert_eq!(clean_report.events_in, 400);
-
-    // Faulted: drop every 7th send, redeliver every 5th read, delay every
-    // 11th send for 3 more sends, fail the first 4 commits — and crash the
-    // ingester mid-stream on top.
-    let faulted = boot();
-    faulted.bus().inject_faults(
-        FaultPlan::new()
-            .drop_every(7)
-            .duplicate_every(5)
-            .delay_every(11, 3)
-            .fail_commits(4),
-    );
-    publish_lines(&faulted, &lines).unwrap();
-    // Any delay holds still parked after the last send become visible now.
-    faulted.bus().release_delayed();
+    // One source on one partition, and three sources on three partitions,
+    // so a commit takes each partition's low across the open windows. The
+    // consumer drains one partition up to 32 records (19.2 s of a source's
+    // event time) per poll, and the lateness covers that skew.
+    let three = ["c0-0c0s0n0", "c0-0c0s1n0", "c0-0c0s2n0"];
+    for (lines, lateness, partitions) in
+        [(storm(400), 2000, 1), (storm_over(400, &three), 30_000, 3)]
     {
-        let mut first = StreamIngester::new(&faulted, "g", 2000).unwrap();
-        for _ in 0..6 {
-            first.step(32).unwrap();
-        }
-        // Crash: buffered windows and uncommitted progress die here.
-    }
-    let report = StreamIngester::new(&faulted, "g", 2000)
-        .unwrap()
-        .run_to_completion(32)
-        .unwrap();
+        // Reference: fault-free ingestion.
+        let clean = boot();
+        let topic = clean.bus().topic(RAW_LOG_TOPIC).unwrap();
+        let used: BTreeSet<usize> = lines
+            .iter()
+            .map(|l| topic.partition_for_key(&l.source))
+            .collect();
+        assert_eq!(used.len(), partitions, "partitions the storm lands on");
+        publish_lines(&clean, &lines).unwrap();
+        let clean_report = StreamIngester::new(&clean, "g", lateness)
+            .unwrap()
+            .run_to_completion(32)
+            .unwrap();
+        assert_eq!(clean_report.events_in, 400);
+        let clean_rows = table_rows(&clean);
+        let clean_mass: i32 = clean_rows.iter().map(|e| e.amount).sum();
+        assert_eq!(clean_mass, 400, "clean run stored every occurrence");
 
-    // Zero loss: every one of the 400 occurrences is accounted for.
-    let clean_rows = table_rows(&clean);
-    let faulted_rows = table_rows(&faulted);
-    let clean_mass: i32 = clean_rows.iter().map(|e| e.amount).sum();
-    let faulted_mass: i32 = faulted_rows.iter().map(|e| e.amount).sum();
-    assert_eq!(clean_mass, 400, "clean run stored every occurrence");
-    assert_eq!(faulted_mass, 400, "faults + crash lost nothing");
-    assert_eq!(
-        clean_rows, faulted_rows,
-        "faulted tables byte-identical to the fault-free run"
-    );
-    // The schedule actually exercised the recovery paths.
-    assert!(report.duplicates > 0, "redeliveries hit the offset guard");
-    assert_eq!(dlq_depth(&faulted).unwrap(), 0, "nothing dead-lettered");
+        for crash_after in [1, 6, 20] {
+            let case = format!("{partitions} partition(s), crash after {crash_after} steps");
+            // Faulted: drop every 7th send, redeliver every 5th read, delay
+            // every 11th send for 3 more sends, fail the first 4 commits —
+            // and crash the ingester mid-stream on top.
+            let faulted = boot();
+            faulted.bus().inject_faults(
+                FaultPlan::new()
+                    .drop_every(7)
+                    .duplicate_every(5)
+                    .delay_every(11, 3)
+                    .fail_commits(4),
+            );
+            publish_lines(&faulted, &lines).unwrap();
+            // Any delay holds still parked after the last send become
+            // visible now.
+            faulted.bus().release_delayed();
+            let first_duplicates = {
+                let mut first = StreamIngester::new(&faulted, "g", lateness).unwrap();
+                for _ in 0..crash_after {
+                    first.step(32).unwrap();
+                }
+                // Crash: buffered windows and uncommitted progress die
+                // with `first`.
+                first.report().duplicates
+            };
+            let report = StreamIngester::new(&faulted, "g", lateness)
+                .unwrap()
+                .run_to_completion(32)
+                .unwrap();
+
+            // Zero loss: every one of the 400 occurrences is accounted for.
+            let faulted_rows = table_rows(&faulted);
+            let faulted_mass: i32 = faulted_rows.iter().map(|e| e.amount).sum();
+            assert_eq!(faulted_mass, 400, "{case}: faults + crash lost nothing");
+            assert_eq!(
+                clean_rows, faulted_rows,
+                "{case}: faulted tables byte-identical to the fault-free run"
+            );
+            // The schedule actually exercised the recovery paths.
+            assert!(
+                first_duplicates + report.duplicates > 0,
+                "{case}: redeliveries hit the offset guard"
+            );
+            assert_eq!(
+                dlq_depth(&faulted).unwrap(),
+                0,
+                "{case}: nothing dead-lettered"
+            );
+        }
+    }
 }
 
 #[test]
