@@ -136,16 +136,14 @@ impl QueryEngine {
         let mut dispatched = false;
         let answer = {
             let mut span = telemetry::SpanGuard::enter_in("server.engine.request", &ctx);
-            match parsed {
-                Err(e) => Err(e),
-                Ok((_, body)) => QueryRequest::parse(&body).and_then(|req| {
-                    op = req.op.clone();
-                    span.tag("op", &req.op);
-                    let out = self.dispatch(&req);
-                    dispatched = !matches!(&out, Err(e) if e.code == ErrorCode::UnknownOp);
-                    out
-                }),
-            }
+            parsed.and_then(|(_, body)| {
+                let req = QueryRequest::parse(&body)?;
+                op = req.op.clone();
+                span.tag("op", &req.op);
+                let out = self.dispatch(&req);
+                dispatched = !matches!(&out, Err(e) if e.code == ErrorCode::UnknownOp);
+                out
+            })
             // Request span closes here so its duration (and its trace's
             // profile) covers exactly the execute interval.
         };

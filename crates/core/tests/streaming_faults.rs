@@ -124,11 +124,22 @@ fn fault_schedule_zero_loss_byte_identical_tables() {
                 clean_rows, faulted_rows,
                 "{case}: faulted tables byte-identical to the fault-free run"
             );
-            // The schedule actually exercised the recovery paths.
-            assert!(
-                first_duplicates + report.duplicates > 0,
-                "{case}: redeliveries hit the offset guard"
-            );
+            // The schedule actually exercised the recovery paths: the
+            // replaying life's own offset guard skipped redeliveries. After
+            // 20 steps the first life has drained the one-partition storm,
+            // so the second life replays only its uncommitted tail and may
+            // meet no redelivery; there the first life's guard counts.
+            if crash_after < 20 {
+                assert!(
+                    report.duplicates > 0,
+                    "{case}: redeliveries hit the offset guard"
+                );
+            } else {
+                assert!(
+                    first_duplicates + report.duplicates > 0,
+                    "{case}: redeliveries hit the offset guard"
+                );
+            }
             assert_eq!(
                 dlq_depth(&faulted).unwrap(),
                 0,
