@@ -86,9 +86,9 @@ fn bench_streaming(c: &mut Criterion) {
     }
     group.finish();
 
-    // Telemetry overhead: the identical drain with the global registry on
-    // vs off. Span guards and counters stay at every call site; "off"
-    // reduces each to a relaxed atomic load and branch.
+    // Telemetry overhead: the identical drain with spans and histograms on
+    // vs off. Span guards stay at every call site; "off" reduces each to a
+    // relaxed atomic load and branch. Counters and gauges count either way.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
     let n = 20_000usize;

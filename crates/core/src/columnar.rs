@@ -46,7 +46,7 @@ use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use telemetry::Counter;
+use telemetry::{Counter, Registry};
 
 /// Default byte budget of the [`ColumnarStore`].
 pub const DEFAULT_COLUMNAR_CACHE_BYTES: usize = 32 << 20;
@@ -383,27 +383,23 @@ impl ColumnarStats {
 /// budget (DESIGN §9).
 pub struct ColumnarStore {
     cache: Validated<Arc<ColumnBlock>>,
-    built: AtomicU64,
-    zone_skips: AtomicU64,
+    built: Arc<Counter>,
+    zone_skips: Arc<Counter>,
     dict_raw: AtomicU64,
     dict_encoded: AtomicU64,
-    t_built: Arc<Counter>,
-    t_zone_skips: Arc<Counter>,
 }
 
 impl ColumnarStore {
-    /// Creates a store with the given byte budget. With a budget of 0
-    /// nothing is retained: every scan builds transient blocks.
-    pub fn new(budget: usize) -> ColumnarStore {
-        let t = telemetry::global();
+    /// Creates a store with the given byte budget, its `cache.columnar.*`
+    /// instruments in `telemetry`. With a budget of 0 nothing is retained:
+    /// every scan builds transient blocks.
+    pub fn new(budget: usize, telemetry: &Registry) -> ColumnarStore {
         ColumnarStore {
-            cache: Validated::new("columnar", 1, budget),
-            built: AtomicU64::new(0),
-            zone_skips: AtomicU64::new(0),
+            cache: Validated::new("columnar", 1, budget, telemetry),
+            built: telemetry.counter("cache.columnar.blocks_built"),
+            zone_skips: telemetry.counter("cache.columnar.zone_skips"),
             dict_raw: AtomicU64::new(0),
             dict_encoded: AtomicU64::new(0),
-            t_built: t.counter("cache.columnar.blocks_built"),
-            t_zone_skips: t.counter("cache.columnar.zone_skips"),
         }
     }
 
@@ -417,8 +413,7 @@ impl ColumnarStore {
     /// source rows were read. Oversized blocks (bigger than the whole
     /// budget) are simply not retained.
     pub fn insert(&self, block: Arc<ColumnBlock>, stamp: Stamp) {
-        self.built.fetch_add(1, Ordering::Relaxed);
-        self.t_built.incr(1);
+        self.built.incr(1);
         self.dict_raw
             .fetch_add(block.source_raw_bytes() as u64, Ordering::Relaxed);
         self.dict_encoded
@@ -435,21 +430,20 @@ impl ColumnarStore {
 
     /// Records one zone-map block skip.
     pub fn note_zone_skip(&self) {
-        self.zone_skips.fetch_add(1, Ordering::Relaxed);
-        self.t_zone_skips.incr(1);
+        self.zone_skips.incr(1);
     }
 
     /// Snapshot of the store's counters and residency.
     pub fn stats(&self) -> ColumnarStats {
         let tier = self.cache.stats();
         ColumnarStats {
-            blocks_built: self.built.load(Ordering::Relaxed),
+            blocks_built: self.built.get(),
             blocks_resident: self.cache.len() as u64,
             blocks_evicted: tier.evictions(),
             invalidations: tier.invalidations(),
             hits: tier.hits(),
             misses: tier.misses(),
-            zone_skips: self.zone_skips.load(Ordering::Relaxed),
+            zone_skips: self.zone_skips.get(),
             bytes_resident: self.cache.used_bytes() as u64,
             bytes_budget: self.cache.budget() as u64,
             dict_raw_bytes: self.dict_raw.load(Ordering::Relaxed),
@@ -703,7 +697,7 @@ mod tests {
     #[test]
     fn store_validates_version_and_epoch_snapshots() {
         let c = cluster();
-        let store = ColumnarStore::new(1 << 20);
+        let store = ColumnarStore::new(1 << 20, &Registry::default());
         store.insert(Arc::new(block()), stamp(&c));
         assert!(store.get(&c, 0, "MCE").is_some());
         // Data-version bump → stale → dropped and rebuilt by the caller.
@@ -729,7 +723,7 @@ mod tests {
     #[test]
     fn store_budget_bounds_residency() {
         let c = cluster();
-        let store = ColumnarStore::new(1 << 20);
+        let store = ColumnarStore::new(1 << 20, &Registry::default());
         for h in 0..8 {
             let mut b = block();
             b.hour = h;

@@ -131,7 +131,8 @@ pub fn import_bytes(
                 }
             }
         }
-        stats.flush_telemetry();
+        fw.etl_stats().scan_lines.incr(stats.lines);
+        fw.etl_stats().pushdown_skips.incr(stats.pushdown_skips);
         out.parsed = events.len() + out.job_lines.len();
         match fw.insert_events(&events) {
             Ok(written) => out.event_rows = written,
@@ -200,15 +201,11 @@ pub fn import_bytes(
         }
     }
     report.unmatched_jobs += ends.len();
-    let g = telemetry::global();
-    g.counter("etl.batch.lines_parsed")
-        .incr(report.parsed as u64);
-    g.counter("etl.batch.lines_skipped")
-        .incr(report.skipped as u64);
-    g.counter("etl.batch.lines_filtered")
-        .incr(report.filtered as u64);
-    g.counter("etl.batch.event_rows")
-        .incr(report.event_rows as u64);
+    let etl = fw.etl_stats();
+    etl.lines_parsed.incr(report.parsed as u64);
+    etl.lines_skipped.incr(report.skipped as u64);
+    etl.lines_filtered.incr(report.filtered as u64);
+    etl.event_rows.incr(report.event_rows as u64);
     match first_error {
         Some(e) => Err(e),
         None => Ok(report),

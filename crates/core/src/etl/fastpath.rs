@@ -33,8 +33,9 @@
 //! suite (`tests/etl_equivalence.rs`) checks it line by line and table by
 //! table.
 //!
-//! Telemetry: `etl.fastpath.lines` and `etl.fastpath.pushdown_skips`
-//! counters (flushed once per chunk via [`ScanStats::flush_telemetry`]).
+//! Telemetry: [`ScanStats`] counts lines and pushdown skips; the batch
+//! import adds them into the `etl.fastpath.lines` and
+//! `etl.fastpath.pushdown_skips` counters once per task.
 
 use crate::etl::parsers::ParsedLine;
 use crate::model::event::EventRecord;
@@ -135,14 +136,16 @@ impl ScanPredicate {
     }
 }
 
-/// Per-chunk scan counters, flushed to telemetry once per chunk.
+/// Per-chunk scan counters. The batch import adds each task's into the
+/// framework's `etl.fastpath.*` counters.
 ///
 /// # Example
 /// ```
-/// use hpclog_core::etl::fastpath::ScanStats;
-/// let mut stats = ScanStats::default();
-/// stats.lines += 10;
-/// stats.flush_telemetry(); // increments the etl.fastpath.* counters
+/// use hpclog_core::etl::fastpath::{FastParser, ScanPredicate, ScanStats};
+/// let (p, mut stats) = (FastParser::new(), ScanStats::default());
+/// let pred = ScanPredicate::default().with_window(0, 10);
+/// p.scan_line(b"50 console n0 DVS: x", &pred, &mut stats);
+/// assert_eq!((stats.lines, stats.pushdown_skips), (1, 1));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
@@ -150,16 +153,6 @@ pub struct ScanStats {
     pub lines: u64,
     /// Event lines dropped by the [`ScanPredicate`] during the scan.
     pub pushdown_skips: u64,
-}
-
-impl ScanStats {
-    /// Adds the counts into the global `etl.fastpath.*` counters.
-    pub fn flush_telemetry(&self) {
-        let g = telemetry::global();
-        g.counter("etl.fastpath.lines").incr(self.lines);
-        g.counter("etl.fastpath.pushdown_skips")
-            .incr(self.pushdown_skips);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -759,6 +752,7 @@ fn job_end(text: &[u8], ts_ms: i64) -> JobMatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // -- chunk splitter --------------------------------------------------
 
@@ -1028,6 +1022,87 @@ mod tests {
                     "line {line:?} pred {pred:?}"
                 );
             }
+        }
+    }
+
+    // -- byte garbage ----------------------------------------------------
+
+    /// Rendered Titan lines from every facility loggen emits.
+    fn titan_lines() -> &'static [String] {
+        static LINES: OnceLock<Vec<String>> = OnceLock::new();
+        LINES.get_or_init(|| {
+            let cfg = loggen::trace::ScenarioConfig {
+                rate_scale: 20.0,
+                ..loggen::trace::ScenarioConfig::quiet_day(2)
+            };
+            let topo = loggen::topology::Topology::scaled(2, 2);
+            let scenario = loggen::trace::Scenario::generate(&topo, &cfg, 7);
+            scenario.lines.iter().map(|l| l.render()).collect()
+        })
+    }
+
+    /// A valid line with lossy edits: cut short, a byte dropped, a byte
+    /// overwritten, a byte inserted.
+    fn mutated_line() -> BoxedStrategy<Vec<u8>> {
+        let edit = (0usize..4, any::<usize>(), any::<u8>());
+        (any::<usize>(), prop::collection::vec(edit, 1..4))
+            .prop_map(|(pick, edits)| {
+                let lines = titan_lines();
+                let mut line = lines[pick % lines.len()].clone().into_bytes();
+                for (op, at, byte) in edits {
+                    let at = at % (line.len() + 1);
+                    match op {
+                        0 => line.truncate(at),
+                        1 if at < line.len() => drop(line.remove(at)),
+                        2 if at < line.len() => line[at] = byte,
+                        _ => line.insert(at, byte),
+                    }
+                }
+                line
+            })
+            .boxed()
+    }
+
+    /// Arbitrary bytes, or mutated lines joined by `\n` or `\r\n`.
+    fn byte_garbage() -> BoxedStrategy<Vec<u8>> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..600),
+            (prop::collection::vec(mutated_line(), 1..12), any::<bool>())
+                .prop_map(|(lines, crlf)| lines.join(if crlf { &b"\r\n"[..] } else { &b"\n"[..] })),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// ROADMAP 5(c), the parser's quarter: no byte sequence panics the
+        /// chunker, the line iterator or the scanner, whatever the
+        /// predicate, and every line of the corpus gets an outcome.
+        #[test]
+        fn byte_garbage_gets_one_outcome_per_line_and_never_panics(
+            corpus in byte_garbage(),
+            target in 1usize..300,
+            window in any::<bool>(),
+        ) {
+            let fast = FastParser::new();
+            let pred = if window {
+                ScanPredicate::default().with_window(0, i64::MAX / 2).with_types(["MCE"])
+            } else {
+                ScanPredicate::default()
+            };
+            let mut stats = ScanStats::default();
+            let mut outcomes = 0;
+            for (start, end) in split_chunks(&corpus, target) {
+                for line in Lines::new(&corpus[start..end]) {
+                    let _: LineOutcome = fast.scan_line(line, &pred, &mut stats);
+                    let _ = fast.parse_line(line);
+                    outcomes += 1;
+                }
+            }
+            let newlines = corpus.iter().filter(|&&b| b == b'\n').count();
+            let lines = newlines + usize::from(corpus.last().is_some_and(|&b| b != b'\n'));
+            prop_assert_eq!(outcomes, lines);
+            prop_assert_eq!(stats.lines as usize, lines);
         }
     }
 }

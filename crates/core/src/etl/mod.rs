@@ -17,3 +17,52 @@ pub mod batch;
 pub mod fastpath;
 pub mod parsers;
 pub mod stream;
+
+use std::sync::Arc;
+use telemetry::{Counter, Gauge, Registry};
+
+/// The ETL paths' instruments in the framework's registry, resolved once
+/// by `Framework::new`: the batch import's `etl.batch.*` and
+/// `etl.fastpath.*` counters, and the stream's `etl.stream.*` and
+/// `ingest.*` counters and gauges.
+pub(crate) struct EtlStats {
+    pub(crate) lines_parsed: Arc<Counter>,
+    pub(crate) lines_skipped: Arc<Counter>,
+    pub(crate) lines_filtered: Arc<Counter>,
+    pub(crate) event_rows: Arc<Counter>,
+    pub(crate) scan_lines: Arc<Counter>,
+    pub(crate) pushdown_skips: Arc<Counter>,
+    pub(crate) ingest_lag: Arc<Gauge>,
+    pub(crate) window_events_in: Arc<Gauge>,
+    pub(crate) window_events_out: Arc<Gauge>,
+    pub(crate) events_out: Arc<Counter>,
+    pub(crate) duplicates: Arc<Counter>,
+    pub(crate) store_retries: Arc<Counter>,
+    pub(crate) store_backoff_ms: Arc<Counter>,
+    pub(crate) commit_failures: Arc<Counter>,
+    pub(crate) dlq_depth: Arc<Gauge>,
+    pub(crate) dlq_publish_failures: Arc<Counter>,
+}
+
+impl EtlStats {
+    pub(crate) fn new(r: &Registry) -> EtlStats {
+        EtlStats {
+            lines_parsed: r.counter("etl.batch.lines_parsed"),
+            lines_skipped: r.counter("etl.batch.lines_skipped"),
+            lines_filtered: r.counter("etl.batch.lines_filtered"),
+            event_rows: r.counter("etl.batch.event_rows"),
+            scan_lines: r.counter("etl.fastpath.lines"),
+            pushdown_skips: r.counter("etl.fastpath.pushdown_skips"),
+            ingest_lag: r.gauge("etl.stream.ingest_lag"),
+            window_events_in: r.gauge("etl.stream.window_events_in"),
+            window_events_out: r.gauge("etl.stream.window_events_out"),
+            events_out: r.counter("etl.stream.events_out"),
+            duplicates: r.counter("ingest.consume.duplicates"),
+            store_retries: r.counter("ingest.store.retries"),
+            store_backoff_ms: r.counter("ingest.store.backoff_ms"),
+            commit_failures: r.counter("ingest.commit.failures"),
+            dlq_depth: r.gauge("ingest.dlq.depth"),
+            dlq_publish_failures: r.counter("ingest.dlq.publish_failures"),
+        }
+    }
+}

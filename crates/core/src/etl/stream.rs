@@ -244,8 +244,9 @@ impl<'f> StreamIngester<'f> {
             self.flush_window(window_start, batch)?;
         }
         self.commit_safe();
-        telemetry::global()
-            .gauge("etl.stream.ingest_lag")
+        self.fw
+            .etl_stats()
+            .ingest_lag
             .set(self.consumer.lag() as i64);
         Ok(polled)
     }
@@ -254,9 +255,7 @@ impl<'f> StreamIngester<'f> {
         let (p, off) = (record.partition, record.offset);
         if self.max_seen.get(&p).is_some_and(|m| off <= *m) {
             self.report.duplicates += 1;
-            telemetry::global()
-                .counter("ingest.consume.duplicates")
-                .incr(1);
+            self.fw.etl_stats().duplicates.incr(1);
             return;
         }
         self.max_seen.insert(p, off);
@@ -318,11 +317,10 @@ impl<'f> StreamIngester<'f> {
             |a, b| a.amount += b.amount,
         );
         self.report.events_out += merged.len();
-        let g = telemetry::global();
-        g.gauge("etl.stream.window_events_in").set(events_in as i64);
-        g.gauge("etl.stream.window_events_out")
-            .set(merged.len() as i64);
-        g.counter("etl.stream.events_out").incr(merged.len() as u64);
+        let etl = self.fw.etl_stats();
+        etl.window_events_in.set(events_in as i64);
+        etl.window_events_out.set(merged.len() as i64);
+        etl.events_out.incr(merged.len() as u64);
         match self.store_with_retry(&merged) {
             Ok(()) => {}
             Err(DbError::Unavailable { .. }) => {
@@ -363,9 +361,8 @@ impl<'f> StreamIngester<'f> {
                         .max(1);
                     let delay = exp + self.rng.gen_range(0..=exp / 2);
                     self.report.retries += 1;
-                    let g = telemetry::global();
-                    g.counter("ingest.store.retries").incr(1);
-                    g.counter("ingest.store.backoff_ms").incr(delay);
+                    self.fw.etl_stats().store_retries.incr(1);
+                    self.fw.etl_stats().store_backoff_ms.incr(delay);
                     std::thread::sleep(std::time::Duration::from_millis(delay));
                 }
                 Err(e) => return Err(e),
@@ -379,14 +376,8 @@ impl<'f> StreamIngester<'f> {
     fn dead_letter(&mut self, key: Option<&str>, value: &str) {
         let producer = Producer::new(self.fw.bus());
         match send_with_retry(&producer, RAW_LOG_DLQ_TOPIC, key, value, 0) {
-            Ok(_) => {
-                telemetry::global().gauge("ingest.dlq.depth").add(1);
-            }
-            Err(_) => {
-                telemetry::global()
-                    .counter("ingest.dlq.publish_failures")
-                    .incr(1);
-            }
+            Ok(_) => self.fw.etl_stats().dlq_depth.add(1),
+            Err(_) => self.fw.etl_stats().dlq_publish_failures.incr(1),
         }
     }
 
@@ -414,9 +405,7 @@ impl<'f> StreamIngester<'f> {
             // Injected commit fault: positions are untouched, the next
             // step's commit covers this one (at-least-once, maybe replay).
             self.report.commit_failures += 1;
-            telemetry::global()
-                .counter("ingest.commit.failures")
-                .incr(1);
+            self.fw.etl_stats().commit_failures.incr(1);
         }
     }
 }
@@ -511,9 +500,7 @@ pub fn dlq_requeue(fw: &Framework, max: usize) -> Result<DlqRequeueReport, DbErr
     // A failed commit leaves entries queued for the next pass — requeue is
     // idempotent for events (LWW upsert) and lines (stream re-coalesces).
     let _ = consumer.commit_through(&commits, i64::MIN);
-    telemetry::global()
-        .gauge("ingest.dlq.depth")
-        .add(-processed);
+    fw.etl_stats().dlq_depth.add(-processed);
     report.remaining = consumer.lag();
     Ok(report)
 }

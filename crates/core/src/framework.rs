@@ -2,6 +2,7 @@
 //! message bus, schema, and machine description.
 
 use crate::columnar::{ColumnBlock, ColumnarStore, WindowScan};
+use crate::etl::EtlStats;
 use crate::model::event::EventRecord;
 use crate::model::{apprun::AppRun, keys, nodeinfo, tables};
 use crate::server::cache::ResultCache;
@@ -11,12 +12,14 @@ use loggen::topology::Topology;
 use rasdb::cache::Stamp;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
+use rasdb::node::NodeConfig;
 use rasdb::query::{Consistency, ReadPlan};
 use rasdb::types::Value;
 use rasdb::DecoratedKey;
 use sparklet::{Rdd, SparkletContext};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+use telemetry::Registry;
 
 /// Deployment parameters.
 #[derive(Debug, Clone)]
@@ -72,6 +75,9 @@ pub struct Framework {
     consistency: Consistency,
     result_cache: ResultCache,
     columnar: ColumnarStore,
+    /// This deployment's counters and gauges (DESIGN §6).
+    telemetry: Arc<Registry>,
+    etl_stats: EtlStats,
     /// Highest timestamp streaming ingestion has committed through;
     /// `i64::MIN` until the first commit.
     ingest_watermark: AtomicI64,
@@ -86,13 +92,17 @@ pub const RAW_LOG_DLQ_TOPIC: &str = "raw-logs.dlq";
 
 impl Framework {
     /// Builds the cluster, creates the schema, loads `nodeinfos` and
-    /// `eventtypes`, and provisions the streaming topic.
+    /// `eventtypes`, and provisions the streaming topic. Every part gets
+    /// the one registry the framework creates.
     pub fn new(cfg: FrameworkConfig) -> Result<Framework, DbError> {
-        let cluster = Arc::new(Cluster::new(ClusterConfig {
+        let telemetry = Arc::new(Registry::default());
+        let cluster_cfg = ClusterConfig {
             nodes: cfg.db_nodes,
             replication_factor: cfg.replication_factor,
             vnodes: cfg.vnodes,
-        }));
+        };
+        let cluster = Cluster::with_telemetry(cluster_cfg, NodeConfig::default(), &telemetry);
+        let cluster = Arc::new(cluster);
         tables::create_all(&cluster)?;
         nodeinfo::populate(&cluster, &cfg.topology)?;
         for etype in EVENT_CATALOG {
@@ -107,7 +117,7 @@ impl Framework {
                 cfg.consistency,
             )?;
         }
-        let bus = Arc::new(Broker::new());
+        let bus = Arc::new(Broker::with_telemetry(&telemetry));
         bus.create_topic(RAW_LOG_TOPIC, cfg.db_nodes.max(1))
             .expect("fresh broker");
         bus.create_topic(RAW_LOG_DLQ_TOPIC, cfg.db_nodes.max(1))
@@ -119,8 +129,10 @@ impl Framework {
             bus,
             topology: cfg.topology,
             consistency: cfg.consistency,
-            result_cache: ResultCache::new(cfg.result_cache_bytes),
-            columnar: ColumnarStore::new(cfg.columnar_cache_bytes),
+            result_cache: ResultCache::new(cfg.result_cache_bytes, &telemetry),
+            columnar: ColumnarStore::new(cfg.columnar_cache_bytes, &telemetry),
+            etl_stats: EtlStats::new(&telemetry),
+            telemetry,
             ingest_watermark: AtomicI64::new(i64::MIN),
         })
     }
@@ -160,6 +172,16 @@ impl Framework {
     /// block is retained and every scan builds transient ones.
     pub fn columnar(&self) -> &ColumnarStore {
         &self.columnar
+    }
+
+    /// This deployment's telemetry registry: every counter and gauge of
+    /// its cluster, bus, caches, ETL, query engine and HTTP frontend.
+    pub fn telemetry(&self) -> &Arc<Registry> {
+        &self.telemetry
+    }
+
+    pub(crate) fn etl_stats(&self) -> &EtlStats {
+        &self.etl_stats
     }
 
     /// The streaming ingest watermark: every event at or below this
@@ -450,12 +472,12 @@ impl Framework {
         crate::etl::batch::import_bytes(self, corpus, opts)
     }
 
-    /// Human-readable table of every instrument in the global telemetry
-    /// registry (counters, gauges, and latency histograms with
-    /// p50/p95/p99/max). For the machine-readable form use the `metrics`
-    /// query op or `GET /v1/metrics`.
+    /// Human-readable table of what the `metrics` op reports: this
+    /// framework's counters and gauges and the process-wide span
+    /// histograms (p50/p95/p99/max). For the machine-readable form use the
+    /// `metrics` query op or `GET /v1/metrics`.
     pub fn telemetry_report(&self) -> String {
-        telemetry::global().render_table()
+        crate::server::telemetry_export::snapshot(self).render_table()
     }
 }
 

@@ -32,6 +32,7 @@ use rasdb::cache::{Stamp, Validated};
 use rasdb::cluster::Cluster;
 use rasdb::stats::CacheStats;
 use std::sync::Arc;
+use telemetry::Registry;
 
 /// Default byte budget for the analytics result cache.
 pub const DEFAULT_RESULT_CACHE_BYTES: usize = 8 << 20;
@@ -45,9 +46,10 @@ pub const SHARDS: usize = 16;
 pub struct ResultCache(Validated<Arc<str>>);
 
 impl ResultCache {
-    /// Creates a cache bounded by `budget_bytes` (0 disables it).
-    pub fn new(budget_bytes: usize) -> ResultCache {
-        ResultCache(Validated::new("result", SHARDS, budget_bytes))
+    /// Creates a cache bounded by `budget_bytes` (0 disables it), its
+    /// `cache.result.*` instruments in `telemetry`.
+    pub fn new(budget_bytes: usize, telemetry: &Registry) -> ResultCache {
+        ResultCache(Validated::new("result", SHARDS, budget_bytes, telemetry))
     }
 
     /// Replaces the byte budget; shrinking evicts, zero clears and
@@ -56,8 +58,8 @@ impl ResultCache {
         self.0.set_budget(bytes);
     }
 
-    /// Hit/miss/evict/invalidate counters (`cache.result.*` in the global
-    /// telemetry registry).
+    /// Hit/miss/evict/invalidate counters (`cache.result.*` in the
+    /// framework's telemetry registry).
     pub fn stats(&self) -> &CacheStats {
         self.0.stats()
     }
@@ -143,7 +145,7 @@ mod tests {
     #[test]
     fn hit_then_write_invalidates() {
         let c = cluster();
-        let cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20, &Registry::default());
         store(&cache, &c, b"k".to_vec());
         assert_eq!(
             cache.lookup(&c, b"k").as_deref(),
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn zero_budget_disables_without_stats_noise() {
         let c = cluster();
-        let cache = ResultCache::new(0);
+        let cache = ResultCache::new(0, &Registry::default());
         store(&cache, &c, b"k".to_vec());
         assert!(cache.lookup(&c, b"k").is_none());
         assert!(cache.is_empty());
@@ -178,7 +180,7 @@ mod tests {
         let key = |i: usize| format!("heatmap\x1fMCE\x1f{i}").into_bytes();
         // Each shard's slice of this budget holds one entry (~110 bytes), so
         // what survives is one entry per shard the keys reached.
-        let cache = ResultCache::new(150 * SHARDS);
+        let cache = ResultCache::new(150 * SHARDS, &Registry::default());
         for i in 0..64 {
             store(&cache, &c, key(i));
         }
@@ -187,7 +189,7 @@ mod tests {
             shards_seen > SHARDS / 2,
             "canonical keys should spread over most shards, hit {shards_seen}"
         );
-        let cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20, &Registry::default());
         for i in 0..64 {
             store(&cache, &c, key(i));
         }

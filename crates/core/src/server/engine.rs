@@ -71,8 +71,8 @@ impl QueryEngine {
     /// Wraps a framework.
     pub fn new(fw: Arc<Framework>) -> QueryEngine {
         QueryEngine {
+            recorder: FlightRecorder::new(fw.telemetry()),
             fw,
-            recorder: FlightRecorder::new(),
             slo: SloRegistry::new(),
         }
     }

@@ -86,11 +86,17 @@ impl QueryEngine {
         ]))
     }
 
-    /// The global telemetry registry: counters, gauges, and latency
-    /// histograms. Pass `"reset": true` to zero everything after reading.
+    /// The framework's counters and gauges (its registry's, plus
+    /// `rasdb.storage.*` summed over the nodes) and the process-wide span
+    /// histograms. Counters and gauges count whether or not telemetry is
+    /// enabled; `enabled` says whether spans and histograms record. Pass
+    /// `"reset": true` to zero every count reported here, node counts and
+    /// histograms included, after reading (the trace ring is cleared too);
+    /// gauges are levels and keep their value.
     pub(super) fn op_metrics(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
+        use crate::server::telemetry_export;
         let reset = req.bool_or("reset", false)?;
-        let snap = crate::server::telemetry_export::metrics_json();
+        let snap = telemetry_export::metrics_json(&self.fw);
         let out = OpOutput::data([
             ("enabled", Json::from(telemetry::enabled())),
             ("counters", snap["counters"].clone()),
@@ -98,7 +104,7 @@ impl QueryEngine {
             ("histograms", snap["histograms"].clone()),
         ]);
         if reset {
-            telemetry::global().reset();
+            telemetry_export::reset(&self.fw);
         }
         Ok(out)
     }

@@ -178,8 +178,8 @@ impl HttpServer {
         let poller = Poller::new()?;
         poller.arm(listener.as_raw_fd(), LISTENER_TOKEN, true)?;
 
-        let reg = telemetry::global();
-        reg.gauge("server.http.workers").set(cfg.workers as i64);
+        let reg = engine.framework().telemetry();
+        let live_workers = reg.gauge("server.http.workers");
         reg.gauge("server.http.max_inflight")
             .set(cfg.max_inflight as i64);
         let stats = FrontendStats {
@@ -207,11 +207,13 @@ impl HttpServer {
 
         let mut handles = Vec::new();
         for i in 0..shared.cfg.workers.max(1) {
-            let s = Arc::clone(&shared);
+            // Counted before the spawn: the gauge reads every worker once
+            // `start_with` returns, and only live ones after.
+            let (s, live) = (Arc::clone(&shared), Live::new(&live_workers));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("http-worker-{i}"))
-                    .spawn(move || worker_loop(&s))?,
+                    .spawn(move || worker_loop(&s, live))?,
             );
         }
         Ok(HttpServer {
@@ -234,7 +236,7 @@ impl Drop for HttpServer {
             let _ = h.join();
         }
         // The last reference to `shared` goes with `self`: parked
-        // connections close (gauges settle via `Conn::drop`), then the
+        // connections close (gauges settle as each `Conn` drops), then the
         // listener and the readiness set.
     }
 }
@@ -285,6 +287,9 @@ struct Parked {
 /// One client connection, owned by the parked map or by the one worker
 /// serving it.
 struct Conn {
+    /// Its place in `server.http.connections`. First, so it drops first:
+    /// a client that sees the close also sees the count.
+    _open: Live,
     /// The socket — blocking, `TCP_NODELAY` and its timeouts set once at
     /// accept — behind the read buffer that is kept across parks so
     /// pipelined bytes already buffered are never lost. It is the
@@ -298,31 +303,41 @@ struct Conn {
     /// never the fd number, so a stale event cannot name a newer
     /// connection that reuses the descriptor.
     token: u64,
-    /// Open-connection gauge, decremented on drop.
-    gauge: Arc<telemetry::Gauge>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, peer: String, token: u64, gauge: Arc<telemetry::Gauge>) -> Conn {
-        gauge.add(1);
+    fn new(stream: TcpStream, peer: String, token: u64, open: &Arc<telemetry::Gauge>) -> Conn {
         Conn {
+            _open: Live::new(open),
             reader: BufReader::new(stream),
             peer,
             token,
-            gauge,
         }
     }
 }
 
-impl Drop for Conn {
+/// One unit of a gauge of live things (connections, workers): added when
+/// made, taken off when dropped, however its owner ends.
+struct Live(Arc<telemetry::Gauge>);
+
+impl Live {
+    fn new(gauge: &Arc<telemetry::Gauge>) -> Live {
+        gauge.add(1);
+        Live(Arc::clone(gauge))
+    }
+}
+
+impl Drop for Live {
     fn drop(&mut self) {
-        self.gauge.add(-1);
+        self.0.add(-1);
     }
 }
 
 // --- workers -----------------------------------------------------------------
 
-fn worker_loop(shared: &Shared) {
+/// One worker: `_live` holds its place in `server.http.workers` until the
+/// worker returns or unwinds.
+fn worker_loop(shared: &Shared, _live: Live) {
     while !shared.stop.load(Ordering::SeqCst) {
         let Some(token) = shared.poller.wait(shared.reap()) else {
             continue;
@@ -392,7 +407,7 @@ impl Shared {
                         stream,
                         peer.ip().to_string(),
                         self.next_token.fetch_add(1, Ordering::Relaxed),
-                        Arc::clone(&self.stats.connections),
+                        &self.stats.connections,
                     );
                     self.park(conn, self.cfg.header_read_timeout, true);
                 }
@@ -565,7 +580,8 @@ fn read_request(
                 .parse()
                 .map_err(|_| ReadFailure::Malformed("unparseable Content-Length"))?;
         } else if let Some(v) = lower.strip_prefix("x-trace-id:") {
-            trace = TraceContext::parse_hex(v.trim());
+            let bad = ReadFailure::Malformed("x-trace-id must be 1 to 16 hex digits, not all 0");
+            trace = Some(TraceContext::parse_hex(v.trim()).ok_or(bad)?);
         } else if let Some(v) = lower.strip_prefix("x-client-id:") {
             client_id = Some(v.trim().to_owned());
         } else if lower.strip_prefix("connection:").map(str::trim) == Some("close") {

@@ -10,7 +10,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use telemetry::{Counter, Registry};
 
 /// Completed profiles retained; older ones fall off.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 128;
@@ -39,20 +40,17 @@ pub struct RecordedQuery {
 pub struct FlightRecorder {
     ring: Mutex<VecDeque<RecordedQuery>>,
     threshold_us: AtomicU64,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    captured: Arc<Counter>,
 }
 
 impl FlightRecorder {
-    /// An empty recorder at the default threshold.
-    pub fn new() -> Self {
+    /// An empty recorder at the default threshold, counting its captures
+    /// in `telemetry`'s `server.recorder.captured`.
+    pub fn new(telemetry: &Registry) -> Self {
         FlightRecorder {
             ring: Mutex::new(VecDeque::with_capacity(FLIGHT_RECORDER_CAPACITY)),
             threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_MS * 1_000),
+            captured: telemetry.counter("server.recorder.captured"),
         }
     }
 
@@ -73,9 +71,7 @@ impl FlightRecorder {
         if rec.total_us < self.threshold_us.load(Ordering::Relaxed) as f64 {
             return;
         }
-        telemetry::global()
-            .counter("server.recorder.captured")
-            .incr(1);
+        self.captured.incr(1);
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() >= FLIGHT_RECORDER_CAPACITY {
             ring.pop_front();
@@ -122,7 +118,7 @@ mod tests {
 
     #[test]
     fn only_slow_requests_are_kept() {
-        let r = FlightRecorder::new();
+        let r = FlightRecorder::new(&Registry::default());
         r.observe(rec(1, 50_000.0)); // 50 ms: under the 100 ms default
         assert!(r.is_empty());
         r.observe(rec(2, 250_000.0));
@@ -132,7 +128,7 @@ mod tests {
 
     #[test]
     fn threshold_zero_records_everything_and_ring_is_bounded() {
-        let r = FlightRecorder::new();
+        let r = FlightRecorder::new(&Registry::default());
         r.set_threshold_ms(0);
         assert_eq!(r.threshold_ms(), 0);
         for i in 0..(FLIGHT_RECORDER_CAPACITY as u64 + 10) {

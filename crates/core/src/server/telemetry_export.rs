@@ -1,9 +1,12 @@
-//! JSON rendering of the global telemetry registry and trace log.
+//! What a framework reports about itself, and its JSON rendering: the
+//! framework's counters and gauges, the process-wide span histograms and
+//! the trace log.
 //!
 //! The `telemetry` crate stays dependency-free; everything that needs a
 //! wire format (the `metrics`/`trace` query ops and the `/metrics` and
 //! `/trace` HTTP endpoints) goes through these helpers instead.
 
+use crate::framework::Framework;
 use jsonlite::{json_array, json_object, Value as Json};
 use telemetry::{HistogramSummary, Snapshot, SpanRecord};
 
@@ -62,9 +65,39 @@ pub fn snapshot_json(snap: &Snapshot) -> Json {
     ])
 }
 
-/// The current global registry as JSON.
-pub fn metrics_json() -> Json {
-    snapshot_json(&telemetry::global().snapshot())
+/// What the `metrics` op reports for `fw`: its registry's counters and
+/// gauges, the `rasdb.storage.*` counts summed over its nodes, and the
+/// process-wide span histograms.
+pub fn snapshot(fw: &Framework) -> Snapshot {
+    let mut snap = fw.telemetry().snapshot();
+    let s = fw.cluster().stats();
+    let storage = [
+        ("writes", s.writes),
+        ("reads", s.reads),
+        ("flushes", s.flushes),
+        ("compactions", s.compactions),
+        ("bloom_skips", s.bloom_skips),
+        ("sstable_probes", s.sstable_probes),
+    ];
+    snap.counters
+        .extend(storage.map(|(k, v)| (format!("rasdb.storage.{k}"), v)));
+    snap.counters.sort();
+    snap.histograms = telemetry::global().snapshot().histograms;
+    snap
+}
+
+/// Zeroes every count [`snapshot`] reports for `fw` (its counters, the
+/// nodes' counts and the span histograms) and clears the trace ring.
+/// Gauges are levels and keep their value.
+pub fn reset(fw: &Framework) {
+    fw.telemetry().reset();
+    fw.cluster().reset_stats();
+    telemetry::reset_spans();
+}
+
+/// [`snapshot`] as JSON.
+pub fn metrics_json(fw: &Framework) -> Json {
+    snapshot_json(&snapshot(fw))
 }
 
 fn span_json(s: &SpanRecord) -> Json {
@@ -97,17 +130,46 @@ pub fn trace_json() -> Json {
 mod tests {
     use super::*;
 
+    fn small() -> Framework {
+        Framework::new(crate::framework::FrameworkConfig {
+            db_nodes: 2,
+            replication_factor: 1,
+            vnodes: 4,
+            topology: loggen::topology::Topology::scaled(1, 1),
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
     #[test]
     fn snapshot_renders_every_instrument_kind() {
-        telemetry::global().counter("test.export.count").incr(3);
-        telemetry::global().gauge("test.export.lag").set(-4);
+        let fw = small();
+        fw.telemetry().counter("test.export.count").incr(3);
+        fw.telemetry().gauge("test.export.lag").set(-4);
         telemetry::global()
             .histogram("test.export.lat")
             .record(1_000);
-        let json = metrics_json();
+        let json = metrics_json(&fw);
         assert_eq!(json["counters"]["test.export.count"].as_i64(), Some(3));
         assert_eq!(json["gauges"]["test.export.lag"].as_i64(), Some(-4));
         assert!(json["histograms"]["test.export.lat"]["count"].as_i64() >= Some(1));
+        // Storage rows are the nodes' counts, summed when the snapshot is
+        // taken: `Framework::new` wrote the schema's metadata rows.
+        let writes = json["counters"]["rasdb.storage.writes"].as_i64();
+        assert_eq!(writes, Some(fw.cluster().stats().writes as i64));
+        assert!(writes > Some(0));
+    }
+
+    #[test]
+    fn reset_zeroes_every_count_the_snapshot_reports_and_keeps_levels() {
+        let fw = small();
+        fw.telemetry().counter("test.export.count").incr(3);
+        fw.telemetry().gauge("test.export.live").set(4);
+        reset(&fw);
+        let snap = snapshot(&fw);
+        assert!(snap.counters.iter().all(|(_, v)| *v == 0), "{snap:?}");
+        assert_eq!(fw.cluster().stats(), Default::default());
+        assert_eq!(fw.telemetry().gauge("test.export.live").get(), 4);
     }
 
     #[test]

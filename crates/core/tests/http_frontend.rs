@@ -16,30 +16,14 @@ use loggen::topology::Topology;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use telemetry::Registry;
 
-/// `/proc/self/task` and the telemetry registry are process-wide and every
-/// test here starts a server. The hostile-bytes property asserts on both, so
-/// it holds this lock exclusively while every other test's server holds it
-/// shared.
-static PROCESS: RwLock<()> = RwLock::new(());
-
-/// A server plus its shared hold on [`PROCESS`], released after the server
-/// has stopped.
-struct TestServer {
-    server: HttpServer,
-    _shared: RwLockReadGuard<'static, ()>,
-}
-
-impl std::ops::Deref for TestServer {
-    type Target = HttpServer;
-    fn deref(&self) -> &HttpServer {
-        &self.server
-    }
-}
-
-fn start(cfg: HttpConfig) -> HttpServer {
+/// A server over a fresh framework, and that framework's registry: the
+/// server's counters and gauges are its own, whatever else runs in the
+/// process.
+fn start(cfg: HttpConfig) -> (HttpServer, Arc<Registry>) {
     let fw = Framework::new(FrameworkConfig {
         db_nodes: 2,
         replication_factor: 1,
@@ -48,18 +32,16 @@ fn start(cfg: HttpConfig) -> HttpServer {
         ..Default::default()
     })
     .unwrap();
-    HttpServer::start_with(Arc::new(QueryEngine::new(Arc::new(fw))), 0, cfg).unwrap()
+    let telemetry = Arc::clone(fw.telemetry());
+    let engine = Arc::new(QueryEngine::new(Arc::new(fw)));
+    (HttpServer::start_with(engine, 0, cfg).unwrap(), telemetry)
 }
 
-fn server_with(cfg: HttpConfig) -> TestServer {
-    let shared = PROCESS.read().unwrap_or_else(PoisonError::into_inner);
-    TestServer {
-        server: start(cfg),
-        _shared: shared,
-    }
+fn server_with(cfg: HttpConfig) -> HttpServer {
+    start(cfg).0
 }
 
-fn server() -> TestServer {
+fn server() -> HttpServer {
     server_with(HttpConfig::default())
 }
 
@@ -236,6 +218,19 @@ fn golden_http_error_rows() {
     let mut c = Client::connect(addr);
     c.send("NONSENSE\r\n\r\n");
     let resp = c.read_response();
+    assert_error_envelope(&resp, 400, "BAD_REQUEST");
+
+    // A trace id that is not hex → 400 / BAD_REQUEST, in the header as in
+    // the body's `trace_id`.
+    for raw in [
+        format!("X-Trace-Id: xyz\r\nContent-Length: {}\r\n", EVENTS.len()),
+        format!("Content-Length: {}\r\nX-Trace-Id: 0\r\n", EVENTS.len()),
+    ] {
+        let resp = Client::connect(addr).request(&String::from_utf8(with_headers(&raw)).unwrap());
+        assert_error_envelope(&resp, 400, "BAD_REQUEST");
+    }
+    let body = r#"{"op":"events","type":"MCE","from":0,"to":1000,"trace_id":"xyz"}"#;
+    let resp = Client::connect(addr).request(&post_query(body));
     assert_error_envelope(&resp, 400, "BAD_REQUEST");
 }
 
@@ -487,17 +482,26 @@ fn removed_legacy_paths_404_with_typed_pointers_v1_paths_serve() {
 #[test]
 fn frontend_shape_is_surfaced_in_metrics() {
     let server = server();
-    let resp = Client::connect(server.addr()).request(&get("/v1/metrics"));
-    assert_eq!(resp.status, 200);
-    let env = resp.json();
-    let gauges = &env["data"]["gauges"];
-    // The telemetry registry is process-global and other tests start their
-    // own servers concurrently, so assert presence and sanity rather than
-    // exact values.
-    for g in ["server.http.workers", "server.http.max_inflight"] {
-        assert!(
-            gauges[g].as_i64().is_some_and(|v| v >= 1),
-            "gauge {g} must surface the frontend shape: {}",
+    // The registry is this server's framework's own, so the values are
+    // exact: the default shape, before and after a reset (a gauge is a
+    // level, which a reset leaves alone).
+    let defaults = HttpConfig::default();
+    for _ in 0..2 {
+        let resp =
+            Client::connect(server.addr()).request(&post_query(r#"{"op":"metrics","reset":true}"#));
+        assert_eq!(resp.status, 200);
+        let env = resp.json();
+        let gauges = &env["data"]["gauges"];
+        assert_eq!(
+            gauges["server.http.workers"].as_i64(),
+            Some(defaults.workers as i64),
+            "{}",
+            resp.body
+        );
+        assert_eq!(
+            gauges["server.http.max_inflight"].as_i64(),
+            Some(defaults.max_inflight as i64),
+            "{}",
             resp.body
         );
     }
@@ -563,16 +567,6 @@ fn hostile_bytes() -> BoxedStrategy<Vec<u8>> {
     ]
 }
 
-fn worker_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter(|task| {
-            let comm = task.as_ref().unwrap().path().join("comm");
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with("http-worker-"))
-        })
-        .count()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -589,14 +583,13 @@ proptest! {
         ),
     ) {
         let header_read_timeout = Duration::from_millis(150);
-        let _alone = PROCESS.write().unwrap_or_else(PoisonError::into_inner);
-        let server = start(HttpConfig {
+        let (server, telemetry) = start(HttpConfig {
             workers: 4,
             header_read_timeout,
             ..HttpConfig::default()
         });
-        let connections = telemetry::global().gauge("server.http.connections");
-        let open = connections.get();
+        let workers = telemetry.gauge("server.http.workers");
+        let connections = telemetry.gauge("server.http.connections");
 
         // Every truncation of a valid request, then the sampled cases.
         let valid = valid_request();
@@ -625,9 +618,9 @@ proptest! {
         let resp = c.request("GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
         prop_assert_eq!(resp.status, 200, "{}", resp.body);
         prop_assert!(c.at_eof());
-        // Alone in the process, so every `http-worker-*` thread is this
-        // server's.
-        prop_assert_eq!(worker_threads(), 4, "a worker died");
-        prop_assert_eq!(connections.get(), open, "a connection leaked");
+        // The server's own gauges: a worker that exits or unwinds takes
+        // itself off `server.http.workers`.
+        prop_assert_eq!(workers.get(), 4, "a worker died");
+        prop_assert_eq!(connections.get(), 0, "a connection leaked");
     }
 }

@@ -111,8 +111,8 @@ fn an_idle_frontend_sleeps_and_a_cached_panel_costs_one_wake_up() {
         },
     )
     .unwrap();
-    let connections = telemetry::global().gauge("server.http.connections");
-    let timeouts = telemetry::global().counter("server.http.timeouts");
+    let connections = fw.telemetry().gauge("server.http.connections");
+    let timeouts = fw.telemetry().counter("server.http.timeouts");
 
     // (b) One descriptor per connection on each side: the client's and the
     // server's, no dup for the read buffer.

@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use telemetry::{Counter, CounterFamily, Registry};
 
 /// Bus errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,18 +147,11 @@ pub(crate) struct FaultState {
     read_seq: AtomicU64,
     commit_fail_budget: AtomicU64,
     holds: Mutex<Vec<DelayHold>>,
-    injected: AtomicU64,
+    /// `bus.faults.injected{,.<kind>}`.
+    injected: CounterFamily,
 }
 
 impl FaultState {
-    fn count(&self, kind: &str) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        telemetry::global().counter("bus.faults.injected").incr(1);
-        telemetry::global()
-            .counter(&format!("bus.faults.injected.{kind}"))
-            .incr(1);
-    }
-
     /// Advances the send sequence and reports which send-side fault (if
     /// any) applies: `Some(true)` = drop, `Some(false)` = delay.
     pub(crate) fn on_send(&self) -> Option<bool> {
@@ -167,11 +161,11 @@ impl FaultState {
         }
         let seq = self.send_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if plan.drop_every > 0 && seq.is_multiple_of(plan.drop_every) {
-            self.count("drop");
+            self.injected.incr("drop");
             return Some(true);
         }
         if plan.delay_every > 0 && seq.is_multiple_of(plan.delay_every) {
-            self.count("delay");
+            self.injected.incr("delay");
             return Some(false);
         }
         None
@@ -213,7 +207,7 @@ impl FaultState {
         }
         let seq = self.read_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if seq.is_multiple_of(every) {
-            self.count("duplicate");
+            self.injected.incr("duplicate");
             return true;
         }
         false
@@ -226,7 +220,7 @@ impl FaultState {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
             .is_ok()
         {
-            self.count("commit");
+            self.injected.incr("commit");
             return true;
         }
         false
@@ -280,17 +274,41 @@ impl Default for GroupState {
 type GroupMap = HashMap<(String, String), Arc<RwLock<GroupState>>>;
 
 /// The message bus.
-#[derive(Default)]
 pub struct Broker {
     topics: RwLock<HashMap<String, Arc<Topic>>>,
     groups: RwLock<GroupMap>,
     faults: Arc<FaultState>,
+    /// `bus.producer.backpressure`: sends refused by a full partition.
+    pub(crate) backpressure: Arc<Counter>,
+    /// `logbus.consumer.records`: records every consumer polled.
+    pub(crate) consumer_records: Arc<Counter>,
+}
+
+impl Default for Broker {
+    fn default() -> Broker {
+        Broker::new()
+    }
 }
 
 impl Broker {
     /// Creates an empty broker.
     pub fn new() -> Broker {
-        Broker::default()
+        Broker::with_telemetry(&Registry::default())
+    }
+
+    /// Creates an empty broker whose counters live in `telemetry`.
+    pub fn with_telemetry(telemetry: &Registry) -> Broker {
+        let kinds = &["drop", "delay", "duplicate", "commit"];
+        Broker {
+            topics: RwLock::default(),
+            groups: RwLock::default(),
+            faults: Arc::new(FaultState {
+                injected: telemetry.family("bus.faults.injected", kinds),
+                ..FaultState::default()
+            }),
+            backpressure: telemetry.counter("bus.producer.backpressure"),
+            consumer_records: telemetry.counter("logbus.consumer.records"),
+        }
     }
 
     /// Creates a topic with default retention.

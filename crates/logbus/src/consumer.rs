@@ -5,6 +5,7 @@ use crate::record::Record;
 use crate::topic::Topic;
 use parking_lot::RwLock;
 use std::sync::Arc;
+use telemetry::Counter;
 
 /// A consumer in a consumer group.
 ///
@@ -40,6 +41,8 @@ pub struct Consumer {
     topic: Arc<Topic>,
     group: Arc<RwLock<GroupState>>,
     faults: Arc<FaultState>,
+    /// The broker's `logbus.consumer.records` counter.
+    records: Arc<Counter>,
     member_id: u64,
     seen_generation: u64,
     /// (partition, next offset) pairs for the current assignment.
@@ -67,6 +70,7 @@ impl Consumer {
             topic,
             group,
             faults: broker.faults(),
+            records: Arc::clone(&broker.consumer_records),
             member_id,
             seen_generation: 0,
             positions: Vec::new(),
@@ -143,9 +147,7 @@ impl Consumer {
             }
         }
         span.tag("records", out.len().to_string());
-        telemetry::global()
-            .counter("logbus.consumer.records")
-            .incr(out.len() as u64);
+        self.records.incr(out.len() as u64);
         out
     }
 

@@ -86,9 +86,7 @@ impl<'b> Producer<'b> {
         }
         let record = Record::new(key, value, timestamp_ms);
         let Some(offset) = topic_ref.partitions[partition].try_append(record, partition) else {
-            telemetry::global()
-                .counter("bus.producer.backpressure")
-                .incr(1);
+            self.broker.backpressure.incr(1);
             return Err(BusError::Full {
                 topic: topic.to_owned(),
                 retry_after_ms: RETRY_AFTER_MS,

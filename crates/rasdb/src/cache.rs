@@ -27,7 +27,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use telemetry::Gauge;
+use telemetry::{Gauge, Registry};
 
 /// What a cached value was computed from: the topology epoch and the data
 /// version of each `(table, partition)` it read.
@@ -95,8 +95,9 @@ struct Entry<V> {
 }
 
 impl<V: Clone> Validated<V> {
-    /// A tier named `tier` with `shards` LRUs sharing `budget` bytes.
-    pub fn new(tier: &str, shards: usize, budget: usize) -> Validated<V> {
+    /// A tier named `tier` with `shards` LRUs sharing `budget` bytes, its
+    /// instruments in `telemetry`.
+    pub fn new(tier: &str, shards: usize, budget: usize, telemetry: &Registry) -> Validated<V> {
         let shards = shards.max(1);
         Validated {
             shards: (0..shards)
@@ -104,8 +105,8 @@ impl<V: Clone> Validated<V> {
                 .collect(),
             budget: AtomicUsize::new(budget),
             used: AtomicI64::new(0),
-            stats: CacheStats::new(tier),
-            resident: telemetry::global().gauge(&format!("cache.{tier}.bytes_resident")),
+            stats: CacheStats::new(tier, telemetry),
+            resident: telemetry.gauge(&format!("cache.{tier}.bytes_resident")),
         }
     }
 
@@ -122,7 +123,7 @@ impl<V: Clone> Validated<V> {
             Some(e) if e.stamp.is_current(cluster) => Some(e.value.clone()),
             Some(_) => {
                 self.resize(&mut shard, |lru| lru.remove(key));
-                self.stats.record_invalidations(1);
+                self.stats.invalidations.incr(1);
                 None
             }
             None => None,
@@ -154,7 +155,7 @@ impl<V: Clone> Validated<V> {
         let evicted = self.resize(&mut shard, |lru| {
             lru.insert(key, Entry { value, stamp }, bytes)
         });
-        self.stats.record_evictions(evicted);
+        self.stats.evictions.incr(evicted);
     }
 
     /// Replaces the byte budget: shrinking evicts least-recently-used
@@ -168,7 +169,7 @@ impl<V: Clone> Validated<V> {
             .iter()
             .map(|shard| self.resize(&mut shard.lock(), |lru| lru.set_budget(shard_budget)))
             .sum();
-        self.stats.record_evictions(evicted);
+        self.stats.evictions.incr(evicted);
         evicted
     }
 
@@ -372,7 +373,7 @@ mod tests {
 
     /// A one-shard tier of `budget` bytes.
     fn tier(budget: usize) -> Validated<u32> {
-        Validated::new("unit", 1, budget)
+        Validated::new("unit", 1, budget, &Registry::default())
     }
 
     /// Stores `v` weighing `bytes`, stamped on partition 1.
@@ -433,7 +434,7 @@ mod tests {
         // weighs it is stored, one byte more is refused.
         for (shards, cap) in [(1, 10), (4, 3)] {
             for (extra, stored) in [(0, 1), (1, 0)] {
-                let cache = Validated::new("unit", shards, 10);
+                let cache = Validated::new("unit", shards, 10, &Registry::default());
                 cache.insert(b"k".to_vec(), 1, Stamp::take(&c, [dep(1)]), |_, _| {
                     cap + extra
                 });
@@ -494,7 +495,7 @@ mod tests {
             }
         }
         let c = cluster();
-        let cache: Validated<Fragile> = Validated::new("unit", 1, 1 << 10);
+        let cache: Validated<Fragile> = Validated::new("unit", 1, 1 << 10, &Registry::default());
         let armed = Arc::new(AtomicBool::new(false));
         let stamp = || Stamp::take(&c, [dep(1)]);
         cache.insert(

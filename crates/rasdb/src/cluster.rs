@@ -25,6 +25,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::Duration;
+use telemetry::Registry;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -168,6 +169,16 @@ impl Cluster {
 
     /// Builds a cluster with explicit node tuning.
     pub fn with_node_config(cfg: ClusterConfig, node_cfg: NodeConfig) -> Cluster {
+        Cluster::with_telemetry(cfg, node_cfg, &Registry::default())
+    }
+
+    /// Builds a cluster whose `rasdb.coordinator.*` and `rasdb.topology.*`
+    /// counters live in `telemetry`.
+    pub fn with_telemetry(
+        cfg: ClusterConfig,
+        node_cfg: NodeConfig,
+        telemetry: &Registry,
+    ) -> Cluster {
         let ring = Ring::new(cfg.nodes, cfg.vnodes, cfg.replication_factor);
         let nodes = (0..cfg.nodes)
             .map(|i| Arc::new(StorageNode::new(NodeId(i), node_cfg)))
@@ -183,12 +194,12 @@ impl Cluster {
             clock: AtomicU64::new(1),
             hints: Mutex::new(HashMap::new()),
             hint_cap: AtomicU64::new(DEFAULT_HINT_CAP),
-            coord_stats: CoordinatorStats::default(),
+            coord_stats: CoordinatorStats::new(telemetry),
             speculative_timeout_us: AtomicU64::new(DEFAULT_SPECULATIVE_TIMEOUT.as_micros() as u64),
             versions: Mutex::new(HashMap::new()),
             version_counter: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            topo_stats: TopologyStats::default(),
+            topo_stats: TopologyStats::new(telemetry),
             stream_chunk_rows: AtomicU64::new(DEFAULT_STREAM_CHUNK_ROWS),
         }
     }
@@ -456,7 +467,7 @@ impl Cluster {
         for m in missed {
             while queue.len() >= cap.max(1) {
                 queue.pop_front();
-                self.coord_stats.record_hint_dropped();
+                self.coord_stats.hints_dropped.incr(1);
             }
             queue.push_back(Arc::clone(m));
         }
@@ -565,7 +576,7 @@ impl Cluster {
         // replicas may have applied the mutations.
         self.bump_versions(table, (0..groups).map(|g| &group(g)[0].partition));
 
-        self.coord_stats.record_write_rows(rows.len() as u64);
+        self.coord_stats.write_rows.incr(rows.len() as u64);
         span.tag("rows", rows.len().to_string());
         span.tag("partitions", groups.to_string());
         span.tag("replica_batches", per_node.len().to_string());
@@ -660,7 +671,7 @@ impl Cluster {
             if node.is_up() {
                 return Some(node);
             }
-            self.coord_stats.record_replica_skipped();
+            self.coord_stats.replica_skipped.incr(1);
         }
         None
     }
@@ -672,7 +683,7 @@ impl Cluster {
         let mut sim = SimTime::default();
         let rows = self.read_plan(plan, consistency, &mut sim, false)?;
         sim.charge();
-        self.coord_stats.record_read_rows(rows.len() as u64);
+        self.coord_stats.read_rows.incr(rows.len() as u64);
         Ok(rows)
     }
 
@@ -701,7 +712,8 @@ impl Cluster {
         if plans.is_empty() {
             return Ok(Vec::new());
         }
-        self.coord_stats.record_read_multi(plans.len() as u64);
+        self.coord_stats.read_multi_batches.incr(1);
+        self.coord_stats.read_multi_plans.incr(plans.len() as u64);
         // Plan, replica and merge sub-spans are profile-level detail:
         // skipped unless a profile is being collected, so the steady-state
         // read path emits exactly one span per call.
@@ -724,7 +736,8 @@ impl Cluster {
             span.tag("hedges", sim.hedges.to_string());
         }
         self.coord_stats
-            .record_read_rows(results.iter().map(|rows| rows.len() as u64).sum());
+            .read_rows
+            .incr(results.iter().map(|rows| rows.len() as u64).sum());
         Ok(results)
     }
 
@@ -787,19 +800,21 @@ impl Cluster {
                     Some(rows) => node
                         .read_digest(table, partition, range, rows)
                         .map(|digest| {
-                            let differs = match digest {
+                            self.coord_stats.digest_reads.incr(1);
+                            match digest {
                                 Digest::Matches => None,
-                                Digest::Differs(run) => Some(run),
-                            };
-                            self.coord_stats.record_digest_read(differs.is_some());
-                            differs
+                                Digest::Differs(run) => {
+                                    self.coord_stats.digest_mismatches.incr(1);
+                                    Some(run)
+                                }
+                            }
                         }),
                 };
                 drop(span);
                 match answer {
                     Some(run) => return Some((sim.queue(&node, at), node.id, run)),
                     None => {
-                        self.coord_stats.record_speculative_retry();
+                        self.coord_stats.speculative_retries.incr(1);
                         sim.retries += 1;
                         kind = "retry";
                     }
@@ -827,7 +842,7 @@ impl Cluster {
             let Some(hedge) = read_next(deadline, "hedge", sim) else {
                 break;
             };
-            self.coord_stats.record_speculative_retry();
+            self.coord_stats.speculative_retries.incr(1);
             sim.hedges += 1;
             answers.push(hedge);
             deadline = deadline.saturating_add(timeout);
@@ -1132,6 +1147,11 @@ impl Cluster {
         }
     }
 
+    /// Zeroes every node's counts: [`Cluster::stats`] reads 0 after.
+    pub fn reset_stats(&self) {
+        self.nodes.read().iter().for_each(|n| n.reset_stats());
+    }
+
     /// Aggregated stats across nodes.
     pub fn stats(&self) -> StatsSnapshot {
         self.nodes
@@ -1225,7 +1245,7 @@ impl Cluster {
             (joiner, topo.ring.clone(), target)
         };
 
-        let faults = StreamFaults::new(plan);
+        let faults = StreamFaults::new(plan, self.topo_stats.injected_faults.clone());
         let mut report = TransitionReport {
             kind: TransitionKind::Join,
             node: joiner,
@@ -1262,7 +1282,7 @@ impl Cluster {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         drop(topo);
         report.epoch = self.topology_epoch();
-        self.topo_stats.record_join();
+        self.topo_stats.joins.incr(1);
     }
 
     fn abort_join(&self, joiner: NodeId) {
@@ -1277,9 +1297,9 @@ impl Cluster {
         self.node_arc(joiner).retire();
         let dropped = self.hints.lock().remove(&joiner).map_or(0, |q| q.len());
         for _ in 0..dropped {
-            self.coord_stats.record_hint_dropped();
+            self.coord_stats.hints_dropped.incr(1);
         }
-        self.topo_stats.record_abort();
+        self.topo_stats.aborts.incr(1);
     }
 
     /// Removes a member from the ring, streaming its ranges to their new
@@ -1329,7 +1349,7 @@ impl Cluster {
             (topo.ring.clone(), target)
         };
 
-        let faults = StreamFaults::new(plan);
+        let faults = StreamFaults::new(plan, self.topo_stats.injected_faults.clone());
         let mut report = TransitionReport {
             kind: TransitionKind::Decommission,
             node: id,
@@ -1351,7 +1371,7 @@ impl Cluster {
                     let mut topo = self.topology.write();
                     topo.transition = None;
                 }
-                self.topo_stats.record_abort();
+                self.topo_stats.aborts.incr(1);
                 Err(e)
             }
         }
@@ -1383,7 +1403,7 @@ impl Cluster {
                 }
             }
             report.hints_rerouted += 1;
-            self.coord_stats.record_hint_rerouted();
+            self.coord_stats.hints_rerouted.incr(1);
             self.bump_versions(&m.table, [&m.partition]);
         }
         let mut topo = self.topology.write();
@@ -1395,7 +1415,7 @@ impl Cluster {
         // epoch-relevant event and it was already counted above.
         self.node_arc(leaver).retire();
         report.epoch = self.topology_epoch();
-        self.topo_stats.record_decommission();
+        self.topo_stats.decommissions.incr(1);
     }
 
     /// Streams every partition that gains an owner under `target_ring`
@@ -1521,7 +1541,7 @@ impl Cluster {
                     }
                     ChunkOutcome::RestartPartition => {
                         report.stream_resumes += 1;
-                        self.topo_stats.record_stream_resume();
+                        self.topo_stats.stream_resumes.incr(1);
                         continue 'restart;
                     }
                 }
@@ -1549,7 +1569,7 @@ impl Cluster {
         let max_attempts = faults.plan().effective_attempts();
         let retry = |report: &mut TransitionReport| {
             report.chunk_retries += 1;
-            self.topo_stats.record_chunk_retry();
+            self.topo_stats.chunk_retries.incr(1);
         };
         for _ in 0..max_attempts {
             let attempt = faults.next_attempt();
@@ -1598,7 +1618,8 @@ impl Cluster {
                 continue;
             }
             report.chunks_streamed += 1;
-            self.topo_stats.record_chunk(rows.len() as u64);
+            self.topo_stats.chunks_streamed.incr(1);
+            self.topo_stats.rows_streamed.incr(rows.len() as u64);
             if faults.ack_and_check_joiner_crash() {
                 // Receiver crash after the ack: restart it and resume the
                 // stream from this (acked, commit-logged) chunk boundary.

@@ -217,8 +217,8 @@ impl StorageNode {
                 }
             }
         }
-        self.stats
-            .record_writes(groups.iter().map(|g| g.len() as u64).sum());
+        let writes = groups.iter().map(|g| g.len() as u64).sum();
+        self.stats.writes.incr(writes);
     }
 
     /// Reads merged raw row entries for a partition range.
@@ -283,14 +283,14 @@ impl StorageNode {
         partition: &DecoratedKey,
         range: &(Bound<Key>, Bound<Key>),
     ) -> Vec<&'a [(Key, RowEntry)]> {
-        self.stats.record_read();
+        self.stats.reads.incr(1);
         let mut sources = Vec::with_capacity(store.sstables.len() + 1);
         for sst in &store.sstables {
             if self.cfg.use_bloom && !sst.may_contain(partition) {
-                self.stats.record_bloom_skip();
+                self.stats.bloom_skips.incr(1);
                 continue;
             }
-            self.stats.record_sstable_probe();
+            self.stats.sstable_probes.incr(1);
             sources.push(sst.read_raw(partition, range, self.cfg.use_bloom));
         }
         sources.push(store.memtable.slice(partition, range));
@@ -353,7 +353,7 @@ impl StorageNode {
         store.next_sequence += 1;
         store.sstables.push(SsTable::build(seq, data));
         store.commitlog.truncate_flushed(applied);
-        self.stats.record_flush();
+        self.stats.flushes.incr(1);
     }
 
     /// Runs compaction if a bucket is ripe.
@@ -377,7 +377,7 @@ impl StorageNode {
             let seq = store.next_sequence;
             store.next_sequence += 1;
             store.sstables.push(compaction::merge(picked, seq));
-            self.stats.record_compaction();
+            self.stats.compactions.incr(1);
         }
     }
 
@@ -422,6 +422,11 @@ impl StorageNode {
     /// Counter snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// Zeroes this node's counts.
+    pub fn reset_stats(&self) {
+        self.stats.reset();
     }
 }
 

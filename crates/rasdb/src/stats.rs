@@ -1,447 +1,295 @@
-//! Lightweight atomic counters exposed by nodes and the cluster.
+//! Counters exposed by nodes, the coordinator, topology changes and cache
+//! tiers.
 //!
-//! Each [`NodeStats`] keeps exact per-node counts (used by the bloom-filter
-//! ablation and the replication tests), and every increment is mirrored
-//! into process-wide `rasdb.storage.*` counters in the global
-//! [`telemetry`] registry so storage activity shows up in `metrics` output
-//! alongside coordinator latency histograms.
+//! Each count is kept once. A [`NodeStats`] keeps its node's counts: the
+//! bloom-filter ablation and the replication tests read them per node, and
+//! the framework's `metrics` reports their sum over the cluster
+//! ([`crate::cluster::Cluster::stats`]) as the `rasdb.storage.*` rows.
+//! [`CoordinatorStats`], [`TopologyStats`] and [`CacheStats`] hold
+//! counters of the [`telemetry::Registry`] they were built with, resolved
+//! once; their accessors read those same instruments.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock};
-use telemetry::{Counter, Gauge};
+use std::sync::Arc;
+use telemetry::{Counter, CounterFamily, Gauge, Registry};
 
-/// Registry-backed counters on the read and write hot paths, shared by
-/// every node and cluster in the process and resolved once.
-struct GlobalCounters {
-    coordinator_write_rows: Arc<Counter>,
-    coordinator_read_rows: Arc<Counter>,
-    digest_reads: Arc<Counter>,
-    digest_mismatches: Arc<Counter>,
-    writes: Arc<Counter>,
-    reads: Arc<Counter>,
-    flushes: Arc<Counter>,
-    compactions: Arc<Counter>,
-    bloom_skips: Arc<Counter>,
-    sstable_probes: Arc<Counter>,
-}
-
-fn globals() -> &'static GlobalCounters {
-    static G: LazyLock<GlobalCounters> = LazyLock::new(|| {
-        let r = telemetry::global();
-        GlobalCounters {
-            coordinator_write_rows: r.counter("rasdb.coordinator.write.rows"),
-            coordinator_read_rows: r.counter("rasdb.coordinator.read.rows"),
-            digest_reads: r.counter("rasdb.coordinator.digest_reads"),
-            digest_mismatches: r.counter("rasdb.coordinator.digest_mismatches"),
-            writes: r.counter("rasdb.storage.writes"),
-            reads: r.counter("rasdb.storage.reads"),
-            flushes: r.counter("rasdb.storage.flushes"),
-            compactions: r.counter("rasdb.storage.compactions"),
-            bloom_skips: r.counter("rasdb.storage.bloom_skips"),
-            sstable_probes: r.counter("rasdb.storage.sstable_probes"),
-        }
-    });
-    &G
-}
-
-/// Per-node operation counters. All methods are lock-free; relaxed ordering
-/// is fine because the counters are monotonic telemetry, not synchronization.
+/// Per-node operation counters, in no registry: the framework reports
+/// their sum over the cluster.
 #[derive(Debug, Default)]
 pub struct NodeStats {
-    writes: AtomicU64,
-    reads: AtomicU64,
-    flushes: AtomicU64,
-    compactions: AtomicU64,
-    bloom_skips: AtomicU64,
-    sstable_probes: AtomicU64,
+    /// Mutations applied.
+    pub(crate) writes: Counter,
+    pub(crate) reads: Counter,
+    pub(crate) flushes: Counter,
+    pub(crate) compactions: Counter,
+    /// SSTables skipped thanks to their bloom filter.
+    pub(crate) bloom_skips: Counter,
+    /// SSTables actually probed.
+    pub(crate) sstable_probes: Counter,
 }
 
 impl NodeStats {
-    /// Records `n` mutations applied by one write batch.
-    pub fn record_writes(&self, n: u64) {
-        self.writes.fetch_add(n, Ordering::Relaxed);
-        globals().writes.incr(n);
-    }
-
-    /// Records a read.
-    pub fn record_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        globals().reads.incr(1);
-    }
-
-    /// Records a memtable flush.
-    pub fn record_flush(&self) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        globals().flushes.incr(1);
-    }
-
-    /// Records a compaction.
-    pub fn record_compaction(&self) {
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        globals().compactions.incr(1);
-    }
-
-    /// Records an SSTable skipped thanks to its bloom filter.
-    pub fn record_bloom_skip(&self) {
-        self.bloom_skips.fetch_add(1, Ordering::Relaxed);
-        globals().bloom_skips.incr(1);
-    }
-
-    /// Records an SSTable actually probed.
-    pub fn record_sstable_probe(&self) {
-        self.sstable_probes.fetch_add(1, Ordering::Relaxed);
-        globals().sstable_probes.incr(1);
+    /// Zeroes every count.
+    pub fn reset(&self) {
+        let all = [&self.writes, &self.reads, &self.flushes, &self.compactions];
+        all.into_iter()
+            .chain([&self.bloom_skips, &self.sstable_probes])
+            .for_each(Counter::reset);
     }
 
     /// Snapshot of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            writes: self.writes.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            bloom_skips: self.bloom_skips.load(Ordering::Relaxed),
-            sstable_probes: self.sstable_probes.load(Ordering::Relaxed),
+            writes: self.writes.get(),
+            reads: self.reads.get(),
+            flushes: self.flushes.get(),
+            compactions: self.compactions.get(),
+            bloom_skips: self.bloom_skips.get(),
+            sstable_probes: self.sstable_probes.get(),
         }
     }
 }
 
 /// Coordinator-side counters: replica skips, retries and hedges, digest
-/// reads, `read_multi` batches, hints. Per-cluster counts are exact; every
-/// increment is mirrored into `rasdb.coordinator.*` counters in the global
-/// registry.
-#[derive(Debug, Default)]
+/// reads, `read_multi` batches, rows, hints. Each is a
+/// `rasdb.coordinator.*` counter of the cluster's registry, and the
+/// coordinator counts into it directly.
+#[derive(Debug)]
 pub struct CoordinatorStats {
-    replica_skipped: AtomicU64,
-    speculative_retries: AtomicU64,
-    read_multi_batches: AtomicU64,
-    read_multi_plans: AtomicU64,
-    digest_reads: AtomicU64,
-    digest_mismatches: AtomicU64,
-    hints_dropped: AtomicU64,
-    hints_rerouted: AtomicU64,
+    /// Known-down replicas skipped before dispatch.
+    pub(crate) replica_skipped: Arc<Counter>,
+    /// Reads sent to the next replica: the deadline passed, or a replica
+    /// answered "down" mid-read.
+    pub(crate) speculative_retries: Arc<Counter>,
+    pub(crate) read_multi_batches: Arc<Counter>,
+    pub(crate) read_multi_plans: Arc<Counter>,
+    pub(crate) digest_reads: Arc<Counter>,
+    /// Digest reads whose replica's merged view was not the data response.
+    pub(crate) digest_mismatches: Arc<Counter>,
+    /// Hinted-handoff mutations evicted by a full hint queue (the node must
+    /// rely on read repair for them).
+    pub(crate) hints_dropped: Arc<Counter>,
+    /// Hints re-applied to a partition's new owner because their target
+    /// was decommissioned (or aborted out of a join).
+    pub(crate) hints_rerouted: Arc<Counter>,
+    /// Rows through the write path: the `rasdb.coordinator.write`
+    /// histogram counts calls, whatever their size.
+    pub(crate) write_rows: Arc<Counter>,
+    /// Rows one `read` or `read_multi` call returned.
+    pub(crate) read_rows: Arc<Counter>,
 }
 
 impl CoordinatorStats {
-    /// Records a known-down replica skipped before dispatch.
-    pub fn record_replica_skipped(&self) {
-        self.replica_skipped.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.coordinator.replica_skipped")
-            .incr(1);
-    }
-
-    /// Records a speculative retry against the next replica (deadline hit
-    /// or a replica answered "down" mid-read).
-    pub fn record_speculative_retry(&self) {
-        self.speculative_retries.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.coordinator.speculative_retries")
-            .incr(1);
-    }
-
-    /// Records a digest read; `differs` when the replica's merged view was
-    /// not the data response and the plan took the full merge.
-    pub fn record_digest_read(&self, differs: bool) {
-        self.digest_reads.fetch_add(1, Ordering::Relaxed);
-        globals().digest_reads.incr(1);
-        if differs {
-            self.digest_mismatches.fetch_add(1, Ordering::Relaxed);
-            globals().digest_mismatches.incr(1);
+    /// Resolves the `rasdb.coordinator.*` counters in `telemetry`.
+    pub fn new(telemetry: &Registry) -> CoordinatorStats {
+        let c = |event: &str| telemetry.counter(&format!("rasdb.coordinator.{event}"));
+        CoordinatorStats {
+            replica_skipped: c("replica_skipped"),
+            speculative_retries: c("speculative_retries"),
+            read_multi_batches: c("read_multi.batches"),
+            read_multi_plans: c("read_multi.plans"),
+            digest_reads: c("digest_reads"),
+            digest_mismatches: c("digest_mismatches"),
+            hints_dropped: c("hints_dropped"),
+            hints_rerouted: c("hints_rerouted"),
+            write_rows: c("write.rows"),
+            read_rows: c("read.rows"),
         }
-    }
-
-    /// Records one `read_multi` batch of `plans` partition reads.
-    pub fn record_read_multi(&self, plans: u64) {
-        self.read_multi_batches.fetch_add(1, Ordering::Relaxed);
-        self.read_multi_plans.fetch_add(plans, Ordering::Relaxed);
-        let r = telemetry::global();
-        r.counter("rasdb.coordinator.read_multi.batches").incr(1);
-        r.counter("rasdb.coordinator.read_multi.plans").incr(plans);
-    }
-
-    /// Records the rows of one coordinator write call. The
-    /// `rasdb.coordinator.write` histogram counts calls, whatever their
-    /// size; with this counter beside it the row rate stays derivable.
-    pub fn record_write_rows(&self, rows: u64) {
-        globals().coordinator_write_rows.incr(rows);
-    }
-
-    /// Records the rows one `read` or `read_multi` call returned: the
-    /// read-side twin of [`Self::record_write_rows`].
-    pub fn record_read_rows(&self, rows: u64) {
-        globals().coordinator_read_rows.incr(rows);
-    }
-
-    /// Records a hinted-handoff mutation evicted because the target node's
-    /// hint queue hit its cap (the node must rely on read repair for it).
-    pub fn record_hint_dropped(&self) {
-        self.hints_dropped.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.coordinator.hints_dropped")
-            .incr(1);
     }
 
     /// Down replicas skipped before dispatch.
     pub fn replica_skipped(&self) -> u64 {
-        self.replica_skipped.load(Ordering::Relaxed)
+        self.replica_skipped.get()
     }
 
     /// Speculative retries issued.
     pub fn speculative_retries(&self) -> u64 {
-        self.speculative_retries.load(Ordering::Relaxed)
+        self.speculative_retries.get()
     }
 
     /// `read_multi` batches executed.
     pub fn read_multi_batches(&self) -> u64 {
-        self.read_multi_batches.load(Ordering::Relaxed)
+        self.read_multi_batches.get()
     }
 
     /// Total plans fanned out across all batches.
     pub fn read_multi_plans(&self) -> u64 {
-        self.read_multi_plans.load(Ordering::Relaxed)
+        self.read_multi_plans.get()
     }
 
     /// Replica reads answered with a digest instead of rows.
     pub fn digest_reads(&self) -> u64 {
-        self.digest_reads.load(Ordering::Relaxed)
+        self.digest_reads.get()
     }
 
     /// Digest reads whose replica did not hold the data response: replicas
     /// that really disagree, each a plan sent to the full merge and read
     /// repair.
     pub fn digest_mismatches(&self) -> u64 {
-        self.digest_mismatches.load(Ordering::Relaxed)
-    }
-
-    /// Records a hinted-handoff mutation re-applied to a partition's new
-    /// owner because its original target was decommissioned (or aborted
-    /// out of a join) — the hint would otherwise wait on a node that will
-    /// never come back.
-    pub fn record_hint_rerouted(&self) {
-        self.hints_rerouted.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.coordinator.hints_rerouted")
-            .incr(1);
+        self.digest_mismatches.get()
     }
 
     /// Hints evicted by the hint-queue cap.
     pub fn hints_dropped(&self) -> u64 {
-        self.hints_dropped.load(Ordering::Relaxed)
+        self.hints_dropped.get()
     }
 
     /// Hints re-applied to new owners during a topology commit.
     pub fn hints_rerouted(&self) -> u64 {
-        self.hints_rerouted.load(Ordering::Relaxed)
+        self.hints_rerouted.get()
     }
 }
 
 /// Topology-transition counters: range streaming progress and the fault
-/// recovery machinery (retries, resumes, aborts). Per-cluster counts are
-/// exact; every increment is mirrored into `rasdb.topology.*` counters in
-/// the global registry so rebalances show up in `metrics` output next to
-/// coordinator and storage activity.
-#[derive(Debug, Default)]
+/// recovery machinery (retries, resumes, aborts). Each is a
+/// `rasdb.topology.*` counter of the cluster's registry, so rebalances show
+/// up in `metrics` output next to coordinator and storage activity.
+#[derive(Debug)]
 pub struct TopologyStats {
-    joins: AtomicU64,
-    decommissions: AtomicU64,
-    aborts: AtomicU64,
-    chunks_streamed: AtomicU64,
-    rows_streamed: AtomicU64,
-    chunk_retries: AtomicU64,
-    stream_resumes: AtomicU64,
+    pub(crate) joins: Arc<Counter>,
+    pub(crate) decommissions: Arc<Counter>,
+    /// Transitions rolled back to the pre-change topology.
+    pub(crate) aborts: Arc<Counter>,
+    /// Acked stream chunks, and the rows they carried.
+    pub(crate) chunks_streamed: Arc<Counter>,
+    pub(crate) rows_streamed: Arc<Counter>,
+    /// Chunk attempts retried after a drop or checksum mismatch.
+    pub(crate) chunk_retries: Arc<Counter>,
+    /// Streams resumed from their last acked chunk after a crash.
+    pub(crate) stream_resumes: Arc<Counter>,
+    /// `rasdb.topology.injected_faults{,.<kind>}`: faults a
+    /// [`crate::topology::TopologyFaultPlan`] injected.
+    pub(crate) injected_faults: CounterFamily,
 }
 
 impl TopologyStats {
-    /// Records a committed join.
-    pub fn record_join(&self) {
-        self.joins.fetch_add(1, Ordering::Relaxed);
-        telemetry::global().counter("rasdb.topology.joins").incr(1);
-    }
-
-    /// Records a committed decommission.
-    pub fn record_decommission(&self) {
-        self.decommissions.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.topology.decommissions")
-            .incr(1);
-    }
-
-    /// Records a transition rolled back to the pre-change topology.
-    pub fn record_abort(&self) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-        telemetry::global().counter("rasdb.topology.aborts").incr(1);
-    }
-
-    /// Records one acked stream chunk carrying `rows` rows.
-    pub fn record_chunk(&self, rows: u64) {
-        self.chunks_streamed.fetch_add(1, Ordering::Relaxed);
-        self.rows_streamed.fetch_add(rows, Ordering::Relaxed);
-        let r = telemetry::global();
-        r.counter("rasdb.topology.chunks_streamed").incr(1);
-        r.counter("rasdb.topology.rows_streamed").incr(rows);
-    }
-
-    /// Records a chunk attempt retried after a drop or checksum mismatch.
-    pub fn record_chunk_retry(&self) {
-        self.chunk_retries.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.topology.chunk_retries")
-            .incr(1);
-    }
-
-    /// Records a stream resumed from its last acked chunk after a donor or
-    /// receiver crash.
-    pub fn record_stream_resume(&self) {
-        self.stream_resumes.fetch_add(1, Ordering::Relaxed);
-        telemetry::global()
-            .counter("rasdb.topology.stream_resumes")
-            .incr(1);
+    /// Resolves the `rasdb.topology.*` counters in `telemetry`.
+    pub fn new(telemetry: &Registry) -> TopologyStats {
+        let c = |event: &str| telemetry.counter(&format!("rasdb.topology.{event}"));
+        TopologyStats {
+            joins: c("joins"),
+            decommissions: c("decommissions"),
+            aborts: c("aborts"),
+            chunks_streamed: c("chunks_streamed"),
+            rows_streamed: c("rows_streamed"),
+            chunk_retries: c("chunk_retries"),
+            stream_resumes: c("stream_resumes"),
+            injected_faults: telemetry.family(
+                "rasdb.topology.injected_faults",
+                &[
+                    "chunk_drop",
+                    "chunk_corrupt",
+                    "slow_chunk",
+                    "donor_crash",
+                    "joiner_crash",
+                ],
+            ),
+        }
     }
 
     /// Committed joins.
     pub fn joins(&self) -> u64 {
-        self.joins.load(Ordering::Relaxed)
+        self.joins.get()
     }
 
     /// Committed decommissions.
     pub fn decommissions(&self) -> u64 {
-        self.decommissions.load(Ordering::Relaxed)
+        self.decommissions.get()
     }
 
     /// Transitions rolled back.
     pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
+        self.aborts.get()
     }
 
     /// Stream chunks acked.
     pub fn chunks_streamed(&self) -> u64 {
-        self.chunks_streamed.load(Ordering::Relaxed)
+        self.chunks_streamed.get()
     }
 
     /// Rows delivered over range streams.
     pub fn rows_streamed(&self) -> u64 {
-        self.rows_streamed.load(Ordering::Relaxed)
+        self.rows_streamed.get()
     }
 
     /// Chunk attempts retried.
     pub fn chunk_retries(&self) -> u64 {
-        self.chunk_retries.load(Ordering::Relaxed)
+        self.chunk_retries.get()
     }
 
     /// Streams resumed after crashes.
     pub fn stream_resumes(&self) -> u64 {
-        self.stream_resumes.load(Ordering::Relaxed)
+        self.stream_resumes.get()
     }
 }
 
-/// Hit/miss/evict/invalidate counters for one cache tier.
-///
-/// Local counts are exact; every increment is mirrored into
-/// `cache.<tier>.{hit,miss,evict,invalidate}` counters in the global
-/// registry, and each hit or miss refreshes a `cache.<tier>.hit_ratio_pct`
-/// gauge so `/metrics` shows cache effectiveness directly. A default
-/// `CacheStats` is registered nowhere.
-#[derive(Default)]
+/// Hit/miss/evict/invalidate counters for one cache tier: the
+/// `cache.<tier>.{hit,miss,evict,invalidate}` counters of a registry, and
+/// a `cache.<tier>.hit_ratio_pct` gauge that each hit or miss refreshes so
+/// `/metrics` shows cache effectiveness directly. A default `CacheStats`
+/// is registered nowhere.
+#[derive(Debug, Default)]
 pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    hit_counter: Arc<Counter>,
-    miss_counter: Arc<Counter>,
-    evict_counter: Arc<Counter>,
-    invalidate_counter: Arc<Counter>,
-    ratio_gauge: Arc<Gauge>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    /// Entries evicted under byte-budget pressure.
+    pub(crate) evictions: Arc<Counter>,
+    /// Entries dropped because their stamp (data versions and topology
+    /// epoch, see [`crate::cache::Stamp`]) went stale.
+    pub(crate) invalidations: Arc<Counter>,
+    ratio: Arc<Gauge>,
 }
 
 impl CacheStats {
-    /// Creates counters for a named cache tier (e.g. `"columnar"`, `"result"`).
-    pub fn new(tier: &str) -> CacheStats {
-        let r = telemetry::global();
+    /// Resolves the counters of a named cache tier (e.g. `"columnar"`,
+    /// `"result"`) in `telemetry`.
+    pub fn new(tier: &str, telemetry: &Registry) -> CacheStats {
+        let c = |event: &str| telemetry.counter(&format!("cache.{tier}.{event}"));
         CacheStats {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            hit_counter: r.counter(&format!("cache.{tier}.hit")),
-            miss_counter: r.counter(&format!("cache.{tier}.miss")),
-            evict_counter: r.counter(&format!("cache.{tier}.evict")),
-            invalidate_counter: r.counter(&format!("cache.{tier}.invalidate")),
-            ratio_gauge: r.gauge(&format!("cache.{tier}.hit_ratio_pct")),
+            hits: c("hit"),
+            misses: c("miss"),
+            evictions: c("evict"),
+            invalidations: c("invalidate"),
+            ratio: telemetry.gauge(&format!("cache.{tier}.hit_ratio_pct")),
         }
     }
 
     fn refresh_ratio(&self) {
-        let hits = self.hits.load(Ordering::Relaxed);
-        let total = hits + self.misses.load(Ordering::Relaxed);
-        if let Some(pct) = (hits * 100).checked_div(total) {
-            self.ratio_gauge.set(pct as i64);
+        let hits = self.hits();
+        if let Some(pct) = (hits * 100).checked_div(hits + self.misses()) {
+            self.ratio.set(pct as i64);
         }
     }
 
     /// Records a lookup served from cache.
     pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.hit_counter.incr(1);
+        self.hits.incr(1);
         self.refresh_ratio();
     }
 
     /// Records a lookup that had to fall through to the backing store.
     pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.miss_counter.incr(1);
+        self.misses.incr(1);
         self.refresh_ratio();
-    }
-
-    /// Records `n` entries evicted under byte-budget pressure.
-    pub fn record_evictions(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-        self.evict_counter.incr(n);
-    }
-
-    /// Records `n` entries dropped because their stamp (data versions and
-    /// topology epoch, see [`crate::cache::Stamp`]) went stale.
-    pub fn record_invalidations(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.invalidations.fetch_add(n, Ordering::Relaxed);
-        self.invalidate_counter.incr(n);
     }
 
     /// Lookups served from cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Entries evicted by the byte budget.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
     /// Entries invalidated by staleness.
     pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for CacheStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheStats")
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
-            .field("invalidations", &self.invalidations())
-            .finish()
+        self.invalidations.get()
     }
 }
 
@@ -483,9 +331,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = NodeStats::default();
-        s.record_writes(2);
-        s.record_read();
-        s.record_flush();
+        s.writes.incr(2);
+        s.reads.incr(1);
+        s.flushes.incr(1);
         let snap = s.snapshot();
         assert_eq!(snap.writes, 2);
         assert_eq!(snap.reads, 1);

@@ -10,6 +10,7 @@
 use crate::ring::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+use telemetry::CounterFamily;
 
 /// Chunk retry budget when the plan does not override it.
 pub const DEFAULT_MAX_CHUNK_ATTEMPTS: u32 = 4;
@@ -104,6 +105,8 @@ impl TopologyFaultPlan {
 #[derive(Debug, Default)]
 pub(crate) struct StreamFaults {
     plan: TopologyFaultPlan,
+    /// The cluster's `rasdb.topology.injected_faults` family.
+    injected: CounterFamily,
     /// Chunk-send attempts so far (1-based after `next_attempt`).
     attempt_seq: AtomicU64,
     /// Chunks acked so far.
@@ -113,22 +116,16 @@ pub(crate) struct StreamFaults {
 }
 
 impl StreamFaults {
-    pub(crate) fn new(plan: TopologyFaultPlan) -> StreamFaults {
+    pub(crate) fn new(plan: TopologyFaultPlan, injected: CounterFamily) -> StreamFaults {
         StreamFaults {
             plan,
+            injected,
             ..StreamFaults::default()
         }
     }
 
     pub(crate) fn plan(&self) -> &TopologyFaultPlan {
         &self.plan
-    }
-
-    fn count(kind: &str) {
-        let r = telemetry::global();
-        r.counter("rasdb.topology.injected_faults").incr(1);
-        r.counter(&format!("rasdb.topology.injected_faults.{kind}"))
-            .incr(1);
     }
 
     /// Allocates the next chunk-send attempt number (1-based).
@@ -141,7 +138,7 @@ impl StreamFaults {
         let n = self.plan.drop_chunk_every;
         let hit = n > 0 && attempt.is_multiple_of(n);
         if hit {
-            StreamFaults::count("chunk_drop");
+            self.injected.incr("chunk_drop");
         }
         hit
     }
@@ -151,7 +148,7 @@ impl StreamFaults {
         let n = self.plan.corrupt_chunk_every;
         let hit = n > 0 && attempt.is_multiple_of(n);
         if hit {
-            StreamFaults::count("chunk_corrupt");
+            self.injected.incr("chunk_corrupt");
         }
         hit
     }
@@ -160,7 +157,7 @@ impl StreamFaults {
     pub(crate) fn slow_for(&self, attempt: u64) -> Option<Duration> {
         let n = self.plan.slow_chunk_every;
         if n > 0 && attempt.is_multiple_of(n) && !self.plan.slow_chunk.is_zero() {
-            StreamFaults::count("slow_chunk");
+            self.injected.incr("slow_chunk");
             Some(self.plan.slow_chunk)
         } else {
             None
@@ -177,7 +174,7 @@ impl StreamFaults {
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
         {
-            StreamFaults::count("donor_crash");
+            self.injected.incr("donor_crash");
             return true;
         }
         false
@@ -195,7 +192,7 @@ impl StreamFaults {
                 .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
         {
-            StreamFaults::count("joiner_crash");
+            self.injected.incr("joiner_crash");
             return true;
         }
         false
@@ -297,7 +294,7 @@ mod tests {
 
     #[test]
     fn zero_disables_every_trigger() {
-        let f = StreamFaults::new(TopologyFaultPlan::none());
+        let f = StreamFaults::new(TopologyFaultPlan::none(), Default::default());
         for attempt in 1..=20 {
             assert!(!f.should_drop(attempt));
             assert!(!f.should_corrupt(attempt));
@@ -311,7 +308,10 @@ mod tests {
 
     #[test]
     fn periodic_triggers_fire_on_schedule() {
-        let f = StreamFaults::new(TopologyFaultPlan::none().drop_chunk_every(3));
+        let f = StreamFaults::new(
+            TopologyFaultPlan::none().drop_chunk_every(3),
+            Default::default(),
+        );
         let fired: Vec<u64> = (1..=9).filter(|a| f.should_drop(*a)).collect();
         assert_eq!(fired, vec![3, 6, 9]);
     }
@@ -322,6 +322,7 @@ mod tests {
             TopologyFaultPlan::none()
                 .donor_crash_at(2)
                 .joiner_crash_at(2),
+            Default::default(),
         );
         assert!(!f.donor_crash_due(1));
         assert!(f.donor_crash_due(2));
@@ -336,7 +337,7 @@ mod tests {
 
     #[test]
     fn attempt_numbers_are_monotonic() {
-        let f = StreamFaults::new(TopologyFaultPlan::none());
+        let f = StreamFaults::new(TopologyFaultPlan::none(), Default::default());
         assert_eq!(f.next_attempt(), 1);
         assert_eq!(f.next_attempt(), 2);
         assert_eq!(f.next_attempt(), 3);

@@ -1,20 +1,22 @@
 //! `telemetry` — zero-dependency observability for the whole workspace.
 //!
-//! Three pieces, all reachable from a global [`Registry`]:
+//! Three pieces:
 //!
-//! * **Metrics** — named [`Counter`]s, [`Gauge`]s, and log2-bucketed
-//!   [`Histogram`]s (lock-free `AtomicU64` buckets with p50/p95/p99/max
-//!   summaries and per-bucket trace-id exemplars).
+//! * **Metrics** — named [`Counter`]s and [`Gauge`]s in a [`Registry`] that
+//!   one deployment owns (the framework creates it and hands it to each
+//!   part, which resolves its handles once, where it is built), and
+//!   log2-bucketed [`Histogram`]s (lock-free `AtomicU64` buckets with
+//!   p50/p95/p99/max summaries and per-bucket trace-id exemplars).
 //! * **Spans** — the [`span!`] macro returns a guard that measures a
-//!   region, feeds its duration into the histogram of the same name, and
-//!   appends a [`SpanRecord`] (with parent/child causality) to a bounded
+//!   region, feeds its duration into the histogram of the same name in the
+//!   process-wide [`global`] registry, and appends a [`SpanRecord`] (with parent/child causality) to a bounded
 //!   ring-buffer trace log. A [`TraceContext`] threads a request-scoped
 //!   trace id through nested spans and across worker threads
 //!   ([`SpanGuard::enter_in`] / [`SpanGuard::context`]), and
 //!   [`begin_profile`]/[`take_profile`] collect every completed span of one
 //!   trace for per-request profiles.
 //! * **Export** — [`Snapshot`] (machine-readable) and
-//!   [`Registry::render_table`] (human-readable) views; the JSON and HTTP
+//!   [`Snapshot::render_table`] (human-readable) views; the JSON and HTTP
 //!   surfaces live in `hpclog-core`, keeping this crate dependency-free.
 //!
 //! # Instrument naming
@@ -32,12 +34,13 @@
 //!
 //! Examples: `rasdb.coordinator.read_multi`, `cache.result.hit`,
 //! `bus.producer.backpressure`, `ingest.store.retries`,
-//! `server.engine.request`. Per-instance variants append a suffix segment
-//! (e.g. `bus.faults.drop_send`). New instruments must follow this shape;
+//! `server.engine.request`. A [`CounterFamily`] appends one segment per
+//! kind (e.g. `bus.faults.injected.drop`). New instruments must follow this shape;
 //! renames of existing ones are listed in CHANGES.md.
 //!
-//! Everything is cheap when disabled: each record is a single relaxed
-//! atomic load and branch after [`set_enabled`]`(false)`.
+//! [`set_enabled`]`(false)` turns spans and histograms off, each record a
+//! single relaxed atomic load and branch. Counters and gauges always
+//! record: they are the only copy of the counts the system reports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -47,23 +50,24 @@ mod registry;
 mod span;
 
 pub use histogram::{Histogram, HistogramSummary, BUCKETS};
-pub use registry::{global, Counter, Gauge, Registry, Snapshot};
+pub use registry::{global, Counter, CounterFamily, Gauge, Registry, Snapshot};
 pub use span::{
-    active_span, begin_profile, current_thread, current_trace, profiling_active, take_profile,
-    trace_hex, trace_snapshot, SpanGuard, SpanRecord, TraceContext, TRACE_CAPACITY,
+    active_span, begin_profile, current_thread, current_trace, profiling_active, reset_spans,
+    take_profile, trace_hex, trace_snapshot, SpanGuard, SpanRecord, TraceContext, TRACE_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns every instrument on or off globally. Disabled recording costs one
-/// relaxed atomic load per call site.
+/// Turns spans and histograms on or off process-wide. Disabled recording
+/// costs one relaxed atomic load per call site; counters and gauges are not
+/// gated.
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether telemetry is currently recording.
+/// Whether spans and histograms are currently recording.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)

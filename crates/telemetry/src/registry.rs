@@ -1,54 +1,77 @@
-//! Global registry of named instruments.
+//! Registries of named instruments.
+//!
+//! A deployment owns its [`Registry`] of counters and gauges and resolves
+//! each handle once, where it is built. The process-wide [`global`]
+//! registry holds only span histograms.
 
 use crate::histogram::{Histogram, HistogramSummary};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// Monotonically increasing count.
-#[derive(Default)]
+/// Monotonically increasing count. Always records: [`crate::set_enabled`]
+/// gates spans and histograms, never a count.
+#[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
-    /// Adds `n` to the counter (no-op while telemetry is disabled).
+    /// Adds `n` to the counter.
     pub fn incr(&self, n: u64) {
-        if crate::enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current count.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
+
+    /// Zeroes the count.
+    pub fn reset(&self) {
+        self.value.store(0, Ordering::Relaxed);
+    }
 }
 
-/// Instantaneous signed value.
-#[derive(Default)]
+/// Instantaneous signed value. Always records, like [`Counter`].
+#[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
 }
 
 impl Gauge {
-    /// Overwrites the gauge (no-op while telemetry is disabled).
+    /// Overwrites the gauge.
     pub fn set(&self, v: i64) {
-        if crate::enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Shifts the gauge by `delta` (no-op while telemetry is disabled).
+    /// Shifts the gauge by `delta`.
     pub fn add(&self, delta: i64) {
-        if crate::enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A counter `name` of every event plus one counter `name.<kind>` per
+/// kind, all resolved when the family is built.
+#[derive(Clone, Debug, Default)]
+pub struct CounterFamily {
+    total: Arc<Counter>,
+    kinds: Vec<(&'static str, Arc<Counter>)>,
+}
+
+impl CounterFamily {
+    /// Counts one event of `kind` (a kind the family was not built with
+    /// counts in the total only).
+    pub fn incr(&self, kind: &str) {
+        self.total.incr(1);
+        if let Some((_, c)) = self.kinds.iter().find(|(k, _)| *k == kind) {
+            c.incr(1);
+        }
     }
 }
 
@@ -81,12 +104,6 @@ fn intern<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc
 }
 
 impl Registry {
-    /// The process-wide registry every instrument hangs off.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::default)
-    }
-
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         intern(&self.counters, name)
@@ -97,6 +114,17 @@ impl Registry {
         intern(&self.gauges, name)
     }
 
+    /// The family `name` with one child counter per kind in `kinds`.
+    pub fn family(&self, name: &str, kinds: &[&'static str]) -> CounterFamily {
+        CounterFamily {
+            total: self.counter(name),
+            kinds: kinds
+                .iter()
+                .map(|k| (*k, self.counter(&format!("{name}.{k}"))))
+                .collect(),
+        }
+    }
+
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         intern(&self.histograms, name)
@@ -105,82 +133,50 @@ impl Registry {
     /// A point-in-time copy of every instrument.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self
-                .counters
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(k, v)| (k.clone(), v.summary()))
-                .collect(),
+            counters: each(&self.counters, |k, c| (k.clone(), c.get())),
+            gauges: each(&self.gauges, |k, g| (k.clone(), g.get())),
+            histograms: each(&self.histograms, |k, h| (k.clone(), h.summary())),
         }
     }
 
-    /// Zeroes every instrument and clears the trace log. Instrument handles
-    /// stay valid (values reset in place).
+    /// Zeroes every counter and histogram in place (handles stay valid).
+    /// Gauges keep their value: a gauge is a level, such as live workers or
+    /// open connections, not a count since some moment, and zeroing it
+    /// would make it read wrong until the level next moves.
     pub fn reset(&self) {
-        for c in self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            c.value.store(0, Ordering::Relaxed);
-        }
-        for g in self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            g.value.store(0, Ordering::Relaxed);
-        }
-        for h in self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            h.reset();
-        }
-        crate::span::clear_trace();
+        each(&self.counters, |_, c| c.reset());
+        each(&self.histograms, |_, h| h.reset());
     }
+}
 
+/// `f` over every instrument of one kind, in name order.
+fn each<T, R>(map: &RwLock<BTreeMap<String, Arc<T>>>, f: impl Fn(&String, &T) -> R) -> Vec<R> {
+    let map = map.read().unwrap_or_else(|e| e.into_inner());
+    map.iter().map(|(k, v)| f(k, v)).collect()
+}
+
+impl Snapshot {
     /// Human-readable table of every instrument (durations shown in µs).
     pub fn render_table(&self) -> String {
-        let snap = self.snapshot();
         let mut out = String::new();
-        if !snap.counters.is_empty() {
+        if !self.counters.is_empty() {
             out.push_str("counters\n");
-            for (name, v) in &snap.counters {
+            for (name, v) in &self.counters {
                 out.push_str(&format!("  {name:<44} {v:>12}\n"));
             }
         }
-        if !snap.gauges.is_empty() {
+        if !self.gauges.is_empty() {
             out.push_str("gauges\n");
-            for (name, v) in &snap.gauges {
+            for (name, v) in &self.gauges {
                 out.push_str(&format!("  {name:<44} {v:>12}\n"));
             }
         }
-        if !snap.histograms.is_empty() {
+        if !self.histograms.is_empty() {
             out.push_str(&format!(
                 "histograms (latencies in µs)\n  {:<44} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
                 "name", "count", "p50", "p95", "p99", "max"
             ));
-            for (name, s) in &snap.histograms {
+            for (name, s) in &self.histograms {
                 out.push_str(&format!(
                     "  {:<44} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
                     name,
@@ -199,9 +195,10 @@ impl Registry {
     }
 }
 
-/// Shorthand for [`Registry::global`].
+/// The process-wide registry of span histograms (see [`crate::span!`]).
 pub fn global() -> &'static Registry {
-    Registry::global()
+    static GLOBAL: OnceLock<Registry> = OnceLock::new();
+    GLOBAL.get_or_init(Registry::default)
 }
 
 #[cfg(test)]
@@ -231,9 +228,42 @@ mod tests {
         assert_eq!(snap.gauges, vec![("a.b.lag".to_owned(), -7)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].1.count, 1);
-        let table = r.render_table();
+        let table = r.snapshot().render_table();
         assert!(table.contains("a.b.c"));
         assert!(table.contains("a.b.lat"));
+    }
+
+    #[test]
+    fn a_family_counts_the_total_and_each_kind() {
+        let r = Registry::default();
+        let f = r.family("x.faults.injected", &["drop", "delay"]);
+        f.incr("drop");
+        f.incr("drop");
+        f.incr("delay");
+        f.incr("unknown");
+        let snap = r.snapshot();
+        assert_eq!(
+            snap.counters,
+            vec![
+                ("x.faults.injected".to_owned(), 4),
+                ("x.faults.injected.delay".to_owned(), 1),
+                ("x.faults.injected.drop".to_owned(), 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn counts_record_while_spans_are_off() {
+        let _g = crate::test_lock();
+        let r = Registry::default();
+        crate::set_enabled(false);
+        r.counter("a.b.c").incr(2);
+        r.gauge("a.b.g").add(-3);
+        r.histogram("a.b.lat").record(9);
+        crate::set_enabled(true);
+        assert_eq!(r.counter("a.b.c").get(), 2);
+        assert_eq!(r.gauge("a.b.g").get(), -3);
+        assert_eq!(r.histogram("a.b.lat").count(), 0);
     }
 
     #[test]
@@ -244,8 +274,10 @@ mod tests {
         c.incr(9);
         let h = r.histogram("m.n.lat");
         h.record(5);
+        r.gauge("m.n.live").set(4);
         r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
+        assert_eq!(r.gauge("m.n.live").get(), 4, "a level is not reset");
     }
 }

@@ -171,6 +171,12 @@ pub fn trace_snapshot() -> Vec<SpanRecord> {
     out
 }
 
+/// Zeroes every span histogram and clears the trace ring.
+pub fn reset_spans() {
+    crate::global().reset();
+    clear_trace();
+}
+
 pub(crate) fn clear_trace() {
     for shard in trace_shards() {
         shard.lock().unwrap_or_else(|e| e.into_inner()).clear();

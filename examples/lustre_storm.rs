@@ -102,7 +102,7 @@ fn main() {
     // pipeline (ETL spans, coordinator latencies, scheduler tasks).
     save(
         "artifacts/telemetry_snapshot.json",
-        &hpclog_core::server::telemetry_export::metrics_json().to_string(),
+        &hpclog_core::server::telemetry_export::metrics_json(&fw).to_string(),
     );
 }
 

@@ -32,7 +32,7 @@ fn main() {
     let mut b = StreamIngester::new(&fw, "ingesters", 60_000).expect("join");
     let t = std::time::Instant::now();
     let mut rounds = 0u32;
-    let registry = telemetry::global();
+    let registry = fw.telemetry();
     loop {
         let n = a.step(512).expect("step") + b.step(512).expect("step");
         rounds += 1;

@@ -104,6 +104,28 @@ if [ -n "$stray_sleeps" ]; then
   exit 1
 fi
 
+# Counters and gauges belong to a framework's registry (DESIGN §6); the
+# process-wide one holds only span histograms. Product code (each file's lines
+# before its first `#[cfg(test)]`) calls `global()` only in the span module
+# and once in the exporter's span-histogram read. Any other call is printed.
+echo "==> product code calls telemetry::global() only for spans"
+allowed_globals=" crates/telemetry/src/span.rs crates/core/src/server/telemetry_export.rs:snapshot "
+stray_globals="$(for f in crates/*/src/**/*.rs; do
+  awk -v file="$f" -v allowed="$allowed_globals" '/#!?\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    match($0, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) {
+      fn = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", fn) }
+    /(^|[^A-Za-z0-9_])global\(/ && !/fn global\(/ {
+      site = file ":" fn
+      if (index(allowed, " " file " ") > 0) next
+      if (index(allowed, " " site " ") == 0 || seen[site]++) print file ":" FNR " (in fn " fn "): " $0 }' "$f"
+done)"
+if [ -n "$stray_globals" ]; then
+  echo "a telemetry::global() call outside the span module and the exporter's histogram read:" >&2
+  echo "$stray_globals" >&2
+  exit 1
+fi
+
 echo "==> doc-link check (README/DESIGN/EXPERIMENTS intra-repo links)"
 scripts/check_doc_links.sh
 
