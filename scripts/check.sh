@@ -86,7 +86,7 @@ fi
 # a slow range-stream chunk under a topology fault plan, and the stream's
 # publish backoff and store retry. Any other site is printed.
 echo "==> product code sleeps only at the four named sites"
-allowed_sleeps=" crates/rasdb/src/cluster.rs:charge crates/rasdb/src/cluster.rs:send_chunk"
+allowed_sleeps=" crates/rasdb/src/cluster/read.rs:charge crates/rasdb/src/cluster/membership.rs:send_chunk"
 allowed_sleeps+=" crates/core/src/etl/stream.rs:send_with_retry"
 allowed_sleeps+=" crates/core/src/etl/stream.rs:store_with_retry "
 stray_sleeps="$(for f in crates/*/src/**/*.rs; do
