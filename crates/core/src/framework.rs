@@ -258,8 +258,7 @@ impl Framework {
             ("application_by_user", run.to_user_row()),
             ("application_by_location", run.to_location_row()),
         ];
-        let written =
-            views.map(|(table, row)| self.cluster.insert_owned(table, row, self.consistency));
+        let written = views.map(|(table, row)| self.cluster.insert(table, row, self.consistency));
         written.into_iter().collect()
     }
 

@@ -23,6 +23,39 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Text a parser must survive: printable noise, a serialised document
+/// broken at the byte level (truncated, or a byte dropped, overwritten or
+/// inserted, read back as lossy UTF-8), or random bytes read back lossily.
+fn arb_garbage() -> impl Strategy<Value = String> {
+    let edit = (0..4u8, any::<usize>(), any::<u8>());
+    let broken = (
+        arb_value(),
+        any::<bool>(),
+        prop::collection::vec(edit, 1..4),
+    );
+    prop_oneof![
+        1 => "\\PC{0,60}",
+        3 => broken.prop_map(|(v, pretty, edits)| {
+            let text = if pretty { to_string_pretty(&v) } else { to_string(&v) };
+            let mut bytes = text.into_bytes();
+            for (op, at, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 => bytes.truncate(at),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 if at < bytes.len() => bytes[at] = byte,
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }),
+        1 => prop::collection::vec(any::<u8>(), 0..64)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+    ]
+}
+
 proptest! {
     #[test]
     fn compact_roundtrip(v in arb_value()) {
@@ -38,8 +71,9 @@ proptest! {
         prop_assert_eq!(&back, &v);
     }
 
+    /// Whatever text arrives, `parse` answers `Ok` or `Err`, never a panic.
     #[test]
-    fn parse_never_panics(s in "\\PC{0,60}") {
+    fn parse_never_panics(s in arb_garbage()) {
         let _ = parse(&s);
     }
 

@@ -1,11 +1,15 @@
+//! CQL statements on the coordinator: parse, validate against the schema,
+//! then one write or one plan read.
+
 use super::{Cluster, ExecResult};
 use crate::cql;
 use crate::error::DbError;
 use crate::partitioner::DecoratedKey;
 use crate::query::{
-    clustering_bounds, CmpOp, Consistency, Predicate, ReadPlan, SelectStatement, Statement,
+    clustering_bounds, CmpOp, Consistency, Lit, Predicate, ReadPlan, SelectStatement, Statement,
 };
-use crate::schema::KeyRole;
+use crate::schema::{ColumnDef, KeyRole};
+use crate::types::Value;
 
 impl Cluster {
     /// Executes a CQL statement.
@@ -26,9 +30,7 @@ impl Cluster {
                 Ok(ExecResult::Applied)
             }
             Statement::Insert { table, values } => {
-                let schema = self
-                    .schema(&table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
+                let schema = self.known_schema(&table)?;
                 let mut typed = Vec::with_capacity(values.len());
                 for (col, lit) in values {
                     let def = schema.column(&col).ok_or_else(|| {
@@ -42,23 +44,13 @@ impl Cluster {
                     })?;
                     typed.push((col, v));
                 }
-                self.insert_owned(&table, typed, consistency)?;
+                self.insert(&table, typed, consistency)?;
                 Ok(ExecResult::Applied)
             }
             Statement::Select(sel) => {
                 let plan = self.plan_select(&sel)?;
                 let mut rows = self.read(&plan, consistency)?.to_vec();
                 if let Some(cols) = &sel.columns {
-                    let schema = self
-                        .schema(&sel.table)
-                        .ok_or_else(|| DbError::NoSuchTable(sel.table.clone()))?;
-                    for col in cols {
-                        if schema.column(col).is_none() {
-                            return Err(DbError::BadQuery(format!(
-                                "unknown column '{col}' in projection"
-                            )));
-                        }
-                    }
                     for row in &mut rows {
                         row.project(|name| cols.iter().any(|c| **c == *name));
                     }
@@ -66,9 +58,7 @@ impl Cluster {
                 Ok(ExecResult::Rows(rows))
             }
             Statement::Delete { table, predicates } => {
-                let schema = self
-                    .schema(&table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.clone()))?;
+                let schema = self.known_schema(&table)?;
                 let mut pk = Vec::new();
                 let mut ck = Vec::new();
                 for col in schema.partition_key.iter().chain(&schema.clustering_key) {
@@ -81,9 +71,7 @@ impl Cluster {
                                 col.name
                             ))
                         })?;
-                    let v = p.value.coerce(col.ctype).ok_or_else(|| {
-                        DbError::SchemaViolation(format!("bad literal for '{}'", col.name))
-                    })?;
+                    let v = coerce(&p.value, col)?;
                     match schema.role_of(&col.name) {
                         Some(KeyRole::Partition) => pk.push(v),
                         _ => ck.push(v),
@@ -97,11 +85,11 @@ impl Cluster {
 
     /// Turns a parsed `SELECT` into a read plan, enforcing the CQL-style
     /// restrictions: all partition keys pinned by equality; clustering keys
-    /// constrained as an equality prefix plus at most one ranged component.
+    /// constrained as an equality prefix plus at most one ranged component;
+    /// a projection names only the table's columns. Nothing is read, so a
+    /// bad statement is refused before any replica is asked.
     pub fn plan_select(&self, sel: &SelectStatement) -> Result<ReadPlan, DbError> {
-        let schema = self
-            .schema(&sel.table)
-            .ok_or_else(|| DbError::NoSuchTable(sel.table.clone()))?;
+        let schema = self.known_schema(&sel.table)?;
 
         let mut partition = Vec::with_capacity(schema.partition_key.len());
         for col in &schema.partition_key {
@@ -118,9 +106,7 @@ impl Cluster {
                     col.name
                 )));
             }
-            partition.push(p.value.coerce(col.ctype).ok_or_else(|| {
-                DbError::SchemaViolation(format!("bad literal for '{}'", col.name))
-            })?);
+            partition.push(coerce(&p.value, col)?);
         }
 
         // Clustering: equality prefix, then optionally one ranged column.
@@ -144,15 +130,11 @@ impl Cluster {
                 )));
             }
             if preds.len() == 1 && preds[0].op == CmpOp::Eq {
-                prefix.push(preds[0].value.coerce(col.ctype).ok_or_else(|| {
-                    DbError::SchemaViolation(format!("bad literal for '{}'", col.name))
-                })?);
+                prefix.push(coerce(&preds[0].value, col)?);
                 continue;
             }
             for p in preds {
-                let v = p.value.coerce(col.ctype).ok_or_else(|| {
-                    DbError::SchemaViolation(format!("bad literal for '{}'", col.name))
-                })?;
+                let v = coerce(&p.value, col)?;
                 match p.op {
                     CmpOp::Eq => {
                         return Err(DbError::BadQuery(format!(
@@ -182,6 +164,16 @@ impl Cluster {
                 None => return Err(DbError::BadQuery(format!("unknown column '{}'", p.column))),
             }
         }
+        if let Some(col) = sel
+            .columns
+            .iter()
+            .flatten()
+            .find(|c| schema.column(c).is_none())
+        {
+            return Err(DbError::BadQuery(format!(
+                "unknown column '{col}' in projection"
+            )));
+        }
 
         let range = clustering_bounds(prefix, lower, upper, schema.clustering_key.len());
         Ok(ReadPlan {
@@ -192,4 +184,10 @@ impl Cluster {
             descending: sel.descending,
         })
     }
+}
+
+/// A literal as a value of `col`'s type.
+fn coerce(lit: &Lit, col: &ColumnDef) -> Result<Value, DbError> {
+    lit.coerce(col.ctype)
+        .ok_or_else(|| DbError::SchemaViolation(format!("bad literal for '{}'", col.name)))
 }

@@ -1,6 +1,8 @@
+//! Membership changes: a join or decommission runs one transition
+//! lifecycle (install, stream, commit or abort) and moves ranges by
+//! checksummed, resumable chunk streaming.
+
 use super::read::SimTime;
-#[cfg(doc)]
-use super::DEFAULT_STREAM_CHUNK_ROWS;
 use super::{full_range, Cluster, Transition, TOPOLOGY_RETRY_AFTER_MS};
 use crate::commitlog::Mutation;
 use crate::error::DbError;
@@ -10,8 +12,6 @@ use crate::partitioner::DecoratedKey;
 use crate::query::Consistency;
 use crate::ring::{NodeId, Ring};
 use crate::sstable::{encode_stream_chunk, stream_chunk_checksum};
-#[cfg(doc)]
-use crate::stats::CoordinatorStats;
 use crate::topology::{StreamFaults, TopologyFaultPlan, TransitionKind, TransitionReport};
 use crate::types::Key;
 use std::collections::BTreeSet;
@@ -19,9 +19,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl Cluster {
-    /// Overrides the rows-per-chunk granularity of range streaming
-    /// (default [`DEFAULT_STREAM_CHUNK_ROWS`]); smaller chunks mean finer
-    /// resume points and more fault-plan trigger opportunities.
+    /// Overrides the rows-per-chunk granularity of range streaming (default
+    /// [`DEFAULT_STREAM_CHUNK_ROWS`](super::DEFAULT_STREAM_CHUNK_ROWS));
+    /// smaller chunks mean finer resume points and more fault-plan trigger
+    /// opportunities.
     pub fn set_stream_chunk_rows(&self, rows: u64) {
         self.stream_chunk_rows.store(rows.max(1), Ordering::SeqCst);
     }
@@ -38,18 +39,10 @@ impl Cluster {
     /// the range stream. On stream exhaustion the join aborts cleanly: the
     /// pre-join ring and epoch are restored exactly, the half-filled joiner
     /// is retired, and its queued hints are dropped (counted in
-    /// [`CoordinatorStats::hints_dropped`]).
+    /// [`hints_dropped`](crate::stats::CoordinatorStats::hints_dropped)).
     pub fn join_node_with(&self, plan: TopologyFaultPlan) -> Result<TransitionReport, DbError> {
         let _span = telemetry::span!("rasdb.topology.join");
-        // Install the transition atomically: slot creation, target ring,
-        // and the double-write window all become visible together.
-        let (joiner, old_ring, target_ring) = {
-            let mut topo = self.topology.write();
-            if topo.transition.is_some() {
-                return Err(DbError::TopologyChanging {
-                    retry_after_ms: TOPOLOGY_RETRY_AFTER_MS,
-                });
-            }
+        self.transition(TransitionKind::Join, plan, |_| {
             let joiner = {
                 let mut nodes = self.nodes.write();
                 let id = NodeId(nodes.len());
@@ -60,74 +53,12 @@ impl Cluster {
             // a concurrent `create_table` either finished earlier (so
             // `table_names` sees it) or iterates the node list after the
             // push (so it covers the joiner itself).
-            let node = self.node_arc(joiner);
+            let node = self.node(joiner);
             for t in self.table_names() {
                 node.create_table(&t);
             }
-            let target = topo.ring.with_member(joiner);
-            topo.transition = Some(Transition {
-                kind: TransitionKind::Join,
-                node: joiner,
-                target_ring: target.clone(),
-            });
-            (joiner, topo.ring.clone(), target)
-        };
-
-        let faults = StreamFaults::new(plan, self.topo_stats.injected_faults.clone());
-        let mut report = TransitionReport {
-            kind: TransitionKind::Join,
-            node: joiner,
-            partitions_streamed: 0,
-            rows_streamed: 0,
-            chunks_streamed: 0,
-            chunk_retries: 0,
-            stream_resumes: 0,
-            hints_rerouted: 0,
-            epoch: 0,
-        };
-        match self.stream_transition(joiner, &old_ring, &target_ring, &faults, &mut report) {
-            Ok(()) => {
-                self.commit_join(joiner, target_ring, &mut report);
-                Ok(report)
-            }
-            Err(e) => {
-                self.abort_join(joiner);
-                Err(e)
-            }
-        }
-    }
-
-    fn commit_join(&self, joiner: NodeId, target_ring: Ring, report: &mut TransitionReport) {
-        let node = self.node_arc(joiner);
-        let mut topo = self.topology.write();
-        // Drain the joiner's hints (double-writes that missed it while it
-        // streamed) under the topology lock so the swap is atomic: by the
-        // time any coordinator sees the new ring, the new owner is whole.
-        let mut hints = self.hints.lock().remove(&joiner).unwrap_or_default();
-        node.apply_chunk(hints.make_contiguous());
-        topo.ring = target_ring;
-        topo.transition = None;
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        drop(topo);
-        report.epoch = self.topology_epoch();
-        self.topo_stats.joins.incr(1);
-    }
-
-    fn abort_join(&self, joiner: NodeId) {
-        {
-            let mut topo = self.topology.write();
-            topo.transition = None;
-        }
-        // The half-filled joiner never owned anything: retire it in place
-        // (its id is burned) and drop any hints double-writes queued for
-        // it. No epoch bump — placement never changed, so no cache entry
-        // went stale.
-        self.node_arc(joiner).retire();
-        let dropped = self.hints.lock().remove(&joiner).map_or(0, |q| q.len());
-        for _ in 0..dropped {
-            self.coord_stats.hints_dropped.incr(1);
-        }
-        self.topo_stats.aborts.incr(1);
+            Ok(joiner)
+        })
     }
 
     /// Removes a member from the ring, streaming its ranges to their new
@@ -140,47 +71,70 @@ impl Cluster {
 
     /// [`Cluster::decommission_node`] with a deterministic fault plan
     /// injected into the range stream. On stream exhaustion the
-    /// decommission aborts: the leaver stays a full member and no epoch is
-    /// bumped (partially streamed rows on gainers are harmless — streaming
-    /// is idempotent LWW state transfer).
+    /// decommission aborts: the leaver stays a full member with its queued
+    /// hints and no epoch is bumped (partially streamed rows on gainers are
+    /// harmless — streaming is idempotent LWW state transfer).
     pub fn decommission_node_with(
         &self,
         id: NodeId,
         plan: TopologyFaultPlan,
     ) -> Result<TransitionReport, DbError> {
         let _span = telemetry::span!("rasdb.topology.decommission");
-        let (old_ring, target_ring) = {
+        self.transition(TransitionKind::Decommission, plan, |ring| {
+            if !ring.contains(id) {
+                return Err(DbError::BadQuery(format!(
+                    "node {} is not a ring member",
+                    id.0
+                )));
+            }
+            if ring.node_count() <= ring.replication_factor() {
+                return Err(DbError::BadQuery(format!(
+                    "cannot decommission node {}: membership would fall below the replication factor",
+                    id.0
+                )));
+            }
+            Ok(id)
+        })
+    }
+
+    /// The one lifecycle of a join or decommission. Under the topology
+    /// lock, it refuses while another transition is in flight, lets
+    /// `admit` check the ring and name the moving node, and installs the
+    /// transition: target ring and double-write window become visible
+    /// together. It streams holding no lock, then takes the lock again to
+    /// commit (hand the moving node's hints on, swap the ring, bump the
+    /// epoch once) or to abort (nothing moved, so no epoch bump and no
+    /// cache entry goes stale).
+    fn transition(
+        &self,
+        kind: TransitionKind,
+        plan: TopologyFaultPlan,
+        admit: impl FnOnce(&Ring) -> Result<NodeId, DbError>,
+    ) -> Result<TransitionReport, DbError> {
+        let (node, old_ring, target_ring) = {
             let mut topo = self.topology.write();
             if topo.transition.is_some() {
                 return Err(DbError::TopologyChanging {
                     retry_after_ms: TOPOLOGY_RETRY_AFTER_MS,
                 });
             }
-            if !topo.ring.contains(id) {
-                return Err(DbError::BadQuery(format!(
-                    "node {} is not a ring member",
-                    id.0
-                )));
-            }
-            if topo.ring.node_count() <= topo.ring.replication_factor() {
-                return Err(DbError::BadQuery(format!(
-                    "cannot decommission node {}: membership would fall below the replication factor",
-                    id.0
-                )));
-            }
-            let target = topo.ring.without_member(id);
+            let node = admit(&topo.ring)?;
+            let target_ring = match kind {
+                TransitionKind::Join => topo.ring.with_member(node),
+                TransitionKind::Decommission => topo.ring.without_member(node),
+            };
             topo.transition = Some(Transition {
-                kind: TransitionKind::Decommission,
-                node: id,
-                target_ring: target.clone(),
+                kind,
+                node,
+                target_ring: target_ring.clone(),
             });
-            (topo.ring.clone(), target)
+            (node, topo.ring.clone(), target_ring)
         };
 
         let faults = StreamFaults::new(plan, self.topo_stats.injected_faults.clone());
         let mut report = TransitionReport {
-            kind: TransitionKind::Decommission,
-            node: id,
+            kind,
+            node,
             partitions_streamed: 0,
             rows_streamed: 0,
             chunks_streamed: 0,
@@ -189,61 +143,65 @@ impl Cluster {
             hints_rerouted: 0,
             epoch: 0,
         };
-        match self.stream_transition(id, &old_ring, &target_ring, &faults, &mut report) {
-            Ok(()) => {
-                self.commit_decommission(id, &old_ring, target_ring, &mut report);
-                Ok(report)
-            }
-            Err(e) => {
-                {
-                    let mut topo = self.topology.write();
-                    topo.transition = None;
-                }
-                self.topo_stats.aborts.incr(1);
-                Err(e)
-            }
-        }
-    }
-
-    fn commit_decommission(
-        &self,
-        leaver: NodeId,
-        old_ring: &Ring,
-        target_ring: Ring,
-        report: &mut TransitionReport,
-    ) {
-        // Re-route the leaver's queued hints to each range's new owner:
-        // they would otherwise wait forever on a node that never returns.
-        // The hinted data also traveled the stream (it lives on the other
-        // old replicas the stream sourced from), so this is convergence
-        // acceleration, not the only copy — but it keeps the gainer whole
-        // without waiting for read repair.
-        let leaver_hints = self.hints.lock().remove(&leaver).unwrap_or_default();
-        for m in &leaver_hints {
-            let token = m.partition.token();
-            let old_reps = old_ring.replicas(token);
-            for &g in target_ring.replicas(token) {
-                if old_reps.contains(&g) {
-                    continue;
-                }
-                if !self.node_arc(g).apply(m) {
-                    self.queue_hints(g, [m]);
-                }
-            }
-            report.hints_rerouted += 1;
-            self.coord_stats.hints_rerouted.incr(1);
-            self.bump_versions(&m.table, [&m.partition]);
-        }
+        let streamed = self.stream_transition(node, &old_ring, &target_ring, &faults, &mut report);
         let mut topo = self.topology.write();
-        topo.ring = target_ring;
         topo.transition = None;
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if let Err(e) = streamed {
+            drop(topo);
+            // The half-filled joiner never owned anything: retire it in
+            // place (its id is burned) and drop the hints double-writes
+            // queued for it. A leaver that stays keeps its hints: they
+            // replay when it comes back up.
+            if kind == TransitionKind::Join {
+                self.node(node).retire();
+                let dropped = self.hints.lock().remove(&node).map_or(0, |q| q.len());
+                self.coord_stats.hints_dropped.incr(dropped as u64);
+            }
+            self.topo_stats.aborts.incr(1);
+            return Err(e);
+        }
+        // The moving node's hints are handed on under the lock, so by the
+        // time any coordinator sees the new ring the new owners are whole.
+        let mut hints = self.hints.lock().remove(&node).unwrap_or_default();
+        match kind {
+            // Double-writes that missed the joiner while it streamed.
+            TransitionKind::Join => {
+                self.node(node).apply_chunk(hints.make_contiguous());
+            }
+            // Re-route the leaver's queued hints to each range's new owner:
+            // they would otherwise wait forever on a node that never
+            // returns. The hinted data also traveled the stream (it lives
+            // on the other old replicas the stream sourced from), so this
+            // is convergence acceleration, not the only copy — but it keeps
+            // the gainer whole without waiting for read repair.
+            TransitionKind::Decommission => {
+                for m in &hints {
+                    let token = m.partition.token();
+                    let old_reps = old_ring.replicas(token);
+                    for &g in target_ring.replicas(token) {
+                        if !old_reps.contains(&g) && !self.node(g).apply(m) {
+                            self.queue_hints(g, [m]);
+                        }
+                    }
+                    self.bump_versions(&m.table, [&m.partition]);
+                }
+                report.hints_rerouted = hints.len() as u64;
+                self.coord_stats.hints_rerouted.incr(report.hints_rerouted);
+            }
+        }
+        topo.ring = target_ring;
+        report.epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         drop(topo);
-        // Retire directly (not `take_node_down`): leaving the ring is the
-        // epoch-relevant event and it was already counted above.
-        self.node_arc(leaver).retire();
-        report.epoch = self.topology_epoch();
-        self.topo_stats.decommissions.incr(1);
+        match kind {
+            TransitionKind::Join => self.topo_stats.joins.incr(1),
+            // Retire directly (not `take_node_down`): leaving the ring is
+            // the epoch-relevant event and it was already counted above.
+            TransitionKind::Decommission => {
+                self.node(node).retire();
+                self.topo_stats.decommissions.incr(1);
+            }
+        }
+        Ok(report)
     }
 
     /// Streams every partition that gains an owner under `target_ring`
@@ -258,14 +216,14 @@ impl Cluster {
         report: &mut TransitionReport,
     ) -> Result<(), DbError> {
         let _span = telemetry::span!("rasdb.topology.stream");
-        for table in self.tables() {
+        for table in self.table_names() {
             // Candidate partitions: the union of what every current member
             // stores. (For a join the transitioning node holds nothing
             // yet; for a decommission it may be down — the union over all
             // members covers every partition either way.)
             let mut candidates: BTreeSet<DecoratedKey> = BTreeSet::new();
             for id in old_ring.members() {
-                candidates.extend(self.node_arc(*id).local_partition_keys(&table));
+                candidates.extend(self.node(*id).local_partition_keys(&table));
             }
             for pk in candidates {
                 let token = pk.token();
@@ -314,7 +272,7 @@ impl Cluster {
         let runs: Vec<Run> = donors
             .iter()
             .filter_map(|id| {
-                let node = self.node_arc(*id);
+                let node = self.node(*id);
                 let run = node.read_raw(table, pk, &full_range())?;
                 sim.finish = sim.queue(&node, sim.finish);
                 Some(run)
@@ -344,7 +302,7 @@ impl Cluster {
         faults: &StreamFaults,
         report: &mut TransitionReport,
     ) -> Result<u64, DbError> {
-        let chunk_rows = self.stream_chunk_rows.load(Ordering::SeqCst).max(1) as usize;
+        let chunk_rows = self.stream_chunk_rows.load(Ordering::SeqCst) as usize;
         // Resume cursor: the clustering key of the last acked row. After a
         // crash the source is re-fetched (the surviving quorum may differ)
         // and rows at or below the cursor are skipped — they were acked,
@@ -406,7 +364,7 @@ impl Cluster {
                 // the stream must re-source from the surviving quorum.
                 if let Some(victim) = donors
                     .iter()
-                    .find(|d| **d != tnode && self.node_arc(**d).is_up())
+                    .find(|d| **d != tnode && self.node(**d).is_up())
                 {
                     self.take_node_down(*victim);
                 }
@@ -432,7 +390,7 @@ impl Cluster {
                 retry(report);
                 continue;
             }
-            let gnode = self.node_arc(gainer);
+            let gnode = self.node(gainer);
             let muts: Vec<Arc<Mutation>> = rows
                 .iter()
                 .map(|(ck, entry)| Arc::new(Mutation::from_entry(table, pk, ck, entry)))

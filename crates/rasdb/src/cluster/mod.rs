@@ -1,6 +1,9 @@
 //! The cluster: a masterless ring of storage nodes plus coordinator logic
 //! (replication, consistency levels, hinted handoff, read repair) and live
 //! topology changes (join/decommission with fault-tolerant range streaming).
+//!
+//! This file holds the [`Cluster`], its catalog, versions, epoch and hints;
+//! `write`, `read`, `cql` and `membership` hold one coordinator seam each.
 
 mod cql;
 mod membership;
@@ -12,7 +15,7 @@ pub use read::SelectBuilder;
 use crate::commitlog::Mutation;
 use crate::error::DbError;
 use crate::node::{NodeConfig, StorageNode};
-use crate::partitioner::{token_for, DecoratedKey, Token, TokenMap};
+use crate::partitioner::{token_for, DecoratedKey, TokenMap};
 use crate::ring::{NodeId, Ring};
 use crate::schema::TableSchema;
 use crate::stats::{CacheStats, CoordinatorStats, StatsSnapshot, TopologyStats};
@@ -252,12 +255,8 @@ impl Cluster {
         self.topology.read().ring.node_count()
     }
 
-    /// Access to a node (tests, stats).
+    /// Access to a node.
     pub fn node(&self, id: NodeId) -> Arc<StorageNode> {
-        self.node_arc(id)
-    }
-
-    fn node_arc(&self, id: NodeId) -> Arc<StorageNode> {
         Arc::clone(&self.nodes.read()[id.0])
     }
 
@@ -280,16 +279,18 @@ impl Cluster {
         self.schemas.read().get(table).cloned()
     }
 
-    /// The interned table names, sorted.
-    fn tables(&self) -> Vec<Arc<str>> {
+    /// The schema of a table that must exist: [`DbError::NoSuchTable`]
+    /// otherwise.
+    fn known_schema(&self, table: &str) -> Result<Arc<TableSchema>, DbError> {
+        self.schema(table)
+            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))
+    }
+
+    /// Every table's interned name, sorted.
+    pub fn table_names(&self) -> Vec<Arc<str>> {
         let mut names: Vec<Arc<str>> = self.schemas.read().keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// All table names.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables().iter().map(|t| t.to_string()).collect()
     }
 
     /// Hinted handoff: remember the mutations for a node that missed them.
@@ -302,7 +303,7 @@ impl Cluster {
         let mut hints = self.hints.lock();
         let queue = hints.entry(id).or_default();
         for m in missed {
-            while queue.len() >= cap.max(1) {
+            while queue.len() >= cap {
                 queue.pop_front();
                 self.coord_stats.hints_dropped.incr(1);
             }
@@ -312,14 +313,14 @@ impl Cluster {
 
     /// Marks a node down (failure injection).
     pub fn take_node_down(&self, id: NodeId) {
-        self.node_arc(id).set_up(false);
+        self.node(id).set_up(false);
         self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Brings a node back up and replays its hints. A retired node cannot
     /// come back: this is a no-op (no epoch bump, hints left untouched).
     pub fn bring_node_up(&self, id: NodeId) {
-        let node = self.node_arc(id);
+        let node = self.node(id);
         if node.is_retired() {
             return;
         }
@@ -350,15 +351,10 @@ impl Cluster {
             .to_vec()
     }
 
-    /// The token of a partition key.
-    pub fn token_of(&self, partition: &Key) -> Token {
-        token_for(partition)
-    }
-
     /// Partition keys whose *primary* replica is `node`, in ring order.
     pub fn local_partition_keys(&self, table: &str, node: NodeId) -> Vec<Key> {
         let ring = self.ring();
-        self.node_arc(node)
+        self.node(node)
             .local_partition_keys(table)
             .into_iter()
             .filter(|k| ring.primary(k.token()) == node)

@@ -1,9 +1,11 @@
+//! The coordinator read path: each plan reads its replicas on a simulated
+//! clock (data from one, digests from the rest, hedges past a deadline)
+//! and merges and repairs only on a mismatch.
+
 use super::Cluster;
 use crate::commitlog::Mutation;
 use crate::error::DbError;
 use crate::memtable::{merge_runs, Merged, RowEntry, Run};
-#[cfg(doc)]
-use crate::node::NodeConfig;
 use crate::node::{Digest, StorageNode};
 use crate::partitioner::DecoratedKey;
 use crate::query::{clustering_bounds, Consistency, ReadPlan};
@@ -80,9 +82,7 @@ impl Cluster {
         plan: &ReadPlan,
         consistency: Consistency,
     ) -> Result<(Arc<str>, Vec<NodeId>, usize), DbError> {
-        let schema = self
-            .schema(&plan.table)
-            .ok_or_else(|| DbError::NoSuchTable(plan.table.clone()))?;
+        let schema = self.known_schema(&plan.table)?;
         let components = plan.partition.key().0.len();
         if components != schema.partition_key.len() {
             return Err(DbError::BadQuery(format!(
@@ -108,7 +108,7 @@ impl Cluster {
     /// returns the next replica worth reading.
     fn next_up_replica(&self, replicas: &[NodeId], cursor: &mut usize) -> Option<Arc<StorageNode>> {
         while *cursor < replicas.len() {
-            let node = self.node_arc(replicas[*cursor]);
+            let node = self.node(replicas[*cursor]);
             *cursor += 1;
             if node.is_up() {
                 return Some(node);
@@ -131,10 +131,10 @@ impl Cluster {
 
     /// Reads plans one after another on the calling thread and returns
     /// their rows in plan order. Simulated replica latency
-    /// ([`NodeConfig::read_latency_us`]) is charged once for the whole call:
-    /// every plan is dispatched at its start, each read queues on its node,
-    /// so reads bound for different nodes overlap, and the call sleeps once,
-    /// for its latest plan's finish.
+    /// ([`read_latency_us`](crate::node::NodeConfig::read_latency_us)) is
+    /// charged once for the whole call: every plan is dispatched at its
+    /// start, each read queues on its node, so reads bound for different
+    /// nodes overlap, and the call sleeps once, for its latest plan's finish.
     ///
     /// Each plan reads its first `required` *up* replicas in ring order. A
     /// replica found down at read time is retried at once on the next one,
@@ -349,7 +349,7 @@ impl Cluster {
             });
             let mut repaired = 0;
             for (id, batch) in replicas.iter().zip(&repairs) {
-                if !batch.is_empty() && self.node_arc(*id).apply_batch(&[batch]) {
+                if !batch.is_empty() && self.node(*id).apply_batch(&[batch]) {
                     repaired += batch.len();
                 }
             }
@@ -412,10 +412,7 @@ impl<'c> SelectBuilder<'c> {
 
     /// Runs the read.
     pub fn run(self, consistency: Consistency) -> Result<Arc<[Row]>, DbError> {
-        let schema = self
-            .cluster
-            .schema(&self.table)
-            .ok_or_else(|| DbError::NoSuchTable(self.table.clone()))?;
+        let schema = self.cluster.known_schema(&self.table)?;
         let range = clustering_bounds(
             Vec::new(),
             self.lower,

@@ -1,3 +1,5 @@
+#![cfg(test)]
+
 use super::*;
 use crate::query::{Consistency, ReadPlan};
 use crate::schema::ColumnType;
@@ -302,6 +304,28 @@ fn cql_projection_filters_cells() {
         )
         .unwrap_err();
     assert!(matches!(err, DbError::BadQuery(_)));
+    // It is refused before any replica is read: with every owner down the
+    // read could only answer Unavailable, and no read counter moves.
+    for id in c.owners(&Key::from(vec![Value::BigInt(1), Value::text("MCE")])) {
+        c.take_node_down(id);
+    }
+    let counters = |c: &Cluster| {
+        let coord = c.coordinator_stats();
+        (
+            c.stats().reads,
+            coord.replica_skipped(),
+            coord.digest_reads(),
+        )
+    };
+    let before = counters(&c);
+    let err = c
+        .execute(
+            "SELECT nosuch FROM event_by_time WHERE hour = 1 AND type = 'MCE'",
+            Consistency::Quorum,
+        )
+        .unwrap_err();
+    assert!(matches!(err, DbError::BadQuery(_)), "{err:?}");
+    assert_eq!(counters(&c), before);
 }
 
 #[test]

@@ -1,3 +1,6 @@
+//! The coordinator write path: inserts and deletes, grouped by partition
+//! into one batch per replica.
+
 use super::Cluster;
 use crate::commitlog::Mutation;
 use crate::error::DbError;
@@ -11,19 +14,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl Cluster {
-    /// Inserts one row.
-    pub fn insert(
-        &self,
-        table: &str,
-        values: Vec<(&str, Value)>,
-        consistency: Consistency,
-    ) -> Result<(), DbError> {
-        self.insert_owned(table, values, consistency)
-    }
-
     /// Inserts one row whose column names are any string type: a batch of
     /// one.
-    pub fn insert_owned<N: AsRef<str>>(
+    pub fn insert<N: AsRef<str>>(
         &self,
         table: &str,
         values: Vec<(N, Value)>,
@@ -79,10 +72,7 @@ impl Cluster {
         }
         let schemas = tables
             .iter()
-            .map(|&table| {
-                self.schema(table)
-                    .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))
-            })
+            .map(|&table| self.known_schema(table))
             .collect::<Result<Vec<_>, _>>()?;
         let views: Vec<&TableSchema> = schemas.iter().map(|s| &**s).collect();
         let mut binder = InsertBinder::new(&views, batch.len());
@@ -114,9 +104,7 @@ impl Cluster {
         consistency: Consistency,
     ) -> Result<(), DbError> {
         let span = telemetry::span!("rasdb.coordinator.write");
-        let schema = self
-            .schema(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
+        let schema = self.known_schema(table)?;
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
         let m = Mutation::delete(
             Arc::clone(&schema.name),
@@ -215,7 +203,7 @@ impl Cluster {
         let mut acks = vec![0usize; groups];
         for (id, assigned) in &per_node {
             let batch: Vec<&[Arc<Mutation>]> = assigned.iter().map(|&(g, _)| group(g)).collect();
-            if self.node_arc(*id).apply_batch(&batch) {
+            if self.node(*id).apply_batch(&batch) {
                 for &(g, counts) in assigned {
                     acks[g] += usize::from(counts);
                 }

@@ -20,13 +20,15 @@
 //!   [`sstable`], [`compaction`], [`node`]).
 //! * **Coordination** — any node coordinates reads/writes at a tunable
 //!   consistency level (`ONE`/`QUORUM`/`ALL`), with hinted handoff for
-//!   down replicas and last-write-wins cell merging ([`cluster`]).
+//!   down replicas, digest reads with read repair and last-write-wins
+//!   cell merging ([`cluster`], one file per coordinator seam).
 //! * **Query layer** — a CQL-subset text language and a typed query AST
 //!   ([`cql`], [`query`]).
 //! * **Elasticity** — live node join/decommission: checksummed, resumable
 //!   range streaming with deterministic fault injection, a double-write
 //!   window so no quorum read misses a row, and a single epoch bump on
-//!   commit for atomic cache invalidation ([`topology`], [`cluster`]).
+//!   commit for atomic cache invalidation; join and decommission share one
+//!   transition lifecycle ([`topology`], [`cluster`]).
 //!
 //! The cluster is an in-process, shared-nothing simulation: every node owns
 //! its storage exclusively and is reached only through coordinator calls,
@@ -78,11 +80,11 @@
 //! assert_eq!(rows[0].cell("source"), Some(&Value::text("c3-2c1s4n2")));
 //!
 //! // A key is built once and cloned by reference count from then on; it is
-//! // decorated with its murmur3 hash once, and versions are kept by that.
+//! // decorated with its murmur3 hash once, and placement and versions use it.
 //! let partition = Key::from(vec![Value::BigInt(417_000), Value::text("MCE")]);
 //! assert_eq!(cluster.owners(&partition).len(), 3);
 //! let decorated = DecoratedKey::new(partition);
-//! assert_eq!(decorated.token(), cluster.token_of(decorated.key()));
+//! assert_eq!(cluster.ring().replicas(decorated.token()), cluster.owners(decorated.key()));
 //! assert!(cluster.data_version("event_by_time", &decorated) > 0);
 //! assert_eq!(rows[0].clustering.0[0], Value::Timestamp(1_501_200_000_123));
 //! ```

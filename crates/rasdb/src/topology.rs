@@ -1,11 +1,11 @@
 //! Live topology changes: fault plans, transition bookkeeping, and status.
 //!
 //! A join or decommission moves token ranges between nodes while the
-//! cluster keeps serving traffic. The streaming itself lives in
-//! `cluster.rs`; this module holds the deterministic fault-injection plan
-//! (mirroring logbus's `FaultPlan` builder), the runtime fault state a
-//! single transition threads through its chunk loop, and the report/status
-//! types surfaced to callers and the query engine.
+//! cluster keeps serving traffic. The lifecycle and the streaming live in
+//! `cluster/membership.rs`; this module holds the deterministic
+//! fault-injection plan (mirroring logbus's `FaultPlan` builder), the
+//! runtime fault state a single transition threads through its chunk loop,
+//! and the report/status types surfaced to callers and the query engine.
 
 use crate::ring::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -167,6 +167,70 @@ fn aborted_join_restores_pre_join_topology_without_epoch_or_cache_churn() {
 }
 
 #[test]
+fn aborted_decommission_keeps_the_leaver_and_its_hints() {
+    let c = cluster(5, 3);
+    for h in 0..16i64 {
+        put(&c, h, 0, h as i32);
+    }
+    // Writes while the leaver is down queue hints for it.
+    let leaver = NodeId(4);
+    c.take_node_down(leaver);
+    for h in 0..16i64 {
+        put(&c, h, 1, (h + 500) as i32);
+    }
+    let hints = c.pending_hints(leaver);
+    assert!(hints > 0, "test needs queued hints");
+    let epoch0 = c.topology_epoch();
+    let members0 = c.ring().members().to_vec();
+    let stamp = stamp(&c, 3);
+
+    let plan = TopologyFaultPlan::none()
+        .drop_chunk_every(1)
+        .max_chunk_attempts(2);
+    match c.decommission_node_with(leaver, plan) {
+        Err(DbError::StreamAborted(_)) => {}
+        other => panic!("expected StreamAborted, got {other:?}"),
+    }
+
+    assert_eq!(c.topology_epoch(), epoch0, "aborts never bump the epoch");
+    assert!(
+        stamp.is_current(&c),
+        "an aborted decommission stales nothing"
+    );
+    assert_eq!(
+        c.ring().members(),
+        &members0[..],
+        "the leaver stays a member"
+    );
+    assert_eq!(c.topology_status().state, "stable");
+    assert_eq!(c.topology_stats().aborts(), 1);
+    assert_eq!(c.topology_stats().decommissions(), 0);
+    // Its hints wait for it: neither dropped nor re-routed.
+    assert_eq!(c.pending_hints(leaver), hints);
+    assert_eq!(c.coordinator_stats().hints_dropped(), 0);
+    assert_eq!(c.coordinator_stats().hints_rerouted(), 0);
+
+    // Not retired: it comes back up and replays its hints.
+    assert!(!c.node(leaver).is_retired());
+    let writes = c.node(leaver).stats().writes;
+    c.bring_node_up(leaver);
+    assert!(c.node(leaver).is_up());
+    assert_eq!(c.pending_hints(leaver), 0);
+    assert_eq!(c.node(leaver).stats().writes, writes + hints as u64);
+
+    // A clean retry commits with exactly one epoch bump.
+    let epoch1 = c.topology_epoch();
+    let report = c.decommission_node(leaver).unwrap();
+    assert_eq!(report.epoch, epoch1 + 1);
+    assert_eq!(c.topology_epoch(), epoch1 + 1);
+    assert_eq!(c.member_count(), 4);
+    assert_eq!(
+        scan(&c, 16).iter().map(|rows| rows.len()).sum::<usize>(),
+        32
+    );
+}
+
+#[test]
 fn decommission_reroutes_pending_hints_to_new_owners() {
     let c = cluster(5, 3);
     for h in 0..8i64 {

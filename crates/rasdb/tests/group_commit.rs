@@ -91,7 +91,7 @@ fn apply(
                 }
                 for &(h, ts, v) in rows {
                     touched.insert((*table, h));
-                    if let Err(e) = twin.insert_owned(TABLES[*table], row(h, ts, v), cl) {
+                    if let Err(e) = twin.insert(TABLES[*table], row(h, ts, v), cl) {
                         twin_err.get_or_insert(e);
                     }
                 }
@@ -340,7 +340,7 @@ fn a_column_named_twice_rejects_the_batch_before_anything_is_written() {
         // stamped as a twin's first write is.
         let twin = cluster();
         for c in [&c, &twin] {
-            c.insert_owned("a", row(1, 0, 0), Consistency::All).unwrap();
+            c.insert("a", row(1, 0, 0), Consistency::All).unwrap();
         }
         assert_eq!(raw_views(&c, "a", 1), raw_views(&twin, "a", 1));
     }

@@ -104,6 +104,17 @@ if [ -n "$stray_sleeps" ]; then
   exit 1
 fi
 
+# No source file grows back past 1,250 lines (its tests included): a file
+# that does is split along its seams, as `rasdb/src/cluster/` and
+# `core/src/server/engine/` were. Each longer file is printed.
+echo "==> no crate source file over 1,250 lines"
+long_files="$(wc -l crates/*/src/**/*.rs | awk '$2 != "total" && $1 > 1250 { print $2 ": " $1 " lines" }')"
+if [ -n "$long_files" ]; then
+  echo "a source file over 1,250 lines:" >&2
+  echo "$long_files" >&2
+  exit 1
+fi
+
 # Counters and gauges belong to a framework's registry (DESIGN §6); the
 # process-wide one holds only span histograms. Product code (each file's lines
 # before its first `#[cfg(test)]`) calls `global()` only in the span module
