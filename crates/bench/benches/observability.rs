@@ -130,6 +130,7 @@ fn median(samples: &mut [f64]) -> f64 {
 fn bench_observability(c: &mut Criterion) {
     let on = seeded();
     let off = seeded();
+    off.framework().telemetry().set_enabled(false);
     // Prime the warm panels on both engines so every later refresh mixes
     // result-cache hits with cold computes.
     for engine in [&on, &off] {
@@ -144,15 +145,12 @@ fn bench_observability(c: &mut Criterion) {
     let mut on_ms = Vec::new();
     let mut off_ms = Vec::new();
     for round in 0..rounds {
-        telemetry::set_enabled(true);
         let (bytes_on, ms) = refresh(&on, round);
         on_ms.push(ms);
-        telemetry::set_enabled(false);
         let (bytes_off, ms) = refresh(&off, round);
         off_ms.push(ms);
         assert!(bytes_on > 0 && bytes_off > 0);
     }
-    telemetry::set_enabled(true);
 
     let median_on = median(&mut on_ms);
     let median_off = median(&mut off_ms);
@@ -217,7 +215,6 @@ fn bench_observability(c: &mut Criterion) {
     let mut group = c.benchmark_group("observability");
     group.sample_size(10);
     group.bench_function("dashboard_mix_tracing_on", |b| {
-        telemetry::set_enabled(true);
         let mut round = 0;
         b.iter(|| {
             round += 1;
@@ -225,7 +222,6 @@ fn bench_observability(c: &mut Criterion) {
         });
     });
     group.bench_function("dashboard_mix_tracing_off", |b| {
-        telemetry::set_enabled(false);
         let mut round = 0;
         b.iter(|| {
             round += 1;
@@ -233,7 +229,6 @@ fn bench_observability(c: &mut Criterion) {
         });
     });
     group.finish();
-    telemetry::set_enabled(true);
 }
 
 criterion_group!(benches, bench_observability);

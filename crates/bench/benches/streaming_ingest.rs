@@ -98,8 +98,8 @@ fn bench_streaming(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("streaming_ingest", label), &n, |b, _| {
             b.iter_with_setup(
                 || {
-                    telemetry::set_enabled(enabled);
                     let fw = fw();
+                    fw.telemetry().set_enabled(enabled);
                     publish_lines(&fw, &lines).expect("publish");
                     fw
                 },
@@ -114,7 +114,6 @@ fn bench_streaming(c: &mut Criterion) {
             );
         });
     }
-    telemetry::set_enabled(true);
     group.finish();
 }
 

@@ -97,7 +97,7 @@ pub fn import_bytes(
     corpus: Vec<u8>,
     opts: &ImportOptions,
 ) -> Result<ImportReport, DbError> {
-    let _span = telemetry::span!("etl.batch.import");
+    let _span = fw.etl_stats().import_span.enter();
     let nparts = (fw.engine().workers() * 2).max(1);
     let target = opts
         .chunk_target_bytes

@@ -19,12 +19,12 @@ pub mod parsers;
 pub mod stream;
 
 use std::sync::Arc;
-use telemetry::{Counter, Gauge, Registry};
+use telemetry::{Counter, Gauge, Registry, Span};
 
 /// The ETL paths' instruments in the framework's registry, resolved once
 /// by `Framework::new`: the batch import's `etl.batch.*` and
-/// `etl.fastpath.*` counters, and the stream's `etl.stream.*` and
-/// `ingest.*` counters and gauges.
+/// `etl.fastpath.*` counters, the stream's `etl.stream.*` and `ingest.*`
+/// counters and gauges, and both paths' spans.
 pub(crate) struct EtlStats {
     pub(crate) lines_parsed: Arc<Counter>,
     pub(crate) lines_skipped: Arc<Counter>,
@@ -42,6 +42,12 @@ pub(crate) struct EtlStats {
     pub(crate) commit_failures: Arc<Counter>,
     pub(crate) dlq_depth: Arc<Gauge>,
     pub(crate) dlq_publish_failures: Arc<Counter>,
+    pub(crate) import_span: Span,
+    pub(crate) step_span: Span,
+    pub(crate) window_span: Span,
+    pub(crate) store_span: Span,
+    pub(crate) commit_span: Span,
+    pub(crate) dlq_requeue_span: Span,
 }
 
 impl EtlStats {
@@ -63,6 +69,12 @@ impl EtlStats {
             commit_failures: r.counter("ingest.commit.failures"),
             dlq_depth: r.gauge("ingest.dlq.depth"),
             dlq_publish_failures: r.counter("ingest.dlq.publish_failures"),
+            import_span: r.span("etl.batch.import"),
+            step_span: r.span("etl.stream.step"),
+            window_span: r.span("etl.stream.window"),
+            store_span: r.span("etl.stream.store"),
+            commit_span: r.span("etl.stream.commit"),
+            dlq_requeue_span: r.span("etl.stream.dlq_requeue"),
         }
     }
 }

@@ -233,7 +233,7 @@ impl<'f> StreamIngester<'f> {
         // commit hook below all record spans under one trace id, so a slow
         // ingest step can be reconstructed exactly like a slow query.
         let ctx = telemetry::TraceContext::root();
-        let _span = telemetry::SpanGuard::enter_in("etl.stream.step", &ctx);
+        let _span = self.fw.etl_stats().step_span.enter_in(&ctx);
         let records = self.consumer.poll(max_records);
         let polled = records.len();
         self.report.polled += polled;
@@ -303,7 +303,7 @@ impl<'f> StreamIngester<'f> {
     }
 
     fn flush_window(&mut self, window: i64, mut events: Vec<EventRecord>) -> Result<(), DbError> {
-        let mut span = telemetry::span!("etl.stream.window");
+        let mut span = self.fw.etl_stats().window_span.enter();
         span.tag("window_start_ms", window.to_string());
         let events_in = events.len();
         // Coalesce same (type, source) within the window into one event
@@ -342,7 +342,7 @@ impl<'f> StreamIngester<'f> {
     /// Writes the batch, retrying `DbError::Unavailable` with exponential
     /// backoff + jitter up to the configured attempt budget.
     fn store_with_retry(&mut self, merged: &[EventRecord]) -> Result<(), DbError> {
-        let mut span = telemetry::span!("etl.stream.store");
+        let mut span = self.fw.etl_stats().store_span.enter();
         let mut attempt: u32 = 0;
         loop {
             span.tag("attempt", (attempt + 1).to_string());
@@ -386,7 +386,7 @@ impl<'f> StreamIngester<'f> {
     /// nothing is buffered — together with the batcher's event-time
     /// watermark.
     fn commit_safe(&mut self) {
-        let _span = telemetry::span!("etl.stream.commit");
+        let _span = self.fw.etl_stats().commit_span.enter();
         let safe: Vec<(usize, u64)> = self
             .consumer
             .positions()
@@ -464,7 +464,7 @@ pub struct DlqRequeueReport {
 /// (removed from the DLQ) only once their replay succeeded; on a store or
 /// publish failure the pass stops early and the remainder stays queued.
 pub fn dlq_requeue(fw: &Framework, max: usize) -> Result<DlqRequeueReport, DbError> {
-    let _span = telemetry::span!("etl.stream.dlq_requeue");
+    let _span = fw.etl_stats().dlq_requeue_span.enter();
     let mut consumer = Consumer::new(fw.bus(), DLQ_GROUP, RAW_LOG_DLQ_TOPIC)
         .expect("dlq topic is provisioned by Framework::new");
     let producer = Producer::new(fw.bus());

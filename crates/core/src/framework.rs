@@ -75,7 +75,7 @@ pub struct Framework {
     consistency: Consistency,
     result_cache: ResultCache,
     columnar: ColumnarStore,
-    /// This deployment's counters and gauges (DESIGN §6).
+    /// This deployment's instruments, spans and trace ring included (§6).
     telemetry: Arc<Registry>,
     etl_stats: EtlStats,
     /// Highest timestamp streaming ingestion has committed through;
@@ -125,7 +125,7 @@ impl Framework {
         let workers = cfg.workers.unwrap_or(cfg.db_nodes).max(1);
         Ok(Framework {
             cluster,
-            engine: SparkletContext::new(workers),
+            engine: SparkletContext::with_telemetry(workers, &telemetry),
             bus,
             topology: cfg.topology,
             consistency: cfg.consistency,
@@ -174,8 +174,8 @@ impl Framework {
         &self.columnar
     }
 
-    /// This deployment's telemetry registry: every counter and gauge of
-    /// its cluster, bus, caches, ETL, query engine and HTTP frontend.
+    /// This deployment's telemetry registry: every instrument of its
+    /// cluster, bus, engine, caches, ETL, query engine and HTTP frontend.
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.telemetry
     }
@@ -472,9 +472,8 @@ impl Framework {
     }
 
     /// Human-readable table of what the `metrics` op reports: this
-    /// framework's counters and gauges and the process-wide span
-    /// histograms (p50/p95/p99/max). For the machine-readable form use the
-    /// `metrics` query op or `GET /v1/metrics`.
+    /// framework's counters, gauges and span histograms (p50/p95/p99/max).
+    /// For the machine-readable form use the `metrics` op or `GET /v1/metrics`.
     pub fn telemetry_report(&self) -> String {
         crate::server::telemetry_export::snapshot(self).render_table()
     }

@@ -26,7 +26,7 @@ use rasdb::DecoratedKey;
 use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::{SpanRecord, TraceContext};
+use telemetry::{Span, SpanRecord, TraceContext};
 
 mod admin_ops;
 mod analytics_ops;
@@ -37,6 +37,9 @@ pub struct QueryEngine {
     fw: Arc<Framework>,
     recorder: FlightRecorder,
     slo: SloRegistry,
+    /// `server.engine.request` (tagged with the op), `cache.result.probe`.
+    request_span: Span,
+    probe_span: Span,
 }
 
 /// One handled request with the transport-level facts the HTTP frontend
@@ -70,10 +73,13 @@ const PHASES: [&str; 7] = [
 impl QueryEngine {
     /// Wraps a framework.
     pub fn new(fw: Arc<Framework>) -> QueryEngine {
+        let telemetry = fw.telemetry();
         QueryEngine {
-            recorder: FlightRecorder::new(fw.telemetry()),
-            fw,
+            recorder: FlightRecorder::new(telemetry),
             slo: SloRegistry::new(),
+            request_span: telemetry.span("server.engine.request"),
+            probe_span: telemetry.span("cache.result.probe"),
+            fw,
         }
     }
 
@@ -125,7 +131,7 @@ impl QueryEngine {
             None => TraceContext::root(),
         };
         if profiled {
-            telemetry::begin_profile(ctx.trace_id);
+            self.fw.telemetry().begin_profile(ctx.trace_id);
         }
         let engine_thread = telemetry::current_thread();
 
@@ -135,7 +141,7 @@ impl QueryEngine {
         // failure or a typo'd op name cannot page anyone.
         let mut dispatched = false;
         let answer = {
-            let mut span = telemetry::SpanGuard::enter_in("server.engine.request", &ctx);
+            let mut span = self.request_span.enter_in(&ctx);
             parsed.and_then(|(_, body)| {
                 let req = QueryRequest::parse(&body)?;
                 op = req.op.clone();
@@ -159,7 +165,7 @@ impl QueryEngine {
         let total_us = (parse_ns + exec_ns + serialize_ns) as f64 / 1_000.0;
 
         let spans = if profiled {
-            telemetry::take_profile(ctx.trace_id)
+            self.fw.telemetry().take_profile(ctx.trace_id)
         } else {
             Vec::new()
         };
@@ -213,7 +219,7 @@ impl QueryEngine {
         let cache = self.fw.result_cache();
         let cluster = self.fw.cluster();
         {
-            let mut probe = telemetry::span!("cache.result.probe");
+            let mut probe = self.probe_span.enter();
             if let Some(data) = cache.lookup(cluster, &key) {
                 probe.tag("outcome", "hit");
                 return Ok(OpOutput { data, page: None });
@@ -252,7 +258,7 @@ impl QueryEngine {
             "health" => self.op_health(req),
             "trace" => Ok(OpOutput::data([(
                 "spans",
-                crate::server::telemetry_export::trace_json(),
+                crate::server::telemetry_export::trace_json(&self.fw),
             )])),
             other => Err(ApiError::new(
                 ErrorCode::UnknownOp,

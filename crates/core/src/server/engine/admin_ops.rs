@@ -86,19 +86,20 @@ impl QueryEngine {
         ]))
     }
 
-    /// The framework's counters and gauges (its registry's, plus
-    /// `rasdb.storage.*` summed over the nodes) and the process-wide span
-    /// histograms. Counters and gauges count whether or not telemetry is
-    /// enabled; `enabled` says whether spans and histograms record. Pass
+    /// The framework's counters, gauges and span histograms (its
+    /// registry's, plus `rasdb.storage.*` summed over the nodes). Counters
+    /// and gauges count whether or not spans are enabled; `enabled` says
+    /// whether the framework's spans and histograms record. Pass
     /// `"reset": true` to zero every count reported here, node counts and
-    /// histograms included, after reading (the trace ring is cleared too);
-    /// gauges are levels and keep their value.
+    /// histograms included, after reading (the framework's trace ring is
+    /// cleared too); gauges are levels and keep their value. No other
+    /// framework's instruments are read or reset.
     pub(super) fn op_metrics(&self, req: &QueryRequest) -> Result<OpOutput, ApiError> {
         use crate::server::telemetry_export;
         let reset = req.bool_or("reset", false)?;
         let snap = telemetry_export::metrics_json(&self.fw);
         let out = OpOutput::data([
-            ("enabled", Json::from(telemetry::enabled())),
+            ("enabled", Json::from(self.fw.telemetry().enabled())),
             ("counters", snap["counters"].clone()),
             ("gauges", snap["gauges"].clone()),
             ("histograms", snap["histograms"].clone()),

@@ -103,6 +103,8 @@ const LISTENER_TOKEN: u64 = 0;
 /// Longest a worker blocks in the readiness set before it looks at the
 /// stop flag again.
 const STOP_POLL: Duration = Duration::from_millis(50);
+/// Socket write timeout for responses.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables of the frontend. Worker-pool size and the in-flight cap are
 /// also surfaced as `server.http.*` gauges so a running server's shape is
@@ -123,8 +125,6 @@ pub struct HttpConfig {
     /// deliver a full request (headers + body) before the worker answers
     /// `400` and closes.
     pub header_read_timeout: Duration,
-    /// Socket write timeout for responses.
-    pub write_timeout: Duration,
     /// How long a parked keep-alive connection may stay idle before it is
     /// dropped.
     pub idle_timeout: Duration,
@@ -142,7 +142,6 @@ impl Default for HttpConfig {
             max_inflight: 64,
             max_body_bytes: 1 << 20,
             header_read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
             rate_per_sec: 500.0,
             rate_burst: 250.0,
@@ -402,7 +401,7 @@ impl Shared {
                 Ok((stream, peer)) => {
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(self.cfg.header_read_timeout));
-                    let _ = stream.set_write_timeout(Some(self.cfg.write_timeout));
+                    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                     let conn = Conn::new(
                         stream,
                         peer.ip().to_string(),
@@ -1060,19 +1059,11 @@ mod tests {
         assert!(resp.body.contains(r#""histograms""#), "{}", resp.body);
         assert!(resp.body.contains(r#""v":2"#), "enveloped: {}", resp.body);
 
-        // Other tests in this process may flood the trace ring between our
-        // query and the read, so retry the pair a few times.
-        let mut found = false;
-        for _ in 0..5 {
-            request(server.addr(), &raw);
-            let resp = request(server.addr(), &get("/v1/trace"));
-            assert_eq!(resp.status, 200);
-            if resp.body.contains("server.engine.request") {
-                found = true;
-                break;
-            }
-        }
-        assert!(found, "no server.engine.request span surfaced in /v1/trace");
+        // The trace ring is the server's framework's own: the query's span
+        // is still in it.
+        let resp = request(server.addr(), &get("/v1/trace"));
+        assert_eq!(resp.status, 200);
+        assert!(resp.body.contains("server.engine.request"), "{}", resp.body);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! What a framework reports about itself, and its JSON rendering: the
-//! framework's counters and gauges, the process-wide span histograms and
-//! the trace log.
+//! counters, gauges and span histograms of its registry, and its trace
+//! log.
 //!
 //! The `telemetry` crate stays dependency-free; everything that needs a
 //! wire format (the `metrics`/`trace` query ops and the `/metrics` and
@@ -38,36 +38,9 @@ fn summary_json(s: &HistogramSummary) -> Json {
     obj
 }
 
-/// A [`Snapshot`] as a JSON object with `counters`, `gauges`, and
-/// `histograms` maps (histogram values in nanoseconds).
-pub fn snapshot_json(snap: &Snapshot) -> Json {
-    json_object([
-        (
-            "counters",
-            json_object(
-                snap.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::from(*v))),
-            ),
-        ),
-        (
-            "gauges",
-            json_object(snap.gauges.iter().map(|(k, v)| (k.clone(), Json::from(*v)))),
-        ),
-        (
-            "histograms",
-            json_object(
-                snap.histograms
-                    .iter()
-                    .map(|(k, s)| (k.clone(), summary_json(s))),
-            ),
-        ),
-    ])
-}
-
-/// What the `metrics` op reports for `fw`: its registry's counters and
-/// gauges, the `rasdb.storage.*` counts summed over its nodes, and the
-/// process-wide span histograms.
+/// What the `metrics` op reports for `fw`: its registry's counters, gauges
+/// and span histograms, and the `rasdb.storage.*` counts summed over its
+/// nodes.
 pub fn snapshot(fw: &Framework) -> Snapshot {
     let mut snap = fw.telemetry().snapshot();
     let s = fw.cluster().stats();
@@ -82,22 +55,32 @@ pub fn snapshot(fw: &Framework) -> Snapshot {
     snap.counters
         .extend(storage.map(|(k, v)| (format!("rasdb.storage.{k}"), v)));
     snap.counters.sort();
-    snap.histograms = telemetry::global().snapshot().histograms;
     snap
 }
 
 /// Zeroes every count [`snapshot`] reports for `fw` (its counters, the
-/// nodes' counts and the span histograms) and clears the trace ring.
+/// nodes' counts and the span histograms) and clears its trace ring.
 /// Gauges are levels and keep their value.
 pub fn reset(fw: &Framework) {
     fw.telemetry().reset();
     fw.cluster().reset_stats();
-    telemetry::reset_spans();
 }
 
-/// [`snapshot`] as JSON.
+/// [`snapshot`] as a JSON object with `counters`, `gauges`, and
+/// `histograms` maps (histogram values in nanoseconds).
 pub fn metrics_json(fw: &Framework) -> Json {
-    snapshot_json(&snapshot(fw))
+    let snap = snapshot(fw);
+    let counters = snap.counters.into_iter().map(|(k, v)| (k, Json::from(v)));
+    let gauges = snap.gauges.into_iter().map(|(k, v)| (k, Json::from(v)));
+    let histograms = snap
+        .histograms
+        .iter()
+        .map(|(k, s)| (k.clone(), summary_json(s)));
+    json_object([
+        ("counters", json_object(counters)),
+        ("gauges", json_object(gauges)),
+        ("histograms", json_object(histograms)),
+    ])
 }
 
 fn span_json(s: &SpanRecord) -> Json {
@@ -121,9 +104,9 @@ fn span_json(s: &SpanRecord) -> Json {
     obj
 }
 
-/// The trace ring buffer as a JSON array, oldest span first.
-pub fn trace_json() -> Json {
-    json_array(telemetry::trace_snapshot().iter().map(span_json))
+/// `fw`'s trace ring as a JSON array, oldest span first.
+pub fn trace_json(fw: &Framework) -> Json {
+    json_array(fw.telemetry().trace_snapshot().iter().map(span_json))
 }
 
 #[cfg(test)]
@@ -146,13 +129,16 @@ mod tests {
         let fw = small();
         fw.telemetry().counter("test.export.count").incr(3);
         fw.telemetry().gauge("test.export.lag").set(-4);
-        telemetry::global()
+        fw.telemetry()
             .histogram("test.export.lat")
-            .record(1_000);
+            .record(1_000, None);
         let json = metrics_json(&fw);
         assert_eq!(json["counters"]["test.export.count"].as_i64(), Some(3));
         assert_eq!(json["gauges"]["test.export.lag"].as_i64(), Some(-4));
-        assert!(json["histograms"]["test.export.lat"]["count"].as_i64() >= Some(1));
+        assert_eq!(
+            json["histograms"]["test.export.lat"]["count"].as_i64(),
+            Some(1)
+        );
         // Storage rows are the nodes' counts, summed when the snapshot is
         // taken: `Framework::new` wrote the schema's metadata rows.
         let writes = json["counters"]["rasdb.storage.writes"].as_i64();
@@ -165,21 +151,31 @@ mod tests {
         let fw = small();
         fw.telemetry().counter("test.export.count").incr(3);
         fw.telemetry().gauge("test.export.live").set(4);
+        assert!(!fw.telemetry().trace_snapshot().is_empty(), "schema writes");
         reset(&fw);
         let snap = snapshot(&fw);
         assert!(snap.counters.iter().all(|(_, v)| *v == 0), "{snap:?}");
+        assert!(
+            snap.histograms.iter().all(|(_, h)| h.count == 0),
+            "{snap:?}"
+        );
+        assert!(fw.telemetry().trace_snapshot().is_empty());
         assert_eq!(fw.cluster().stats(), Default::default());
         assert_eq!(fw.telemetry().gauge("test.export.live").get(), 4);
     }
 
     #[test]
     fn trace_spans_carry_parent_and_tags() {
+        let fw = small();
+        let telemetry = fw.telemetry();
         {
-            let root = telemetry::span!("test.export.root");
-            let mut child = telemetry::span!("test.export.child", root.id());
+            let root = telemetry.span("test.export.root").enter();
+            let mut child = telemetry
+                .span("test.export.child")
+                .enter_with_parent(root.id());
             child.tag("k", "v");
         }
-        let spans = trace_json();
+        let spans = trace_json(&fw);
         let arr = spans.as_array().unwrap();
         let child = arr
             .iter()

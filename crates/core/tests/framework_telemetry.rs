@@ -1,6 +1,6 @@
-//! Each framework owns its counters and gauges (DESIGN §6): a fresh one
-//! holds exactly the documented names, two in one process count apart, and
-//! counts stay exact while spans and histograms are switched off.
+//! Each framework owns its instruments (DESIGN §6): a fresh one holds
+//! exactly the documented names, two in one process count, trace, profile,
+//! reset and switch spans off apart, and counts stay exact with spans off.
 
 use hpclog_core::etl::batch::ImportOptions;
 use hpclog_core::etl::stream::StreamIngester;
@@ -9,14 +9,13 @@ use hpclog_core::server::telemetry_export;
 use hpclog_core::server::{HttpConfig, HttpServer, QueryEngine};
 use loggen::topology::Topology;
 use rasdb::query::Consistency;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const HOUR_MS: i64 = 3_600_000;
-const PANEL: &str = r#"{"op":"histogram","type":"MCE","from":0,"to":3600000,"bin_ms":3600000}"#;
 
 fn framework() -> Arc<Framework> {
     let fw = Framework::new(FrameworkConfig {
@@ -65,8 +64,9 @@ fn get(server: &HttpServer, path: &str) -> jsonlite::Value {
     jsonlite::parse(body).unwrap()
 }
 
-/// Every name of DESIGN §6's counter rows (`kind == "counter"`) or gauge
-/// rows, braces expanded. A name ending in `.<kind>` stands for a family.
+/// Every name of DESIGN §6's rows of `kind` (`"counter"`, `"gauge"` or
+/// `"span"`, the `span/histogram` rows), braces expanded. A name ending in
+/// `.<kind>` stands for a family.
 fn documented(kind: &str) -> BTreeSet<String> {
     let design = include_str!("../../../DESIGN.md");
     let start = design.find("## 6. Observability").unwrap();
@@ -75,10 +75,11 @@ fn documented(kind: &str) -> BTreeSet<String> {
     for row in design[start..end].lines().filter(|l| l.starts_with("| `")) {
         let cells: Vec<&str> = row.split(" | ").collect();
         let kinds = cells[1];
-        let counter = kinds.contains("counter");
-        let gauge = kinds.contains("gauge");
-        assert!(!(counter && gauge), "one kind per row: {row}");
-        if (kind == "counter" && counter) || (kind == "gauge" && gauge) {
+        let matched = ["counter", "gauge", "span"]
+            .iter()
+            .filter(|k| kinds.contains(*k));
+        assert_eq!(matched.count(), 1, "one kind per row: {row}");
+        if kinds.contains(kind) {
             for quoted in cells[0].split('`').skip(1).step_by(2) {
                 names.extend(expand(quoted));
             }
@@ -148,6 +149,12 @@ fn a_fresh_framework_holds_exactly_the_documented_counters_and_gauges() {
 }
 
 #[test]
+fn a_fresh_framework_lists_exactly_the_documented_span_histograms() {
+    let (fw, _engine, _server) = served();
+    assert_documented("span", &span_state(&fw).0.into_keys().collect());
+}
+
+#[test]
 fn two_frameworks_in_one_process_count_apart() {
     let (a, a_engine, a_server) = served();
     let (b, b_engine, _b_server) = served();
@@ -165,7 +172,7 @@ fn two_frameworks_in_one_process_count_apart() {
         .unwrap();
     assert_eq!(report.parse_failures, 1);
     for _ in 0..2 {
-        assert!(a_engine.handle(PANEL).contains(r#""status":"ok""#));
+        ok(a_engine.handle(&panel(0)));
     }
     let open = TcpStream::connect(a_server.addr()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -195,18 +202,96 @@ fn two_frameworks_in_one_process_count_apart() {
     drop(open);
 }
 
+/// `fw`'s span histogram counts by name, and the ids in its trace ring.
+fn span_state(fw: &Framework) -> (BTreeMap<String, u64>, Vec<u64>) {
+    let snap = telemetry_export::snapshot(fw);
+    let counts = snap.histograms.into_iter().map(|(k, s)| (k, s.count));
+    let ring = fw
+        .telemetry()
+        .trace_snapshot()
+        .iter()
+        .map(|s| s.id)
+        .collect();
+    (counts.collect(), ring)
+}
+
+/// A panel over hour `h` (a cold read of that hour on first use).
+fn panel(h: i64) -> String {
+    let (from, to) = (h * HOUR_MS, (h + 1) * HOUR_MS);
+    format!(r#"{{"op":"histogram","type":"MCE","from":{from},"to":{to},"bin_ms":{HOUR_MS}}}"#)
+}
+
+fn ok(response: String) -> String {
+    assert!(response.contains(r#""status":"ok""#), "{response}");
+    response
+}
+
+#[test]
+fn two_frameworks_trace_profile_reset_and_switch_spans_apart() {
+    let (a, a_engine, _a_server) = served();
+    let (b, b_engine, b_server) = served();
+    let count = |fw: &Framework, name: &str| span_state(fw).0[name];
+
+    // `b` answers one panel; `a` imports and answers a profiled read, none
+    // of whose spans reach `b`'s histograms or `/v1/trace`.
+    ok(b_engine.handle(&panel(0)));
+    import_mce(&a);
+    let profiled = r#"{"op":"events","type":"MCE","from":0,"to":3600000,"profile":true}"#;
+    let a_trace = jsonlite::parse(&ok(a_engine.handle(profiled))).unwrap()["trace_id"].clone();
+    for name in ["etl.batch.import", "rasdb.coordinator.replica_read"] {
+        assert!(count(&a, name) > 0 && count(&b, name) == 0, "{name}");
+    }
+    let b_trace = get(&b_server, "/v1/trace");
+    let b_spans = b_trace["data"]["spans"].as_array().unwrap();
+    assert!(b_spans
+        .iter()
+        .any(|s| s["name"].as_str() == Some("server.engine.request")));
+    for s in b_spans {
+        assert_ne!(s["name"].as_str(), Some("etl.batch.import"), "{s}");
+        assert_ne!(s["trace"], a_trace, "{s}");
+    }
+
+    // Resetting `a` leaves `b`'s histograms and trace ring as they were;
+    // `a` keeps only the `metrics` request's own span, closed after it.
+    let b_before = span_state(&b);
+    assert!(!b_before.1.is_empty());
+    ok(a_engine.handle(r#"{"op":"metrics","reset":true}"#));
+    let a_left: Vec<&str> = a
+        .telemetry()
+        .trace_snapshot()
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(a_left, ["server.engine.request"]);
+    assert_eq!(count(&a, "etl.batch.import"), 0);
+    assert_eq!(span_state(&b), b_before);
+
+    // While `a` collects a profile, `b`'s cold read emits no detail spans.
+    let profile = telemetry::TraceContext::root().trace_id;
+    a.telemetry().begin_profile(profile);
+    let read_multi = count(&b, "rasdb.coordinator.read_multi");
+    ok(b_engine.handle(&panel(1)));
+    a.telemetry().take_profile(profile);
+    assert!(count(&b, "rasdb.coordinator.read_multi") > read_multi);
+    let detail = ["plan", "replica_read", "merge"].map(|d| format!("rasdb.coordinator.{d}"));
+    assert!(
+        detail.iter().all(|name| count(&b, name) == 0),
+        "b emitted {detail:?}"
+    );
+
+    // Switching `a`'s spans off leaves `b` recording.
+    a.telemetry().set_enabled(false);
+    let (a_before, b_requests) = (span_state(&a), count(&b, "server.engine.request"));
+    ok(a_engine.handle(&panel(2)));
+    ok(b_engine.handle(&panel(2)));
+    assert_eq!(span_state(&a), a_before);
+    assert_eq!(count(&b, "server.engine.request"), b_requests + 1);
+}
+
 #[test]
 fn counts_stay_exact_with_spans_and_histograms_off() {
-    struct SpansBackOn;
-    impl Drop for SpansBackOn {
-        fn drop(&mut self) {
-            telemetry::set_enabled(true);
-        }
-    }
-    let _on = SpansBackOn;
-    telemetry::set_enabled(false);
-
     let (fw, engine, server) = served();
+    fw.telemetry().set_enabled(false);
     let writes = fw.cluster().stats().writes;
     import_mce(&fw);
     assert_eq!(fw.cluster().stats().writes, writes + 4 * 2, "RF 2");
@@ -224,9 +309,9 @@ fn counts_stay_exact_with_spans_and_histograms_off() {
 
     // Two panels over the same hour: the first builds its column block,
     // the second finds it.
-    assert!(engine.handle(PANEL).contains(r#""status":"ok""#));
+    ok(engine.handle(&panel(0)));
     let heatmap = r#"{"op":"heatmap","type":"MCE","from":0,"to":3600000}"#;
-    assert!(engine.handle(heatmap).contains(r#""status":"ok""#));
+    ok(engine.handle(heatmap));
     let storage = get(&server, "/v1/storage");
     assert_eq!(storage["data"]["misses"].as_i64(), Some(1), "{storage}");
     assert_eq!(storage["data"]["hits"].as_i64(), Some(1), "{storage}");

@@ -2,9 +2,9 @@
 //! while idle, descriptors per connection, the round trip of a cached panel,
 //! and when a silent connection is dropped.
 //!
-//! Context switches, the descriptor table and the telemetry registry are
-//! process-wide, so this binary has exactly **one** test function: nothing
-//! else runs in the process while it measures.
+//! Context switches and the descriptor table are process-wide, so this
+//! binary has exactly **one** test function: nothing else runs in the
+//! process while it measures.
 
 use hpclog_core::framework::{Framework, FrameworkConfig};
 use hpclog_core::server::{HttpConfig, HttpServer, QueryEngine};

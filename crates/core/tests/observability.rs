@@ -10,6 +10,8 @@
 //!   concurrent profiled requests never leak spans into each other;
 //! - the streaming ingester's per-step trace keeps its store/commit spans
 //!   parented (no orphans across `StreamIngester` steps);
+//! - a burst of lines larger than the trace ring does not push a streaming
+//!   step's spans out of it (producer spans are profile-level detail);
 //! - histogram exemplars and the flight recorder agree on trace ids.
 
 use hpclog_core::etl::stream::{publish_lines, StreamIngester};
@@ -22,15 +24,19 @@ use loggen::trace::{Facility, RawLine};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-fn engine() -> QueryEngine {
-    let fw = Framework::new(FrameworkConfig {
+fn framework() -> Framework {
+    Framework::new(FrameworkConfig {
         db_nodes: 3,
         replication_factor: 2,
         vnodes: 8,
         topology: Topology::scaled(2, 2),
         ..Default::default()
     })
-    .unwrap();
+    .unwrap()
+}
+
+fn engine() -> QueryEngine {
+    let fw = framework();
     for i in 0..50i64 {
         fw.insert_event(&EventRecord {
             ts_ms: i * 60_000,
@@ -195,31 +201,31 @@ fn interleaved_profiled_requests_do_not_cross_contaminate() {
     }
 }
 
-#[test]
-fn stream_ingester_steps_keep_their_spans_parented() {
-    let fw = Arc::new(
-        Framework::new(FrameworkConfig {
-            db_nodes: 2,
-            replication_factor: 1,
-            vnodes: 4,
-            topology: Topology::scaled(1, 1),
-            ..Default::default()
-        })
-        .unwrap(),
-    );
-    let mut ing = StreamIngester::new(&fw, "obs", 0).unwrap();
-    let lines: Vec<RawLine> = (0..4)
+/// `n` MCE console lines of node 0, one a second from `from` on.
+fn mce_lines(fw: &Framework, from: usize, n: usize) -> Vec<RawLine> {
+    (from..from + n)
         .map(|i| RawLine {
-            ts_ms: 1_500_000_000_000 + i * 1_000,
+            ts_ms: 1_500_000_000_000 + i as i64 * 1_000,
             facility: Facility::Console,
             source: fw.topology().node(0).cname.clone(),
             text: "Machine Check Exception: bank 1: b2 addr 3f cpu 0".to_owned(),
         })
-        .collect();
-    publish_lines(&fw, &lines).unwrap();
-    ing.step(16).unwrap();
+        .collect()
+}
 
-    let spans = telemetry::trace_snapshot();
+/// A framework whose stream ingester ran one step over four lines.
+fn stepped() -> Framework {
+    let fw = framework();
+    let mut ing = StreamIngester::new(&fw, "obs", 0).unwrap();
+    publish_lines(&fw, &mce_lines(&fw, 0, 4)).unwrap();
+    ing.step(16).unwrap();
+    fw
+}
+
+#[test]
+fn stream_ingester_steps_keep_their_spans_parented() {
+    let fw = stepped();
+    let spans = fw.telemetry().trace_snapshot();
     let by_id: std::collections::HashMap<u64, &telemetry::SpanRecord> =
         spans.iter().map(|s| (s.id, s)).collect();
     let stream_spans: Vec<_> = spans
@@ -233,11 +239,11 @@ fn stream_ingester_steps_keep_their_spans_parented() {
     for s in &stream_spans {
         assert!(s.trace.is_some(), "{} span lost its trace", s.name);
         if let Some(parent) = s.parent {
-            let Some(p) = by_id.get(&parent) else {
-                // The bounded ring may have evicted the parent; that is
-                // retention, not an orphan.
-                continue;
-            };
+            // The framework's ring holds only its own spans, far fewer
+            // than its capacity: a parent missing from it is an orphan.
+            let p = by_id
+                .get(&parent)
+                .unwrap_or_else(|| panic!("{} lost its parent span", s.name));
             assert_eq!(
                 p.trace, s.trace,
                 "{} dangles off a different trace than its parent {}",
@@ -266,7 +272,8 @@ fn exemplars_and_the_flight_recorder_agree_on_trace_ids() {
     }
     // Every recorded query carries a well-formed trace id, and our
     // requests are all in the recorder (threshold 0 captures everything).
-    let recorded: HashSet<String> = call(&e, r#"{"op":"slow_queries"}"#)["data"]["queries"]
+    let slow_queries = call(&e, r#"{"op":"slow_queries"}"#);
+    let recorded: HashSet<String> = slow_queries["data"]["queries"]
         .as_array()
         .unwrap()
         .iter()
@@ -276,15 +283,32 @@ fn exemplars_and_the_flight_recorder_agree_on_trace_ids() {
         assert!(recorded.contains(t), "trace {t} missing from recorder");
     }
     // The request-latency histogram links its tail to a trace id in the
-    // same hex form (the registry is process-global, so the exemplar may
-    // belong to a concurrent test's request — when it is ours, the
-    // recorder must know it).
+    // same hex form. The histogram is this framework's own, and the
+    // `metrics` request's span is still open when it is read, so the
+    // exemplar is a recorded panel or the `slow_queries` request.
     let metrics = call(&e, r#"{"op":"metrics"}"#);
     let hist = &metrics["data"]["histograms"]["server.engine.request"];
     let max_exemplar = hist["max_exemplar"].as_str().expect("max exemplar");
     assert_eq!(max_exemplar.len(), 16);
     assert!(max_exemplar.chars().all(|c| c.is_ascii_hexdigit()));
-    if issued.contains(max_exemplar) {
-        assert!(recorded.contains(max_exemplar));
-    }
+    let ours = recorded.contains(max_exemplar);
+    assert!(ours || slow_queries["trace_id"].as_str() == Some(max_exemplar));
+}
+
+#[test]
+fn a_busy_producer_leaves_a_steps_spans_in_the_trace_ring() {
+    let fw = stepped();
+    let recorded = || -> HashSet<&str> {
+        let spans = fw.telemetry().trace_snapshot();
+        spans.into_iter().map(|s| s.name).collect()
+    };
+    let step_spans = HashSet::from(["etl.stream.step", "rasdb.coordinator.write"]);
+    assert!(recorded().is_superset(&step_spans), "{:?}", recorded());
+    let burst = telemetry::TRACE_CAPACITY + 1_000;
+    publish_lines(&fw, &mce_lines(&fw, 4, burst)).unwrap();
+    let after = recorded();
+    assert!(
+        after.is_superset(&step_spans),
+        "publishing {burst} lines evicted the step's spans: {after:?}"
+    );
 }

@@ -5,8 +5,8 @@
 //! about 1.8 MiB of text), imported as 100 slices through
 //! `Framework::batch_import_bytes` with one executor, so the numbers repeat
 //! on any machine. Everything the framework holds counts: commit logs,
-//! memtables, SSTables, the application tables and the process-wide
-//! telemetry it registers on first use. The ceilings are what the store
+//! memtables, SSTables, the application tables and its telemetry
+//! registry with its trace ring. The ceilings are what the store
 //! measured with a little headroom; they only ever move down.
 //!
 //! The allocator's counters are process-wide, so this binary has exactly

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use telemetry::{Counter, CounterFamily, Registry};
+use telemetry::{Counter, CounterFamily, Registry, Span};
 
 /// Bus errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,6 +282,9 @@ pub struct Broker {
     pub(crate) backpressure: Arc<Counter>,
     /// `logbus.consumer.records`: records every consumer polled.
     pub(crate) consumer_records: Arc<Counter>,
+    /// `logbus.producer.send` (profile-level detail), `logbus.consumer.poll`.
+    pub(crate) send_span: Span,
+    pub(crate) poll_span: Span,
 }
 
 impl Default for Broker {
@@ -296,7 +299,7 @@ impl Broker {
         Broker::with_telemetry(&Registry::default())
     }
 
-    /// Creates an empty broker whose counters live in `telemetry`.
+    /// Creates an empty broker whose instruments live in `telemetry`.
     pub fn with_telemetry(telemetry: &Registry) -> Broker {
         let kinds = &["drop", "delay", "duplicate", "commit"];
         Broker {
@@ -308,6 +311,8 @@ impl Broker {
             }),
             backpressure: telemetry.counter("bus.producer.backpressure"),
             consumer_records: telemetry.counter("logbus.consumer.records"),
+            send_span: telemetry.span("logbus.producer.send"),
+            poll_span: telemetry.span("logbus.consumer.poll"),
         }
     }
 

@@ -5,7 +5,7 @@ use crate::record::Record;
 use crate::topic::Topic;
 use parking_lot::RwLock;
 use std::sync::Arc;
-use telemetry::Counter;
+use telemetry::{Counter, Span};
 
 /// A consumer in a consumer group.
 ///
@@ -41,8 +41,9 @@ pub struct Consumer {
     topic: Arc<Topic>,
     group: Arc<RwLock<GroupState>>,
     faults: Arc<FaultState>,
-    /// The broker's `logbus.consumer.records` counter.
+    /// The broker's `logbus.consumer.records` counter and `poll` span.
     records: Arc<Counter>,
+    poll_span: Span,
     member_id: u64,
     seen_generation: u64,
     /// (partition, next offset) pairs for the current assignment.
@@ -71,6 +72,7 @@ impl Consumer {
             group,
             faults: broker.faults(),
             records: Arc::clone(&broker.consumer_records),
+            poll_span: broker.poll_span.clone(),
             member_id,
             seen_generation: 0,
             positions: Vec::new(),
@@ -115,7 +117,7 @@ impl Consumer {
     /// downstream consumers must treat `(partition, offset)` as the
     /// identity of a record, not its array position.
     pub fn poll(&mut self, max: usize) -> Vec<Record> {
-        let mut span = telemetry::span!("logbus.consumer.poll");
+        let mut span = self.poll_span.enter();
         if self.group.read().generation != self.seen_generation {
             self.rebalance();
         }

@@ -70,7 +70,8 @@ impl<'b> Producer<'b> {
     ) -> Result<(usize, u64), BusError> {
         // Profile-level detail: a span per record would fill the trace ring
         // and push out the step, window and write spans of a busy stream.
-        let _span = telemetry::profiling_active().then(|| telemetry::span!("logbus.producer.send"));
+        let send = &self.broker.send_span;
+        let _span = send.profiling_active().then(|| send.enter());
         let topic_ref = self.broker.topic(topic)?;
         let partition = match key {
             Some(k) => topic_ref.partition_for_key(k),

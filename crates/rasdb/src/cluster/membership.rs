@@ -41,7 +41,7 @@ impl Cluster {
     /// is retired, and its queued hints are dropped (counted in
     /// [`hints_dropped`](crate::stats::CoordinatorStats::hints_dropped)).
     pub fn join_node_with(&self, plan: TopologyFaultPlan) -> Result<TransitionReport, DbError> {
-        let _span = telemetry::span!("rasdb.topology.join");
+        let _span = self.topo_stats.join_span.enter();
         self.transition(TransitionKind::Join, plan, |_| {
             let joiner = {
                 let mut nodes = self.nodes.write();
@@ -79,7 +79,7 @@ impl Cluster {
         id: NodeId,
         plan: TopologyFaultPlan,
     ) -> Result<TransitionReport, DbError> {
-        let _span = telemetry::span!("rasdb.topology.decommission");
+        let _span = self.topo_stats.decommission_span.enter();
         self.transition(TransitionKind::Decommission, plan, |ring| {
             if !ring.contains(id) {
                 return Err(DbError::BadQuery(format!(
@@ -215,7 +215,7 @@ impl Cluster {
         faults: &StreamFaults,
         report: &mut TransitionReport,
     ) -> Result<(), DbError> {
-        let _span = telemetry::span!("rasdb.topology.stream");
+        let _span = self.topo_stats.stream_span.enter();
         for table in self.table_names() {
             // Candidate partitions: the union of what every current member
             // stores. (For a join the transitioning node holds nothing

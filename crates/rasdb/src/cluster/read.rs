@@ -121,7 +121,7 @@ impl Cluster {
     /// Executes a resolved read plan: [`Cluster::read_multi`] of one plan,
     /// without its batch counters and profile spans.
     pub fn read(&self, plan: &ReadPlan, consistency: Consistency) -> Result<Arc<[Row]>, DbError> {
-        let _span = telemetry::span!("rasdb.coordinator.read");
+        let _span = self.coord_stats.read_span.enter();
         let mut sim = SimTime::default();
         let rows = self.read_plan(plan, consistency, &mut sim, false)?;
         sim.charge();
@@ -150,7 +150,7 @@ impl Cluster {
         plans: &[ReadPlan],
         consistency: Consistency,
     ) -> Result<Vec<Arc<[Row]>>, DbError> {
-        let mut span = telemetry::span!("rasdb.coordinator.read_multi");
+        let mut span = self.coord_stats.read_multi_span.enter();
         if plans.is_empty() {
             return Ok(Vec::new());
         }
@@ -159,7 +159,7 @@ impl Cluster {
         // Plan, replica and merge sub-spans are profile-level detail:
         // skipped unless a profile is being collected, so the steady-state
         // read path emits exactly one span per call.
-        let detail = telemetry::profiling_active();
+        let detail = self.coord_stats.read_multi_span.profiling_active();
         let mut sim = SimTime::default();
         let results = plans
             .iter()
@@ -193,11 +193,11 @@ impl Cluster {
         sim: &mut SimTime,
         detail: bool,
     ) -> Result<Arc<[Row]>, DbError> {
-        let plan_span = detail.then(|| telemetry::span!("rasdb.coordinator.plan"));
+        let plan_span = detail.then(|| self.coord_stats.plan_span.enter());
         let (table, replicas, required) = self.plan_replicas(plan, consistency)?;
         drop(plan_span);
         let (data, answers) = self.gather(plan, &replicas, required, sim, detail)?;
-        let _merge_span = detail.then(|| telemetry::span!("rasdb.coordinator.merge"));
+        let _merge_span = detail.then(|| self.coord_stats.merge_span.enter());
         Ok(self.finish_read(&table, plan, data, answers))
     }
 
@@ -227,7 +227,7 @@ impl Cluster {
         let mut read_next = |at: u64, mut kind: &'static str, sim: &mut SimTime| {
             while let Some(node) = self.next_up_replica(replicas, &mut cursor) {
                 let span = detail.then(|| {
-                    let mut span = telemetry::span!("rasdb.coordinator.replica_read");
+                    let mut span = self.coord_stats.replica_read_span.enter();
                     span.tag("node", node.id.0.to_string());
                     span.tag("kind", kind);
                     span.tag("answer", if data.is_some() { "digest" } else { "data" });

@@ -66,7 +66,7 @@ impl Cluster {
         batch: Vec<Vec<(N, Value)>>,
         consistency: Consistency,
     ) -> Result<usize, DbError> {
-        let mut span = Some(telemetry::span!("rasdb.coordinator.write"));
+        let mut span = Some(self.coord_stats.write_span.enter());
         if tables.is_empty() {
             return Err(DbError::BadQuery("an insert needs a table".into()));
         }
@@ -87,7 +87,7 @@ impl Cluster {
         for (schema, mutations) in views.iter().zip(binder.finish(first_ts)) {
             let span = span
                 .take()
-                .unwrap_or_else(|| telemetry::span!("rasdb.coordinator.write"));
+                .unwrap_or_else(|| self.coord_stats.write_span.enter());
             if let Err(e) = self.write_batch(span, &schema.name, mutations, consistency) {
                 first_error.get_or_insert(e);
             }
@@ -103,7 +103,7 @@ impl Cluster {
         clustering: Vec<Value>,
         consistency: Consistency,
     ) -> Result<(), DbError> {
-        let span = telemetry::span!("rasdb.coordinator.write");
+        let span = self.coord_stats.write_span.enter();
         let schema = self.known_schema(table)?;
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
         let m = Mutation::delete(

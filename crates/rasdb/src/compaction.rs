@@ -5,27 +5,15 @@ use crate::partitioner::DecoratedKey;
 use crate::sstable::SsTable;
 use std::collections::BTreeMap;
 
-/// Size-tiered strategy parameters (Cassandra defaults scaled down).
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionConfig {
-    /// Minimum number of similar-sized tables before a merge triggers.
-    pub min_threshold: usize,
-    /// Tables within `bucket_ratio` of each other share a bucket.
-    pub bucket_ratio: f64,
-}
-
-impl Default for CompactionConfig {
-    fn default() -> Self {
-        CompactionConfig {
-            min_threshold: 4,
-            bucket_ratio: 2.0,
-        }
-    }
-}
+/// Minimum number of similar-sized tables before a merge triggers
+/// (Cassandra's size-tiered default).
+pub const MIN_THRESHOLD: usize = 4;
+/// Tables within this size ratio of each other share a bucket.
+pub const BUCKET_RATIO: f64 = 2.0;
 
 /// Picks the indices of tables to merge, or `None` when no bucket is ripe.
-pub fn pick_bucket(tables: &[SsTable], cfg: &CompactionConfig) -> Option<Vec<usize>> {
-    if tables.len() < cfg.min_threshold {
+pub fn pick_bucket(tables: &[SsTable]) -> Option<Vec<usize>> {
+    if tables.len() < MIN_THRESHOLD {
         return None;
     }
     // Sort indices by size, then greedily bucket neighbours whose sizes are
@@ -37,18 +25,18 @@ pub fn pick_bucket(tables: &[SsTable], cfg: &CompactionConfig) -> Option<Vec<usi
         let fits = bucket.last().is_none_or(|&j| {
             let a = tables[j].cell_count().max(1) as f64;
             let b = tables[i].cell_count().max(1) as f64;
-            b / a <= cfg.bucket_ratio
+            b / a <= BUCKET_RATIO
         });
         if fits {
             bucket.push(i);
-        } else if bucket.len() >= cfg.min_threshold {
+        } else if bucket.len() >= MIN_THRESHOLD {
             break;
         } else {
             bucket.clear();
             bucket.push(i);
         }
     }
-    if bucket.len() >= cfg.min_threshold {
+    if bucket.len() >= MIN_THRESHOLD {
         Some(bucket)
     } else {
         None
@@ -147,11 +135,13 @@ mod tests {
 
     #[test]
     fn bucket_requires_threshold_and_similar_sizes() {
-        let cfg = CompactionConfig::default();
-        let small: Vec<SsTable> = (0..4).map(|i| table_with(i, i as i64, 1, 1, 1)).collect();
-        assert!(pick_bucket(&small[..3], &cfg).is_none(), "below threshold");
-        let got = pick_bucket(&small, &cfg).unwrap();
-        assert_eq!(got.len(), 4);
+        let n = MIN_THRESHOLD;
+        let small: Vec<SsTable> = (0..n as u64)
+            .map(|i| table_with(i, i as i64, 1, 1, 1))
+            .collect();
+        assert!(pick_bucket(&small[..n - 1]).is_none(), "below threshold");
+        let got = pick_bucket(&small).unwrap();
+        assert_eq!(got.len(), n);
 
         // One giant table must not bucket with four tiny ones.
         let mut mixed = small;
@@ -162,9 +152,10 @@ mod tests {
                 (ck(t), e)
             })
             .collect();
+        let giant = mixed.len();
         mixed.push(SsTable::build(9, vec![(pk(99), Rows::Run(big_rows))]));
-        let got = pick_bucket(&mixed, &cfg).unwrap();
-        assert_eq!(got.len(), 4, "giant table excluded from the bucket");
-        assert!(!got.contains(&4));
+        let got = pick_bucket(&mixed).unwrap();
+        assert_eq!(got.len(), n, "giant table excluded from the bucket");
+        assert!(!got.contains(&giant));
     }
 }

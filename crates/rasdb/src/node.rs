@@ -2,7 +2,7 @@
 //! message-style API used only by coordinators.
 
 use crate::commitlog::{CommitLog, Mutation};
-use crate::compaction::{self, CompactionConfig};
+use crate::compaction;
 use crate::memtable::{merge_all, merges_to, Memtable, RowEntry, Run};
 use crate::partitioner::DecoratedKey;
 use crate::ring::NodeId;
@@ -22,8 +22,6 @@ pub struct NodeConfig {
     pub flush_threshold: usize,
     /// Commit-log segment size in records.
     pub commitlog_segment: usize,
-    /// Compaction strategy parameters.
-    pub compaction: CompactionConfig,
     /// Bloom-filter usage on reads (ablation hook).
     pub use_bloom: bool,
     /// Simulated per-read service latency (RPC + disk round trip of a
@@ -38,7 +36,6 @@ impl Default for NodeConfig {
         NodeConfig {
             flush_threshold: 64 * 1024,
             commitlog_segment: 16 * 1024,
-            compaction: CompactionConfig::default(),
             use_bloom: true,
             read_latency_us: 0,
         }
@@ -366,7 +363,7 @@ impl StorageNode {
     }
 
     fn maybe_compact_locked(&self, store: &mut TableStore) {
-        while let Some(bucket) = compaction::pick_bucket(&store.sstables, &self.cfg.compaction) {
+        while let Some(bucket) = compaction::pick_bucket(&store.sstables) {
             let mut picked = Vec::with_capacity(bucket.len());
             // Remove in descending index order to keep indices valid.
             let mut idxs = bucket;

@@ -6,11 +6,11 @@
 //! the framework's `metrics` reports their sum over the cluster
 //! ([`crate::cluster::Cluster::stats`]) as the `rasdb.storage.*` rows.
 //! [`CoordinatorStats`], [`TopologyStats`] and [`CacheStats`] hold
-//! counters of the [`telemetry::Registry`] they were built with, resolved
-//! once; their accessors read those same instruments.
+//! instruments of the [`telemetry::Registry`] they were built with,
+//! resolved once; their accessors read those same instruments.
 
 use std::sync::Arc;
-use telemetry::{Counter, CounterFamily, Gauge, Registry};
+use telemetry::{Counter, CounterFamily, Gauge, Registry, Span};
 
 /// Per-node operation counters, in no registry: the framework reports
 /// their sum over the cluster.
@@ -52,8 +52,7 @@ impl NodeStats {
 /// Coordinator-side counters: replica skips, retries and hedges, digest
 /// reads, `read_multi` batches, rows, hints. Each is a
 /// `rasdb.coordinator.*` counter of the cluster's registry, and the
-/// coordinator counts into it directly.
-#[derive(Debug)]
+/// coordinator counts into it directly, as it enters its spans.
 pub struct CoordinatorStats {
     /// Known-down replicas skipped before dispatch.
     pub(crate) replica_skipped: Arc<Counter>,
@@ -76,10 +75,17 @@ pub struct CoordinatorStats {
     pub(crate) write_rows: Arc<Counter>,
     /// Rows one `read` or `read_multi` call returned.
     pub(crate) read_rows: Arc<Counter>,
+    pub(crate) read_span: Span,
+    pub(crate) read_multi_span: Span,
+    pub(crate) write_span: Span,
+    /// Profile-level detail of `read_multi`, entered only while profiling.
+    pub(crate) plan_span: Span,
+    pub(crate) replica_read_span: Span,
+    pub(crate) merge_span: Span,
 }
 
 impl CoordinatorStats {
-    /// Resolves the `rasdb.coordinator.*` counters in `telemetry`.
+    /// Resolves the `rasdb.coordinator.*` counters and spans in `telemetry`.
     pub fn new(telemetry: &Registry) -> CoordinatorStats {
         let c = |event: &str| telemetry.counter(&format!("rasdb.coordinator.{event}"));
         CoordinatorStats {
@@ -93,6 +99,12 @@ impl CoordinatorStats {
             hints_rerouted: c("hints_rerouted"),
             write_rows: c("write.rows"),
             read_rows: c("read.rows"),
+            read_span: telemetry.span("rasdb.coordinator.read"),
+            read_multi_span: telemetry.span("rasdb.coordinator.read_multi"),
+            write_span: telemetry.span("rasdb.coordinator.write"),
+            plan_span: telemetry.span("rasdb.coordinator.plan"),
+            replica_read_span: telemetry.span("rasdb.coordinator.replica_read"),
+            merge_span: telemetry.span("rasdb.coordinator.merge"),
         }
     }
 
@@ -139,11 +151,10 @@ impl CoordinatorStats {
     }
 }
 
-/// Topology-transition counters: range streaming progress and the fault
-/// recovery machinery (retries, resumes, aborts). Each is a
-/// `rasdb.topology.*` counter of the cluster's registry, so rebalances show
-/// up in `metrics` output next to coordinator and storage activity.
-#[derive(Debug)]
+/// Topology-transition counters and spans: range streaming progress and
+/// the fault recovery machinery (retries, resumes, aborts). Each counter is
+/// a `rasdb.topology.*` counter of the cluster's registry, so rebalances
+/// show up in `metrics` output next to coordinator and storage activity.
 pub struct TopologyStats {
     pub(crate) joins: Arc<Counter>,
     pub(crate) decommissions: Arc<Counter>,
@@ -159,10 +170,13 @@ pub struct TopologyStats {
     /// `rasdb.topology.injected_faults{,.<kind>}`: faults a
     /// [`crate::topology::TopologyFaultPlan`] injected.
     pub(crate) injected_faults: CounterFamily,
+    pub(crate) join_span: Span,
+    pub(crate) decommission_span: Span,
+    pub(crate) stream_span: Span,
 }
 
 impl TopologyStats {
-    /// Resolves the `rasdb.topology.*` counters in `telemetry`.
+    /// Resolves the `rasdb.topology.*` counters and spans in `telemetry`.
     pub fn new(telemetry: &Registry) -> TopologyStats {
         let c = |event: &str| telemetry.counter(&format!("rasdb.topology.{event}"));
         TopologyStats {
@@ -183,6 +197,9 @@ impl TopologyStats {
                     "joiner_crash",
                 ],
             ),
+            join_span: telemetry.span("rasdb.topology.join"),
+            decommission_span: telemetry.span("rasdb.topology.decommission"),
+            stream_span: telemetry.span("rasdb.topology.stream"),
         }
     }
 

@@ -104,8 +104,8 @@ const SHAPES: [Shape; 4] = [
         1100.0,
     ),
 ];
-/// What one round may leave behind outside the cluster: the spans of its
-/// `insert_batch` calls in the process-wide trace ring.
+/// What one round may leave behind once its cluster, and with it the
+/// cluster's registry and trace ring, is dropped.
 const ROUND_RESIDUE_BYTES: isize = 8 * 1024;
 
 /// Four nodes, RF 3, the two event tables of the framework.
@@ -205,8 +205,8 @@ fn round() -> [(f64, f64); 4] {
 #[test]
 fn an_inserted_row_costs_a_few_allocations_and_a_kilobyte_and_leaks_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Once for whatever the process sets up on first use (telemetry's
-    // registry and ring, the test harness's own buffers).
+    // Once for whatever the process sets up on first use (the test
+    // harness's own buffers).
     round();
 
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
@@ -300,7 +300,7 @@ fn a_cold_read_costs_a_few_allocations_per_row_and_leaves_nothing_live() {
     let c = cluster();
     let plan = one_partition(&c, 1, ROWS);
     c.flush_all();
-    // Once for the process's first span and the registry's counters.
+    // Once for the ring's first span and the registry's counters.
     read(&c, &one_partition(&c, 3, 1), 1);
 
     // The coordinator caches nothing: a repeat read is as cold as the

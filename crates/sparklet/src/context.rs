@@ -4,19 +4,30 @@ use crate::rdd::Rdd;
 use crate::Data;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use telemetry::{Registry, Span};
 
 /// The engine handle. Cheap to clone.
 #[derive(Clone)]
 pub struct SparkletContext {
     workers: usize,
+    /// `sparklet.scheduler.{stage,task}`: one per job, one per partition.
+    stage_span: Span,
+    task_span: Span,
 }
 
 impl SparkletContext {
     /// A context whose jobs run on up to `workers` executor threads each.
     /// No thread starts until a job runs.
     pub fn new(workers: usize) -> SparkletContext {
+        SparkletContext::with_telemetry(workers, &Registry::default())
+    }
+
+    /// [`SparkletContext::new`] whose spans live in `telemetry`.
+    pub fn with_telemetry(workers: usize, telemetry: &Registry) -> SparkletContext {
         SparkletContext {
             workers: workers.max(1),
+            stage_span: telemetry.span("sparklet.scheduler.stage"),
+            task_span: telemetry.span("sparklet.scheduler.task"),
         }
     }
 
@@ -58,7 +69,7 @@ impl SparkletContext {
         f: impl Fn(usize, Vec<T>) -> R + Sync,
     ) -> Vec<R> {
         let parts: &[Vec<T>] = &rdd.parts;
-        let stage_span = telemetry::span!("sparklet.scheduler.stage");
+        let stage_span = self.stage_span.enter();
         let stage_id = stage_span.id();
         // Tasks parent under the stage span *and* inherit the request's
         // trace id (the stage picked it up from the caller's thread-local),
@@ -66,8 +77,8 @@ impl SparkletContext {
         let stage_ctx = stage_span.context();
         let run = |p: usize| {
             let _task_span = match &stage_ctx {
-                Some(c) => telemetry::SpanGuard::enter_in("sparklet.scheduler.task", c),
-                None => telemetry::span!("sparklet.scheduler.task", stage_id),
+                Some(c) => self.task_span.enter_in(c),
+                None => self.task_span.enter_with_parent(stage_id),
             };
             (p, catch_unwind(AssertUnwindSafe(|| f(p, parts[p].clone()))))
         };

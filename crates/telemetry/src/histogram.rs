@@ -59,28 +59,9 @@ fn bucket_upper_bound(index: usize) -> u64 {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            exemplars: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation (e.g. a latency in nanoseconds).
-    pub fn record(&self, value: u64) {
-        self.record_traced(value, None);
-    }
-
-    /// Records one observation and, when `trace` is set, stamps it as the
-    /// latest exemplar of the bucket the value lands in.
-    pub fn record_traced(&self, value: u64, trace: Option<u64>) {
-        if !crate::enabled() {
-            return;
-        }
+    /// Records one observation (e.g. a latency in nanoseconds) and, when
+    /// `trace` is set, stamps it as the latest exemplar of its bucket.
+    pub fn record(&self, value: u64, trace: Option<u64>) {
         let bucket = bucket_index(value);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         if let Some(t) = trace {
@@ -136,18 +117,6 @@ impl Histogram {
         0
     }
 
-    /// Non-empty per-bucket exemplars as `(bucket_index, trace_id)` pairs.
-    pub fn exemplars(&self) -> Vec<(usize, u64)> {
-        self.exemplars
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| {
-                let t = e.load(Ordering::Relaxed);
-                (t != 0).then_some((i, t))
-            })
-            .collect()
-    }
-
     /// Point-in-time summary: count, sum, mean, and quantile estimates.
     pub fn summary(&self) -> HistogramSummary {
         let count = self.count();
@@ -186,8 +155,15 @@ impl Histogram {
 }
 
 impl Default for Histogram {
+    /// An empty histogram.
     fn default() -> Self {
-        Self::new()
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            exemplars: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
     }
 }
 
@@ -196,12 +172,17 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Non-empty per-bucket exemplars as `(bucket_index, trace_id)` pairs.
+    fn exemplars(h: &Histogram) -> Vec<(usize, u64)> {
+        let stamped = h.exemplars.iter().map(|e| e.load(Ordering::Relaxed));
+        stamped.enumerate().filter(|&(_, t)| t != 0).collect()
+    }
+
     #[test]
     fn zero_lands_in_bucket_zero() {
-        let _g = crate::test_lock();
         assert_eq!(bucket_index(0), 0);
-        let h = Histogram::new();
-        h.record(0);
+        let h = Histogram::default();
+        h.record(0, None);
         assert_eq!(h.count(), 1);
         let s = h.summary();
         assert_eq!((s.p50, s.max, s.sum), (0, 0, 0));
@@ -209,10 +190,9 @@ mod tests {
 
     #[test]
     fn u64_max_saturates_into_last_bucket() {
-        let _g = crate::test_lock();
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
-        let h = Histogram::new();
-        h.record(u64::MAX);
+        let h = Histogram::default();
+        h.record(u64::MAX, None);
         let s = h.summary();
         assert_eq!(s.count, 1);
         assert_eq!(s.max, u64::MAX);
@@ -235,12 +215,11 @@ mod tests {
 
     #[test]
     fn quantiles_are_bucket_upper_bounds() {
-        let _g = crate::test_lock();
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..99 {
-            h.record(100); // bucket 7, upper bound 127
+            h.record(100, None); // bucket 7, upper bound 127
         }
-        h.record(1_000_000); // lone outlier
+        h.record(1_000_000, None); // lone outlier
         let s = h.summary();
         assert_eq!(s.count, 100);
         assert_eq!(s.p50, 127);
@@ -253,23 +232,21 @@ mod tests {
 
     #[test]
     fn quantile_never_exceeds_observed_max() {
-        let _g = crate::test_lock();
-        let h = Histogram::new();
-        h.record(5);
+        let h = Histogram::default();
+        h.record(5, None);
         assert_eq!(h.quantile(1.0), 5);
         assert_eq!(h.quantile(0.5), 5);
     }
 
     #[test]
     fn empty_histogram_summarizes_to_zeroes() {
-        let s = Histogram::new().summary();
+        let s = Histogram::default().summary();
         assert_eq!(s, HistogramSummary::default());
     }
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let _g = crate::test_lock();
-        let h = Arc::new(Histogram::new());
+        let h = Arc::new(Histogram::default());
         let threads = 8;
         let per_thread = 10_000u64;
         let handles: Vec<_> = (0..threads)
@@ -277,7 +254,7 @@ mod tests {
                 let h = Arc::clone(&h);
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
-                        h.record(t * per_thread + i);
+                        h.record(t * per_thread + i, None);
                     }
                 })
             })
@@ -296,36 +273,23 @@ mod tests {
 
     #[test]
     fn exemplars_link_buckets_to_the_latest_trace() {
-        let _g = crate::test_lock();
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..99 {
-            h.record_traced(100, Some(0xAAAA)); // bucket 7
+            h.record(100, Some(0xAAAA)); // bucket 7
         }
-        h.record_traced(1_000_000, Some(0xBBBB)); // slow outlier, bucket 20
+        h.record(1_000_000, Some(0xBBBB)); // slow outlier, bucket 20
         let s = h.summary();
         // p99 rank (99 of 100) still lands in the fast bucket.
         assert_eq!(s.p99_exemplar, 0xAAAA);
         assert_eq!(s.max_exemplar, 0xBBBB);
-        h.record(1_000_000); // untraced: must not clobber the exemplar
+        h.record(1_000_000, None); // untraced: must not clobber the exemplar
         assert_eq!(h.summary().max_exemplar, 0xBBBB);
-        assert_eq!(h.exemplars(), vec![(7, 0xAAAA), (20, 0xBBBB)]);
+        assert_eq!(exemplars(&h), vec![(7, 0xAAAA), (20, 0xBBBB)]);
         // A newer trace in the same bucket replaces the exemplar.
-        h.record_traced(1_000_000, Some(0xCCCC));
+        h.record(1_000_000, Some(0xCCCC));
         assert_eq!(h.summary().max_exemplar, 0xCCCC);
         h.reset();
-        assert!(h.exemplars().is_empty());
+        assert!(exemplars(&h).is_empty());
         assert_eq!(h.summary().p99_exemplar, 0);
-    }
-
-    #[test]
-    fn disabled_recording_is_a_noop() {
-        let _g = crate::test_lock();
-        crate::set_enabled(false);
-        let h = Histogram::new();
-        h.record(7);
-        crate::set_enabled(true);
-        assert_eq!(h.count(), 0);
-        h.record(7);
-        assert_eq!(h.count(), 1);
     }
 }

@@ -1,16 +1,17 @@
 //! Registries of named instruments.
 //!
-//! A deployment owns its [`Registry`] of counters and gauges and resolves
-//! each handle once, where it is built. The process-wide [`global`]
-//! registry holds only span histograms.
+//! A deployment owns its [`Registry`] — counters, gauges, span histograms,
+//! the trace ring and the profile sinks — and resolves each handle once,
+//! where it is built.
 
 use crate::histogram::{Histogram, HistogramSummary};
+use crate::span::Trace;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
-/// Monotonically increasing count. Always records: [`crate::set_enabled`]
-/// gates spans and histograms, never a count.
+/// Monotonically increasing count. Always records:
+/// [`Registry::set_enabled`] gates spans and histograms, never a count.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -75,13 +76,17 @@ impl CounterFamily {
     }
 }
 
-/// Named instruments, interned on first use. Handles are `Arc`s; hot paths
-/// should look an instrument up once and keep the handle.
+/// Named instruments, interned on first use, and the span state they
+/// share: the trace ring, the per-trace profile sinks and the spans on/off
+/// switch. Handles are `Arc`s; hot paths should look an instrument up once
+/// and keep the handle.
 #[derive(Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    /// Spans, with the methods that read them, are in `span.rs`.
+    pub(crate) trace: Arc<Trace>,
 }
 
 /// Machine-readable view of every instrument at one moment.
@@ -139,13 +144,15 @@ impl Registry {
         }
     }
 
-    /// Zeroes every counter and histogram in place (handles stay valid).
-    /// Gauges keep their value: a gauge is a level, such as live workers or
-    /// open connections, not a count since some moment, and zeroing it
-    /// would make it read wrong until the level next moves.
+    /// Zeroes every counter and histogram in place (handles stay valid)
+    /// and clears the trace ring. Gauges keep their value: a gauge is a
+    /// level, such as live workers or open connections, not a count since
+    /// some moment, and zeroing it would make it read wrong until the level
+    /// next moves.
     pub fn reset(&self) {
         each(&self.counters, |_, c| c.reset());
         each(&self.histograms, |_, h| h.reset());
+        self.trace.clear();
     }
 }
 
@@ -195,12 +202,6 @@ impl Snapshot {
     }
 }
 
-/// The process-wide registry of span histograms (see [`crate::span!`]).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,16 +219,17 @@ mod tests {
 
     #[test]
     fn snapshot_sees_all_kinds() {
-        let _g = crate::test_lock();
         let r = Registry::default();
         r.counter("a.b.c").incr(1);
         r.gauge("a.b.lag").set(-7);
-        r.histogram("a.b.lat").record(1000);
+        r.histogram("a.b.lat").record(1000, None);
+        r.span("a.b.idle");
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("a.b.c".to_owned(), 1)]);
         assert_eq!(snap.gauges, vec![("a.b.lag".to_owned(), -7)]);
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count, 1);
+        // A resolved span's histogram is listed before it first records.
+        let counts = snap.histograms.iter().map(|(k, s)| (k.as_str(), s.count));
+        assert!(counts.eq([("a.b.idle", 0), ("a.b.lat", 1)]), "{snap:?}");
         let table = r.snapshot().render_table();
         assert!(table.contains("a.b.c"));
         assert!(table.contains("a.b.lat"));
@@ -254,13 +256,12 @@ mod tests {
 
     #[test]
     fn counts_record_while_spans_are_off() {
-        let _g = crate::test_lock();
         let r = Registry::default();
-        crate::set_enabled(false);
+        r.set_enabled(false);
         r.counter("a.b.c").incr(2);
         r.gauge("a.b.g").add(-3);
-        r.histogram("a.b.lat").record(9);
-        crate::set_enabled(true);
+        drop(r.span("a.b.lat").enter());
+        r.set_enabled(true);
         assert_eq!(r.counter("a.b.c").get(), 2);
         assert_eq!(r.gauge("a.b.g").get(), -3);
         assert_eq!(r.histogram("a.b.lat").count(), 0);
@@ -268,16 +269,17 @@ mod tests {
 
     #[test]
     fn reset_zeroes_in_place() {
-        let _g = crate::test_lock();
         let r = Registry::default();
         let c = r.counter("m.n.o");
         c.incr(9);
         let h = r.histogram("m.n.lat");
-        h.record(5);
+        h.record(5, None);
+        drop(r.span("m.n.lat").enter());
         r.gauge("m.n.live").set(4);
         r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
+        assert!(r.trace_snapshot().is_empty());
         assert_eq!(r.gauge("m.n.live").get(), 4, "a level is not reset");
     }
 }

@@ -115,25 +115,27 @@ if [ -n "$long_files" ]; then
   exit 1
 fi
 
-# Counters and gauges belong to a framework's registry (DESIGN §6); the
-# process-wide one holds only span histograms. Product code (each file's lines
-# before its first `#[cfg(test)]`) calls `global()` only in the span module
-# and once in the exporter's span-histogram read. Any other call is printed.
-echo "==> product code calls telemetry::global() only for spans"
-allowed_globals=" crates/telemetry/src/span.rs crates/core/src/server/telemetry_export.rs:snapshot "
-stray_globals="$(for f in crates/*/src/**/*.rs; do
-  awk -v file="$f" -v allowed="$allowed_globals" '/#!?\[cfg\(test\)\]/ { exit }
+# Every instrument has one owner, a framework's registry (DESIGN §6): no
+# product line (each file's lines before its first `#[cfg(test)]`) declares a
+# `static` — a `OnceLock`, a `LazyLock` or a `thread_local!` entry included —
+# that holds a `Registry`, a `Histogram`, a span ring or a profile sink
+# (`SpanRecord`s), or a registry's `Trace` or `Span`. The telemetry crate's
+# only statics are its id counters and the per-thread span stack, current
+# trace and thread sequence. Any other declaration is printed.
+echo "==> no process-wide telemetry state"
+allowed_statics=" NEXT_ID NEXT_TRACE NEXT_THREAD SPAN_STACK CURRENT_TRACE THREAD_SEQ "
+process_state="$(for f in crates/*/src/**/*.rs; do
+  awk -v file="$f" -v allowed="$allowed_statics" '/#!?\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }
-    match($0, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) {
-      fn = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", fn) }
-    /(^|[^A-Za-z0-9_])global\(/ && !/fn global\(/ {
-      site = file ":" fn
-      if (index(allowed, " " file " ") > 0) next
-      if (index(allowed, " " site " ") == 0 || seen[site]++) print file ":" FNR " (in fn " fn "): " $0 }' "$f"
+    match($0, /(^|[^A-Za-z0-9_])static (mut )?[A-Za-z0-9_]+[[:space:]]*:/) {
+      name = substr($0, RSTART, RLENGTH); sub(/.*static (mut )?/, "", name); sub(/[[:space:]]*:$/, "", name)
+      instrument = $0 ~ /(^|[^A-Za-z0-9_])(Registry|Histogram|SpanRecord|Trace|Span)([^A-Za-z0-9_]|$)/
+      unlisted = file ~ /^crates\/telemetry\// && index(allowed, " " name " ") == 0
+      if (instrument || unlisted) print file ":" FNR ": " $0 }' "$f"
 done)"
-if [ -n "$stray_globals" ]; then
-  echo "a telemetry::global() call outside the span module and the exporter's histogram read:" >&2
-  echo "$stray_globals" >&2
+if [ -n "$process_state" ]; then
+  echo "process-wide telemetry state (an instrument belongs to a framework's registry):" >&2
+  echo "$process_state" >&2
   exit 1
 fi
 

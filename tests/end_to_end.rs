@@ -135,11 +135,9 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
 
     // Drive reads and two analytics ops through the server surface so
     // coordinator and request spans fire. `nodeinfo` is a single-partition
-    // select (`Cluster::read`), which feeds `rasdb.coordinator.read`
-    // whatever else runs in this binary.
-    let events_op = format!(r#"{{"op":"events","type":"MCE","from":{t0},"to":{t1}}}"#);
+    // select (`Cluster::read`), which feeds `rasdb.coordinator.read`.
     for op in [
-        events_op.clone(),
+        format!(r#"{{"op":"events","type":"MCE","from":{t0},"to":{t1}}}"#),
         r#"{"op":"nodeinfo","cname":"c0-0c0s0n0"}"#.to_owned(),
         format!(r#"{{"op":"heatmap","type":"LUSTRE_ERR","from":{t0},"to":{t1}}}"#),
         format!(r#"{{"op":"wordcount","type":"LUSTRE_ERR","from":{t0},"to":{t1},"top":5}}"#),
@@ -170,30 +168,21 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
         .expect("task histogram present");
     assert!(tasks > 0, "no scheduler tasks recorded");
 
-    // The trace must contain at least one span tree rooted at a server
-    // request. Other tests in this binary can flood the bounded ring
-    // buffer between our query and the read, so retry the pair.
-    let mut rooted_tree = false;
-    for _ in 0..5 {
-        engine.handle(&events_op);
-        let trace = jsonlite::parse(&engine.handle(r#"{"op":"trace"}"#)).expect("valid JSON");
-        assert_eq!(trace["status"].as_str(), Some("ok"));
-        let spans = trace["data"]["spans"].as_array().expect("span array");
-        let roots: Vec<i64> = spans
-            .iter()
-            .filter(|s| {
-                s["name"].as_str() == Some("server.engine.request")
-                    && s["parent"].as_i64().is_none()
-            })
-            .filter_map(|s| s["id"].as_i64())
-            .collect();
-        rooted_tree = spans
-            .iter()
-            .any(|s| s["parent"].as_i64().is_some_and(|p| roots.contains(&p)));
-        if rooted_tree {
-            break;
-        }
-    }
+    // The framework's trace holds at least one span tree rooted at a server
+    // request: the ring is its own, so no other test can flood it.
+    let trace = jsonlite::parse(&engine.handle(r#"{"op":"trace"}"#)).expect("valid JSON");
+    assert_eq!(trace["status"].as_str(), Some("ok"));
+    let spans = trace["data"]["spans"].as_array().expect("span array");
+    let roots: Vec<i64> = spans
+        .iter()
+        .filter(|s| {
+            s["name"].as_str() == Some("server.engine.request") && s["parent"].as_i64().is_none()
+        })
+        .filter_map(|s| s["id"].as_i64())
+        .collect();
+    let rooted_tree = spans
+        .iter()
+        .any(|s| s["parent"].as_i64().is_some_and(|p| roots.contains(&p)));
     assert!(rooted_tree, "no span tree rooted at a server request");
 }
 
